@@ -35,29 +35,14 @@ func (l *Layer) forwardRing(st *layerState, ring marshal.AsyncTransport, t *kern
 		l.trace.Record(sim.EvRedirect, "redirect %s pid=%d -> proxy %d (ring)", args.Nr, t.PID, p.PID)
 	}
 
-	enc := *args
-	if isReadLike(args.Nr) && enc.Buf != nil {
-		enc.Size = len(enc.Buf)
-		enc.Buf = nil
-	}
-	payload := marshal.EncodeArgs(&enc)
-	l.clock.Advance(time.Duration(len(payload)) * l.model.MarshalPerByte)
+	f := l.getFrame()
+	defer l.putFrame(f)
+	f.encodeArgs(args)
+	l.clock.Advance(time.Duration(len(f.req)) * l.model.MarshalPerByte)
 
+	f.st, f.proxy, f.drained = st, p, true
 	start := l.clock.Now()
-	pending, serr := ring.Submit(payload, ringKey(t, args), func(req []byte) []byte {
-		decoded, derr := marshal.DecodeArgs(req)
-		if derr != nil {
-			return marshal.EncodeResult(kernel.Result{Ret: -1, Err: abi.EINVAL})
-		}
-		if isReadLike(decoded.Nr) && decoded.Buf == nil && decoded.Size > 0 {
-			decoded.Buf = make([]byte, decoded.Size)
-		}
-		resp := marshal.EncodeResult(st.proxies.ExecuteDrained(p, *decoded))
-		if st.tamper != nil {
-			resp = st.tamper(resp)
-		}
-		return resp
-	})
+	pending, serr := ring.Submit(f.req, ringKey(t, args), f.exec)
 	if serr != nil {
 		return l.transportFailure(t, args, start, serr)
 	}
@@ -72,11 +57,7 @@ func (l *Layer) forwardRing(st *layerState, ring marshal.AsyncTransport, t *kern
 		}
 		return kernel.Result{Ret: -1, Err: fmt.Errorf("call exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)}
 	}
-	res, derr := marshal.DecodeResult(respBytes)
-	if derr != nil {
-		return kernel.Result{Ret: -1, Err: derr}
-	}
-	return res
+	return decodeReply(respBytes, args)
 }
 
 // forwardBatchRing moves a coalesced batch through one ring slot: the
@@ -99,29 +80,13 @@ func (l *Layer) forwardBatchRing(st *layerState, ring marshal.AsyncTransport, t 
 	if l.trace != nil {
 		l.trace.Record(sim.EvRedirect, "redirect batch of %d calls pid=%d -> proxy %d (ring)", len(calls), t.PID, p.PID)
 	}
-	payload := marshal.EncodeArgsBatch(calls)
-	l.clock.Advance(time.Duration(len(payload)) * l.model.MarshalPerByte)
+	f := l.getFrame()
+	defer l.putFrame(f)
+	f.req = marshal.AppendArgsBatch(f.req[:0], calls)
+	l.clock.Advance(time.Duration(len(f.req)) * l.model.MarshalPerByte)
 
 	start := l.clock.Now()
-	pending, serr := ring.Submit(payload, ringKey(t, calls[0]), func(req []byte) []byte {
-		decoded, derr := marshal.DecodeArgsBatch(req)
-		if derr != nil {
-			return marshal.EncodeResultBatch([]kernel.Result{{Ret: -1, Err: abi.EINVAL}})
-		}
-		for _, d := range decoded {
-			if isReadLike(d.Nr) && d.Buf == nil && d.Size > 0 {
-				d.Buf = make([]byte, d.Size)
-			}
-		}
-		// Per-call errors travel home positionally inside the encoded
-		// result vector; the aggregate error is for direct Manager users.
-		batch, _ := st.proxies.ExecuteBatchDrained(p, decoded)
-		resp := marshal.EncodeResultBatch(batch)
-		if st.tamper != nil {
-			resp = st.tamper(resp)
-		}
-		return resp
-	})
+	pending, serr := ring.Submit(f.req, ringKey(t, calls[0]), f.execBatch(st, p, true))
 	if serr != nil {
 		fail := l.transportFailure(t, calls[0], start, serr)
 		return nil, fail.Err
@@ -135,14 +100,7 @@ func (l *Layer) forwardBatchRing(st *layerState, ring marshal.AsyncTransport, t 
 		l.counters.timedOut.Add(1)
 		return nil, fmt.Errorf("batch exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)
 	}
-	results, derr := marshal.DecodeResultBatch(respBytes)
-	if derr != nil {
-		return nil, derr
-	}
-	if len(results) != len(calls) {
-		return nil, fmt.Errorf("batch reply has %d results for %d calls: %w", len(results), len(calls), abi.EIO)
-	}
-	return results, nil
+	return decodeBatchReply(respBytes, calls)
 }
 
 // ringKey picks the FIFO-ordering key: the guest descriptor when the

@@ -1,6 +1,7 @@
 package anception
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -483,7 +484,8 @@ func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t 
 	frame := binder.EncodeSessionFrame(binder.SessionFrame{
 		Session: sid, Code: txn.Code, Payload: txn.Payload, Oneway: txn.Oneway,
 	})
-	payload := marshal.EncodeBinderCall(frame)
+	f := l.getFrame()
+	f.req = marshal.AppendBinderCall(f.req[:0], frame)
 	l.clock.Advance(hostCost)
 	if l.trace != nil {
 		l.trace.Record(sim.EvBinder, "pipelined binder txn %q sid=%d from pid=%d", txn.Service, sid, t.PID)
@@ -491,45 +493,44 @@ func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t 
 
 	start := l.clock.Now()
 	cred := t.Cred
-	pending, serr := ring.Submit(payload, proxy.KeyForString(txn.Service), func(req []byte) []byte {
+	pending, serr := ring.Submit(f.req, proxy.KeyForString(txn.Service), func(req []byte) []byte {
 		inner, derr := marshal.DecodeBinderCall(req)
 		if derr != nil {
-			return marshal.EncodeResult(kernel.Result{Ret: -1, Err: abi.EINVAL})
+			return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
 		}
-		f, derr := binder.DecodeSessionFrame(inner)
+		sf, derr := binder.DecodeSessionFrame(inner)
 		if derr != nil {
-			return marshal.EncodeResult(kernel.Result{Ret: -1, Err: abi.EINVAL})
+			return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
 		}
 		// Guest-side service handling, charged where it runs.
 		l.clock.Advance(l.model.BinderTransaction)
-		out, terr := g.Binder().TransactSession(cred, f.Session, f.Code, f.Payload, f.Oneway)
+		out, terr := g.Binder().TransactSession(cred, sf.Session, sf.Code, sf.Payload, sf.Oneway)
 		if terr != nil {
-			return marshal.EncodeResult(kernel.Result{Ret: -1, Err: terr})
+			return f.setReply(kernel.Result{Ret: -1, Err: terr})
 		}
-		resp := marshal.EncodeResult(kernel.Result{Data: out, Ret: int64(len(out))})
-		if st.tamper != nil {
-			resp = st.tamper(resp)
-		}
-		return resp
+		return tampered(st, f.setReply(kernel.Result{Data: out, Ret: int64(len(out))}))
 	})
 	if serr != nil {
+		l.putFrame(f)
 		fp.failed.Add(1)
 		return l.transportFailure(t, &kernel.Args{Nr: abi.SysIoctl}, start, serr)
 	}
 	if txn.Oneway {
 		// No reply to wait for: the slot completes (or fails EHOSTDOWN at
 		// restart) behind the caller's back; the detached waiter keeps the
-		// submitted = completed + failed identity intact and recycles the
-		// slot.
+		// submitted = completed + failed identity intact, recycles the
+		// slot and releases the frame.
 		go func() {
 			if _, werr := pending.Wait(); werr != nil {
 				fp.failed.Add(1)
 			} else {
 				fp.completed.Add(1)
 			}
+			l.putFrame(f)
 		}()
 		return kernel.Result{Ret: 0}
 	}
+	defer l.putFrame(f)
 	respBytes, werr := pending.Wait()
 	if werr != nil {
 		fp.failed.Add(1)
@@ -548,6 +549,9 @@ func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t 
 		fp.failed.Add(1)
 		return kernel.Result{Ret: -1, Err: derr}
 	}
+	// The reply goes back to the app (and maybe into the reply cache):
+	// copy it out of the frame.
+	res.Data = bytes.Clone(res.Data)
 	fp.completed.Add(1)
 	return res
 }

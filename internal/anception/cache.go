@@ -33,6 +33,11 @@ import (
 //     layer checks the state snapshot before consulting it;
 //   - clean pages live under an LRU byte budget; dirty data is bounded by
 //     the flush threshold (read-ahead window) and the flush deadline.
+//
+// Page buffers are recycled: pages dropped by invalidation become spares
+// (up to an eighth of the budget), a new page takes a spare (or, at the
+// budget, the LRU victim in place), and resident plus spare pages never
+// exceed the budget.
 
 // Cache tuning defaults; see Options.
 const (
@@ -50,6 +55,10 @@ const (
 	maxAttrEntries = 1024
 
 	cachePageSize = int64(abi.PageSize)
+
+	// spareBudgetShare: spare page buffers may hold up to 1/8 of the
+	// clean-page budget.
+	spareBudgetShare = 8
 )
 
 // CacheStats counts redirection-cache activity. Plain value-copy-safe
@@ -86,14 +95,19 @@ type redirCacheConfig struct {
 type redirCache struct {
 	cfg redirCacheConfig
 
-	mu    sync.Mutex
-	gen   int
+	mu  sync.Mutex
+	gen int
+	// bytes counts resident clean pages; spare holds the buffers of
+	// dropped pages for reuse. Together they stay within the budget.
 	bytes int64
+	spare [][]byte
 	// lru orders clean cached pages, most recently used at the front.
 	lru   *list.List
 	fds   map[*kernel.FDEntry]*fdCache
 	attrs map[attrKey]attrEntry
 	stats CacheStats
+	// fetchBuf is the landing buffer of read-ahead fetches.
+	fetchBuf []byte
 }
 
 // fdCache is the per-remote-descriptor state.
@@ -192,8 +206,9 @@ func (l *Layer) invalidateRedirCache(gen int) {
 		dropped += len(fc.dirty)
 	}
 	c.gen = gen
-	c.bytes = 0
-	c.lru.Init()
+	for el := c.lru.Front(); el != nil; el = c.lru.Front() {
+		c.retireLocked(el)
+	}
 	c.fds = make(map[*kernel.FDEntry]*fdCache)
 	c.attrs = make(map[attrKey]attrEntry)
 	c.stats.Invalidations++
@@ -236,8 +251,7 @@ func (l *Layer) rekeyRedirCache(gen int) (pagesKept, attrsKept, dirtyDropped int
 				pagesKept++
 				continue
 			}
-			c.lru.Remove(el)
-			c.bytes -= cachePageSize
+			c.retireLocked(el)
 			delete(fc.pages, idx)
 		}
 	}
@@ -285,8 +299,7 @@ func (c *redirCache) dropFDLocked(e *kernel.FDEntry) {
 		return
 	}
 	for _, el := range fc.pages {
-		c.lru.Remove(el)
-		c.bytes -= cachePageSize
+		c.retireLocked(el)
 	}
 	delete(c.fds, e)
 }
@@ -295,11 +308,23 @@ func (c *redirCache) dropFDLocked(e *kernel.FDEntry) {
 // after a forwarded call that may have changed the file under the cache.
 func (c *redirCache) dropPagesLocked(fc *fdCache) {
 	for idx, el := range fc.pages {
-		c.lru.Remove(el)
-		c.bytes -= cachePageSize
+		c.retireLocked(el)
 		delete(fc.pages, idx)
 	}
 	fc.sizeValid = false
+}
+
+// retireLocked unlinks a resident page and keeps its buffer as a spare,
+// up to spareBudgetShare of the budget: enough to refill the fetches
+// that follow an invalidation, while the rest go to the GC so a large
+// purge cannot pin memory the resident set no longer uses. The caller
+// removes the page from its descriptor's page map.
+func (c *redirCache) retireLocked(el *list.Element) {
+	cp := c.lru.Remove(el).(*cachedPage)
+	c.bytes -= cachePageSize
+	if int64(len(c.spare)+1)*cachePageSize <= c.cfg.budget/spareBudgetShare {
+		c.spare = append(c.spare, cp.data)
+	}
 }
 
 // purgeAttrLocked removes attribute entries for a path and its parent
@@ -462,12 +487,11 @@ func (l *Layer) cachedPread(st *layerState, t *kernel.Task, e *kernel.FDEntry, a
 	fc := c.fdLocked(e, t)
 	l.maybeFlushByDeadlineLocked(st, t, fc)
 
-	if out, ok := fc.composeLocked(c, args.Off, n); ok {
+	if got, ok := fc.composeLocked(c, args.Off, args.Buf); ok {
 		c.stats.Hits++
-		pages := pagesSpanned(args.Off, len(out))
+		pages := pagesSpanned(args.Off, got)
 		l.clock.Advance(l.model.CacheLookup + time.Duration(pages)*l.model.CacheHitPerPage)
-		copy(args.Buf, out)
-		return kernel.Result{Ret: int64(len(out)), Data: out}, true
+		return kernel.Result{Ret: int64(got), Data: args.Buf[:got]}, true
 	}
 	c.stats.Misses++
 	l.clock.Advance(l.model.CacheLookup)
@@ -488,11 +512,10 @@ func (l *Layer) cachedPread(st *layerState, t *kernel.Task, e *kernel.FDEntry, a
 	if res, ok := l.fetchLocked(st, t, fc, args.Off, n); !ok {
 		return res, true
 	}
-	if out, ok := fc.composeLocked(c, args.Off, n); ok {
-		pages := pagesSpanned(args.Off, len(out))
+	if got, ok := fc.composeLocked(c, args.Off, args.Buf); ok {
+		pages := pagesSpanned(args.Off, got)
 		l.clock.Advance(time.Duration(pages) * l.model.CacheHitPerPage)
-		copy(args.Buf, out)
-		return kernel.Result{Ret: int64(len(out)), Data: out}, true
+		return kernel.Result{Ret: int64(got), Data: args.Buf[:got]}, true
 	}
 	// Should not happen after a successful fetch; fall back to the
 	// uncached path rather than guessing.
@@ -534,16 +557,18 @@ func (l *Layer) cachedPwrite(st *layerState, t *kernel.Task, e *kernel.FDEntry, 
 	return kernel.Result{Ret: int64(n)}, true
 }
 
-// composeLocked assembles [off, off+n) from clean pages overlaid with
-// dirty extents. ok=false means the range is not fully resident.
-func (f *fdCache) composeLocked(c *redirCache, off int64, n int) ([]byte, bool) {
-	end := off + int64(n)
+// composeLocked assembles [off, off+len(dst)) from clean pages overlaid
+// with dirty extents straight into dst, returning how many bytes it
+// filled (fewer at end of file). ok=false means the range is not fully
+// resident, and dst is untouched.
+func (f *fdCache) composeLocked(c *redirCache, off int64, dst []byte) (int, bool) {
+	end := off + int64(len(dst))
 	dirtyEnd := f.maxDirtyEnd()
 	if !f.sizeValid {
 		// Size unknown: only a fully dirty-covered range is servable
 		// (its content is independent of what lies beneath).
 		if !f.dirtyCovers(off, end) {
-			return nil, false
+			return 0, false
 		}
 	} else {
 		eff := f.size
@@ -551,7 +576,7 @@ func (f *fdCache) composeLocked(c *redirCache, off int64, n int) ([]byte, bool) 
 			eff = dirtyEnd
 		}
 		if off >= eff {
-			return []byte{}, true // read at or past EOF
+			return 0, true // read at or past EOF
 		}
 		if end > eff {
 			end = eff
@@ -568,23 +593,24 @@ func (f *fdCache) composeLocked(c *redirCache, off int64, n int) ([]byte, bool) 
 				needed = f.size
 			}
 			if !f.dirtyCovers(a, needed) {
-				return nil, false
+				return 0, false
 			}
 		}
 	}
 
-	out := make([]byte, end-off)
+	// Pages fill their span; a span with no current page is a hole
+	// (zeros) under whatever dirty data overlays it below.
+	out := dst[:end-off]
 	for idx := off / cachePageSize; idx <= (end-1)/cachePageSize; idx++ {
-		if el, ok := f.pages[idx]; ok {
-			cp := el.Value.(*cachedPage)
-			if cp.gen != c.gen {
-				continue
-			}
-			a, b := spanWithin(idx, off, end)
-			pStart := idx * cachePageSize
-			copy(out[a-off:b-off], cp.data[a-pStart:b-pStart])
-			c.lru.MoveToFront(el)
+		a, b := spanWithin(idx, off, end)
+		el, ok := f.pages[idx]
+		if !ok || el.Value.(*cachedPage).gen != c.gen {
+			clear(out[a-off : b-off])
+			continue
 		}
+		pStart := idx * cachePageSize
+		copy(out[a-off:b-off], el.Value.(*cachedPage).data[a-pStart:b-pStart])
+		c.lru.MoveToFront(el)
 	}
 	for _, ext := range f.dirty {
 		a, b := ext.off, ext.off+int64(len(ext.data))
@@ -598,7 +624,7 @@ func (f *fdCache) composeLocked(c *redirCache, off int64, n int) ([]byte, bool) 
 			copy(out[a-off:b-off], ext.data[a-ext.off:b-ext.off])
 		}
 	}
-	return out, true
+	return len(out), true
 }
 
 // spanWithin clips [off, end) to page idx.
@@ -644,7 +670,12 @@ func (l *Layer) fetchLocked(st *layerState, t *kernel.Task, fc *fdCache, off int
 			return kernel.Result{}, true // nothing below EOF to fetch
 		}
 	}
-	res := l.forwardOn(st, t, &kernel.Args{Nr: abi.SysPread64, FD: fc.guestFD, Size: int(size), Off: fetchOff})
+	// The reply lands in the cache's fetch buffer (held under c.mu) and
+	// is copied from there into recycled page buffers.
+	if int64(cap(c.fetchBuf)) < size {
+		c.fetchBuf = make([]byte, size)
+	}
+	res := l.forwardOn(st, t, &kernel.Args{Nr: abi.SysPread64, FD: fc.guestFD, Buf: c.fetchBuf[:size], Off: fetchOff})
 	if !res.Ok() {
 		return res, false
 	}
@@ -655,10 +686,7 @@ func (l *Layer) fetchLocked(st *layerState, t *kernel.Task, fc *fdCache, off int
 		fc.sizeValid = true
 	}
 	for pOff := int64(0); pOff < int64(len(got)); pOff += cachePageSize {
-		idx := (fetchOff + pOff) / cachePageSize
-		data := make([]byte, cachePageSize)
-		copy(data, got[pOff:])
-		c.storePageLocked(fc, idx, data)
+		c.storePageLocked(fc, (fetchOff+pOff)/cachePageSize, got[pOff:])
 	}
 	fetched := pagesSpanned(fetchOff, len(got))
 	if extra := fetched - pagesSpanned(off, n); extra > 0 {
@@ -670,25 +698,49 @@ func (l *Layer) fetchLocked(st *layerState, t *kernel.Task, fc *fdCache, off int
 	return res, true
 }
 
-// storePageLocked installs a clean page, evicting LRU pages over budget.
-func (c *redirCache) storePageLocked(fc *fdCache, idx int64, data []byte) {
+// storePageLocked installs a clean copy of one page: the first page of
+// src, zero-padded past its end. An entry already resident is refilled in
+// place. A new one takes a spare buffer, else fresh memory while resident
+// and spare pages fit the budget; at the budget it takes over the LRU
+// victim in place (element, entry and buffer), which evicts exactly the
+// page a push-then-evict would.
+func (c *redirCache) storePageLocked(fc *fdCache, idx int64, src []byte) {
 	if el, ok := fc.pages[idx]; ok {
 		cp := el.Value.(*cachedPage)
-		cp.data = data
+		fillPage(cp.data, src)
 		cp.gen = c.gen
 		c.lru.MoveToFront(el)
 		return
 	}
-	cp := &cachedPage{owner: fc, idx: idx, gen: c.gen, data: data}
-	fc.pages[idx] = c.lru.PushFront(cp)
-	c.bytes += cachePageSize
-	for c.bytes > c.cfg.budget && c.lru.Len() > 0 {
+	var data []byte
+	switch n := len(c.spare); {
+	case n > 0:
+		data = c.spare[n-1]
+		c.spare[n-1] = nil
+		c.spare = c.spare[:n-1]
+	case c.bytes+cachePageSize <= c.cfg.budget:
+		data = make([]byte, cachePageSize)
+	default:
 		victim := c.lru.Back()
+		if victim == nil {
+			return // a budget below one page caches nothing
+		}
 		vp := victim.Value.(*cachedPage)
-		c.lru.Remove(victim)
 		delete(vp.owner.pages, vp.idx)
-		c.bytes -= cachePageSize
+		vp.owner, vp.idx, vp.gen = fc, idx, c.gen
+		fillPage(vp.data, src)
+		fc.pages[idx] = victim
+		c.lru.MoveToFront(victim)
+		return
 	}
+	fillPage(data, src)
+	fc.pages[idx] = c.lru.PushFront(&cachedPage{owner: fc, idx: idx, gen: c.gen, data: data})
+	c.bytes += cachePageSize
+}
+
+// fillPage copies src into a page buffer and zeroes the rest.
+func fillPage(page, src []byte) {
+	clear(page[copy(page, src):])
 }
 
 // maybeFlushByDeadlineLocked flushes a descriptor whose oldest buffered
@@ -773,9 +825,7 @@ func (l *Layer) foldExtentLocked(fc *fdCache, ext wext) {
 		pStart := idx * cachePageSize
 		a, b := spanWithin(idx, ext.off, end)
 		if a == pStart && b == pStart+cachePageSize {
-			data := make([]byte, cachePageSize)
-			copy(data, ext.data[a-ext.off:])
-			c.storePageLocked(fc, idx, data)
+			c.storePageLocked(fc, idx, ext.data[a-ext.off:])
 			continue
 		}
 		if el, ok := fc.pages[idx]; ok {

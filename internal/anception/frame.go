@@ -1,0 +1,236 @@
+package anception
+
+import (
+	"bytes"
+	"fmt"
+
+	"anception/internal/abi"
+	"anception/internal/kernel"
+	"anception/internal/marshal"
+)
+
+// Frame ownership (DESIGN.md §10): every redirected call borrows one
+// callFrame from its layer's small free list and returns it when the call
+// is done. The frame owns the request the host encodes, the reply the
+// guest handler appends, and the guest's read scratch, so the
+// steady-state data plane encodes, executes and decodes without
+// allocating. Decoded requests and replies are views into the frame; they
+// expire when the frame goes back to the list, which is why every forward
+// path lands the reply (landReply) before it releases the frame.
+
+const (
+	// frameListLen bounds how many idle frames a layer keeps: more than
+	// the calls a device has in flight at once in practice (the proxy
+	// workers plus blocked submitters), so steady state never allocates.
+	frameListLen = 32
+	// frameKeepBytes is the largest buffer a returned frame keeps; a call
+	// that needed more (a huge unbuffered read) gives its buffer to the GC
+	// instead of pinning it in the list.
+	frameKeepBytes = 128 << 10
+)
+
+// callFrame is the reusable buffer set of one redirected call.
+type callFrame struct {
+	req     []byte      // encoded request
+	reply   []byte      // the guest's encoded reply
+	scratch []byte      // guest-side output buffer of a read-like call
+	args    kernel.Args // guest-side decode of req (views into req)
+
+	// Context of the in-flight args call, read by execArgs on the guest
+	// side. Set before the submission, so the transport's hand-off orders
+	// it before the handler runs.
+	st      *layerState
+	proxy   *kernel.Task
+	drained bool
+	// exec is f.execArgs, bound once per frame so submitting an args call
+	// allocates no closure.
+	exec marshal.GuestHandler
+}
+
+// getFrame borrows a frame from the free list, or makes a new one.
+func (l *Layer) getFrame() *callFrame {
+	select {
+	case f := <-l.frames:
+		return f
+	default:
+		f := &callFrame{}
+		f.exec = f.execArgs
+		return f
+	}
+}
+
+// putFrame returns a frame to the free list. Every view into it is dead
+// from here on.
+func (l *Layer) putFrame(f *callFrame) {
+	f.args = kernel.Args{}
+	f.st, f.proxy = nil, nil
+	if cap(f.req) > frameKeepBytes {
+		f.req = nil
+	}
+	if cap(f.reply) > frameKeepBytes {
+		f.reply = nil
+	}
+	if cap(f.scratch) > frameKeepBytes {
+		f.scratch = nil
+	}
+	select {
+	case l.frames <- f:
+	default:
+	}
+}
+
+// encodeArgs encodes one call into the request frame. For read-like
+// calls the user buffer is an output pointer: only its size travels to
+// the guest; the data comes back in the reply.
+func (f *callFrame) encodeArgs(args *kernel.Args) {
+	enc := *args
+	if isReadLike(args.Nr) && enc.Buf != nil {
+		enc.Size = len(enc.Buf)
+		enc.Buf = nil
+	}
+	f.req = marshal.AppendArgs(f.req[:0], &enc)
+}
+
+// wantsScratch reports a decoded read-like call that names only an
+// output size: the guest must supply the buffer.
+func wantsScratch(a *kernel.Args) bool {
+	return isReadLike(a.Nr) && len(a.Buf) == 0 && len(a.Iov) == 0 && a.Size > 0
+}
+
+// scratchFor returns the guest's zeroed n-byte read buffer.
+func (f *callFrame) scratchFor(n int) []byte {
+	if cap(f.scratch) < n {
+		f.scratch = make([]byte, n)
+		return f.scratch
+	}
+	s := f.scratch[:n]
+	clear(s)
+	return s
+}
+
+// chainScratch gives every read-like link of a decoded chain its output
+// buffer, carved from the frame's scratch.
+func (f *callFrame) chainScratch(links []marshal.ChainLink) {
+	total := 0
+	for _, ln := range links {
+		if wantsScratch(ln.Args) {
+			total += ln.Args.Size
+		}
+	}
+	if total == 0 {
+		return
+	}
+	scratch := f.scratchFor(total)
+	for _, ln := range links {
+		if a := ln.Args; wantsScratch(a) {
+			a.Buf, scratch = scratch[:a.Size:a.Size], scratch[a.Size:]
+		}
+	}
+}
+
+// setReply encodes res into the reply frame.
+func (f *callFrame) setReply(res kernel.Result) []byte {
+	f.reply = marshal.AppendResult(f.reply[:0], res)
+	return f.reply
+}
+
+// tampered passes a reply through the layer's result-tampering hook (the
+// Iago attack surface). The hook may rewrite the frame in place or return
+// a fresh slice; either way the host decodes what it returns.
+func tampered(st *layerState, resp []byte) []byte {
+	if st.tamper != nil {
+		return st.tamper(resp)
+	}
+	return resp
+}
+
+// execArgs is the guest handler of an args frame: decode it in place, run
+// the call in the proxy's context, and append the result to the reply
+// frame.
+func (f *callFrame) execArgs(req []byte) []byte {
+	a := &f.args
+	if err := marshal.DecodeArgs(req, a); err != nil {
+		return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
+	}
+	if wantsScratch(a) {
+		a.Buf = f.scratchFor(a.Size)
+	}
+	var res kernel.Result
+	if f.drained {
+		res = f.st.proxies.ExecuteDrained(f.proxy, *a)
+	} else {
+		res = f.st.proxies.Execute(f.proxy, *a)
+	}
+	return tampered(f.st, f.setReply(res))
+}
+
+// decodeReply decodes a reply frame and lands it for the caller of args.
+func decodeReply(resp []byte, args *kernel.Args) kernel.Result {
+	res, err := marshal.DecodeResult(resp)
+	if err != nil {
+		return kernel.Result{Ret: -1, Err: err}
+	}
+	landReply(args, &res)
+	return res
+}
+
+// landReply is the pointer-translation writeback of a decoded reply,
+// whose Data is a view into a frame about to be reused. A successful
+// read-like call's bytes land in the caller's buffer — the one host-side
+// copy — and Data becomes that buffer; any other reply bytes are copied
+// out (and a vectored read is scattered from the copy). Either way the
+// result outlives the frame.
+func landReply(args *kernel.Args, res *kernel.Result) {
+	if len(res.Data) == 0 {
+		return
+	}
+	if res.Ok() && isReadLike(args.Nr) && len(args.Iov) == 0 && len(args.Buf) > 0 {
+		res.Data = args.Buf[:copy(args.Buf, res.Data)]
+		return
+	}
+	res.Data = bytes.Clone(res.Data)
+	if res.Ok() && isReadLike(args.Nr) && len(args.Iov) > 0 {
+		scatterIntoIov(args.Iov, res.Data)
+	}
+}
+
+// execBatch returns the guest handler of a batch frame.
+func (f *callFrame) execBatch(st *layerState, p *kernel.Task, drained bool) marshal.GuestHandler {
+	return func(req []byte) []byte {
+		decoded, err := marshal.DecodeArgsBatch(req)
+		if err != nil {
+			f.reply = marshal.AppendResultBatch(f.reply[:0], []kernel.Result{{Ret: -1, Err: abi.EINVAL}})
+			return f.reply
+		}
+		for _, d := range decoded {
+			if wantsScratch(d) {
+				d.Buf = make([]byte, d.Size)
+			}
+		}
+		// Per-call errors ride home positionally inside the encoded
+		// result vector; the aggregate error serves direct Manager users.
+		var batch []kernel.Result
+		if drained {
+			batch, _ = st.proxies.ExecuteBatchDrained(p, decoded)
+		} else {
+			batch, _ = st.proxies.ExecuteBatch(p, decoded)
+		}
+		f.reply = marshal.AppendResultBatch(f.reply[:0], batch)
+		return tampered(st, f.reply)
+	}
+}
+
+// decodeBatchReply decodes a batch reply and lands each result.
+func decodeBatchReply(resp []byte, calls []*kernel.Args) ([]kernel.Result, error) {
+	results, err := marshal.DecodeResultBatch(resp)
+	if err != nil {
+		return nil, err
+	}
+	if len(results) != len(calls) {
+		return nil, fmt.Errorf("batch reply has %d results for %d calls: %w", len(results), len(calls), abi.EIO)
+	}
+	for i := range results {
+		landReply(calls[i], &results[i])
+	}
+	return results, nil
+}

@@ -1,0 +1,185 @@
+package anception
+
+import (
+	"bytes"
+	"errors"
+	"runtime"
+	"testing"
+
+	"anception/internal/abi"
+	"anception/internal/kernel"
+	"anception/internal/marshal"
+)
+
+// Allocation gates for the copy-once data plane (DESIGN.md §10, frame
+// ownership): redirected calls borrow reused frames, decode replies as
+// views and land read data straight in the caller's buffer, so the steady
+// state of each hot path is pinned at its measured allocation ceiling.
+// The one allocation left on each is the kernel's entry copy of the
+// syscall Args (kernel.Invoke hands the interceptor a pointer to it);
+// raising a ceiling means a per-call buffer crept back in.
+
+// allocGate fails the test if a path allocates more than its ceiling.
+func allocGate(t *testing.T, path string, allocs, ceiling float64) {
+	t.Helper()
+	if allocs > ceiling {
+		t.Errorf("%s: %.1f allocs/call, ceiling %.0f", path, allocs, ceiling)
+	}
+}
+
+// steadyAllocs warms op up, then reports its average allocations.
+func steadyAllocs(op func()) float64 {
+	for i := 0; i < 50; i++ {
+		op()
+	}
+	return testing.AllocsPerRun(200, op)
+}
+
+// pageIOApp boots a device with opts, launches one app and opens a file
+// holding one 4 KiB page of pattern bytes.
+func pageIOApp(t *testing.T, opts Options) (*Device, *Proc, int, []byte) {
+	t.Helper()
+	opts.Mode = ModeAnception
+	opts.DisableTrace = true
+	d, err := NewDevice(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	p := installAndLaunch(t, d, "com.example.frames")
+	fd := mustOpen(t, p, "frames.dat", abi.ORdWr|abi.OCreat)
+	page := bytes.Repeat([]byte{0x5A, 0xA5, 0x3C}, int(cachePageSize)/3+1)[:cachePageSize]
+	mustPwrite(t, p, fd, page, 0)
+	return d, p, fd, page
+}
+
+// preadOp reads the page back into a reused buffer and checks it.
+func preadOp(t *testing.T, p *Proc, fd int, want []byte) func() {
+	buf := make([]byte, len(want))
+	return func() {
+		clear(buf)
+		if n, err := p.PreadInto(fd, buf, 0); err != nil || n != len(want) || !bytes.Equal(buf, want) {
+			t.Fatalf("pread: n=%d err=%v", n, err)
+		}
+	}
+}
+
+// TestSyncPageIOAllocs: the Table I path — 4 KiB pread and pwrite over
+// the synchronous page channel, no cache.
+func TestSyncPageIOAllocs(t *testing.T) {
+	_, p, fd, page := pageIOApp(t, Options{})
+	allocGate(t, "sync 4 KiB pread", steadyAllocs(preadOp(t, p, fd, page)), 1)
+	pwrite := func() {
+		if n, err := p.Pwrite(fd, page, 0); err != nil || n != len(page) {
+			t.Fatalf("pwrite: n=%d err=%v", n, err)
+		}
+	}
+	allocGate(t, "sync 4 KiB pwrite", steadyAllocs(pwrite), 1)
+}
+
+// TestRingPreadAllocs: a 4 KiB pread through the async ring.
+func TestRingPreadAllocs(t *testing.T) {
+	_, p, fd, page := pageIOApp(t, Options{RingDepth: 8, RingWorkers: 1})
+	allocGate(t, "ring 4 KiB pread", steadyAllocs(preadOp(t, p, fd, page)), 1)
+}
+
+// TestCachedPreadHitAllocs: a redirection-cache hit composes the page
+// straight into the caller's buffer.
+func TestCachedPreadHitAllocs(t *testing.T) {
+	d, p, fd, page := pageIOApp(t, Options{RedirCache: true})
+	if _, err := p.Fsync(fd); err != nil { // write the buffered page back
+		t.Fatal(err)
+	}
+	op := preadOp(t, p, fd, page)
+	op() // learns the file size and fetches the clean page
+	before := d.Layer.Stats().Cache
+	allocGate(t, "cached 4 KiB pread hit", steadyAllocs(op), 1)
+	if after := d.Layer.Stats().Cache; after.Misses != before.Misses {
+		t.Fatalf("steady-state reads missed %d times, want all hits", after.Misses-before.Misses)
+	}
+}
+
+// TestReadAheadMissAtFullCacheAllocatesNoPage: cycling reads over three
+// pages through a two-page cache miss every time; each fetch lands in the
+// reused fetch buffer and takes over the LRU victim's page in place, so
+// no miss allocates a page.
+func TestReadAheadMissAtFullCacheAllocatesNoPage(t *testing.T) {
+	d, p, fd, _ := pageIOApp(t, Options{RedirCache: true, ReadAheadPages: 1, CacheBudgetBytes: 2 * cachePageSize})
+	content := make([]byte, 3*cachePageSize)
+	for i := range content {
+		content[i] = byte(i * 13)
+	}
+	mustPwrite(t, p, fd, content, 0)
+	buf := make([]byte, cachePageSize)
+	i := 0
+	op := func() {
+		off := int64(i%3) * cachePageSize
+		i++
+		if n, err := p.PreadInto(fd, buf, off); err != nil || n != len(buf) || !bytes.Equal(buf, content[off:off+cachePageSize]) {
+			t.Fatalf("pread at %d: n=%d err=%v", off, n, err)
+		}
+	}
+	for w := 0; w < 30; w++ {
+		op()
+	}
+	const calls = 300
+	before := d.Layer.Stats().Cache
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for c := 0; c < calls; c++ {
+		op()
+	}
+	runtime.ReadMemStats(&m1)
+	after := d.Layer.Stats().Cache
+	if got := after.Misses - before.Misses; got != calls {
+		t.Fatalf("%d of %d reads missed, want every read to miss at the full cache", got, calls)
+	}
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / calls; per >= uint64(cachePageSize) {
+		t.Fatalf("read-ahead miss allocates %d B/call: a page is being allocated", per)
+	}
+	allocGate(t, "read-ahead miss at full cache", steadyAllocs(op), 1)
+}
+
+// TestTamperedReplyIsWhatGetsDecoded: the result-tampering hook sees the
+// reused reply frame. A hook returning a fresh slice has that slice
+// decoded, one rewriting the frame in place has the rewrite decoded, and
+// neither leaks into the next honest call.
+func TestTamperedReplyIsWhatGetsDecoded(t *testing.T) {
+	for _, ring := range []bool{false, true} {
+		opts := Options{}
+		if ring {
+			opts = Options{RingDepth: 8, RingWorkers: 1}
+		}
+		d, p, fd, page := pageIOApp(t, opts)
+		honest := preadOp(t, p, fd, page)
+		honest()
+
+		// A fresh slice: a well-formed reply with other data. The layer
+		// decodes it but must never adopt it as a frame.
+		evil := []byte("forged by the container")
+		forged := marshal.AppendResult(nil, kernel.Result{Ret: int64(len(evil)), Data: evil})
+		pristine := bytes.Clone(forged)
+		d.Layer.SetResultTampering(func([]byte) []byte { return forged })
+		buf := make([]byte, len(page))
+		n, err := p.PreadInto(fd, buf, 0)
+		if err != nil || n != len(evil) || !bytes.Equal(buf[:n], evil) {
+			t.Fatalf("ring=%v fresh-slice tamper: n=%d err=%v buf=%q", ring, n, err, buf[:min(n, 32)])
+		}
+
+		// In place: the frame itself is rewritten to a foreign errno.
+		d.Layer.SetResultTampering(func(resp []byte) []byte {
+			return marshal.AppendResult(resp[:0], kernel.Result{Ret: -1, Err: abi.EACCES})
+		})
+		if _, err := p.PreadInto(fd, buf, 0); !errors.Is(err, abi.EACCES) {
+			t.Fatalf("ring=%v in-place tamper: err = %v, want EACCES", ring, err)
+		}
+
+		d.Layer.SetResultTampering(nil)
+		for i := 0; i < 10; i++ {
+			honest()
+		}
+		if !bytes.Equal(forged, pristine) {
+			t.Fatal("the layer wrote into the tamper hook's slice")
+		}
+	}
+}

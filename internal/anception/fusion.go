@@ -558,13 +558,9 @@ func (l *Layer) chainFused(st *layerState, ring marshal.AsyncTransport, t *kerne
 		if onWire[i] && entries[i] != nil {
 			l.noteForwardedFDOp(entries[i], c.Args.Nr)
 		}
-		if res.Ok() && len(res.Data) > 0 {
-			if len(c.Args.Iov) > 0 {
-				scatterIntoIov(c.Args.Iov, res.Data)
-			} else if len(c.Args.Buf) > 0 {
-				copy(c.Args.Buf, res.Data)
-			}
-		}
+		// Read data already landed in the caller's buffers (landReply,
+		// composeLocked); other reply bytes are copied out here.
+		writeBackOther(&c.Args, res)
 	}
 	return results, true
 }
@@ -613,22 +609,23 @@ func (l *Layer) forwardChainRing(st *layerState, ring marshal.AsyncTransport, t 
 		}
 		enc[i] = marshal.ChainLink{Args: &strip[i], FDFrom: ln.FDFrom, UseCursor: ln.UseCursor}
 	}
-	payload := marshal.EncodeChain(enc)
-	l.clock.Advance(time.Duration(len(payload)) * l.model.MarshalPerByte)
+	f := l.getFrame()
+	defer l.putFrame(f)
+	f.req = marshal.AppendChain(f.req[:0], enc)
+	l.clock.Advance(time.Duration(len(f.req)) * l.model.MarshalPerByte)
 
 	m := l.policy.model
 	start := l.clock.Now()
 	key := ringKey(t, enc[0].Args)
-	pending, serr := ring.Submit(payload, key, func(req []byte) []byte {
+	pending, serr := ring.Submit(f.req, key, func(req []byte) []byte {
 		decoded, derr := marshal.DecodeChain(req)
 		if derr != nil {
-			return marshal.EncodeChainResult(marshal.ChainResult{Results: []kernel.Result{{Ret: -1, Err: abi.EINVAL}}})
+			f.reply = marshal.AppendChainResult(f.reply[:0], marshal.ChainResult{Results: []kernel.Result{{Ret: -1, Err: abi.EINVAL}}})
+			return f.reply
 		}
-		resp := marshal.EncodeChainResult(st.proxies.ExecuteChainDrained(p, decoded))
-		if st.tamper != nil {
-			resp = st.tamper(resp)
-		}
-		return resp
+		f.chainScratch(decoded)
+		f.reply = marshal.AppendChainResult(f.reply[:0], st.proxies.ExecuteChainDrained(p, decoded))
+		return tampered(st, f.reply)
 	})
 	if serr != nil {
 		res := l.transportFailure(t, links[0].Args, start, serr)
@@ -652,6 +649,9 @@ func (l *Layer) forwardChainRing(st *layerState, ring marshal.AsyncTransport, t 
 	}
 	if len(cr.Results) != len(links) {
 		return failAll(fmt.Errorf("chain reply has %d results for %d links: %w", len(cr.Results), len(links), abi.EIO))
+	}
+	for i := range cr.Results {
+		landReply(links[i].Args, &cr.Results[i])
 	}
 	if m != nil {
 		m.observeChain(len(links), l.clock.Now()-start)

@@ -1,6 +1,7 @@
 package anception
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -275,18 +276,20 @@ func (l *Layer) forwardGrant(st *layerState, t *kernel.Task, args *kernel.Args) 
 	enc.Buf = nil
 	enc.Iov = nil
 	enc.Size = total
-	payload := marshal.EncodeGrantCall(desc, marshal.EncodeArgs(&enc))
-	l.clock.Advance(time.Duration(len(payload)) * l.model.MarshalPerByte)
+	f := l.getFrame()
+	defer l.putFrame(f)
+	f.req = marshal.AppendGrantCall(f.req[:0], desc, &enc)
+	l.clock.Advance(time.Duration(len(f.req)) * l.model.MarshalPerByte)
 
 	ring, async := st.transport.(marshal.AsyncTransport)
 	handler := func(req []byte) []byte {
 		gd, argsPayload, derr := marshal.DecodeGrantCall(req)
 		if derr != nil {
-			return marshal.EncodeResult(kernel.Result{Ret: -1, Err: abi.EINVAL})
+			return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
 		}
-		decoded, derr := marshal.DecodeArgs(argsPayload)
-		if derr != nil {
-			return marshal.EncodeResult(kernel.Result{Ret: -1, Err: abi.EINVAL})
+		decoded := &f.args
+		if derr := marshal.DecodeArgs(argsPayload, decoded); derr != nil {
+			return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
 		}
 		resolved := make([][]byte, len(gd.Entries))
 		for i, ent := range gd.Entries {
@@ -294,10 +297,10 @@ func (l *Layer) forwardGrant(st *layerState, t *kernel.Task, args *kernel.Args) 
 			if rerr != nil {
 				// Stale generation surfaces as EHOSTDOWN, revoked-in-
 				// flight as ENXIO; both travel home as matchable errnos.
-				return marshal.EncodeResult(kernel.Result{Ret: -1, Err: rerr})
+				return f.setReply(kernel.Result{Ret: -1, Err: rerr})
 			}
 			if int(ent.Off)+int(ent.Len) > len(b) {
-				return marshal.EncodeResult(kernel.Result{Ret: -1, Err: abi.EINVAL})
+				return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
 			}
 			resolved[i] = b[ent.Off : ent.Off+ent.Len]
 		}
@@ -317,24 +320,20 @@ func (l *Layer) forwardGrant(st *layerState, t *kernel.Task, args *kernel.Args) 
 		// Zero-copy: a read-style call's bytes already landed in the
 		// granted (pinned app) pages; the reply carries only the count.
 		res.Data = nil
-		resp := marshal.EncodeResult(res)
-		if st.tamper != nil {
-			resp = st.tamper(resp)
-		}
-		return resp
+		return tampered(st, f.setReply(res))
 	}
 
 	start := l.clock.Now()
 	var respBytes []byte
 	var terr error
 	if async {
-		pending, serr := ring.Submit(payload, ringKey(t, args), handler)
+		pending, serr := ring.Submit(f.req, ringKey(t, args), handler)
 		if serr != nil {
 			return l.transportFailure(t, args, start, serr)
 		}
 		respBytes, terr = pending.Wait()
 	} else {
-		respBytes, terr = st.transport.RoundTrip(payload, handler)
+		respBytes, terr = st.transport.RoundTrip(f.req, handler)
 	}
 	if terr != nil {
 		return l.transportFailure(t, args, start, terr)
@@ -346,9 +345,12 @@ func (l *Layer) forwardGrant(st *layerState, t *kernel.Task, args *kernel.Args) 
 		}
 		return kernel.Result{Ret: -1, Err: fmt.Errorf("call exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)}
 	}
+	// The bytes already moved through the granted pages; a reply that
+	// carries data anyway (a tampering guest) is only copied out.
 	res, derr := marshal.DecodeResult(respBytes)
 	if derr != nil {
 		return kernel.Result{Ret: -1, Err: derr}
 	}
+	res.Data = bytes.Clone(res.Data)
 	return res
 }

@@ -83,6 +83,9 @@ type Layer struct {
 	// mmapBindings tracks host mappings backed by CVM files, for msync
 	// write-back (Section III-D, Memory-mapped files).
 	mmapBindings map[int]map[uint64]mmapBinding
+
+	// frames is the free list of reusable call frames (frame.go).
+	frames chan *callFrame
 }
 
 // layerState is the immutable hot-path snapshot; every mutation installs
@@ -309,6 +312,7 @@ func NewLayer(cfg LayerConfig) (*Layer, error) {
 		deadline:     deadline,
 		netBatch:     cfg.NetBatch,
 		mmapBindings: make(map[int]map[uint64]mmapBinding),
+		frames:       make(chan *callFrame, frameListLen),
 	}
 	if l.netBatch <= 0 {
 		l.netBatch = DefaultNetBatch
@@ -795,9 +799,7 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args) (kernel.R
 			fwd := *args
 			fwd.FD = e.GuestFD
 			res := l.forwardSock(st, t, &fwd)
-			if res.Ok() && len(res.Data) > 0 && len(args.Buf) > 0 {
-				copy(args.Buf, res.Data)
-			}
+			writeBackOther(args, res)
 			return res, true
 		}
 		if !l.cacheBypassed(st) {
@@ -809,15 +811,7 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args) (kernel.R
 		fwd.FD = e.GuestFD
 		res := l.forwardOn(st, t, &fwd)
 		l.noteForwardedFDOp(e, args.Nr)
-		// Pointer translation writeback: copy returned data into the
-		// caller's buffer(s) — scattered across the vector for readv.
-		if res.Ok() && len(res.Data) > 0 {
-			if len(args.Iov) > 0 {
-				scatterIntoIov(args.Iov, res.Data)
-			} else if len(args.Buf) > 0 {
-				copy(args.Buf, res.Data)
-			}
-		}
+		writeBackOther(args, res)
 		return res, true
 
 	case abi.SysDup, abi.SysDup2:
@@ -1169,31 +1163,14 @@ func (l *Layer) forwardSyncOn(st *layerState, tr marshal.Transport, t *kernel.Ta
 		l.trace.Record(sim.EvRedirect, "redirect %s pid=%d -> proxy %d", args.Nr, t.PID, p.PID)
 	}
 
-	// For read-like calls the user buffer is an *output* pointer: only
-	// its size travels to the guest; the data comes back in the reply.
-	enc := *args
-	if isReadLike(args.Nr) && enc.Buf != nil {
-		enc.Size = len(enc.Buf)
-		enc.Buf = nil
-	}
-	payload := marshal.EncodeArgs(&enc)
-	l.clock.Advance(time.Duration(len(payload)) * l.model.MarshalPerByte)
+	f := l.getFrame()
+	defer l.putFrame(f)
+	f.encodeArgs(args)
+	l.clock.Advance(time.Duration(len(f.req)) * l.model.MarshalPerByte)
 
+	f.st, f.proxy, f.drained = st, p, false
 	start := l.clock.Now()
-	respBytes, terr := tr.RoundTrip(payload, func(req []byte) []byte {
-		decoded, derr := marshal.DecodeArgs(req)
-		if derr != nil {
-			return marshal.EncodeResult(kernel.Result{Ret: -1, Err: abi.EINVAL})
-		}
-		if isReadLike(decoded.Nr) && decoded.Buf == nil && decoded.Size > 0 {
-			decoded.Buf = make([]byte, decoded.Size)
-		}
-		resp := marshal.EncodeResult(st.proxies.Execute(p, *decoded))
-		if st.tamper != nil {
-			resp = st.tamper(resp)
-		}
-		return resp
-	})
+	respBytes, terr := tr.RoundTrip(f.req, f.exec)
 	if terr != nil {
 		return l.transportFailure(t, args, start, terr)
 	}
@@ -1206,11 +1183,7 @@ func (l *Layer) forwardSyncOn(st *layerState, tr marshal.Transport, t *kernel.Ta
 		}
 		return kernel.Result{Ret: -1, Err: fmt.Errorf("call exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)}
 	}
-	res, derr := marshal.DecodeResult(respBytes)
-	if derr != nil {
-		return kernel.Result{Ret: -1, Err: derr}
-	}
-	return res
+	return decodeReply(respBytes, args)
 }
 
 // forwardBatch moves several calls to the guest in ONE transport
@@ -1239,29 +1212,13 @@ func (l *Layer) forwardBatch(st *layerState, t *kernel.Task, calls []*kernel.Arg
 	if l.trace != nil {
 		l.trace.Record(sim.EvRedirect, "redirect batch of %d calls pid=%d -> proxy %d", len(calls), t.PID, p.PID)
 	}
-	payload := marshal.EncodeArgsBatch(calls)
-	l.clock.Advance(time.Duration(len(payload)) * l.model.MarshalPerByte)
+	f := l.getFrame()
+	defer l.putFrame(f)
+	f.req = marshal.AppendArgsBatch(f.req[:0], calls)
+	l.clock.Advance(time.Duration(len(f.req)) * l.model.MarshalPerByte)
 
 	start := l.clock.Now()
-	respBytes, terr := l.syncTransport(st).RoundTrip(payload, func(req []byte) []byte {
-		decoded, derr := marshal.DecodeArgsBatch(req)
-		if derr != nil {
-			return marshal.EncodeResultBatch([]kernel.Result{{Ret: -1, Err: abi.EINVAL}})
-		}
-		for _, d := range decoded {
-			if isReadLike(d.Nr) && d.Buf == nil && d.Size > 0 {
-				d.Buf = make([]byte, d.Size)
-			}
-		}
-		// Per-call errors ride home positionally inside the encoded
-		// result vector; the aggregate error serves direct Manager users.
-		batch, _ := st.proxies.ExecuteBatch(p, decoded)
-		resp := marshal.EncodeResultBatch(batch)
-		if st.tamper != nil {
-			resp = st.tamper(resp)
-		}
-		return resp
-	})
+	respBytes, terr := l.syncTransport(st).RoundTrip(f.req, f.execBatch(st, p, false))
 	if terr != nil {
 		fail := l.transportFailure(t, calls[0], start, terr)
 		return nil, fail.Err
@@ -1270,14 +1227,7 @@ func (l *Layer) forwardBatch(st *layerState, t *kernel.Task, calls []*kernel.Arg
 		l.counters.timedOut.Add(1)
 		return nil, fmt.Errorf("batch exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)
 	}
-	results, derr := marshal.DecodeResultBatch(respBytes)
-	if derr != nil {
-		return nil, derr
-	}
-	if len(results) != len(calls) {
-		return nil, fmt.Errorf("batch reply has %d results for %d calls: %w", len(results), len(calls), abi.EIO)
-	}
-	return results, nil
+	return decodeBatchReply(respBytes, calls)
 }
 
 // transportFailure converts a transport error into the app-visible errno:
@@ -1323,6 +1273,20 @@ func isReadLike(nr abi.SyscallNr) bool {
 		return true
 	default:
 		return false
+	}
+}
+
+// writeBackOther copies the reply bytes of a non-read-like call (fstat,
+// getsockopt) into the caller's buffer(s). Read-like replies were already
+// landed there by the forward path (landReply).
+func writeBackOther(args *kernel.Args, res kernel.Result) {
+	if !res.Ok() || len(res.Data) == 0 || isReadLike(args.Nr) {
+		return
+	}
+	if len(args.Iov) > 0 {
+		scatterIntoIov(args.Iov, res.Data)
+	} else if len(args.Buf) > 0 {
+		copy(args.Buf, res.Data)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // This file implements the layer side of the redirected network fast
 // path (DESIGN.md §14): socket operations ride the async ring as compact
-// fixed-layout frames (marshal.EncodeSockOp) small enough for the
+// fixed-layout frames (marshal.AppendSockOp) small enough for the
 // inline slot window, bulk send/recv payloads above GrantThreshold move
 // by grant reference like file I/O, and accept4/epoll_wait completions
 // carry whole batches of descriptors. Per-slot deadlines, degraded-mode
@@ -119,23 +119,21 @@ func (l *Layer) forwardSockInner(st *layerState, t *kernel.Task, args *kernel.Ar
 		enc.Size = len(enc.Buf)
 		enc.Buf = nil
 	}
-	payload := marshal.EncodeSockOp(&enc)
-	l.clock.Advance(time.Duration(len(payload)) * l.model.MarshalPerByte)
+	f := l.getFrame()
+	defer l.putFrame(f)
+	f.req = marshal.AppendSockOp(f.req[:0], &enc)
+	l.clock.Advance(time.Duration(len(f.req)) * l.model.MarshalPerByte)
 
 	start := l.clock.Now()
-	pending, serr := ring.Submit(payload, ringKey(t, args), func(req []byte) []byte {
-		decoded, derr := marshal.DecodeSockOp(req)
-		if derr != nil {
-			return marshal.EncodeResult(kernel.Result{Ret: -1, Err: abi.EINVAL})
+	pending, serr := ring.Submit(f.req, ringKey(t, args), func(req []byte) []byte {
+		decoded := &f.args
+		if derr := marshal.DecodeSockOp(req, decoded); derr != nil {
+			return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
 		}
-		if isReadLike(decoded.Nr) && decoded.Buf == nil && decoded.Size > 0 {
-			decoded.Buf = make([]byte, decoded.Size)
+		if wantsScratch(decoded) {
+			decoded.Buf = f.scratchFor(decoded.Size)
 		}
-		resp := marshal.EncodeResult(st.proxies.ExecuteDrained(p, *decoded))
-		if st.tamper != nil {
-			resp = st.tamper(resp)
-		}
-		return resp
+		return tampered(st, f.setReply(st.proxies.ExecuteDrained(p, *decoded)))
 	})
 	if serr != nil {
 		return l.transportFailure(t, args, start, serr), true
@@ -155,6 +153,7 @@ func (l *Layer) forwardSockInner(st *layerState, t *kernel.Task, args *kernel.Ar
 	if derr != nil {
 		return kernel.Result{Ret: -1, Err: derr}, true
 	}
+	landReply(args, &res)
 	return res, false
 }
 

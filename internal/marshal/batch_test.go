@@ -16,7 +16,7 @@ func TestArgsBatchRoundTrip(t *testing.T) {
 		{Nr: abi.SysPwrite64, FD: 7, Buf: []byte("tail"), Off: 8192},
 		{Nr: abi.SysFsync, FD: 7},
 	}
-	out, err := DecodeArgsBatch(EncodeArgsBatch(in))
+	out, err := DecodeArgsBatch(AppendArgsBatch(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestArgsBatchRoundTrip(t *testing.T) {
 }
 
 func TestArgsBatchEmpty(t *testing.T) {
-	out, err := DecodeArgsBatch(EncodeArgsBatch(nil))
+	out, err := DecodeArgsBatch(AppendArgsBatch(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestResultBatchRoundTrip(t *testing.T) {
 		{Ret: -1, Err: abi.ENOSPC},
 		{Ret: 17, Data: []byte("partial")},
 	}
-	out, err := DecodeResultBatch(EncodeResultBatch(in))
+	out, err := DecodeResultBatch(AppendResultBatch(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestResultBatchRoundTrip(t *testing.T) {
 }
 
 func TestArgsBatchTruncatedFails(t *testing.T) {
-	enc := EncodeArgsBatch([]*kernel.Args{
+	enc := AppendArgsBatch(nil, []*kernel.Args{
 		{Nr: abi.SysPwrite64, FD: 3, Buf: []byte("abcdef"), Off: 64},
 	})
 	for _, cut := range []int{1, 4, 6, len(enc) - 1} {
@@ -68,14 +68,14 @@ func TestArgsBatchTruncatedFails(t *testing.T) {
 }
 
 func TestArgsBatchTrailingBytesFail(t *testing.T) {
-	enc := EncodeArgsBatch([]*kernel.Args{{Nr: abi.SysFsync, FD: 3}})
+	enc := AppendArgsBatch(nil, []*kernel.Args{{Nr: abi.SysFsync, FD: 3}})
 	if _, err := DecodeArgsBatch(append(enc, 0xFF)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 }
 
 func TestResultBatchTruncatedAndTrailingFail(t *testing.T) {
-	enc := EncodeResultBatch([]kernel.Result{{Ret: 1}, {Ret: 2}})
+	enc := AppendResultBatch(nil, []kernel.Result{{Ret: 1}, {Ret: 2}})
 	if _, err := DecodeResultBatch(enc[:len(enc)-2]); err == nil {
 		t.Fatal("truncated result batch accepted")
 	}

@@ -14,16 +14,16 @@ import (
 // package owns the inner encoding.
 
 // binderCallMagic is the first byte of a binder-call frame. It sits next
-// to grantCallMagic, far outside the TLV tag range, so a plain EncodeArgs
-// payload can never alias it.
+// to grantCallMagic, far outside the TLV tag range, so a plain args
+// frame can never alias it.
 const binderCallMagic uint8 = 0xA8
 
-// EncodeBinderCall wraps an encoded binder frame for ring transport.
-func EncodeBinderCall(frame []byte) []byte {
-	var w writer
+// AppendBinderCall appends the ring envelope of an encoded binder frame.
+func AppendBinderCall(dst []byte, frame []byte) []byte {
+	w := filler(dst, 1+4+len(frame))
 	w.u8(binderCallMagic)
 	w.u32(int64(len(frame)))
-	w.buf = append(w.buf, frame...)
+	w.raw(frame)
 	return w.buf
 }
 
@@ -32,7 +32,8 @@ func IsBinderCall(b []byte) bool {
 	return len(b) > 0 && b[0] == binderCallMagic
 }
 
-// DecodeBinderCall unwraps EncodeBinderCall's envelope.
+// DecodeBinderCall unwraps AppendBinderCall's envelope; the frame is a
+// view into b.
 func DecodeBinderCall(b []byte) ([]byte, error) {
 	if !IsBinderCall(b) {
 		return nil, fmt.Errorf("marshal: not a binder call: %w", abi.EINVAL)

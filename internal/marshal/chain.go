@@ -18,7 +18,7 @@ import (
 
 // chainCallMagic is the first byte of a chain frame. It sits next to
 // grantCallMagic/binderCallMagic/sockOpMagic, far outside the TLV tag
-// range, so a plain EncodeArgs payload can never alias it.
+// range, so a plain args frame can never alias it.
 const chainCallMagic uint8 = 0xAA
 
 // MaxChainLinks is the codec's hard cap on links per chain. The layer's
@@ -56,9 +56,16 @@ type ChainResult struct {
 	Results  []kernel.Result
 }
 
-// EncodeChain packs an ordered link list into one chain frame.
-func EncodeChain(links []ChainLink) []byte {
-	var w writer
+// AppendChain appends one chain frame packing an ordered link list.
+func AppendChain(dst []byte, links []ChainLink) []byte {
+	sz := writer{sizing: true}
+	encodeChain(&sz, links)
+	w := filler(dst, sz.n)
+	encodeChain(&w, links)
+	return w.buf
+}
+
+func encodeChain(w *writer, links []ChainLink) {
 	w.u8(chainCallMagic)
 	w.u32(int64(len(links)))
 	for _, ln := range links {
@@ -73,11 +80,9 @@ func EncodeChain(links []ChainLink) []byte {
 		if ln.FDFrom >= 0 {
 			w.u8(uint8(ln.FDFrom))
 		}
-		blob := EncodeArgs(ln.Args)
-		w.u32(int64(len(blob)))
-		w.buf = append(w.buf, blob...)
+		w.u32(int64(argsSize(ln.Args)))
+		encodeArgs(w, ln.Args)
 	}
-	return w.buf
 }
 
 // IsChainCall reports whether a channel payload is a chain frame. Like a
@@ -87,8 +92,9 @@ func IsChainCall(b []byte) bool {
 	return len(b) > 0 && b[0] == chainCallMagic
 }
 
-// DecodeChain reverses EncodeChain, validating the link count and that
-// every descriptor binding names a strictly earlier link.
+// DecodeChain reverses AppendChain, validating the link count and that
+// every descriptor binding names a strictly earlier link. Byte fields are
+// views into b, as with DecodeArgs.
 func DecodeChain(b []byte) ([]ChainLink, error) {
 	if !IsChainCall(b) {
 		return nil, fmt.Errorf("marshal: not a chain frame: %w", abi.EINVAL)
@@ -102,6 +108,7 @@ func DecodeChain(b []byte) ([]ChainLink, error) {
 		return nil, fmt.Errorf("marshal: bad chain link count %d: %w", n, abi.EINVAL)
 	}
 	links := make([]ChainLink, 0, n)
+	store := make([]kernel.Args, n)
 	for i := 0; i < n; i++ {
 		flags := r.u8()
 		fdFrom := -1
@@ -118,11 +125,10 @@ func DecodeChain(b []byte) ([]ChainLink, error) {
 		if fdFrom >= i {
 			return nil, fmt.Errorf("marshal: chain link %d binds fd from link %d (not earlier): %w", i, fdFrom, abi.EINVAL)
 		}
-		a, err := DecodeArgs(blob)
-		if err != nil {
+		if err := DecodeArgs(blob, &store[i]); err != nil {
 			return nil, err
 		}
-		links = append(links, ChainLink{Args: a, FDFrom: fdFrom, UseCursor: flags&chainFlagCursor != 0})
+		links = append(links, ChainLink{Args: &store[i], FDFrom: fdFrom, UseCursor: flags&chainFlagCursor != 0})
 	}
 	if r.pos != len(b) {
 		return nil, fmt.Errorf("marshal: %d trailing bytes after chain: %w", len(b)-r.pos, abi.EINVAL)
@@ -130,21 +136,24 @@ func DecodeChain(b []byte) ([]ChainLink, error) {
 	return links, nil
 }
 
-// EncodeChainResult frames the guest's per-link results plus the executed
-// count for the completion post.
-func EncodeChainResult(cr ChainResult) []byte {
-	var w writer
-	w.u32(int64(len(cr.Results)))
-	w.u32(int64(cr.Executed))
-	for _, res := range cr.Results {
-		blob := EncodeResult(res)
-		w.u32(int64(len(blob)))
-		w.buf = append(w.buf, blob...)
-	}
+// AppendChainResult appends the guest's per-link results plus the
+// executed count for the completion post.
+func AppendChainResult(dst []byte, cr ChainResult) []byte {
+	sz := writer{sizing: true}
+	encodeChainResult(&sz, cr)
+	w := filler(dst, sz.n)
+	encodeChainResult(&w, cr)
 	return w.buf
 }
 
-// DecodeChainResult reverses EncodeChainResult.
+func encodeChainResult(w *writer, cr ChainResult) {
+	w.u32(int64(len(cr.Results)))
+	w.u32(int64(cr.Executed))
+	encodeResults(w, cr.Results)
+}
+
+// DecodeChainResult reverses AppendChainResult; Data fields are views
+// into b.
 func DecodeChainResult(b []byte) (ChainResult, error) {
 	r := &reader{buf: b}
 	n := r.u32()
@@ -155,20 +164,12 @@ func DecodeChainResult(b []byte) (ChainResult, error) {
 	if n <= 0 || n > MaxChainLinks || executed < 0 || executed > n {
 		return ChainResult{}, fmt.Errorf("marshal: bad chain result header (%d links, %d executed): %w", n, executed, abi.EINVAL)
 	}
-	cr := ChainResult{Executed: executed, Results: make([]kernel.Result, 0, n)}
-	for i := 0; i < n; i++ {
-		blob := r.bytes()
-		if r.err != nil {
-			return ChainResult{}, r.err
-		}
-		res, err := DecodeResult(blob)
-		if err != nil {
-			return ChainResult{}, err
-		}
-		cr.Results = append(cr.Results, res)
+	results, err := decodeResults(r, n)
+	if err != nil {
+		return ChainResult{}, err
 	}
 	if r.pos != len(b) {
 		return ChainResult{}, fmt.Errorf("marshal: %d trailing bytes after chain result: %w", len(b)-r.pos, abi.EINVAL)
 	}
-	return cr, nil
+	return ChainResult{Executed: executed, Results: results}, nil
 }

@@ -15,7 +15,7 @@ func TestChainRoundTrip(t *testing.T) {
 		{Args: &kernel.Args{Nr: abi.SysPread64, Size: 4096}, FDFrom: 0, UseCursor: true},
 		{Args: &kernel.Args{Nr: abi.SysClose}, FDFrom: 0},
 	}
-	frame := EncodeChain(in)
+	frame := AppendChain(nil, in)
 	if !IsChainCall(frame) {
 		t.Fatal("encoded chain not recognized as chain call")
 	}
@@ -44,7 +44,7 @@ func TestChainRoundTrip(t *testing.T) {
 func TestChainInlineEligible(t *testing.T) {
 	// The canonical hot chain must fit the SQE inline descriptor area;
 	// that is what keeps a fused submission off the chunked copy path.
-	frame := EncodeChain([]ChainLink{
+	frame := AppendChain(nil, []ChainLink{
 		{Args: &kernel.Args{Nr: abi.SysOpen, Path: "/data/data/app/files/state.db", Flags: abi.ORdOnly}, FDFrom: -1},
 		{Args: &kernel.Args{Nr: abi.SysFstat}, FDFrom: 0},
 		{Args: &kernel.Args{Nr: abi.SysPread64, Size: 4096}, FDFrom: 0, UseCursor: true},
@@ -56,7 +56,7 @@ func TestChainInlineEligible(t *testing.T) {
 }
 
 func TestDecodeChainRejectsBadInput(t *testing.T) {
-	valid := EncodeChain([]ChainLink{
+	valid := AppendChain(nil, []ChainLink{
 		{Args: &kernel.Args{Nr: abi.SysFstat, FD: 3}, FDFrom: -1},
 		{Args: &kernel.Args{Nr: abi.SysClose}, FDFrom: 0},
 	})
@@ -71,8 +71,8 @@ func TestDecodeChainRejectsBadInput(t *testing.T) {
 		{"over cap", []byte{chainCallMagic, MaxChainLinks + 1, 0, 0, 0}},
 		{"truncated body", valid[:len(valid)-3]},
 		{"trailing bytes", append(append([]byte{}, valid...), 0xEE)},
-		{"fd from self", EncodeChain([]ChainLink{{Args: &kernel.Args{Nr: abi.SysClose}, FDFrom: 0}})},
-		{"fd from later link", EncodeChain([]ChainLink{
+		{"fd from self", AppendChain(nil, []ChainLink{{Args: &kernel.Args{Nr: abi.SysClose}, FDFrom: 0}})},
+		{"fd from later link", AppendChain(nil, []ChainLink{
 			{Args: &kernel.Args{Nr: abi.SysFstat}, FDFrom: 1},
 			{Args: &kernel.Args{Nr: abi.SysClose}, FDFrom: -1},
 		})},
@@ -96,7 +96,7 @@ func TestChainResultRoundTrip(t *testing.T) {
 			{Ret: -1, Err: abi.ENOENT}, // short-circuited link carries the errno
 		},
 	}
-	out, err := DecodeChainResult(EncodeChainResult(in))
+	out, err := DecodeChainResult(AppendChainResult(nil, in))
 	if err != nil {
 		t.Fatalf("DecodeChainResult: %v", err)
 	}
@@ -117,11 +117,11 @@ func TestChainResultRoundTrip(t *testing.T) {
 func TestDecodeChainResultRejectsBadHeader(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		{0, 0, 0, 0, 0, 0, 0, 0},                  // zero links
-		{1, 0, 0, 0, 2, 0, 0, 0},                  // executed > links
-		{MaxChainLinks + 1, 0, 0, 0, 0, 0, 0, 0},  // over cap
-		{1, 0, 0, 0, 1, 0, 0, 0},                  // truncated body
-		append(EncodeChainResult(ChainResult{Executed: 1, Results: []kernel.Result{{Ret: 0}}}), 0x01),
+		{0, 0, 0, 0, 0, 0, 0, 0},                 // zero links
+		{1, 0, 0, 0, 2, 0, 0, 0},                 // executed > links
+		{MaxChainLinks + 1, 0, 0, 0, 0, 0, 0, 0}, // over cap
+		{1, 0, 0, 0, 1, 0, 0, 0},                 // truncated body
+		append(AppendChainResult(nil, ChainResult{Executed: 1, Results: []kernel.Result{{Ret: 0}}}), 0x01),
 	}
 	for i, frame := range cases {
 		if _, err := DecodeChainResult(frame); err == nil {

@@ -60,12 +60,54 @@ const (
 	tagIovSpan
 )
 
-type writer struct{ buf []byte }
+// writer emits the TLV wire format. A sizing writer only counts the bytes
+// it would emit, so every encoder body runs twice from one definition —
+// once to size the frame exactly, once to fill it — and the caller's frame
+// grows at most once per message.
+type writer struct {
+	buf    []byte
+	n      int
+	sizing bool
+}
 
-func (w *writer) u8(v uint8)  { w.buf = append(w.buf, v) }
-func (w *writer) u32(v int64) { w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(v)) }
+func (w *writer) u8(v uint8) {
+	if w.sizing {
+		w.n++
+		return
+	}
+	w.buf = append(w.buf, v)
+}
+
+func (w *writer) u32(v int64) {
+	if w.sizing {
+		w.n += 4
+		return
+	}
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(v))
+}
+
 func (w *writer) u64(v uint64) {
+	if w.sizing {
+		w.n += 8
+		return
+	}
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+}
+
+func (w *writer) raw(b []byte) {
+	if w.sizing {
+		w.n += len(b)
+		return
+	}
+	w.buf = append(w.buf, b...)
+}
+
+func (w *writer) rawString(s string) {
+	if w.sizing {
+		w.n += len(s)
+		return
+	}
+	w.buf = append(w.buf, s...)
 }
 
 func (w *writer) field64(tag uint8, v uint64) {
@@ -82,9 +124,32 @@ func (w *writer) fieldBytes(tag uint8, b []byte) {
 	}
 	w.u8(tag)
 	w.u32(int64(len(b)))
-	w.buf = append(w.buf, b...)
+	w.raw(b)
 }
 
+func (w *writer) fieldString(tag uint8, s string) {
+	if len(s) == 0 {
+		return
+	}
+	w.u8(tag)
+	w.u32(int64(len(s)))
+	w.rawString(s)
+}
+
+// filler returns a writer appending to dst after growing it, at most
+// once, to hold exactly n more bytes (the size a sizing pass measured).
+func filler(dst []byte, n int) writer {
+	if cap(dst)-len(dst) < n {
+		grown := make([]byte, len(dst), len(dst)+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	return writer{buf: dst}
+}
+
+// reader decodes the wire format. Byte fields come back as views into the
+// message (capacity-clipped, so appending to one can never overwrite the
+// bytes after it); decoding never writes to the message.
 type reader struct {
 	buf []byte
 	pos int
@@ -123,29 +188,54 @@ func (r *reader) u64() uint64 {
 	return v
 }
 
+// bytes returns the next length-prefixed field as a view into the message.
 func (r *reader) bytes() []byte {
 	n := r.u32()
-	if r.err != nil || r.pos+n > len(r.buf) {
+	if r.err != nil || n > len(r.buf)-r.pos {
 		r.err = errTruncated
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.pos:])
+	v := r.buf[r.pos : r.pos+n : r.pos+n]
 	r.pos += n
-	return out
+	return v
+}
+
+// count reads a u32 element count and rejects one the remaining bytes
+// cannot hold (each element needs at least minBytes), so a hostile count
+// can never force a giant allocation.
+func (r *reader) count(minBytes int) int {
+	n := r.u32()
+	if r.err == nil && n > (len(r.buf)-r.pos)/minBytes {
+		r.err = fmt.Errorf("marshal: element count %d exceeds message: %w", n, abi.EINVAL)
+	}
+	return n
 }
 
 var errTruncated = fmt.Errorf("marshal: truncated message: %w", abi.EINVAL)
 
-// EncodeArgs flattens a syscall's arguments, performing the pointer
-// translation step: the Buf payload (a user-space pointer on real
+// AppendArgs appends a syscall's argument frame to dst, performing the
+// pointer translation step: the Buf payload (a user-space pointer on real
 // hardware) is copied inline so the guest needs no access to host memory.
-func EncodeArgs(a *kernel.Args) []byte {
-	var w writer
+// dst grows at most once, to the exact frame size; callers pass a reused
+// frame to encode without allocating.
+func AppendArgs(dst []byte, a *kernel.Args) []byte {
+	w := filler(dst, argsSize(a))
+	encodeArgs(&w, a)
+	return w.buf
+}
+
+// argsSize is the exact length of a's args frame.
+func argsSize(a *kernel.Args) int {
+	w := writer{sizing: true}
+	encodeArgs(&w, a)
+	return w.n
+}
+
+func encodeArgs(w *writer, a *kernel.Args) {
 	w.u8(tagNr)
 	w.u64(uint64(a.Nr))
-	w.fieldBytes(tagPath, []byte(a.Path))
-	w.fieldBytes(tagPath2, []byte(a.Path2))
+	w.fieldString(tagPath, a.Path)
+	w.fieldString(tagPath2, a.Path2)
 	w.field64(tagFD, uint64(int64(a.FD)))
 	w.field64(tagFD2, uint64(int64(a.FD2)))
 	w.field64(tagFlags, uint64(a.Flags))
@@ -155,7 +245,7 @@ func EncodeArgs(a *kernel.Args) []byte {
 	w.field64(tagOff, uint64(a.Off))
 	w.field64(tagWhence, uint64(int64(a.Whence)))
 	w.field64(tagRequest, uint64(a.Request))
-	w.fieldBytes(tagAddr, []byte(a.Addr))
+	w.fieldString(tagAddr, a.Addr)
 	w.field64(tagFamily, uint64(int64(a.Family)))
 	w.field64(tagSockType, uint64(int64(a.SockType)))
 	w.field64(tagProto, uint64(int64(a.Proto)))
@@ -166,9 +256,9 @@ func EncodeArgs(a *kernel.Args) []byte {
 	w.field64(tagVaddr, a.Vaddr)
 	w.field64(tagPages, uint64(int64(a.Pages)))
 	w.field64(tagProt, uint64(int64(a.Prot)))
-	w.fieldBytes(tagTag, []byte(a.Tag))
+	w.fieldString(tagTag, a.Tag)
 	for _, s := range a.Argv {
-		w.fieldBytes(tagArgv, []byte(s))
+		w.fieldString(tagArgv, s)
 	}
 	readStyle := a.Nr == abi.SysReadv || a.Nr == abi.SysPreadv
 	for _, seg := range a.Iov {
@@ -179,12 +269,13 @@ func EncodeArgs(a *kernel.Args) []byte {
 			w.fieldBytes(tagIov, seg)
 		}
 	}
-	return w.buf
 }
 
-// DecodeArgs reverses EncodeArgs.
-func DecodeArgs(b []byte) (*kernel.Args, error) {
-	a := &kernel.Args{}
+// DecodeArgs reverses AppendArgs into a, which it resets first. Buf and
+// write-style Iov segments are views into b, valid while b is; strings
+// are copied. Read-style Iov spans become fresh zeroed scratch segments.
+func DecodeArgs(b []byte, a *kernel.Args) error {
+	*a = kernel.Args{}
 	r := &reader{buf: b}
 	for r.more() {
 		switch tag := r.u8(); tag {
@@ -246,54 +337,57 @@ func DecodeArgs(b []byte) (*kernel.Args, error) {
 			// beyond any vector the kernel accepts).
 			n := int(r.u64())
 			if r.err == nil && (n < 0 || n > 1<<24) {
-				return nil, fmt.Errorf("marshal: bad iov span %d: %w", n, abi.EINVAL)
+				return fmt.Errorf("marshal: bad iov span %d: %w", n, abi.EINVAL)
 			}
 			if r.err == nil {
 				a.Iov = append(a.Iov, make([]byte, n))
 			}
 		default:
-			return nil, fmt.Errorf("marshal: unknown args tag %d: %w", tag, abi.EINVAL)
+			return fmt.Errorf("marshal: unknown args tag %d: %w", tag, abi.EINVAL)
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return a, nil
+	return r.err
 }
 
-// EncodeArgsBatch frames several calls into one channel payload so a
+// AppendArgsBatch appends a frame carrying several calls, so a
 // coalesced-write flush (or any multi-call exchange) costs a single
-// round-trip: a count followed by each call's EncodeArgs blob,
+// round-trip: a count followed by each call's args frame,
 // length-prefixed.
-func EncodeArgsBatch(calls []*kernel.Args) []byte {
-	var w writer
-	w.u32(int64(len(calls)))
-	for _, a := range calls {
-		blob := EncodeArgs(a)
-		w.u32(int64(len(blob)))
-		w.buf = append(w.buf, blob...)
-	}
+func AppendArgsBatch(dst []byte, calls []*kernel.Args) []byte {
+	sz := writer{sizing: true}
+	encodeArgsBatch(&sz, calls)
+	w := filler(dst, sz.n)
+	encodeArgsBatch(&w, calls)
 	return w.buf
 }
 
-// DecodeArgsBatch reverses EncodeArgsBatch.
+func encodeArgsBatch(w *writer, calls []*kernel.Args) {
+	w.u32(int64(len(calls)))
+	for _, a := range calls {
+		w.u32(int64(argsSize(a)))
+		encodeArgs(w, a)
+	}
+}
+
+// DecodeArgsBatch reverses AppendArgsBatch; like DecodeArgs, byte fields
+// are views into b.
 func DecodeArgsBatch(b []byte) ([]*kernel.Args, error) {
 	r := &reader{buf: b}
-	n := r.u32()
+	n := r.count(4)
 	if r.err != nil {
 		return nil, r.err
 	}
-	calls := make([]*kernel.Args, 0, n)
-	for i := 0; i < n; i++ {
+	store := make([]kernel.Args, n)
+	calls := make([]*kernel.Args, n)
+	for i := range calls {
 		blob := r.bytes()
 		if r.err != nil {
 			return nil, r.err
 		}
-		a, err := DecodeArgs(blob)
-		if err != nil {
+		if err := DecodeArgs(blob, &store[i]); err != nil {
 			return nil, err
 		}
-		calls = append(calls, a)
+		calls[i] = &store[i]
 	}
 	if r.pos != len(b) {
 		return nil, fmt.Errorf("marshal: %d trailing bytes after args batch: %w", len(b)-r.pos, abi.EINVAL)
@@ -301,27 +395,48 @@ func DecodeArgsBatch(b []byte) ([]*kernel.Args, error) {
 	return calls, nil
 }
 
-// EncodeResultBatch frames the per-call results of a batched exchange.
-func EncodeResultBatch(results []kernel.Result) []byte {
-	var w writer
+// AppendResultBatch appends the per-call results of a batched exchange.
+func AppendResultBatch(dst []byte, results []kernel.Result) []byte {
+	sz := writer{sizing: true}
+	sz.u32(int64(len(results)))
+	encodeResults(&sz, results)
+	w := filler(dst, sz.n)
 	w.u32(int64(len(results)))
-	for _, res := range results {
-		blob := EncodeResult(res)
-		w.u32(int64(len(blob)))
-		w.buf = append(w.buf, blob...)
-	}
+	encodeResults(&w, results)
 	return w.buf
 }
 
-// DecodeResultBatch reverses EncodeResultBatch.
+// encodeResults emits a length-prefixed result vector (the body of both
+// the batch and the chain reply).
+func encodeResults(w *writer, results []kernel.Result) {
+	for _, res := range results {
+		e := resultErrOf(res)
+		w.u32(int64(resultSize(res, e)))
+		encodeResult(w, res, e)
+	}
+}
+
+// DecodeResultBatch reverses AppendResultBatch; Data fields are views
+// into b.
 func DecodeResultBatch(b []byte) ([]kernel.Result, error) {
 	r := &reader{buf: b}
-	n := r.u32()
+	n := r.count(4)
 	if r.err != nil {
 		return nil, r.err
 	}
-	results := make([]kernel.Result, 0, n)
-	for i := 0; i < n; i++ {
+	results, err := decodeResults(r, n)
+	if err != nil {
+		return nil, err
+	}
+	if r.pos != len(b) {
+		return nil, fmt.Errorf("marshal: %d trailing bytes after result batch: %w", len(b)-r.pos, abi.EINVAL)
+	}
+	return results, nil
+}
+
+func decodeResults(r *reader, n int) ([]kernel.Result, error) {
+	results := make([]kernel.Result, n)
+	for i := range results {
 		blob := r.bytes()
 		if r.err != nil {
 			return nil, r.err
@@ -330,35 +445,64 @@ func DecodeResultBatch(b []byte) ([]kernel.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		results = append(results, res)
-	}
-	if r.pos != len(b) {
-		return nil, fmt.Errorf("marshal: %d trailing bytes after result batch: %w", len(b)-r.pos, abi.EINVAL)
+		results[i] = res
 	}
 	return results, nil
 }
 
-// EncodeResult flattens a syscall result for the return trip.
-func EncodeResult(res kernel.Result) []byte {
-	var w writer
+// resultErr is a result's error in wire form: a matchable errno, or the
+// text of any other error. Resolving it once keeps Error() out of the
+// sizing pass.
+type resultErr struct {
+	isErrno bool
+	errno   abi.Errno
+	text    string
+}
+
+func resultErrOf(res kernel.Result) resultErr {
+	if res.Err == nil {
+		return resultErr{}
+	}
+	var errno abi.Errno
+	if errors.As(res.Err, &errno) {
+		return resultErr{isErrno: true, errno: errno}
+	}
+	return resultErr{text: res.Err.Error()}
+}
+
+// AppendResult appends a syscall result frame for the return trip; the
+// guest handler appends into a reused reply frame.
+func AppendResult(dst []byte, res kernel.Result) []byte {
+	e := resultErrOf(res)
+	w := filler(dst, resultSize(res, e))
+	encodeResult(&w, res, e)
+	return w.buf
+}
+
+// resultSize is the exact length of a result frame.
+func resultSize(res kernel.Result, e resultErr) int {
+	w := writer{sizing: true}
+	encodeResult(&w, res, e)
+	return w.n
+}
+
+func encodeResult(w *writer, res kernel.Result, e resultErr) {
 	w.u8(tagRet)
 	w.u64(uint64(res.Ret))
 	w.fieldBytes(tagData, res.Data)
 	w.field64(tagResFD, uint64(int64(res.FD)))
-	if res.Err != nil {
-		var errno abi.Errno
-		if errors.As(res.Err, &errno) {
-			w.u8(tagErrno)
-			w.u64(uint64(int64(errno)))
-		} else {
-			w.fieldBytes(tagErrText, []byte(res.Err.Error()))
-		}
+	if e.isErrno {
+		w.u8(tagErrno)
+		w.u64(uint64(int64(e.errno)))
+	} else {
+		w.fieldString(tagErrText, e.text)
 	}
-	return w.buf
 }
 
-// DecodeResult reverses EncodeResult. Errno errors survive the trip
-// matchably (errors.Is); other errors degrade to EIO with text.
+// DecodeResult reverses AppendResult. Data is a view into b, valid while
+// b is; callers that keep it past the frame's lifetime copy it. Errno
+// errors survive the trip matchably (errors.Is); other errors degrade to
+// EIO with text.
 func DecodeResult(b []byte) (kernel.Result, error) {
 	var res kernel.Result
 	r := &reader{buf: b}

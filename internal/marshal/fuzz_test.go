@@ -1,7 +1,9 @@
 package marshal
 
 import (
+	"bytes"
 	"testing"
+	"unsafe"
 
 	"anception/internal/abi"
 	"anception/internal/kernel"
@@ -9,57 +11,150 @@ import (
 
 // Fuzz targets: the decoders face bytes a compromised container chose.
 // `go test` exercises the seed corpus; `go test -fuzz=FuzzDecodeArgs`
-// explores further.
+// explores further. Beyond never panicking, every decoder must leave its
+// input untouched and hand out byte fields only as capacity-clipped views
+// that lie inside it.
+
+// decodeArgs is DecodeArgs into a fresh Args.
+func decodeArgs(b []byte) (*kernel.Args, error) {
+	a := new(kernel.Args)
+	if err := DecodeArgs(b, a); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// decodeSockOp is DecodeSockOp into a fresh Args.
+func decodeSockOp(b []byte) (*kernel.Args, error) {
+	a := new(kernel.Args)
+	if err := DecodeSockOp(b, a); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// overlaps reports whether view and buf share any memory.
+func overlaps(view, buf []byte) bool {
+	if cap(view) == 0 || len(buf) == 0 {
+		return false
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(view)))
+	return p < lo+uintptr(len(buf)) && lo < p+uintptr(cap(view))
+}
+
+// within reports whether view — including its capacity, so appending to
+// it cannot reach past the field — lies inside buf.
+func within(view, buf []byte) bool {
+	if cap(view) == 0 {
+		return true
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(view)))
+	return p >= lo && p+uintptr(cap(view)) <= lo+uintptr(len(buf))
+}
+
+// checkArgsViews fails unless a's byte fields are views inside frame.
+// Read-style iov spans are fresh scratch, so a segment need only lie
+// inside the frame when it points into it at all.
+func checkArgsViews(t *testing.T, a *kernel.Args, frame []byte) {
+	t.Helper()
+	if !within(a.Buf, frame) {
+		t.Fatal("Buf is not a clipped view into the frame")
+	}
+	for i, seg := range a.Iov {
+		if overlaps(seg, frame) && !within(seg, frame) {
+			t.Fatalf("Iov[%d] straddles the frame", i)
+		}
+	}
+}
+
+// checkResultViews fails unless every Data field is a view inside frame.
+func checkResultViews(t *testing.T, results []kernel.Result, frame []byte) {
+	t.Helper()
+	for i, res := range results {
+		if !within(res.Data, frame) {
+			t.Fatalf("result %d Data is not a clipped view into the frame", i)
+		}
+	}
+}
+
+// unchanged fails if decoding wrote to its input.
+func unchanged(t *testing.T, before, after []byte) {
+	t.Helper()
+	if !bytes.Equal(before, after) {
+		t.Fatal("decoder wrote to its input")
+	}
+}
 
 func FuzzDecodeArgs(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeArgs(&kernel.Args{Nr: abi.SysWrite, FD: 3, Buf: []byte("data"), Path: "/x"}))
+	f.Add(AppendArgs(nil, &kernel.Args{Nr: abi.SysWrite, FD: 3, Buf: []byte("data"), Path: "/x"}))
+	f.Add(AppendArgs(nil, &kernel.Args{Nr: abi.SysWritev, FD: 3, Iov: [][]byte{[]byte("ab"), []byte("cd")}}))
+	f.Add(AppendArgs(nil, &kernel.Args{Nr: abi.SysPreadv, FD: 3, Iov: [][]byte{make([]byte, 8)}}))
 	f.Add([]byte{0xFF, 0x00, 0x01})
 	f.Add([]byte{2, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		args, err := DecodeArgs(data)
-		if err == nil && args == nil {
-			t.Fatal("nil args without error")
+		before := bytes.Clone(data)
+		var a kernel.Args
+		err := DecodeArgs(data, &a)
+		unchanged(t, before, data)
+		if err == nil {
+			checkArgsViews(t, &a, data)
 		}
 	})
 }
 
 func FuzzDecodeResult(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeResult(kernel.Result{Ret: 7, Data: []byte("ok"), FD: 4}))
-	f.Add(EncodeResult(kernel.Result{Ret: -1, Err: abi.EACCES}))
+	f.Add(AppendResult(nil, kernel.Result{Ret: 7, Data: []byte("ok"), FD: 4}))
+	f.Add(AppendResult(nil, kernel.Result{Ret: -1, Err: abi.EACCES}))
+	f.Add(AppendResultBatch(nil, []kernel.Result{{Ret: 1, Data: []byte("a")}, {Ret: 2, Data: []byte("bc")}}))
 	f.Add([]byte{0xEE, 0xEE})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeResult(data)
+		before := bytes.Clone(data)
+		res, err := DecodeResult(data)
+		unchanged(t, before, data)
+		if err == nil {
+			checkResultViews(t, []kernel.Result{res}, data)
+		}
+		batch, err := DecodeResultBatch(data)
+		unchanged(t, before, data)
+		if err == nil {
+			checkResultViews(t, batch, data)
+		}
 	})
 }
 
 func FuzzDecodeSockOp(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeSockOp(&kernel.Args{Nr: abi.SysSend, FD: 4, Buf: []byte("GET /")}))
-	f.Add(EncodeSockOp(&kernel.Args{Nr: abi.SysConnect, FD: 3, Addr: "cvm:80"}))
-	f.Add(EncodeSockOp(&kernel.Args{Nr: abi.SysRecv, FD: 4, Size: 4096}))
-	f.Add(EncodeSockOp(&kernel.Args{Nr: abi.SysAccept4, FD: 3, Size: 16}))
-	f.Add(EncodeSockOp(&kernel.Args{Nr: abi.SysEpollWait, FD: 5, Size: 8}))
+	f.Add(AppendSockOp(nil, &kernel.Args{Nr: abi.SysSend, FD: 4, Buf: []byte("GET /")}))
+	f.Add(AppendSockOp(nil, &kernel.Args{Nr: abi.SysConnect, FD: 3, Addr: "cvm:80"}))
+	f.Add(AppendSockOp(nil, &kernel.Args{Nr: abi.SysRecv, FD: 4, Size: 4096}))
+	f.Add(AppendSockOp(nil, &kernel.Args{Nr: abi.SysAccept4, FD: 3, Size: 16}))
+	f.Add(AppendSockOp(nil, &kernel.Args{Nr: abi.SysEpollWait, FD: 5, Size: 8}))
 	f.Add([]byte{0xA9})
 	f.Add([]byte{0xA9, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		args, err := DecodeSockOp(data)
-		if err == nil && args == nil {
-			t.Fatal("nil args without error")
+		before := bytes.Clone(data)
+		var a kernel.Args
+		err := DecodeSockOp(data, &a)
+		unchanged(t, before, data)
+		if err == nil {
+			checkArgsViews(t, &a, data)
 		}
 	})
 }
 
 func FuzzDecodeChain(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeChain([]ChainLink{
+	f.Add(AppendChain(nil, []ChainLink{
 		{Args: &kernel.Args{Nr: abi.SysOpen, Path: "/data/f", Flags: abi.ORdOnly}, FDFrom: -1},
 		{Args: &kernel.Args{Nr: abi.SysFstat}, FDFrom: 0},
 		{Args: &kernel.Args{Nr: abi.SysPread64, Size: 4096}, FDFrom: 0, UseCursor: true},
 		{Args: &kernel.Args{Nr: abi.SysClose}, FDFrom: 0},
 	}))
-	f.Add(EncodeChain([]ChainLink{
+	f.Add(AppendChain(nil, []ChainLink{
 		{Args: &kernel.Args{Nr: abi.SysSend, FD: 4, Buf: []byte("ping")}, FDFrom: -1},
 		{Args: &kernel.Args{Nr: abi.SysRecv, FD: 4, Size: 128}, FDFrom: -1},
 	}))
@@ -67,7 +162,9 @@ func FuzzDecodeChain(f *testing.F) {
 	f.Add([]byte{0xAA, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0xAA, 2, 0, 0, 0, chainFlagFDFrom, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		before := bytes.Clone(data)
 		links, err := DecodeChain(data)
+		unchanged(t, before, data)
 		if err == nil && len(links) == 0 {
 			t.Fatal("empty chain without error")
 		}
@@ -75,36 +172,48 @@ func FuzzDecodeChain(f *testing.F) {
 			if err == nil && (ln.Args == nil || ln.FDFrom >= i) {
 				t.Fatalf("link %d decoded inconsistently (fdFrom=%d)", i, ln.FDFrom)
 			}
+			checkArgsViews(t, ln.Args, data)
 		}
 	})
 }
 
 func FuzzDecodeChainResult(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeChainResult(ChainResult{Executed: 2, Results: []kernel.Result{
+	f.Add(AppendChainResult(nil, ChainResult{Executed: 2, Results: []kernel.Result{
 		{Ret: 3, FD: 3},
+		{Ret: 4, Data: []byte("data")},
 		{Ret: -1, Err: abi.EHOSTDOWN},
 	}}))
 	f.Add([]byte{1, 0, 0, 0, 9, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		before := bytes.Clone(data)
 		cr, err := DecodeChainResult(data)
+		unchanged(t, before, data)
 		if err == nil && (cr.Executed < 0 || cr.Executed > len(cr.Results)) {
 			t.Fatal("inconsistent executed count without error")
+		}
+		if err == nil {
+			checkResultViews(t, cr.Results, data)
 		}
 	})
 }
 
-// FuzzArgsRoundTrip: anything that encodes must decode to itself.
+// FuzzArgsRoundTrip: anything that encodes must decode to itself, with
+// the payload decoded as a view into the frame and the frame untouched.
 func FuzzArgsRoundTrip(f *testing.F) {
 	f.Add("/data/x", 3, []byte("buf"), int64(12), "tag")
 	f.Fuzz(func(t *testing.T, path string, fd int, buf []byte, off int64, tag string) {
 		in := &kernel.Args{Nr: abi.SysPwrite64, Path: path, FD: fd, Buf: buf, Off: off, Tag: tag}
-		out, err := DecodeArgs(EncodeArgs(in))
-		if err != nil {
+		frame := AppendArgs(nil, in)
+		before := bytes.Clone(frame)
+		var out kernel.Args
+		if err := DecodeArgs(frame, &out); err != nil {
 			t.Fatalf("own encoding rejected: %v", err)
 		}
-		if out.Path != path || out.FD != fd || out.Off != off || out.Tag != tag {
+		unchanged(t, before, frame)
+		if out.Path != path || out.FD != fd || out.Off != off || out.Tag != tag || !bytes.Equal(out.Buf, buf) {
 			t.Fatal("round trip mismatch")
 		}
+		checkArgsViews(t, &out, frame)
 	})
 }

@@ -25,7 +25,7 @@ func TestArgsRoundTripFull(t *testing.T) {
 		Vaddr: 0x40000000, Pages: 2, Prot: 7, Tag: "shellcode",
 		Argv: []string{"sh", "-c", "id"},
 	}
-	out, err := DecodeArgs(EncodeArgs(in))
+	out, err := decodeArgs(AppendArgs(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestArgsRoundTripFull(t *testing.T) {
 
 func TestArgsRoundTripSparse(t *testing.T) {
 	in := &kernel.Args{Nr: abi.SysGetpid}
-	out, err := DecodeArgs(EncodeArgs(in))
+	out, err := decodeArgs(AppendArgs(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestArgsRoundTripSparse(t *testing.T) {
 func TestArgsRoundTripProperty(t *testing.T) {
 	f := func(path string, fd uint8, buf []byte, off int64, vaddr uint64) bool {
 		in := &kernel.Args{Nr: abi.SysPwrite64, Path: path, FD: int(fd), Buf: buf, Off: off, Vaddr: vaddr}
-		out, err := DecodeArgs(EncodeArgs(in))
+		out, err := decodeArgs(AppendArgs(nil, in))
 		if err != nil {
 			return false
 		}
@@ -65,7 +65,7 @@ func TestArgsRoundTripProperty(t *testing.T) {
 
 func TestResultRoundTripSuccess(t *testing.T) {
 	in := kernel.Result{Ret: 42, Data: []byte("reply"), FD: 5}
-	out, err := DecodeResult(EncodeResult(in))
+	out, err := DecodeResult(AppendResult(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestResultRoundTripSuccess(t *testing.T) {
 
 func TestResultRoundTripErrnoMatchable(t *testing.T) {
 	in := kernel.Result{Ret: -1, Err: abi.EACCES}
-	out, err := DecodeResult(EncodeResult(in))
+	out, err := DecodeResult(AppendResult(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestResultRoundTripErrnoMatchable(t *testing.T) {
 
 func TestResultRoundTripForeignError(t *testing.T) {
 	in := kernel.Result{Ret: -1, Err: errors.New("weird driver failure")}
-	out, err := DecodeResult(EncodeResult(in))
+	out, err := DecodeResult(AppendResult(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +97,14 @@ func TestResultRoundTripForeignError(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := DecodeArgs([]byte{0xEE, 1, 2}); !errors.Is(err, abi.EINVAL) {
+	if _, err := decodeArgs([]byte{0xEE, 1, 2}); !errors.Is(err, abi.EINVAL) {
 		t.Fatalf("args garbage: %v", err)
 	}
 	if _, err := DecodeResult([]byte{0xEE}); !errors.Is(err, abi.EINVAL) {
 		t.Fatalf("result garbage: %v", err)
 	}
 	// Truncated length prefix.
-	if _, err := DecodeArgs([]byte{2, 0xFF, 0xFF, 0xFF}); !errors.Is(err, abi.EINVAL) {
+	if _, err := decodeArgs([]byte{2, 0xFF, 0xFF, 0xFF}); !errors.Is(err, abi.EINVAL) {
 		t.Fatalf("args truncated: %v", err)
 	}
 }
@@ -259,7 +259,7 @@ func TestDecodeNeverPanicsOnRandomBytes(t *testing.T) {
 					t.Fatalf("DecodeArgs panicked on %x: %v", buf, r)
 				}
 			}()
-			_, _ = DecodeArgs(buf)
+			_, _ = decodeArgs(buf)
 		}()
 		func() {
 			defer func() {
@@ -275,12 +275,12 @@ func TestDecodeNeverPanicsOnRandomBytes(t *testing.T) {
 // TestDecodeTruncatedValidMessages: every prefix of a valid encoding either
 // decodes or errors cleanly.
 func TestDecodeTruncatedValidMessages(t *testing.T) {
-	full := EncodeArgs(&kernel.Args{
+	full := AppendArgs(nil, &kernel.Args{
 		Nr: abi.SysPwrite64, Path: "/data/data/app/file", FD: 7,
 		Buf: make([]byte, 300), Off: 12345, Tag: "tag",
 	})
 	for n := 0; n < len(full); n++ {
-		if _, err := DecodeArgs(full[:n]); err != nil && !errors.Is(err, abi.EINVAL) {
+		if _, err := decodeArgs(full[:n]); err != nil && !errors.Is(err, abi.EINVAL) {
 			t.Fatalf("prefix %d: unexpected error class %v", n, err)
 		}
 	}

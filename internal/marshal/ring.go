@@ -103,7 +103,10 @@ func (p *Pending) Payload() []byte { return p.payload }
 func (p *Pending) Handler() GuestHandler { return p.handler }
 
 // Wait blocks until the slot completes, returns its result, and recycles
-// the slot. It must be called exactly once per successful Submit.
+// the slot. It must be called exactly once per successful Submit. The
+// slot only references the reply, which stays in the submitter's frame,
+// so recycling the slot first never frees a reply the caller still has
+// to decode.
 func (p *Pending) Wait() ([]byte, error) {
 	<-p.done
 	resp, err := p.resp, p.err

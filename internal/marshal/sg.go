@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"anception/internal/abi"
+	"anception/internal/kernel"
 )
 
 // The zero-copy data path replaces inline chunked payloads with a
@@ -14,7 +15,7 @@ import (
 
 // grantCallMagic is the first byte of a grant-call frame. TLV tags start
 // at 1 and stay small; the magic sits far outside that range so a plain
-// EncodeArgs payload can never alias a grant call.
+// args frame can never alias a grant call.
 const grantCallMagic uint8 = 0xA7
 
 // sgMaxEntries bounds a descriptor's entry count; it is more than any
@@ -50,9 +51,17 @@ func (d *SGDescriptor) TotalLen() int {
 	return n
 }
 
-// EncodeSG flattens a descriptor.
-func EncodeSG(d *SGDescriptor) []byte {
-	var w writer
+// AppendSG appends a flattened descriptor.
+func AppendSG(dst []byte, d *SGDescriptor) []byte {
+	w := filler(dst, sgSize(d))
+	encodeSG(&w, d)
+	return w.buf
+}
+
+// sgSize is the exact length of a flattened descriptor.
+func sgSize(d *SGDescriptor) int { return 1 + 4 + 16*len(d.Entries) }
+
+func encodeSG(w *writer, d *SGDescriptor) {
 	if d.Writable {
 		w.u8(1)
 	} else {
@@ -65,10 +74,9 @@ func EncodeSG(d *SGDescriptor) []byte {
 		w.u32(int64(e.Off))
 		w.u32(int64(e.Len))
 	}
-	return w.buf
 }
 
-// DecodeSG reverses EncodeSG. The entry count is validated against both
+// DecodeSG reverses AppendSG. The entry count is validated against both
 // the sgMaxEntries cap and the bytes actually present, so truncated or
 // hostile input fails cleanly instead of allocating.
 func DecodeSG(b []byte) (*SGDescriptor, error) {
@@ -102,16 +110,15 @@ func DecodeSG(b []byte) (*SGDescriptor, error) {
 	return d, nil
 }
 
-// EncodeGrantCall frames a zero-copy call: the magic byte, the
-// length-prefixed descriptor, then the EncodeArgs blob of the call with
-// its bulk payload stripped (the extents travel by reference).
-func EncodeGrantCall(d *SGDescriptor, argsPayload []byte) []byte {
-	sg := EncodeSG(d)
-	var w writer
+// AppendGrantCall appends a zero-copy call frame: the magic byte, the
+// length-prefixed descriptor, then the args frame of the call with its
+// bulk payload stripped (the extents travel by reference).
+func AppendGrantCall(dst []byte, d *SGDescriptor, a *kernel.Args) []byte {
+	w := filler(dst, 1+4+sgSize(d)+argsSize(a))
 	w.u8(grantCallMagic)
-	w.u32(int64(len(sg)))
-	w.buf = append(w.buf, sg...)
-	w.buf = append(w.buf, argsPayload...)
+	w.u32(int64(sgSize(d)))
+	encodeSG(&w, d)
+	encodeArgs(&w, a)
 	return w.buf
 }
 
@@ -121,7 +128,7 @@ func IsGrantCall(b []byte) bool {
 }
 
 // DecodeGrantCall splits a grant-call frame back into its descriptor and
-// args payload.
+// args payload (a view into b).
 func DecodeGrantCall(b []byte) (*SGDescriptor, []byte, error) {
 	if !IsGrantCall(b) {
 		return nil, nil, fmt.Errorf("marshal: not a grant call: %w", abi.EINVAL)

@@ -17,7 +17,7 @@ func TestSGRoundTrip(t *testing.T) {
 			{ID: 9, Gen: 3, Off: 512, Len: 65536},
 		},
 	}
-	out, err := DecodeSG(EncodeSG(in))
+	out, err := DecodeSG(AppendSG(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestSGRoundTrip(t *testing.T) {
 }
 
 func TestSGEmptyDescriptor(t *testing.T) {
-	out, err := DecodeSG(EncodeSG(&SGDescriptor{}))
+	out, err := DecodeSG(AppendSG(nil, &SGDescriptor{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSGEmptyDescriptor(t *testing.T) {
 }
 
 func TestDecodeSGRejectsHostileInput(t *testing.T) {
-	valid := EncodeSG(&SGDescriptor{Entries: []SGEntry{{ID: 1, Gen: 1, Len: 8}}})
+	valid := AppendSG(nil, &SGDescriptor{Entries: []SGEntry{{ID: 1, Gen: 1, Len: 8}}})
 	cases := map[string][]byte{
 		"empty":            {},
 		"bad flag":         append([]byte{7}, valid[1:]...),
@@ -63,8 +63,9 @@ func TestDecodeSGRejectsHostileInput(t *testing.T) {
 
 func TestGrantCallFrameRoundTrip(t *testing.T) {
 	desc := &SGDescriptor{Writable: true, Entries: []SGEntry{{ID: 2, Gen: 1, Len: 16384}}}
-	args := EncodeArgs(&kernel.Args{Nr: abi.SysPread64, FD: 5, Size: 16384, Off: 4096})
-	frame := EncodeGrantCall(desc, args)
+	call := &kernel.Args{Nr: abi.SysPread64, FD: 5, Size: 16384, Off: 4096}
+	args := AppendArgs(nil, call)
+	frame := AppendGrantCall(nil, desc, call)
 
 	if !IsGrantCall(frame) {
 		t.Fatal("frame not recognized as grant call")
@@ -83,7 +84,7 @@ func TestGrantCallFrameRoundTrip(t *testing.T) {
 	if !bytes.Equal(gotArgs, args) {
 		t.Fatal("args payload corrupted by framing")
 	}
-	decoded, err := DecodeArgs(gotArgs)
+	decoded, err := decodeArgs(gotArgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +94,11 @@ func TestGrantCallFrameRoundTrip(t *testing.T) {
 }
 
 func TestDecodeGrantCallRejectsTruncation(t *testing.T) {
-	frame := EncodeGrantCall(&SGDescriptor{Entries: []SGEntry{{ID: 1, Gen: 1, Len: 4}}}, nil)
-	for cut := 1; cut < len(frame); cut++ {
+	desc := &SGDescriptor{Entries: []SGEntry{{ID: 1, Gen: 1, Len: 4}}}
+	frame := AppendGrantCall(nil, desc, &kernel.Args{})
+	// Every cut inside the magic, length prefix or descriptor must fail;
+	// the args frame after it is decoded separately.
+	for cut := 1; cut < 1+4+len(AppendSG(nil, desc)); cut++ {
 		if _, _, err := DecodeGrantCall(frame[:cut]); err == nil {
 			t.Fatalf("frame truncated to %d bytes decoded without error", cut)
 		}
@@ -108,10 +112,10 @@ func TestDecodeGrantCallRejectsTruncation(t *testing.T) {
 // container chose; nothing they are handed may panic or over-allocate.
 func FuzzDecodeSG(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeSG(&SGDescriptor{Writable: true, Entries: []SGEntry{{ID: 1, Gen: 1, Off: 0, Len: 4096}}}))
-	f.Add(EncodeGrantCall(
+	f.Add(AppendSG(nil, &SGDescriptor{Writable: true, Entries: []SGEntry{{ID: 1, Gen: 1, Off: 0, Len: 4096}}}))
+	f.Add(AppendGrantCall(nil,
 		&SGDescriptor{Entries: []SGEntry{{ID: 3, Gen: 2, Len: 512}}},
-		EncodeArgs(&kernel.Args{Nr: abi.SysPwrite64, FD: 3, Size: 512}),
+		&kernel.Args{Nr: abi.SysPwrite64, FD: 3, Size: 512},
 	))
 	f.Add([]byte{grantCallMagic})
 	f.Add([]byte{grantCallMagic, 2, 0xFF, 0xFF, 0xFF, 0x7F})
@@ -126,7 +130,7 @@ func FuzzDecodeSG(f *testing.F) {
 				if d == nil {
 					t.Fatal("nil descriptor without error")
 				}
-				_, _ = DecodeArgs(rest)
+				_, _ = decodeArgs(rest)
 			}
 		}
 	})

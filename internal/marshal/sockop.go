@@ -28,12 +28,12 @@ import (
 
 // sockOpMagic is the first byte of a socket-op frame. It sits next to
 // grantCallMagic/binderCallMagic, far outside the TLV tag range, so a
-// plain EncodeArgs payload can never alias it.
+// plain args frame can never alias it.
 const sockOpMagic uint8 = 0xA9
 
-// EncodeSockOp packs a socket operation into the fixed ring frame.
-func EncodeSockOp(a *kernel.Args) []byte {
-	var w writer
+// AppendSockOp appends a socket operation's fixed ring frame.
+func AppendSockOp(dst []byte, a *kernel.Args) []byte {
+	w := filler(dst, 1+6*4+len(a.Addr)+len(a.Buf))
 	w.u8(sockOpMagic)
 	w.u32(int64(a.Nr))
 	w.u32(int64(a.FD))
@@ -41,8 +41,8 @@ func EncodeSockOp(a *kernel.Args) []byte {
 	w.u32(int64(a.Flags))
 	w.u32(int64(a.Size))
 	w.u32(int64(len(a.Addr)))
-	w.buf = append(w.buf, a.Addr...)
-	w.buf = append(w.buf, a.Buf...)
+	w.rawString(a.Addr)
+	w.raw(a.Buf)
 	return w.buf
 }
 
@@ -51,13 +51,14 @@ func IsSockOp(b []byte) bool {
 	return len(b) > 0 && b[0] == sockOpMagic
 }
 
-// DecodeSockOp reverses EncodeSockOp.
-func DecodeSockOp(b []byte) (*kernel.Args, error) {
+// DecodeSockOp reverses AppendSockOp into a, which it resets first. The
+// payload is a view into b.
+func DecodeSockOp(b []byte, a *kernel.Args) error {
 	if !IsSockOp(b) {
-		return nil, fmt.Errorf("marshal: not a socket op: %w", abi.EINVAL)
+		return fmt.Errorf("marshal: not a socket op: %w", abi.EINVAL)
 	}
+	*a = kernel.Args{}
 	r := &reader{buf: b, pos: 1}
-	a := &kernel.Args{}
 	a.Nr = abi.SyscallNr(int32(uint32(r.u32())))
 	a.FD = int(int32(uint32(r.u32())))
 	a.FD2 = int(int32(uint32(r.u32())))
@@ -65,16 +66,15 @@ func DecodeSockOp(b []byte) (*kernel.Args, error) {
 	a.Size = int(int32(uint32(r.u32())))
 	addrLen := r.u32()
 	if r.err != nil {
-		return nil, errTruncated
+		return errTruncated
 	}
 	if addrLen < 0 || r.pos+addrLen > len(b) {
-		return nil, errTruncated
+		return errTruncated
 	}
 	a.Addr = string(b[r.pos : r.pos+addrLen])
 	r.pos += addrLen
 	if r.pos < len(b) {
-		a.Buf = make([]byte, len(b)-r.pos)
-		copy(a.Buf, b[r.pos:])
+		a.Buf = b[r.pos:len(b):len(b)]
 	}
-	return a, nil
+	return nil
 }

@@ -13,6 +13,9 @@ import (
 
 // GuestHandler executes a request in the guest and returns the response
 // bytes. It runs logically "inside" the CVM between the two world switches.
+// The request, and usually the reply, live in the submitter's reused call
+// frame (DESIGN.md §10): a transport copies both through the channel and
+// hands the reply back, but keeps neither once the round trip completes.
 type GuestHandler func(req []byte) []byte
 
 // Transport moves one request to the guest and its response back, charging

@@ -161,7 +161,7 @@ func TestPoolChainNotSerializedBehindOtherFD(t *testing.T) {
 	pool.Start()
 
 	chainFrame := func(fd int) []byte {
-		return marshal.EncodeChain([]marshal.ChainLink{
+		return marshal.AppendChain(nil, []marshal.ChainLink{
 			{Args: &kernel.Args{Nr: abi.SysFstat, FD: fd}, FDFrom: -1},
 			{Args: &kernel.Args{Nr: abi.SysClose}, FDFrom: 0},
 		})
