@@ -14,10 +14,9 @@ import (
 // Allocation gates for the copy-once data plane (DESIGN.md §10, frame
 // ownership): redirected calls borrow reused frames, decode replies as
 // views and land read data straight in the caller's buffer, so the steady
-// state of each hot path is pinned at its measured allocation ceiling.
-// The one allocation left on each is the kernel's entry copy of the
-// syscall Args (kernel.Invoke hands the interceptor a pointer to it);
-// raising a ceiling means a per-call buffer crept back in.
+// state of each hot path allocates nothing per call: kernel.Invoke hands
+// the interceptor its Args by value, so not even the syscall's arguments
+// reach the heap. Raising a ceiling means a per-call buffer crept back in.
 
 // allocGate fails the test if a path allocates more than its ceiling.
 func allocGate(t *testing.T, path string, allocs, ceiling float64) {
@@ -68,19 +67,19 @@ func preadOp(t *testing.T, p *Proc, fd int, want []byte) func() {
 // the synchronous page channel, no cache.
 func TestSyncPageIOAllocs(t *testing.T) {
 	_, p, fd, page := pageIOApp(t, Options{})
-	allocGate(t, "sync 4 KiB pread", steadyAllocs(preadOp(t, p, fd, page)), 1)
+	allocGate(t, "sync 4 KiB pread", steadyAllocs(preadOp(t, p, fd, page)), 0)
 	pwrite := func() {
 		if n, err := p.Pwrite(fd, page, 0); err != nil || n != len(page) {
 			t.Fatalf("pwrite: n=%d err=%v", n, err)
 		}
 	}
-	allocGate(t, "sync 4 KiB pwrite", steadyAllocs(pwrite), 1)
+	allocGate(t, "sync 4 KiB pwrite", steadyAllocs(pwrite), 0)
 }
 
 // TestRingPreadAllocs: a 4 KiB pread through the async ring.
 func TestRingPreadAllocs(t *testing.T) {
 	_, p, fd, page := pageIOApp(t, Options{RingDepth: 8, RingWorkers: 1})
-	allocGate(t, "ring 4 KiB pread", steadyAllocs(preadOp(t, p, fd, page)), 1)
+	allocGate(t, "ring 4 KiB pread", steadyAllocs(preadOp(t, p, fd, page)), 0)
 }
 
 // TestCachedPreadHitAllocs: a redirection-cache hit composes the page
@@ -93,7 +92,7 @@ func TestCachedPreadHitAllocs(t *testing.T) {
 	op := preadOp(t, p, fd, page)
 	op() // learns the file size and fetches the clean page
 	before := d.Layer.Stats().Cache
-	allocGate(t, "cached 4 KiB pread hit", steadyAllocs(op), 1)
+	allocGate(t, "cached 4 KiB pread hit", steadyAllocs(op), 0)
 	if after := d.Layer.Stats().Cache; after.Misses != before.Misses {
 		t.Fatalf("steady-state reads missed %d times, want all hits", after.Misses-before.Misses)
 	}
@@ -137,7 +136,7 @@ func TestReadAheadMissAtFullCacheAllocatesNoPage(t *testing.T) {
 	if per := (m1.TotalAlloc - m0.TotalAlloc) / calls; per >= uint64(cachePageSize) {
 		t.Fatalf("read-ahead miss allocates %d B/call: a page is being allocated", per)
 	}
-	allocGate(t, "read-ahead miss at full cache", steadyAllocs(op), 1)
+	allocGate(t, "read-ahead miss at full cache", steadyAllocs(op), 0)
 }
 
 // TestTamperedReplyIsWhatGetsDecoded: the result-tampering hook sees the

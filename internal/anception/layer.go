@@ -687,8 +687,9 @@ func (l *Layer) Stats() LayerStats {
 }
 
 // Intercept implements kernel.Interceptor. Returning handled=false lets
-// the host kernel dispatch the call locally.
-func (l *Layer) Intercept(k *kernel.Kernel, t *kernel.Task, args *kernel.Args) (kernel.Result, bool) {
+// the host kernel dispatch the call locally, with its own Args: no path
+// here changes args before declining a call.
+func (l *Layer) Intercept(k *kernel.Kernel, t *kernel.Task, args kernel.Args) (kernel.Result, bool) {
 	// Anception protects only non-root apps: a sandboxed task that shows
 	// up with UID 0 (e.g. via a zygote/adbd setuid failure) is killed on
 	// its first trap (Section III-C, footnote 3).
@@ -716,9 +717,9 @@ func (l *Layer) Intercept(k *kernel.Kernel, t *kernel.Task, args *kernel.Args) (
 		return kernel.Result{}, false
 	case redirect.ClassSplit:
 		l.counters.split.Add(1)
-		return l.handleSplit(t, args), true
+		return l.handleSplit(t, &args), true
 	}
-	return l.handleRedirectClass(t, args)
+	return l.handleRedirectClass(t, &args)
 }
 
 // handleRedirectClass routes a redirect-class call dynamically.

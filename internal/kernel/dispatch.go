@@ -94,7 +94,10 @@ func (k *Kernel) Invoke(t *Task, args Args) Result {
 	k.mu.Unlock()
 
 	for _, d := range detectors {
-		if err := d(t, &args); err != nil {
+		// Each detector checks a copy of its own, so the call's Args stay
+		// off the heap unless a detector is installed.
+		a := args
+		if err := d(t, &a); err != nil {
 			if k.trace != nil {
 				k.trace.Record(sim.EvSecurity, "[%s] detector vetoed %s from pid=%d: %v", k.name, args.Nr, t.PID, err)
 			}
@@ -105,7 +108,7 @@ func (k *Kernel) Invoke(t *Task, args Args) Result {
 	// ASIM: the one-byte redirection entry selects the alternate table.
 	if t.RE != 0 && interceptor != nil {
 		k.clock.Advance(k.model.ASIMCheck)
-		if res, handled := interceptor.Intercept(k, t, &args); handled {
+		if res, handled := interceptor.Intercept(k, t, args); handled {
 			return res
 		}
 	}

@@ -23,8 +23,11 @@ import (
 // ASIM consults it for every syscall issued by a task whose redirection
 // entry is set; returning handled=true means the call was fully serviced
 // (typically in the CVM) and the local kernel must not dispatch it.
+// args is the interceptor's own copy: with handled=false the local kernel
+// dispatches the call's original Args, whatever the interceptor did to
+// its copy.
 type Interceptor interface {
-	Intercept(k *Kernel, t *Task, args *Args) (res Result, handled bool)
+	Intercept(k *Kernel, t *Task, args Args) (res Result, handled bool)
 }
 
 // Detector is an optional syscall-interface policy check (the "simple
