@@ -251,6 +251,11 @@ func TestLiveUpgradeUnderLoad(t *testing.T) {
 	}
 
 	stop := make(chan struct{})
+	// A failed upgrade ends the test early: signal the workers to stop
+	// then too, so they do not keep loading the process for the tests
+	// after this one. Only the passing path waits for them.
+	halt := sync.OnceFunc(func() { close(stop) })
+	defer halt()
 	badErr := make(chan error, workers)
 	var wg sync.WaitGroup
 	for i, app := range apps {
@@ -303,7 +308,7 @@ func TestLiveUpgradeUnderLoad(t *testing.T) {
 			t.Fatalf("live upgrade %d: %v", r, err)
 		}
 	}
-	close(stop)
+	halt()
 	wg.Wait()
 	select {
 	case err := <-badErr:
