@@ -8,7 +8,7 @@ import (
 	"anception/internal/workloads"
 )
 
-// The autotune experiment validates the adaptive data plane (DESIGN.md
+// The autotune experiment validates the AutoTune fast profile (DESIGN.md
 // §15): it replays the macro workloads — AnTuTu Database I/O, a
 // SunSpider suite, and the SQLite row benchmark — across the hand-tuned
 // single-knob configurations the earlier experiments shipped, then once
@@ -26,7 +26,7 @@ type autotuneRow struct {
 	// BestHand names the fastest hand-tuned configuration.
 	BestHand    string  `json:"best_hand_tuned"`
 	BestHandOps float64 `json:"best_hand_tuned_ops_per_sim_s"`
-	// AutotunedOps is the adaptive plane's throughput on the same
+	// AutotunedOps is the fast profile's throughput on the same
 	// workload; Speedup = AutotunedOps / BestHandOps (floor: >= 1.0).
 	AutotunedOps float64 `json:"autotuned_ops_per_sim_s"`
 	Speedup      float64 `json:"speedup"`
@@ -110,7 +110,7 @@ func autotuneFloors(rows []autotuneRow) error {
 
 // autotuneExp is the -exp autotune experiment.
 func autotuneExp() error {
-	fmt.Println("== Autotune: adaptive data plane vs hand-tuned knob configs ==")
+	fmt.Println("== Autotune: fast profile vs hand-tuned knob configs ==")
 	var rows []autotuneRow
 	for _, w := range autotuneWorkloads() {
 		row, err := autotuneSweep(w)

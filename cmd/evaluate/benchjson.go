@@ -41,7 +41,7 @@ type benchReport struct {
 	// Binder holds the sync/session/pipelined/cached bridge sweep
 	// (-exp binder), merged the same way.
 	Binder []binderRow `json:"binder,omitempty"`
-	// Autotune holds the adaptive-data-plane macro-workload sweep
+	// Autotune holds the AutoTune-profile macro-workload sweep
 	// (-exp autotune), merged the same way.
 	Autotune []autotuneRow `json:"autotune,omitempty"`
 	// Fusion holds the fused-vs-unfused dependent-chain pair

@@ -259,7 +259,7 @@ func fleetMigrationDemo() (fleetMigrationRow, error) {
 }
 
 // fleetPinnedCheck reruns the benchJSON Table I measurement on a 1-CVM
-// fleet shard running the adaptive plane with a ForceSyncUncached
+// fleet shard running the AutoTune profile with a ForceSyncUncached
 // override: the fleet plumbing must charge byte-for-byte what the
 // committed BENCH_redirection.json rows pin for a plain uncached device.
 func fleetPinnedCheck() (bool, error) {

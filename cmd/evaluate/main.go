@@ -18,7 +18,7 @@
 //	evaluate -exp zerocopy  copy vs grant vs grant+ring transfer sweep -> BENCH_redirection.json
 //	evaluate -exp binder    sync vs session vs pipelined vs cached binder bridge sweep -> BENCH_redirection.json
 //	evaluate -exp network   sockets over the ring + open-loop 100k-client traffic -> BENCH_network.json
-//	evaluate -exp autotune  adaptive data plane vs hand-tuned knob configs -> BENCH_redirection.json
+//	evaluate -exp autotune  AutoTune fast profile vs hand-tuned knob configs -> BENCH_redirection.json
 //	evaluate -exp fusion    fused dependent chains vs independent ring round trips -> BENCH_redirection.json
 //	evaluate -exp fleet     sharded CVM fleet scaling sweep -> BENCH_fleet.json
 //	evaluate -exp all       every registered experiment, in order (default)

@@ -42,9 +42,15 @@ const (
 	ModeClassicalVM
 )
 
-// autoTuneRingDepth is the async ring depth the adaptive data plane
-// mounts when Options.AutoTune is set without an explicit RingDepth.
-const autoTuneRingDepth = 64
+// The fast profile Options.AutoTune expands into (DESIGN.md §15). Each
+// value is the one a measurement picked: the ring beats the sync
+// channel at every thread count (-exp concurrency) and reaps best at
+// full depth; grants beat copies from 16 KiB (-exp zerocopy).
+const (
+	autoTuneRingDepth      = 64
+	autoTuneRingWorkers    = 1
+	autoTuneGrantThreshold = 16 << 10
+)
 
 // String names the mode.
 func (m Mode) String() string {
@@ -172,18 +178,15 @@ type Options struct {
 	// dispatch.
 	FusionMaxLinks int
 
-	// AutoTune enables the adaptive data plane (DESIGN.md §15): every
-	// fast path boots — the async ring (plus a synchronous fallback
-	// channel), the redirection cache, the zero-copy grant path, binder
-	// sessions and the reply cache — and one cost-model-driven policy
-	// decides per call between sync and ring transport, copy and grant
-	// payload movement, and cache and passthrough, seeded with the
-	// measured crossovers from BENCH_redirection.json and tuned online
-	// from observed latencies, payload sizes, and hit rates. Knobs set
-	// alongside it become forced overrides: RingDepth sizes the ring and
-	// pins the transport to it, GrantThreshold pins the exact cutover,
-	// RedirCache pins the cache to always serve. SocketTransport is
-	// ignored under AutoTune. Layer.SetPolicyOverride can still force
+	// AutoTune selects the fixed fast profile (DESIGN.md §15): boot
+	// expands it once into the knobs above — RingDepth 64, RingWorkers 1,
+	// RingReapBatch equal to the depth, GrantThreshold 16 KiB,
+	// RedirCache, BinderSessions, BinderReplyCache and FusionEnable — and
+	// mounts a synchronous fallback channel beside the ring. A knob the
+	// caller set keeps its value. Every decision then follows the static
+	// knob rules: the ring serves, payloads of at least GrantThreshold
+	// ride grants, and the cache serves. SocketTransport is ignored
+	// under AutoTune. Layer.SetPolicyOverride can still force
 	// individual calls onto the uncached synchronous path (the pinned
 	// paper rows). Off by default.
 	AutoTune bool
@@ -238,6 +241,36 @@ func (o *Options) applyDefaults() {
 	if o.ChannelPages == 0 {
 		o.ChannelPages = 16
 	}
+	if o.AutoTune {
+		o.applyFastProfile()
+	}
+}
+
+// applyFastProfile expands AutoTune into the fast-path knobs, keeping
+// every value the caller set.
+func (o *Options) applyFastProfile() {
+	if o.RingDepth <= 0 {
+		o.RingDepth = autoTuneRingDepth
+	}
+	if o.RingWorkers <= 0 {
+		// One hot proxy worker. Worker count never changes modeled
+		// throughput under concurrency (handlers charge the shared sim
+		// clock either way), but sharding interleaved keys across cold
+		// workers pays a ProxyDispatch wakeup per shard switch.
+		o.RingWorkers = autoTuneRingWorkers
+	}
+	if o.RingReapBatch <= 0 {
+		// The throughput sweeps reap at full depth: fewer, larger CQ
+		// sweeps win.
+		o.RingReapBatch = o.RingDepth
+	}
+	if o.GrantThreshold <= 0 {
+		o.GrantThreshold = autoTuneGrantThreshold
+	}
+	o.RedirCache = true
+	o.BinderSessions = true
+	o.BinderReplyCache = true
+	o.FusionEnable = true
 }
 
 // Device is one booted simulated smartphone.
@@ -411,37 +444,19 @@ func (d *Device) bootAnception() error {
 	var transport marshal.Transport
 	var syncFallback marshal.Transport
 	switch {
-	case d.Opts.RingDepth > 0 || d.Opts.AutoTune:
-		depth := d.Opts.RingDepth
-		if depth <= 0 {
-			depth = autoTuneRingDepth
-		}
-		ring := marshal.NewRingChannel(cvm, d.Clock, d.Model, d.Trace, depth, d.Opts.ChunkSize)
-		switch {
-		case d.Opts.RingReapBatch > 0:
+	case d.Opts.RingDepth > 0:
+		ring := marshal.NewRingChannel(cvm, d.Clock, d.Model, d.Trace, d.Opts.RingDepth, d.Opts.ChunkSize)
+		if d.Opts.RingReapBatch > 0 {
 			ring.SetReapBatch(d.Opts.RingReapBatch)
-		case d.Opts.AutoTune:
-			// The throughput sweeps reap at full depth (fewer, larger CQ
-			// sweeps win); the adaptive plane defaults to the same.
-			ring.SetReapBatch(depth)
 		}
 		d.ring = ring
-		workers := d.Opts.RingWorkers
-		if workers <= 0 && d.Opts.AutoTune {
-			// One hot proxy worker. Worker count never changes modeled
-			// throughput under concurrency (handlers charge the shared sim
-			// clock either way), but sharding interleaved keys across cold
-			// workers pays a ProxyDispatch wakeup per shard switch, so the
-			// adaptive plane keeps a single shard warm.
-			workers = 1
-		}
-		d.ringPool = proxy.NewPool(ring, workers, d.Clock, d.Model)
+		d.ringPool = proxy.NewPool(ring, d.Opts.RingWorkers, d.Clock, d.Model)
 		d.ringPool.Start()
 		transport = ring
 		if d.Opts.AutoTune {
-			// The adaptive plane mounts a synchronous fallback channel
-			// alongside the ring so the policy can route sequential calls
-			// off it; both channels share the CVM's mapped channel pages.
+			// The fast profile mounts a synchronous fallback channel
+			// beside the ring so a ForceSyncUncached override can reach the
+			// paper's channel; both share the CVM's mapped channel pages.
 			syncFallback = marshal.NewPageChannel(cvm, d.Clock, d.Model, d.Opts.ChunkSize)
 		}
 	case d.Opts.SocketTransport:
@@ -450,7 +465,7 @@ func (d *Device) bootAnception() error {
 		transport = marshal.NewPageChannel(cvm, d.Clock, d.Model, d.Opts.ChunkSize)
 	}
 
-	if d.Opts.GrantThreshold > 0 || d.Opts.AutoTune {
+	if d.Opts.GrantThreshold > 0 {
 		d.grants = hypervisor.NewGrantTable(cvm)
 	}
 
@@ -473,7 +488,7 @@ func (d *Device) bootAnception() error {
 		KeepFSOnHost: d.Opts.KeepFSOnHost,
 		CallDeadline: d.Opts.CallDeadline,
 
-		RedirCache:       d.Opts.RedirCache || d.Opts.AutoTune,
+		RedirCache:       d.Opts.RedirCache,
 		ReadAheadPages:   d.Opts.ReadAheadPages,
 		CacheBudgetBytes: d.Opts.CacheBudgetBytes,
 		CacheFlushDelay:  d.Opts.CacheFlushDelay,
@@ -481,17 +496,14 @@ func (d *Device) bootAnception() error {
 		GrantTable:     d.grants,
 		GrantThreshold: d.Opts.GrantThreshold,
 
-		BinderSessions:   d.Opts.BinderSessions || d.Opts.AutoTune,
-		BinderReplyCache: d.Opts.BinderReplyCache || d.Opts.AutoTune,
+		BinderSessions:   d.Opts.BinderSessions,
+		BinderReplyCache: d.Opts.BinderReplyCache,
 
 		NetBatch: d.Opts.NetBatch,
 
-		AutoTune:      d.Opts.AutoTune,
 		SyncTransport: syncFallback,
-		RingForced:    d.Opts.RingDepth > 0,
-		CacheForced:   d.Opts.RedirCache,
 
-		FusionEnable:   d.Opts.FusionEnable || d.Opts.AutoTune,
+		FusionEnable:   d.Opts.FusionEnable,
 		FusionMaxLinks: d.Opts.FusionMaxLinks,
 	})
 	if err != nil {

@@ -353,9 +353,9 @@ func (f *Fleet) Rebalance() (int, error) {
 	moves := 0
 	for moves < rebalanceMaxMoves {
 		hot, cold, hotScore, coldScore := f.imbalance()
-		// A single move shifts ~one app-weight of score; stop when the
-		// gap cannot be narrowed by that much.
-		if hot == cold || hotScore-coldScore <= loadOf(hot).CostFactor {
+		// A single move shifts one app of score; stop when the gap
+		// cannot be narrowed by that much.
+		if hot == cold || hotScore-coldScore <= 1 {
 			break
 		}
 		victim := f.appOnShard(hot)

@@ -43,8 +43,43 @@ type callFrame struct {
 	proxy   *kernel.Task
 	drained bool
 	// exec is f.execArgs, bound once per frame so submitting an args call
-	// allocates no closure.
-	exec marshal.GuestHandler
+	// allocates no closure; execSockFn and execChainFn bind f.execSock
+	// and f.execChain the same way.
+	exec        marshal.GuestHandler
+	execSockFn  marshal.GuestHandler
+	execChainFn marshal.GuestHandler
+	// chain is the per-link scratch of a fused chain, made the first time
+	// the frame carries one.
+	chain *chainFrame
+}
+
+// chainFrame is a frame's per-link scratch for fused chains, grown to the
+// longest chain the frame has carried.
+type chainFrame struct {
+	// Host side: each wire link's args with host buffers (the reply lands
+	// in them), the same args with read buffers stripped to a size, and
+	// the wire links that point at the stripped copies.
+	args     []kernel.Args
+	wireArgs []kernel.Args
+	wire     []marshal.ChainLink
+	// dec decodes the chain guest-side and the reply host-side; exec is
+	// the guest's result vector.
+	dec  marshal.ChainDecoder
+	exec []kernel.Result
+}
+
+// chainFor returns the frame's chain scratch with room for n links.
+func (f *callFrame) chainFor(n int) *chainFrame {
+	if f.chain == nil {
+		f.chain = &chainFrame{}
+	}
+	c := f.chain
+	if len(c.args) < n {
+		c.args = make([]kernel.Args, n)
+		c.wireArgs = make([]kernel.Args, n)
+		c.wire = make([]marshal.ChainLink, n)
+	}
+	return c
 }
 
 // getFrame borrows a frame from the free list, or makes a new one.
@@ -55,6 +90,8 @@ func (l *Layer) getFrame() *callFrame {
 	default:
 		f := &callFrame{}
 		f.exec = f.execArgs
+		f.execSockFn = f.execSock
+		f.execChainFn = f.execChain
 		return f
 	}
 }
@@ -64,6 +101,11 @@ func (l *Layer) getFrame() *callFrame {
 func (l *Layer) putFrame(f *callFrame) {
 	f.args = kernel.Args{}
 	f.st, f.proxy = nil, nil
+	if c := f.chain; c != nil {
+		clear(c.args)
+		clear(c.wireArgs)
+		clear(c.exec)
+	}
 	if cap(f.req) > frameKeepBytes {
 		f.req = nil
 	}
@@ -162,6 +204,37 @@ func (f *callFrame) execArgs(req []byte) []byte {
 		res = f.st.proxies.Execute(f.proxy, *a)
 	}
 	return tampered(f.st, f.setReply(res))
+}
+
+// execSock is the guest handler of a sockop frame: decode it in place,
+// run the op in the proxy's context (the ring pool already paid the
+// dispatch), and append the result to the reply frame.
+func (f *callFrame) execSock(req []byte) []byte {
+	a := &f.args
+	if err := marshal.DecodeSockOp(req, a); err != nil {
+		return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
+	}
+	if wantsScratch(a) {
+		a.Buf = f.scratchFor(a.Size)
+	}
+	return tampered(f.st, f.setReply(f.st.proxies.ExecuteDrained(f.proxy, *a)))
+}
+
+// execChain is the guest handler of a chain frame: decode it into the
+// frame's chain scratch, run every link in the proxy's context in one
+// trap, and append the result vector to the reply frame.
+func (f *callFrame) execChain(req []byte) []byte {
+	c := f.chain
+	decoded, err := c.dec.Chain(req)
+	if err != nil {
+		f.reply = marshal.AppendChainResult(f.reply[:0], marshal.ChainResult{Results: []kernel.Result{{Ret: -1, Err: abi.EINVAL}}})
+		return f.reply
+	}
+	f.chainScratch(decoded)
+	cr := f.st.proxies.ExecuteChainDrained(f.proxy, decoded, c.exec)
+	c.exec = cr.Results
+	f.reply = marshal.AppendChainResult(f.reply[:0], cr)
+	return tampered(f.st, f.reply)
 }
 
 // decodeReply decodes a reply frame and lands it for the caller of args.

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 
 	"anception/internal/abi"
 	"anception/internal/kernel"
 	"anception/internal/marshal"
+	"anception/internal/netstack"
 )
 
 // Allocation gates for the copy-once data plane (DESIGN.md §10, frame
@@ -181,4 +183,83 @@ func TestTamperedReplyIsWhatGetsDecoded(t *testing.T) {
 			t.Fatal("the layer wrote into the tamper hook's slice")
 		}
 	}
+}
+
+// echoPairOp boots a device with opts and connects a socket to an echo
+// peer. The op is one send→recv round; ops counts the rounds run.
+func echoPairOp(t *testing.T, opts Options) (d *Device, op func(), ops *int) {
+	t.Helper()
+	d, _, _, _ = pageIOApp(t, opts)
+	d.RegisterRemote("echo:7", func(req []byte) []byte { return req })
+	p := installAndLaunch(t, d, "com.example.echoframes")
+	sock, err := p.Socket(netstack.AFInet, netstack.SockStream, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Connect(sock, "echo:7"); err != nil {
+		t.Fatal(err)
+	}
+	msg, buf := []byte("ping-pong"), make([]byte, 9)
+	ops = new(int)
+	op = func() {
+		*ops++
+		if _, err := p.Send(sock, msg); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		if n, err := p.RecvInto(sock, buf); err != nil || !bytes.Equal(buf[:n], msg) {
+			t.Fatalf("recv: %q %v", buf[:n], err)
+		}
+	}
+	return d, op, ops
+}
+
+// TestRingEchoPairAllocs: a send→recv pair as two sockop frames through
+// the ring. What is left is the echo peer's request copy and its queued
+// reply.
+func TestRingEchoPairAllocs(t *testing.T) {
+	_, op, _ := echoPairOp(t, Options{RingDepth: 8, RingWorkers: 1, CallDeadline: time.Hour})
+	allocGate(t, "ring echo pair", steadyAllocs(op), 2)
+}
+
+// TestSpeculatedEchoPairAllocs: a send→recv pair the fusion detector
+// speculates on an AutoTune device. The fused chain builds, encodes,
+// decodes and executes its links in the call frame's chain scratch; on
+// top of the ring pair's two, only the returned result vector and the
+// recv bytes' private copy remain.
+func TestSpeculatedEchoPairAllocs(t *testing.T) {
+	d, op, ops := echoPairOp(t, Options{AutoTune: true, CallDeadline: time.Hour})
+	for i := 0; i < fuseConfidence; i++ { // the detector learns the pair
+		op()
+	}
+	before, warm := d.Layer.Stats().Fusion, *ops
+	allocs := steadyAllocs(op)
+	if chains := d.Layer.Stats().Fusion.Chains - before.Chains; chains != int64(*ops-warm) {
+		t.Fatalf("%d fused chains over %d pairs: not every pair was speculated", chains, *ops-warm)
+	}
+	allocGate(t, "speculated echo pair", allocs, 4)
+}
+
+// TestExplicitChainAllocs: an explicit open→fstat→pread→close chain
+// through Proc.Chain on the fused ring path. What is left is the
+// returned result vector, the adopted host descriptor, the open's
+// absolute path and the guest kernel's own open.
+func TestExplicitChainAllocs(t *testing.T) {
+	d, p, _, page := pageIOApp(t, Options{RingDepth: 64, RingWorkers: 1, FusionEnable: true, CallDeadline: time.Hour})
+	buf := make([]byte, len(page))
+	chain := openStatReadCloseChain("frames.dat", buf)
+	ops := 0
+	op := func() {
+		ops++
+		clear(buf)
+		res := p.Chain(chain...)
+		if !res[3].Ok() || !bytes.Equal(buf, page) {
+			t.Fatalf("chain: %+v", res)
+		}
+	}
+	before := d.Layer.Stats().Fusion
+	allocs := steadyAllocs(op)
+	if chains := d.Layer.Stats().Fusion.Chains - before.Chains; chains != int64(ops) {
+		t.Fatalf("%d fused submissions for %d explicit chains", chains, ops)
+	}
+	allocGate(t, "explicit 4-link chain", allocs, 10)
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"anception/internal/abi"
 	"anception/internal/android"
 	"anception/internal/kernel"
+	"anception/internal/netstack"
 )
 
 // bootFusedDevice boots an Anception device with the async ring and the
@@ -370,4 +372,75 @@ func benchFusionDevice(b *testing.B, fused bool) *Proc {
 		b.Fatal(err)
 	}
 	return p
+}
+
+// TestFusionDrySpeculativeRecvStopsSendRecv: the send→recv speculation
+// gate. A task whose speculative recv came back empty (a peer that does
+// not answer each send) stops fusing send→recv, so Chains stops growing;
+// a task talking to an echo peer keeps speculating on every send.
+func TestFusionDrySpeculativeRecvStopsSendRecv(t *testing.T) {
+	rounds := func(t *testing.T, reply func([]byte) []byte, n int) []FusionStats {
+		d := bootPolicyDevice(t, Options{AutoTune: true, CallDeadline: time.Hour})
+		d.RegisterRemote("peer:1", reply)
+		p := installAndLaunch(t, d, "com.fusion.sendrecv")
+		sock, err := p.Socket(netstack.AFInet, netstack.SockStream, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Connect(sock, "peer:1"); err != nil {
+			t.Fatal(err)
+		}
+		msg, buf := []byte("ping"), make([]byte, 4)
+		var stats []FusionStats
+		for i := 0; i < n; i++ {
+			if _, err := p.Send(sock, msg); err != nil {
+				t.Fatalf("round %d send: %v", i, err)
+			}
+			got, err := p.RecvInto(sock, buf)
+			if reply != nil && reply(msg) != nil {
+				if err != nil || !bytes.Equal(buf[:got], msg) {
+					t.Fatalf("round %d echo = %q, %v", i, buf[:got], err)
+				}
+			} else if !errors.Is(err, abi.EAGAIN) {
+				t.Fatalf("round %d recv from a silent peer: %v, want EAGAIN", i, err)
+			}
+			stats = append(stats, d.Layer.Stats().Fusion)
+		}
+		return stats
+	}
+
+	silent := rounds(t, func([]byte) []byte { return nil }, 12)
+	dry := -1
+	for i, s := range silent {
+		if s.SpecDropped > 0 {
+			dry = i
+			break
+		}
+	}
+	if dry < 0 {
+		t.Fatal("the detector never speculated against the silent peer")
+	}
+	if last := silent[len(silent)-1]; last.Chains != silent[dry].Chains || last.SpecDropped != 1 {
+		t.Fatalf("after the dry recv in round %d: chains %d -> %d, dropped %d; want no more speculation",
+			dry, silent[dry].Chains, last.Chains, last.SpecDropped)
+	}
+
+	echo := rounds(t, func(req []byte) []byte { return req }, 12)
+	first := -1
+	for i, s := range echo {
+		if s.Chains > 0 {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
+		t.Fatal("the detector never speculated against the echo peer")
+	}
+	last := echo[len(echo)-1]
+	if last.Chains != echo[first].Chains+int64(len(echo)-1-first) {
+		t.Fatalf("echo peer: %d chains in the last %d rounds, want one per round", last.Chains-echo[first].Chains, len(echo)-1-first)
+	}
+	if last.SpecDropped != 0 || last.Mispredicts != 0 {
+		t.Fatalf("echo peer dropped or mispredicted speculation: %+v", last)
+	}
 }

@@ -7,12 +7,9 @@ import (
 
 // Placement scheduler for the CVM fleet (DESIGN.md §16): decides which
 // shard an app enrolls on, and which apps move when a shard overloads.
-// Placement consumes the shard's observable load signals — the layer's
-// instantaneous inflight count, the async ring's queue depth, the app
-// population, and the adaptive data plane's per-class latency EWMAs and
-// size histogram (LayerStats.Policy) — so a shard whose calls are
-// getting slower scores as more loaded than a sibling with the same
-// population but healthier per-op estimates.
+// Placement consumes the shard's observable load signals: the layer's
+// instantaneous inflight count, the async ring's queue depth, and the
+// app population.
 
 // PlacementPolicy selects the fleet's app-to-shard assignment strategy.
 type PlacementPolicy string
@@ -40,22 +37,6 @@ func (p PlacementPolicy) valid() bool {
 	return false
 }
 
-// Load-score weights. The score is denominated in "queued calls": one
-// inflight call counts 1, a ring-queued slot counts 1, and a resident
-// app contributes the equivalent of carrying one expected call whose
-// cost is the shard's observed per-op EWMA normalized against
-// loadBaselineCost (so EWMAs only modulate the population term — an
-// idle fleet still balances by population, and a shard whose calls run
-// 2× slower weighs its apps 2×).
-const (
-	// loadBaselineCostNs normalizes the per-class EWMA signal: the
-	// rough sim cost of one uncached redirected page call.
-	loadBaselineCostNs = 300_000.0
-	// loadMaxCostFactor caps the EWMA multiplier so one pathological
-	// estimate cannot make a shard look infinitely loaded.
-	loadMaxCostFactor = 8.0
-)
-
 // ShardLoad is one shard's placement-visible load snapshot.
 type ShardLoad struct {
 	Shard int
@@ -66,10 +47,8 @@ type ShardLoad struct {
 	Inflight int64
 	// RingQueued is submitted-but-unresolved async ring slots.
 	RingQueued int
-	// CostFactor is the per-class EWMA signal normalized to the
-	// baseline call cost (1.0 when the model is cold or auto-tune off).
-	CostFactor float64
-	// Score is the composite the scheduler minimizes.
+	// Score is the composite the scheduler minimizes, in queued calls:
+	// Inflight + RingQueued + Apps.
 	Score float64
 	// Elapsed is the shard's own sim clock — shards are independent
 	// service domains, so this is per-shard, not fleet-wide.
@@ -80,37 +59,16 @@ type ShardLoad struct {
 func loadOf(sh *Shard) ShardLoad {
 	st := sh.Dev.Layer.Stats()
 	l := ShardLoad{
-		Shard:      sh.ID,
-		Label:      sh.Dev.Label(),
-		Apps:       sh.appCount(),
-		Inflight:   sh.Dev.Layer.Inflight(),
-		CostFactor: 1,
-		Elapsed:    sh.Dev.Clock.Now(),
+		Shard:    sh.ID,
+		Label:    sh.Dev.Label(),
+		Apps:     sh.appCount(),
+		Inflight: sh.Dev.Layer.Inflight(),
+		Elapsed:  sh.Dev.Clock.Now(),
 	}
 	if q := st.Ring.Submitted - st.Ring.Completed - st.Ring.Failed; q > 0 {
 		l.RingQueued = q
 	}
-	// Fold the policy EWMAs into a single expected-cost factor: the
-	// histogram-weighted mean of the observed per-class costs, against
-	// the baseline. Only observed classes count.
-	var costSum, n float64
-	for _, c := range st.Policy.ClassCostSimNs {
-		if c > 0 {
-			costSum += c
-			n++
-		}
-	}
-	if n > 0 {
-		f := costSum / n / loadBaselineCostNs
-		if f < 1 {
-			f = 1
-		}
-		if f > loadMaxCostFactor {
-			f = loadMaxCostFactor
-		}
-		l.CostFactor = f
-	}
-	l.Score = float64(l.Inflight) + float64(l.RingQueued) + float64(l.Apps)*l.CostFactor
+	l.Score = float64(l.Inflight) + float64(l.RingQueued) + float64(l.Apps)
 	return l
 }
 

@@ -5,23 +5,21 @@ import (
 	"sync/atomic"
 )
 
-// This file is the policy-driven dispatch plane (DESIGN.md §15): one
-// per-call decision point for transport (sync vs ring), payload
-// strategy (copy vs grant), and caching (cache vs passthrough), plus
-// the generation-keyed epoch/drain protocol that replaced the five
-// ad-hoc supervisor restart hooks.
+// This file is the dispatch plane (DESIGN.md §15): the per-call
+// override that can pin a fast-path device to the paper's uncached
+// synchronous path, the counters of the fixed dispatch rules, and the
+// generation-keyed epoch/drain protocol that replaced the five ad-hoc
+// supervisor restart hooks.
 //
-// With Options.AutoTune off the policy is inert: every decision
-// reduces to exactly the static knob semantics the paper rows and the
-// ablation tests pin, so existing configurations are byte-identical.
-// With AutoTune on, all four fast paths boot and the decisions come
-// from the online costModel; any knob the caller also set becomes a
-// forced override for that decision.
+// The rules are static: a mounted ring serves every forwarded call
+// (useRing), a bulk payload rides a grant when it is at least
+// GrantThreshold (useGrant), and an enabled redirection cache serves
+// (serveCache). Options.AutoTune is only a preset that boot expands into
+// the knobs these rules read.
 
 // PolicyOverride forces dispatch decisions per call, regardless of
-// knobs or the cost model. Tests and the pinned paper rows use it to
-// reach the uncached synchronous path on a device that booted every
-// fast path.
+// knobs. Tests and the pinned paper rows use it to reach the uncached
+// synchronous path on a device that booted every fast path.
 type PolicyOverride struct {
 	// ForceSyncUncached routes every call over the synchronous channel
 	// with no cache serving, no grants, and no binder fast path —
@@ -32,10 +30,9 @@ type PolicyOverride struct {
 // PolicyStats counts dispatch decisions, surfaced via
 // LayerStats.Policy.
 type PolicyStats struct {
-	// AutoTune reports whether the cost model is live.
-	AutoTune bool
 	// RingChosen / SyncChosen count transport decisions (only calls
-	// where both transports were available are counted).
+	// where both transports were mounted, i.e. under AutoTune, are
+	// counted).
 	RingChosen int64
 	SyncChosen int64
 	// GrantChosen / CopyChosen count payload-strategy decisions for
@@ -45,26 +42,11 @@ type PolicyStats struct {
 	// CacheServed / CacheSkipped count cache-vs-passthrough decisions.
 	CacheServed  int64
 	CacheSkipped int64
-	// Explorations counts decisions where the model deliberately took
-	// the currently-losing arm to keep its estimate fresh.
+	// Explorations is always 0: the rules are fixed, so no decision
+	// ever deliberately takes a losing arm. The field stays so existing
+	// readers of LayerStats keep working.
 	Explorations int64
-	// GrantCrossoverBytes is the model's current copy-vs-grant cutover
-	// (0 when auto-tuning is off).
-	GrantCrossoverBytes int
-	// SizeHistogram is the observed bulk payload-size histogram in
-	// log2 buckets from 64 B (zero-valued when auto-tuning is off).
-	SizeHistogram [numSizeBuckets]int64
-	// ClassCostSimNs is the model's per-class expected service cost in
-	// sim nanoseconds (meta, bulk, socket — see OpClassNames), the
-	// better transport arm's EWMA. Zero-valued when auto-tuning is off
-	// or the class is unobserved. The fleet placement scheduler reads
-	// these as load signals.
-	ClassCostSimNs [numOpClasses]float64
 }
-
-// OpClassNames names the per-class slots of PolicyStats.ClassCostSimNs,
-// in index order.
-func OpClassNames() []string { return []string{"meta", "bulk", "sock"} }
 
 // EpochStats describes the epoch/drain protocol state, surfaced via
 // LayerStats.Epoch.
@@ -77,18 +59,11 @@ type EpochStats struct {
 	Order []string
 }
 
-// dispatchPolicy is the per-layer decision state. Counters are atomic:
-// decisions happen on the lock-free hot path.
+// dispatchPolicy is the per-layer decision state: the override and
+// the decision counters. Counters are atomic: decisions happen on the
+// lock-free hot path.
 type dispatchPolicy struct {
-	// autoTune mirrors Options.AutoTune; model is non-nil iff set.
-	autoTune bool
-	model    *costModel
-	// ringForced / cacheForced record knobs the caller set alongside
-	// AutoTune: an explicit RingDepth pins the transport to the ring, an
-	// explicit RedirCache pins the cache to always serve.
-	ringForced  bool
-	cacheForced bool
-	override    atomic.Pointer[PolicyOverride]
+	override atomic.Pointer[PolicyOverride]
 
 	ringChosen   atomic.Int64
 	syncChosen   atomic.Int64
@@ -96,15 +71,6 @@ type dispatchPolicy struct {
 	copyChosen   atomic.Int64
 	cacheServed  atomic.Int64
 	cacheSkipped atomic.Int64
-	explorations atomic.Int64
-}
-
-func newDispatchPolicy(autoTune, ringForced, cacheForced bool) *dispatchPolicy {
-	p := &dispatchPolicy{autoTune: autoTune, ringForced: ringForced, cacheForced: cacheForced}
-	if autoTune {
-		p.model = newCostModel()
-	}
-	return p
 }
 
 // forceSync reports whether an override pins this call to the
@@ -114,101 +80,54 @@ func (p *dispatchPolicy) forceSync() bool {
 	return ov != nil && ov.ForceSyncUncached
 }
 
-// useRing decides the transport arm for a call when both transports
-// are mounted (AutoTune boots the ring plus a synchronous fallback
-// channel). Forced-sync overrides win; otherwise the cost model picks,
-// biased to the ring whenever other guest calls are in flight.
-func (p *dispatchPolicy) useRing(class opClass, inflight int64) bool {
+// useRing decides the transport for a call when both transports are
+// mounted (AutoTune boots the ring plus a synchronous fallback
+// channel): the ring, unless an override forces the sync channel.
+func (p *dispatchPolicy) useRing() bool {
 	if p.forceSync() {
 		p.syncChosen.Add(1)
 		return false
 	}
-	if p.ringForced || p.model == nil {
-		// No model (static ring configuration), or the RingDepth knob was
-		// set alongside AutoTune: the knob forced the ring.
-		p.ringChosen.Add(1)
+	p.ringChosen.Add(1)
+	return true
+}
+
+// useGrant decides the payload strategy for a grant-shaped bulk call:
+// a grant exactly when the payload is at least the threshold, copy
+// otherwise or under a forced-sync override.
+func (p *dispatchPolicy) useGrant(size, threshold int) bool {
+	if p.forceSync() {
+		return false
+	}
+	if size >= threshold {
+		p.grantChosen.Add(1)
 		return true
 	}
-	// inflight counts this call too: >1 means genuine overlap.
-	ring, explored := p.model.preferRing(class, inflight-1)
-	if explored {
-		p.explorations.Add(1)
-	}
-	if ring {
-		p.ringChosen.Add(1)
-	} else {
-		p.syncChosen.Add(1)
-	}
-	return ring
+	p.copyChosen.Add(1)
+	return false
 }
 
-// useGrant decides the payload arm for a grant-shaped bulk call. A
-// non-zero GrantThreshold knob keeps its exact static semantics; with
-// the knob unset under AutoTune the model's learned crossover decides.
-func (p *dispatchPolicy) useGrant(size, knob int) bool {
-	if p.forceSync() {
-		return false
-	}
-	var grant bool
-	switch {
-	case knob > 0:
-		grant = size >= knob
-	case p.model == nil:
-		return false
-	default:
-		var explored bool
-		grant, explored = p.model.shouldGrant(size)
-		if explored {
-			p.explorations.Add(1)
-		}
-	}
-	if grant {
-		p.grantChosen.Add(1)
-	} else {
-		p.copyChosen.Add(1)
-	}
-	return grant
-}
-
-// serveCache decides cache-vs-passthrough for a descriptor call.
-// Static configurations always serve (the RedirCache knob asked for
-// it); under AutoTune the model gates on the observed hit rate, and a
-// forced-sync override always passes through.
-func (p *dispatchPolicy) serveCache(hits, lookups int64) bool {
+// serveCache decides cache-vs-passthrough for a descriptor call: an
+// enabled cache always serves, unless an override forces passthrough.
+func (p *dispatchPolicy) serveCache() bool {
 	if p.forceSync() {
 		p.cacheSkipped.Add(1)
 		return false
 	}
-	if p.cacheForced || p.model == nil {
-		p.cacheServed.Add(1)
-		return true
-	}
-	if p.model.cacheWorthIt(hits, lookups) {
-		p.cacheServed.Add(1)
-		return true
-	}
-	p.cacheSkipped.Add(1)
-	return false
+	p.cacheServed.Add(1)
+	return true
 }
 
 // snapshot copies the decision counters for LayerStats.
 func (p *dispatchPolicy) snapshot() PolicyStats {
-	s := PolicyStats{
-		AutoTune:     p.autoTune,
+	return PolicyStats{
 		RingChosen:   p.ringChosen.Load(),
 		SyncChosen:   p.syncChosen.Load(),
 		GrantChosen:  p.grantChosen.Load(),
 		CopyChosen:   p.copyChosen.Load(),
 		CacheServed:  p.cacheServed.Load(),
 		CacheSkipped: p.cacheSkipped.Load(),
-		Explorations: p.explorations.Load(),
 	}
-	if p.model != nil {
-		s.GrantCrossoverBytes = p.model.crossoverBytes()
-		s.SizeHistogram = p.model.sizeHistogram()
-		s.ClassCostSimNs = p.model.classCosts()
-	}
-	return s
 }
 
 // epochParticipant is one fast path enrolled in the epoch/drain

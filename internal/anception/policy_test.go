@@ -9,6 +9,7 @@ import (
 
 	"anception/internal/abi"
 	"anception/internal/android"
+	"anception/internal/kernel"
 	"anception/internal/netstack"
 )
 
@@ -303,155 +304,199 @@ func TestDegradedMatrix(t *testing.T) {
 	}
 }
 
-// TestPolicyKnobsForceOverridesUnderAutoTune pins the knob contract from
-// the README: a knob set alongside AutoTune is a forced override, not a
-// hint. RingDepth pins the transport to the ring, RedirCache pins the
-// cache to always serve, GrantThreshold keeps its exact cutover.
-func TestPolicyKnobsForceOverridesUnderAutoTune(t *testing.T) {
-	forced := newDispatchPolicy(true, true, true)
-	for i := int64(0); i < 200; i++ {
-		if !forced.useRing(classMeta, 1) {
-			t.Fatal("RingForced policy routed off the ring")
-		}
-		if !forced.serveCache(0, i) {
-			t.Fatal("CacheForced policy skipped the cache")
-		}
-	}
-	if s := forced.snapshot(); s.SyncChosen != 0 || s.CacheSkipped != 0 {
-		t.Fatalf("forced policy recorded losing arms: %+v", s)
-	}
+// dispatchCounts is the slice of LayerStats the dispatch rules move:
+// the policy's decision counters plus the traffic each fast path saw.
+type dispatchCounts struct {
+	Ring, Sync, Grant, Copy, Served, Skipped int64
+	RingSlots, GrantCalls, CacheLookups      int64
+}
 
-	// An explicit GrantThreshold keeps exact knob semantics: no model
-	// exploration ever flips a decision across the cutover.
-	knob := abi.PageSize
-	model := newDispatchPolicy(true, false, false)
-	for i := 0; i < 200; i++ {
-		if model.useGrant(knob-1, knob) {
-			t.Fatal("payload below the knob took the grant path")
-		}
-		if !model.useGrant(knob, knob) {
-			t.Fatal("payload at the knob took the copy path")
-		}
-	}
-
-	// Without the knob the learned crossover decides (seeded at 16 KiB).
-	if model.useGrant(4<<10, 0) {
-		t.Fatal("4 KiB payload granted below the seeded crossover")
-	}
-	if !model.useGrant(64<<10, 0) {
-		t.Fatal("64 KiB payload copied above the seeded crossover")
+func dispatchCountsOf(s LayerStats) dispatchCounts {
+	return dispatchCounts{
+		Ring: s.Policy.RingChosen, Sync: s.Policy.SyncChosen,
+		Grant: s.Policy.GrantChosen, Copy: s.Policy.CopyChosen,
+		Served: s.Policy.CacheServed, Skipped: s.Policy.CacheSkipped,
+		RingSlots:    int64(s.Ring.Submitted),
+		GrantCalls:   int64(s.Grants.Calls),
+		CacheLookups: int64(s.Cache.Hits + s.Cache.Misses),
 	}
 }
 
-// TestCostModelPreferRing pins the transport decision: inflight traffic
-// rides the ring outright; the sequential seed is the ring (the measured
-// concurrency sweep has it at or above sync at every thread count); the
-// EWMA compare takes over once both arms are sampled; and scheduled
-// exploration keeps the losing arm's estimate fresh.
-func TestCostModelPreferRing(t *testing.T) {
-	m := newCostModel()
-	if ring, _ := m.preferRing(classMeta, 3); !ring {
-		t.Fatal("inflight calls must ride the ring")
+func (c dispatchCounts) minus(o dispatchCounts) dispatchCounts {
+	return dispatchCounts{
+		c.Ring - o.Ring, c.Sync - o.Sync, c.Grant - o.Grant, c.Copy - o.Copy,
+		c.Served - o.Served, c.Skipped - o.Skipped,
+		c.RingSlots - o.RingSlots, c.GrantCalls - o.GrantCalls, c.CacheLookups - o.CacheLookups,
 	}
-	if ring, _ := m.preferRing(classMeta, 0); !ring {
-		t.Fatal("sequential seed must be the ring")
+}
+
+// TestFixedDispatchRules pins the fast profile's static rules on an
+// AutoTune device, one row per decision: a forwarded call rides the
+// ring, a payload is granted exactly when it reaches GrantThreshold, and
+// the redirection cache serves. With a ForceSyncUncached override the
+// same calls go sync, copy and passthrough, and no fast path moves.
+func TestFixedDispatchRules(t *testing.T) {
+	atThreshold := make([]byte, autoTuneGrantThreshold)
+	below := make([]byte, autoTuneGrantThreshold-1)
+	page := make([]byte, abi.PageSize)
+	forcedSync := dispatchCounts{Sync: 1, Skipped: 1}
+
+	rows := []struct {
+		name       string
+		op         func(p *Proc, fd int) error
+		want       dispatchCounts
+		wantForced dispatchCounts
+	}{
+		{
+			name:       "forwarded-call-rides-ring",
+			op:         func(p *Proc, fd int) error { return p.Syscall(kernel.Args{Nr: abi.SysFstat, FD: fd}).Err },
+			want:       dispatchCounts{Ring: 1, RingSlots: 1},
+			wantForced: dispatchCounts{Sync: 1},
+		},
+		{
+			name:       "grant-at-threshold",
+			op:         func(p *Proc, fd int) error { _, err := p.Pwrite(fd, atThreshold, 0); return err },
+			want:       dispatchCounts{Grant: 1, RingSlots: 1, GrantCalls: 1},
+			wantForced: forcedSync,
+		},
+		{
+			name:       "copy-below-threshold",
+			op:         func(p *Proc, fd int) error { _, err := p.Pwrite(fd, below, 0); return err },
+			want:       dispatchCounts{Copy: 1, Served: 1, CacheLookups: 1},
+			wantForced: forcedSync,
+		},
+		{
+			name:       "cache-serves",
+			op:         func(p *Proc, fd int) error { _, err := p.Pread(fd, abi.PageSize, 0); return err },
+			want:       dispatchCounts{Copy: 1, Served: 1, CacheLookups: 1},
+			wantForced: forcedSync,
+		},
+	}
+	for _, row := range rows {
+		for _, override := range []bool{false, true} {
+			name, want := row.name, row.want
+			if override {
+				name, want = name+"/force-sync-uncached", row.wantForced
+			}
+			t.Run(name, func(t *testing.T) {
+				d := bootPolicyDevice(t, Options{AutoTune: true, CallDeadline: time.Hour})
+				p := installAndLaunch(t, d, "com.policy.rules")
+				fd := mustOpen(t, p, "rules.dat", abi.ORdWr|abi.OCreat)
+				mustPwrite(t, p, fd, page, 0)
+				if _, err := p.Fsync(fd); err != nil {
+					t.Fatal(err)
+				}
+				mustPread(t, p, fd, abi.PageSize, 0) // the page is now cached
+				if override {
+					d.Layer.SetPolicyOverride(&PolicyOverride{ForceSyncUncached: true})
+				}
+				before := d.Layer.Stats()
+				if err := row.op(p, fd); err != nil {
+					t.Fatal(err)
+				}
+				after := d.Layer.Stats()
+				if got := dispatchCountsOf(after).minus(dispatchCountsOf(before)); got != want {
+					t.Fatalf("counter deltas = %+v, want %+v", got, want)
+				}
+				if after.Policy.Explorations != 0 {
+					t.Fatalf("Explorations = %d, want 0 under fixed rules", after.Policy.Explorations)
+				}
+			})
+		}
+	}
+}
+
+// TestPolicyKnobsForceOverridesUnderAutoTune pins the preset contract
+// from the README: AutoTune expands into the fast profile's knobs at
+// boot, and a knob the caller set keeps its value.
+func TestPolicyKnobsForceOverridesUnderAutoTune(t *testing.T) {
+	preset := bootPolicyDevice(t, Options{AutoTune: true}).Opts
+	if preset.RingDepth != autoTuneRingDepth || preset.RingWorkers != autoTuneRingWorkers ||
+		preset.RingReapBatch != autoTuneRingDepth || preset.GrantThreshold != autoTuneGrantThreshold {
+		t.Fatalf("AutoTune expanded to ring depth %d, workers %d, reap batch %d, grant threshold %d",
+			preset.RingDepth, preset.RingWorkers, preset.RingReapBatch, preset.GrantThreshold)
+	}
+	if !preset.RedirCache || !preset.BinderSessions || !preset.BinderReplyCache || !preset.FusionEnable {
+		t.Fatalf("AutoTune left a fast path off: %+v", preset)
 	}
 
-	// Converge the EWMAs: sync measures cheaper for this class.
-	for i := 0; i < ewmaMinSamples; i++ {
-		m.observe(classMeta, armSync, 0, 100*time.Microsecond)
-		m.observe(classMeta, armRing, 0, 300*time.Microsecond)
+	d := bootPolicyDevice(t, Options{AutoTune: true, RingDepth: 8, GrantThreshold: abi.PageSize, CallDeadline: time.Hour})
+	if d.Opts.RingDepth != 8 || d.Opts.RingReapBatch != 8 || d.Opts.GrantThreshold != abi.PageSize {
+		t.Fatalf("explicit knobs lost under AutoTune: depth %d, reap batch %d, grant threshold %d",
+			d.Opts.RingDepth, d.Opts.RingReapBatch, d.Opts.GrantThreshold)
 	}
-	var rings, explorations int
-	for i := 0; i < explorePeriod; i++ {
-		ring, explored := m.preferRing(classMeta, 0)
-		if ring {
-			rings++
+	if got := d.Layer.Stats().Ring.Depth; got != 8 {
+		t.Fatalf("mounted ring depth = %d, want the explicit 8", got)
+	}
+	p := installAndLaunch(t, d, "com.policy.knobs")
+	fd := mustOpen(t, p, "knobs.dat", abi.ORdWr|abi.OCreat)
+	before := d.Layer.Stats().Grants.Calls
+	mustPwrite(t, p, fd, make([]byte, abi.PageSize), 0)
+	if got := d.Layer.Stats().Grants.Calls; got != before+1 {
+		t.Fatalf("a page-sized write under GrantThreshold=%d made %d grant calls, want 1", abi.PageSize, got-before)
+	}
+}
+
+// TestPolicyCountsIndependentOfSchedule: the fixed rules depend on
+// nothing but the call, so two AutoTune devices running the same
+// two-goroutine stream report identical decision counts however the
+// goroutines interleave.
+func TestPolicyCountsIndependentOfSchedule(t *testing.T) {
+	run := func() PolicyStats {
+		d := bootPolicyDevice(t, Options{AutoTune: true, CallDeadline: time.Hour})
+		procs := []*Proc{installAndLaunch(t, d, "com.policy.sched0"), installAndLaunch(t, d, "com.policy.sched1")}
+		errs := make(chan error, len(procs))
+		for i, p := range procs {
+			go func(p *Proc, name string) {
+				errs <- policyStream(p, name)
+			}(p, fmt.Sprintf("sched%d.dat", i))
 		}
-		if explored {
-			explorations++
-			if !ring {
-				t.Fatal("exploration must take the losing arm (the ring here)")
+		for range procs {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
 			}
 		}
+		return d.Layer.Stats().Policy
 	}
-	if explorations != 1 {
-		t.Fatalf("explorations = %d over one period, want exactly 1", explorations)
+	a, b := run(), run()
+	if a != b {
+		t.Fatalf("same stream, different decision counts:\n  a=%+v\n  b=%+v", a, b)
 	}
-	if rings != explorations {
-		t.Fatalf("converged sync-cheaper model chose the ring %d times beyond exploration", rings-explorations)
-	}
-
-	// Classes are independent: bulk still rides the seeded ring.
-	if ring, _ := m.preferRing(classBulk, 0); !ring {
-		t.Fatal("bulk class must keep its own seed")
+	if a.RingChosen == 0 || a.GrantChosen == 0 || a.CopyChosen == 0 || a.CacheServed == 0 {
+		t.Fatalf("stream did not exercise every rule: %+v", a)
 	}
 }
 
-// TestCostModelRetune pins crossover retuning: when grants measure
-// cheaper than copies down to a smaller bucket, the crossover moves to
-// that bucket's floor, clamped to the sane range.
-func TestCostModelRetune(t *testing.T) {
-	m := newCostModel()
-	if m.crossoverBytes() != autoGrantCrossover {
-		t.Fatalf("seed crossover = %d, want %d", m.crossoverBytes(), autoGrantCrossover)
+// policyStream is one app's op stream for the schedule test: cached
+// page writes written back by fsync, cached reads, forwarded fstats and
+// granted bulk reads, all on the app's own file. It writes nothing
+// through a grant: a granted write invalidates cached pages by guest
+// descriptor number, which two apps can share, so the other app's
+// cache misses would depend on the interleaving.
+func policyStream(p *Proc, name string) error {
+	fd, err := p.Open(name, abi.ORdWr|abi.OCreat, 0o600)
+	if err != nil {
+		return err
 	}
-	size := 32 << 10
-	for i := 0; i < ewmaMinSamples; i++ {
-		m.observe(classBulk, armSync, size, 400*time.Microsecond) // copy arm
-		m.observe(classBulk, armGrant, size, 100*time.Microsecond)
-	}
-	m.mu.Lock()
-	m.retuneLocked()
-	m.mu.Unlock()
-	if got := m.crossoverBytes(); got != size {
-		t.Fatalf("crossover = %d after grants win the 32 KiB bucket, want %d", got, size)
-	}
-	hist := m.sizeHistogram()
-	if hist[sizeBucket(size)] != 2*ewmaMinSamples {
-		t.Fatalf("size histogram bucket = %d, want %d", hist[sizeBucket(size)], 2*ewmaMinSamples)
-	}
-}
-
-// TestCostModelCacheWorthIt pins the cache gate: optimistic during
-// burn-in, bypassing once the hit rate collapses, with a scheduled
-// re-probe so a newly cacheable workload is noticed.
-func TestCostModelCacheWorthIt(t *testing.T) {
-	m := newCostModel()
-	if !m.cacheWorthIt(0, cacheProbeMinLookups-1) {
-		t.Fatal("burn-in lookups must serve optimistically")
-	}
-	if !m.cacheWorthIt(cacheProbeMinLookups, cacheProbeMinLookups) {
-		t.Fatal("a perfect hit rate must serve")
-	}
-	probes := 0
-	for i := 0; i < explorePeriod; i++ {
-		if m.cacheWorthIt(0, cacheProbeMinLookups) {
-			probes++
+	page := make([]byte, abi.PageSize)
+	bulk := make([]byte, 2*autoTuneGrantThreshold)
+	for i := 0; i < 32; i++ {
+		off := int64(i%4) * abi.PageSize
+		if _, err := p.Pwrite(fd, page, off); err != nil {
+			return err
+		}
+		if _, err := p.Fsync(fd); err != nil {
+			return err
+		}
+		if _, err := p.Pread(fd, abi.PageSize, off); err != nil {
+			return err
+		}
+		if res := p.Syscall(kernel.Args{Nr: abi.SysFstat, FD: fd}); !res.Ok() {
+			return res.Err
+		}
+		if _, err := p.PreadInto(fd, bulk, 0); err != nil {
+			return err
 		}
 	}
-	if probes != 1 {
-		t.Fatalf("collapsed hit rate re-probed %d times per period, want exactly 1", probes)
-	}
-}
-
-// BenchmarkPolicyUseRing measures the adaptive transport decision plus
-// its observation on the lock-free hot path.
-func BenchmarkPolicyUseRing(b *testing.B) {
-	p := newDispatchPolicy(true, false, false)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.useRing(classBulk, 1)
-		p.model.observe(classBulk, armRing, abi.PageSize, 100*time.Microsecond)
-	}
-}
-
-// BenchmarkPolicyUseGrant measures the payload-strategy decision against
-// the learned crossover.
-func BenchmarkPolicyUseGrant(b *testing.B) {
-	p := newDispatchPolicy(true, false, false)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.useGrant(64<<10, 0)
-	}
+	return p.Close(fd)
 }

@@ -92,10 +92,27 @@ func IsChainCall(b []byte) bool {
 	return len(b) > 0 && b[0] == chainCallMagic
 }
 
+// ChainDecoder decodes chain frames and chain results into storage it
+// keeps between calls, so a reused decoder stops allocating once it has
+// seen its longest chain. What Chain returns is valid until the next
+// Chain call, what Result returns until the next Result call; byte
+// fields are views into the decoded frame either way.
+type ChainDecoder struct {
+	links   []ChainLink
+	args    []kernel.Args
+	results []kernel.Result
+}
+
 // DecodeChain reverses AppendChain, validating the link count and that
 // every descriptor binding names a strictly earlier link. Byte fields are
 // views into b, as with DecodeArgs.
 func DecodeChain(b []byte) ([]ChainLink, error) {
+	var d ChainDecoder
+	return d.Chain(b)
+}
+
+// Chain is DecodeChain into the decoder's storage.
+func (d *ChainDecoder) Chain(b []byte) ([]ChainLink, error) {
 	if !IsChainCall(b) {
 		return nil, fmt.Errorf("marshal: not a chain frame: %w", abi.EINVAL)
 	}
@@ -107,8 +124,11 @@ func DecodeChain(b []byte) ([]ChainLink, error) {
 	if n <= 0 || n > MaxChainLinks {
 		return nil, fmt.Errorf("marshal: bad chain link count %d: %w", n, abi.EINVAL)
 	}
-	links := make([]ChainLink, 0, n)
-	store := make([]kernel.Args, n)
+	if cap(d.args) < n {
+		d.links = make([]ChainLink, 0, n)
+		d.args = make([]kernel.Args, n)
+	}
+	links, store := d.links[:0], d.args[:n]
 	for i := 0; i < n; i++ {
 		flags := r.u8()
 		fdFrom := -1
@@ -155,6 +175,12 @@ func encodeChainResult(w *writer, cr ChainResult) {
 // DecodeChainResult reverses AppendChainResult; Data fields are views
 // into b.
 func DecodeChainResult(b []byte) (ChainResult, error) {
+	var d ChainDecoder
+	return d.Result(b)
+}
+
+// Result is DecodeChainResult into the decoder's storage.
+func (d *ChainDecoder) Result(b []byte) (ChainResult, error) {
 	r := &reader{buf: b}
 	n := r.u32()
 	executed := r.u32()
@@ -164,10 +190,11 @@ func DecodeChainResult(b []byte) (ChainResult, error) {
 	if n <= 0 || n > MaxChainLinks || executed < 0 || executed > n {
 		return ChainResult{}, fmt.Errorf("marshal: bad chain result header (%d links, %d executed): %w", n, executed, abi.EINVAL)
 	}
-	results, err := decodeResults(r, n)
+	results, err := decodeResults(r, d.results, n)
 	if err != nil {
 		return ChainResult{}, err
 	}
+	d.results = results
 	if r.pos != len(b) {
 		return ChainResult{}, fmt.Errorf("marshal: %d trailing bytes after chain result: %w", len(b)-r.pos, abi.EINVAL)
 	}

@@ -424,7 +424,7 @@ func DecodeResultBatch(b []byte) ([]kernel.Result, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	results, err := decodeResults(r, n)
+	results, err := decodeResults(r, nil, n)
 	if err != nil {
 		return nil, err
 	}
@@ -434,8 +434,12 @@ func DecodeResultBatch(b []byte) ([]kernel.Result, error) {
 	return results, nil
 }
 
-func decodeResults(r *reader, n int) ([]kernel.Result, error) {
-	results := make([]kernel.Result, n)
+func decodeResults(r *reader, dst []kernel.Result, n int) ([]kernel.Result, error) {
+	results := dst[:0]
+	if cap(results) < n {
+		results = make([]kernel.Result, n)
+	}
+	results = results[:n]
 	for i := range results {
 		blob := r.bytes()
 		if r.err != nil {

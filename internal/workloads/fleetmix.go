@@ -30,14 +30,14 @@ type FleetMixConfig struct {
 	// OpsPerApp is mixed operations per app (default 64).
 	OpsPerApp int
 	// WarmupOps is the unmeasured per-app warm-up (default 32): it runs
-	// the same blend before measurement starts so the adaptive data
-	// plane's EWMAs converge and the sweep measures steady state, not
-	// per-shard auto-tune exploration. Negative disables.
+	// the same blend before measurement starts so caches, binder
+	// sessions and the fusion detector are warm and the sweep measures
+	// steady state. Negative disables.
 	WarmupOps int
 	// Placement selects the scheduler policy (default least-loaded).
 	Placement anception.PlacementPolicy
-	// Opts is the per-shard device template. Zero boots the adaptive
-	// data plane (AutoTune) with an hour fault-detector deadline.
+	// Opts is the per-shard device template. Zero boots the AutoTune
+	// fast profile with an hour fault-detector deadline.
 	Opts anception.Options
 }
 
@@ -219,7 +219,7 @@ func RunFleetMix(cfg FleetMixConfig) (FleetMixStats, error) {
 		PerShardElapsed: make([]time.Duration, fleet.Size()),
 		PerShardApps:    make([]int, fleet.Size()),
 	}
-	// Unmeasured warm-up: converge each shard's adaptive plane.
+	// Unmeasured warm-up: bring each shard's fast paths to steady state.
 	for _, ma := range apps {
 		if err := runFleetMixApp(ma, cfg.WarmupOps); err != nil {
 			return FleetMixStats{}, fmt.Errorf("warmup %s: %w", ma.app.Pkg, err)
@@ -299,12 +299,11 @@ func measureAppOps(fleet *anception.Fleet, ma *fleetMixApp, ops int, tolerant bo
 // and the shard's own watchdog recovers it while siblings never
 // restart.
 func RunBlastRadiusDrill(cfg FleetMixConfig) (BlastRadiusStats, error) {
-	// The drill pins every fast path on explicitly instead of using the
-	// adaptive plane: AutoTune's periodic exploration (every Nth
-	// decision retries the slower arm) would land at different offsets
-	// in the reference and outage measurement windows and read as
-	// phantom cost drift on healthy shards. Pinned dispatch makes the
-	// sibling-cost comparison exact.
+	// The drill pins its fast paths explicitly instead of using the
+	// AutoTune profile: this exact configuration (four proxy workers,
+	// no fusion) is what the committed sibling-drift figure in
+	// BENCH_fleet.json was measured on, so changing it would move that
+	// figure.
 	var zero anception.Options
 	if cfg.Opts == zero {
 		cfg.Opts = anception.Options{
@@ -326,7 +325,7 @@ func RunBlastRadiusDrill(cfg FleetMixConfig) (BlastRadiusStats, error) {
 	defer fleet.Close()
 	st := BlastRadiusStats{FleetSize: fleet.Size(), Apps: len(apps), BadShard: 0}
 
-	// Warm-up until the adaptive plane converges, then a discarded
+	// Warm-up until caches and sessions are warm, then a discarded
 	// measurement pass (absorbs any residual drift), then the
 	// steady-state reference run per app.
 	for _, ma := range apps {
