@@ -38,19 +38,19 @@ func (l *Layer) forwardRing(st *layerState, ring marshal.AsyncTransport, t *kern
 	f := l.getFrame()
 	defer l.putFrame(f)
 	f.encodeArgs(args)
-	l.clock.Advance(time.Duration(len(f.req)) * l.model.MarshalPerByte)
+	l.clock.Charge(t.Lane, time.Duration(len(f.req))*l.model.MarshalPerByte)
 
 	f.st, f.proxy, f.drained = st, p, true
-	start := l.clock.Now()
-	pending, serr := ring.Submit(f.req, ringKey(t, args), f.exec)
+	span := l.clock.StartSpan(t.Lane)
+	pending, serr := ring.Submit(t.Lane, f.req, ringKey(t, args), f.exec)
 	if serr != nil {
-		return l.transportFailure(t, args, start, serr)
+		return l.transportFailure(t, args, span, serr)
 	}
 	respBytes, werr := pending.Wait()
 	if werr != nil {
-		return l.transportFailure(t, args, start, werr)
+		return l.transportFailure(t, args, span, werr)
 	}
-	if l.clock.Now()-start > l.deadline {
+	if span.Elapsed() > l.deadline {
 		l.counters.timedOut.Add(1)
 		if l.trace != nil {
 			l.trace.Record(sim.EvTimeout, "%s pid=%d completed past %v deadline", args.Nr, t.PID, l.deadline)
@@ -83,20 +83,20 @@ func (l *Layer) forwardBatchRing(st *layerState, ring marshal.AsyncTransport, t 
 	f := l.getFrame()
 	defer l.putFrame(f)
 	f.req = marshal.AppendArgsBatch(f.req[:0], calls)
-	l.clock.Advance(time.Duration(len(f.req)) * l.model.MarshalPerByte)
+	l.clock.Charge(t.Lane, time.Duration(len(f.req))*l.model.MarshalPerByte)
 
-	start := l.clock.Now()
-	pending, serr := ring.Submit(f.req, ringKey(t, calls[0]), f.execBatch(st, p, true))
+	span := l.clock.StartSpan(t.Lane)
+	pending, serr := ring.Submit(t.Lane, f.req, ringKey(t, calls[0]), f.execBatch(st, p, true))
 	if serr != nil {
-		fail := l.transportFailure(t, calls[0], start, serr)
+		fail := l.transportFailure(t, calls[0], span, serr)
 		return nil, fail.Err
 	}
 	respBytes, werr := pending.Wait()
 	if werr != nil {
-		fail := l.transportFailure(t, calls[0], start, werr)
+		fail := l.transportFailure(t, calls[0], span, werr)
 		return nil, fail.Err
 	}
-	if l.clock.Now()-start > l.deadline {
+	if span.Elapsed() > l.deadline {
 		l.counters.timedOut.Add(1)
 		return nil, fmt.Errorf("batch exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)
 	}

@@ -297,6 +297,14 @@ func (l *Layer) BinderStats() BinderStats {
 func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, args *kernel.Args, txn binder.Transaction) kernel.Result {
 	g := st.guest
 	if g.Panicked() != "" {
+		if cur := l.currentState(); cur.degraded || cur.guest != g {
+			// A live upgrade (or restart) gated the layer and took this
+			// guest down after the call was routed to it: the call never
+			// reached the container, so it is a retryable gated arrival,
+			// not a dead container.
+			l.counters.failedFast.Add(1)
+			return kernel.Result{Ret: -1, Err: fmt.Errorf("binder bridge: container being replaced: %w", abi.EAGAIN)}
+		}
 		l.counters.hostDown.Add(1)
 		return kernel.Result{Ret: -1, Err: fmt.Errorf("binder bridge: container down: %w", abi.EHOSTDOWN)}
 	}
@@ -323,7 +331,7 @@ func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, args *kernel.Args, 
 				// shape as a redirection-cache read hit.
 				fp.replyHits.Add(1)
 				l.counters.binderBridged.Add(1)
-				l.clock.Advance(l.model.CacheLookup +
+				l.clock.Charge(t.Lane, l.model.CacheLookup+
 					time.Duration(len(args.Buf)+len(data))*l.model.MarshalPerByte)
 				if l.trace != nil {
 					l.trace.Record(sim.EvBinderSession, "reply cache hit %q code=%d (%d B)",
@@ -361,8 +369,8 @@ func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, args *kernel.Args, 
 // byte-for-byte independent of every fast-path knob.
 func (l *Layer) bridgeBinderSync(st *layerState, t *kernel.Task, args *kernel.Args, txn binder.Transaction) kernel.Result {
 	l.counters.binderBridged.Add(1)
-	l.clock.Advance(l.model.BinderTransaction +
-		l.model.BinderCVMPenalty +
+	l.clock.Charge(t.Lane, l.model.BinderTransaction+
+		l.model.BinderCVMPenalty+
 		time.Duration(len(args.Buf))*l.model.BinderCVMPerByte)
 	if l.trace != nil {
 		l.trace.Record(sim.EvBinder, "bridged binder txn %q from pid=%d to CVM", txn.Service, t.PID)
@@ -423,7 +431,7 @@ func (l *Layer) bridgeBinderSession(st *layerState, t *kernel.Task, args *kernel
 		return l.bridgeBinderRing(st, ring, t, txn, sid, pipeFixed+perByte), gen
 	}
 
-	l.clock.Advance(l.model.BinderTransaction + fixed + perByte)
+	l.clock.Charge(t.Lane, l.model.BinderTransaction+fixed+perByte)
 	if l.trace != nil {
 		l.trace.Record(sim.EvBinder, "session binder txn %q sid=%d from pid=%d", txn.Service, sid, t.PID)
 	}
@@ -456,7 +464,7 @@ func (l *Layer) ensureBinderSession(st *layerState, t *kernel.Task, service stri
 	if err != nil {
 		return 0, gen, false, err
 	}
-	l.clock.Advance(l.model.BinderSessionSetup)
+	l.clock.Charge(t.Lane, l.model.BinderSessionSetup)
 	fp.sessionsOpened.Add(1)
 	if l.trace != nil {
 		l.trace.Record(sim.EvBinderSession, "opened session %q sid=%d (gen %d)", service, sid, gen)
@@ -486,14 +494,14 @@ func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t 
 	})
 	f := l.getFrame()
 	f.req = marshal.AppendBinderCall(f.req[:0], frame)
-	l.clock.Advance(hostCost)
+	l.clock.Charge(t.Lane, hostCost)
 	if l.trace != nil {
 		l.trace.Record(sim.EvBinder, "pipelined binder txn %q sid=%d from pid=%d", txn.Service, sid, t.PID)
 	}
 
-	start := l.clock.Now()
+	span := l.clock.StartSpan(t.Lane)
 	cred := t.Cred
-	pending, serr := ring.Submit(f.req, proxy.KeyForString(txn.Service), func(req []byte) []byte {
+	pending, serr := ring.Submit(t.Lane, f.req, proxy.KeyForString(txn.Service), func(req []byte) []byte {
 		inner, derr := marshal.DecodeBinderCall(req)
 		if derr != nil {
 			return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
@@ -503,7 +511,7 @@ func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t 
 			return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
 		}
 		// Guest-side service handling, charged where it runs.
-		l.clock.Advance(l.model.BinderTransaction)
+		l.clock.Charge(t.Lane, l.model.BinderTransaction)
 		out, terr := g.Binder().TransactSession(cred, sf.Session, sf.Code, sf.Payload, sf.Oneway)
 		if terr != nil {
 			return f.setReply(kernel.Result{Ret: -1, Err: terr})
@@ -513,7 +521,7 @@ func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t 
 	if serr != nil {
 		l.putFrame(f)
 		fp.failed.Add(1)
-		return l.transportFailure(t, &kernel.Args{Nr: abi.SysIoctl}, start, serr)
+		return l.transportFailure(t, &kernel.Args{Nr: abi.SysIoctl}, span, serr)
 	}
 	if txn.Oneway {
 		// No reply to wait for: the slot completes (or fails EHOSTDOWN at
@@ -534,9 +542,9 @@ func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t 
 	respBytes, werr := pending.Wait()
 	if werr != nil {
 		fp.failed.Add(1)
-		return l.transportFailure(t, &kernel.Args{Nr: abi.SysIoctl}, start, werr)
+		return l.transportFailure(t, &kernel.Args{Nr: abi.SysIoctl}, span, werr)
 	}
-	if l.clock.Now()-start > l.deadline {
+	if span.Elapsed() > l.deadline {
 		fp.failed.Add(1)
 		l.counters.timedOut.Add(1)
 		if l.trace != nil {

@@ -459,7 +459,7 @@ func sprintf(f string, args ...any) string {
 // package (which lives upstream of this one).
 type hangTransport struct{}
 
-func (hangTransport) RoundTrip(payload []byte, handler marshal.GuestHandler) ([]byte, error) {
+func (hangTransport) RoundTrip(_ *sim.Lane, payload []byte, handler marshal.GuestHandler) ([]byte, error) {
 	return nil, marshal.ErrHang
 }
 func (hangTransport) Name() string { return "hang-stub" }
@@ -491,6 +491,59 @@ func TestLayerTimedOutCounter(t *testing.T) {
 	d.Layer.SetTransport(real)
 	if _, err := app.Open("ok.txt", abi.OWrOnly|abi.OCreat, 0o600); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// chargingTransport charges lane `on` while each round-trip is in
+// flight, standing in for work that lands on the shared clock during
+// the call: another task's (a concurrent app drawing a frame), the
+// caller's own, or device-level work (nil lane).
+type chargingTransport struct {
+	inner marshal.Transport
+	clock *sim.Clock
+	on    *sim.Lane
+	d     time.Duration
+}
+
+func (c chargingTransport) RoundTrip(lane *sim.Lane, payload []byte, handler marshal.GuestHandler) ([]byte, error) {
+	c.clock.Charge(c.on, c.d)
+	return c.inner.RoundTrip(lane, payload, handler)
+}
+func (c chargingTransport) Name() string { return "charging-stub" }
+
+// TestDeadlineCountsOnlyTheCallersTime: a call's deadline is measured on
+// the caller's timeline. Another task's charges that land while the call
+// is in flight advance the device clock but cannot time the call out;
+// the same charge on the caller's own lane, or as device-level work
+// that no task claims, does.
+func TestDeadlineCountsOnlyTheCallersTime(t *testing.T) {
+	d := bootDevice(t, ModeAnception)
+	app := installAndLaunch(t, d, "com.deadline.own")
+	other := installAndLaunch(t, d, "com.deadline.other")
+	real := d.Layer.Transport()
+	over := 2 * d.Layer.Deadline()
+
+	d.Layer.SetTransport(chargingTransport{real, d.Clock, other.Task.Lane, over})
+	before := d.Clock.Now()
+	fd, err := app.Open("ok.txt", abi.OWrOnly|abi.OCreat, 0o600)
+	if err != nil {
+		t.Fatalf("another task's %v timed the call out: %v", over, err)
+	}
+	if elapsed := d.Clock.Now() - before; elapsed < over {
+		t.Fatalf("device clock moved %v, want at least %v", elapsed, over)
+	}
+
+	for _, tc := range []struct {
+		name string
+		lane *sim.Lane
+	}{{"own lane", app.Task.Lane}, {"device-level", nil}} {
+		d.Layer.SetTransport(chargingTransport{real, d.Clock, tc.lane, over})
+		if _, err := app.Write(fd, []byte("late")); !errors.Is(err, abi.ETIMEDOUT) {
+			t.Fatalf("%s: %v charge in flight: err = %v, want ETIMEDOUT", tc.name, over, err)
+		}
+	}
+	if got := d.Layer.Stats().TimedOut; got != 2 {
+		t.Fatalf("TimedOut = %d, want 2", got)
 	}
 }
 

@@ -122,7 +122,7 @@ func (p *Proc) Nanosleep(d time.Duration) {
 // Compute models user-space CPU work: units are abstract operation counts
 // converted by the latency model. No kernel entry occurs.
 func (p *Proc) Compute(units int64) {
-	p.device.Clock.Advance(time.Duration(units) * p.device.Model.CPUPerUnit)
+	p.device.Clock.Charge(p.Task.Lane, time.Duration(units)*p.device.Model.CPUPerUnit)
 }
 
 // --- files ---

@@ -9,6 +9,8 @@ import (
 
 	"anception/internal/abi"
 	"anception/internal/android"
+	"anception/internal/binder"
+	"anception/internal/kernel"
 )
 
 // bootSnapshotDevice boots an Anception device with checkpoints enabled
@@ -339,4 +341,27 @@ func TestLiveUpgradeUnderLoad(t *testing.T) {
 		t.Fatalf("ring accounting broken after upgrades: %+v", st.Ring)
 	}
 	binderIdentity(t, d)
+}
+
+// TestBinderRoutedBeforeUpgradeIsRetryable: a transaction routed to the
+// guest just before a live upgrade gated the layer and took that guest
+// down never reached the container, so it fails EAGAIN (retry) like any
+// gated arrival, not EHOSTDOWN. A guest that died with the layer open is
+// still a dead container.
+func TestBinderRoutedBeforeUpgradeIsRetryable(t *testing.T) {
+	d := bootSnapshotDevice(t, Options{RingDepth: 8, BinderSessions: true})
+	app := installAndLaunch(t, d, "com.upgrade.routed")
+	txn := binder.Transaction{Service: "location", Code: android.CodeGetLocation}
+	args := kernel.Args{Nr: abi.SysIoctl, Request: binder.IocTransact, Buf: binder.EncodeTransaction(txn)}
+	routed := d.Layer.currentState()
+
+	d.SetDegraded(true)
+	d.Guest.Panic("live upgrade")
+	if res := d.Layer.bridgeBinder(routed, app.Task, &args, txn); !errors.Is(res.Err, abi.EAGAIN) {
+		t.Fatalf("gated, guest down: err = %v, want EAGAIN", res.Err)
+	}
+	d.SetDegraded(false)
+	if res := d.Layer.bridgeBinder(routed, app.Task, &args, txn); !errors.Is(res.Err, abi.EHOSTDOWN) {
+		t.Fatalf("open, guest down: err = %v, want EHOSTDOWN", res.Err)
+	}
 }

@@ -22,7 +22,7 @@ func (l *Layer) handleSplit(t *kernel.Task, args *kernel.Args) kernel.Result {
 		child := l.host.Task(int(res.Ret))
 		if proxies := l.proxyMgr(); proxies.ProxyFor(t.PID) != nil || child.RE != 0 {
 			// Mirroring the fork costs one small control round trip.
-			l.chargeControlTrip()
+			l.chargeControlTrip(t)
 			if _, err := proxies.MirrorFork(t.PID, child); err != nil {
 				return kernel.Result{Ret: -1, Err: err}
 			}
@@ -35,7 +35,7 @@ func (l *Layer) handleSplit(t *kernel.Task, args *kernel.Args) kernel.Result {
 	case abi.SysExit, abi.SysExitGroup:
 		res := l.host.InvokeLocal(t, *args)
 		if proxies := l.proxyMgr(); proxies.ProxyFor(t.PID) != nil {
-			l.chargeControlTrip()
+			l.chargeControlTrip(t)
 			proxies.MirrorExit(t.PID)
 		}
 		l.forgetMmapBindings(t.PID)
@@ -49,7 +49,7 @@ func (l *Layer) handleSplit(t *kernel.Task, args *kernel.Args) kernel.Result {
 
 	case abi.SysUmask:
 		res := l.host.InvokeLocal(t, *args)
-		l.chargeControlTrip()
+		l.chargeControlTrip(t)
 		l.proxyMgr().MirrorUmask(t.PID, t.Umask)
 		return res
 
@@ -77,7 +77,7 @@ func (l *Layer) handleChdir(t *kernel.Task, args *kernel.Args) kernel.Result {
 	if l.keepFSOnHost || redirect.DecideOpenPath(p) == redirect.RouteHost {
 		res := l.host.InvokeLocal(t, *args)
 		if res.Ok() {
-			l.chargeControlTrip()
+			l.chargeControlTrip(t)
 			l.proxyMgr().MirrorChdir(t.PID, t.CWD)
 		}
 		return res
@@ -202,7 +202,7 @@ func (l *Layer) handleMmap(t *kernel.Task, args *kernel.Args) kernel.Result {
 		}
 	}
 	// Efficient page remapping instead of per-fault round trips.
-	l.clock.Advance(timesPages(pages, l.model.PageRemap))
+	l.clock.Charge(t.Lane, timesPages(pages, l.model.PageRemap))
 
 	l.mu.Lock()
 	if l.mmapBindings[t.PID] == nil {
@@ -240,8 +240,8 @@ func (l *Layer) forgetMmapBindings(pid int) {
 }
 
 // chargeControlTrip accounts a small mirror message to the container.
-func (l *Layer) chargeControlTrip() {
-	l.clock.Advance(l.model.RedirectFixedCost())
+func (l *Layer) chargeControlTrip(t *kernel.Task) {
+	l.clock.Charge(t.Lane, l.model.RedirectFixedCost())
 }
 
 func hasPrefix(s, prefix string) bool {

@@ -87,10 +87,11 @@ func NewGrantTable(cvm *CVM) *GrantTable {
 // which is why vectored calls are the natural consumers of grants. The
 // writable flag marks read-style calls (the guest fills the buffer);
 // write-style calls grant read-only. The returned refs are tagged with
-// the current boot generation.
-func (g *GrantTable) GrantBatch(bufs [][]byte, writable bool) []GrantRef {
+// the current boot generation. The map is charged to lane l, the task
+// whose call the grants carry.
+func (g *GrantTable) GrantBatch(l *sim.Lane, bufs [][]byte, writable bool) []GrantRef {
 	gen := g.cvm.Generation()
-	g.cvm.clock.Advance(g.cvm.model.GrantMapCost)
+	g.cvm.clock.Charge(l, g.cvm.model.GrantMapCost)
 	refs := make([]GrantRef, len(bufs))
 	now := g.cvm.clock.Now()
 	g.mu.Lock()
@@ -137,8 +138,9 @@ func (g *GrantTable) Resolve(ref GrantRef) ([]byte, error) {
 // RevokeBatch unmaps a batch of grants: one GrantUnmapTLBShootdown
 // covers the whole list (a single IPI broadcast flushes every extent).
 // Unknown ids are ignored — a restart's RevokeAll may have raced ahead.
-func (g *GrantTable) RevokeBatch(refs []GrantRef) {
-	g.cvm.clock.Advance(g.cvm.model.GrantUnmapTLBShootdown)
+// The shootdown is charged to lane l, like GrantBatch.
+func (g *GrantTable) RevokeBatch(l *sim.Lane, refs []GrantRef) {
+	g.cvm.clock.Charge(l, g.cvm.model.GrantUnmapTLBShootdown)
 	g.mu.Lock()
 	g.stats.Revokes++
 	for _, ref := range refs {

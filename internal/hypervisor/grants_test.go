@@ -14,7 +14,7 @@ func TestGrantBatchResolveRoundTrip(t *testing.T) {
 	g := NewGrantTable(c)
 
 	bufs := [][]byte{[]byte("alpha"), []byte("beta")}
-	refs := g.GrantBatch(bufs, true)
+	refs := g.GrantBatch(nil, bufs, true)
 	if len(refs) != 2 {
 		t.Fatalf("refs = %d", len(refs))
 	}
@@ -45,13 +45,13 @@ func TestGrantBatchChargesOneMapPerBatch(t *testing.T) {
 	model := c.model
 
 	before := c.clock.Now()
-	refs := g.GrantBatch([][]byte{make([]byte, 4096), make([]byte, 4096), make([]byte, 4096)}, false)
+	refs := g.GrantBatch(nil, [][]byte{make([]byte, 4096), make([]byte, 4096), make([]byte, 4096)}, false)
 	if got := c.clock.Now() - before; got != model.GrantMapCost {
 		t.Fatalf("3-entry map charged %v, want one GrantMapCost (%v)", got, model.GrantMapCost)
 	}
 
 	before = c.clock.Now()
-	g.RevokeBatch(refs)
+	g.RevokeBatch(nil, refs)
 	if got := c.clock.Now() - before; got != model.GrantUnmapTLBShootdown {
 		t.Fatalf("3-entry revoke charged %v, want one shootdown (%v)", got, model.GrantUnmapTLBShootdown)
 	}
@@ -63,19 +63,19 @@ func TestGrantBatchChargesOneMapPerBatch(t *testing.T) {
 func TestGrantResolveAfterRevokeIsENXIO(t *testing.T) {
 	c := launchTestCVM(t, kernel.NewPhysical(1<<30))
 	g := NewGrantTable(c)
-	refs := g.GrantBatch([][]byte{make([]byte, 8)}, false)
-	g.RevokeBatch(refs)
+	refs := g.GrantBatch(nil, [][]byte{make([]byte, 8)}, false)
+	g.RevokeBatch(nil, refs)
 	if _, err := g.Resolve(refs[0]); !errors.Is(err, abi.ENXIO) {
 		t.Fatalf("revoked grant resolved with err=%v, want ENXIO", err)
 	}
 	// Revoking again is harmless: RevokeAll may have raced ahead.
-	g.RevokeBatch(refs)
+	g.RevokeBatch(nil, refs)
 }
 
 func TestGrantStaleGenerationIsEHOSTDOWN(t *testing.T) {
 	c := launchTestCVM(t, kernel.NewPhysical(1<<30))
 	g := NewGrantTable(c)
-	refs := g.GrantBatch([][]byte{make([]byte, 4096)}, true)
+	refs := g.GrantBatch(nil, [][]byte{make([]byte, 4096)}, true)
 
 	if err := c.Relaunch(); err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestGrantStaleGenerationIsEHOSTDOWN(t *testing.T) {
 	}
 
 	// A fresh grant from the new generation works.
-	fresh := g.GrantBatch([][]byte{make([]byte, 16)}, true)
+	fresh := g.GrantBatch(nil, [][]byte{make([]byte, 16)}, true)
 	if _, err := g.Resolve(fresh[0]); err != nil {
 		t.Fatalf("new-generation grant: %v", err)
 	}
@@ -121,7 +121,7 @@ func TestGrantConcurrentMapRevokeDuringRelaunch(t *testing.T) {
 					return
 				default:
 				}
-				refs := g.GrantBatch([][]byte{buf}, i%2 == 0)
+				refs := g.GrantBatch(nil, [][]byte{buf}, i%2 == 0)
 				got, err := g.Resolve(refs[0])
 				switch {
 				case err == nil:
@@ -139,7 +139,7 @@ func TestGrantConcurrentMapRevokeDuringRelaunch(t *testing.T) {
 					default:
 					}
 				}
-				g.RevokeBatch(refs)
+				g.RevokeBatch(nil, refs)
 			}
 		}(i)
 	}
@@ -166,8 +166,8 @@ func TestGrantConcurrentMapRevokeDuringRelaunch(t *testing.T) {
 func TestGrantRevokeAllSweepsEverything(t *testing.T) {
 	c := launchTestCVM(t, kernel.NewPhysical(1<<30))
 	g := NewGrantTable(c)
-	g.GrantBatch([][]byte{make([]byte, 1), make([]byte, 2)}, false)
-	g.GrantBatch([][]byte{make([]byte, 3)}, true)
+	g.GrantBatch(nil, [][]byte{make([]byte, 1), make([]byte, 2)}, false)
+	g.GrantBatch(nil, [][]byte{make([]byte, 3)}, true)
 	if n := g.RevokeAll(); n != 3 {
 		t.Fatalf("RevokeAll swept %d, want 3", n)
 	}

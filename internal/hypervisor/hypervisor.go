@@ -212,9 +212,10 @@ func (c *CVM) ReadChannelFrame(f kernel.FrameID, buf []byte) error {
 // InjectInterrupt signals the guest from the host (host -> guest world
 // switch). The returned function must be called to model the matching
 // guest-side handling epilogue; in practice callers just sequence their
-// guest work after this call.
-func (c *CVM) InjectInterrupt() {
-	c.clock.Advance(c.model.WorldSwitch)
+// guest work after this call. The switch is charged to lane l, the task
+// whose call it carries (nil for device-level work).
+func (c *CVM) InjectInterrupt(l *sim.Lane) {
+	c.clock.Charge(l, c.model.WorldSwitch)
 	c.mu.Lock()
 	c.switchesIn++
 	c.mu.Unlock()
@@ -223,9 +224,10 @@ func (c *CVM) InjectInterrupt() {
 	}
 }
 
-// Hypercall signals the host from the guest (guest -> host world switch).
-func (c *CVM) Hypercall() {
-	c.clock.Advance(c.model.WorldSwitch)
+// Hypercall signals the host from the guest (guest -> host world switch),
+// charged to lane l like InjectInterrupt.
+func (c *CVM) Hypercall(l *sim.Lane) {
+	c.clock.Charge(l, c.model.WorldSwitch)
 	c.mu.Lock()
 	c.switchesOut++
 	c.mu.Unlock()

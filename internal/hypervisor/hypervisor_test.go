@@ -62,8 +62,8 @@ func TestWorldSwitchAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := clock.Now()
-	c.InjectInterrupt()
-	c.Hypercall()
+	c.InjectInterrupt(nil)
+	c.Hypercall(nil)
 	if got := clock.Now() - before; got != 2*model.WorldSwitch {
 		t.Fatalf("two switches cost %v, want %v", got, 2*model.WorldSwitch)
 	}
@@ -183,7 +183,7 @@ func TestRelaunchRebuildsChannelAndWipesFrames(t *testing.T) {
 		}
 	}
 	// World-switch counters persist across restarts (cumulative).
-	c.InjectInterrupt()
+	c.InjectInterrupt(nil)
 	in, _ := c.WorldSwitches()
 	if in != 1 {
 		t.Fatalf("switches in = %d", in)

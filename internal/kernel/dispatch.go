@@ -78,7 +78,7 @@ func (r Result) Ok() bool { return r.Err == nil }
 // handler of Figure 5: trap entry, RE-byte check, and either the alternate
 // (interceptor) table or the local one.
 func (k *Kernel) Invoke(t *Task, args Args) Result {
-	k.clock.Advance(k.model.SyscallEntry)
+	k.clock.Charge(t.Lane, k.model.SyscallEntry)
 	k.countSyscall(args.Nr)
 	if k.trace != nil {
 		k.trace.Record(sim.EvSyscall, "[%s] pid=%d %s", k.name, t.PID, args.Nr)
@@ -107,7 +107,7 @@ func (k *Kernel) Invoke(t *Task, args Args) Result {
 
 	// ASIM: the one-byte redirection entry selects the alternate table.
 	if t.RE != 0 && interceptor != nil {
-		k.clock.Advance(k.model.ASIMCheck)
+		k.clock.Charge(t.Lane, k.model.ASIMCheck)
 		if res, handled := interceptor.Intercept(k, t, args); handled {
 			return res
 		}
@@ -143,7 +143,7 @@ func (k *Kernel) dispatchLocal(t *Task, args Args) Result {
 	case abi.SysClockGettime:
 		return Result{Ret: int64(k.clock.Now())}
 	case abi.SysNanosleep:
-		k.clock.Advance(time.Duration(args.Off))
+		k.clock.Charge(t.Lane, time.Duration(args.Off))
 		return Result{}
 	case abi.SysSysinfo, abi.SysUname:
 		// CVE-2013-6282 surface: with the unchecked put_user bug, a
@@ -281,7 +281,7 @@ func (k *Kernel) dispatchLocal(t *Task, args Args) Result {
 		t.mu.Unlock()
 		return Result{}
 	case abi.SysPause, abi.SysPoll, abi.SysFutex:
-		k.clock.Advance(k.model.SchedulerQuantum)
+		k.clock.Charge(t.Lane, k.model.SchedulerQuantum)
 		return Result{}
 
 	case abi.SysPtrace, abi.SysInitModule, abi.SysDeleteModule, abi.SysReboot:

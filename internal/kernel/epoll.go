@@ -112,7 +112,7 @@ func (k *Kernel) sysEpollWait(t *Task, args Args) Result {
 		}
 	}
 	if len(ready) == 0 {
-		k.clock.Advance(k.model.SchedulerQuantum)
+		k.clock.Charge(t.Lane, k.model.SchedulerQuantum)
 		return Result{}
 	}
 	return Result{Ret: int64(len(ready)), Data: abi.EncodeFDList(ready)}

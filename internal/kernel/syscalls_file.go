@@ -10,25 +10,25 @@ import (
 
 // chargeIO charges the latency of moving n bytes through the storage
 // stack, page by page.
-func (k *Kernel) chargeIO(n int, perPage time.Duration) {
+func (k *Kernel) chargeIO(t *Task, n int, perPage time.Duration) {
 	pages := (n + abi.PageSize - 1) / abi.PageSize
 	if pages == 0 {
 		pages = 1
 	}
-	k.clock.Advance(time.Duration(pages) * perPage)
+	k.clock.Charge(t.Lane, time.Duration(pages)*perPage)
 }
 
-func (k *Kernel) chargePathResolution(p string) {
+func (k *Kernel) chargePathResolution(t *Task, p string) {
 	comps := strings.Count(p, "/")
 	if comps == 0 {
 		comps = 1
 	}
-	k.clock.Advance(time.Duration(comps) * k.model.PathResolvePerComponent)
+	k.clock.Charge(t.Lane, time.Duration(comps)*k.model.PathResolvePerComponent)
 }
 
 func (k *Kernel) sysOpen(t *Task, args Args) Result {
 	p := absPath(t, args.Path)
-	k.chargePathResolution(p)
+	k.chargePathResolution(t, p)
 
 	if strings.HasPrefix(p, "/proc/") || p == "/proc" {
 		return k.procfsOpen(t, p, args)
@@ -69,7 +69,7 @@ func (k *Kernel) sysRead(t *Task, args Args) Result {
 	switch e.Kind {
 	case FDFile:
 		if !e.File.IsDevice() {
-			k.chargeIO(len(args.Buf), k.model.StorageReadPerPage)
+			k.chargeIO(t, len(args.Buf), k.model.StorageReadPerPage)
 		}
 		n, err := e.File.Read(args.Buf)
 		if err != nil {
@@ -103,7 +103,7 @@ func (k *Kernel) sysWrite(t *Task, args Args) Result {
 	switch e.Kind {
 	case FDFile:
 		if !e.File.IsDevice() {
-			k.chargeIO(len(args.Buf), k.model.StorageWritePerPage)
+			k.chargeIO(t, len(args.Buf), k.model.StorageWritePerPage)
 		}
 		n, err := e.File.Write(args.Buf)
 		if err != nil {
@@ -136,7 +136,7 @@ func (k *Kernel) sysPread(t *Task, args Args) Result {
 	if e.Kind != FDFile {
 		return k.errResult(abi.EBADF)
 	}
-	k.chargeIO(len(args.Buf), k.model.StorageReadPerPage)
+	k.chargeIO(t, len(args.Buf), k.model.StorageReadPerPage)
 	n, err := e.File.ReadAt(args.Buf, args.Off)
 	if err != nil {
 		return k.errResult(err)
@@ -155,7 +155,7 @@ func (k *Kernel) sysPwrite(t *Task, args Args) Result {
 	if e.Kind != FDFile {
 		return k.errResult(abi.EBADF)
 	}
-	k.chargeIO(len(args.Buf), k.model.StorageWritePerPage)
+	k.chargeIO(t, len(args.Buf), k.model.StorageWritePerPage)
 	n, err := e.File.WriteAt(args.Buf, args.Off)
 	if err != nil {
 		return k.errResult(err)
@@ -191,7 +191,7 @@ func (k *Kernel) sysReadv(t *Task, args Args) Result {
 	switch e.Kind {
 	case FDFile:
 		if !e.File.IsDevice() {
-			k.chargeIO(iovTotal(args.Iov), k.model.StorageReadPerPage)
+			k.chargeIO(t, iovTotal(args.Iov), k.model.StorageReadPerPage)
 		}
 		total := 0
 		filled := make([]byte, 0, iovTotal(args.Iov))
@@ -258,7 +258,7 @@ func (k *Kernel) sysWritev(t *Task, args Args) Result {
 	switch e.Kind {
 	case FDFile:
 		if !e.File.IsDevice() {
-			k.chargeIO(iovTotal(args.Iov), k.model.StorageWritePerPage)
+			k.chargeIO(t, iovTotal(args.Iov), k.model.StorageWritePerPage)
 		}
 		total := 0
 		for _, seg := range args.Iov {
@@ -316,7 +316,7 @@ func (k *Kernel) sysLseek(t *Task, args Args) Result {
 
 func (k *Kernel) sysStat(t *Task, args Args) Result {
 	p := absPath(t, args.Path)
-	k.chargePathResolution(p)
+	k.chargePathResolution(t, p)
 	st, err := k.fs.StatPath(t.Cred, p)
 	if err != nil {
 		return k.errResult(err)
@@ -341,7 +341,7 @@ func encodeStat(st vfs.Stat) []byte {
 
 func (k *Kernel) sysAccess(t *Task, args Args) Result {
 	p := absPath(t, args.Path)
-	k.chargePathResolution(p)
+	k.chargePathResolution(t, p)
 	if err := k.fs.CheckAccess(t.Cred, p, args.Size); err != nil {
 		return k.errResult(err)
 	}
@@ -350,7 +350,7 @@ func (k *Kernel) sysAccess(t *Task, args Args) Result {
 
 func (k *Kernel) sysMkdir(t *Task, args Args) Result {
 	p := absPath(t, args.Path)
-	k.chargePathResolution(p)
+	k.chargePathResolution(t, p)
 	if err := k.fs.Mkdir(t.Cred, p, args.Mode&^t.Umask); err != nil {
 		return k.errResult(err)
 	}
@@ -359,7 +359,7 @@ func (k *Kernel) sysMkdir(t *Task, args Args) Result {
 
 func (k *Kernel) sysRmdir(t *Task, args Args) Result {
 	p := absPath(t, args.Path)
-	k.chargePathResolution(p)
+	k.chargePathResolution(t, p)
 	if err := k.fs.Rmdir(t.Cred, p); err != nil {
 		return k.errResult(err)
 	}
@@ -368,7 +368,7 @@ func (k *Kernel) sysRmdir(t *Task, args Args) Result {
 
 func (k *Kernel) sysUnlink(t *Task, args Args) Result {
 	p := absPath(t, args.Path)
-	k.chargePathResolution(p)
+	k.chargePathResolution(t, p)
 	if err := k.fs.Unlink(t.Cred, p); err != nil {
 		return k.errResult(err)
 	}
@@ -503,7 +503,7 @@ func (k *Kernel) sysFsync(t *Task, args Args) Result {
 	if args.Nr == abi.SysSync {
 		// Whole-filesystem sync: charge a fixed small cost; per-file
 		// flushes dominate in the workloads we model.
-		k.clock.Advance(k.model.StorageSyncPerPage)
+		k.clock.Charge(t.Lane, k.model.StorageSyncPerPage)
 		return Result{}
 	}
 	e := t.FD(args.FD)
@@ -511,7 +511,7 @@ func (k *Kernel) sysFsync(t *Task, args Args) Result {
 		return k.errResult(abi.EBADF)
 	}
 	flushed := e.File.Sync()
-	k.clock.Advance(time.Duration(flushed) * k.model.StorageSyncPerPage)
+	k.clock.Charge(t.Lane, time.Duration(flushed)*k.model.StorageSyncPerPage)
 	return Result{Ret: int64(flushed)}
 }
 
@@ -527,9 +527,9 @@ func (k *Kernel) sysIoctl(t *Task, args Args) Result {
 	// and scheduling latency (Table I: ~12 ms); other device ioctls are
 	// lightweight register pokes.
 	if e.File.Device().DevName() == "binder" {
-		k.clock.Advance(k.model.BinderTransaction + timesDuration(len(args.Buf), k.model.BinderPerByte))
+		k.clock.Charge(t.Lane, k.model.BinderTransaction+timesDuration(len(args.Buf), k.model.BinderPerByte))
 	} else {
-		k.clock.Advance(k.model.UIIoctl)
+		k.clock.Charge(t.Lane, k.model.UIIoctl)
 	}
 	out, err := e.File.Ioctl(args.Request, args.Buf)
 	if err != nil {
@@ -564,7 +564,7 @@ func (k *Kernel) sysSendfile(t *Task, args Args) Result {
 		return k.errResult(abi.EINVAL)
 	}
 	buf := make([]byte, args.Size)
-	k.chargeIO(len(buf), k.model.StorageReadPerPage)
+	k.chargeIO(t, len(buf), k.model.StorageReadPerPage)
 	n, err := in.File.Read(buf)
 	if err != nil {
 		return k.errResult(err)
@@ -575,7 +575,7 @@ func (k *Kernel) sysSendfile(t *Task, args Args) Result {
 			return k.errResult(err)
 		}
 	case FDFile:
-		k.chargeIO(n, k.model.StorageWritePerPage)
+		k.chargeIO(t, n, k.model.StorageWritePerPage)
 		if _, err := out.File.Write(buf[:n]); err != nil {
 			return k.errResult(err)
 		}

@@ -26,7 +26,7 @@ func (k *Kernel) sysMmap2(t *Task, args Args) Result {
 	if pages <= 0 {
 		pages = 1
 	}
-	k.clock.Advance(time.Duration(pages) * k.model.PageFault)
+	k.clock.Charge(t.Lane, time.Duration(pages)*k.model.PageFault)
 
 	// Device mapping: mmap on an open device fd.
 	if args.FD > 0 {

@@ -47,7 +47,7 @@ func (k *Kernel) sysConnect(t *Task, args Args) Result {
 	// loopback listeners and unix names connect at syscall cost, so a
 	// local server handling 100k sessions is not 38 ms-per-connect.
 	if k.net.IsRemote(args.Addr) {
-		k.clock.Advance(k.model.NetworkRTT)
+		k.clock.Charge(t.Lane, k.model.NetworkRTT)
 	}
 	if err := sock.Connect(args.Addr); err != nil {
 		return k.errResult(err)
@@ -104,7 +104,7 @@ func (k *Kernel) sysSend(t *Task, args Args) Result {
 	if err != nil {
 		return k.errResult(err)
 	}
-	k.chargeNet(len(args.Buf))
+	k.chargeNet(t, len(args.Buf))
 	if sock.Family == netstack.AFNetlink {
 		if err := sock.SendToNetlink(sock.Proto, t.Cred, args.Buf); err != nil {
 			return k.errResult(err)
@@ -123,7 +123,7 @@ func (k *Kernel) sysRecv(t *Task, args Args) Result {
 	if err != nil {
 		return k.errResult(err)
 	}
-	k.chargeNet(len(args.Buf))
+	k.chargeNet(t, len(args.Buf))
 	n, err := sock.Recv(args.Buf)
 	if err != nil {
 		return k.errResult(err)
@@ -131,6 +131,6 @@ func (k *Kernel) sysRecv(t *Task, args Args) Result {
 	return Result{Ret: int64(n), Data: args.Buf[:n]}
 }
 
-func (k *Kernel) chargeNet(n int) {
-	k.clock.Advance(timesDuration(n, k.model.NetworkPerByte))
+func (k *Kernel) chargeNet(t *Task, n int) {
+	k.clock.Charge(t.Lane, timesDuration(n, k.model.NetworkPerByte))
 }

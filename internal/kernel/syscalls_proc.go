@@ -95,7 +95,7 @@ func (k *Kernel) sysFork(t *Task, _ Args) Result {
 
 func (k *Kernel) sysExecve(t *Task, args Args) Result {
 	p := absPath(t, args.Path)
-	k.chargePathResolution(p)
+	k.chargePathResolution(t, p)
 	if err := k.fs.CheckAccess(t.Cred, p, abi.AccessExec|abi.AccessRead); err != nil {
 		return k.errResult(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"anception/internal/abi"
 	"anception/internal/netstack"
+	"anception/internal/sim"
 	"anception/internal/vfs"
 )
 
@@ -137,6 +138,12 @@ type Task struct {
 	// Shadow is opaque state the Anception layer attaches (the proxy
 	// binding). The kernel never interprets it.
 	Shadow any
+
+	// Lane is the task's own timeline: every sim charge the kernel makes
+	// for the task's calls is attributed to it. A proxy shares its host
+	// task's lane, so work done in the container on the task's behalf
+	// counts as the task's own.
+	Lane *sim.Lane
 }
 
 func newTask(pid, ppid int, cred abi.Cred, comm string) *Task {
@@ -151,6 +158,7 @@ func newTask(pid, ppid int, cred abi.Cred, comm string) *Task {
 		nextFD:   3, // 0,1,2 notionally reserved for stdio
 		State:    TaskRunning,
 		Handlers: make(map[int]bool),
+		Lane:     new(sim.Lane),
 	}
 }
 

@@ -126,7 +126,7 @@ func newChannelForTest(t *testing.T) (*PageChannel, *sim.Clock, sim.LatencyModel
 func TestPageChannelRoundTripDeliversBytes(t *testing.T) {
 	ch, _, _ := newChannelForTest(t)
 	var got []byte
-	resp, err := ch.RoundTrip([]byte("forwarded syscall"), func(req []byte) []byte {
+	resp, err := ch.RoundTrip(nil, []byte("forwarded syscall"), func(req []byte) []byte {
 		got = append([]byte(nil), req...)
 		return []byte("result")
 	})
@@ -141,7 +141,7 @@ func TestPageChannelRoundTripDeliversBytes(t *testing.T) {
 func TestPageChannelBytesVisibleInGuestFrames(t *testing.T) {
 	ch, _, _ := newChannelForTest(t)
 	payload := []byte("the container can see this")
-	if _, err := ch.RoundTrip(payload, func(req []byte) []byte { return req[:8] }); err != nil {
+	if _, err := ch.RoundTrip(nil, payload, func(req []byte) []byte { return req[:8] }); err != nil {
 		t.Fatal(err)
 	}
 	// After the round trip, the first channel frame holds the response
@@ -159,7 +159,7 @@ func TestPageChannelCostModel(t *testing.T) {
 	ch, clock, model := newChannelForTest(t)
 	payload := make([]byte, 2*abi.PageSize) // 2 chunks out
 	before := clock.Now()
-	if _, err := ch.RoundTrip(payload, func([]byte) []byte { return make([]byte, 100) }); err != nil {
+	if _, err := ch.RoundTrip(nil, payload, func([]byte) []byte { return make([]byte, 100) }); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := clock.Now() - before
@@ -189,13 +189,13 @@ func TestSocketChannelCostsMoreForBulkData(t *testing.T) {
 	handler := func([]byte) []byte { return []byte("ok") }
 
 	t0 := clock.Now()
-	if _, err := pageCh.RoundTrip(payload, handler); err != nil {
+	if _, err := pageCh.RoundTrip(nil, payload, handler); err != nil {
 		t.Fatal(err)
 	}
 	pageCost := clock.Now() - t0
 
 	t1 := clock.Now()
-	if _, err := sockCh.RoundTrip(payload, handler); err != nil {
+	if _, err := sockCh.RoundTrip(nil, payload, handler); err != nil {
 		t.Fatal(err)
 	}
 	sockCost := clock.Now() - t1
@@ -221,12 +221,12 @@ func TestChunkSizeAffectsOverhead(t *testing.T) {
 	handler := func([]byte) []byte { return nil }
 
 	t0 := clock.Now()
-	if _, err := small.RoundTrip(payload, handler); err != nil {
+	if _, err := small.RoundTrip(nil, payload, handler); err != nil {
 		t.Fatal(err)
 	}
 	smallCost := clock.Now() - t0
 	t1 := clock.Now()
-	if _, err := large.RoundTrip(payload, handler); err != nil {
+	if _, err := large.RoundTrip(nil, payload, handler); err != nil {
 		t.Fatal(err)
 	}
 	largeCost := clock.Now() - t1

@@ -30,8 +30,9 @@ type AsyncTransport interface {
 	// channel frames, and rings the doorbell if it is not already armed.
 	// It blocks while all slots are in flight (backpressure). Entries
 	// sharing a key are executed in submission order (FIFO per key);
-	// the layer keys file-descriptor calls by descriptor.
-	Submit(payload []byte, key int64, handler GuestHandler) (*Pending, error)
+	// the layer keys file-descriptor calls by descriptor. Every charge
+	// the slot incurs, on either side, goes to lane.
+	Submit(lane *sim.Lane, payload []byte, key int64, handler GuestHandler) (*Pending, error)
 	// Rearm re-keys the ring to a new CVM boot generation: slots still
 	// in flight against the old container complete with EHOSTDOWN
 	// instead of executing against the new one, so supervisor restarts
@@ -83,6 +84,7 @@ type Pending struct {
 	state   atomic.Int32
 	gen     int
 	key     int64
+	lane    *sim.Lane
 	payload []byte
 	handler GuestHandler
 	// inline marks a grant-call or binder-call frame that fit the slot's
@@ -95,6 +97,10 @@ type Pending struct {
 
 // Key returns the FIFO-ordering key the submitter chose.
 func (p *Pending) Key() int64 { return p.key }
+
+// Lane returns the timeline of the task that submitted the slot; the
+// guest-side work done for the slot is charged to it.
+func (p *Pending) Lane() *sim.Lane { return p.lane }
 
 // Payload returns the submitted request bytes.
 func (p *Pending) Payload() []byte { return p.payload }
@@ -111,7 +117,7 @@ func (p *Pending) Wait() ([]byte, error) {
 	<-p.done
 	resp, err := p.resp, p.err
 	p.payload, p.handler, p.resp, p.err = nil, nil, nil, nil
-	p.inline = false
+	p.lane, p.inline = nil, false
 	p.state.Store(slotFree)
 	p.ring.free <- p
 	return resp, err
@@ -256,17 +262,17 @@ func (r *RingChannel) SetReapBatch(n int) {
 func (r *RingChannel) SetLiveness(probe func() bool) { r.liveness = probe }
 
 // chargeChunks models moving n bytes through fixed-size channel chunks.
-func (r *RingChannel) chargeChunks(n int, perByte time.Duration) {
+func (r *RingChannel) chargeChunks(lane *sim.Lane, n int, perByte time.Duration) {
 	if n == 0 {
-		r.clock.Advance(r.model.ChunkOverhead)
+		r.clock.Charge(lane, r.model.ChunkOverhead)
 		return
 	}
 	chunks := (n + r.chunkSize - 1) / r.chunkSize
-	r.clock.Advance(time.Duration(chunks)*r.model.ChunkOverhead + time.Duration(n)*perByte)
+	r.clock.Charge(lane, time.Duration(chunks)*r.model.ChunkOverhead+time.Duration(n)*perByte)
 }
 
 // Submit implements AsyncTransport.
-func (r *RingChannel) Submit(payload []byte, key int64, handler GuestHandler) (*Pending, error) {
+func (r *RingChannel) Submit(lane *sim.Lane, payload []byte, key int64, handler GuestHandler) (*Pending, error) {
 	if r.closed.Load() {
 		return nil, fmt.Errorf("async ring closed: %w", abi.ENXIO)
 	}
@@ -286,7 +292,7 @@ func (r *RingChannel) Submit(payload []byte, key int64, handler GuestHandler) (*
 			return nil, fmt.Errorf("async ring closed: %w", abi.ENXIO)
 		}
 	}
-	s.payload, s.handler, s.key = payload, handler, key
+	s.payload, s.handler, s.key, s.lane = payload, handler, key, lane
 	s.gen = int(r.gen.Load())
 	s.inline = (IsGrantCall(payload) || IsBinderCall(payload) || IsSockOp(payload) || IsChainCall(payload)) && len(payload) <= RingInlineBytes
 	s.state.Store(slotQueued)
@@ -299,12 +305,12 @@ func (r *RingChannel) Submit(payload []byte, key int64, handler GuestHandler) (*
 	// slot's fixed SQE area is covered by the slot write itself and
 	// skips the chunk charge.
 	if !s.inline {
-		r.chargeChunks(len(payload), r.model.CopyToGuestPerByte)
+		r.chargeChunks(lane, len(payload), r.model.CopyToGuestPerByte)
 	}
-	r.clock.Advance(r.model.RingSlotOverhead)
+	r.clock.Charge(lane, r.model.RingSlotOverhead)
 	if err := r.copySlotFrames(s.idx, payload); err != nil {
 		// Slot never reached the SQ; recycle it directly.
-		s.payload, s.handler = nil, nil
+		s.payload, s.handler, s.lane = nil, nil, nil
 		s.state.Store(slotFree)
 		r.submitted.Add(-1)
 		r.free <- s
@@ -318,15 +324,21 @@ func (r *RingChannel) Submit(payload []byte, key int64, handler GuestHandler) (*
 			break
 		}
 	}
+	// The doorbell decision reads the clock before the slot becomes
+	// visible to the guest pool: were it queued first, a worker could
+	// complete (and reap) it before the decision, and whether this
+	// submission rang a new doorbell would depend on goroutine
+	// scheduling.
+	r.ringDoorbell(lane)
 	r.sq <- s // never blocks: cap(sq) == depth == total slots
-	r.ringDoorbell()
 	return s, nil
 }
 
 // ringDoorbell injects the guest interrupt unless the SQ poller is still
 // awake: an armed doorbell covers every submission until the poller reaps
-// a completion batch or idles past RingPollIdle of sim time.
-func (r *RingChannel) ringDoorbell() {
+// a completion batch or idles past RingPollIdle of sim time. The
+// interrupt is charged to the submitting task's lane.
+func (r *RingChannel) ringDoorbell(lane *sim.Lane) {
 	now := r.clock.Now()
 	r.bellMu.Lock()
 	if r.armed && now-r.lastActive > RingPollIdle {
@@ -346,13 +358,13 @@ func (r *RingChannel) ringDoorbell() {
 	if r.trace != nil {
 		r.trace.Record(sim.EvRing, "doorbell: SQ poller woken, interrupt injected")
 	}
-	r.cvm.InjectInterrupt()
+	r.cvm.InjectInterrupt(lane)
 }
 
 // RoundTrip implements Transport as a one-slot submit-and-wait, so the
 // ring can stand in anywhere the synchronous channel does.
-func (r *RingChannel) RoundTrip(payload []byte, handler GuestHandler) ([]byte, error) {
-	p, err := r.Submit(payload, 0, handler)
+func (r *RingChannel) RoundTrip(lane *sim.Lane, payload []byte, handler GuestHandler) ([]byte, error) {
+	p, err := r.Submit(lane, payload, 0, handler)
 	if err != nil {
 		return nil, err
 	}
@@ -394,32 +406,38 @@ func (r *RingChannel) FailFastIfUnservable(s *Pending) bool {
 	return false
 }
 
-// Complete posts one guest-side reply into the slot's CQ entry.
-func (r *RingChannel) Complete(s *Pending, resp []byte) {
-	r.completeWith(s, resp, nil)
+// Complete posts one guest-side reply into the slot's CQ entry and
+// returns the sim time of the post, read before the waiter is woken, so
+// a poller can stamp its activity without racing the waiter's next call.
+func (r *RingChannel) Complete(s *Pending, resp []byte) time.Duration {
+	return r.completeWith(s, resp, nil)
 }
 
-func (r *RingChannel) completeWith(s *Pending, resp []byte, err error) {
+// completeWith finishes the slot's bookkeeping (reply post, reap) before
+// it wakes the waiter: the waiter's next submission must never overtake
+// the reap decision for this one.
+func (r *RingChannel) completeWith(s *Pending, resp []byte, err error) time.Duration {
 	// Exactly-once: the CAS winner owns the result fields and the signal.
 	if !s.state.CompareAndSwap(slotQueued, slotDone) {
-		return
+		return r.clock.Now()
 	}
 	if err == nil {
 		// The reply traverses the slot frames back to the host; a reply
 		// that fits an inline slot's CQ descriptor area rides the
 		// completion post itself.
 		if !s.inline || len(resp) > RingInlineBytes {
-			r.chargeChunks(len(resp), r.model.CopyFromGuestPerByte)
+			r.chargeChunks(s.lane, len(resp), r.model.CopyFromGuestPerByte)
 		}
-		r.clock.Advance(r.model.RingCompletionPost)
+		r.clock.Charge(s.lane, r.model.RingCompletionPost)
 		_ = r.copySlotFrames(s.idx, resp)
 		r.completed.Add(1)
 	} else {
 		r.failed.Add(1)
 	}
 	s.resp, s.err = resp, err
+	at := r.reapIfDrained(s.lane)
 	s.done <- struct{}{}
-	r.reapIfDrained()
+	return at
 }
 
 // reapIfDrained issues the completion-side hypercall once the poller has
@@ -427,8 +445,9 @@ func (r *RingChannel) completeWith(s *Pending, resp []byte, err error) {
 // covers everything since the doorbell armed. Until the batch threshold
 // is met the poller stays awake (no hypercall, doorbell still armed), so
 // a sequential caller amortizes the world switches exactly like a
-// concurrent burst does.
-func (r *RingChannel) reapIfDrained() {
+// concurrent burst does. The reap is charged to the lane of the slot
+// that drained the ring. It returns the sim time after the reap.
+func (r *RingChannel) reapIfDrained(lane *sim.Lane) time.Duration {
 	n := r.inflight.Add(-1)
 	now := r.clock.Now()
 	r.bellMu.Lock()
@@ -436,7 +455,7 @@ func (r *RingChannel) reapIfDrained() {
 	r.lastActive = now
 	if !r.armed || r.sinceArm < r.reapBatch || n != 0 || r.inflight.Load() != 0 {
 		r.bellMu.Unlock()
-		return
+		return now
 	}
 	r.armed = false
 	r.reaps++
@@ -444,7 +463,8 @@ func (r *RingChannel) reapIfDrained() {
 	if r.trace != nil {
 		r.trace.Record(sim.EvRing, "reap: completion batch posted, hypercall")
 	}
-	r.cvm.Hypercall()
+	r.cvm.Hypercall(lane)
+	return r.clock.Now()
 }
 
 // Rearm implements AsyncTransport: see the interface comment.

@@ -22,8 +22,10 @@ type GuestHandler func(req []byte) []byte
 // simulated time. Implementations differ only in cost structure.
 type Transport interface {
 	// RoundTrip delivers payload to the guest, runs handler there, and
-	// returns the response.
-	RoundTrip(payload []byte, handler GuestHandler) ([]byte, error)
+	// returns the response. The transport's charges go to lane, the
+	// timeline of the task whose call this is (nil for device-level
+	// traffic such as the heartbeat).
+	RoundTrip(lane *sim.Lane, payload []byte, handler GuestHandler) ([]byte, error)
 	// Name identifies the transport in ablation reports.
 	Name() string
 }
@@ -88,20 +90,20 @@ func (p *PageChannel) SetLiveness(probe func() bool) { p.liveness = probe }
 func (p *PageChannel) ChunkSize() int { return p.chunkSize }
 
 // chargeChunks models copying data through the fixed-size channel slots.
-func (p *PageChannel) chargeChunks(n int, perByte time.Duration) {
+func (p *PageChannel) chargeChunks(lane *sim.Lane, n int, perByte time.Duration) {
 	if n == 0 {
-		p.clock.Advance(p.model.ChunkOverhead)
+		p.clock.Charge(lane, p.model.ChunkOverhead)
 		return
 	}
 	chunks := (n + p.chunkSize - 1) / p.chunkSize
-	p.clock.Advance(time.Duration(chunks)*p.model.ChunkOverhead + time.Duration(n)*perByte)
+	p.clock.Charge(lane, time.Duration(chunks)*p.model.ChunkOverhead+time.Duration(n)*perByte)
 }
 
 // RoundTrip implements Transport. The payload bytes really do traverse the
 // guest-owned channel frames, so anything the host sends is visible to
 // (and only to) the container — the property the encfs extension's tests
 // rely on.
-func (p *PageChannel) RoundTrip(payload []byte, handler GuestHandler) ([]byte, error) {
+func (p *PageChannel) RoundTrip(lane *sim.Lane, payload []byte, handler GuestHandler) ([]byte, error) {
 	// Liveness first: a panicked guest must not be signaled, and the
 	// handler must not run against its dead kernel. The distinct errno
 	// lets the layer tell "container dead" from "container slow".
@@ -113,20 +115,20 @@ func (p *PageChannel) RoundTrip(payload []byte, handler GuestHandler) ([]byte, e
 		return nil, abi.ENXIO
 	}
 	// Outbound: copy into remapped guest pages, chunk by chunk.
-	p.chargeChunks(len(payload), p.model.CopyToGuestPerByte)
+	p.chargeChunks(lane, len(payload), p.model.CopyToGuestPerByte)
 	if err := p.copyThroughChannel(pages, payload); err != nil {
 		return nil, err
 	}
 	// Signal the guest and run the call there.
-	p.cvm.InjectInterrupt()
+	p.cvm.InjectInterrupt(lane)
 	resp := handler(payload)
 	// Inbound: the guest posts the response through the same pages and
 	// hypercalls back.
-	p.chargeChunks(len(resp), p.model.CopyFromGuestPerByte)
+	p.chargeChunks(lane, len(resp), p.model.CopyFromGuestPerByte)
 	if err := p.copyThroughChannel(pages, resp); err != nil {
 		return nil, err
 	}
-	p.cvm.Hypercall()
+	p.cvm.Hypercall(lane)
 	return resp, nil
 }
 
@@ -188,14 +190,14 @@ func (s *SocketChannel) Name() string { return "socket" }
 func (s *SocketChannel) SetLiveness(probe func() bool) { s.liveness = probe }
 
 // RoundTrip implements Transport.
-func (s *SocketChannel) RoundTrip(payload []byte, handler GuestHandler) ([]byte, error) {
+func (s *SocketChannel) RoundTrip(lane *sim.Lane, payload []byte, handler GuestHandler) ([]byte, error) {
 	if s.liveness != nil && !s.liveness() {
 		return nil, errGuestDown("socket channel")
 	}
-	s.clock.Advance(s.model.SocketChannelFixed + time.Duration(len(payload))*s.model.SocketChannelPerByte)
-	s.cvm.InjectInterrupt()
+	s.clock.Charge(lane, s.model.SocketChannelFixed+time.Duration(len(payload))*s.model.SocketChannelPerByte)
+	s.cvm.InjectInterrupt(lane)
 	resp := handler(payload)
-	s.clock.Advance(s.model.SocketChannelFixed + time.Duration(len(resp))*s.model.SocketChannelPerByte)
-	s.cvm.Hypercall()
+	s.clock.Charge(lane, s.model.SocketChannelFixed+time.Duration(len(resp))*s.model.SocketChannelPerByte)
+	s.cvm.Hypercall(lane)
 	return resp, nil
 }

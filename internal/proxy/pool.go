@@ -3,6 +3,7 @@ package proxy
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"anception/internal/marshal"
 	"anception/internal/sim"
@@ -131,24 +132,27 @@ func (p *Pool) worker(q chan *marshal.Pending) {
 			return
 		}
 		if now := p.clock.Now(); now-lastActive > marshal.RingPollIdle {
-			p.clock.Advance(p.model.ProxyDispatch)
+			p.clock.Charge(s.Lane(), p.model.ProxyDispatch)
 			p.wakeups.Add(1)
 		} else {
 			p.drained.Add(1)
 		}
-		p.serve(s)
-		lastActive = p.clock.Now()
+		if at, served := p.serve(s); served {
+			lastActive = at
+		}
 	}
 }
 
 // serve executes one slot: fail fast on stale generation or a dead guest
 // (the slot still completes — restarts must not leak submissions), else
-// run the handler and post the reply.
-func (p *Pool) serve(s *marshal.Pending) {
+// run the handler and post the reply. For a served slot it returns the
+// sim time of the post, stamped before the waiter wakes: reading the
+// clock after the wake would race the waiter's next call.
+func (p *Pool) serve(s *marshal.Pending) (time.Duration, bool) {
 	if p.ring.FailFastIfUnservable(s) {
-		return
+		return 0, false
 	}
-	p.ring.Complete(s, s.Handler()(s.Payload()))
+	return p.ring.Complete(s, s.Handler()(s.Payload())), true
 }
 
 // shard maps a FIFO key to a worker queue.

@@ -47,7 +47,7 @@ func TestPoolPreservesFIFOPerKey(t *testing.T) {
 	for seq := 0; seq < perKey; seq++ {
 		for k := int64(0); k < keys; k++ {
 			k, seq := k, seq
-			p, err := ring.Submit([]byte("x"), k, func(req []byte) []byte {
+			p, err := ring.Submit(nil, []byte("x"), k, func(req []byte) []byte {
 				mu.Lock()
 				order[k] = append(order[k], seq)
 				mu.Unlock()
@@ -90,7 +90,7 @@ func TestPoolChargesDispatchPerWakeup(t *testing.T) {
 	// same-key entries pile up behind it; on release the worker drains
 	// them all without going idle.
 	gate := make(chan struct{})
-	first, err := ring.Submit([]byte("x"), 7, func(req []byte) []byte {
+	first, err := ring.Submit(nil, []byte("x"), 7, func(req []byte) []byte {
 		<-gate
 		return req
 	})
@@ -99,7 +99,7 @@ func TestPoolChargesDispatchPerWakeup(t *testing.T) {
 	}
 	rest := make([]*marshal.Pending, n-1)
 	for i := range rest {
-		p, err := ring.Submit([]byte("x"), 7, func(req []byte) []byte { return req })
+		p, err := ring.Submit(nil, []byte("x"), 7, func(req []byte) []byte { return req })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,5 +120,45 @@ func TestPoolChargesDispatchPerWakeup(t *testing.T) {
 	st := pool.Stats()
 	if st.Wakeups != 1 || st.Drained != n-1 {
 		t.Fatalf("wakeups=%d drained=%d, want 1/%d", st.Wakeups, st.Drained, n-1)
+	}
+}
+
+// TestPoolSequentialCallerIsDeterministic: one caller submitting and
+// waiting in turn over a multi-worker pool must see the same sim time
+// and the same doorbell/reap decisions on every run. The ring decides
+// its doorbell before a slot becomes visible to the workers and reaps
+// before it wakes the waiter, and the pool stamps its poll window before
+// that wake, so no decision can race the caller's next submission.
+func TestPoolSequentialCallerIsDeterministic(t *testing.T) {
+	run := func() (time.Duration, marshal.RingStats, PoolStats) {
+		ring, pool, clock := newPoolRig(t, 16, 4)
+		pool.Start()
+		var lane sim.Lane
+		for i := 0; i < 400; i++ {
+			payload := make([]byte, 64+(i%5)*1500)
+			p, err := ring.Submit(&lane, payload, int64(i%7), func(req []byte) []byte {
+				clock.Charge(&lane, time.Duration(len(req))*time.Nanosecond)
+				return req[:len(req)/2]
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if i%50 == 49 {
+				// Idle past the poll window so doorbells re-arm.
+				clock.Advance(2 * marshal.RingPollIdle)
+			}
+		}
+		return clock.Now(), ring.RingStats(), pool.Stats()
+	}
+	now0, ring0, pool0 := run()
+	for r := 0; r < 10; r++ {
+		now, rs, ps := run()
+		if now != now0 || rs != ring0 || ps != pool0 {
+			t.Fatalf("run %d diverged:\n  clock %v vs %v\n  ring %+v\n  vs   %+v\n  pool %+v vs %+v",
+				r, now, now0, rs, ring0, ps, pool0)
+		}
 	}
 }

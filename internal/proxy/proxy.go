@@ -75,6 +75,7 @@ func (m *Manager) Ensure(host *kernel.Task) (*kernel.Task, error) {
 	p := m.guest.Spawn(host.Cred, host.Comm+":proxy")
 	p.Umask = host.Umask
 	p.CWD = host.CWD
+	p.Lane = host.Lane
 	// The proxy sleeps in guest kernel space awaiting forwarded calls;
 	// its user footprint is a small fixed mapping.
 	if _, err := p.AS.MapAnon(FootprintPages, kernel.ProtRead|kernel.ProtWrite, kernel.VMAAnon, "proxy"); err != nil {
@@ -102,12 +103,12 @@ func (m *Manager) ProxyFor(hostPID int) *kernel.Task {
 // in-kernel handoff rather than four context switches (Section IV-3).
 func (m *Manager) Execute(proxy *kernel.Task, args kernel.Args) kernel.Result {
 	if m.naiveDispatch {
-		m.clock.Advance(m.model.ProxyDispatch + 4*m.model.GuestContextSwitch)
+		m.clock.Charge(proxy.Lane, m.model.ProxyDispatch+4*m.model.GuestContextSwitch)
 	} else {
-		m.clock.Advance(m.model.ProxyDispatch)
+		m.clock.Charge(proxy.Lane, m.model.ProxyDispatch)
 	}
 	// Guest-side trap entry for the call itself.
-	m.clock.Advance(m.model.SyscallEntry)
+	m.clock.Charge(proxy.Lane, m.model.SyscallEntry)
 	return m.guest.InvokeLocal(proxy, args)
 }
 
@@ -120,9 +121,9 @@ func (m *Manager) Execute(proxy *kernel.Task, args kernel.Args) kernel.Result {
 // success by looking only at the slice length.
 func (m *Manager) ExecuteBatch(proxy *kernel.Task, calls []*kernel.Args) ([]kernel.Result, error) {
 	if m.naiveDispatch {
-		m.clock.Advance(m.model.ProxyDispatch + 4*m.model.GuestContextSwitch)
+		m.clock.Charge(proxy.Lane, m.model.ProxyDispatch+4*m.model.GuestContextSwitch)
 	} else {
-		m.clock.Advance(m.model.ProxyDispatch)
+		m.clock.Charge(proxy.Lane, m.model.ProxyDispatch)
 	}
 	return m.runCalls(proxy, calls)
 }
@@ -132,7 +133,7 @@ func (m *Manager) ExecuteBatch(proxy *kernel.Task, calls []*kernel.Args) ([]kern
 // drains every queued submission, so each drained call costs only its
 // guest-side trap entry (the guest half of doorbell coalescing).
 func (m *Manager) ExecuteDrained(proxy *kernel.Task, args kernel.Args) kernel.Result {
-	m.clock.Advance(m.model.SyscallEntry)
+	m.clock.Charge(proxy.Lane, m.model.SyscallEntry)
 	return m.guest.InvokeLocal(proxy, args)
 }
 
@@ -148,7 +149,7 @@ func (m *Manager) runCalls(proxy *kernel.Task, calls []*kernel.Args) ([]kernel.R
 	results := make([]kernel.Result, len(calls))
 	var firstErr error
 	for i, a := range calls {
-		m.clock.Advance(m.model.SyscallEntry)
+		m.clock.Charge(proxy.Lane, m.model.SyscallEntry)
 		results[i] = m.guest.InvokeLocal(proxy, *a)
 		if !results[i].Ok() && firstErr == nil {
 			firstErr = fmt.Errorf("batch call %d (%s): %w", i, a.Nr, results[i].Err)
@@ -174,6 +175,7 @@ func (m *Manager) MirrorFork(parentHostPID int, child *kernel.Task) (*kernel.Tas
 	}
 	childProxy := m.guest.Task(int(res.Ret))
 	childProxy.Comm = child.Comm + ":proxy"
+	childProxy.Lane = child.Lane
 	m.mu.Lock()
 	m.byHostPID[child.PID] = childProxy
 	m.mu.Unlock()

@@ -59,6 +59,37 @@ func TestStopwatch(t *testing.T) {
 	}
 }
 
+// TestSpanCountsOwnAndUnattributedCharges: a span's elapsed time is its
+// own lane's charges plus unattributed ones; charges to another lane
+// advance the shared clock but are not the span's.
+func TestSpanCountsOwnAndUnattributedCharges(t *testing.T) {
+	c := NewClock()
+	var mine, other Lane
+	c.Advance(time.Second)
+	s := c.StartSpan(&mine)
+	c.Charge(&mine, 3*time.Microsecond)
+	c.Charge(&other, time.Hour)
+	c.Advance(5 * time.Microsecond)
+	c.Charge(nil, 7*time.Microsecond)
+	if got, want := s.Elapsed(), 15*time.Microsecond; got != want {
+		t.Fatalf("span elapsed = %v, want %v", got, want)
+	}
+	if got, want := c.Now(), time.Second+time.Hour+15*time.Microsecond; got != want {
+		t.Fatalf("clock = %v, want %v: lanes must not change the device clock", got, want)
+	}
+	// A span with no lane owns only the unattributed charges.
+	dev := c.StartSpan(nil)
+	c.Charge(&mine, time.Millisecond)
+	c.Advance(2 * time.Microsecond)
+	if got, want := dev.Elapsed(), 2*time.Microsecond; got != want {
+		t.Fatalf("laneless span elapsed = %v, want %v", got, want)
+	}
+	c.Charge(&other, -time.Second)
+	if got, want := s.Elapsed(), 15*time.Microsecond+time.Millisecond+2*time.Microsecond; got != want {
+		t.Fatalf("negative charge moved the span: %v, want %v", got, want)
+	}
+}
+
 func TestMicrosecondsFormat(t *testing.T) {
 	if got := Microseconds(28610 * time.Nanosecond); got != "28.61 us" {
 		t.Fatalf("Microseconds = %q", got)

@@ -238,8 +238,9 @@ func (i *Injector) pick() (FaultKind, time.Duration) {
 }
 
 // RoundTrip implements marshal.Transport: apply at most one fault, then
-// (for survivable kinds) delegate to the wrapped transport.
-func (i *Injector) RoundTrip(payload []byte, handler marshal.GuestHandler) ([]byte, error) {
+// (for survivable kinds) delegate to the wrapped transport. An injected
+// delay is charged to the caller's lane, like the transport's own costs.
+func (i *Injector) RoundTrip(lane *sim.Lane, payload []byte, handler marshal.GuestHandler) ([]byte, error) {
 	kind, delay := i.pick()
 	switch kind {
 	case FaultDrop:
@@ -256,10 +257,10 @@ func (i *Injector) RoundTrip(payload []byte, handler marshal.GuestHandler) ([]by
 		if i.trace != nil {
 			i.trace.Record(sim.EvFault, "injected: %v delay", delay)
 		}
-		i.clock.Advance(delay)
-		return i.inner.RoundTrip(payload, handler)
+		i.clock.Charge(lane, delay)
+		return i.inner.RoundTrip(lane, payload, handler)
 	case FaultCorrupt:
-		resp, err := i.inner.RoundTrip(payload, handler)
+		resp, err := i.inner.RoundTrip(lane, payload, handler)
 		if err != nil || len(resp) == 0 {
 			return resp, err
 		}
@@ -276,7 +277,7 @@ func (i *Injector) RoundTrip(payload []byte, handler marshal.GuestHandler) ([]by
 		}
 		return out, nil
 	case FaultTruncate:
-		resp, err := i.inner.RoundTrip(payload, handler)
+		resp, err := i.inner.RoundTrip(lane, payload, handler)
 		if err != nil || len(resp) == 0 {
 			return resp, err
 		}
@@ -295,8 +296,8 @@ func (i *Injector) RoundTrip(payload []byte, handler marshal.GuestHandler) ([]by
 		if i.trace != nil {
 			i.trace.Record(sim.EvFault, "injected: latest checkpoint image corrupted")
 		}
-		return i.inner.RoundTrip(payload, handler)
+		return i.inner.RoundTrip(lane, payload, handler)
 	default:
-		return i.inner.RoundTrip(payload, handler)
+		return i.inner.RoundTrip(lane, payload, handler)
 	}
 }
