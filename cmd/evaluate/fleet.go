@@ -62,8 +62,8 @@ type fleetReport struct {
 	LinearEfficiency8 float64           `json:"linear_efficiency_8"`
 	BlastRadius       fleetBlastRow     `json:"blast_radius"`
 	Migration         fleetMigrationRow `json:"migration"`
-	// PinnedOK records the Table I guard: a 1-CVM fleet shard forced to
-	// ForceSyncUncached reproduces the pinned paper rows byte-for-byte.
+	// PinnedOK records the Table I guard: a 1-CVM fleet shard on the
+	// Paper profile reproduces the pinned paper rows byte-for-byte.
 	PinnedOK bool `json:"pinned_table1_ok"`
 }
 
@@ -138,7 +138,7 @@ func fleetExp() error {
 		return fmt.Errorf("pinned Table I guard: %w", err)
 	}
 	report.PinnedOK = pinnedOK
-	fmt.Println("  pinned Table I rows on a 1-CVM ForceSyncUncached shard: ok")
+	fmt.Println("  pinned Table I rows on a 1-CVM paper-profile shard: ok")
 
 	if err := fleetFloors(&report); err != nil {
 		return err
@@ -259,21 +259,19 @@ func fleetMigrationDemo() (fleetMigrationRow, error) {
 }
 
 // fleetPinnedCheck reruns the benchJSON Table I measurement on a 1-CVM
-// fleet shard running the AutoTune profile with a ForceSyncUncached
-// override: the fleet plumbing must charge byte-for-byte what the
-// committed BENCH_redirection.json rows pin for a plain uncached device.
+// fleet shard booted on the Paper profile: the fleet plumbing must
+// charge byte-for-byte what the committed BENCH_redirection.json rows
+// pin for a plain uncached device.
 func fleetPinnedCheck() (bool, error) {
 	const iters = 2000
 	f, err := anception.NewFleet(anception.Options{
-		Mode: anception.ModeAnception, DisableTrace: true,
-		AutoTune: true, FleetSize: 1,
+		Mode: anception.ModeAnception, DisableTrace: true, FleetSize: 1,
 	})
 	if err != nil {
 		return false, err
 	}
 	defer f.Close()
 	d := f.Shard(0).Dev
-	d.Layer.SetPolicyOverride(&anception.PolicyOverride{ForceSyncUncached: true})
 
 	app, err := f.InstallApp(android.AppSpec{Package: "com.bench"})
 	if err != nil {

@@ -309,11 +309,8 @@ func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, args *kernel.Args, 
 		return kernel.Result{Ret: -1, Err: fmt.Errorf("binder bridge: container down: %w", abi.EHOSTDOWN)}
 	}
 	fp := l.binder
-	// A forced-sync override pins the paper's synchronous bridge: no
-	// reply cache, no session dispatch.
-	forceSync := l.policy.forceSync()
 	readOnly := false
-	if fp != nil && fp.replyCache && !st.degraded && !forceSync {
+	if fp != nil && fp.replyCache && !st.degraded {
 		readOnly = !txn.Oneway && g.Binder().IsReadOnly(txn.Service, txn.Code)
 		if !readOnly {
 			// A mutating (or oneway) transaction may change anything the
@@ -344,7 +341,7 @@ func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, args *kernel.Args, 
 
 	var res kernel.Result
 	var gen int
-	if fp != nil && fp.sessions && !forceSync {
+	if fp != nil && fp.sessions {
 		res, gen = l.bridgeBinderSession(st, t, args, txn)
 	} else {
 		if readOnly {

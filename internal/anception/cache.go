@@ -39,7 +39,7 @@ import (
 // budget, the LRU victim in place), and resident plus spare pages never
 // exceed the budget.
 
-// Cache tuning defaults; see Options.
+// Cache tuning.
 const (
 	// DefaultReadAheadPages is the number of pages fetched per read miss
 	// in one chunked round-trip.
@@ -81,6 +81,8 @@ type CacheStats struct {
 	Invalidations int
 }
 
+// redirCacheConfig is the cache tuning. Boot always sets the defaults
+// above; tests shrink it to reach the eviction and write-back edges.
 type redirCacheConfig struct {
 	readAhead  int
 	budget     int64
@@ -158,18 +160,13 @@ type attrEntry struct {
 	res kernel.Result
 }
 
-func newRedirCache(cfg redirCacheConfig, gen int) *redirCache {
-	if cfg.readAhead <= 0 {
-		cfg.readAhead = DefaultReadAheadPages
-	}
-	if cfg.budget <= 0 {
-		cfg.budget = DefaultCacheBudgetBytes
-	}
-	if cfg.flushDelay <= 0 {
-		cfg.flushDelay = DefaultCacheFlushDelay
-	}
+func newRedirCache(gen int) *redirCache {
 	return &redirCache{
-		cfg:   cfg,
+		cfg: redirCacheConfig{
+			readAhead:  DefaultReadAheadPages,
+			budget:     DefaultCacheBudgetBytes,
+			flushDelay: DefaultCacheFlushDelay,
+		},
 		gen:   gen,
 		lru:   list.New(),
 		fds:   make(map[*kernel.FDEntry]*fdCache),
@@ -418,20 +415,15 @@ func (l *Layer) cacheBypassed(st *layerState) bool {
 // cachedFDCall intercepts descriptor calls on a remote fd when the cache
 // is enabled. It either serves the call (handled=true) or performs the
 // coherence flush and lets the caller forward normally (handled=false).
-// An enabled cache always serves; only a ForceSyncUncached override
-// routes around it, and the coherence flush below still runs so
-// buffered data reaches the guest before the forwarded call.
 func (l *Layer) cachedFDCall(st *layerState, t *kernel.Task, e *kernel.FDEntry, args *kernel.Args) (kernel.Result, bool) {
 	c := l.cache
 	switch args.Nr {
 	case abi.SysPread64:
-		if l.policy.serveCache() {
-			return l.cachedPread(st, t, e, args)
-		}
+		l.policy.cacheServed.Add(1)
+		return l.cachedPread(st, t, e, args)
 	case abi.SysPwrite64:
-		if l.policy.serveCache() {
-			return l.cachedPwrite(st, t, e, args)
-		}
+		l.policy.cacheServed.Add(1)
+		return l.cachedPwrite(st, t, e, args)
 	}
 	// Coherence rule: every call not served above sees the guest's view,
 	// so any buffered data for this descriptor is written back first. No
@@ -929,13 +921,6 @@ func attrMutates(nr abi.SyscallNr) bool {
 // must forward; it then reports the outcome via notePathResult.
 func (l *Layer) cachedPathCall(st *layerState, t *kernel.Task, args *kernel.Args, p string) (kernel.Result, bool) {
 	c := l.cache
-	// A forced-sync override pins the uncached path: no attribute is
-	// served or charged for. Nothing was cached under the override
-	// either (notePathResult is gated the same way), so the skipped
-	// mutating-call flush below has nothing to write back.
-	if l.policy.forceSync() {
-		return kernel.Result{}, false
-	}
 	if !attrCacheable(args.Nr) {
 		if attrMutates(args.Nr) {
 			// Content-changing path ops write back any buffered data for
@@ -983,7 +968,7 @@ func (l *Layer) cachedPathCall(st *layerState, t *kernel.Task, args *kernel.Args
 // invalidated by a mutating path call.
 func (l *Layer) notePathResult(args *kernel.Args, p string, res kernel.Result) {
 	c := l.cache
-	if c == nil || l.policy.forceSync() {
+	if c == nil {
 		return
 	}
 	if attrCacheable(args.Nr) {

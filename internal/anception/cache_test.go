@@ -298,7 +298,8 @@ func TestCacheWriteCoalescing(t *testing.T) {
 // window it flushes on its own, and disjoint extents ride one batched
 // round-trip (one pair of world switches for two writes).
 func TestCacheThresholdFlushBatches(t *testing.T) {
-	d, p := bootCachedDevice(t, func(o *Options) { o.ReadAheadPages = 2 })
+	d, p := bootCachedDevice(t, nil)
+	d.Layer.cache.cfg.readAhead = 2
 	fd := mustOpen(t, p, "batch.dat", abi.ORdWr|abi.OCreat)
 	pageA := bytes.Repeat([]byte{'A'}, int(cachePageSize))
 	pageC := bytes.Repeat([]byte{'C'}, int(cachePageSize))
@@ -371,10 +372,9 @@ func TestCacheReadAhead(t *testing.T) {
 // TestCacheLRUEviction: clean pages stay under the byte budget; the least
 // recently used page is evicted and misses again.
 func TestCacheLRUEviction(t *testing.T) {
-	d, p := bootCachedDevice(t, func(o *Options) {
-		o.ReadAheadPages = 1
-		o.CacheBudgetBytes = 2 * cachePageSize
-	})
+	d, p := bootCachedDevice(t, nil)
+	d.Layer.cache.cfg.readAhead = 1
+	d.Layer.cache.cfg.budget = 2 * cachePageSize
 	fd := mustOpen(t, p, "lru.dat", abi.ORdWr|abi.OCreat)
 	content := make([]byte, 3*cachePageSize)
 	for i := range content {

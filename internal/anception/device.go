@@ -52,6 +52,16 @@ const (
 	autoTuneGrantThreshold = 16 << 10
 )
 
+// The device's fixed memory layout: a 1 GB device and a 16-page shared
+// data channel. The guest kernel's own footprint is the CVM's 64 MB
+// minus the paper's 49,228 KB available, minus the channel pages
+// accounted separately.
+const (
+	deviceMemoryBytes       = 1 << 30
+	channelPages            = 16
+	guestKernelReserveBytes = (65536-49228)*1024 - channelPages*abi.PageSize
+)
+
 // String names the mode.
 func (m Mode) String() string {
 	switch m {
@@ -72,15 +82,8 @@ func (m Mode) String() string {
 type Options struct {
 	Mode Mode
 
-	// MemoryBytes is total device memory (default 1 GB).
-	MemoryBytes int64
 	// CVMMemoryBytes is the container's assignment (default 64 MB).
 	CVMMemoryBytes int64
-	// GuestKernelReserveBytes approximates the guest kernel's own
-	// footprint (default sized to match the paper's 49,228 KB available).
-	GuestKernelReserveBytes int64
-	// ChannelPages sizes the shared data channel (default 16).
-	ChannelPages int
 
 	// ChunkSize overrides the data-channel transfer unit (ablation A2).
 	ChunkSize int
@@ -102,15 +105,6 @@ type Options struct {
 	// a path-attribute cache for idempotent calls. Off by default — the
 	// paper's Table I numbers are measured without it.
 	RedirCache bool
-	// ReadAheadPages is the pages fetched per read miss in one chunked
-	// round-trip (default anception.DefaultReadAheadPages).
-	ReadAheadPages int
-	// CacheBudgetBytes bounds clean cached page data, LRU-evicted
-	// (default anception.DefaultCacheBudgetBytes).
-	CacheBudgetBytes int64
-	// CacheFlushDelay is the sim-time write-back deadline for buffered
-	// writes (default anception.DefaultCacheFlushDelay).
-	CacheFlushDelay time.Duration
 
 	// RingDepth > 0 replaces the synchronous page channel with the
 	// asynchronous redirection ring: that many SQ/CQ slots in the
@@ -137,17 +131,6 @@ type Options struct {
 	// by default — the paper's Table I rows are measured without it.
 	GrantThreshold int
 
-	// NetBatch caps how many accepted connections or readiness events one
-	// batched accept4/epoll_wait ring completion may carry (default
-	// anception.DefaultNetBatch). Callers asking for more are clamped;
-	// callers asking for 0 get the full cap.
-	NetBatch int
-	// SockRcvBudget overrides the per-socket receive-queue byte budget
-	// (default netstack.DefaultRcvBudget). A full stream queue pushes
-	// EAGAIN back at the sender; a full datagram queue drops silently and
-	// counts the drop.
-	SockRcvBudget int
-
 	// BinderSessions enables persistent binder sessions to CVM-resident
 	// services (DESIGN.md §12): the first transaction to a service pays a
 	// one-time BinderSessionSetup (proxy enrollment + pinned guest
@@ -170,25 +153,19 @@ type Options struct {
 	// (open→fstat→read, send→recv), falling back to per-call dispatch
 	// on misprediction. Requires an async ring (RingDepth > 0 or
 	// AutoTune); without one, chains execute per-call. AutoTune implies
-	// FusionEnable. Off by default.
+	// FusionEnable. Chains longer than DefaultFusionMaxLinks run
+	// per-call. Off by default.
 	FusionEnable bool
-	// FusionMaxLinks bounds the links one fused submission may carry
-	// (default anception.DefaultFusionMaxLinks, hard-capped at
-	// marshal.MaxChainLinks). Longer chains fall back to per-call
-	// dispatch.
-	FusionMaxLinks int
 
-	// AutoTune selects the fixed fast profile (DESIGN.md §15): boot
-	// expands it once into the knobs above — RingDepth 64, RingWorkers 1,
+	// AutoTune selects the Fast profile (DESIGN.md §15): boot expands it
+	// once into the knobs above — RingDepth 64, RingWorkers 1,
 	// RingReapBatch equal to the depth, GrantThreshold 16 KiB,
-	// RedirCache, BinderSessions, BinderReplyCache and FusionEnable — and
-	// mounts a synchronous fallback channel beside the ring. A knob the
-	// caller set keeps its value. Every decision then follows the static
-	// knob rules: the ring serves, payloads of at least GrantThreshold
-	// ride grants, and the cache serves. SocketTransport is ignored
-	// under AutoTune. Layer.SetPolicyOverride can still force
-	// individual calls onto the uncached synchronous path (the pinned
-	// paper rows). Off by default.
+	// RedirCache, BinderSessions, BinderReplyCache and FusionEnable. A
+	// knob the caller set keeps its value. Every decision then follows
+	// the static knob rules: the ring serves, payloads of at least
+	// GrantThreshold ride grants, and the cache serves. SocketTransport
+	// is ignored under AutoTune. Off by default: the zero Options is the
+	// Paper profile, the synchronous uncached channel Table I measures.
 	AutoTune bool
 
 	// SnapshotInterval > 0 enables hypervisor checkpoints (DESIGN.md §13):
@@ -198,20 +175,12 @@ type Options struct {
 	// MTTR, with warm state provably unchanged since the checkpoint
 	// surviving the swap. Off by default.
 	SnapshotInterval time.Duration
-	// SnapshotMaxAge bounds how stale a checkpoint may be and still be
-	// restorable; an over-age checkpoint is refused (ESTALE) and recovery
-	// falls back to a cold restart. Zero means no age limit.
-	SnapshotMaxAge time.Duration
 
 	// Vulns selects the historical bugs present on the platform.
 	Vulns android.VulnProfile
 
 	// DisableTrace turns off event recording (benchmarks).
 	DisableTrace bool
-
-	// Label names this device's container in traces and fleet
-	// bookkeeping (NewFleet stamps "shard-N"); empty means "cvm".
-	Label string
 
 	// FleetSize > 1 is consumed by NewFleet: the number of CVM shards
 	// the fleet boots, each a full service domain (own channels, ring,
@@ -227,19 +196,8 @@ func (o *Options) applyDefaults() {
 	if o.Mode == 0 {
 		o.Mode = ModeAnception
 	}
-	if o.MemoryBytes == 0 {
-		o.MemoryBytes = 1 << 30
-	}
 	if o.CVMMemoryBytes == 0 {
 		o.CVMMemoryBytes = 64 << 20
-	}
-	if o.GuestKernelReserveBytes == 0 {
-		// 64 MB total minus the paper's 49,228 KB available, minus the
-		// 16 channel pages accounted separately.
-		o.GuestKernelReserveBytes = (65536-49228)*1024 - 16*abi.PageSize
-	}
-	if o.ChannelPages == 0 {
-		o.ChannelPages = 16
 	}
 	if o.AutoTune {
 		o.applyFastProfile()
@@ -296,6 +254,10 @@ type Device struct {
 	ring     *marshal.RingChannel
 	ringPool *proxy.Pool
 
+	// label names the container in traces and fleet bookkeeping:
+	// "shard-N" under a fleet, empty (shown as "cvm") otherwise.
+	label string
+
 	// grants is set when Options.GrantThreshold > 0: the zero-copy
 	// grant table shared by the layer and the guest side.
 	grants *hypervisor.GrantTable
@@ -311,6 +273,12 @@ type Device struct {
 
 // NewDevice boots a platform in the given configuration.
 func NewDevice(opts Options) (*Device, error) {
+	return newDevice(opts, "")
+}
+
+// newDevice boots a device whose container is named label (NewFleet
+// names its shards; a lone device passes "").
+func newDevice(opts Options, label string) (*Device, error) {
 	opts.applyDefaults()
 	clock := sim.NewClock()
 	model := sim.DefaultLatencyModel()
@@ -324,9 +292,10 @@ func NewDevice(opts Options) (*Device, error) {
 		Clock: clock,
 		Model: model,
 		Trace: trace,
-		Phys:  kernel.NewPhysical(opts.MemoryBytes),
+		Phys:  kernel.NewPhysical(deviceMemoryBytes),
 		PM:    android.NewPackageManager(),
 		apps:  make(map[string]*App),
+		label: label,
 	}
 
 	switch opts.Mode {
@@ -416,9 +385,9 @@ func (d *Device) bootAnception() error {
 		Model:              d.Model,
 		Trace:              d.Trace,
 		MemoryBytes:        d.Opts.CVMMemoryBytes,
-		KernelReserveBytes: d.Opts.GuestKernelReserveBytes,
-		ChannelPages:       d.Opts.ChannelPages,
-		Label:              d.Opts.Label,
+		KernelReserveBytes: guestKernelReserveBytes,
+		ChannelPages:       channelPages,
+		Label:              d.label,
 	})
 	if err != nil {
 		return err
@@ -442,7 +411,6 @@ func (d *Device) bootAnception() error {
 	proxies.SetNaiveDispatch(d.Opts.NaiveDispatch)
 
 	var transport marshal.Transport
-	var syncFallback marshal.Transport
 	switch {
 	case d.Opts.RingDepth > 0:
 		ring := marshal.NewRingChannel(cvm, d.Clock, d.Model, d.Trace, d.Opts.RingDepth, d.Opts.ChunkSize)
@@ -453,12 +421,6 @@ func (d *Device) bootAnception() error {
 		d.ringPool = proxy.NewPool(ring, d.Opts.RingWorkers, d.Clock, d.Model)
 		d.ringPool.Start()
 		transport = ring
-		if d.Opts.AutoTune {
-			// The fast profile mounts a synchronous fallback channel
-			// beside the ring so a ForceSyncUncached override can reach the
-			// paper's channel; both share the CVM's mapped channel pages.
-			syncFallback = marshal.NewPageChannel(cvm, d.Clock, d.Model, d.Opts.ChunkSize)
-		}
 	case d.Opts.SocketTransport:
 		transport = marshal.NewSocketChannel(cvm, d.Clock, d.Model)
 	default:
@@ -472,7 +434,6 @@ func (d *Device) bootAnception() error {
 	if d.Opts.SnapshotInterval > 0 {
 		d.snapshots = hypervisor.NewSnapshotter(cvm, hypervisor.SnapshotterConfig{
 			Interval: d.Opts.SnapshotInterval,
-			MaxAge:   d.Opts.SnapshotMaxAge,
 		})
 	}
 
@@ -488,10 +449,7 @@ func (d *Device) bootAnception() error {
 		KeepFSOnHost: d.Opts.KeepFSOnHost,
 		CallDeadline: d.Opts.CallDeadline,
 
-		RedirCache:       d.Opts.RedirCache,
-		ReadAheadPages:   d.Opts.ReadAheadPages,
-		CacheBudgetBytes: d.Opts.CacheBudgetBytes,
-		CacheFlushDelay:  d.Opts.CacheFlushDelay,
+		RedirCache: d.Opts.RedirCache,
 
 		GrantTable:     d.grants,
 		GrantThreshold: d.Opts.GrantThreshold,
@@ -499,12 +457,7 @@ func (d *Device) bootAnception() error {
 		BinderSessions:   d.Opts.BinderSessions,
 		BinderReplyCache: d.Opts.BinderReplyCache,
 
-		NetBatch: d.Opts.NetBatch,
-
-		SyncTransport: syncFallback,
-
-		FusionEnable:   d.Opts.FusionEnable,
-		FusionMaxLinks: d.Opts.FusionMaxLinks,
+		FusionEnable: d.Opts.FusionEnable,
 	})
 	if err != nil {
 		return err
@@ -512,11 +465,8 @@ func (d *Device) bootAnception() error {
 	host.SetInterceptor(layer)
 
 	// Key the guest stack to the boot generation so ConnectPolicy
-	// re-checks fire after a restart, and apply the receive budget knob.
+	// re-checks fire after a restart.
 	guest.Net().SetGeneration(uint64(cvm.Generation()))
-	if d.Opts.SockRcvBudget > 0 {
-		guest.Net().SetDefaultRcvBudget(d.Opts.SockRcvBudget)
-	}
 
 	d.Host, d.HostServices = host, hostSvcs
 	d.CVM, d.Guest, d.GuestServices = cvm, guest, guestSvcs
@@ -542,7 +492,7 @@ func (d *Device) bootClassical() error {
 		Model:              d.Model,
 		Trace:              d.Trace,
 		MemoryBytes:        guestBytes,
-		KernelReserveBytes: d.Opts.GuestKernelReserveBytes,
+		KernelReserveBytes: guestKernelReserveBytes,
 		ChannelPages:       0,
 	})
 	if err != nil {
@@ -747,9 +697,6 @@ func (d *Device) rebuildGuest() (*kernel.Kernel, *android.Services, *proxy.Manag
 	}
 	proxies := proxy.NewManager(guest, d.Clock, d.Model, d.Trace)
 	proxies.SetNaiveDispatch(d.Opts.NaiveDispatch)
-	if d.Opts.SockRcvBudget > 0 {
-		guest.Net().SetDefaultRcvBudget(d.Opts.SockRcvBudget)
-	}
 	return guest, svcs, proxies, nil
 }
 
@@ -815,10 +762,10 @@ func (d *Device) Close() {
 // Label names this device's container ("cvm", or "shard-N" under a
 // fleet).
 func (d *Device) Label() string {
-	if d.Opts.Label == "" {
+	if d.label == "" {
 		return "cvm"
 	}
-	return d.Opts.Label
+	return d.label
 }
 
 // Probe sends one supervisor heartbeat through the Anception layer's data

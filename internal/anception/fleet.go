@@ -130,8 +130,7 @@ func NewFleet(opts Options) (*Fleet, error) {
 		shardOpts := opts
 		shardOpts.FleetSize = 0
 		shardOpts.FleetPlacement = ""
-		shardOpts.Label = fmt.Sprintf("shard-%d", i)
-		dev, err := NewDevice(shardOpts)
+		dev, err := newDevice(shardOpts, fmt.Sprintf("shard-%d", i))
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("fleet: boot shard %d: %w", i, err)

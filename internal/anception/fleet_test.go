@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+	"time"
 
 	"anception/internal/abi"
 	"anception/internal/android"
@@ -392,4 +393,60 @@ func TestFleetElapsedIsMaxShardClock(t *testing.T) {
 	if max == sum {
 		t.Fatal("both shards burned identical nonzero time; drill is vacuous")
 	}
+}
+
+// TestFleetShardMatchesPlainDevice guards the fleet's pinned Table I
+// rows: a 1-CVM fleet on the Paper profile must charge exactly what a
+// plain device charges for getpid, a 4 KiB pwrite and pread, and
+// 128/256 B binder calls, and read4k stays at the paper's 305.03 us.
+func TestFleetShardMatchesPlainDevice(t *testing.T) {
+	f, err := NewFleet(Options{DisableTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	plain := bootPolicyDevice(t, Options{})
+
+	page := make([]byte, abi.PageSize)
+	prep := func(p *Proc) (int, int) {
+		fd := mustOpen(t, p, "t1.dat", abi.ORdWr|abi.OCreat)
+		mustPwrite(t, p, fd, page, 0)
+		bfd, err := p.OpenBinder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fd, bfd
+	}
+	app, err := f.InstallApp(android.AppSpec{Package: "com.fleet.tablei"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, sp := f.Shard(0).Dev, app.Proc()
+	sfd, sbfd := prep(sp)
+	pp := installAndLaunch(t, plain, "com.fleet.tablei")
+	pfd, pbfd := prep(pp)
+
+	benches := []struct {
+		name string
+		run  func(p *Proc, fd, bfd int)
+	}{
+		{"getpid", func(p *Proc, _, _ int) { p.Getpid() }},
+		{"write4k", func(p *Proc, fd, _ int) { _, _ = p.Pwrite(fd, page, 0) }},
+		{"read4k", func(p *Proc, fd, _ int) { _, _ = p.Pread(fd, abi.PageSize, 0) }},
+		{"binder128", func(p *Proc, _, bfd int) {
+			_, _ = p.BinderCall(bfd, "location", android.CodeGetLocation, make([]byte, 128))
+		}},
+		{"binder256", func(p *Proc, _, bfd int) {
+			_, _ = p.BinderCall(bfd, "location", android.CodeGetLocation, make([]byte, 256))
+		}},
+	}
+	for _, b := range benches {
+		got := measureOnce(shard, func() { b.run(sp, sfd, sbfd) })
+		want := measureOnce(plain, func() { b.run(pp, pfd, pbfd) })
+		if got != want {
+			t.Errorf("%s: fleet shard charged %v, plain device %v, want identical", b.name, got, want)
+		}
+	}
+	within(t, "read4k", measureOnce(shard, func() { _, _ = sp.Pread(sfd, abi.PageSize, 0) }),
+		305030*time.Nanosecond, 0.03)
 }

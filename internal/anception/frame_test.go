@@ -105,7 +105,9 @@ func TestCachedPreadHitAllocs(t *testing.T) {
 // reused fetch buffer and takes over the LRU victim's page in place, so
 // no miss allocates a page.
 func TestReadAheadMissAtFullCacheAllocatesNoPage(t *testing.T) {
-	d, p, fd, _ := pageIOApp(t, Options{RedirCache: true, ReadAheadPages: 1, CacheBudgetBytes: 2 * cachePageSize})
+	d, p, fd, _ := pageIOApp(t, Options{RedirCache: true})
+	d.Layer.cache.cfg.readAhead = 1
+	d.Layer.cache.cfg.budget = 2 * cachePageSize
 	content := make([]byte, 3*cachePageSize)
 	for i := range content {
 		content[i] = byte(i * 13)

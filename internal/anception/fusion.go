@@ -122,8 +122,6 @@ type taskFusion struct {
 
 // layerFusion is the fusion layer's mutable state.
 type layerFusion struct {
-	maxLinks int
-
 	mu     sync.Mutex
 	tasks  map[int]*taskFusion
 	spec   map[specKey][]specResult
@@ -143,18 +141,11 @@ type layerFusion struct {
 	specDropped atomic.Int64
 }
 
-func newLayerFusion(maxLinks int) *layerFusion {
-	if maxLinks <= 0 {
-		maxLinks = DefaultFusionMaxLinks
-	}
-	if maxLinks > marshal.MaxChainLinks {
-		maxLinks = marshal.MaxChainLinks
-	}
+func newLayerFusion() *layerFusion {
 	return &layerFusion{
-		maxLinks: maxLinks,
-		tasks:    make(map[int]*taskFusion),
-		spec:     make(map[specKey][]specResult),
-		sticky:   make(map[specKey][]byte),
+		tasks:  make(map[int]*taskFusion),
+		spec:   make(map[specKey][]specResult),
+		sticky: make(map[specKey][]byte),
 	}
 }
 
@@ -213,8 +204,8 @@ func (l *Layer) SetChainStep(f func(next int)) {
 
 // Chain executes a dependent call chain on behalf of a host task: fused
 // into linked ring submissions when the transport allows, per-call
-// dispatch otherwise (including under a ForceSyncUncached override,
-// where each link is byte-identical to an unfused call).
+// dispatch otherwise, where each link is byte-identical to an unfused
+// call.
 func (l *Layer) Chain(t *kernel.Task, calls []ChainCall) []kernel.Result {
 	if len(calls) == 0 {
 		return nil
@@ -257,8 +248,7 @@ func validateChain(calls []ChainCall) error {
 // link's returned descriptor, UseCursor accumulates read returns. A
 // failed link short-circuits the rest with its error. This is the
 // fallback arm — on an anception device each call dispatches exactly
-// like an unfused syscall, which keeps the pinned paper rows
-// byte-identical under ForceSyncUncached.
+// like an unfused syscall.
 func runChainUnfused(invoke func(kernel.Args) kernel.Result, calls []ChainCall) []kernel.Result {
 	results := make([]kernel.Result, len(calls))
 	var cursor int64
@@ -297,12 +287,11 @@ func runChainUnfused(invoke func(kernel.Args) kernel.Result, calls []ChainCall) 
 }
 
 // tryFusedChain runs the chain over linked ring submissions. ok=false
-// means the caller must fall back to per-call dispatch (fusion off,
-// forced sync, no async ring, chain too long, or a link the fused plan
-// cannot represent).
+// means the caller must fall back to per-call dispatch (fusion off, no
+// async ring, chain longer than DefaultFusionMaxLinks, or a link the
+// fused plan cannot represent).
 func (l *Layer) tryFusedChain(t *kernel.Task, calls []ChainCall) ([]kernel.Result, bool) {
-	f := l.fusion
-	if f == nil || len(calls) > f.maxLinks || l.policy.forceSync() {
+	if l.fusion == nil || len(calls) > DefaultFusionMaxLinks {
 		return nil, false
 	}
 	st := l.currentState()

@@ -121,24 +121,51 @@ func TestChainShortCircuitErrno(t *testing.T) {
 	}
 }
 
-// TestChainForceSyncFallback: under ForceSyncUncached the chain takes
-// the per-call path (Table I pinning) — results are identical and the
-// fallback is counted.
-func TestChainForceSyncFallback(t *testing.T) {
+// TestChainOverMaxLinksFallsBack: a chain one link longer than
+// DefaultFusionMaxLinks is not fused. It falls back to per-call
+// dispatch, and every link returns what the same call returns unfused.
+func TestChainOverMaxLinksFallsBack(t *testing.T) {
 	d, p := bootFusedDevice(t)
-	content := []byte("sync fallback stays byte-identical")
-	seedGuestFile(t, p, "sync.dat", content)
+	const chunk = 16
+	reads := DefaultFusionMaxLinks + 1 - 3 // beside open, fstat and close
+	content := make([]byte, reads*chunk)
+	for i := range content {
+		content[i] = byte(i)
+	}
+	seedGuestFile(t, p, "long.dat", content)
 
-	d.Layer.SetPolicyOverride(&PolicyOverride{ForceSyncUncached: true})
-	buf := make([]byte, len(content))
-	results := p.Chain(openStatReadCloseChain("sync.dat", buf)...)
-	for i, r := range results {
-		if !r.Ok() {
-			t.Fatalf("link %d failed under forced sync: %v", i, r.Err)
+	chain := []ChainCall{
+		{Args: kernel.Args{Nr: abi.SysOpen, Path: "long.dat", Flags: abi.ORdWr}, FDFrom: -1},
+		{Args: kernel.Args{Nr: abi.SysFstat}, FDFrom: 0},
+	}
+	for i := 0; i < reads; i++ {
+		chain = append(chain, ChainCall{Args: kernel.Args{Nr: abi.SysPread64, Buf: make([]byte, chunk)}, FDFrom: 0, UseCursor: true})
+	}
+	chain = append(chain, ChainCall{Args: kernel.Args{Nr: abi.SysClose}, FDFrom: 0})
+	got := p.Chain(chain...)
+
+	fd := mustOpen(t, p, "long.dat", abi.ORdWr)
+	want := []kernel.Result{{}, p.Syscall(kernel.Args{Nr: abi.SysFstat, FD: fd})}
+	for i := 0; i < reads; i++ {
+		want = append(want, p.Syscall(kernel.Args{Nr: abi.SysPread64, FD: fd, Buf: make([]byte, chunk), Off: int64(i * chunk)}))
+	}
+	want = append(want, p.Syscall(kernel.Args{Nr: abi.SysClose, FD: fd}))
+
+	if len(got) != len(want) {
+		t.Fatalf("chain returned %d results, want %d", len(got), len(want))
+	}
+	if !got[0].Ok() {
+		t.Fatalf("open link failed: %v", got[0].Err)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].Err != nil || want[i].Err != nil || got[i].Ret != want[i].Ret {
+			t.Fatalf("link %d: chained Ret=%d err=%v, per-call Ret=%d err=%v", i, got[i].Ret, got[i].Err, want[i].Ret, want[i].Err)
 		}
 	}
-	if !bytes.Equal(buf, content) {
-		t.Fatalf("pread buf = %q, want %q", buf, content)
+	for i := 0; i < reads; i++ {
+		if buf := chain[2+i].Args.Buf; !bytes.Equal(buf, content[i*chunk:(i+1)*chunk]) {
+			t.Fatalf("pread link %d read %v, want %v", i, buf, content[i*chunk:(i+1)*chunk])
+		}
 	}
 	fs := d.Layer.Stats().Fusion
 	if fs.Fallbacks != 1 || fs.Chains != 0 {

@@ -113,8 +113,8 @@ func (g *layerGrants) clearLive() {
 }
 
 // grantEligible reports whether a call should take the zero-copy path:
-// grants enabled, a bulk I/O call moving at least GrantThreshold
-// bytes, and no ForceSyncUncached override.
+// grants enabled and a bulk I/O call moving at least GrantThreshold
+// bytes.
 func (l *Layer) grantEligible(args *kernel.Args) bool {
 	if l.grants == nil {
 		return false

@@ -41,8 +41,7 @@ type Layer struct {
 	// binder is the binder bridge fast path (DESIGN.md §12); nil unless
 	// Options.BinderSessions or BinderReplyCache is set.
 	binder *binderFastPath
-	// policy holds the ForceSyncUncached override and counts the fixed
-	// dispatch decisions (DESIGN.md §15).
+	// policy counts the fixed dispatch decisions (DESIGN.md §15).
 	policy dispatchPolicy
 	// fusion is the syscall-fusion layer (DESIGN.md §17): linked ring
 	// submissions plus the transparent chain-pattern detector; nil
@@ -57,9 +56,6 @@ type Layer struct {
 	// hung transport or wedged guest surfaces as ETIMEDOUT at this bound
 	// instead of blocking the app forever.
 	deadline time.Duration
-	// netBatch caps the descriptors per batched accept4/epoll_wait
-	// completion (DESIGN.md §14).
-	netBatch int
 
 	// state is the hot-path snapshot: Intercept/forward load it once with
 	// a single atomic read instead of taking a mutex per field. Writers
@@ -93,10 +89,6 @@ type layerState struct {
 	guest     *kernel.Kernel
 	proxies   *proxy.Manager
 	transport marshal.Transport
-	// sync is the synchronous fallback channel mounted alongside an
-	// async ring under Options.AutoTune; nil otherwise. Only a
-	// ForceSyncUncached override routes calls here.
-	sync marshal.Transport
 	// degraded is the circuit-breaker fail-fast mode: forwarded calls
 	// return EAGAIN immediately; UI and host classes are untouched.
 	degraded bool
@@ -241,12 +233,6 @@ type LayerConfig struct {
 	CallDeadline time.Duration
 	// RedirCache enables the host-side redirection cache (DESIGN.md §9).
 	RedirCache bool
-	// ReadAheadPages is the pages fetched per read miss (0 = default 8).
-	ReadAheadPages int
-	// CacheBudgetBytes bounds clean cached pages (0 = default 4 MiB).
-	CacheBudgetBytes int64
-	// CacheFlushDelay is the write-back deadline (0 = default 5ms sim).
-	CacheFlushDelay time.Duration
 	// GrantTable and GrantThreshold enable the zero-copy grant path:
 	// bulk I/O calls moving at least GrantThreshold bytes ship
 	// scatter-gather descriptors over granted extents instead of chunked
@@ -260,21 +246,11 @@ type LayerConfig struct {
 	// BinderReplyCache enables the idempotent binder reply cache for
 	// codes declared read-only at Register.
 	BinderReplyCache bool
-	// NetBatch caps the descriptors one batched accept4/epoll_wait
-	// completion may carry (0 = DefaultNetBatch).
-	NetBatch int
-	// SyncTransport, when set alongside an async Transport (the
-	// Options.AutoTune profile), mounts a synchronous fallback channel
-	// that a ForceSyncUncached override routes calls onto.
-	SyncTransport marshal.Transport
 	// FusionEnable boots the syscall-fusion layer (DESIGN.md §17):
 	// Layer.Chain fuses dependent call chains into linked ring
 	// submissions, and the per-task pattern detector speculatively
-	// fuses recognized hot shapes. FusionMaxLinks bounds one fused
-	// submission (0 = DefaultFusionMaxLinks, capped at
-	// marshal.MaxChainLinks).
-	FusionEnable   bool
-	FusionMaxLinks int
+	// fuses recognized hot shapes.
+	FusionEnable bool
 }
 
 var _ kernel.Interceptor = (*Layer)(nil)
@@ -299,29 +275,20 @@ func NewLayer(cfg LayerConfig) (*Layer, error) {
 		execCache:    execCache,
 		keepFSOnHost: cfg.KeepFSOnHost,
 		deadline:     deadline,
-		netBatch:     cfg.NetBatch,
 		mmapBindings: make(map[int]map[uint64]mmapBinding),
 		frames:       make(chan *callFrame, frameListLen),
-	}
-	if l.netBatch <= 0 {
-		l.netBatch = DefaultNetBatch
 	}
 	l.state.Store(&layerState{
 		guest:     cfg.Guest,
 		proxies:   cfg.Proxies,
 		transport: cfg.Transport,
-		sync:      cfg.SyncTransport,
 	})
 	if cfg.RedirCache {
 		gen := 1
 		if cfg.CVM != nil {
 			gen = cfg.CVM.Generation()
 		}
-		l.cache = newRedirCache(redirCacheConfig{
-			readAhead:  cfg.ReadAheadPages,
-			budget:     cfg.CacheBudgetBytes,
-			flushDelay: cfg.CacheFlushDelay,
-		}, gen)
+		l.cache = newRedirCache(gen)
 	}
 	if cfg.GrantTable != nil && cfg.GrantThreshold > 0 {
 		l.grants = newLayerGrants(cfg.GrantTable, cfg.GrantThreshold)
@@ -334,7 +301,7 @@ func NewLayer(cfg LayerConfig) (*Layer, error) {
 		l.binder = newBinderFastPath(cfg.BinderSessions, cfg.BinderReplyCache, gen)
 	}
 	if cfg.FusionEnable {
-		l.fusion = newLayerFusion(cfg.FusionMaxLinks)
+		l.fusion = newLayerFusion()
 	}
 	// Every fast path enrolls in the epoch protocol unconditionally —
 	// a participant whose path is off no-ops, but the pinned order is
@@ -354,9 +321,6 @@ func NewLayer(cfg LayerConfig) (*Layer, error) {
 	if ls, ok := cfg.Transport.(marshal.LivenessSetter); ok {
 		ls.SetLiveness(l.guestAlive)
 	}
-	if ls, ok := cfg.SyncTransport.(marshal.LivenessSetter); ok {
-		ls.SetLiveness(l.guestAlive)
-	}
 	return l, nil
 }
 
@@ -367,16 +331,6 @@ func (l *Layer) rearmRing(gen int) {
 	if ring, ok := l.currentState().transport.(marshal.AsyncTransport); ok {
 		ring.Rearm(gen)
 	}
-}
-
-// syncTransport picks the synchronous channel for a call an override
-// routed off the ring; outside AutoTune there is no fallback channel
-// and the mounted transport serves.
-func (l *Layer) syncTransport(st *layerState) marshal.Transport {
-	if st.sync != nil {
-		return st.sync
-	}
-	return st.transport
 }
 
 // currentState loads the hot-path snapshot.
@@ -1103,19 +1057,17 @@ func (l *Layer) forward(t *kernel.Task, args *kernel.Args) kernel.Result {
 // lossy transport surfaces as ETIMEDOUT at the deadline instead of
 // blocking the app forever, and a dead container as EHOSTDOWN.
 //
-// This is the transport decision point: a mounted ring always serves.
-// With a sync fallback mounted beside it (AutoTune) a ForceSyncUncached
-// override moves the call onto the fallback channel.
+// A device mounts one data channel: a mounted ring serves every call.
 func (l *Layer) forwardOn(st *layerState, t *kernel.Task, args *kernel.Args) kernel.Result {
-	ring, async := st.transport.(marshal.AsyncTransport)
-	if async && (st.sync == nil || l.policy.useRing()) {
+	if ring, ok := st.transport.(marshal.AsyncTransport); ok {
+		l.policy.ringChosen.Add(1)
 		return l.forwardRing(st, ring, t, args)
 	}
-	return l.forwardSyncOn(st, l.syncTransport(st), t, args)
+	return l.forwardSyncOn(st, t, args)
 }
 
-// forwardSyncOn moves one call over a synchronous channel.
-func (l *Layer) forwardSyncOn(st *layerState, tr marshal.Transport, t *kernel.Task, args *kernel.Args) kernel.Result {
+// forwardSyncOn moves one call over the synchronous channel.
+func (l *Layer) forwardSyncOn(st *layerState, t *kernel.Task, args *kernel.Args) kernel.Result {
 	if !l.enterGuestCall(st) {
 		l.counters.failedFast.Add(1)
 		return kernel.Result{Ret: -1, Err: fmt.Errorf("container circuit breaker open: %w", abi.EAGAIN)}
@@ -1140,7 +1092,7 @@ func (l *Layer) forwardSyncOn(st *layerState, tr marshal.Transport, t *kernel.Ta
 
 	f.st, f.proxy, f.drained = st, p, false
 	span := l.clock.StartSpan(t.Lane)
-	respBytes, terr := tr.RoundTrip(t.Lane, f.req, f.exec)
+	respBytes, terr := st.transport.RoundTrip(t.Lane, f.req, f.exec)
 	if terr != nil {
 		return l.transportFailure(t, args, span, terr)
 	}
@@ -1161,9 +1113,7 @@ func (l *Layer) forwardSyncOn(st *layerState, tr marshal.Transport, t *kernel.Ta
 // batch frame, the proxy is dispatched once, and each call pays only its
 // own guest-side trap entry. Results come back positionally.
 func (l *Layer) forwardBatch(st *layerState, t *kernel.Task, calls []*kernel.Args) ([]kernel.Result, error) {
-	// Batches always prefer the ring (one slot already amortizes the
-	// whole batch); only a forced-sync override routes them off it.
-	if ring, ok := st.transport.(marshal.AsyncTransport); ok && !l.policy.forceSync() {
+	if ring, ok := st.transport.(marshal.AsyncTransport); ok {
 		return l.forwardBatchRing(st, ring, t, calls)
 	}
 	if !l.enterGuestCall(st) {
@@ -1188,7 +1138,7 @@ func (l *Layer) forwardBatch(st *layerState, t *kernel.Task, calls []*kernel.Arg
 	l.clock.Charge(t.Lane, time.Duration(len(f.req))*l.model.MarshalPerByte)
 
 	span := l.clock.StartSpan(t.Lane)
-	respBytes, terr := l.syncTransport(st).RoundTrip(t.Lane, f.req, f.execBatch(st, p, false))
+	respBytes, terr := st.transport.RoundTrip(t.Lane, f.req, f.execBatch(st, p, false))
 	if terr != nil {
 		fail := l.transportFailure(t, calls[0], span, terr)
 		return nil, fail.Err

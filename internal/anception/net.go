@@ -22,7 +22,7 @@ import (
 // the ring and binder drains in the post-restart order.
 
 // DefaultNetBatch is the per-completion cap on batched accepted
-// connections / readiness events when Options.NetBatch is unset.
+// connections / readiness events.
 const DefaultNetBatch = 16
 
 // NetPathStats counts network fast-path activity, surfaced via
@@ -61,10 +61,10 @@ func isSockCall(nr abi.SyscallNr) bool {
 }
 
 // netBatchLimit clamps a caller's accept/epoll batch request to the
-// configured per-completion cap.
-func (l *Layer) netBatchLimit(want int) int {
-	if want <= 0 || want > l.netBatch {
-		return l.netBatch
+// per-completion cap.
+func netBatchLimit(want int) int {
+	if want <= 0 || want > DefaultNetBatch {
+		return DefaultNetBatch
 	}
 	return want
 }
@@ -84,14 +84,12 @@ func (l *Layer) forwardSock(st *layerState, t *kernel.Task, args *kernel.Args) k
 
 // forwardSockInner routes the op: over the ring it travels as a compact
 // sockop frame in an SQ slot (inline when small — no chunk copies); on
-// the synchronous channel it falls back to the generic TLV forward,
-// which is exactly the pinned uncached baseline.
+// the synchronous channel it takes the generic TLV forward, which is
+// exactly the pinned uncached baseline.
 func (l *Layer) forwardSockInner(st *layerState, t *kernel.Task, args *kernel.Args) (kernel.Result, bool) {
 	ring, async := st.transport.(marshal.AsyncTransport)
-	if !async || l.policy.forceSync() {
-		// forwardOn routes to the synchronous channel under a forced-sync
-		// override (the fallback channel when both are mounted).
-		res := l.forwardOn(st, t, args)
+	if !async {
+		res := l.forwardSyncOn(st, t, args)
 		return res, sockTransportFailure(res.Err)
 	}
 	if !l.enterGuestCall(st) {
@@ -171,7 +169,7 @@ func (l *Layer) handleAccept4(t *kernel.Task, args *kernel.Args) (kernel.Result,
 	st := l.currentState()
 	fwd := *args
 	fwd.FD = e.GuestFD
-	fwd.Size = l.netBatchLimit(args.Size)
+	fwd.Size = netBatchLimit(args.Size)
 	res := l.forwardSock(st, t, &fwd)
 	if !res.Ok() {
 		return res, true
@@ -199,7 +197,7 @@ func (l *Layer) handleEpollWait(t *kernel.Task, args *kernel.Args) (kernel.Resul
 	st := l.currentState()
 	fwd := *args
 	fwd.FD = e.GuestFD
-	fwd.Size = l.netBatchLimit(args.Size)
+	fwd.Size = netBatchLimit(args.Size)
 	res := l.forwardSock(st, t, &fwd)
 	if !res.Ok() || len(res.Data) == 0 {
 		return res, true

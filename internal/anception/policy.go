@@ -5,43 +5,31 @@ import (
 	"sync/atomic"
 )
 
-// This file is the dispatch plane (DESIGN.md §15): the per-call
-// override that can pin a fast-path device to the paper's uncached
-// synchronous path, the counters of the fixed dispatch rules, and the
-// generation-keyed epoch/drain protocol that replaced the five ad-hoc
-// supervisor restart hooks.
+// This file is the dispatch plane (DESIGN.md §15): the counters of the
+// fixed dispatch rules and the generation-keyed epoch/drain protocol
+// that replaced the five ad-hoc supervisor restart hooks.
 //
-// The rules are static: a mounted ring serves every forwarded call
-// (useRing), a bulk payload rides a grant when it is at least
-// GrantThreshold (useGrant), and an enabled redirection cache serves
-// (serveCache). Options.AutoTune is only a preset that boot expands into
-// the knobs these rules read.
-
-// PolicyOverride forces dispatch decisions per call, regardless of
-// knobs. Tests and the pinned paper rows use it to reach the uncached
-// synchronous path on a device that booted every fast path.
-type PolicyOverride struct {
-	// ForceSyncUncached routes every call over the synchronous channel
-	// with no cache serving, no grants, and no binder fast path —
-	// byte-identical to a plain uncached device.
-	ForceSyncUncached bool
-}
+// The rules are static: a mounted ring serves every forwarded call, a
+// bulk payload rides a grant when it is at least GrantThreshold
+// (useGrant), and an enabled redirection cache serves. Options.AutoTune
+// is only a preset that boot expands into the knobs these rules read;
+// Options{} is the paper's synchronous, uncached data plane.
 
 // PolicyStats counts dispatch decisions, surfaced via
 // LayerStats.Policy.
 type PolicyStats struct {
-	// RingChosen / SyncChosen count transport decisions (only calls
-	// where both transports were mounted, i.e. under AutoTune, are
-	// counted).
+	// RingChosen counts forwarded calls sent over a mounted ring.
 	RingChosen int64
+	// SyncChosen is always 0: a device mounts one data channel, so no
+	// call chooses between them. The field stays so existing readers
+	// of LayerStats keep working.
 	SyncChosen int64
 	// GrantChosen / CopyChosen count payload-strategy decisions for
 	// grant-shaped bulk calls.
 	GrantChosen int64
 	CopyChosen  int64
-	// CacheServed / CacheSkipped count cache-vs-passthrough decisions.
-	CacheServed  int64
-	CacheSkipped int64
+	// CacheServed counts descriptor calls the redirection cache served.
+	CacheServed int64
 	// Explorations is always 0: the rules are fixed, so no decision
 	// ever deliberately takes a losing arm. The field stays so existing
 	// readers of LayerStats keep working.
@@ -59,46 +47,19 @@ type EpochStats struct {
 	Order []string
 }
 
-// dispatchPolicy is the per-layer decision state: the override and
-// the decision counters. Counters are atomic: decisions happen on the
-// lock-free hot path.
+// dispatchPolicy holds the decision counters. They are atomic:
+// decisions happen on the lock-free hot path.
 type dispatchPolicy struct {
-	override atomic.Pointer[PolicyOverride]
-
-	ringChosen   atomic.Int64
-	syncChosen   atomic.Int64
-	grantChosen  atomic.Int64
-	copyChosen   atomic.Int64
-	cacheServed  atomic.Int64
-	cacheSkipped atomic.Int64
-}
-
-// forceSync reports whether an override pins this call to the
-// uncached synchronous path.
-func (p *dispatchPolicy) forceSync() bool {
-	ov := p.override.Load()
-	return ov != nil && ov.ForceSyncUncached
-}
-
-// useRing decides the transport for a call when both transports are
-// mounted (AutoTune boots the ring plus a synchronous fallback
-// channel): the ring, unless an override forces the sync channel.
-func (p *dispatchPolicy) useRing() bool {
-	if p.forceSync() {
-		p.syncChosen.Add(1)
-		return false
-	}
-	p.ringChosen.Add(1)
-	return true
+	ringChosen  atomic.Int64
+	grantChosen atomic.Int64
+	copyChosen  atomic.Int64
+	cacheServed atomic.Int64
 }
 
 // useGrant decides the payload strategy for a grant-shaped bulk call:
 // a grant exactly when the payload is at least the threshold, copy
-// otherwise or under a forced-sync override.
+// otherwise.
 func (p *dispatchPolicy) useGrant(size, threshold int) bool {
-	if p.forceSync() {
-		return false
-	}
 	if size >= threshold {
 		p.grantChosen.Add(1)
 		return true
@@ -107,26 +68,13 @@ func (p *dispatchPolicy) useGrant(size, threshold int) bool {
 	return false
 }
 
-// serveCache decides cache-vs-passthrough for a descriptor call: an
-// enabled cache always serves, unless an override forces passthrough.
-func (p *dispatchPolicy) serveCache() bool {
-	if p.forceSync() {
-		p.cacheSkipped.Add(1)
-		return false
-	}
-	p.cacheServed.Add(1)
-	return true
-}
-
 // snapshot copies the decision counters for LayerStats.
 func (p *dispatchPolicy) snapshot() PolicyStats {
 	return PolicyStats{
-		RingChosen:   p.ringChosen.Load(),
-		SyncChosen:   p.syncChosen.Load(),
-		GrantChosen:  p.grantChosen.Load(),
-		CopyChosen:   p.copyChosen.Load(),
-		CacheServed:  p.cacheServed.Load(),
-		CacheSkipped: p.cacheSkipped.Load(),
+		RingChosen:  p.ringChosen.Load(),
+		GrantChosen: p.grantChosen.Load(),
+		CopyChosen:  p.copyChosen.Load(),
+		CacheServed: p.cacheServed.Load(),
 	}
 }
 
@@ -187,14 +135,6 @@ func (l *Layer) AdvanceEpoch(gen int) {
 	l.epoch.advances++
 	l.epoch.gen = gen
 	l.epoch.mu.Unlock()
-}
-
-// SetPolicyOverride installs (or, with nil, clears) a per-call
-// dispatch override. Takes effect on the next call; callers switching
-// a warm device to ForceSyncUncached should FlushRedirCache first if
-// they need buffered writes on the guest.
-func (l *Layer) SetPolicyOverride(ov *PolicyOverride) {
-	l.policy.override.Store(ov)
 }
 
 // epochStats snapshots the epoch protocol state.

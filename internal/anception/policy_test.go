@@ -84,83 +84,6 @@ func TestEpochDrainOrder(t *testing.T) {
 	}
 }
 
-// TestForceSyncUncachedMatchesPlainDevice is the Table I regression for
-// the adaptive plane: with AutoTune on but a ForceSyncUncached override
-// installed, every microbenchmark row must charge byte-identically to a
-// plain uncached device — same read 305.03 us, same write 384.45 us,
-// same 31.0/31.3 ms binder rows — because the override routes onto the
-// same synchronous channel with every fast path gated off.
-func TestForceSyncUncachedMatchesPlainDevice(t *testing.T) {
-	plain := bootPolicyDevice(t, Options{})
-	auto := bootPolicyDevice(t, Options{AutoTune: true})
-	auto.Layer.SetPolicyOverride(&PolicyOverride{ForceSyncUncached: true})
-
-	type bench struct {
-		name string
-		run  func(d *Device, p *Proc, fd, bfd int) time.Duration
-	}
-	page := make([]byte, abi.PageSize)
-	benches := []bench{
-		{"getpid", func(d *Device, p *Proc, _, _ int) time.Duration {
-			return measureOnce(d, func() { p.Getpid() })
-		}},
-		{"write4k", func(d *Device, p *Proc, fd, _ int) time.Duration {
-			return measureOnce(d, func() { _, _ = p.Pwrite(fd, page, 0) })
-		}},
-		{"read4k", func(d *Device, p *Proc, fd, _ int) time.Duration {
-			return measureOnce(d, func() { _, _ = p.Pread(fd, abi.PageSize, 0) })
-		}},
-		{"binder128", func(d *Device, p *Proc, _, bfd int) time.Duration {
-			return measureOnce(d, func() {
-				_, _ = p.BinderCall(bfd, "location", android.CodeGetLocation, make([]byte, 128))
-			})
-		}},
-		{"binder256", func(d *Device, p *Proc, _, bfd int) time.Duration {
-			return measureOnce(d, func() {
-				_, _ = p.BinderCall(bfd, "location", android.CodeGetLocation, make([]byte, 256))
-			})
-		}},
-	}
-
-	prep := func(d *Device) (*Proc, int, int) {
-		p := installAndLaunch(t, d, "com.policy.tablei")
-		fd := mustOpen(t, p, "t1.dat", abi.ORdWr|abi.OCreat)
-		mustPwrite(t, p, fd, page, 0)
-		bfd, err := p.OpenBinder()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p, fd, bfd
-	}
-	pp, pfd, pbfd := prep(plain)
-	ap, afd, abfd := prep(auto)
-
-	for _, b := range benches {
-		got := b.run(auto, ap, afd, abfd)
-		want := b.run(plain, pp, pfd, pbfd)
-		if got != want {
-			t.Errorf("%s: override device charged %v, plain device %v — must be byte-identical", b.name, got, want)
-		}
-	}
-
-	// The absolute values stay pinned to the paper's Table I.
-	within(t, "read4k", measureOnce(auto, func() { _, _ = ap.Pread(afd, abi.PageSize, 0) }),
-		305030*time.Nanosecond, 0.03)
-	within(t, "binder 128B", measureOnce(auto, func() {
-		_, _ = ap.BinderCall(abfd, "location", android.CodeGetLocation, make([]byte, 128))
-	}), 31*time.Millisecond, 0.01)
-	within(t, "binder 256B", measureOnce(auto, func() {
-		_, _ = ap.BinderCall(abfd, "location", android.CodeGetLocation, make([]byte, 256))
-	}), 31300*time.Microsecond, 0.01)
-
-	// And no fast path leaked through the override.
-	st := auto.Layer.Stats()
-	if st.Ring.Submitted != 0 || st.Grants.Calls != 0 || st.Cache.Hits+st.Cache.Misses != 0 || st.Binder.Submitted != 0 {
-		t.Fatalf("fast-path traffic under ForceSyncUncached: ring=%d grants=%d cacheLookups=%d binder=%d",
-			st.Ring.Submitted, st.Grants.Calls, st.Cache.Hits+st.Cache.Misses, st.Binder.Submitted)
-	}
-}
-
 // TestDegradedMatrix is the one table-driven breaker test: every fast
 // path — redirection cache, async ring, grants, binder sessions, binder
 // reply cache, socket ring — must stop serving while the circuit breaker
@@ -307,15 +230,14 @@ func TestDegradedMatrix(t *testing.T) {
 // dispatchCounts is the slice of LayerStats the dispatch rules move:
 // the policy's decision counters plus the traffic each fast path saw.
 type dispatchCounts struct {
-	Ring, Sync, Grant, Copy, Served, Skipped int64
-	RingSlots, GrantCalls, CacheLookups      int64
+	Ring, Grant, Copy, Served           int64
+	RingSlots, GrantCalls, CacheLookups int64
 }
 
 func dispatchCountsOf(s LayerStats) dispatchCounts {
 	return dispatchCounts{
-		Ring: s.Policy.RingChosen, Sync: s.Policy.SyncChosen,
-		Grant: s.Policy.GrantChosen, Copy: s.Policy.CopyChosen,
-		Served: s.Policy.CacheServed, Skipped: s.Policy.CacheSkipped,
+		Ring: s.Policy.RingChosen, Grant: s.Policy.GrantChosen,
+		Copy: s.Policy.CopyChosen, Served: s.Policy.CacheServed,
 		RingSlots:    int64(s.Ring.Submitted),
 		GrantCalls:   int64(s.Grants.Calls),
 		CacheLookups: int64(s.Cache.Hits + s.Cache.Misses),
@@ -324,8 +246,7 @@ func dispatchCountsOf(s LayerStats) dispatchCounts {
 
 func (c dispatchCounts) minus(o dispatchCounts) dispatchCounts {
 	return dispatchCounts{
-		c.Ring - o.Ring, c.Sync - o.Sync, c.Grant - o.Grant, c.Copy - o.Copy,
-		c.Served - o.Served, c.Skipped - o.Skipped,
+		c.Ring - o.Ring, c.Grant - o.Grant, c.Copy - o.Copy, c.Served - o.Served,
 		c.RingSlots - o.RingSlots, c.GrantCalls - o.GrantCalls, c.CacheLookups - o.CacheLookups,
 	}
 }
@@ -333,76 +254,61 @@ func (c dispatchCounts) minus(o dispatchCounts) dispatchCounts {
 // TestFixedDispatchRules pins the fast profile's static rules on an
 // AutoTune device, one row per decision: a forwarded call rides the
 // ring, a payload is granted exactly when it reaches GrantThreshold, and
-// the redirection cache serves. With a ForceSyncUncached override the
-// same calls go sync, copy and passthrough, and no fast path moves.
+// the redirection cache serves.
 func TestFixedDispatchRules(t *testing.T) {
 	atThreshold := make([]byte, autoTuneGrantThreshold)
 	below := make([]byte, autoTuneGrantThreshold-1)
 	page := make([]byte, abi.PageSize)
-	forcedSync := dispatchCounts{Sync: 1, Skipped: 1}
 
 	rows := []struct {
-		name       string
-		op         func(p *Proc, fd int) error
-		want       dispatchCounts
-		wantForced dispatchCounts
+		name string
+		op   func(p *Proc, fd int) error
+		want dispatchCounts
 	}{
 		{
-			name:       "forwarded-call-rides-ring",
-			op:         func(p *Proc, fd int) error { return p.Syscall(kernel.Args{Nr: abi.SysFstat, FD: fd}).Err },
-			want:       dispatchCounts{Ring: 1, RingSlots: 1},
-			wantForced: dispatchCounts{Sync: 1},
+			name: "forwarded-call-rides-ring",
+			op:   func(p *Proc, fd int) error { return p.Syscall(kernel.Args{Nr: abi.SysFstat, FD: fd}).Err },
+			want: dispatchCounts{Ring: 1, RingSlots: 1},
 		},
 		{
-			name:       "grant-at-threshold",
-			op:         func(p *Proc, fd int) error { _, err := p.Pwrite(fd, atThreshold, 0); return err },
-			want:       dispatchCounts{Grant: 1, RingSlots: 1, GrantCalls: 1},
-			wantForced: forcedSync,
+			name: "grant-at-threshold",
+			op:   func(p *Proc, fd int) error { _, err := p.Pwrite(fd, atThreshold, 0); return err },
+			want: dispatchCounts{Grant: 1, RingSlots: 1, GrantCalls: 1},
 		},
 		{
-			name:       "copy-below-threshold",
-			op:         func(p *Proc, fd int) error { _, err := p.Pwrite(fd, below, 0); return err },
-			want:       dispatchCounts{Copy: 1, Served: 1, CacheLookups: 1},
-			wantForced: forcedSync,
+			name: "copy-below-threshold",
+			op:   func(p *Proc, fd int) error { _, err := p.Pwrite(fd, below, 0); return err },
+			want: dispatchCounts{Copy: 1, Served: 1, CacheLookups: 1},
 		},
 		{
-			name:       "cache-serves",
-			op:         func(p *Proc, fd int) error { _, err := p.Pread(fd, abi.PageSize, 0); return err },
-			want:       dispatchCounts{Copy: 1, Served: 1, CacheLookups: 1},
-			wantForced: forcedSync,
+			name: "cache-serves",
+			op:   func(p *Proc, fd int) error { _, err := p.Pread(fd, abi.PageSize, 0); return err },
+			want: dispatchCounts{Copy: 1, Served: 1, CacheLookups: 1},
 		},
 	}
 	for _, row := range rows {
-		for _, override := range []bool{false, true} {
-			name, want := row.name, row.want
-			if override {
-				name, want = name+"/force-sync-uncached", row.wantForced
+		t.Run(row.name, func(t *testing.T) {
+			d := bootPolicyDevice(t, Options{AutoTune: true, CallDeadline: time.Hour})
+			p := installAndLaunch(t, d, "com.policy.rules")
+			fd := mustOpen(t, p, "rules.dat", abi.ORdWr|abi.OCreat)
+			mustPwrite(t, p, fd, page, 0)
+			if _, err := p.Fsync(fd); err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				d := bootPolicyDevice(t, Options{AutoTune: true, CallDeadline: time.Hour})
-				p := installAndLaunch(t, d, "com.policy.rules")
-				fd := mustOpen(t, p, "rules.dat", abi.ORdWr|abi.OCreat)
-				mustPwrite(t, p, fd, page, 0)
-				if _, err := p.Fsync(fd); err != nil {
-					t.Fatal(err)
-				}
-				mustPread(t, p, fd, abi.PageSize, 0) // the page is now cached
-				if override {
-					d.Layer.SetPolicyOverride(&PolicyOverride{ForceSyncUncached: true})
-				}
-				before := d.Layer.Stats()
-				if err := row.op(p, fd); err != nil {
-					t.Fatal(err)
-				}
-				after := d.Layer.Stats()
-				if got := dispatchCountsOf(after).minus(dispatchCountsOf(before)); got != want {
-					t.Fatalf("counter deltas = %+v, want %+v", got, want)
-				}
-				if after.Policy.Explorations != 0 {
-					t.Fatalf("Explorations = %d, want 0 under fixed rules", after.Policy.Explorations)
-				}
-			})
-		}
+			mustPread(t, p, fd, abi.PageSize, 0) // the page is now cached
+			before := d.Layer.Stats()
+			if err := row.op(p, fd); err != nil {
+				t.Fatal(err)
+			}
+			after := d.Layer.Stats()
+			if got := dispatchCountsOf(after).minus(dispatchCountsOf(before)); got != row.want {
+				t.Fatalf("counter deltas = %+v, want %+v", got, row.want)
+			}
+			if after.Policy.SyncChosen != 0 || after.Policy.Explorations != 0 {
+				t.Fatalf("SyncChosen = %d, Explorations = %d, want 0 under fixed rules",
+					after.Policy.SyncChosen, after.Policy.Explorations)
+			}
+		})
 	}
 }
 

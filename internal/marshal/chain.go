@@ -22,7 +22,7 @@ import (
 const chainCallMagic uint8 = 0xAA
 
 // MaxChainLinks is the codec's hard cap on links per chain. The layer's
-// FusionMaxLinks knob clamps below it; the decode-side bound is what
+// fused-submission bound sits below it; the decode-side bound is what
 // keeps a hostile count from forcing a giant allocation.
 const MaxChainLinks = 16
 

@@ -150,10 +150,6 @@ type Stack struct {
 	vulnByKey map[string]VulnFlag
 	policy    ConnectPolicy
 
-	// defaultBudget overrides DefaultRcvBudget for new sockets when > 0
-	// (the Options.SockRcvBudget knob).
-	defaultBudget int
-
 	// generation is the CVM boot generation this stack is serving;
 	// rolling it invalidates every socket's connect-time policy check.
 	generation atomic.Uint64
@@ -220,23 +216,6 @@ func (s *Stack) Generation() uint64 { return s.generation.Load() }
 // budgets.
 func (s *Stack) DgramDrops() int64 { return s.dgramDrops.Load() }
 
-// SetDefaultRcvBudget sets the receive budget new sockets start with
-// (<= 0 restores DefaultRcvBudget). Existing sockets are unaffected.
-func (s *Stack) SetDefaultRcvBudget(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.defaultBudget = n
-}
-
-func (s *Stack) rcvBudgetDefault() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.defaultBudget > 0 {
-		return s.defaultBudget
-	}
-	return DefaultRcvBudget
-}
-
 // IsRemote reports whether addr names a scripted remote endpoint (as
 // opposed to a loopback listener or unix name). The kernel charges the
 // wide-area NetworkRTT only for these.
@@ -281,7 +260,7 @@ func (s *Stack) Socket(cred Cred, f Family, t SockType, proto int) (*Socket, err
 		Type:      t,
 		Proto:     proto,
 		state:     StateNew,
-		rcvBudget: s.rcvBudgetDefault(),
+		rcvBudget: DefaultRcvBudget,
 		vulns:     make(map[VulnFlag]bool),
 		owner:     cred,
 	}
@@ -460,7 +439,7 @@ func (sk *Socket) Connect(addr string) error {
 		serverSide := &Socket{
 			stack: s, Family: sk.Family, Type: sk.Type, Proto: sk.Proto,
 			state: StateConnected, peerAddr: "client", vulns: map[VulnFlag]bool{},
-			owner: listener.owner, rcvBudget: s.rcvBudgetDefault(),
+			owner: listener.owner, rcvBudget: DefaultRcvBudget,
 		}
 		sk.mu.Lock()
 		sk.peer = serverSide
@@ -477,7 +456,7 @@ func (sk *Socket) Connect(addr string) error {
 		serverSide := &Socket{
 			stack: s, Family: sk.Family, Type: sk.Type, Proto: sk.Proto,
 			state: StateConnected, peerAddr: "client", vulns: map[VulnFlag]bool{},
-			owner: unixPeer.owner, rcvBudget: s.rcvBudgetDefault(),
+			owner: unixPeer.owner, rcvBudget: DefaultRcvBudget,
 		}
 		sk.mu.Lock()
 		sk.peer = serverSide
