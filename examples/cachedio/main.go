@@ -73,8 +73,10 @@ func run() error {
 	fmt.Printf("after fsync the container holds %d bytes (flushes=%d)\n",
 		len(blob), device.Layer.Stats().Cache.Flushes)
 
-	// 4. Read caching: the first read misses and pulls a read-ahead window;
-	//    every re-read after that is answered on the host.
+	// 4. Read caching: the first read misses. It starts at offset 0, so it
+	//    counts as the start of a sequential scan and pulls the read-ahead
+	//    window; a miss at a random offset would fetch only the pages it
+	//    spans. Every re-read after that is answered on the host.
 	before = device.Clock.Now()
 	if _, err := proc.Pread(fd, abi.PageSize, 0); err != nil {
 		return err
