@@ -276,7 +276,7 @@ func (f *Fleet) Migrate(app *FleetApp, targetID int) error {
 	// descriptor rides its own task's proxy — because the epoch advance
 	// below invalidates the whole shard's cache and would otherwise
 	// discard sibling apps' unflushed writes.
-	if err := src.Dev.Layer.FlushRedirCache(oldProc.Task); err != nil {
+	if err := src.Dev.Layer.FlushRedirCache(); err != nil {
 		return fmt.Errorf("fleet: migrate %s: flush: %w", app.Pkg, err)
 	}
 

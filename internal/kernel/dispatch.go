@@ -62,6 +62,15 @@ type Args struct {
 	Argv []string
 }
 
+// OpenFlags returns the flags an open-like call opens with: creat(2) is
+// open(2) with O_WRONLY|O_CREAT|O_TRUNC whatever Flags says.
+func (a *Args) OpenFlags() abi.OpenFlag {
+	if a.Nr == abi.SysCreat {
+		return abi.OWrOnly | abi.OCreat | abi.OTrunc
+	}
+	return a.Flags
+}
+
 // Result is the outcome of one system call.
 type Result struct {
 	Ret  int64

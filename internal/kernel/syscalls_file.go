@@ -34,10 +34,7 @@ func (k *Kernel) sysOpen(t *Task, args Args) Result {
 		return k.procfsOpen(t, p, args)
 	}
 
-	flags := args.Flags
-	if args.Nr == abi.SysCreat {
-		flags = abi.OWrOnly | abi.OCreat | abi.OTrunc
-	}
+	flags := args.OpenFlags()
 	mode := args.Mode &^ t.Umask
 	f, err := k.fs.Open(t.Cred, p, flags, mode)
 	if err != nil {

@@ -62,6 +62,9 @@ type FDEntry struct {
 	GuestFD int    // valid for FDRemote
 	Target  *Task  // valid for FDProcMem
 	Path    string // diagnostic: what was opened
+	// Flags are the open flags of an FDRemote file; the host consults
+	// the access mode before serving the descriptor from host memory.
+	Flags abi.OpenFlag
 }
 
 // Pipe is an in-kernel unidirectional byte queue.
