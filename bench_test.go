@@ -610,7 +610,7 @@ func BenchmarkMemoryOverhead(b *testing.B) {
 func BenchmarkVulnerabilityStudy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := exploits.RunStudy(anception.ModeAnception)
+		results, err := exploits.RunStudy(anception.Options{Mode: anception.ModeAnception})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -229,7 +229,7 @@ func sqlite() error {
 func study() error {
 	fmt.Println("== Section V-B: 25-vulnerability study ==")
 	for _, mode := range []anception.Mode{anception.ModeNative, anception.ModeAnception, anception.ModeClassicalVM} {
-		results, err := exploits.RunStudy(mode)
+		results, err := exploits.RunStudy(anception.Options{Mode: mode})
 		if err != nil {
 			return err
 		}

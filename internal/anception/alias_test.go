@@ -71,33 +71,32 @@ func TestAliasBinderCachedReply(t *testing.T) {
 	}
 }
 
-// TestAliasFusionSpeculatedPread: a speculatively fused pread buffered at
-// open time is served intact after a hundred later calls.
-func TestAliasFusionSpeculatedPread(t *testing.T) {
-	d, p := bootFusedDevice(t)
-	content := bytes.Repeat([]byte("spec-"), 100)
-	seedGuestFile(t, p, "spec.dat", content)
-	other := bytes.Repeat([]byte{0xEE}, len(content))
-	seedGuestFile(t, p, "other.dat", other)
-	specWorkload(t, p, "spec.dat", len(content), 4)
+// TestAliasFusionSpeculatedRecv: a recv speculatively fused with its send
+// buffers the reply at send time; it is served intact after a hundred
+// later calls reuse the call frames.
+func TestAliasFusionSpeculatedRecv(t *testing.T) {
+	d, p, sock := echoSocket(t)
+	echoRounds(t, p, sock, fuseConfidence+1)
+	fd := mustOpen(t, p, "other.dat", abi.ORdWr|abi.OCreat)
+	mustPwrite(t, p, fd, bytes.Repeat([]byte{0xEE}, 64), 0)
 
 	before := d.Layer.Stats().Fusion
-	fd := mustOpen(t, p, "spec.dat", abi.ORdWr) // fuses open→fstat→pread
-	ofd := mustOpen(t, p, "other.dat", abi.ORdWr)
+	msg := []byte("spec-msg")
+	if _, err := p.Send(sock, msg); err != nil { // fuses send→recv
+		t.Fatal(err)
+	}
 	for i := 0; i < 100; i++ {
-		if st := p.Syscall(kernel.Args{Nr: abi.SysFstat, FD: ofd}); !st.Ok() {
+		if st := p.Syscall(kernel.Args{Nr: abi.SysFstat, FD: fd}); !st.Ok() {
 			t.Fatalf("fstat other: %v", st.Err)
 		}
 	}
 	churnFrames(t, 100)
-	if st := p.Syscall(kernel.Args{Nr: abi.SysFstat, FD: fd}); !st.Ok() || st.Ret != int64(len(content)) {
-		t.Fatalf("speculated fstat: ret=%d err=%v", st.Ret, st.Err)
+	buf := make([]byte, len(msg))
+	if n, err := p.RecvInto(sock, buf); err != nil || !bytes.Equal(buf[:n], msg) {
+		t.Fatalf("speculated recv served %q, %v; want %q", buf[:n], err, msg)
 	}
-	if got := mustPread(t, p, fd, len(content), 0); !bytes.Equal(got, content) {
-		t.Fatalf("speculated pread served %q..., want %q...", got[:10], content[:10])
-	}
-	if served := d.Layer.Stats().Fusion.SpecServed - before.SpecServed; served < 2 {
-		t.Fatalf("speculation served %d calls, want the fstat and the pread", served)
+	if served := d.Layer.Stats().Fusion.SpecServed - before.SpecServed; served != 1 {
+		t.Fatalf("speculation served %d calls, want the recv", served)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"anception/internal/abi"
 	"anception/internal/kernel"
 	"anception/internal/sim"
+	"anception/internal/vfs"
 )
 
 // This file implements the host-side redirection cache (DESIGN.md §9).
@@ -26,6 +27,8 @@ import (
 // Idempotent path calls hit a per-UID attribute cache.
 //
 // Coherence rules:
+//   - only regular files bind: procfs entries, device nodes, pipes and
+//     sockets act on every call, so every call on them reaches the guest;
 //   - only a descriptor open for reading reads the shared pages, and only
 //     one open for writing buffers; the guest answers the others;
 //   - a descriptor's reads see its own buffered writes over clean pages;
@@ -111,8 +114,8 @@ type redirCache struct {
 // fileCache is the state of one guest file, shared by every descriptor
 // bound to it.
 type fileCache struct {
-	// names key this file in redirCache.files: none for a pipe or socket,
-	// or for a file unlinked or replaced while open.
+	// names key this file in redirCache.files: none for a file unlinked
+	// or replaced while open.
 	names []string
 	fds   []*fdCache
 	// pages maps page index -> *list.Element whose value is *cachedPage.
@@ -261,26 +264,40 @@ func (c *redirCache) bindLocked(e *kernel.FDEntry, t *kernel.Task, f *fileCache)
 	return fc
 }
 
-// fileLocked returns the file bound under p, creating it. A path that is
-// not absolute (pipe, socket) gets a private file nobody else can share.
+// fileLocked returns the file bound under the absolute path p, creating
+// it.
 func (c *redirCache) fileLocked(p string) *fileCache {
 	if f, ok := c.files[p]; ok {
 		return f
 	}
-	f := &fileCache{pages: make(map[int64]*list.Element)}
-	if path.IsAbs(p) {
-		f.names = []string{p}
-		c.files[p] = f
-	}
+	f := &fileCache{names: []string{p}, pages: make(map[int64]*list.Element)}
+	c.files[p] = f
 	return f
+}
+
+// guestRegular reports whether guest descriptor gfd of t's proxy names a
+// regular file, symlinks followed. The proxy knows what it opened; the
+// model reads its descriptor table rather than widen the open's reply, so
+// no charge changes. Procfs and device files must never be held back.
+func (l *Layer) guestRegular(t *kernel.Task, gfd int) bool {
+	if px := l.proxyMgr().ProxyFor(t.PID); px != nil {
+		e := px.FD(gfd)
+		return e != nil && e.Kind == kernel.FDFile && e.File.Inode().Type == vfs.TypeRegular
+	}
+	return false
 }
 
 // bindFD binds a freshly opened (or duplicated) descriptor to its file at
 // once, so a rename before its first cached call cannot bind it to
 // whatever the old path names by then. A dup shares the file of from.
+// Only a descriptor the container reports as a regular file binds
+// (FDEntry.Regular); every call on any other goes to the container.
 func (l *Layer) bindFD(t *kernel.Task, e, from *kernel.FDEntry) {
 	c := l.cache
-	if c == nil || e == nil || !path.IsAbs(e.Path) {
+	if c == nil || e == nil {
+		return
+	}
+	if e.Regular = l.guestRegular(t, e.GuestFD); !e.Regular {
 		return
 	}
 	c.mu.Lock()
@@ -472,6 +489,7 @@ func (l *Layer) cachedFDCall(st *layerState, t *kernel.Task, e *kernel.FDEntry, 
 	// Pages are shared by the whole file: a descriptor that may not read
 	// (or write) them gets the guest's answer (EBADF) instead.
 	switch {
+	case !e.Regular:
 	case args.Nr == abi.SysPread64 && e.Flags.Readable():
 		l.policy.cacheServed.Add(1)
 		return l.cachedPread(st, t, e, args)

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"anception/internal/abi"
 	"anception/internal/kernel"
+	"anception/internal/vfs"
 )
 
 // Transparency tests for the file-keyed redirection cache (DESIGN.md §9):
@@ -456,4 +459,116 @@ func TestCacheCoherenceDeferredWriteBackError(t *testing.T) {
 	if err := p.Close(fdB); !errors.Is(err, abi.EBADF) {
 		t.Errorf("B's close after its failed write-back: err %v, want EBADF", err)
 	}
+}
+
+// readProcFile reads a procfs file through the app.
+func readProcFile(t *testing.T, p *Proc, name string) string {
+	t.Helper()
+	fd := mustOpen(t, p, name, abi.ORdOnly)
+	defer p.Close(fd)
+	return string(mustPread(t, p, fd, 4096, 0))
+}
+
+// TestCacheCoherenceSpecialFileWrite: a write to a procfs file takes
+// effect, or fails, at the call, not at close: the cache binds regular
+// files only. The write patches the task /proc/self names — the app on
+// Native, its proxy in the CVM otherwise — and the test reads that
+// task's memory directly, around every cache.
+func TestCacheCoherenceSpecialFileWrite(t *testing.T) {
+	acrossProfiles(t, func(t *testing.T, d *Device) []string {
+		p := installAndLaunch(t, d, "com.probe.procmem")
+		var pid int
+		for _, line := range strings.Split(readProcFile(t, p, "/proc/self/status"), "\n") {
+			fmt.Sscanf(line, "Pid:\t%d", &pid)
+		}
+		var addr, end uint64
+		var prot string
+		for _, line := range strings.Split(readProcFile(t, p, "/proc/self/maps"), "\n") {
+			if _, err := fmt.Sscanf(line, "%x-%x %s", &addr, &end, &prot); err == nil && strings.HasPrefix(prot, "rw") {
+				break
+			}
+		}
+		k := d.Guest
+		if d.Opts.Mode == ModeNative {
+			k = d.Host
+		}
+		target := k.Task(pid)
+		if target == nil || prot[:2] != "rw" {
+			t.Fatalf("no writable mapping for /proc/self (pid %d)", pid)
+		}
+
+		fd := mustOpen(t, p, "/proc/self/mem", abi.ORdWr)
+		payload := []byte("patched!")
+		_, werr := p.Pwrite(fd, payload, int64(addr))
+		mem, _ := target.AS.ReadBytes(k.Region(), addr, len(payload))
+		_, uerr := p.Pwrite(fd, payload, 0x10)
+		cerr := p.Close(fd)
+		return []string{
+			"write: " + errString(werr),
+			fmt.Sprintf("visible before close: %v", bytes.Equal(mem, payload)),
+			"unmapped write: " + errString(uerr),
+			"close: " + errString(cerr),
+		}
+	})
+}
+
+// probeDev is a character device that records every write as it arrives.
+type probeDev struct {
+	mu  sync.Mutex
+	got []byte
+}
+
+func (d *probeDev) DevName() string                                { return "probe" }
+func (d *probeDev) Read(vfs.Cred, []byte, int64) (int, error)      { return 0, nil }
+func (d *probeDev) Ioctl(vfs.Cred, uint32, []byte) ([]byte, error) { return nil, abi.EINVAL }
+
+func (d *probeDev) Write(_ vfs.Cred, p []byte, _ int64) (int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.got = append(d.got, p...)
+	return len(p), nil
+}
+
+func (d *probeDev) written() string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return string(d.got)
+}
+
+// mknodProbe creates a world-writable probe device at p on k.
+func mknodProbe(t *testing.T, k *kernel.Kernel, p string) *probeDev {
+	t.Helper()
+	dev := &probeDev{}
+	if err := k.FS().Mknod(abi.Cred{UID: abi.UIDRoot}, p, 0o666, dev); err != nil {
+		t.Fatalf("mknod %s: %v", p, err)
+	}
+	return dev
+}
+
+// TestCacheCoherenceDeviceThroughSymlink: a write to a device node opened
+// through a symlink in the app's data directory drives the device at the
+// call. The path the app opened names no device; the file behind it does,
+// so the cache must go by what the container opened, not by the path.
+func TestCacheCoherenceDeviceThroughSymlink(t *testing.T) {
+	acrossProfiles(t, func(t *testing.T, d *Device) []string {
+		k := d.Guest
+		if d.Opts.Mode == ModeNative {
+			k = d.Host
+		}
+		dev := mknodProbe(t, k, "/dev/probe")
+		p := installAndLaunch(t, d, "com.probe.devlink")
+		if res := p.Syscall(kernel.Args{Nr: abi.SysSymlink, Path: "/dev/probe", Path2: "devlink"}); !res.Ok() {
+			t.Fatalf("symlink: %v", res.Err)
+		}
+		fd := mustOpen(t, p, "devlink", abi.ORdWr)
+		_, werr := p.Pwrite(fd, []byte("drive!"), 0)
+		before := dev.written()
+		cerr := p.Close(fd)
+		return []string{
+			"write: " + errString(werr),
+			"device before close: " + before,
+			"close: " + errString(cerr),
+			"device after close: " + dev.written(),
+		}
+	})
 }

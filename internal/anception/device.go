@@ -148,10 +148,10 @@ type Options struct {
 
 	// FusionEnable boots the syscall-fusion layer (DESIGN.md §17):
 	// Proc.Chain packs dependent call chains into linked ring
-	// submissions executed guest-side in one round trip, and a per-task
-	// pattern detector transparently fuses recognized hot chain shapes
-	// (open→fstat→read, send→recv), falling back to per-call dispatch
-	// on misprediction. Requires an async ring (RingDepth > 0 or
+	// submissions executed guest-side in one round trip when every link
+	// admits to the container, and a per-task pattern detector
+	// transparently fuses repeated send→recv pairs. Requires an async
+	// ring (RingDepth > 0 or
 	// AutoTune); without one, chains execute per-call. AutoTune implies
 	// FusionEnable. Chains longer than DefaultFusionMaxLinks run
 	// per-call. Off by default.

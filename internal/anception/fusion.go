@@ -26,9 +26,10 @@ import (
 //
 // Two entry points share the machinery: the explicit Layer.Chain API
 // (Proc.Chain), and a transparent per-task pattern detector hooked into
-// the intercept path that recognizes hot chain shapes (open→fstat[→
-// read], send→recv) and speculatively fuses them once they repeat,
-// falling back to per-call dispatch on misprediction.
+// the intercept path that recognizes send→recv and speculatively fuses
+// the pair once it repeats. Either way every link is admitted
+// (admit.go), and only a chain whose links all run in the container, and
+// that the fused plan represents exactly (fusedLink), fuses.
 
 // ChainCall is one link of a dependent chain submitted through
 // Layer.Chain / Proc.Chain. Args fields are the usual per-call
@@ -67,11 +68,12 @@ type FusionStats struct {
 	// links peeled onto the zero-copy grant path.
 	CacheServed int64
 	GrantLinks  int64
-	// PatternHits counts detector pattern-counter increments;
-	// SpecServed counts calls answered from a speculative fused chain;
-	// Mispredicts counts speculated results thrown away because the app
-	// diverged; SpecDropped counts speculative results discarded for
-	// other reasons (close with results pending, dry recv, epoch roll).
+	// PatternHits counts send→recv sightings; SpecServed counts recvs
+	// answered from a speculative pair; SpecDropped counts speculative
+	// recv results discarded (close with bytes pending, dry recv, epoch
+	// roll). Mispredicts is always 0: send→recv speculation never
+	// guesses a result it could throw away. It stays because
+	// benchmark/harness.go reads it.
 	PatternHits int64
 	SpecServed  int64
 	Mispredicts int64
@@ -93,27 +95,15 @@ type specKey struct {
 	fd  int
 }
 
-// specResult is one buffered speculative result awaiting the app's
-// matching call.
-type specResult struct {
-	nr  abi.SyscallNr
-	off int64
-	res kernel.Result
-}
-
 // taskFusion is the per-task pattern detector state: the previous
-// redirect-class call and confidence counters for the recognized chain
-// shapes. All counters are plain ints under the layerFusion mutex —
-// decisions are pure functions of call order, so runs with the same
-// seed fuse identically.
+// container-bound call and the send→recv confidence counter. All fields
+// are plain ints under the layerFusion mutex — decisions are pure
+// functions of call order, so runs with the same seed fuse identically.
 type taskFusion struct {
 	lastNr abi.SyscallNr
 
-	openFstat  int // open followed by fstat
-	fstatPread int // fstat followed by pread at offset 0
-	preadSize  int // learned pread size for the speculative read link
-	sendRecv   int // send followed by recv
-	recvSize   int // learned recv size for the speculative recv link
+	sendRecv int // send followed by recv
+	recvSize int // learned recv size for the speculative recv link
 	// noSendRecv is set once a speculative recv came back empty: the
 	// peer does not answer each send in time, so send→recv speculation
 	// stays off for this task.
@@ -124,7 +114,6 @@ type taskFusion struct {
 type layerFusion struct {
 	mu     sync.Mutex
 	tasks  map[int]*taskFusion
-	spec   map[specKey][]specResult
 	sticky map[specKey][]byte // buffered speculative recv bytes
 
 	explicit    atomic.Int64
@@ -137,14 +126,12 @@ type layerFusion struct {
 	grantLinks  atomic.Int64
 	patternHits atomic.Int64
 	specServed  atomic.Int64
-	mispredicts atomic.Int64
 	specDropped atomic.Int64
 }
 
 func newLayerFusion() *layerFusion {
 	return &layerFusion{
 		tasks:  make(map[int]*taskFusion),
-		spec:   make(map[specKey][]specResult),
 		sticky: make(map[specKey][]byte),
 	}
 }
@@ -166,25 +153,20 @@ func (l *Layer) fusionStats() FusionStats {
 		GrantLinks:  f.grantLinks.Load(),
 		PatternHits: f.patternHits.Load(),
 		SpecServed:  f.specServed.Load(),
-		Mispredicts: f.mispredicts.Load(),
 		SpecDropped: f.specDropped.Load(),
 	}
 }
 
-// drainFusion is fusion's epoch participant: speculative results and
-// sticky recv bytes were produced by the old container and may never be
-// served against the new one. Detector confidence counters survive —
-// they describe app behavior, not container state.
+// drainFusion is fusion's epoch participant: sticky recv bytes were
+// produced by the old container and may never be served against the new
+// one. Detector confidence counters survive — they describe app
+// behavior, not container state.
 func (l *Layer) drainFusion(int) {
 	f := l.fusion
 	if f == nil {
 		return
 	}
 	f.mu.Lock()
-	for k, q := range f.spec {
-		f.specDropped.Add(int64(len(q)))
-		delete(f.spec, k)
-	}
 	for k, b := range f.sticky {
 		if len(b) > 0 {
 			f.specDropped.Add(1)
@@ -203,24 +185,20 @@ func (l *Layer) SetChainStep(f func(next int)) {
 }
 
 // Chain executes a dependent call chain on behalf of a host task: fused
-// into linked ring submissions when the transport allows, per-call
-// dispatch otherwise, where each link is byte-identical to an unfused
-// call.
+// into linked ring submissions when every link admits to the container
+// and the transport allows, per-call dispatch otherwise, where each link
+// is byte-identical to an unfused call.
 func (l *Layer) Chain(t *kernel.Task, calls []ChainCall) []kernel.Result {
 	if len(calls) == 0 {
 		return nil
 	}
 	if err := validateChain(calls); err != nil {
-		results := make([]kernel.Result, len(calls))
-		for i := range results {
-			results[i] = kernel.Result{Ret: -1, Err: err}
-		}
-		return results
+		return failLinks(make([]kernel.Result, len(calls)), err)
 	}
 	if l.fusion != nil {
 		l.fusion.explicit.Add(1)
 	}
-	if results, ok := l.tryFusedChain(t, calls); ok {
+	if results, ok := l.tryFusedChain(t, calls, true); ok {
 		return results
 	}
 	if l.fusion != nil {
@@ -241,6 +219,14 @@ func validateChain(calls []ChainCall) error {
 		}
 	}
 	return nil
+}
+
+// failLinks fails every link of results with err.
+func failLinks(results []kernel.Result, err error) []kernel.Result {
+	for i := range results {
+		results[i] = kernel.Result{Ret: -1, Err: err}
+	}
+	return results
 }
 
 // runChainUnfused executes a chain one call at a time through the given
@@ -287,10 +273,15 @@ func runChainUnfused(invoke func(kernel.Args) kernel.Result, calls []ChainCall) 
 }
 
 // tryFusedChain runs the chain over linked ring submissions. ok=false
-// means the caller must fall back to per-call dispatch (fusion off, no
-// async ring, chain longer than DefaultFusionMaxLinks, or a link the
-// fused plan cannot represent).
-func (l *Layer) tryFusedChain(t *kernel.Task, calls []ChainCall) ([]kernel.Result, bool) {
+// means the caller must fall back to per-call dispatch: fusion off, no
+// async ring, a chain longer than DefaultFusionMaxLinks, or a link that
+// does not admit to the container or that the fused plan does not
+// represent (fusedLink). screen passes the chain through the host's
+// syscall entry (task state and detectors) before any link runs, and
+// counts the links that ran, as per-call dispatch counts them; a
+// speculated pair needs neither, because both of its calls trap when the
+// app makes them.
+func (l *Layer) tryFusedChain(t *kernel.Task, calls []ChainCall, screen bool) ([]kernel.Result, bool) {
 	if l.fusion == nil || len(calls) > DefaultFusionMaxLinks {
 		return nil, false
 	}
@@ -299,7 +290,58 @@ func (l *Layer) tryFusedChain(t *kernel.Task, calls []ChainCall) ([]kernel.Resul
 	if !async {
 		return nil, false
 	}
-	return l.chainFused(st, ring, t, calls)
+	var pathsArr [marshal.MaxChainLinks]string // admitted absolute paths
+	paths := pathsArr[:len(calls)]
+	for i := range calls {
+		adm := l.admit(t, &calls[i].Args, calls[i].FDFrom >= 0)
+		if adm.Route != redirect.RouteGuest || !fusedLink(calls[i].Args.Nr) {
+			return nil, false
+		}
+		paths[i] = adm.Path
+	}
+	// Detectors see each link as submitted: a bound link's descriptor and
+	// cursor offset resolve only in the container. Links before a vetoed
+	// one run; it fails with the veto, unless an earlier link failed, and
+	// the rest short-circuit, as per-call dispatch answers them.
+	results := make([]kernel.Result, len(calls))
+	ran, veto := len(calls), error(nil)
+	for i := 0; screen && i < len(calls) && veto == nil; i++ {
+		if veto = l.host.Screen(t, calls[i].Args); veto != nil {
+			ran = i
+		}
+	}
+	if ran > 0 {
+		l.chainFused(st, ring, t, calls[:ran], paths[:ran], results[:ran])
+	}
+	if veto != nil {
+		if ran > 0 && !results[ran-1].Ok() {
+			veto = results[ran-1].Err
+		}
+		failLinks(results[ran:], veto)
+	}
+	// Per-call dispatch enters the kernel for every link up to and
+	// including the first that fails.
+	for i := 0; screen && i < len(calls); i++ {
+		l.host.CountSyscall(calls[i].Args.Nr)
+		if !results[i].Ok() {
+			break
+		}
+	}
+	return results, true
+}
+
+// fusedLink reports the links the fused plan represents exactly: opens
+// and sockets, whose descriptors it adopts, closes, which it retires, and
+// plain descriptor calls, whose one translation is the descriptor. Every
+// other link — a path call, symlink, rename, sendfile, dup, accept, epoll
+// — has a per-call handler that does more, so its chain runs per call.
+func fusedLink(nr abi.SyscallNr) bool {
+	switch nr {
+	case abi.SysDup, abi.SysDup2, abi.SysAccept, abi.SysAccept4,
+		abi.SysEpollCtl, abi.SysEpollWait:
+		return false
+	}
+	return isOpenLike(nr) || namesFD(nr)
 }
 
 // isOpenLike reports links that mint a descriptor the host must adopt.
@@ -312,43 +354,34 @@ func isOpenLike(nr abi.SyscallNr) bool {
 	}
 }
 
-// chainFused is the fused execution plan. The chain is walked in order
-// and split into wire segments: cache-servable links are answered
-// host-side and skipped from the wire, grant-eligible bulk links peel
-// onto the zero-copy path between segments, and everything else ships
-// as one linked submission per segment (one doorbell, one completion).
-// Dirty cache state on every explicitly-named descriptor is flushed
-// before the chain so guest-side links see coherent bytes.
-func (l *Layer) chainFused(st *layerState, ring marshal.AsyncTransport, t *kernel.Task, calls []ChainCall) ([]kernel.Result, bool) {
+// chainFused is the fused execution plan for a chain whose every link
+// admitted to the container; paths holds each link's admitted path, and
+// results receives each link's result. The chain is walked in order and
+// split into wire segments: cache-servable links are answered host-side
+// and skipped from the wire, grant-eligible bulk links peel onto the
+// zero-copy path between segments, and everything else ships as one
+// linked submission per segment (one doorbell, one completion). Dirty
+// cache state on every explicitly-named descriptor is flushed before the
+// chain so guest-side links see coherent bytes.
+func (l *Layer) chainFused(st *layerState, ring marshal.AsyncTransport, t *kernel.Task, calls []ChainCall, paths []string, results []kernel.Result) {
 	f := l.fusion
 	n := len(calls)
 
-	// Resolve explicitly-named descriptors. A non-remote descriptor —
-	// or an open whose path routes to the host — makes the chain
-	// unfusable: those links must run on the host, so the whole chain
-	// takes the per-call path. Per-link bookkeeping lives in arrays
+	// Resolve the explicitly-named descriptors, remote since their links
+	// admitted to the container, and mark the links whose descriptor a
+	// later link binds (referenced): they must execute on the wire so the
+	// guest can resolve the binding. Per-link bookkeeping lives in arrays
 	// sized for the longest chain the codec allows, so it stays on the
 	// stack.
 	var entriesArr [marshal.MaxChainLinks]*kernel.FDEntry
-	var pathsArr [marshal.MaxChainLinks]string // absolute paths of the open links
-	entries, paths := entriesArr[:n], pathsArr[:n]
+	var referencedArr [marshal.MaxChainLinks]bool
+	entries, referenced := entriesArr[:n], referencedArr[:n]
 	for i := range calls {
-		a := &calls[i].Args
-		switch a.Nr {
-		case abi.SysOpen, abi.SysOpenat, abi.SysCreat:
-			paths[i] = l.absPath(t, a.Path)
-			if l.keepFSOnHost || l.engine.DecideOpen(paths[i]).Route == redirect.RouteHost {
-				return nil, false
-			}
+		if from := calls[i].FDFrom; from >= 0 {
+			referenced[from] = true
+		} else if namesFD(calls[i].Args.Nr) {
+			entries[i] = t.FD(calls[i].Args.FD)
 		}
-		if calls[i].FDFrom >= 0 || a.FD <= 0 {
-			continue
-		}
-		e := t.FD(a.FD)
-		if e == nil || e.Kind != kernel.FDRemote {
-			return nil, false
-		}
-		entries[i] = e
 	}
 
 	// Flush-before-chain: buffered writes to any file the chain names —
@@ -361,20 +394,9 @@ func (l *Layer) chainFused(st *layerState, ring marshal.AsyncTransport, t *kerne
 		}
 	}
 
-	// referenced marks links whose descriptor result a later link binds;
-	// they must execute on the wire so the guest can resolve the binding.
-	var referencedArr [marshal.MaxChainLinks]bool
-	referenced := referencedArr[:n]
-	for i := range calls {
-		if calls[i].FDFrom >= 0 {
-			referenced[calls[i].FDFrom] = true
-		}
-	}
-
 	// The host pays one submit trap for the whole chain.
 	l.clock.Charge(t.Lane, l.model.SyscallEntry)
 
-	results := make([]kernel.Result, n)
 	var rawArr [marshal.MaxChainLinks]kernel.Result // wire results before host-fd rewriting
 	var onWireArr [marshal.MaxChainLinks]bool
 	raw, onWire := rawArr[:n], onWireArr[:n]
@@ -559,7 +581,6 @@ func (l *Layer) chainFused(st *layerState, ring marshal.AsyncTransport, t *kerne
 	for _, hfd := range hostFDFor {
 		l.bindFD(t, t.FD(hfd), nil)
 	}
-	return results, true
 }
 
 // forwardChainRing moves one wire segment through a single ring slot:
@@ -574,11 +595,7 @@ func (l *Layer) chainFused(st *layerState, ring marshal.AsyncTransport, t *kerne
 func (l *Layer) forwardChainRing(st *layerState, ring marshal.AsyncTransport, t *kernel.Task, f *callFrame, n int) (marshal.ChainResult, bool) {
 	cf := f.chain
 	failAll := func(err error) (marshal.ChainResult, bool) {
-		cr := marshal.ChainResult{Results: make([]kernel.Result, n)}
-		for i := range cr.Results {
-			cr.Results[i] = kernel.Result{Ret: -1, Err: err}
-		}
-		return cr, false
+		return marshal.ChainResult{Results: failLinks(make([]kernel.Result, n), err)}, false
 	}
 	if !l.enterGuestCall(st) {
 		l.counters.failedFast.Add(1)
@@ -644,44 +661,17 @@ func (l *Layer) forwardChainRing(st *layerState, ring marshal.AsyncTransport, t 
 
 // --- transparent pattern detector ---
 
-// fusionIntercept runs at the top of the redirect-class dispatch. It
-// serves calls answered by an earlier speculative chain, observes the
-// per-task call sequence, and — when a hot chain shape is confident —
-// speculatively executes the learned chain, serving the head call now
-// and buffering the rest. Returning ok=false hands the call to normal
-// dispatch.
+// fusionIntercept runs at the top of the container-bound dispatch. It
+// serves a recv answered by an earlier speculative send→recv pair,
+// observes the per-task call sequence, and — once send→recv is confident
+// — speculatively fuses the pair on a send. Returning ok=false hands the
+// call to normal dispatch.
 func (l *Layer) fusionIntercept(t *kernel.Task, args *kernel.Args) (kernel.Result, bool) {
 	f := l.fusion
 	key := specKey{pid: t.PID, fd: args.FD}
 
-	// 1. Pending speculative results on this descriptor.
+	// 1. Sticky recv bytes from a fused send→recv pair.
 	f.mu.Lock()
-	if q, ok := f.spec[key]; ok && len(q) > 0 {
-		head := q[0]
-		switch {
-		case args.Nr == abi.SysClose:
-			// The app closed before consuming the speculation: results are
-			// wasted, but nothing diverged.
-			f.specDropped.Add(int64(len(q)))
-			delete(f.spec, key)
-		case args.Nr == head.nr && (head.nr != abi.SysPread64 || (args.Off == head.off && len(args.Buf) <= len(head.res.Data))):
-			f.spec[key] = q[1:]
-			if len(f.spec[key]) == 0 {
-				delete(f.spec, key)
-			}
-			f.specServed.Add(1)
-			f.mu.Unlock()
-			return serveSpec(head.res, args), true
-		default:
-			// Divergence: throw the speculation away and relearn.
-			f.mispredicts.Add(int64(len(q)))
-			delete(f.spec, key)
-			if tf := f.tasks[t.PID]; tf != nil {
-				tf.openFstat, tf.fstatPread, tf.sendRecv = 0, 0, 0
-			}
-		}
-	}
-	// Sticky recv bytes from a fused send→recv pair.
 	if args.Nr == abi.SysClose {
 		if b := f.sticky[key]; len(b) > 0 {
 			f.specDropped.Add(1)
@@ -707,94 +697,23 @@ func (l *Layer) fusionIntercept(t *kernel.Task, args *kernel.Args) (kernel.Resul
 		tf = &taskFusion{}
 		f.tasks[t.PID] = tf
 	}
-	switch {
-	case tf.lastNr == abi.SysOpen && args.Nr == abi.SysFstat:
-		tf.openFstat++
-		f.patternHits.Add(1)
-	case tf.lastNr == abi.SysFstat && args.Nr == abi.SysPread64 && args.Off == 0:
-		tf.fstatPread++
-		tf.preadSize = readSize(args)
-		f.patternHits.Add(1)
-	case tf.lastNr == abi.SysSend && args.Nr == abi.SysRecv:
+	if tf.lastNr == abi.SysSend && args.Nr == abi.SysRecv {
 		tf.sendRecv++
-		tf.recvSize = readSize(args)
+		tf.recvSize = args.Size
+		if len(args.Buf) > 0 {
+			tf.recvSize = len(args.Buf)
+		}
 		f.patternHits.Add(1)
 	}
-	switch args.Nr {
-	case abi.SysOpen, abi.SysOpenat, abi.SysCreat:
-		tf.lastNr = abi.SysOpen
-	default:
-		tf.lastNr = args.Nr
-	}
+	tf.lastNr = args.Nr
 
-	// 3. Speculative fusion on a confident head call.
-	switch {
-	case tf.lastNr == abi.SysOpen && tf.openFstat >= fuseConfidence:
-		chain := []ChainCall{
-			{Args: *args, FDFrom: -1},
-			{Args: kernel.Args{Nr: abi.SysFstat}, FDFrom: 0},
-		}
-		if tf.fstatPread >= fuseConfidence && tf.preadSize > 0 {
-			chain = append(chain, ChainCall{Args: kernel.Args{Nr: abi.SysPread64, Size: tf.preadSize}, FDFrom: 0})
-		}
-		f.mu.Unlock()
-		return l.speculateOpenChain(t, args, chain)
-	case args.Nr == abi.SysSend && !tf.noSendRecv && tf.sendRecv >= fuseConfidence && tf.recvSize > 0:
+	// 3. Speculative fusion on a confident send.
+	if args.Nr == abi.SysSend && !tf.noSendRecv && tf.sendRecv >= fuseConfidence && tf.recvSize > 0 {
 		f.mu.Unlock()
 		return l.speculateSendRecv(t, args, tf.recvSize)
 	}
 	f.mu.Unlock()
 	return kernel.Result{}, false
-}
-
-// readSize is the byte count a pread or recv asks for.
-func readSize(args *kernel.Args) int {
-	if len(args.Buf) > 0 {
-		return len(args.Buf)
-	}
-	return args.Size
-}
-
-// serveSpec adapts a buffered speculative result to the live call's
-// buffers.
-func serveSpec(res kernel.Result, args *kernel.Args) kernel.Result {
-	if res.Ok() && len(res.Data) > 0 && len(args.Buf) > 0 {
-		n := copy(args.Buf, res.Data)
-		return kernel.Result{Ret: int64(n), FD: res.FD, Data: args.Buf[:n]}
-	}
-	return res
-}
-
-// speculateOpenChain fuses a confident open→fstat[→read] shape: the
-// open is served now and the trailing results are buffered against the
-// minted descriptor for the app's next calls.
-func (l *Layer) speculateOpenChain(t *kernel.Task, args *kernel.Args, chain []ChainCall) (kernel.Result, bool) {
-	f := l.fusion
-	// The open must actually be container-bound; host-routed paths are
-	// never fused.
-	p := l.absPath(t, args.Path)
-	if l.keepFSOnHost || l.engine.DecideOpen(p).Route == redirect.RouteHost {
-		return kernel.Result{}, false
-	}
-	results, ok := l.tryFusedChain(t, chain)
-	if !ok {
-		return kernel.Result{}, false
-	}
-	open := results[0]
-	if !open.Ok() || open.FD <= 0 {
-		// A failed open is a genuine result, not a misprediction; the
-		// trailing links short-circuited and nothing is buffered.
-		return open, true
-	}
-	key := specKey{pid: t.PID, fd: open.FD}
-	f.mu.Lock()
-	q := f.spec[key][:0]
-	for i := 1; i < len(chain); i++ {
-		q = append(q, specResult{nr: chain[i].Args.Nr, off: chain[i].Args.Off, res: results[i]})
-	}
-	f.spec[key] = q
-	f.mu.Unlock()
-	return open, true
 }
 
 // speculateSendRecv fuses a confident send→recv pair: the send is
@@ -804,14 +723,11 @@ func (l *Layer) speculateOpenChain(t *kernel.Task, args *kernel.Args, chain []Ch
 // EAGAIN the real call might not see.
 func (l *Layer) speculateSendRecv(t *kernel.Task, args *kernel.Args, recvSize int) (kernel.Result, bool) {
 	f := l.fusion
-	if e := t.FD(args.FD); e == nil || e.Kind != kernel.FDRemote {
-		return kernel.Result{}, false
-	}
 	chain := []ChainCall{
 		{Args: *args, FDFrom: -1},
 		{Args: kernel.Args{Nr: abi.SysRecv, FD: args.FD, Size: recvSize}, FDFrom: -1},
 	}
-	results, ok := l.tryFusedChain(t, chain)
+	results, ok := l.tryFusedChain(t, chain, false)
 	if !ok {
 		return kernel.Result{}, false
 	}

@@ -3,6 +3,7 @@ package anception
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -219,43 +220,52 @@ func TestChainInvalidBinding(t *testing.T) {
 	}
 }
 
-// specWorkload runs n open→fstat→pread→close iterations through the
-// ordinary per-call API, which is what the pattern detector watches.
-func specWorkload(t *testing.T, p *Proc, name string, size, n int) {
+// echoSocket launches an app connected to an echo peer on a Fast-profile
+// device, where the fusion detector learns send→recv pairs.
+func echoSocket(t *testing.T) (*Device, *Proc, int) {
 	t.Helper()
+	d := bootPolicyDevice(t, Options{AutoTune: true, CallDeadline: time.Hour})
+	d.RegisterRemote("echo:7", func(req []byte) []byte { return req })
+	p := installAndLaunch(t, d, "com.fusion.echo")
+	sock, err := p.Socket(netstack.AFInet, netstack.SockStream, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Connect(sock, "echo:7"); err != nil {
+		t.Fatal(err)
+	}
+	return d, p, sock
+}
+
+// echoRounds sends n distinct messages and checks each echo.
+func echoRounds(t *testing.T, p *Proc, sock, n int) {
+	t.Helper()
+	buf := make([]byte, 8)
 	for i := 0; i < n; i++ {
-		fd := mustOpen(t, p, name, abi.ORdWr)
-		st := p.Syscall(kernel.Args{Nr: abi.SysFstat, FD: fd})
-		if !st.Ok() || st.Ret != int64(size) {
-			t.Fatalf("iter %d fstat: ret=%d err=%v, want size %d", i, st.Ret, st.Err, size)
+		msg := []byte(fmt.Sprintf("round-%02d", i))
+		if _, err := p.Send(sock, msg); err != nil {
+			t.Fatalf("round %d send: %v", i, err)
 		}
-		got := mustPread(t, p, fd, size, 0)
-		if len(got) != size {
-			t.Fatalf("iter %d pread got %d bytes, want %d", i, len(got), size)
-		}
-		if err := p.Close(fd); err != nil {
-			t.Fatalf("iter %d close: %v", i, err)
+		if got, err := p.RecvInto(sock, buf); err != nil || !bytes.Equal(buf[:got], msg) {
+			t.Fatalf("round %d echo = %q, %v; want %q", i, buf[:got], err, msg)
 		}
 	}
 }
 
-// TestFusionSpeculationServes: after the detector has seen the
-// open→fstat→pread shape twice, later opens are speculatively fused and
-// the trailing calls are served from the buffered chain results —
-// without changing what the app observes.
+// TestFusionSpeculationServes: after the detector has seen send→recv
+// twice, later sends are speculatively fused with a recv and the app's
+// recvs are served from the buffered reply — without changing what the
+// app observes.
 func TestFusionSpeculationServes(t *testing.T) {
-	d, p := bootFusedDevice(t)
-	content := bytes.Repeat([]byte("s"), 512)
-	seedGuestFile(t, p, "spec.dat", content)
-
-	specWorkload(t, p, "spec.dat", len(content), 6)
+	d, p, sock := echoSocket(t)
+	echoRounds(t, p, sock, 6)
 
 	fs := d.Layer.Stats().Fusion
 	if fs.PatternHits == 0 {
-		t.Fatal("detector saw 6 open→fstat sequences but recorded no pattern hits")
+		t.Fatal("detector saw 6 send→recv pairs but recorded no pattern hits")
 	}
 	if fs.SpecServed == 0 {
-		t.Fatalf("no speculatively-served calls after 6 hot iterations: %+v", fs)
+		t.Fatalf("no speculatively-served calls after 6 hot rounds: %+v", fs)
 	}
 	if fs.Mispredicts != 0 {
 		t.Fatalf("mispredicts on a perfectly repeating workload: %+v", fs)
@@ -265,59 +275,53 @@ func TestFusionSpeculationServes(t *testing.T) {
 	}
 }
 
-// TestFusionMispredict: when the app breaks the learned shape, the
-// buffered speculative results are discarded, the live call takes the
-// normal path, and the detector's confidence is reset.
+// TestFusionMispredict: when the app breaks the learned shape — it sends
+// and closes without receiving — the speculated reply is dropped with the
+// descriptor, and the next socket sees only its own replies.
 func TestFusionMispredict(t *testing.T) {
-	d, p := bootFusedDevice(t)
-	content := bytes.Repeat([]byte("m"), 256)
-	seedGuestFile(t, p, "mis.dat", content)
-
-	// Prime the open→fstat detector.
-	specWorkload(t, p, "mis.dat", len(content), 3)
+	d, p, sock := echoSocket(t)
+	echoRounds(t, p, sock, 3)
 
 	before := d.Layer.Stats().Fusion
 	if before.SpecServed == 0 {
 		t.Fatalf("workload did not reach speculation: %+v", before)
 	}
-
-	// Divergent iteration: open then pwrite, not fstat.
-	fd := mustOpen(t, p, "mis.dat", abi.ORdWr)
-	mustPwrite(t, p, fd, []byte("DIVERGED"), 0)
-	if err := p.Close(fd); err != nil {
+	if _, err := p.Send(sock, []byte("DIVERGED")); err != nil {
 		t.Fatal(err)
 	}
-
+	if err := p.Close(sock); err != nil {
+		t.Fatal(err)
+	}
 	fs := d.Layer.Stats().Fusion
-	if fs.Mispredicts == 0 && fs.SpecDropped == before.SpecDropped {
-		t.Fatalf("divergence neither mispredicted nor dropped the queue: before=%+v after=%+v", before, fs)
+	if fs.SpecDropped != before.SpecDropped+1 || fs.Mispredicts != 0 {
+		t.Fatalf("close with a speculated reply pending: before=%+v after=%+v", before, fs)
 	}
 
-	// The write landed despite the discarded speculation.
-	fd2 := mustOpen(t, p, "mis.dat", abi.ORdWr)
-	got := mustPread(t, p, fd2, 8, 0)
-	if !bytes.Equal(got, []byte("DIVERGED")) {
-		t.Fatalf("post-mispredict read = %q, want %q", got, "DIVERGED")
-	}
-	if err := p.Close(fd2); err != nil {
+	again, err := p.Socket(netstack.AFInet, netstack.SockStream, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := p.Connect(again, "echo:7"); err != nil {
+		t.Fatal(err)
+	}
+	echoRounds(t, p, again, 1)
 }
 
 // TestFusionDeterminism: the pattern detector is scheduled by counters,
 // not wall-clock or randomness — two identical runs fuse identically.
 func TestFusionDeterminism(t *testing.T) {
 	runOnce := func(t *testing.T) FusionStats {
-		d, p := bootFusedDevice(t)
-		content := bytes.Repeat([]byte("d"), 1024)
-		seedGuestFile(t, p, "det.dat", content)
-		specWorkload(t, p, "det.dat", len(content), 8)
+		d, p, sock := echoSocket(t)
+		echoRounds(t, p, sock, 8)
 		return d.Layer.Stats().Fusion
 	}
 	a := runOnce(t)
 	b := runOnce(t)
 	if a != b {
 		t.Fatalf("same-seed runs diverged:\n  a=%+v\n  b=%+v", a, b)
+	}
+	if a.Chains == 0 {
+		t.Fatalf("no speculation to compare: %+v", a)
 	}
 }
 

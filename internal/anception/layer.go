@@ -28,7 +28,6 @@ import (
 type Layer struct {
 	host      *kernel.Kernel
 	cvm       *hypervisor.CVM
-	engine    *redirect.Engine
 	clock     *sim.Clock
 	model     sim.LatencyModel
 	trace     *sim.Trace
@@ -252,7 +251,7 @@ type LayerConfig struct {
 	// FusionEnable boots the syscall-fusion layer (DESIGN.md §17):
 	// Layer.Chain fuses dependent call chains into linked ring
 	// submissions, and the per-task pattern detector speculatively
-	// fuses recognized hot shapes.
+	// fuses repeated send→recv pairs.
 	FusionEnable bool
 }
 
@@ -271,7 +270,6 @@ func NewLayer(cfg LayerConfig) (*Layer, error) {
 	l := &Layer{
 		host:         cfg.Host,
 		cvm:          cfg.CVM,
-		engine:       redirect.NewEngine(),
 		clock:        cfg.Clock,
 		model:        cfg.Model,
 		trace:        cfg.Trace,
@@ -629,59 +627,48 @@ func (l *Layer) Stats() LayerStats {
 	return s
 }
 
-// Intercept implements kernel.Interceptor. Returning handled=false lets
-// the host kernel dispatch the call locally, with its own Args: no path
-// here changes args before declining a call.
+// Intercept implements kernel.Interceptor: it admits the call and
+// dispatches it on the admitted route. Returning handled=false lets the
+// host kernel dispatch the call locally, with its own Args: no path here
+// changes args before declining a call.
 func (l *Layer) Intercept(k *kernel.Kernel, t *kernel.Task, args kernel.Args) (kernel.Result, bool) {
-	// Anception protects only non-root apps: a sandboxed task that shows
-	// up with UID 0 (e.g. via a zygote/adbd setuid failure) is killed on
-	// its first trap (Section III-C, footnote 3).
-	if t.Cred.UID == abi.UIDRoot {
-		l.counters.appsKilled.Add(1)
-		if l.trace != nil {
-			l.trace.Record(sim.EvSecurity, "anception killed pid=%d: sandboxed task running as root", t.PID)
-		}
-		t.SetState(kernel.TaskDead)
-		if t.AS != nil {
-			t.AS.Release()
-		}
-		l.proxyMgr().MirrorExit(t.PID)
-		return kernel.Result{Ret: -1, Err: abi.EPERM}, true
-	}
-	switch redirect.Classify(args.Nr) {
-	case redirect.ClassBlocked:
+	adm := l.admit(t, &args, false)
+	switch adm.Route {
+	case redirect.RouteKill:
+		// e.g. a zygote/adbd setuid failure left the app running as root.
+		return l.kill(t, "sandboxed task running as root"), true
+	case redirect.RouteBlocked:
 		l.counters.blocked.Add(1)
 		if l.trace != nil {
 			l.trace.Record(sim.EvSecurity, "anception blocked %s from pid=%d", args.Nr, t.PID)
 		}
 		return kernel.Result{Ret: -1, Err: abi.EPERM}, true
-	case redirect.ClassHost:
-		l.counters.hostExecuted.Add(1)
-		return kernel.Result{}, false
-	case redirect.ClassSplit:
+	case redirect.RouteSplit:
 		l.counters.split.Add(1)
 		return l.handleSplit(t, &args), true
+	case redirect.RouteHost:
+		if args.Nr == abi.SysIoctl {
+			return l.handleHostIoctl(t, &args)
+		}
+		l.counters.hostExecuted.Add(1)
+		return kernel.Result{}, false
 	}
-	return l.handleRedirectClass(t, &args)
+	return l.handleRedirectClass(t, &args, adm.Path), true
 }
 
-// handleRedirectClass routes a redirect-class call dynamically.
-func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args) (kernel.Result, bool) {
-	// Syscall fusion first: serve calls answered by an earlier
-	// speculative chain, and let the pattern detector fuse a confident
-	// chain head before per-call dispatch sees it.
+// handleRedirectClass dispatches a call admitted to the container: every
+// descriptor it names is remote, and p is the admitted absolute path of a
+// path-named call.
+func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string) kernel.Result {
+	// Send→recv speculation first: serve a recv answered by an earlier
+	// speculative pair, and let the detector fuse a confident send.
 	if l.fusion != nil {
 		if res, ok := l.fusionIntercept(t, args); ok {
-			return res, true
+			return res
 		}
 	}
 	switch args.Nr {
 	case abi.SysOpen, abi.SysOpenat, abi.SysCreat:
-		p := l.absPath(t, args.Path)
-		if l.keepFSOnHost || l.engine.DecideOpen(p).Route == redirect.RouteHost {
-			l.counters.hostExecuted.Add(1)
-			return kernel.Result{}, false
-		}
 		fwd := *args
 		fwd.Path = p
 		res := l.forwardWithFDResult(t, &fwd)
@@ -693,19 +680,15 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args) (kernel.R
 				l.bindFD(t, e, nil)
 			}
 		}
-		return res, true
+		return res
 
 	case abi.SysIoctl:
-		return l.handleIoctl(t, args)
+		fwd := *args
+		fwd.FD = t.FD(args.FD).GuestFD
+		return l.forward(t, &fwd)
 
 	case abi.SysClose:
 		e := t.FD(args.FD)
-		if e == nil {
-			return kernel.Result{Ret: -1, Err: abi.EBADF}, true
-		}
-		if e.Kind != kernel.FDRemote {
-			return kernel.Result{}, false
-		}
 		st := l.currentState()
 		var flushRes kernel.Result
 		var flushFailed bool
@@ -720,60 +703,18 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args) (kernel.R
 		if flushFailed {
 			// close reports the deferred write-back error, like a kernel
 			// flushing dirty pages at last close.
-			return flushRes, true
+			return flushRes
 		}
-		return res, true
-
-	case abi.SysRead, abi.SysWrite, abi.SysPread64, abi.SysPwrite64,
-		abi.SysReadv, abi.SysWritev, abi.SysPreadv, abi.SysPwritev,
-		abi.SysLseek, abi.SysFstat, abi.SysFtruncate, abi.SysFchmod,
-		abi.SysFchown, abi.SysFsync, abi.SysFchdir,
-		abi.SysBind, abi.SysConnect, abi.SysListen,
-		abi.SysSend, abi.SysSendto, abi.SysRecv, abi.SysRecvfrom,
-		abi.SysShutdownSk, abi.SysSetsockopt, abi.SysGetsockopt,
-		abi.SysGetsockname, abi.SysGetpeername:
-		e := t.FD(args.FD)
-		if e == nil || e.Kind != kernel.FDRemote {
-			l.counters.hostExecuted.Add(1)
-			return kernel.Result{}, false
-		}
-		st := l.currentState()
-		// Zero-copy cutover: bulk calls ship grants instead of copies.
-		if l.grantEligible(args) {
-			return l.forwardGrantFD(st, t, e, args), true
-		}
-		// Socket ops take the network fast path: compact sockop frames
-		// over the ring, with the Submitted=Completed+Failed identity.
-		if isSockCall(args.Nr) {
-			fwd := *args
-			fwd.FD = e.GuestFD
-			res := l.forwardSock(st, t, &fwd)
-			writeBackOther(args, res)
-			return res, true
-		}
-		if !l.cacheBypassed(st) {
-			if res, handled := l.cachedFDCall(st, t, e, args); handled {
-				return res, true
-			}
-		}
-		fwd := *args
-		fwd.FD = e.GuestFD
-		res := l.forwardOn(st, t, &fwd)
-		l.noteForwardedFDOp(e, args.Nr)
-		writeBackOther(args, res)
-		return res, true
+		return res
 
 	case abi.SysDup, abi.SysDup2:
 		e := t.FD(args.FD)
-		if e == nil || e.Kind != kernel.FDRemote {
-			return kernel.Result{}, false
-		}
 		st := l.currentState()
 		if !l.cacheBypassed(st) {
 			// The duplicate shares the guest-side file; write back any
 			// buffered data so both views start coherent.
 			if res, failed := l.flushFDFor(st, t, e); failed {
-				return res, true
+				return res
 			}
 		}
 		fwd := *args
@@ -781,26 +722,22 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args) (kernel.R
 		fwd.FD = e.GuestFD
 		res := l.forwardOn(st, t, &fwd)
 		if !res.Ok() {
-			return res, true
+			return res
 		}
 		entry := &kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: res.FD, Path: e.Path, Flags: e.Flags}
 		l.bindFD(t, entry, e)
 		if args.Nr == abi.SysDup2 {
 			t.InstallFDAt(args.FD2, entry)
-			return kernel.Result{Ret: int64(args.FD2), FD: args.FD2}, true
+			return kernel.Result{Ret: int64(args.FD2), FD: args.FD2}
 		}
 		hostFD := t.InstallFD(entry)
-		return kernel.Result{Ret: int64(hostFD), FD: hostFD}, true
+		return kernel.Result{Ret: int64(hostFD), FD: hostFD}
 
 	case abi.SysAccept:
-		e := t.FD(args.FD)
-		if e == nil || e.Kind != kernel.FDRemote {
-			return kernel.Result{}, false
-		}
 		fwd := *args
-		fwd.FD = e.GuestFD
+		fwd.FD = t.FD(args.FD).GuestFD
 		fwd.Path = "sock:accepted"
-		return l.forwardWithFDResult(t, &fwd), true
+		return l.forwardWithFDResult(t, &fwd)
 
 	case abi.SysAccept4:
 		return l.handleAccept4(t, args)
@@ -808,7 +745,7 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args) (kernel.R
 	case abi.SysEpollCreate:
 		fwd := *args
 		fwd.Path = "epoll:"
-		return l.forwardWithFDResult(t, &fwd), true
+		return l.forwardWithFDResult(t, &fwd)
 
 	case abi.SysEpollCtl:
 		return l.handleEpollCtl(t, args)
@@ -822,102 +759,98 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args) (kernel.R
 	case abi.SysSocket:
 		fwd := *args
 		fwd.Path = "sock:"
-		return l.forwardWithFDResult(t, &fwd), true
+		return l.forwardWithFDResult(t, &fwd)
 
 	case abi.SysPipe:
 		res := l.forward(t, args)
 		if !res.Ok() {
-			return res, true
+			return res
 		}
 		readFD := t.InstallFD(&kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: int(res.Ret), Path: "pipe:r"})
 		writeFD := t.InstallFD(&kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: res.FD, Path: "pipe:w"})
-		return kernel.Result{Ret: int64(readFD), FD: writeFD}, true
+		return kernel.Result{Ret: int64(readFD), FD: writeFD}
 
 	case abi.SysStat, abi.SysAccess, abi.SysMkdir, abi.SysMkdirat,
 		abi.SysRmdir, abi.SysUnlink, abi.SysReadlink, abi.SysChmod,
 		abi.SysChown, abi.SysTruncate, abi.SysGetdents, abi.SysStatfs,
 		abi.SysMknod:
-		p := l.absPath(t, args.Path)
-		if l.keepFSOnHost || redirect.DecideOpenPath(p) == redirect.RouteHost {
-			l.counters.hostExecuted.Add(1)
-			return kernel.Result{}, false
-		}
 		fwd := *args
 		fwd.Path = p
 		st := l.currentState()
 		if !l.cacheBypassed(st) {
 			if res, handled := l.cachedPathCall(st, t, &fwd, p); handled {
-				return res, true
+				return res
 			}
 		}
 		res := l.forwardOn(st, t, &fwd)
 		l.notePathResult(t, &fwd, p, res)
-		return res, true
+		return res
 
 	case abi.SysRename, abi.SysLink:
-		if l.keepFSOnHost {
-			return kernel.Result{}, false
-		}
 		fwd := *args
-		fwd.Path = l.absPath(t, args.Path)
+		fwd.Path = p
 		fwd.Path2 = l.absPath(t, args.Path2)
 		st := l.currentState()
 		if !l.cacheBypassed(st) {
-			l.cachedPathCall(st, t, &fwd, fwd.Path)
+			l.cachedPathCall(st, t, &fwd, p)
 		}
 		res := l.forwardOn(st, t, &fwd)
-		l.notePathResult(t, &fwd, fwd.Path, res)
-		return res, true
+		l.notePathResult(t, &fwd, p, res)
+		return res
 
 	case abi.SysSymlink:
 		// Path is the target (uninterpreted), Path2 the link location.
-		if l.keepFSOnHost || redirect.DecideOpenPath(l.absPath(t, args.Path2)) == redirect.RouteHost {
-			return kernel.Result{}, false
-		}
 		fwd := *args
-		fwd.Path2 = l.absPath(t, args.Path2)
-		st := l.currentState()
-		res := l.forwardOn(st, t, &fwd)
-		l.notePathResult(t, &fwd, fwd.Path2, res)
-		return res, true
-
-	case abi.SysShmget, abi.SysShmat, abi.SysShmdt, abi.SysShmctl:
-		// Shared segments are app memory: pages stay on the host
-		// (principle 3), exactly like the rest of an app's address space.
-		l.counters.hostExecuted.Add(1)
-		return kernel.Result{}, false
-
-	case abi.SysSync, abi.SysMount:
-		return l.forward(t, args), true
-
-	default:
+		fwd.Path2 = p
+		res := l.forward(t, &fwd)
+		l.notePathResult(t, &fwd, p, res)
+		return res
+	}
+	if !namesFD(args.Nr) {
 		// Redirect-class calls with no special handling run in the CVM.
-		return l.forward(t, args), true
+		return l.forward(t, args)
 	}
-}
-
-// handleIoctl applies principle 2: UI transactions pass through to the
-// host; transactions to CVM-resident services are bridged; everything on
-// remote descriptors follows the descriptor.
-func (l *Layer) handleIoctl(t *kernel.Task, args *kernel.Args) (kernel.Result, bool) {
+	// A plain descriptor call: I/O, attributes, socket ops.
 	e := t.FD(args.FD)
-	if e == nil {
-		return kernel.Result{Ret: -1, Err: abi.EBADF}, true
+	st := l.currentState()
+	// Zero-copy cutover: bulk calls ship grants instead of copies.
+	if l.grantEligible(args) {
+		return l.forwardGrantFD(st, t, e, args)
 	}
-	if e.Kind == kernel.FDRemote {
+	// Socket ops take the network fast path: compact sockop frames over
+	// the ring, with the Submitted=Completed+Failed identity.
+	if isSockCall(args.Nr) {
 		fwd := *args
 		fwd.FD = e.GuestFD
-		return l.forward(t, &fwd), true
+		res := l.forwardSock(st, t, &fwd)
+		writeBackOther(args, res)
+		return res
 	}
-	// Host-local descriptor. Binder transactions need the UI test.
-	if e.Kind == kernel.FDFile && e.File.IsDevice() && e.File.Device().DevName() == "binder" &&
-		args.Request == binder.IocWaitInputEvent {
+	if !l.cacheBypassed(st) {
+		if res, handled := l.cachedFDCall(st, t, e, args); handled {
+			return res
+		}
+	}
+	fwd := *args
+	fwd.FD = e.GuestFD
+	res := l.forwardOn(st, t, &fwd)
+	l.noteForwardedFDOp(e, args.Nr)
+	writeBackOther(args, res)
+	return res
+}
+
+// handleHostIoctl applies principle 2 to an ioctl on a host descriptor:
+// UI transactions pass through to the host, and binder transactions to
+// CVM-resident services are bridged.
+func (l *Layer) handleHostIoctl(t *kernel.Task, args *kernel.Args) (kernel.Result, bool) {
+	e := t.FD(args.FD)
+	binderFD := e != nil && e.Kind == kernel.FDFile && e.File.IsDevice() && e.File.Device().DevName() == "binder"
+	if binderFD && args.Request == binder.IocWaitInputEvent {
 		// Listing 1's IOC_WAIT_INPUT_EVT: always a UI operation.
 		l.counters.uiPassthrough.Add(1)
 		return kernel.Result{}, false
 	}
-	if e.Kind == kernel.FDFile && e.File.IsDevice() && e.File.Device().DevName() == "binder" &&
-		args.Request == binder.IocTransact {
+	if binderFD && args.Request == binder.IocTransact {
 		// Decode exactly once; routing (UI test, guest lookup) and the
 		// bridge both work from this Transaction. The guest dispatches
 		// via TransactDecoded, so the bytes are never re-parsed.
@@ -951,14 +884,11 @@ const sendfileBounceLimit = 16 * marshal.DefaultChunkSize
 
 // handleSendfile forwards sendfile when both descriptors live in the CVM;
 // the common exploit shape (socket + data file) always does.
-func (l *Layer) handleSendfile(t *kernel.Task, args *kernel.Args) (kernel.Result, bool) {
+func (l *Layer) handleSendfile(t *kernel.Task, args *kernel.Args) kernel.Result {
 	out := t.FD(args.FD)
 	in := t.FD(args.FD2)
 	if out == nil || in == nil {
-		return kernel.Result{Ret: -1, Err: abi.EBADF}, true
-	}
-	if out.Kind != kernel.FDRemote && in.Kind != kernel.FDRemote {
-		return kernel.Result{}, false
+		return kernel.Result{Ret: -1, Err: abi.EBADF}
 	}
 	st := l.currentState()
 	if !l.cacheBypassed(st) {
@@ -966,7 +896,7 @@ func (l *Layer) handleSendfile(t *kernel.Task, args *kernel.Args) (kernel.Result
 		// back what it buffered for either file first.
 		for _, e := range [2]*kernel.FDEntry{in, out} {
 			if res, failed := l.flushFDFor(st, t, e); failed {
-				return res, true
+				return res
 			}
 		}
 	}
@@ -978,7 +908,7 @@ func (l *Layer) handleSendfile(t *kernel.Task, args *kernel.Args) (kernel.Result
 		if res.Ok() {
 			l.noteFileWrite(l.fileOf(out))
 		}
-		return res, true
+		return res
 	}
 	// Mixed locality: stage through a bounded bounce buffer, chunking the
 	// read/write loop so the allocation never exceeds sendfileBounceLimit
@@ -992,7 +922,7 @@ func (l *Layer) handleSendfile(t *kernel.Task, args *kernel.Args) (kernel.Result
 		bufSize = sendfileBounceLimit
 	}
 	if bufSize < 0 {
-		return kernel.Result{Ret: -1, Err: abi.EINVAL}, true
+		return kernel.Result{Ret: -1, Err: abi.EINVAL}
 	}
 	buf := make([]byte, bufSize)
 	var total int64
@@ -1002,23 +932,12 @@ func (l *Layer) handleSendfile(t *kernel.Task, args *kernel.Args) (kernel.Result
 		if n > len(buf) {
 			n = len(buf)
 		}
-		readArgs := kernel.Args{Nr: abi.SysRead, FD: args.FD2, Buf: buf[:n]}
-		var readRes kernel.Result
-		if in.Kind == kernel.FDRemote {
-			readArgs.FD = in.GuestFD
-			if l.grantEligible(&readArgs) {
-				readRes = l.forwardGrant(st, t, &readArgs)
-			} else {
-				readRes = l.forwardOn(st, t, &readArgs)
-			}
-		} else {
-			readRes = l.host.InvokeLocal(t, readArgs)
-		}
+		readRes := l.sendfileLeg(st, t, in, kernel.Args{Nr: abi.SysRead, FD: args.FD2, Buf: buf[:n]})
 		if !readRes.Ok() {
 			if total > 0 {
-				return kernel.Result{Ret: total}, true
+				return kernel.Result{Ret: total}
 			}
-			return readRes, true
+			return readRes
 		}
 		if readRes.Ret == 0 {
 			break // source exhausted
@@ -1034,26 +953,16 @@ func (l *Layer) handleSendfile(t *kernel.Task, args *kernel.Args) (kernel.Result
 			// straight out of the pinned staging pages — no second copy.
 			writeArgs.Nr = abi.SysSend
 		}
-		var writeRes kernel.Result
-		if out.Kind == kernel.FDRemote {
-			writeArgs.FD = out.GuestFD
-			if l.grantEligible(&writeArgs) {
-				writeRes = l.forwardGrant(st, t, &writeArgs)
-			} else {
-				writeRes = l.forwardOn(st, t, &writeArgs)
-			}
-			if writeRes.Ok() && writeArgs.Nr == abi.SysWrite {
-				// The write went around the redirection cache.
-				l.noteFileWrite(l.fileOf(out))
-			}
-		} else {
-			writeRes = l.host.InvokeLocal(t, writeArgs)
+		writeRes := l.sendfileLeg(st, t, out, writeArgs)
+		if writeRes.Ok() && out.Kind == kernel.FDRemote && writeArgs.Nr == abi.SysWrite {
+			// The write went around the redirection cache.
+			l.noteFileWrite(l.fileOf(out))
 		}
 		if !writeRes.Ok() {
 			if total > 0 {
-				return kernel.Result{Ret: total}, true
+				return kernel.Result{Ret: total}
 			}
-			return writeRes, true
+			return writeRes
 		}
 		total += writeRes.Ret
 		remaining -= int(readRes.Ret)
@@ -1061,7 +970,20 @@ func (l *Layer) handleSendfile(t *kernel.Task, args *kernel.Args) (kernel.Result
 			break // short read: end of source
 		}
 	}
-	return kernel.Result{Ret: total}, true
+	return kernel.Result{Ret: total}
+}
+
+// sendfileLeg runs one leg of a mixed-locality sendfile where its
+// descriptor lives; a remote leg at GrantThreshold rides the grant path.
+func (l *Layer) sendfileLeg(st *layerState, t *kernel.Task, e *kernel.FDEntry, a kernel.Args) kernel.Result {
+	if e.Kind != kernel.FDRemote {
+		return l.host.InvokeLocal(t, a)
+	}
+	a.FD = e.GuestFD
+	if l.grantEligible(&a) {
+		return l.forwardGrant(st, t, &a)
+	}
+	return l.forwardOn(st, t, &a)
 }
 
 // forward marshals one call, moves it over the transport, executes it in

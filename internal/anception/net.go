@@ -161,22 +161,18 @@ func sockTransportFailure(err error) bool {
 // handleAccept4 forwards a batched accept: the guest drains up to
 // Args.Size pending connections in one ring completion and the reply's
 // fd list is re-installed as host remote descriptors.
-func (l *Layer) handleAccept4(t *kernel.Task, args *kernel.Args) (kernel.Result, bool) {
-	e := t.FD(args.FD)
-	if e == nil || e.Kind != kernel.FDRemote {
-		return kernel.Result{}, false
-	}
+func (l *Layer) handleAccept4(t *kernel.Task, args *kernel.Args) kernel.Result {
 	st := l.currentState()
 	fwd := *args
-	fwd.FD = e.GuestFD
+	fwd.FD = t.FD(args.FD).GuestFD
 	fwd.Size = netBatchLimit(args.Size)
 	res := l.forwardSock(st, t, &fwd)
 	if !res.Ok() {
-		return res, true
+		return res
 	}
 	guestFDs, derr := abi.DecodeFDList(res.Data)
 	if derr != nil {
-		return kernel.Result{Ret: -1, Err: derr}, true
+		return kernel.Result{Ret: -1, Err: derr}
 	}
 	hostFDs := make([]int, len(guestFDs))
 	for i, gfd := range guestFDs {
@@ -184,27 +180,23 @@ func (l *Layer) handleAccept4(t *kernel.Task, args *kernel.Args) (kernel.Result,
 	}
 	l.counters.sockBatches.Add(1)
 	l.counters.sockBatchedFDs.Add(int64(len(hostFDs)))
-	return kernel.Result{Ret: int64(len(hostFDs)), Data: abi.EncodeFDList(hostFDs)}, true
+	return kernel.Result{Ret: int64(len(hostFDs)), Data: abi.EncodeFDList(hostFDs)}
 }
 
 // handleEpollWait forwards a batched readiness poll and translates the
 // returned guest descriptors back to the caller's host descriptors.
-func (l *Layer) handleEpollWait(t *kernel.Task, args *kernel.Args) (kernel.Result, bool) {
-	e := t.FD(args.FD)
-	if e == nil || e.Kind != kernel.FDRemote {
-		return kernel.Result{}, false
-	}
+func (l *Layer) handleEpollWait(t *kernel.Task, args *kernel.Args) kernel.Result {
 	st := l.currentState()
 	fwd := *args
-	fwd.FD = e.GuestFD
+	fwd.FD = t.FD(args.FD).GuestFD
 	fwd.Size = netBatchLimit(args.Size)
 	res := l.forwardSock(st, t, &fwd)
 	if !res.Ok() || len(res.Data) == 0 {
-		return res, true
+		return res
 	}
 	guestFDs, derr := abi.DecodeFDList(res.Data)
 	if derr != nil {
-		return kernel.Result{Ret: -1, Err: derr}, true
+		return kernel.Result{Ret: -1, Err: derr}
 	}
 	// Reverse-translate guest fds: scan the task's descriptor table once.
 	byGuest := make(map[int]int)
@@ -221,25 +213,20 @@ func (l *Layer) handleEpollWait(t *kernel.Task, args *kernel.Args) (kernel.Resul
 	}
 	l.counters.sockBatches.Add(1)
 	l.counters.sockBatchedFDs.Add(int64(len(hostFDs)))
-	return kernel.Result{Ret: int64(len(hostFDs)), Data: abi.EncodeFDList(hostFDs)}, true
+	return kernel.Result{Ret: int64(len(hostFDs)), Data: abi.EncodeFDList(hostFDs)}
 }
 
 // handleEpollCtl translates both descriptors (the epoll instance and the
 // watched socket) to their guest numbers before forwarding.
-func (l *Layer) handleEpollCtl(t *kernel.Task, args *kernel.Args) (kernel.Result, bool) {
-	e := t.FD(args.FD)
-	if e == nil || e.Kind != kernel.FDRemote {
-		return kernel.Result{}, false
-	}
+func (l *Layer) handleEpollCtl(t *kernel.Task, args *kernel.Args) kernel.Result {
 	target := t.FD(args.FD2)
 	if target == nil || target.Kind != kernel.FDRemote {
-		return kernel.Result{Ret: -1, Err: abi.EBADF}, true
+		return kernel.Result{Ret: -1, Err: abi.EBADF}
 	}
-	st := l.currentState()
 	fwd := *args
-	fwd.FD = e.GuestFD
+	fwd.FD = t.FD(args.FD).GuestFD
 	fwd.FD2 = target.GuestFD
-	return l.forwardSock(st, t, &fwd), true
+	return l.forwardSock(l.currentState(), t, &fwd)
 }
 
 // DrainSockets rolls the network fast path to a new CVM boot generation:

@@ -51,11 +51,7 @@ func (p *Proc) Chain(calls ...ChainCall) []kernel.Result {
 		return p.device.Layer.Chain(p.Task, calls)
 	}
 	if err := validateChain(calls); err != nil {
-		results := make([]kernel.Result, len(calls))
-		for i := range results {
-			results[i] = kernel.Result{Ret: -1, Err: err}
-		}
-		return results
+		return failLinks(make([]kernel.Result, len(calls)), err)
 	}
 	return runChainUnfused(p.invoke, calls)
 }

@@ -1,6 +1,7 @@
 package anception
 
 import (
+	"fmt"
 	"time"
 
 	"anception/internal/abi"
@@ -71,10 +72,12 @@ func (l *Layer) handleSplit(t *kernel.Task, args *kernel.Args) kernel.Result {
 // handleChdir validates the target directory wherever it actually lives —
 // the CVM for redirected paths — then updates the host task's working
 // directory and mirrors it onto the proxy so both kernels resolve the
-// app's relative paths identically.
+// app's relative paths identically. The validation is a stat of the
+// target, admitted like any other.
 func (l *Layer) handleChdir(t *kernel.Task, args *kernel.Args) kernel.Result {
-	p := l.absPath(t, args.Path)
-	if l.keepFSOnHost || redirect.DecideOpenPath(p) == redirect.RouteHost {
+	stat := kernel.Args{Nr: abi.SysStat, Path: args.Path}
+	adm := l.admit(t, &stat, false)
+	if adm.Route != redirect.RouteGuest {
 		res := l.host.InvokeLocal(t, *args)
 		if res.Ok() {
 			l.chargeControlTrip(t)
@@ -82,15 +85,16 @@ func (l *Layer) handleChdir(t *kernel.Task, args *kernel.Args) kernel.Result {
 		}
 		return res
 	}
-	statRes := l.forward(t, &kernel.Args{Nr: abi.SysStat, Path: p})
+	stat.Path = adm.Path
+	statRes := l.forward(t, &stat)
 	if !statRes.Ok() {
 		return statRes
 	}
 	if string(statRes.Data) != "d" {
 		return kernel.Result{Ret: -1, Err: abi.ENOTDIR}
 	}
-	t.CWD = p
-	l.proxyMgr().MirrorChdir(t.PID, p)
+	t.CWD = adm.Path
+	l.proxyMgr().MirrorChdir(t.PID, adm.Path)
 	return kernel.Result{}
 }
 
@@ -106,17 +110,7 @@ func (l *Layer) handleCredChange(t *kernel.Task, args *kernel.Args) kernel.Resul
 	if newID == cur {
 		return kernel.Result{} // no-op re-assertion is fine
 	}
-	l.counters.appsKilled.Add(1)
-	if l.trace != nil {
-		l.trace.Record(sim.EvSecurity,
-			"anception killed pid=%d: attempted UID/GID change %d -> %d", t.PID, cur, newID)
-	}
-	t.SetState(kernel.TaskDead)
-	if t.AS != nil {
-		t.AS.Release()
-	}
-	l.proxyMgr().MirrorExit(t.PID)
-	return kernel.Result{Ret: -1, Err: abi.EPERM}
+	return l.kill(t, fmt.Sprintf("attempted UID/GID change %d -> %d", cur, newID))
 }
 
 // handleExec implements the exec split: system binaries run from the
@@ -168,18 +162,14 @@ func (l *Layer) handleExec(t *kernel.Task, args *kernel.Args) kernel.Result {
 // about: anonymous/fixed mappings stay entirely on the host; host-local
 // device mappings dispatch locally; mappings of CVM-resident files pull
 // the pages across the boundary once and remap them into the app
-// (Section III-D, Memory-mapped files).
+// (Section III-D, Memory-mapped files). The pull is a pread of the
+// descriptor, admitted like any other.
 func (l *Layer) handleMmap(t *kernel.Task, args *kernel.Args) kernel.Result {
-	if args.FD <= 0 {
+	pull := kernel.Args{Nr: abi.SysPread64, FD: args.FD}
+	if args.FD <= 0 || l.admit(t, &pull, false).Route != redirect.RouteGuest {
 		return l.host.InvokeLocal(t, *args)
 	}
 	e := t.FD(args.FD)
-	if e == nil {
-		return kernel.Result{Ret: -1, Err: abi.EBADF}
-	}
-	if e.Kind != kernel.FDRemote {
-		return l.host.InvokeLocal(t, *args)
-	}
 
 	pages := args.Pages
 	if pages <= 0 {
@@ -194,8 +184,8 @@ func (l *Layer) handleMmap(t *kernel.Task, args *kernel.Args) kernel.Result {
 			return res
 		}
 	}
-	buf := make([]byte, pages*abi.PageSize)
-	readRes := l.forward(t, &kernel.Args{Nr: abi.SysPread64, FD: e.GuestFD, Buf: buf, Off: 0})
+	pull.FD, pull.Buf = e.GuestFD, make([]byte, pages*abi.PageSize)
+	readRes := l.forward(t, &pull)
 	if !readRes.Ok() {
 		return readRes
 	}

@@ -88,30 +88,15 @@ func (r Result) Ok() bool { return r.Err == nil }
 // (interceptor) table or the local one.
 func (k *Kernel) Invoke(t *Task, args Args) Result {
 	k.clock.Charge(t.Lane, k.model.SyscallEntry)
-	k.countSyscall(args.Nr)
 	if k.trace != nil {
 		k.trace.Record(sim.EvSyscall, "[%s] pid=%d %s", k.name, t.PID, args.Nr)
 	}
-
-	if t.CurrentState() != TaskRunning {
-		return k.errResult(abi.ESRCH)
-	}
-
 	k.mu.Lock()
-	detectors := k.detectors
-	interceptor := k.interceptor
+	k.syscallCount[args.Nr]++
+	detectors, interceptor := k.detectors, k.interceptor
 	k.mu.Unlock()
-
-	for _, d := range detectors {
-		// Each detector checks a copy of its own, so the call's Args stay
-		// off the heap unless a detector is installed.
-		a := args
-		if err := d(t, &a); err != nil {
-			if k.trace != nil {
-				k.trace.Record(sim.EvSecurity, "[%s] detector vetoed %s from pid=%d: %v", k.name, args.Nr, t.PID, err)
-			}
-			return k.errResult(err)
-		}
+	if err := k.screen(t, args, detectors); err != nil {
+		return k.errResult(err)
 	}
 
 	// ASIM: the one-byte redirection entry selects the alternate table.
@@ -123,6 +108,36 @@ func (k *Kernel) Invoke(t *Task, args Args) Result {
 	}
 
 	return k.dispatchLocal(t, args)
+}
+
+// Screen is the host side of one syscall entry: it refuses a call with
+// ESRCH for a task that is not running and with the first detector's
+// veto. Invoke screens every trapped call; a fused chain, whose links
+// never trap, screens each link once and counts the links that ran with
+// CountSyscall. Screen neither counts nor charges sim time.
+func (k *Kernel) Screen(t *Task, args Args) error {
+	k.mu.Lock()
+	detectors := k.detectors
+	k.mu.Unlock()
+	return k.screen(t, args, detectors)
+}
+
+func (k *Kernel) screen(t *Task, args Args, detectors []Detector) error {
+	if t.CurrentState() != TaskRunning {
+		return abi.ESRCH
+	}
+	for _, d := range detectors {
+		// Each detector checks a copy of its own, so the call's Args stay
+		// off the heap unless a detector is installed.
+		a := args
+		if err := d(t, &a); err != nil {
+			if k.trace != nil {
+				k.trace.Record(sim.EvSecurity, "[%s] detector vetoed %s from pid=%d: %v", k.name, args.Nr, t.PID, err)
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // dispatchLocal runs the call against this kernel's own tables. The
@@ -307,7 +322,7 @@ func (k *Kernel) dispatchLocal(t *Task, args Args) Result {
 // re-entering the redirection check (used for host-class calls and for
 // proxy-context execution in the guest).
 func (k *Kernel) InvokeLocal(t *Task, args Args) Result {
-	k.countSyscall(args.Nr)
+	k.CountSyscall(args.Nr)
 	if t.CurrentState() != TaskRunning {
 		return k.errResult(abi.ESRCH)
 	}

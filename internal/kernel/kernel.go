@@ -321,7 +321,8 @@ func (k *Kernel) SyscallCounts() map[abi.SyscallNr]int {
 	return out
 }
 
-func (k *Kernel) countSyscall(nr abi.SyscallNr) {
+// CountSyscall counts one call that entered the kernel.
+func (k *Kernel) CountSyscall(nr abi.SyscallNr) {
 	k.mu.Lock()
 	k.syscallCount[nr]++
 	k.mu.Unlock()

@@ -33,8 +33,9 @@ func (s TaskState) String() string {
 	}
 }
 
-// FDKind distinguishes what a file descriptor refers to.
-type FDKind int
+// FDKind distinguishes what a file descriptor refers to. It is one byte,
+// so FDEntry.Regular packs beside it.
+type FDKind uint8
 
 // FD kinds.
 const (
@@ -54,7 +55,10 @@ const (
 
 // FDEntry is one slot of a task's descriptor table.
 type FDEntry struct {
-	Kind    FDKind
+	Kind FDKind
+	// Regular marks an FDRemote descriptor the container reported as a
+	// regular file: only those may be served from host memory.
+	Regular bool
 	File    *vfs.File
 	Sock    *netstack.Socket
 	Pipe    *Pipe

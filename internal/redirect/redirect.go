@@ -1,8 +1,8 @@
-// Package redirect implements Anception's redirection logic (Section
-// III-D): the classification of the full 324-entry system-call table into
-// redirected, host-only, split, and blocked classes, and the per-call
-// routing decisions the interceptor applies, including the path rules for
-// open and the UI test for ioctl.
+// Package redirect holds Anception's redirection table (Section III-D):
+// the classification of the full 324-entry system-call table into
+// redirected, host-only, split, and blocked classes, and the path rule
+// that routes a path-named call. The layer's admission point
+// (anception.Layer.admit) combines them into one route per call.
 package redirect
 
 import (
@@ -60,6 +60,9 @@ const (
 	RouteGuest
 	RouteSplit
 	RouteBlocked
+	// RouteKill ends the caller: Anception runs no sandboxed task as root
+	// (Section III-C, footnote 3).
+	RouteKill
 )
 
 // String names the route.
@@ -73,6 +76,8 @@ func (r Route) String() string {
 		return "split"
 	case RouteBlocked:
 		return "blocked"
+	case RouteKill:
+		return "kill"
 	default:
 		return "?"
 	}
@@ -111,73 +116,10 @@ func DecideOpenPath(path string) Route {
 		return RouteHost
 	case strings.HasPrefix(path, "/system/") || path == "/system":
 		return RouteHost
-	case isProcExe(path):
+	case path == "/proc/self/exe":
 		return RouteHost
 	default:
 		return RouteGuest
-	}
-}
-
-func isProcExe(path string) bool {
-	return path == "/proc/self/exe"
-}
-
-// Decision is the routing outcome for one call plus the reason, for traces
-// and tests.
-type Decision struct {
-	Route  Route
-	Reason string
-}
-
-// Engine makes per-invocation routing decisions. It is stateless; the
-// interceptor supplies the dynamic facts (fd locality, UI transaction).
-type Engine struct{}
-
-// NewEngine returns a routing engine.
-func NewEngine() *Engine { return &Engine{} }
-
-// DecideOpen routes an open by path.
-func (e *Engine) DecideOpen(path string) Decision {
-	r := DecideOpenPath(path)
-	reason := "app data and general state live in the CVM"
-	if r == RouteHost {
-		reason = "read-only code / UI channel stays on the host"
-	}
-	return Decision{Route: r, Reason: reason}
-}
-
-// DecideIoctl routes an ioctl: UI transactions pass through to the host
-// (principle 2); everything else follows the fd.
-func (e *Engine) DecideIoctl(fdIsRemote, uiTransaction bool) Decision {
-	if uiTransaction {
-		return Decision{Route: RouteHost, Reason: "UI/Input transactions are serviced on the host"}
-	}
-	if fdIsRemote {
-		return Decision{Route: RouteGuest, Reason: "descriptor lives in the CVM proxy"}
-	}
-	return Decision{Route: RouteHost, Reason: "host-local descriptor"}
-}
-
-// DecideFD routes a descriptor-based call by where the descriptor lives.
-func (e *Engine) DecideFD(fdIsRemote bool) Decision {
-	if fdIsRemote {
-		return Decision{Route: RouteGuest, Reason: "descriptor lives in the CVM proxy"}
-	}
-	return Decision{Route: RouteHost, Reason: "host-local descriptor"}
-}
-
-// DecideStatic routes by the static class alone (path- and fd-independent
-// calls).
-func (e *Engine) DecideStatic(nr abi.SyscallNr) Decision {
-	switch Classify(nr) {
-	case ClassHost:
-		return Decision{Route: RouteHost, Reason: "host-class call"}
-	case ClassSplit:
-		return Decision{Route: RouteSplit, Reason: "split-class call"}
-	case ClassBlocked:
-		return Decision{Route: RouteBlocked, Reason: "dangerous whole-system call"}
-	default:
-		return Decision{Route: RouteGuest, Reason: "redirect-class call"}
 	}
 }
 

@@ -112,49 +112,11 @@ func TestDecideOpenPath(t *testing.T) {
 	}
 }
 
-func TestEngineDecideIoctl(t *testing.T) {
-	e := NewEngine()
-	if d := e.DecideIoctl(false, true); d.Route != RouteHost {
-		t.Fatalf("UI ioctl: %v", d)
-	}
-	if d := e.DecideIoctl(true, false); d.Route != RouteGuest {
-		t.Fatalf("remote-fd ioctl: %v", d)
-	}
-	if d := e.DecideIoctl(false, false); d.Route != RouteHost {
-		t.Fatalf("local-fd ioctl: %v", d)
-	}
-}
-
-func TestEngineDecideFD(t *testing.T) {
-	e := NewEngine()
-	if d := e.DecideFD(true); d.Route != RouteGuest {
-		t.Fatalf("remote fd: %v", d)
-	}
-	if d := e.DecideFD(false); d.Route != RouteHost {
-		t.Fatalf("local fd: %v", d)
-	}
-}
-
-func TestEngineDecideStatic(t *testing.T) {
-	e := NewEngine()
-	cases := map[abi.SyscallNr]Route{
-		abi.SysGetpid: RouteHost,
-		abi.SysFork:   RouteSplit,
-		abi.SysPtrace: RouteBlocked,
-		abi.SysSocket: RouteGuest,
-	}
-	for nr, want := range cases {
-		if got := e.DecideStatic(nr).Route; got != want {
-			t.Errorf("DecideStatic(%v) = %v, want %v", nr, got, want)
-		}
-	}
-}
-
 func TestStringers(t *testing.T) {
 	if ClassRedirect.String() != "redirect" || ClassBlocked.String() != "blocked" {
 		t.Fatal("class names")
 	}
-	if RouteGuest.String() != "guest" || RouteSplit.String() != "split" {
+	if RouteGuest.String() != "guest" || RouteSplit.String() != "split" || RouteKill.String() != "kill" {
 		t.Fatal("route names")
 	}
 	if Class(0).String() != "?" || Route(0).String() != "?" {
