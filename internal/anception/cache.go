@@ -487,13 +487,14 @@ func (l *Layer) cacheBypassed(st *layerState) bool {
 // coherence flush and lets the caller forward normally (handled=false).
 func (l *Layer) cachedFDCall(st *layerState, t *kernel.Task, e *kernel.FDEntry, args *kernel.Args) (kernel.Result, bool) {
 	// Pages are shared by the whole file: a descriptor that may not read
-	// (or write) them gets the guest's answer (EBADF) instead.
+	// (or write) them gets the guest's answer (EBADF) instead, and so does
+	// a write reaching past the file size limit (EFBIG or a short write).
 	switch {
 	case !e.Regular:
 	case args.Nr == abi.SysPread64 && e.Flags.Readable():
 		l.policy.cacheServed.Add(1)
 		return l.cachedPread(st, t, e, args)
-	case args.Nr == abi.SysPwrite64 && e.Flags.Writable():
+	case args.Nr == abi.SysPwrite64 && e.Flags.Writable() && args.Off <= vfs.MaxFileSize-int64(len(args.Buf)):
 		l.policy.cacheServed.Add(1)
 		return l.cachedPwrite(st, t, e, args)
 	}

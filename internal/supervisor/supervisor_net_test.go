@@ -177,7 +177,16 @@ func TestSocketChurnUnderRestarts(t *testing.T) {
 		}(i, app)
 	}
 
+	// Each restart lands on live traffic: it is injected only once the
+	// workers have forwarded a socket op since the previous one, or after
+	// a bounded host-time wait (the assertions below then catch a churn
+	// that never forwarded anything).
+	var forwarded int64
 	for r := 0; r < 5; r++ {
+		for wait := time.Now().Add(10 * time.Second); d.NetStats().Submitted == forwarded && time.Now().Before(wait); {
+			time.Sleep(100 * time.Microsecond)
+		}
+		forwarded = d.NetStats().Submitted
 		d.InjectGuestPanic(fmt.Sprintf("churn round %d", r))
 		if err := sup.RunUntilHealthy(50); err != nil {
 			t.Fatalf("round %d: watchdog never recovered: %v", r, err)

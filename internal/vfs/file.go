@@ -62,12 +62,14 @@ func (fs *FileSystem) Open(cred Cred, p string, flags abi.OpenFlag, createMode a
 		}
 	}
 	if flags&abi.OTrunc != 0 && flags.Writable() && ino.Type == TypeRegular {
-		truncateData(ino, 0)
+		if err := ino.truncate(0); err != nil {
+			return nil, err
+		}
 	}
 
 	f := &File{fs: fs, ino: ino, path: clean, flags: flags, cred: cred}
 	if flags&abi.OAppend != 0 {
-		f.off = int64(len(ino.Data))
+		f.off = ino.data.size
 	}
 	return f, nil
 }
@@ -107,12 +109,9 @@ func (f *File) Read(p []byte) (int, error) {
 	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	if f.off >= int64(len(f.ino.Data)) {
-		return 0, nil
-	}
-	n := copy(p, f.ino.Data[f.off:])
+	n, err := f.ino.readAt(p, f.off)
 	f.off += int64(n)
-	return n, nil
+	return n, err
 }
 
 // ReadAt reads at an explicit offset without moving the file offset.
@@ -125,10 +124,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	if off >= int64(len(f.ino.Data)) {
-		return 0, nil
-	}
-	return copy(p, f.ino.Data[off:]), nil
+	return f.ino.readAt(p, off)
 }
 
 // Write writes p at the current offset, growing the file as needed.
@@ -144,18 +140,11 @@ func (f *File) Write(p []byte) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
 	if f.flags&abi.OAppend != 0 {
-		f.off = int64(len(f.ino.Data))
+		f.off = f.ino.data.size
 	}
-	end := f.off + int64(len(p))
-	if end > int64(len(f.ino.Data)) {
-		grown := make([]byte, end)
-		copy(grown, f.ino.Data)
-		f.ino.Data = grown
-	}
-	copy(f.ino.Data[f.off:], p)
-	f.ino.markDirtyRange(f.off, int64(len(p)))
-	f.off = end
-	return len(p), nil
+	n, err := f.ino.writeAt(p, f.off)
+	f.off += int64(n)
+	return n, err
 }
 
 // WriteAt writes at an explicit offset without moving the file offset.
@@ -168,15 +157,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	end := off + int64(len(p))
-	if end > int64(len(f.ino.Data)) {
-		grown := make([]byte, end)
-		copy(grown, f.ino.Data)
-		f.ino.Data = grown
-	}
-	copy(f.ino.Data[off:], p)
-	f.ino.markDirtyRange(off, int64(len(p)))
-	return len(p), nil
+	return f.ino.writeAt(p, off)
 }
 
 // Seek adjusts the file offset.
@@ -190,7 +171,7 @@ func (f *File) Seek(off int64, whence int) (int64, error) {
 	case abi.SeekCur:
 		base = f.off
 	case abi.SeekEnd:
-		base = int64(len(f.ino.Data))
+		base = f.ino.data.size
 	default:
 		return 0, abi.EINVAL
 	}
@@ -239,8 +220,7 @@ func (f *File) Truncate(size int64) error {
 	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	truncateData(f.ino, size)
-	return nil
+	return f.ino.truncate(size)
 }
 
 // ReadFile is a convenience that reads the whole file at p.

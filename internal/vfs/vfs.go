@@ -93,8 +93,8 @@ type Inode struct {
 	GID   int
 	Nlink int
 
-	// Data holds file contents for regular files.
-	Data []byte
+	// data holds the contents of a regular file (store.go).
+	data fileData
 	// Target holds the destination of a symlink.
 	Target string
 	// Dev is the bound driver for device nodes.
@@ -334,7 +334,7 @@ func statOf(ino *Inode) Stat {
 		Mode:  ino.Mode,
 		UID:   ino.UID,
 		GID:   ino.GID,
-		Size:  int64(len(ino.Data)),
+		Size:  ino.data.size,
 		Nlink: ino.Nlink,
 	}
 }
@@ -623,20 +623,7 @@ func (fs *FileSystem) Truncate(cred Cred, p string, size int64) error {
 	if !permitted(cred, ino, abi.AccessWrite) {
 		return abi.EACCES
 	}
-	truncateData(ino, size)
-	return nil
-}
-
-func truncateData(ino *Inode, size int64) {
-	switch {
-	case size < int64(len(ino.Data)):
-		ino.Data = ino.Data[:size]
-	case size > int64(len(ino.Data)):
-		grown := make([]byte, size)
-		copy(grown, ino.Data)
-		ino.Data = grown
-	}
-	ino.markDirtyRange(0, size)
+	return ino.truncate(size)
 }
 
 func (ino *Inode) markDirtyRange(off, n int64) {
