@@ -229,7 +229,6 @@ func BenchmarkBinder_SessionRing(b *testing.B) {
 	benchBinderOpts(b, anception.Options{
 		BinderSessions: true,
 		RingDepth:      marshal.DefaultRingDepth,
-		RingWorkers:    1,
 		RingReapBatch:  marshal.DefaultRingDepth,
 		CallDeadline:   time.Hour,
 	})
@@ -294,7 +293,7 @@ func TestBinderSessionFloor(t *testing.T) {
 
 // --- Async redirection ring (DESIGN.md §10) -------------------------------
 
-// benchRingWrite4K is benchWrite4K on a ring device, with the worker pool
+// benchRingWrite4K is benchWrite4K on a ring device, with the SQ poller
 // shut down when the benchmark ends.
 func benchRingWrite4K(b *testing.B, opts anception.Options) {
 	d := newBenchDevice(b, anception.ModeAnception, opts)
@@ -323,15 +322,14 @@ func benchRingWrite4K(b *testing.B, opts anception.Options) {
 // BenchmarkTableI_Write4K_AnceptionUncached: same op, page channel.
 func BenchmarkRing_Write4K(b *testing.B) {
 	benchRingWrite4K(b, anception.Options{
-		RingDepth:   marshal.DefaultRingDepth,
-		RingWorkers: 4,
+		RingDepth: marshal.DefaultRingDepth,
 	})
 }
 
 // BenchmarkRing_Ping measures the heartbeat through the async ring; the
 // allocation count is pinned to zero in TestRingPingZeroAllocs.
 func BenchmarkRing_Ping(b *testing.B) {
-	d := newBenchDevice(b, anception.ModeAnception, anception.Options{RingDepth: 8, RingWorkers: 1})
+	d := newBenchDevice(b, anception.ModeAnception, anception.Options{RingDepth: 8})
 	defer d.Close()
 	if err := d.Layer.Ping(); err != nil {
 		b.Fatal(err)
@@ -348,14 +346,13 @@ func BenchmarkRing_Ping(b *testing.B) {
 // --- Zero-copy grants (DESIGN.md §11) -------------------------------------
 
 // grantRingOpts is the shipped bulk configuration: grants over the async
-// ring, one SQPOLL-style worker, and a lazy reap cadence (descriptor-only
+// ring and a lazy reap cadence (descriptor-only
 // slots tolerate it). The hour deadline is the usual fault-detector
 // setting for shared-clock measurement.
 func grantRingOpts() anception.Options {
 	return anception.Options{
 		GrantThreshold: 4096,
 		RingDepth:      marshal.DefaultRingDepth,
-		RingWorkers:    1,
 		RingReapBatch:  marshal.DefaultRingDepth,
 		CallDeadline:   time.Hour,
 	}
@@ -777,31 +774,24 @@ func benchLaunch(b *testing.B, mode anception.Mode) {
 func BenchmarkAppLaunch_Native(b *testing.B)    { benchLaunch(b, anception.ModeNative) }
 func BenchmarkAppLaunch_Anception(b *testing.B) { benchLaunch(b, anception.ModeAnception) }
 
-// CVM memory-size sweep: how many enrolled apps fit per container size —
-// the provisioning question behind the paper's 64 MB choice.
+// How many enrolled apps fit in the paper's 64 MB container — the
+// provisioning question behind that choice.
 func BenchmarkCVMSizeProxyCapacity(b *testing.B) {
-	for _, mb := range []int64{32, 64, 128} {
-		b.Run(fmt.Sprintf("%dMB", mb), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d := newBenchDevice(b, anception.ModeAnception, anception.Options{
-					CVMMemoryBytes: mb << 20,
-				})
-				launched := 0
-				for j := 0; j < 1000; j++ {
-					app, err := d.InstallApp(android.AppSpec{Package: fmt.Sprintf("com.cap%04d", j)})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := d.Launch(app); err != nil {
-						break // guest region exhausted: capacity reached
-					}
-					launched++
-				}
-				b.ReportMetric(float64(launched), "apps")
-				b.ReportMetric(float64(d.CVMMemory().ActiveKB), "active-KB")
+	for i := 0; i < b.N; i++ {
+		d := newBenchDevice(b, anception.ModeAnception, anception.Options{})
+		launched := 0
+		for j := 0; j < 1000; j++ {
+			app, err := d.InstallApp(android.AppSpec{Package: fmt.Sprintf("com.cap%04d", j)})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			if _, err := d.Launch(app); err != nil {
+				break // guest region exhausted: capacity reached
+			}
+			launched++
+		}
+		b.ReportMetric(float64(launched), "apps")
+		b.ReportMetric(float64(d.CVMMemory().ActiveKB), "active-KB")
 	}
 }
 
@@ -859,7 +849,6 @@ func BenchmarkSocket_SyncEcho(b *testing.B) {
 func BenchmarkSocket_RingEcho(b *testing.B) {
 	benchSockEcho(b, anception.Options{
 		RingDepth:     marshal.DefaultRingDepth,
-		RingWorkers:   1,
 		RingReapBatch: marshal.DefaultRingDepth,
 		CallDeadline:  time.Hour,
 	}, 128, 128)
@@ -876,7 +865,7 @@ func BenchmarkSocket_GrantSend64K(b *testing.B) {
 // epoll_wait plus batched accept4 calls, echoed and closed.
 func BenchmarkSocket_AcceptBatch(b *testing.B) {
 	d := newBenchDevice(b, anception.ModeAnception, anception.Options{
-		RingDepth: marshal.DefaultRingDepth, RingWorkers: 4, CallDeadline: time.Hour,
+		RingDepth: marshal.DefaultRingDepth, CallDeadline: time.Hour,
 	})
 	defer d.Close()
 	srv := launchBenchApp(b, d, "com.bench.srv")

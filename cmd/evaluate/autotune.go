@@ -46,11 +46,11 @@ func autotuneConfigs() []autotuneConfig {
 		{"sync-uncached", anception.Options{CallDeadline: hour}},
 		{"cached", anception.Options{RedirCache: true, CallDeadline: hour}},
 		{"ring", anception.Options{
-			RingDepth: 64, RingWorkers: 1, RingReapBatch: 64, CallDeadline: hour,
+			RingDepth: 64, RingReapBatch: 64, CallDeadline: hour,
 		}},
 		{"grant-ring", anception.Options{
 			GrantThreshold: 16 << 10,
-			RingDepth:      64, RingWorkers: 1, RingReapBatch: 64, CallDeadline: hour,
+			RingDepth:      64, RingReapBatch: 64, CallDeadline: hour,
 		}},
 		{"binder-fast", anception.Options{
 			BinderSessions: true, BinderReplyCache: true, CallDeadline: hour,

@@ -49,7 +49,6 @@ func binderConfigs() []binderConfig {
 	session.BinderSessions = true
 	pipelined := session
 	pipelined.RingDepth = 64
-	pipelined.RingWorkers = 1
 	pipelined.RingReapBatch = 64
 	cached := pipelined
 	cached.BinderReplyCache = true

@@ -27,7 +27,6 @@ var concThreads = [...]int{1, 4, 16}
 const (
 	concOpsPerThread = 300
 	concRingDepth    = 64
-	concRingWorkers  = 8
 )
 
 // measureConcurrency drives threads goroutines, each issuing
@@ -48,7 +47,6 @@ func measureConcurrency(threads int, ring bool) (opsPerSimSec, doorbellsPerOp fl
 	}
 	if ring {
 		opts.RingDepth = concRingDepth
-		opts.RingWorkers = concRingWorkers
 	}
 	d, err := anception.NewDevice(opts)
 	if err != nil {

@@ -38,9 +38,8 @@ const fusionIters = 500
 // FusionEnable differs, so the measured gap is fusion itself.
 func fusionOpts(fused bool) anception.Options {
 	return anception.Options{
-		Mode:        anception.ModeAnception,
-		RingDepth:   64,
-		RingWorkers: 1,
+		Mode:      anception.ModeAnception,
+		RingDepth: 64,
 		// A small reap batch keeps completion latency low for the
 		// blocking single-threaded chain loop; identical in both arms so
 		// the measured gap is fusion itself.

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"anception/internal/abi"
@@ -321,8 +322,13 @@ func profile() error {
 	if err != nil {
 		return err
 	}
-	for name, frac := range stats.PerAppIoctlFrac {
-		fmt.Printf("  %-10s ioctl fraction = %.3f\n", name, frac)
+	names := make([]string, 0, len(stats.PerAppIoctlFrac))
+	for name := range stats.PerAppIoctlFrac {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		fmt.Printf("  %-10s ioctl fraction = %.3f\n", name, stats.PerAppIoctlFrac[name])
 	}
 	fmt.Printf("  average ioctl fraction = %.3f (paper: 0.737)\n", stats.AvgIoctlFrac)
 	fmt.Printf("  UI share of ioctls     = %.3f (paper: 0.8135)\n", stats.UIIoctlFrac)

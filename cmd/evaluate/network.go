@@ -59,7 +59,7 @@ func netRingConfig() netConfig {
 		name: "ring",
 		opts: anception.Options{
 			Mode: anception.ModeAnception, DisableTrace: true, CallDeadline: time.Hour,
-			RingDepth: 64, RingWorkers: 1, RingReapBatch: 64,
+			RingDepth: 64, RingReapBatch: 64,
 		},
 		threads: netRingThreads,
 	}
@@ -251,7 +251,7 @@ func netWorkloadConfigs() []struct {
 		opts anception.Options
 	}{
 		{"ring", anception.ModeAnception, anception.Options{
-			RingDepth: 64, RingWorkers: 4, GrantThreshold: 16 << 10,
+			RingDepth: 64, GrantThreshold: 16 << 10,
 		}},
 		{"sync", anception.ModeAnception, anception.Options{}},
 		{"native", anception.ModeNative, anception.Options{}},
@@ -378,7 +378,7 @@ func networkExp() error {
 	// request-size distribution. Per-app percentiles ride along so ring
 	// sharing shows up as fairness, not just aggregate throughput.
 	million, err := workloads.RunNetServer(anception.ModeAnception, anception.Options{
-		RingDepth: 64, RingWorkers: 4, GrantThreshold: 16 << 10,
+		RingDepth: 64, GrantThreshold: 16 << 10,
 	}, workloads.NetServerConfig{
 		Clients: 1_000_000, ServerApps: 4, MixedSizes: true,
 	})

@@ -74,14 +74,13 @@ func zcConfigs() []zcConfig {
 			threads: 1,
 		},
 		{
-			// A single SQPOLL-style worker maximizes wakeup coalescing:
-			// with pipelined submitters its shard stays deep, so one
-			// ProxyDispatch charge drains many slots.
+			// Pipelined submitters keep the SQ poller's queue deep, so
+			// one ProxyDispatch charge drains many slots.
 			name: "grant-ring",
 			opts: anception.Options{
 				Mode: anception.ModeAnception, DisableTrace: true, CallDeadline: hour,
 				GrantThreshold: zcGrantThreshold,
-				RingDepth:      64, RingWorkers: 1, RingReapBatch: 64,
+				RingDepth:      64, RingReapBatch: 64,
 			},
 			threads: zcRingThreads,
 		},

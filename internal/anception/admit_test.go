@@ -301,7 +301,7 @@ func TestFusedChainSendfileFromHost(t *testing.T) {
 // links after a failed one are not counted.
 func TestFusedChainSyscallCounts(t *testing.T) {
 	delta := func(fuse bool, path string) (map[abi.SyscallNr]int, []kernel.Result) {
-		d, p := admitApp(t, Options{RingDepth: 64, RingWorkers: 1, FusionEnable: fuse})
+		d, p := admitApp(t, Options{RingDepth: 64, FusionEnable: fuse})
 		seedGuestFile(t, p, "chain.dat", []byte("chained bytes"))
 		before := d.Host.SyscallCounts()
 		fused := d.Layer.Stats().Fusion.Chains

@@ -20,7 +20,7 @@ import (
 // shared frame list on a separate ring device.
 func churnFrames(t *testing.T, n int) {
 	t.Helper()
-	_, p, fd, _ := pageIOApp(t, Options{RingDepth: 8, RingWorkers: 2})
+	_, p, fd, _ := pageIOApp(t, Options{RingDepth: 8})
 	noise := bytes.Repeat([]byte{0xEE}, int(cachePageSize))
 	mustPwrite(t, p, fd, noise, 0)
 	for i := 0; i < n; i++ {
@@ -35,7 +35,7 @@ func churnFrames(t *testing.T, n int) {
 // and in the cache — and an app scribbling on a served reply cannot
 // poison the cache.
 func TestAliasBinderCachedReply(t *testing.T) {
-	d, p, fd := bootBinderDevice(t, Options{BinderReplyCache: true, BinderSessions: true, RingDepth: 8, RingWorkers: 2})
+	d, p, fd := bootBinderDevice(t, Options{BinderReplyCache: true, BinderSessions: true, RingDepth: 8})
 	payload := []byte("where am i")
 	first, err := p.BinderCall(fd, "location", android.CodeGetLocation, payload)
 	if err != nil {

@@ -15,8 +15,8 @@ import (
 // is submitted into an SQ slot (overlapping freely with submissions from
 // other goroutines), the submitter blocks only on its own slot's
 // completion, and deadline/degraded/host-down semantics match the
-// synchronous path slot-for-slot. Ordering: calls on the same guest
-// descriptor share a ring key, so the pool executes them FIFO.
+// synchronous path slot-for-slot. Ordering: the guest poller executes
+// slots in submission order.
 func (l *Layer) forwardRing(st *layerState, ring marshal.AsyncTransport, t *kernel.Task, args *kernel.Args) kernel.Result {
 	if !l.enterGuestCall(st) {
 		l.counters.failedFast.Add(1)
@@ -42,7 +42,7 @@ func (l *Layer) forwardRing(st *layerState, ring marshal.AsyncTransport, t *kern
 
 	f.st, f.proxy, f.drained = st, p, true
 	span := l.clock.StartSpan(t.Lane)
-	pending, serr := ring.Submit(t.Lane, f.req, ringKey(t, args), f.exec)
+	pending, serr := ring.Submit(t.Lane, f.req, f.exec)
 	if serr != nil {
 		return l.transportFailure(t, args, span, serr)
 	}
@@ -60,9 +60,7 @@ func (l *Layer) forwardRing(st *layerState, ring marshal.AsyncTransport, t *kern
 	return decodeReply(respBytes, args)
 }
 
-// forwardBatchRing moves a coalesced batch through one ring slot: the
-// whole batch shares a key (its descriptor), so it stays ordered against
-// the descriptor's single-call traffic.
+// forwardBatchRing moves a coalesced batch through one ring slot.
 func (l *Layer) forwardBatchRing(st *layerState, ring marshal.AsyncTransport, t *kernel.Task, calls []*kernel.Args) ([]kernel.Result, error) {
 	if !l.enterGuestCall(st) {
 		l.counters.failedFast.Add(1)
@@ -86,7 +84,7 @@ func (l *Layer) forwardBatchRing(st *layerState, ring marshal.AsyncTransport, t 
 	l.clock.Charge(t.Lane, time.Duration(len(f.req))*l.model.MarshalPerByte)
 
 	span := l.clock.StartSpan(t.Lane)
-	pending, serr := ring.Submit(t.Lane, f.req, ringKey(t, calls[0]), f.execBatch(st, p, true))
+	pending, serr := ring.Submit(t.Lane, f.req, f.execBatch(st, p, true))
 	if serr != nil {
 		fail := l.transportFailure(t, calls[0], span, serr)
 		return nil, fail.Err
@@ -101,13 +99,4 @@ func (l *Layer) forwardBatchRing(st *layerState, ring marshal.AsyncTransport, t 
 		return nil, fmt.Errorf("batch exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)
 	}
 	return decodeBatchReply(respBytes, calls)
-}
-
-// ringKey picks the FIFO-ordering key: the guest descriptor when the
-// call has one (per-FD ordering), else the caller's PID.
-func ringKey(t *kernel.Task, args *kernel.Args) int64 {
-	if args.FD > 0 {
-		return int64(args.FD)
-	}
-	return int64(t.PID)
 }

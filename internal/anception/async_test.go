@@ -16,10 +16,9 @@ import (
 func bootRingDevice(t *testing.T, mutate func(*Options)) *Device {
 	t.Helper()
 	opts := Options{
-		Mode:        ModeAnception,
-		Vulns:       android.AllVulnerabilities(),
-		RingDepth:   32,
-		RingWorkers: 4,
+		Mode:      ModeAnception,
+		Vulns:     android.AllVulnerabilities(),
+		RingDepth: 32,
 	}
 	if mutate != nil {
 		mutate(&opts)
@@ -242,7 +241,6 @@ func TestRingPingZeroAllocs(t *testing.T) {
 		Mode:         ModeAnception,
 		DisableTrace: true,
 		RingDepth:    8,
-		RingWorkers:  1,
 	})
 	if err != nil {
 		t.Fatal(err)

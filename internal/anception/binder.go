@@ -13,7 +13,6 @@ import (
 	"anception/internal/binder"
 	"anception/internal/kernel"
 	"anception/internal/marshal"
-	"anception/internal/proxy"
 	"anception/internal/sim"
 )
 
@@ -27,8 +26,8 @@ import (
 //     the guest name lookup and CVM wakeup and pays BinderSessionPerTxn.
 //   - Ring pipelining: with an async ring transport, session traffic
 //     rides SQ/CQ slots (coalesced doorbells, per-slot deadline,
-//     EHOSTDOWN fail-fast on restart) keyed by service name so one
-//     service's transactions stay FIFO while services overlap.
+//     EHOSTDOWN fail-fast on restart), executed in submission order by
+//     the guest SQ poller.
 //   - Idempotent reply cache: replies to codes declared read-only at
 //     Register are cached keyed on (service, code, payload hash),
 //     invalidated by any mutating transaction to the same service and
@@ -478,8 +477,8 @@ func (l *Layer) ensureBinderSession(st *layerState, t *kernel.Task, service stri
 
 // bridgeBinderRing ships one session transaction through an async ring
 // slot: host side pays the fixed session cost at submit, the guest-side
-// service handling (BinderTransaction) is charged by the proxy worker
-// that drains the slot, and restarts fail the slot EHOSTDOWN via the
+// service handling (BinderTransaction) is charged by the guest SQ
+// poller that drains the slot, and restarts fail the slot EHOSTDOWN via the
 // ring's boot-generation check. Oneway transactions return immediately;
 // a detached waiter recycles their slot.
 func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t *kernel.Task, txn binder.Transaction, sid uint32, hostCost time.Duration) kernel.Result {
@@ -498,7 +497,7 @@ func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t 
 
 	span := l.clock.StartSpan(t.Lane)
 	cred := t.Cred
-	pending, serr := ring.Submit(t.Lane, f.req, proxy.KeyForString(txn.Service), func(req []byte) []byte {
+	pending, serr := ring.Submit(t.Lane, f.req, func(req []byte) []byte {
 		inner, derr := marshal.DecodeBinderCall(req)
 		if derr != nil {
 			return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})

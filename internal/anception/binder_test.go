@@ -251,7 +251,6 @@ func TestBinderPipelinedDeadline(t *testing.T) {
 	d, p, fd := bootBinderDevice(t, Options{
 		BinderSessions: true,
 		RingDepth:      8,
-		RingWorkers:    1,
 		CallDeadline:   time.Millisecond, // far below the ~12 ms guest-side handling
 	})
 	_, err := p.BinderCall(fd, "location", android.CodeGetLocation, nil)
@@ -284,7 +283,7 @@ func TestBinderOnewayTransaction(t *testing.T) {
 	// On the ring the slot completes behind the caller's back; the
 	// detached waiter must still settle the identity.
 	dr, pr, fdr := bootBinderDevice(t, Options{
-		BinderSessions: true, RingDepth: 8, RingWorkers: 1, CallDeadline: time.Hour,
+		BinderSessions: true, RingDepth: 8, CallDeadline: time.Hour,
 	})
 	if err := pr.BinderCallAsync(fdr, "location", android.CodeGetLocation, []byte("ping")); err != nil {
 		t.Fatal(err)
@@ -311,7 +310,6 @@ func TestBinderRestartUnderLoad(t *testing.T) {
 		Mode:           ModeAnception,
 		BinderSessions: true,
 		RingDepth:      16,
-		RingWorkers:    2,
 		CallDeadline:   time.Hour,
 	})
 	if err != nil {

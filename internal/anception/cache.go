@@ -520,8 +520,8 @@ func (l *Layer) cachedPread(st *layerState, t *kernel.Task, e *kernel.FDEntry, a
 	fc := c.fdLocked(e, t)
 	// Coherence with the zero-copy path: a read overlapping an in-flight
 	// granted write to the same file must never be served from cached
-	// (pre-write) pages. Bypass the cache and forward — per-descriptor
-	// FIFO ordering on the transport puts the read behind the write.
+	// (pre-write) pages. Bypass the cache and forward — the transport's
+	// submission order puts the read behind the write.
 	if l.grants != nil && l.grants.overlapsLiveWrite(fc.file, args.Off, int64(n)) {
 		l.counters.grantCacheBypass.Add(1)
 		return kernel.Result{}, false

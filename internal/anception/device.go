@@ -48,16 +48,18 @@ const (
 // full depth; grants beat copies from 16 KiB (-exp zerocopy).
 const (
 	autoTuneRingDepth      = 64
-	autoTuneRingWorkers    = 1
 	autoTuneGrantThreshold = 16 << 10
 )
 
-// The device's fixed memory layout: a 1 GB device and a 16-page shared
-// data channel. The guest kernel's own footprint is the CVM's 64 MB
-// minus the paper's 49,228 KB available, minus the channel pages
-// accounted separately.
+// The device's fixed memory layout: a 1 GB device, the paper's 64 MB
+// CVM, and a 16-page shared data channel. The guest kernel's own
+// footprint is the CVM's 64 MB minus the paper's 49,228 KB available,
+// minus the channel pages accounted separately. The classical-VM
+// baseline's one big guest is sized like a Cells-style VM instead.
 const (
 	deviceMemoryBytes       = 1 << 30
+	cvmMemoryBytes          = 64 << 20
+	classicalVMMemoryBytes  = 256 << 20
 	channelPages            = 16
 	guestKernelReserveBytes = (65536-49228)*1024 - channelPages*abi.PageSize
 )
@@ -82,9 +84,6 @@ func (m Mode) String() string {
 type Options struct {
 	Mode Mode
 
-	// CVMMemoryBytes is the container's assignment (default 64 MB).
-	CVMMemoryBytes int64
-
 	// ChunkSize overrides the data-channel transfer unit (ablation A2).
 	ChunkSize int
 	// SocketTransport selects the discarded socket-style channel (A5).
@@ -108,15 +107,11 @@ type Options struct {
 
 	// RingDepth > 0 replaces the synchronous page channel with the
 	// asynchronous redirection ring: that many SQ/CQ slots in the
-	// remapped channel pages, coalesced doorbell interrupts, and a guest
-	// proxy worker pool draining submissions concurrently. Off by
-	// default — the paper's Table I single-call rows are measured on the
+	// remapped channel pages, coalesced doorbell interrupts, and one
+	// guest SQ poller draining submissions in order. Off by default —
+	// the paper's Table I single-call rows are measured on the
 	// synchronous channel.
 	RingDepth int
-	// RingWorkers is the proxy worker pool size when the ring is active
-	// (default proxy.DefaultPoolWorkers). Entries sharing a descriptor
-	// stay FIFO; distinct descriptors execute concurrently.
-	RingWorkers int
 	// RingReapBatch overrides the ring's CQ reap threshold (default
 	// marshal.RingReapBatch). Deep pipelined workloads raise it to
 	// amortize completion interrupts across more slots.
@@ -158,9 +153,9 @@ type Options struct {
 	FusionEnable bool
 
 	// AutoTune selects the Fast profile (DESIGN.md §15): boot expands it
-	// once into the knobs above — RingDepth 64, RingWorkers 1,
-	// RingReapBatch equal to the depth, GrantThreshold 16 KiB,
-	// RedirCache, BinderSessions, BinderReplyCache and FusionEnable. A
+	// once into the knobs above — RingDepth 64, RingReapBatch equal to
+	// the depth, GrantThreshold 16 KiB, RedirCache, BinderSessions,
+	// BinderReplyCache and FusionEnable. A
 	// knob the caller set keeps its value. Every decision then follows
 	// the static knob rules: the ring serves, payloads of at least
 	// GrantThreshold ride grants, and the cache serves. SocketTransport
@@ -196,9 +191,6 @@ func (o *Options) applyDefaults() {
 	if o.Mode == 0 {
 		o.Mode = ModeAnception
 	}
-	if o.CVMMemoryBytes == 0 {
-		o.CVMMemoryBytes = 64 << 20
-	}
 	if o.AutoTune {
 		o.applyFastProfile()
 	}
@@ -209,13 +201,6 @@ func (o *Options) applyDefaults() {
 func (o *Options) applyFastProfile() {
 	if o.RingDepth <= 0 {
 		o.RingDepth = autoTuneRingDepth
-	}
-	if o.RingWorkers <= 0 {
-		// One hot proxy worker. Worker count never changes modeled
-		// throughput under concurrency (handlers charge the shared sim
-		// clock either way), but sharding interleaved keys across cold
-		// workers pays a ProxyDispatch wakeup per shard switch.
-		o.RingWorkers = autoTuneRingWorkers
 	}
 	if o.RingReapBatch <= 0 {
 		// The throughput sweeps reap at full depth: fewer, larger CQ
@@ -250,7 +235,7 @@ type Device struct {
 	Layer   *Layer
 
 	// ring/ringPool are set when Options.RingDepth > 0: the async
-	// transport and the guest-side worker pool draining it.
+	// transport and the guest-side SQ poller draining it.
 	ring     *marshal.RingChannel
 	ringPool *proxy.Pool
 
@@ -384,7 +369,7 @@ func (d *Device) bootAnception() error {
 		Clock:              d.Clock,
 		Model:              d.Model,
 		Trace:              d.Trace,
-		MemoryBytes:        d.Opts.CVMMemoryBytes,
+		MemoryBytes:        cvmMemoryBytes,
 		KernelReserveBytes: guestKernelReserveBytes,
 		ChannelPages:       channelPages,
 		Label:              d.label,
@@ -418,7 +403,7 @@ func (d *Device) bootAnception() error {
 			ring.SetReapBatch(d.Opts.RingReapBatch)
 		}
 		d.ring = ring
-		d.ringPool = proxy.NewPool(ring, d.Opts.RingWorkers, d.Clock, d.Model)
+		d.ringPool = proxy.NewPool(ring, d.Clock, d.Model)
 		d.ringPool.Start()
 		transport = ring
 	case d.Opts.SocketTransport:
@@ -481,17 +466,12 @@ func (d *Device) bootClassical() error {
 		return err
 	}
 
-	// One big guest carrying the entire stack, apps included. Size it
-	// like a real Cells-style VM rather than the tiny Anception CVM.
-	guestBytes := d.Opts.CVMMemoryBytes
-	if guestBytes < 256<<20 {
-		guestBytes = 256 << 20
-	}
+	// One big guest carrying the entire stack, apps included.
 	cvm, err := hypervisor.Launch(d.Phys, hypervisor.Config{
 		Clock:              d.Clock,
 		Model:              d.Model,
 		Trace:              d.Trace,
-		MemoryBytes:        guestBytes,
+		MemoryBytes:        classicalVMMemoryBytes,
 		KernelReserveBytes: guestKernelReserveBytes,
 		ChannelPages:       0,
 	})
@@ -749,7 +729,7 @@ func (d *Device) GrantStats() GrantPathStats {
 }
 
 // Close shuts down the device's background machinery — today the async
-// ring's worker pool. Queued submissions drain before the workers exit;
+// ring's SQ poller. Queued submissions drain before the poller exits;
 // devices on the synchronous channel need no Close.
 func (d *Device) Close() {
 	if d.ring == nil {

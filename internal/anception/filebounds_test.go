@@ -53,7 +53,7 @@ func retErr(_ int, err error) error { return err }
 // TestNegativeFileOffsetsAreEINVAL: a negative offset or length is refused
 // with EINVAL on every profile and every path — plain, vectored, granted
 // and by path — instead of panicking inside the guest's filesystem, which
-// on the Fast profile is the ring's proxy worker shared by every app.
+// on the Fast profile is the ring's SQ poller shared by every app.
 func TestNegativeFileOffsetsAreEINVAL(t *testing.T) {
 	bulk := make([]byte, 64<<10) // a granted transfer on the Fast profile
 	checkBadFileCalls(t, "com.probe.negoff", abi.EINVAL, []badFileCall{

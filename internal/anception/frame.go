@@ -20,8 +20,8 @@ import (
 
 const (
 	// frameListLen bounds how many idle frames a layer keeps: more than
-	// the calls a device has in flight at once in practice (the proxy
-	// workers plus blocked submitters), so steady state never allocates.
+	// the calls a device has in flight at once in practice (the ring's
+	// slots in flight plus blocked submitters), so steady state never allocates.
 	frameListLen = 32
 	// frameKeepBytes is the largest buffer a returned frame keeps; a call
 	// that needed more (a huge unbuffered read) gives its buffer to the GC

@@ -80,7 +80,7 @@ func TestSyncPageIOAllocs(t *testing.T) {
 
 // TestRingPreadAllocs: a 4 KiB pread through the async ring.
 func TestRingPreadAllocs(t *testing.T) {
-	_, p, fd, page := pageIOApp(t, Options{RingDepth: 8, RingWorkers: 1})
+	_, p, fd, page := pageIOApp(t, Options{RingDepth: 8})
 	allocGate(t, "ring 4 KiB pread", steadyAllocs(preadOp(t, p, fd, page)), 0)
 }
 
@@ -151,7 +151,7 @@ func TestTamperedReplyIsWhatGetsDecoded(t *testing.T) {
 	for _, ring := range []bool{false, true} {
 		opts := Options{}
 		if ring {
-			opts = Options{RingDepth: 8, RingWorkers: 1}
+			opts = Options{RingDepth: 8}
 		}
 		d, p, fd, page := pageIOApp(t, opts)
 		honest := preadOp(t, p, fd, page)
@@ -219,7 +219,7 @@ func echoPairOp(t *testing.T, opts Options) (d *Device, op func(), ops *int) {
 // the ring. What is left is the echo peer's request copy and its queued
 // reply.
 func TestRingEchoPairAllocs(t *testing.T) {
-	_, op, _ := echoPairOp(t, Options{RingDepth: 8, RingWorkers: 1, CallDeadline: time.Hour})
+	_, op, _ := echoPairOp(t, Options{RingDepth: 8, CallDeadline: time.Hour})
 	allocGate(t, "ring echo pair", steadyAllocs(op), 2)
 }
 
@@ -246,7 +246,7 @@ func TestSpeculatedEchoPairAllocs(t *testing.T) {
 // returned result vector, the adopted host descriptor, the open's
 // absolute path and the guest kernel's own open.
 func TestExplicitChainAllocs(t *testing.T) {
-	d, p, _, page := pageIOApp(t, Options{RingDepth: 64, RingWorkers: 1, FusionEnable: true, CallDeadline: time.Hour})
+	d, p, _, page := pageIOApp(t, Options{RingDepth: 64, FusionEnable: true, CallDeadline: time.Hour})
 	buf := make([]byte, len(page))
 	chain := openStatReadCloseChain("frames.dat", buf)
 	ops := 0

@@ -629,7 +629,7 @@ func (l *Layer) forwardChainRing(st *layerState, ring marshal.AsyncTransport, t 
 
 	f.st, f.proxy = st, p
 	span := l.clock.StartSpan(t.Lane)
-	pending, serr := ring.Submit(t.Lane, f.req, ringKey(t, &cf.wireArgs[0]), f.execChainFn)
+	pending, serr := ring.Submit(t.Lane, f.req, f.execChainFn)
 	if serr != nil {
 		res := l.transportFailure(t, &cf.args[0], span, serr)
 		return failAll(res.Err)

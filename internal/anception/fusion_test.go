@@ -20,7 +20,6 @@ func bootFusedDevice(t *testing.T) (*Device, *Proc) {
 	t.Helper()
 	return bootCachedDevice(t, func(o *Options) {
 		o.RingDepth = 16
-		o.RingWorkers = 2
 		o.FusionEnable = true
 	})
 }
@@ -388,7 +387,6 @@ func benchFusionDevice(b *testing.B, fused bool) *Proc {
 	d, err := NewDevice(Options{
 		Mode:         ModeAnception,
 		RingDepth:    64,
-		RingWorkers:  1,
 		FusionEnable: fused,
 	})
 	if err != nil {

@@ -320,7 +320,7 @@ func (l *Layer) forwardGrant(st *layerState, t *kernel.Task, args *kernel.Args) 
 	var respBytes []byte
 	var terr error
 	if async {
-		pending, serr := ring.Submit(t.Lane, f.req, ringKey(t, args), handler)
+		pending, serr := ring.Submit(t.Lane, f.req, handler)
 		if serr != nil {
 			return l.transportFailure(t, args, span, serr)
 		}

@@ -124,7 +124,7 @@ func (l *Layer) forwardSockInner(st *layerState, t *kernel.Task, args *kernel.Ar
 
 	f.st, f.proxy = st, p
 	span := l.clock.StartSpan(t.Lane)
-	pending, serr := ring.Submit(t.Lane, f.req, ringKey(t, args), f.execSockFn)
+	pending, serr := ring.Submit(t.Lane, f.req, f.execSockFn)
 	if serr != nil {
 		return l.transportFailure(t, args, span, serr), true
 	}

@@ -317,10 +317,10 @@ func TestFixedDispatchRules(t *testing.T) {
 // boot, and a knob the caller set keeps its value.
 func TestPolicyKnobsForceOverridesUnderAutoTune(t *testing.T) {
 	preset := bootPolicyDevice(t, Options{AutoTune: true}).Opts
-	if preset.RingDepth != autoTuneRingDepth || preset.RingWorkers != autoTuneRingWorkers ||
+	if preset.RingDepth != autoTuneRingDepth ||
 		preset.RingReapBatch != autoTuneRingDepth || preset.GrantThreshold != autoTuneGrantThreshold {
-		t.Fatalf("AutoTune expanded to ring depth %d, workers %d, reap batch %d, grant threshold %d",
-			preset.RingDepth, preset.RingWorkers, preset.RingReapBatch, preset.GrantThreshold)
+		t.Fatalf("AutoTune expanded to ring depth %d, reap batch %d, grant threshold %d",
+			preset.RingDepth, preset.RingReapBatch, preset.GrantThreshold)
 	}
 	if !preset.RedirCache || !preset.BinderSessions || !preset.BinderReplyCache || !preset.FusionEnable {
 		t.Fatalf("AutoTune left a fast path off: %+v", preset)

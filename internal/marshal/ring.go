@@ -28,11 +28,10 @@ type AsyncTransport interface {
 	Transport
 	// Submit claims a free SQ slot, copies the payload into the slot's
 	// channel frames, and rings the doorbell if it is not already armed.
-	// It blocks while all slots are in flight (backpressure). Entries
-	// sharing a key are executed in submission order (FIFO per key);
-	// the layer keys file-descriptor calls by descriptor. Every charge
-	// the slot incurs, on either side, goes to lane.
-	Submit(lane *sim.Lane, payload []byte, key int64, handler GuestHandler) (*Pending, error)
+	// It blocks while all slots are in flight (backpressure). Slots
+	// execute in submission order. Every charge the slot incurs, on
+	// either side, goes to lane.
+	Submit(lane *sim.Lane, payload []byte, handler GuestHandler) (*Pending, error)
 	// Rearm re-keys the ring to a new CVM boot generation: slots still
 	// in flight against the old container complete with EHOSTDOWN
 	// instead of executing against the new one, so supervisor restarts
@@ -83,7 +82,6 @@ type Pending struct {
 	idx     int
 	state   atomic.Int32
 	gen     int
-	key     int64
 	lane    *sim.Lane
 	payload []byte
 	handler GuestHandler
@@ -94,9 +92,6 @@ type Pending struct {
 	err    error
 	done   chan struct{}
 }
-
-// Key returns the FIFO-ordering key the submitter chose.
-func (p *Pending) Key() int64 { return p.key }
 
 // Lane returns the timeline of the task that submitted the slot; the
 // guest-side work done for the slot is charged to it.
@@ -125,7 +120,7 @@ func (p *Pending) Wait() ([]byte, error) {
 
 // RingChannel is the asynchronous ring transport: fixed-size submission
 // and completion rings living in the same remapped guest channel frames
-// the PageChannel uses, drained guest-side by a proxy worker pool
+// the PageChannel uses, drained guest-side by one SQ poller
 // (internal/proxy.Pool). Submission copies the payload into the slot's
 // frames and arms a coalesced doorbell; completion posts the reply back
 // through the frames and reaps with one hypercall when the ring drains.
@@ -142,7 +137,7 @@ type RingChannel struct {
 	// free is the slot free list; Submit blocks here when every slot is
 	// in flight (ring-full backpressure).
 	free chan *Pending
-	// sq is the submission queue the guest-side pool drains in order.
+	// sq is the submission queue the guest-side poller drains in order.
 	sq   chan *Pending
 	quit chan struct{}
 
@@ -236,9 +231,6 @@ func NewRingChannel(cvm *hypervisor.CVM, clock *sim.Clock, model sim.LatencyMode
 // Name implements Transport.
 func (r *RingChannel) Name() string { return "async-ring" }
 
-// Depth returns the configured slot count.
-func (r *RingChannel) Depth() int { return r.depth }
-
 // SetReapBatch overrides how many completions the guest poller posts
 // before reaping the CQ with one hypercall. Descriptor-only traffic
 // (zero-copy grant calls) tolerates a far lazier reap cadence than
@@ -272,7 +264,7 @@ func (r *RingChannel) chargeChunks(lane *sim.Lane, n int, perByte time.Duration)
 }
 
 // Submit implements AsyncTransport.
-func (r *RingChannel) Submit(lane *sim.Lane, payload []byte, key int64, handler GuestHandler) (*Pending, error) {
+func (r *RingChannel) Submit(lane *sim.Lane, payload []byte, handler GuestHandler) (*Pending, error) {
 	if r.closed.Load() {
 		return nil, fmt.Errorf("async ring closed: %w", abi.ENXIO)
 	}
@@ -292,7 +284,7 @@ func (r *RingChannel) Submit(lane *sim.Lane, payload []byte, key int64, handler 
 			return nil, fmt.Errorf("async ring closed: %w", abi.ENXIO)
 		}
 	}
-	s.payload, s.handler, s.key, s.lane = payload, handler, key, lane
+	s.payload, s.handler, s.lane = payload, handler, lane
 	s.gen = int(r.gen.Load())
 	s.inline = (IsGrantCall(payload) || IsBinderCall(payload) || IsSockOp(payload) || IsChainCall(payload)) && len(payload) <= RingInlineBytes
 	s.state.Store(slotQueued)
@@ -325,7 +317,7 @@ func (r *RingChannel) Submit(lane *sim.Lane, payload []byte, key int64, handler 
 		}
 	}
 	// The doorbell decision reads the clock before the slot becomes
-	// visible to the guest pool: were it queued first, a worker could
+	// visible to the guest poller: were it queued first, the poller could
 	// complete (and reap) it before the decision, and whether this
 	// submission rang a new doorbell would depend on goroutine
 	// scheduling.
@@ -364,14 +356,14 @@ func (r *RingChannel) ringDoorbell(lane *sim.Lane) {
 // RoundTrip implements Transport as a one-slot submit-and-wait, so the
 // ring can stand in anywhere the synchronous channel does.
 func (r *RingChannel) RoundTrip(lane *sim.Lane, payload []byte, handler GuestHandler) ([]byte, error) {
-	p, err := r.Submit(lane, payload, 0, handler)
+	p, err := r.Submit(lane, payload, handler)
 	if err != nil {
 		return nil, err
 	}
 	return p.Wait()
 }
 
-// NextSubmission hands the oldest queued slot to the guest-side pool; ok
+// NextSubmission hands the oldest queued slot to the guest-side poller; ok
 // is false once the ring is closed and the SQ drained.
 func (r *RingChannel) NextSubmission() (*Pending, bool) {
 	select {
@@ -391,7 +383,7 @@ func (r *RingChannel) NextSubmission() (*Pending, bool) {
 // FailFastIfUnservable completes a popped slot with EHOSTDOWN — without
 // running its handler — when its boot generation is stale (submitted
 // against a container that has since been restarted) or the guest is
-// dead. The pool calls it before executing each slot; completing through
+// dead. The poller calls it before executing each slot; completing through
 // the normal path (rather than dropping the slot) is what guarantees a
 // restart never leaks an in-flight submission.
 func (r *RingChannel) FailFastIfUnservable(s *Pending) bool {
@@ -480,7 +472,7 @@ func (r *RingChannel) Rearm(generation int) {
 
 // Quiesce blocks until no slot is in flight. Callers must gate new
 // submissions first (the layer holds EAGAIN-fast-fail degraded mode while
-// quiescing); with the gate up, the guest pool drains the SQ and every
+// quiescing); with the gate up, the guest poller drains the SQ and every
 // in-flight slot — including detached oneway waiters, which recycle their
 // slot on completion — reaches Wait. Used by the live-upgrade drill to
 // drain the ring gracefully instead of failing slots EHOSTDOWN.
@@ -490,8 +482,8 @@ func (r *RingChannel) Quiesce() {
 	}
 }
 
-// Close shuts the submission side down; the pool drains what is queued
-// and exits. Idempotent.
+// Close shuts the submission side down; the poller drains what is
+// queued and exits. Idempotent.
 func (r *RingChannel) Close() {
 	r.closeOnce.Do(func() {
 		r.closed.Store(true)

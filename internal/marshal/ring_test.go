@@ -27,7 +27,7 @@ func newRingForTest(t *testing.T, depth int) (*RingChannel, *hypervisor.CVM, *si
 }
 
 // drainOne pops the next submission and completes it through its handler,
-// standing in for one proxy-pool worker step.
+// standing in for one step of the guest SQ poller.
 func drainOne(t *testing.T, r *RingChannel) {
 	t.Helper()
 	s, ok := r.NextSubmission()
@@ -47,7 +47,7 @@ func TestRingSubmitCompleteRoundTrip(t *testing.T) {
 
 	pendings := make([]*Pending, n)
 	for i := 0; i < n; i++ {
-		p, err := r.Submit(nil, []byte(fmt.Sprintf("req-%d", i)), int64(i), echo)
+		p, err := r.Submit(nil, []byte(fmt.Sprintf("req-%d", i)), echo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestRingSubmitCompleteRoundTrip(t *testing.T) {
 	// Four more round-trips complete the RingReapBatch: the poller reaps
 	// once and goes back to sleep, still without a second doorbell.
 	for i := 0; i < RingReapBatch-n; i++ {
-		p, err := r.Submit(nil, []byte("more"), int64(i), echo)
+		p, err := r.Submit(nil, []byte("more"), echo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,11 +101,11 @@ func TestRingSubmitCompleteRoundTrip(t *testing.T) {
 func TestRingBackpressureWhenFull(t *testing.T) {
 	r, _, _ := newRingForTest(t, 2)
 	echo := func(req []byte) []byte { return req }
-	p1, err := r.Submit(nil, []byte("a"), 1, echo)
+	p1, err := r.Submit(nil, []byte("a"), echo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := r.Submit(nil, []byte("b"), 2, echo)
+	p2, err := r.Submit(nil, []byte("b"), echo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRingBackpressureWhenFull(t *testing.T) {
 	// The ring is full: a third Submit must block until a slot recycles.
 	unblocked := make(chan *Pending)
 	go func() {
-		p, err := r.Submit(nil, []byte("c"), 3, echo)
+		p, err := r.Submit(nil, []byte("c"), echo)
 		if err != nil {
 			t.Error(err)
 		}
@@ -149,7 +149,7 @@ func TestRingBackpressureWhenFull(t *testing.T) {
 func TestRingRearmFailsStaleSlots(t *testing.T) {
 	r, cvm, _ := newRingForTest(t, 4)
 	executed := false
-	p, err := r.Submit(nil, []byte("old-boot"), 1, func(req []byte) []byte {
+	p, err := r.Submit(nil, []byte("old-boot"), func(req []byte) []byte {
 		executed = true
 		return req
 	})
@@ -174,7 +174,7 @@ func TestRingRearmFailsStaleSlots(t *testing.T) {
 	}
 
 	// The recycled slot serves the new generation normally.
-	p2, err := r.Submit(nil, []byte("new-boot"), 1, func(req []byte) []byte { return req })
+	p2, err := r.Submit(nil, []byte("new-boot"), func(req []byte) []byte { return req })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestRingDoorbellCoalescingAcrossBursts(t *testing.T) {
 		t.Helper()
 		ps := make([]*Pending, n)
 		for i := range ps {
-			p, err := r.Submit(nil, []byte("x"), int64(i), echo)
+			p, err := r.Submit(nil, []byte("x"), echo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +246,7 @@ func TestRingChargesPerDoorbellNotPerCall(t *testing.T) {
 	in0, out0 := cvm.WorldSwitches()
 	ps := make([]*Pending, n)
 	for i := range ps {
-		p, err := r.Submit(nil, []byte("payload"), 7, echo)
+		p, err := r.Submit(nil, []byte("payload"), echo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,14 +273,14 @@ func TestRingGuestDownFailsFast(t *testing.T) {
 
 	// Submit-side: a dead guest is refused without consuming a slot.
 	alive = false
-	if _, err := r.Submit(nil, []byte("x"), 1, func(b []byte) []byte { return b }); !errors.Is(err, abi.EHOSTDOWN) {
+	if _, err := r.Submit(nil, []byte("x"), func(b []byte) []byte { return b }); !errors.Is(err, abi.EHOSTDOWN) {
 		t.Fatalf("submit against dead guest: %v, want EHOSTDOWN", err)
 	}
 
-	// Worker-side: a slot caught in flight when the guest dies completes
+	// Poller-side: a slot caught in flight when the guest dies completes
 	// with EHOSTDOWN instead of executing against the dead kernel.
 	alive = true
-	p, err := r.Submit(nil, []byte("x"), 1, func(b []byte) []byte { return b })
+	p, err := r.Submit(nil, []byte("x"), func(b []byte) []byte { return b })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // Guest-side execution of linked submissions (DESIGN.md §17). A chain
-// arrives through the ring as one SQ slot; the pool worker that pops it
+// arrives through the ring as one SQ slot; the SQ poller that pops it
 // has already paid the wakeup, and the whole chain executes inside a
 // single guest trap context — the exceptionless-syscall shape: one
 // doorbell, one dispatch, one trap entry, N dependent calls.

@@ -3,7 +3,6 @@ package proxy
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"anception/internal/abi"
 	"anception/internal/kernel"
@@ -149,55 +148,5 @@ func TestExecuteChainGuestDeathMidChain(t *testing.T) {
 		if !errors.As(cr.Results[i].Err, &errno) || errno != abi.EHOSTDOWN {
 			t.Fatalf("post-kill link %d: err %v, want EHOSTDOWN", i, cr.Results[i].Err)
 		}
-	}
-}
-
-// TestPoolChainNotSerializedBehindOtherFD: a fused chain is keyed on its
-// first-link descriptor, so an unrelated chain on another descriptor must
-// run while the first chain's worker is parked — the regression guard for
-// per-descriptor FIFO sharding of whole chains.
-func TestPoolChainNotSerializedBehindOtherFD(t *testing.T) {
-	ring, pool, _ := newPoolRig(t, 16, 4)
-	pool.Start()
-
-	chainFrame := func(fd int) []byte {
-		return marshal.AppendChain(nil, []marshal.ChainLink{
-			{Args: &kernel.Args{Nr: abi.SysFstat, FD: fd}, FDFrom: -1},
-			{Args: &kernel.Args{Nr: abi.SysClose}, FDFrom: 0},
-		})
-	}
-
-	gate := make(chan struct{})
-	// Chain on fd 5 (shard 1 of 4) parks its worker.
-	blocked, err := ring.Submit(nil, chainFrame(5), 5, func(req []byte) []byte {
-		<-gate
-		return req
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unrelated chain on fd 6 (shard 2 of 4) must not queue behind it.
-	free, err := ring.Submit(nil, chainFrame(6), 6, func(req []byte) []byte { return req })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := free.Wait()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("chain on fd 6 serialized behind the parked chain on fd 5")
-	}
-
-	close(gate)
-	if _, err := blocked.Wait(); err != nil {
-		t.Fatal(err)
 	}
 }

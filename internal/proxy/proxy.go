@@ -129,7 +129,7 @@ func (m *Manager) ExecuteBatch(proxy *kernel.Task, calls []*kernel.Args) ([]kern
 }
 
 // ExecuteDrained runs one forwarded call whose proxy dispatch was already
-// paid: the ring worker pool charges one ProxyDispatch per wakeup and then
+// paid: the ring's SQ poller charges one ProxyDispatch per wakeup and then
 // drains every queued submission, so each drained call costs only its
 // guest-side trap entry (the guest half of doorbell coalescing).
 func (m *Manager) ExecuteDrained(proxy *kernel.Task, args kernel.Args) kernel.Result {
@@ -138,7 +138,7 @@ func (m *Manager) ExecuteDrained(proxy *kernel.Task, args kernel.Args) kernel.Re
 }
 
 // ExecuteBatchDrained is ExecuteBatch without the dispatch charge, for
-// batches arriving through the ring (the pool already paid the wakeup).
+// batches arriving through the ring (the poller already paid the wakeup).
 func (m *Manager) ExecuteBatchDrained(proxy *kernel.Task, calls []*kernel.Args) ([]kernel.Result, error) {
 	return m.runCalls(proxy, calls)
 }

@@ -24,7 +24,6 @@ func TestSupervisedChainKilledMidChain(t *testing.T) {
 			d, err := anception.NewDevice(anception.Options{
 				Mode:         anception.ModeAnception,
 				RingDepth:    16,
-				RingWorkers:  2,
 				FusionEnable: true,
 			})
 			if err != nil {
@@ -54,7 +53,7 @@ func TestSupervisedChainKilledMidChain(t *testing.T) {
 			}
 
 			// One-shot hook: panic the guest just before link killAt
-			// executes. The hook runs on the ring worker, exactly where a
+			// executes. The hook runs on the ring's SQ poller, exactly where a
 			// real mid-chain crash lands.
 			var fired atomic.Bool
 			d.Layer.SetChainStep(func(next int) {

@@ -24,7 +24,6 @@ func TestSupervisedRestartRollsSocketGeneration(t *testing.T) {
 	d, err := anception.NewDevice(anception.Options{
 		Mode:         anception.ModeAnception,
 		RingDepth:    16,
-		RingWorkers:  2,
 		CallDeadline: time.Hour,
 	})
 	if err != nil {
@@ -112,7 +111,6 @@ func TestSocketChurnUnderRestarts(t *testing.T) {
 	d, err := anception.NewDevice(anception.Options{
 		Mode:         anception.ModeAnception,
 		RingDepth:    16,
-		RingWorkers:  4,
 		CallDeadline: time.Hour,
 	})
 	if err != nil {

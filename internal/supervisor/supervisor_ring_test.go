@@ -14,9 +14,8 @@ import (
 // re-armed to the new boot generation and serves fresh traffic.
 func TestSupervisedRestartRearmsRing(t *testing.T) {
 	d, err := anception.NewDevice(anception.Options{
-		Mode:        anception.ModeAnception,
-		RingDepth:   16,
-		RingWorkers: 2,
+		Mode:      anception.ModeAnception,
+		RingDepth: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"anception/internal/abi"
@@ -425,5 +426,60 @@ func TestSmallFileFootprintAllocs(t *testing.T) {
 	}
 	if held > 128 {
 		t.Fatalf("a 64-byte file holds %d B of page data, want <= 128", held)
+	}
+}
+
+// TestTruncateDirtyAllocs: a truncate marks every page below the new size
+// dirty, and the dirty set holds runs, not pages, so growing an empty
+// file to MaxFileSize and flushing it allocates almost nothing while the
+// flush still counts every page. A set with one entry per page allocated
+// tens of MiB here.
+func TestTruncateDirtyAllocs(t *testing.T) {
+	fs := newTestFS(t)
+	f, err := fs.Open(root, "/data/sparse", abi.ORdWr|abi.OCreat, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flushed int
+	got := allocatedBy(func() {
+		if err := f.Truncate(MaxFileSize); err != nil {
+			t.Fatal(err)
+		}
+		flushed = f.Sync()
+	})
+	if got >= 1<<10 {
+		t.Fatalf("truncate to %d and fsync allocated %d B, want < 1 KiB", int64(MaxFileSize), got)
+	}
+	if want := int(MaxFileSize/abi.PageSize) + 1; flushed != want {
+		t.Fatalf("fsync flushed %d pages, want %d", flushed, want)
+	}
+}
+
+// TestDirtyRunsMerge: marks that overlap or touch merge into one run,
+// marks with a gap stay apart, and a flush keeps the run list's capacity.
+func TestDirtyRunsMerge(t *testing.T) {
+	ino := &Inode{}
+	const pg = abi.PageSize
+	ino.markDirtyRange(10*pg, 1)  // page 10
+	ino.markDirtyRange(2*pg, 1)   // page 2
+	ino.markDirtyRange(20*pg, pg) // pages 20-21
+	ino.markDirtyRange(4*pg, 1)   // page 4
+	ino.markDirtyRange(3*pg, 1)   // page 3 joins 2 and 4
+	ino.markDirtyRange(11*pg, 0)  // page 11 touches 10
+	ino.markDirtyRange(15*pg, 4*pg)
+	want := []pageRange{{2, 4}, {10, 11}, {15, 21}}
+	if !slices.Equal(ino.dirty, want) {
+		t.Fatalf("dirty runs %v, want %v", ino.dirty, want)
+	}
+	if got := ino.DirtyPages(); got != 12 {
+		t.Fatalf("DirtyPages = %d, want 12", got)
+	}
+	ino.markDirtyRange(0, 30*pg) // pages 0-30 swallow every run
+	if want := []pageRange{{0, 30}}; !slices.Equal(ino.dirty, want) {
+		t.Fatalf("dirty runs %v, want %v", ino.dirty, want)
+	}
+	c := cap(ino.dirty)
+	if n := ino.ClearDirty(); n != 31 || len(ino.dirty) != 0 || cap(ino.dirty) != c {
+		t.Fatalf("ClearDirty = %d, len %d cap %d; want 31, 0, %d", n, len(ino.dirty), cap(ino.dirty), c)
 	}
 }

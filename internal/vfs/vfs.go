@@ -12,6 +12,7 @@ package vfs
 import (
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -102,10 +103,14 @@ type Inode struct {
 
 	children map[string]*Inode // directories only
 
-	// dirtyPages tracks buffered pages not yet flushed; the kernel uses
-	// this for sync cost accounting.
-	dirtyPages map[int64]struct{}
+	// dirty holds the buffered pages not yet flushed as sorted, disjoint,
+	// non-adjacent runs; the kernel uses their count for sync cost
+	// accounting.
+	dirty []pageRange
 }
+
+// pageRange is an inclusive run of page numbers.
+type pageRange struct{ first, last int64 }
 
 // Stat is the metadata snapshot returned by stat-style calls.
 type Stat struct {
@@ -626,24 +631,41 @@ func (fs *FileSystem) Truncate(cred Cred, p string, size int64) error {
 	return ino.truncate(size)
 }
 
+// markDirtyRange marks pages off/PageSize through (off+n)/PageSize
+// dirty. The last page is inclusive, so a write ending on a page boundary
+// marks the page after it too (DESIGN.md §19). Runs it overlaps or
+// touches merge into one, so the cost is independent of the page count.
 func (ino *Inode) markDirtyRange(off, n int64) {
-	if ino.dirtyPages == nil {
-		ino.dirtyPages = make(map[int64]struct{})
+	first, last := off/abi.PageSize, (off+n)/abi.PageSize
+	rs := ino.dirty
+	// rs[i:j] are the runs that overlap or touch [first, last].
+	i := sort.Search(len(rs), func(k int) bool { return rs[k].last+1 >= first })
+	j := i
+	for j < len(rs) && rs[j].first <= last+1 {
+		j++
 	}
-	first := off / abi.PageSize
-	last := (off + n) / abi.PageSize
-	for pg := first; pg <= last; pg++ {
-		ino.dirtyPages[pg] = struct{}{}
+	if i == j {
+		ino.dirty = slices.Insert(rs, i, pageRange{first, last})
+		return
 	}
+	rs[i] = pageRange{min(first, rs[i].first), max(last, rs[j-1].last)}
+	ino.dirty = slices.Delete(rs, i+1, j)
 }
 
 // DirtyPages reports how many buffered pages of the inode await flush.
-func (ino *Inode) DirtyPages() int { return len(ino.dirtyPages) }
+func (ino *Inode) DirtyPages() int {
+	var n int64
+	for _, r := range ino.dirty {
+		n += r.last - r.first + 1
+	}
+	return int(n)
+}
 
 // ClearDirty marks all pages clean (called after a simulated flush) and
-// returns how many pages were flushed.
+// returns how many pages were flushed. The run list keeps its capacity
+// for the next writes.
 func (ino *Inode) ClearDirty() int {
-	n := len(ino.dirtyPages)
-	ino.dirtyPages = nil
+	n := ino.DirtyPages()
+	ino.dirty = ino.dirty[:0]
 	return n
 }

@@ -300,14 +300,14 @@ func measureAppOps(fleet *anception.Fleet, ma *fleetMixApp, ops int, tolerant bo
 // restart.
 func RunBlastRadiusDrill(cfg FleetMixConfig) (BlastRadiusStats, error) {
 	// The drill pins its fast paths explicitly instead of using the
-	// AutoTune profile: this exact configuration (four proxy workers,
-	// no fusion) is what the committed sibling-drift figure in
+	// AutoTune profile: this exact configuration (no fusion, the default
+	// reap batch) is what the committed sibling-drift figure in
 	// BENCH_fleet.json was measured on, so changing it would move that
 	// figure.
 	var zero anception.Options
 	if cfg.Opts == zero {
 		cfg.Opts = anception.Options{
-			RedirCache: true, RingDepth: 64, RingWorkers: 4,
+			RedirCache: true, RingDepth: 64,
 			GrantThreshold: 16 << 10,
 			BinderSessions: true, BinderReplyCache: true,
 			CallDeadline: time.Hour,

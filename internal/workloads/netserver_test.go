@@ -16,7 +16,6 @@ func TestNetServerWorkload(t *testing.T) {
 	cfg := NetServerConfig{Sessions: 1500}
 	ring, err := RunNetServer(anception.ModeAnception, anception.Options{
 		RingDepth:      64,
-		RingWorkers:    4,
 		GrantThreshold: 16384,
 	}, cfg)
 	if err != nil {
@@ -59,7 +58,7 @@ func TestNetServerWorkload(t *testing.T) {
 // traffic workload: identical runs produce identical percentiles.
 func TestNetServerDeterminism(t *testing.T) {
 	cfg := NetServerConfig{Sessions: 600}
-	opts := anception.Options{RingDepth: 32, RingWorkers: 2}
+	opts := anception.Options{RingDepth: 32}
 	a, err := RunNetServer(anception.ModeAnception, opts, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +86,7 @@ func TestNetServerMixedSizes(t *testing.T) {
 		t.Fatalf("tier mix over 1000 sessions = %v, want [600 300 100]", counts)
 	}
 
-	opts := anception.Options{RingDepth: 64, RingWorkers: 4, GrantThreshold: 16384}
+	opts := anception.Options{RingDepth: 64, GrantThreshold: 16384}
 	mixed, err := RunNetServer(anception.ModeAnception, opts, NetServerConfig{Sessions: 1000, MixedSizes: true})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +125,7 @@ func TestNetServerMixedSizes(t *testing.T) {
 // through the generalized rig stays byte-identical to the historical
 // single-server workload.
 func TestNetServerMultiApp(t *testing.T) {
-	opts := anception.Options{RingDepth: 64, RingWorkers: 4, GrantThreshold: 16384}
+	opts := anception.Options{RingDepth: 64, GrantThreshold: 16384}
 	multi, err := RunNetServer(anception.ModeAnception, opts, NetServerConfig{
 		Sessions: 2000, Clients: 1_000_000, ServerApps: 4,
 	})
