@@ -216,17 +216,17 @@ func echoPairOp(t *testing.T, opts Options) (d *Device, op func(), ops *int) {
 }
 
 // TestRingEchoPairAllocs: a send→recv pair as two sockop frames through
-// the ring. What is left is the echo peer's request copy and its queued
-// reply.
+// the ring. What is left is the request copy handed to the echo peer,
+// which returns it as the reply; the receive queue reuses its slots.
 func TestRingEchoPairAllocs(t *testing.T) {
 	_, op, _ := echoPairOp(t, Options{RingDepth: 8, CallDeadline: time.Hour})
-	allocGate(t, "ring echo pair", steadyAllocs(op), 2)
+	allocGate(t, "ring echo pair", steadyAllocs(op), 1)
 }
 
 // TestSpeculatedEchoPairAllocs: a send→recv pair the fusion detector
 // speculates on an AutoTune device. The fused chain builds, encodes,
 // decodes and executes its links in the call frame's chain scratch; on
-// top of the ring pair's two, only the returned result vector and the
+// top of the ring pair's one, only the returned result vector and the
 // recv bytes' private copy remain.
 func TestSpeculatedEchoPairAllocs(t *testing.T) {
 	d, op, ops := echoPairOp(t, Options{AutoTune: true, CallDeadline: time.Hour})
@@ -238,7 +238,7 @@ func TestSpeculatedEchoPairAllocs(t *testing.T) {
 	if chains := d.Layer.Stats().Fusion.Chains - before.Chains; chains != int64(*ops-warm) {
 		t.Fatalf("%d fused chains over %d pairs: not every pair was speculated", chains, *ops-warm)
 	}
-	allocGate(t, "speculated echo pair", allocs, 4)
+	allocGate(t, "speculated echo pair", allocs, 3)
 }
 
 // TestExplicitChainAllocs: an explicit open→fstat→pread→close chain
