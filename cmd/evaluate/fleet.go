@@ -150,9 +150,14 @@ func fleetExp() error {
 	return nil
 }
 
+// maxSiblingDriftPct bounds how much a compromised shard's incident may
+// move the per-op sim cost of apps on its sibling shards.
+const maxSiblingDriftPct = 10
+
 // fleetFloors enforces the acceptance criteria: 8 CVMs at >= 0.8x
 // linear (>= 6.4x one CVM), blast radius confined to the compromised
-// shard, migration preserving data, and the pinned rows intact.
+// shard with siblings' per-op cost within maxSiblingDriftPct, migration
+// preserving data, and the pinned rows intact.
 func fleetFloors(report *fleetReport) error {
 	if report.LinearEfficiency8 < 0.8 {
 		return fmt.Errorf("8-CVM efficiency %.2f below the 0.8x-linear acceptance floor", report.LinearEfficiency8)
@@ -163,6 +168,9 @@ func fleetFloors(report *fleetReport) error {
 	}
 	if b.DegradedOffShard != 0 {
 		return fmt.Errorf("blast radius leaked: %d apps off shard %d degraded", b.DegradedOffShard, b.BadShard)
+	}
+	if b.SiblingDriftPct > maxSiblingDriftPct {
+		return fmt.Errorf("sibling shards' per-op cost drifted %.2f%% during the incident, above the %d%% floor", b.SiblingDriftPct, maxSiblingDriftPct)
 	}
 	if !b.Recovered {
 		return fmt.Errorf("compromised shard never recovered to full health")

@@ -85,3 +85,22 @@ func TestReportRoundTrip(t *testing.T) {
 		t.Fatal("corrupt file must load ok=false")
 	}
 }
+
+// TestFleetFloorsSiblingDrift: the fleet floors accept the measured
+// blast-radius drill (siblings' per-op cost 8.89% off) and reject a drill
+// whose siblings drift past maxSiblingDriftPct.
+func TestFleetFloorsSiblingDrift(t *testing.T) {
+	report := fleetReport{
+		LinearEfficiency8: 1,
+		BlastRadius:       fleetBlastRow{DegradedApps: 8, SiblingDriftPct: 8.89, Recovered: true},
+		Migration:         fleetMigrationRow{DataOK: true, ServeAfter: true},
+		PinnedOK:          true,
+	}
+	if err := fleetFloors(&report); err != nil {
+		t.Fatalf("the measured drill fails the floors: %v", err)
+	}
+	report.BlastRadius.SiblingDriftPct = maxSiblingDriftPct + 0.5
+	if err := fleetFloors(&report); err == nil || !strings.Contains(err.Error(), "drifted") {
+		t.Fatalf("a %.1f%% sibling drift passed the floors (err %v)", report.BlastRadius.SiblingDriftPct, err)
+	}
+}

@@ -79,7 +79,7 @@ func (l *Layer) admit(t *kernel.Task, args *kernel.Args, bound bool) Admission {
 		}
 		return Admission{Route: redirect.RouteGuest}
 	}
-	abs := l.absPath(t, p)
+	abs := t.AbsPath(p)
 	if l.keepFSOnHost || ruled && redirect.DecideOpenPath(abs) == redirect.RouteHost {
 		return Admission{Route: redirect.RouteHost, Path: abs}
 	}

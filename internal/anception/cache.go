@@ -2,7 +2,6 @@ package anception
 
 import (
 	"bytes"
-	"container/list"
 	"path"
 	"slices"
 	"strings"
@@ -40,9 +39,10 @@ import (
 //     msync) drops that file's pages, and only that file's;
 //   - a container restart wipes the cache under its lock; degraded
 //     (circuit-breaker) mode bypasses it;
-//   - clean pages live under an LRU byte budget, with dropped buffers kept
-//     as spares (up to an eighth of it); dirty data is bounded by the
-//     flush threshold (read-ahead window) and the flush deadline.
+//   - clean pages live under an LRU byte budget, with dropped page
+//     entries kept whole, buffer included, as spares (up to an eighth of
+//     it); dirty data is bounded by the flush threshold (read-ahead
+//     window) and the flush deadline.
 
 // Cache tuning.
 const (
@@ -62,7 +62,7 @@ const (
 
 	cachePageSize = int64(abi.PageSize)
 
-	// spareBudgetShare: spare page buffers and free extent buffers
+	// spareBudgetShare: spare page entries and free extent buffers
 	// together may hold up to 1/8 of the clean-page budget.
 	spareBudgetShare = 8
 	// maxFreeExtentBytes bounds the free list of write-coalescing extent
@@ -97,16 +97,17 @@ type redirCache struct {
 	cfg redirCacheConfig
 
 	mu sync.Mutex
-	// bytes counts resident clean pages; spare holds the buffers of
-	// dropped pages for reuse. Together they stay within the budget.
+	// bytes counts resident clean pages; spare holds dropped page
+	// entries, buffer included, for reuse. Together they stay within the
+	// budget.
 	bytes int64
-	spare [][]byte
+	spare []*cachedPage
 	// extFree holds the buffers of flushed or merged dirty extents for
 	// reuse; extFreeBytes sums their capacities.
 	extFree      [][]byte
 	extFreeBytes int64
 	// lru orders clean cached pages, most recently used at the front.
-	lru *list.List
+	lru pageLRU
 	fds map[*kernel.FDEntry]*fdCache
 	// files maps an absolute guest path to the file bound under it; a
 	// hard link names one file twice.
@@ -128,8 +129,8 @@ type fileCache struct {
 	// or replaced while open.
 	names []string
 	fds   []*fdCache
-	// pages maps page index -> *list.Element whose value is *cachedPage.
-	pages map[int64]*list.Element
+	// pages maps page index to its resident page.
+	pages map[int64]*cachedPage
 	// size is the guest-side file size; valid only when sizeValid. It is
 	// re-learned (fstat) after any forwarded call that may change it.
 	size      int64
@@ -159,8 +160,49 @@ type fdCache struct {
 type cachedPage struct {
 	owner *fileCache
 	idx   int64
+	// prev and next link a resident page into the cache's LRU.
+	prev, next *cachedPage
 	// data is always a full page, zero-padded past end-of-file.
 	data []byte
+}
+
+// pageLRU is an intrusive LRU list of resident pages: the links live in
+// the pages, so moving or adding a page allocates nothing.
+type pageLRU struct {
+	// root is the sentinel of the circular list: root.next is the most
+	// recently used page, root.prev the least.
+	root cachedPage
+	n    int
+}
+
+func (l *pageLRU) init() { l.root.prev, l.root.next = &l.root, &l.root }
+
+// back returns the least recently used page, or nil.
+func (l *pageLRU) back() *cachedPage {
+	if l.n == 0 {
+		return nil
+	}
+	return l.root.prev
+}
+
+func (l *pageLRU) pushFront(cp *cachedPage) {
+	cp.prev, cp.next = &l.root, l.root.next
+	cp.next.prev = cp
+	l.root.next = cp
+	l.n++
+}
+
+func (l *pageLRU) remove(cp *cachedPage) {
+	cp.prev.next, cp.next.prev = cp.next, cp.prev
+	cp.prev, cp.next = nil, nil
+	l.n--
+}
+
+func (l *pageLRU) moveToFront(cp *cachedPage) {
+	if l.root.next != cp {
+		l.remove(cp)
+		l.pushFront(cp)
+	}
 }
 
 // wext is one buffered write extent. data comes from the cache's extent
@@ -183,17 +225,18 @@ type attrKey struct {
 }
 
 func newRedirCache() *redirCache {
-	return &redirCache{
+	c := &redirCache{
 		cfg: redirCacheConfig{
 			readAhead:  DefaultReadAheadPages,
 			budget:     DefaultCacheBudgetBytes,
 			flushDelay: DefaultCacheFlushDelay,
 		},
-		lru:   list.New(),
 		fds:   make(map[*kernel.FDEntry]*fdCache),
 		files: make(map[string]*fileCache),
 		attrs: make(map[attrKey]kernel.Result),
 	}
+	c.lru.init()
+	return c
 }
 
 // snapshot returns a copy of the counters.
@@ -212,12 +255,12 @@ func (l *Layer) invalidateRedirCache(gen int) {
 		return
 	}
 	c.mu.Lock()
-	dropped := c.lru.Len()
+	dropped := c.lru.n
 	for _, fc := range c.fds {
 		dropped += len(fc.dirty)
 	}
-	for el := c.lru.Front(); el != nil; el = c.lru.Front() {
-		c.retireLocked(el)
+	for cp := c.lru.back(); cp != nil; cp = c.lru.back() {
+		c.retireLocked(cp)
 	}
 	c.fds = make(map[*kernel.FDEntry]*fdCache)
 	c.files = make(map[string]*fileCache)
@@ -248,7 +291,7 @@ func (l *Layer) rekeyRedirCache(gen int) (pagesKept, attrsKept, dirtyDropped int
 			fc.file.sizeValid = false
 		}
 	}
-	pagesKept, attrsKept = c.lru.Len(), len(c.attrs)
+	pagesKept, attrsKept = c.lru.n, len(c.attrs)
 	c.stats.Invalidations++
 	c.mu.Unlock()
 	if l.trace != nil {
@@ -284,7 +327,7 @@ func (c *redirCache) fileLocked(p string) *fileCache {
 	if f, ok := c.files[p]; ok {
 		return f
 	}
-	f := &fileCache{names: []string{p}, pages: make(map[int64]*list.Element)}
+	f := &fileCache{names: []string{p}, pages: make(map[int64]*cachedPage)}
 	c.files[p] = f
 	return f
 }
@@ -354,8 +397,8 @@ func (l *Layer) forgetFD(e *kernel.FDEntry) {
 // dropPagesLocked discards a file's clean pages and size knowledge, after
 // a call that may have changed it under the cache.
 func (c *redirCache) dropPagesLocked(f *fileCache) {
-	for _, el := range f.pages {
-		c.retireLocked(el)
+	for _, cp := range f.pages {
+		c.retireLocked(cp)
 	}
 	f.sizeValid = false
 }
@@ -398,14 +441,15 @@ func (c *redirCache) aliasLocked(from, to string) {
 }
 
 // retireLocked unlinks a resident page from the LRU and its file and
-// keeps its buffer as a spare, up to spareBudgetShare of the budget (the
-// rest go to the GC, so a large purge cannot pin memory).
-func (c *redirCache) retireLocked(el *list.Element) {
-	cp := c.lru.Remove(el).(*cachedPage)
+// keeps the whole entry as a spare, up to spareBudgetShare of the budget
+// (the rest go to the GC, so a large purge cannot pin memory).
+func (c *redirCache) retireLocked(cp *cachedPage) {
+	c.lru.remove(cp)
 	delete(cp.owner.pages, cp.idx)
+	cp.owner = nil
 	c.bytes -= cachePageSize
 	if c.spareBytesLocked()+cachePageSize <= c.cfg.budget/spareBudgetShare {
-		c.spare = append(c.spare, cp.data)
+		c.spare = append(c.spare, cp)
 	}
 }
 
@@ -727,14 +771,14 @@ func (fc *fdCache) composeLocked(c *redirCache, off int64, dst []byte) (int, boo
 	out := dst[:end-off]
 	for idx := off / cachePageSize; idx <= (end-1)/cachePageSize; idx++ {
 		a, b := spanWithin(idx, off, end)
-		el, ok := f.pages[idx]
+		cp, ok := f.pages[idx]
 		if !ok {
 			clear(out[a-off : b-off])
 			continue
 		}
 		pStart := idx * cachePageSize
-		copy(out[a-off:b-off], el.Value.(*cachedPage).data[a-pStart:b-pStart])
-		c.lru.MoveToFront(el)
+		copy(out[a-off:b-off], cp.data[a-pStart:b-pStart])
+		c.lru.moveToFront(cp)
 	}
 	for _, ext := range fc.dirty {
 		a, b := max(ext.off, off), min(ext.end(), end)
@@ -807,38 +851,35 @@ func (l *Layer) fetchLocked(st *layerState, t *kernel.Task, fc *fdCache, off int
 }
 
 // storePageLocked installs a clean copy of one page: the first page of
-// src, zero-padded. A resident entry is refilled in place; a new one takes
-// a spare buffer, else fresh memory within the budget, else the LRU
-// victim's element, entry and buffer in place.
+// src, zero-padded. A resident entry is refilled in place; a new page
+// takes a spare entry, else a fresh one within the budget, else the LRU
+// victim's entry, buffer and all.
 func (c *redirCache) storePageLocked(f *fileCache, idx int64, src []byte) {
-	if el, ok := f.pages[idx]; ok {
-		fillPage(el.Value.(*cachedPage).data, src)
-		c.lru.MoveToFront(el)
+	if cp, ok := f.pages[idx]; ok {
+		fillPage(cp.data, src)
+		c.lru.moveToFront(cp)
 		return
 	}
-	var data []byte
+	var cp *cachedPage
 	switch n := len(c.spare); {
 	case n > 0:
-		data = c.spare[n-1]
+		cp = c.spare[n-1]
 		c.spare[n-1] = nil
 		c.spare = c.spare[:n-1]
 	case c.bytes+cachePageSize <= c.cfg.budget:
-		data = make([]byte, cachePageSize)
+		cp = &cachedPage{data: make([]byte, cachePageSize)}
 	default:
-		victim := c.lru.Back()
-		if victim == nil {
+		if cp = c.lru.back(); cp == nil {
 			return // a budget below one page caches nothing
 		}
-		vp := victim.Value.(*cachedPage)
-		delete(vp.owner.pages, vp.idx)
-		vp.owner, vp.idx = f, idx
-		fillPage(vp.data, src)
-		f.pages[idx] = victim
-		c.lru.MoveToFront(victim)
-		return
+		c.lru.remove(cp)
+		delete(cp.owner.pages, cp.idx)
+		c.bytes -= cachePageSize
 	}
-	fillPage(data, src)
-	f.pages[idx] = c.lru.PushFront(&cachedPage{owner: f, idx: idx, data: data})
+	cp.owner, cp.idx = f, idx
+	fillPage(cp.data, src)
+	f.pages[idx] = cp
+	c.lru.pushFront(cp)
 	c.bytes += cachePageSize
 }
 
@@ -933,9 +974,9 @@ func (l *Layer) foldExtentLocked(f *fileCache, ext wext) {
 			c.storePageLocked(f, idx, ext.data[a-ext.off:])
 			continue
 		}
-		if el, ok := f.pages[idx]; ok {
-			copy(el.Value.(*cachedPage).data[a-pStart:b-pStart], ext.data[a-ext.off:b-ext.off])
-			c.lru.MoveToFront(el)
+		if cp, ok := f.pages[idx]; ok {
+			copy(cp.data[a-pStart:b-pStart], ext.data[a-ext.off:b-ext.off])
+			c.lru.moveToFront(cp)
 		}
 	}
 }

@@ -35,6 +35,10 @@ type callFrame struct {
 	reply   []byte      // the guest's encoded reply
 	scratch []byte      // guest-side output buffer of a read-like call
 	args    kernel.Args // guest-side decode of req (views into req)
+	// dec decodes req and keeps the paths and address of the frame's
+	// earlier calls, so a repeated path decodes without a copy. It lives
+	// outside args, which every decode resets, and putFrame keeps it.
+	dec marshal.Decoder
 
 	// Context of the in-flight args call, read by execArgs on the guest
 	// side. Set before the submission, so the transport's hand-off orders
@@ -191,7 +195,7 @@ func tampered(st *layerState, resp []byte) []byte {
 // frame.
 func (f *callFrame) execArgs(req []byte) []byte {
 	a := &f.args
-	if err := marshal.DecodeArgs(req, a); err != nil {
+	if err := f.dec.Args(req, a); err != nil {
 		return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
 	}
 	if wantsScratch(a) {
@@ -211,7 +215,7 @@ func (f *callFrame) execArgs(req []byte) []byte {
 // dispatch), and append the result to the reply frame.
 func (f *callFrame) execSock(req []byte) []byte {
 	a := &f.args
-	if err := marshal.DecodeSockOp(req, a); err != nil {
+	if err := f.dec.SockOp(req, a); err != nil {
 		return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
 	}
 	if wantsScratch(a) {

@@ -281,7 +281,7 @@ func (l *Layer) forwardGrant(st *layerState, t *kernel.Task, args *kernel.Args) 
 			return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
 		}
 		decoded := &f.args
-		if derr := marshal.DecodeArgs(argsPayload, decoded); derr != nil {
+		if derr := f.dec.Args(argsPayload, decoded); derr != nil {
 			return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
 		}
 		resolved := make([][]byte, len(gd.Entries))

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"path"
 	"runtime"
 	"strings"
 	"sync"
@@ -789,7 +788,7 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 	case abi.SysRename, abi.SysLink:
 		fwd := *args
 		fwd.Path = p
-		fwd.Path2 = l.absPath(t, args.Path2)
+		fwd.Path2 = t.AbsPath(args.Path2)
 		st := l.currentState()
 		if !l.cacheBypassed(st) {
 			l.cachedPathCall(st, t, &fwd, p)
@@ -1161,11 +1160,4 @@ func scatterIntoIov(iov [][]byte, data []byte) {
 		n := copy(seg, data)
 		data = data[n:]
 	}
-}
-
-func (l *Layer) absPath(t *kernel.Task, p string) string {
-	if strings.HasPrefix(p, "/") {
-		return path.Clean(p)
-	}
-	return path.Join(t.CWD, p)
 }

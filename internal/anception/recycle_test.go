@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"anception/internal/abi"
+	"anception/internal/kernel"
+	"anception/internal/netstack"
 )
 
 // Write-coalescing extents are recycled (DESIGN.md §9): a write inside or
 // extending a buffered extent lands in place, and flushed or merged-away
-// extent buffers go back to a bounded free list. These tests pin that the
-// steady state allocates nothing and that a recycled buffer never shows
-// another app's bytes.
+// extent buffers go back to a bounded free list. Dropped clean pages go
+// back whole to the spare list, and call frames are reused call after call
+// (DESIGN.md §10). These tests pin that the steady state allocates nothing
+// and that a recycled buffer never shows earlier bytes.
 
 // TestCoalescedOverwriteAllocs: a pwrite that overwrites a page already
 // buffered lands in the extent's buffer and allocates nothing.
@@ -173,4 +177,175 @@ func TestAddDirtyMatchesReference(t *testing.T) {
 			t.Fatalf("step %d: free list holds %d B, bound %d", step, c.extFreeBytes, maxFreeExtentBytes)
 		}
 	}
+}
+
+// TestPageDropRefillAllocs: dropping a file's clean pages and caching them
+// again, within the spare bound, moves whole page entries between the LRU
+// and the spare list and allocates nothing.
+func TestPageDropRefillAllocs(t *testing.T) {
+	c := newRedirCache()
+	f := c.fileLocked("/data/data/com.example/cycle.dat")
+	src := bytes.Repeat([]byte{0x6B}, int(cachePageSize))
+	pages := int(c.cfg.budget / spareBudgetShare / cachePageSize)
+	op := func() {
+		for i := 0; i < pages; i++ {
+			c.storePageLocked(f, int64(i), src)
+		}
+		c.dropPagesLocked(f)
+	}
+	allocGate(t, "page drop/refill cycle", steadyAllocs(op), 0)
+	if len(c.spare) != pages || c.lru.n != 0 || c.bytes != 0 {
+		t.Fatalf("after a drop: %d spares (want %d), %d resident pages, %d resident bytes", len(c.spare), pages, c.lru.n, c.bytes)
+	}
+}
+
+// TestRecycledPageShowsOnlyNewBytes: on the Fast profile, app A's cached
+// pages are dropped into the spare list when it closes its file. App B's
+// 100-byte file then reads back its 100 B, and the recycled page that
+// caches it holds them with zeros to the end of the page.
+func TestRecycledPageShowsOnlyNewBytes(t *testing.T) {
+	d, err := NewDevice(Options{AutoTune: true, DisableTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	a := installAndLaunch(t, d, "com.probe.a")
+	b := installAndLaunch(t, d, "com.probe.b")
+	c := d.Layer.cache
+
+	fa := mustOpen(t, a, "secret.dat", abi.ORdWr|abi.OCreat)
+	secret := bytes.Repeat([]byte("A-secret"), 4*int(cachePageSize)/8)
+	mustPwrite(t, a, fa, secret, 0)
+	if _, err := a.Fsync(fa); err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(secret); off += int(cachePageSize) {
+		if got := mustPread(t, a, fa, int(cachePageSize), int64(off)); !bytes.Equal(got, secret[off:off+int(cachePageSize)]) {
+			t.Fatalf("app A reads back other bytes at %d", off)
+		}
+	}
+	if residentPages(d, a, fa) == 0 {
+		t.Fatal("app A's read cached no page")
+	}
+	if err := a.Close(fa); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	spares := make(map[*cachedPage]bool)
+	for _, cp := range c.spare {
+		spares[cp] = true
+	}
+	c.mu.Unlock()
+	if len(spares) == 0 {
+		t.Fatal("closing app A's file left no spare page")
+	}
+
+	fb := mustOpen(t, b, "mine.dat", abi.ORdWr|abi.OCreat)
+	mine := bytes.Repeat([]byte{'b'}, 100)
+	mustPwrite(t, b, fb, mine, 0)
+	if _, err := b.Fsync(fb); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustPread(t, b, fb, int(cachePageSize), 0); !bytes.Equal(got, mine) {
+		t.Fatalf("app B reads %d bytes (%q...), want its own 100", len(got), got[:min(len(got), 16)])
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cp := c.fds[b.Task.FD(fb)].file.pages[0]
+	switch {
+	case cp == nil:
+		t.Fatal("app B's read cached no page")
+	case !spares[cp]:
+		t.Fatal("app B's page is not a recycled entry")
+	case !bytes.Equal(cp.data[:100], mine) || !allBytes(cp.data[100:], 0):
+		t.Fatalf("the recycled page holds %q then %q, want B's 100 B then zeros", cp.data[:8], cp.data[100:116])
+	}
+}
+
+// TestRecycledFrameShowsOnlyNewBytes: every call reuses a call frame. A
+// short read, readlink or echo after a long one returns only its own
+// bytes and leaves the caller's buffer past them untouched, on Paper and
+// Fast.
+func TestRecycledFrameShowsOnlyNewBytes(t *testing.T) {
+	for _, prof := range chainProfiles {
+		t.Run(prof.name, func(t *testing.T) {
+			d, p := admitApp(t, prof.opts)
+			d.RegisterRemote("echo:7", func(req []byte) []byte { return req })
+			long := bytes.Repeat([]byte{'L'}, int(cachePageSize))
+			seedGuestFile(t, p, "long.dat", long)
+			seedGuestFile(t, p, "short.dat", []byte("short"))
+			fl := mustOpen(t, p, "long.dat", abi.ORdOnly)
+			fs := mustOpen(t, p, "short.dat", abi.ORdOnly)
+			longTarget := strings.Repeat("t", 300)
+			for target, link := range map[string]string{longTarget: "long.lnk", "s": "short.lnk"} {
+				if res := p.Syscall(kernel.Args{Nr: abi.SysSymlink, Path: target, Path2: link}); !res.Ok() {
+					t.Fatalf("symlink %s: %v", link, res.Err)
+				}
+			}
+			sock, err := p.Socket(netstack.AFInet, netstack.SockStream, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Connect(sock, "echo:7"); err != nil {
+				t.Fatal(err)
+			}
+
+			buf := make([]byte, cachePageSize)
+			// short checks that buf holds want and then only the 0xEE
+			// written before the call.
+			short := func(what string, n int, err error, want string) {
+				t.Helper()
+				if err != nil || n != len(want) || string(buf[:n]) != want {
+					t.Fatalf("%s: n=%d err=%v %q", what, n, err, buf[:min(n, 16)])
+				}
+				if !allBytes(buf[n:], 0xEE) {
+					t.Fatalf("%s wrote past its %d bytes", what, n)
+				}
+			}
+			for round := 0; round < 3; round++ {
+				if n, err := p.PreadInto(fl, buf, 0); err != nil || !bytes.Equal(buf[:n], long) {
+					t.Fatalf("long read: n=%d err=%v", n, err)
+				}
+				fillEE(buf)
+				n, err := p.PreadInto(fs, buf, 0)
+				short("short read", n, err, "short")
+
+				if got, err := p.Readlink("long.lnk"); err != nil || got != longTarget {
+					t.Fatalf("long readlink: %d bytes, %v", len(got), err)
+				}
+				if got, err := p.Readlink("short.lnk"); err != nil || got != "s" {
+					t.Fatalf("short readlink: %q, %v", got, err)
+				}
+
+				if _, err := p.Send(sock, long[:1000]); err != nil {
+					t.Fatal(err)
+				}
+				if n, err := p.RecvInto(sock, buf); err != nil || !bytes.Equal(buf[:n], long[:1000]) {
+					t.Fatalf("long echo: n=%d err=%v", n, err)
+				}
+				if _, err := p.Send(sock, []byte("hi")); err != nil {
+					t.Fatal(err)
+				}
+				fillEE(buf)
+				n, err = p.RecvInto(sock, buf)
+				short("short echo", n, err, "hi")
+			}
+		})
+	}
+}
+
+func fillEE(b []byte) {
+	for i := range b {
+		b[i] = 0xEE
+	}
+}
+
+// allBytes reports whether every byte of b is v.
+func allBytes(b []byte, v byte) bool {
+	for _, x := range b {
+		if x != v {
+			return false
+		}
+	}
+	return true
 }

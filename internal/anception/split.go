@@ -117,7 +117,7 @@ func (l *Layer) handleCredChange(t *kernel.Task, args *kernel.Args) kernel.Resul
 // host's identical image; user-generated code is copied out of the CVM
 // into the protected execution cache first.
 func (l *Layer) handleExec(t *kernel.Task, args *kernel.Args) kernel.Result {
-	p := l.absPath(t, args.Path)
+	p := t.AbsPath(args.Path)
 	if hasPrefix(p, "/system/") || hasPrefix(p, l.execCache.Root()+"/") {
 		return l.host.InvokeLocal(t, *args)
 	}

@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"path"
-	"strings"
 	"time"
 
 	"anception/internal/abi"
@@ -327,12 +325,4 @@ func (k *Kernel) InvokeLocal(t *Task, args Args) Result {
 		return k.errResult(abi.ESRCH)
 	}
 	return k.dispatchLocal(t, args)
-}
-
-// absPath resolves p against the task's working directory.
-func absPath(t *Task, p string) string {
-	if strings.HasPrefix(p, "/") {
-		return path.Clean(p)
-	}
-	return path.Join(t.CWD, p)
 }

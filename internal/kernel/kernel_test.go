@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"anception/internal/abi"
@@ -583,5 +585,84 @@ func TestHostFDsOf(t *testing.T) {
 	}
 	if out := task.HostFDsOf(nil); len(out) != 0 {
 		t.Fatalf("no guest fds translated to %v", out)
+	}
+}
+
+// TestAbsPathMemo: a task's relative paths are joined through a small
+// memo. A repeated path returns the joined string without allocating,
+// more paths than the memo holds still join correctly, a chdir is a miss
+// rather than a stale hit, and an empty path stays empty.
+func TestAbsPathMemo(t *testing.T) {
+	k := newTestKernel(t)
+	task := k.Spawn(abi.Cred{UID: abi.UIDRoot}, "init")
+	task.CWD = "/data/data"
+	if got := task.AbsPath(""); got != "" {
+		t.Fatalf("AbsPath(\"\") = %q, want empty", got)
+	}
+	const clean = "/data/data/app/x"
+	if got := task.AbsPath(clean); got != clean {
+		t.Fatalf("clean absolute path became %q", got)
+	}
+	if got := task.AbsPath("//data/./data/../data/x"); got != "/data/data/x" {
+		t.Fatalf("unclean absolute path became %q", got)
+	}
+	// More paths than the memo holds, cycled so entries are replaced.
+	joins := [][2]string{
+		{"a", "/data/data/a"}, {"b/c", "/data/data/b/c"}, {"../d", "/data/d"},
+		{"./e", "/data/data/e"}, {"f/", "/data/data/f"}, {"g", "/data/data/g"},
+	}
+	for round := 0; round < 3; round++ {
+		for _, j := range joins {
+			if got := task.AbsPath(j[0]); got != j[1] {
+				t.Fatalf("AbsPath(%q) = %q, want %q", j[0], got, j[1])
+			}
+		}
+	}
+	task.CWD = "/data"
+	if got := task.AbsPath("a"); got != "/data/a" {
+		t.Fatalf("after a chdir AbsPath(\"a\") = %q, want /data/a", got)
+	}
+	for _, p := range []string{"sync.dat", clean} {
+		task.AbsPath(p)
+		if n := testing.AllocsPerRun(100, func() { task.AbsPath(p) }); n != 0 {
+			t.Errorf("AbsPath(%q) repeated: %v allocs, want 0", p, n)
+		}
+	}
+}
+
+// TestAbsPathConcurrent: goroutines resolving paths for one task at once
+// share its memo without racing, and each gets its own path's join while
+// they evict one another's entries.
+func TestAbsPathConcurrent(t *testing.T) {
+	k := newTestKernel(t)
+	task := k.Spawn(abi.Cred{UID: abi.UIDRoot}, "init")
+	task.CWD = "/data"
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rel := fmt.Sprintf("f%d", g)
+			for i := 0; i < 500; i++ {
+				if got := task.AbsPath(rel); got != "/data/"+rel {
+					t.Errorf("AbsPath(%q) = %q", rel, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestEmptyPathIsENOENT: the path-named calls fail an empty path with
+// ENOENT instead of acting on the working directory.
+func TestEmptyPathIsENOENT(t *testing.T) {
+	k := newTestKernel(t)
+	task := k.Spawn(abi.Cred{UID: abi.UIDRoot}, "init")
+	task.CWD = "/data"
+	for _, nr := range []abi.SyscallNr{abi.SysStat, abi.SysOpen, abi.SysAccess, abi.SysUnlink, abi.SysChdir, abi.SysGetdents, abi.SysMkdir} {
+		if res := k.Invoke(task, Args{Nr: nr, Path: ""}); !errors.Is(res.Err, abi.ENOENT) {
+			t.Errorf("%v(\"\"): ret=%d err=%v, want ENOENT", nr, res.Ret, res.Err)
+		}
 	}
 }

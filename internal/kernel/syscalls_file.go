@@ -27,7 +27,7 @@ func (k *Kernel) chargePathResolution(t *Task, p string) {
 }
 
 func (k *Kernel) sysOpen(t *Task, args Args) Result {
-	p := absPath(t, args.Path)
+	p := t.AbsPath(args.Path)
 	k.chargePathResolution(t, p)
 
 	if strings.HasPrefix(p, "/proc/") || p == "/proc" {
@@ -312,7 +312,7 @@ func (k *Kernel) sysLseek(t *Task, args Args) Result {
 }
 
 func (k *Kernel) sysStat(t *Task, args Args) Result {
-	p := absPath(t, args.Path)
+	p := t.AbsPath(args.Path)
 	k.chargePathResolution(t, p)
 	st, err := k.fs.StatPath(t.Cred, p)
 	if err != nil {
@@ -337,7 +337,7 @@ func encodeStat(st vfs.Stat) []byte {
 }
 
 func (k *Kernel) sysAccess(t *Task, args Args) Result {
-	p := absPath(t, args.Path)
+	p := t.AbsPath(args.Path)
 	k.chargePathResolution(t, p)
 	if err := k.fs.CheckAccess(t.Cred, p, args.Size); err != nil {
 		return k.errResult(err)
@@ -346,7 +346,7 @@ func (k *Kernel) sysAccess(t *Task, args Args) Result {
 }
 
 func (k *Kernel) sysMkdir(t *Task, args Args) Result {
-	p := absPath(t, args.Path)
+	p := t.AbsPath(args.Path)
 	k.chargePathResolution(t, p)
 	if err := k.fs.Mkdir(t.Cred, p, args.Mode&^t.Umask); err != nil {
 		return k.errResult(err)
@@ -355,7 +355,7 @@ func (k *Kernel) sysMkdir(t *Task, args Args) Result {
 }
 
 func (k *Kernel) sysRmdir(t *Task, args Args) Result {
-	p := absPath(t, args.Path)
+	p := t.AbsPath(args.Path)
 	k.chargePathResolution(t, p)
 	if err := k.fs.Rmdir(t.Cred, p); err != nil {
 		return k.errResult(err)
@@ -364,7 +364,7 @@ func (k *Kernel) sysRmdir(t *Task, args Args) Result {
 }
 
 func (k *Kernel) sysUnlink(t *Task, args Args) Result {
-	p := absPath(t, args.Path)
+	p := t.AbsPath(args.Path)
 	k.chargePathResolution(t, p)
 	if err := k.fs.Unlink(t.Cred, p); err != nil {
 		return k.errResult(err)
@@ -373,28 +373,28 @@ func (k *Kernel) sysUnlink(t *Task, args Args) Result {
 }
 
 func (k *Kernel) sysRename(t *Task, args Args) Result {
-	if err := k.fs.Rename(t.Cred, absPath(t, args.Path), absPath(t, args.Path2)); err != nil {
+	if err := k.fs.Rename(t.Cred, t.AbsPath(args.Path), t.AbsPath(args.Path2)); err != nil {
 		return k.errResult(err)
 	}
 	return Result{}
 }
 
 func (k *Kernel) sysLink(t *Task, args Args) Result {
-	if err := k.fs.Link(t.Cred, absPath(t, args.Path), absPath(t, args.Path2)); err != nil {
+	if err := k.fs.Link(t.Cred, t.AbsPath(args.Path), t.AbsPath(args.Path2)); err != nil {
 		return k.errResult(err)
 	}
 	return Result{}
 }
 
 func (k *Kernel) sysSymlink(t *Task, args Args) Result {
-	if err := k.fs.Symlink(t.Cred, args.Path, absPath(t, args.Path2)); err != nil {
+	if err := k.fs.Symlink(t.Cred, args.Path, t.AbsPath(args.Path2)); err != nil {
 		return k.errResult(err)
 	}
 	return Result{}
 }
 
 func (k *Kernel) sysReadlink(t *Task, args Args) Result {
-	p := absPath(t, args.Path)
+	p := t.AbsPath(args.Path)
 	if strings.HasPrefix(p, "/proc/") {
 		return k.procfsReadlink(t, p)
 	}
@@ -414,7 +414,7 @@ func (k *Kernel) sysChmod(t *Task, args Args) Result {
 		}
 		p = e.File.Path()
 	}
-	if err := k.fs.Chmod(t.Cred, absPath(t, p), args.Mode); err != nil {
+	if err := k.fs.Chmod(t.Cred, t.AbsPath(p), args.Mode); err != nil {
 		return k.errResult(err)
 	}
 	return Result{}
@@ -429,7 +429,7 @@ func (k *Kernel) sysChown(t *Task, args Args) Result {
 		}
 		p = e.File.Path()
 	}
-	if err := k.fs.Chown(t.Cred, absPath(t, p), args.UID, args.GID); err != nil {
+	if err := k.fs.Chown(t.Cred, t.AbsPath(p), args.UID, args.GID); err != nil {
 		return k.errResult(err)
 	}
 	return Result{}
@@ -446,14 +446,14 @@ func (k *Kernel) sysTruncate(t *Task, args Args) Result {
 		}
 		return Result{}
 	}
-	if err := k.fs.Truncate(t.Cred, absPath(t, args.Path), args.Off); err != nil {
+	if err := k.fs.Truncate(t.Cred, t.AbsPath(args.Path), args.Off); err != nil {
 		return k.errResult(err)
 	}
 	return Result{}
 }
 
 func (k *Kernel) sysGetdents(t *Task, args Args) Result {
-	p := absPath(t, args.Path)
+	p := t.AbsPath(args.Path)
 	if strings.HasPrefix(p, "/proc") {
 		return k.procfsGetdents(t, p)
 	}

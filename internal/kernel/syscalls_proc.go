@@ -21,7 +21,7 @@ func (k *Kernel) sysUmask(t *Task, args Args) Result {
 }
 
 func (k *Kernel) sysChdir(t *Task, args Args) Result {
-	p := absPath(t, args.Path)
+	p := t.AbsPath(args.Path)
 	st, err := k.fs.StatPath(t.Cred, p)
 	if err != nil {
 		return k.errResult(err)
@@ -94,7 +94,7 @@ func (k *Kernel) sysFork(t *Task, _ Args) Result {
 }
 
 func (k *Kernel) sysExecve(t *Task, args Args) Result {
-	p := absPath(t, args.Path)
+	p := t.AbsPath(args.Path)
 	k.chargePathResolution(t, p)
 	if err := k.fs.CheckAccess(t.Cred, p, abi.AccessExec|abi.AccessRead); err != nil {
 		return k.errResult(err)

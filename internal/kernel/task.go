@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"path"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"anception/internal/abi"
 	"anception/internal/netstack"
@@ -125,6 +127,9 @@ type Task struct {
 	Cred  abi.Cred
 	Umask abi.FileMode
 	CWD   string
+	// paths memoizes recent joins onto CWD (AbsPath). It is made on the
+	// task's first relative path: most tasks never name one.
+	paths atomic.Pointer[pathMemo]
 
 	// RE is the redirection entry byte checked by ASIM on every call.
 	RE byte
@@ -152,6 +157,60 @@ type Task struct {
 	// task's lane, so work done in the container on the task's behalf
 	// counts as the task's own.
 	Lane *sim.Lane
+}
+
+// pathMemoLen is how many recent relative-path joins a task remembers.
+const pathMemoLen = 4
+
+// pathMemo remembers a task's last few joins of a relative path onto its
+// working directory, replaced round-robin. It has its own lock, as several
+// goroutines may resolve paths for one task at once.
+type pathMemo struct {
+	mu   sync.Mutex
+	next int
+	ents [pathMemoLen]pathJoin
+}
+
+// pathJoin is one remembered join: abs is cwd joined with rel.
+type pathJoin struct{ cwd, rel, abs string }
+
+// AbsPath resolves p against the task's working directory, the way every
+// path-named call does before it reaches the filesystem. An empty path
+// stays empty, so the filesystem answers ENOENT as Linux does; a clean
+// absolute path is returned as is; a relative path the task named
+// recently from the same working directory returns the string joined
+// then, so a repeated path costs no allocation. A chdir changes the
+// working directory the entries are compared with, so it never hits a
+// stale join.
+func (t *Task) AbsPath(p string) string {
+	switch {
+	case p == "":
+		return ""
+	case p[0] == '/':
+		return path.Clean(p)
+	}
+	m := t.paths.Load()
+	if m == nil {
+		m = new(pathMemo)
+		if !t.paths.CompareAndSwap(nil, m) {
+			m = t.paths.Load()
+		}
+	}
+	return m.join(t.CWD, p)
+}
+
+func (m *pathMemo) join(cwd, rel string) string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range m.ents {
+		if e := &m.ents[i]; e.rel == rel && e.cwd == cwd {
+			return e.abs
+		}
+	}
+	abs := path.Join(cwd, rel)
+	m.ents[m.next] = pathJoin{cwd, rel, abs}
+	m.next = (m.next + 1) % pathMemoLen
+	return abs
 }
 
 func newTask(pid, ppid int, cred abi.Cred, comm string) *Task {

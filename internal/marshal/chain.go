@@ -101,6 +101,8 @@ type ChainDecoder struct {
 	links   []ChainLink
 	args    []kernel.Args
 	results []kernel.Result
+	// strs keeps the links' decoded strings across chains.
+	strs Decoder
 }
 
 // DecodeChain reverses AppendChain, validating the link count and that
@@ -145,7 +147,7 @@ func (d *ChainDecoder) Chain(b []byte) ([]ChainLink, error) {
 		if fdFrom >= i {
 			return nil, fmt.Errorf("marshal: chain link %d binds fd from link %d (not earlier): %w", i, fdFrom, abi.EINVAL)
 		}
-		if err := DecodeArgs(blob, &store[i]); err != nil {
+		if err := d.strs.Args(blob, &store[i]); err != nil {
 			return nil, err
 		}
 		links = append(links, ChainLink{Args: &store[i], FDFrom: fdFrom, UseCursor: flags&chainFlagCursor != 0})

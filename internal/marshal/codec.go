@@ -275,6 +275,32 @@ func encodeArgs(w *writer, a *kernel.Args) {
 // write-style Iov segments are views into b, valid while b is; strings
 // are copied. Read-style Iov spans become fresh zeroed scratch segments.
 func DecodeArgs(b []byte, a *kernel.Args) error {
+	var d Decoder
+	return d.Args(b, a)
+}
+
+// Decoder decodes requests as DecodeArgs and DecodeSockOp do, and keeps
+// the paths and address of its previous decodes: a string whose bytes
+// equal the one kept is returned as that string, not copied again, so a
+// transport that decodes the same paths over and over allocates none.
+// The kept strings are copies, never views into a frame, and only a
+// decode that carries the field replaces them. The zero value is ready;
+// a Decoder must not be used concurrently.
+type Decoder struct {
+	path, path2, addr string
+}
+
+// keep returns b as a string: *prev when the bytes are equal (comparing
+// does not allocate), else a copy, which becomes *prev.
+func keep(prev *string, b []byte) string {
+	if string(b) != *prev {
+		*prev = string(b)
+	}
+	return *prev
+}
+
+// Args is DecodeArgs with the decoder's kept strings.
+func (d *Decoder) Args(b []byte, a *kernel.Args) error {
 	*a = kernel.Args{}
 	r := &reader{buf: b}
 	for r.more() {
@@ -282,9 +308,9 @@ func DecodeArgs(b []byte, a *kernel.Args) error {
 		case tagNr:
 			a.Nr = abi.SyscallNr(r.u64())
 		case tagPath:
-			a.Path = string(r.bytes())
+			a.Path = keep(&d.path, r.bytes())
 		case tagPath2:
-			a.Path2 = string(r.bytes())
+			a.Path2 = keep(&d.path2, r.bytes())
 		case tagFD:
 			a.FD = int(int64(r.u64()))
 		case tagFD2:
@@ -304,7 +330,7 @@ func DecodeArgs(b []byte, a *kernel.Args) error {
 		case tagRequest:
 			a.Request = uint32(r.u64())
 		case tagAddr:
-			a.Addr = string(r.bytes())
+			a.Addr = keep(&d.addr, r.bytes())
 		case tagFamily:
 			a.Family = netstack.Family(r.u64())
 		case tagSockType:

@@ -1,0 +1,82 @@
+package marshal
+
+import (
+	"testing"
+	"unsafe"
+
+	"anception/internal/abi"
+	"anception/internal/kernel"
+)
+
+// TestDecoderKeptStringsAllocs: a Decoder returns the path it kept when the
+// same path arrives again, so a repeated path call decodes without
+// allocating. A pathless call in between decodes Path == "" and keeps the
+// kept string; a different path of the same length is a new string, and
+// no decoded string is a view into its frame.
+func TestDecoderKeptStringsAllocs(t *testing.T) {
+	var d Decoder
+	var a kernel.Args
+	decode := func(frame []byte) kernel.Args {
+		t.Helper()
+		if err := d.Args(frame, &a); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	statA := AppendArgs(nil, &kernel.Args{Nr: abi.SysStat, Path: "/data/data/app/a.dat"})
+	statB := AppendArgs(nil, &kernel.Args{Nr: abi.SysStat, Path: "/data/data/app/b.dat"})
+	pwrite := AppendArgs(nil, &kernel.Args{Nr: abi.SysPwrite64, FD: 3, Buf: []byte("page"), Off: 4096})
+
+	first := decode(statA).Path
+	if got := decode(pwrite); got.Path != "" || got.Path2 != "" || got.Addr != "" {
+		t.Fatalf("a pathless call decoded Path=%q Path2=%q Addr=%q", got.Path, got.Path2, got.Addr)
+	}
+	if again := decode(statA).Path; unsafe.StringData(again) != unsafe.StringData(first) {
+		t.Fatal("a repeated path after a pathless call was copied again")
+	}
+	other := decode(statB).Path
+	if other != "/data/data/app/b.dat" || first != "/data/data/app/a.dat" {
+		t.Fatalf("same-length paths aliased: first=%q other=%q", first, other)
+	}
+	// Rewriting a frame after its decode changes no decoded string.
+	scribbled := AppendArgs(nil, &kernel.Args{Nr: abi.SysStat, Path: "/data/data/app/c.dat"})
+	kept := decode(scribbled).Path
+	for i := range scribbled {
+		scribbled[i] = 'X'
+	}
+	if kept != "/data/data/app/c.dat" {
+		t.Fatalf("decoded path %q is a view into its frame", kept)
+	}
+
+	if n := testing.AllocsPerRun(100, func() { decode(statB) }); n != 0 {
+		t.Errorf("repeated path decode: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { decode(pwrite); decode(statB) }); n != 0 {
+		t.Errorf("path decode after a pathless one: %v allocs, want 0", n)
+	}
+	rename := AppendArgs(nil, &kernel.Args{Nr: abi.SysRename, Path: "/data/x.tmp", Path2: "/data/x"})
+	decode(rename)
+	if n := testing.AllocsPerRun(100, func() { decode(rename) }); n != 0 {
+		t.Errorf("repeated two-path decode: %v allocs, want 0", n)
+	}
+
+	connect := AppendSockOp(nil, &kernel.Args{Nr: abi.SysConnect, FD: 3, Addr: "echo.bench:7"})
+	send := AppendSockOp(nil, &kernel.Args{Nr: abi.SysSend, FD: 3, Buf: []byte("ping")})
+	sockOp := func(frame []byte) kernel.Args {
+		t.Helper()
+		if err := d.SockOp(frame, &a); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	addr := sockOp(connect).Addr
+	if got := sockOp(send); got.Addr != "" {
+		t.Fatalf("an addressless socket op decoded Addr=%q", got.Addr)
+	}
+	if again := sockOp(connect).Addr; unsafe.StringData(again) != unsafe.StringData(addr) {
+		t.Fatal("a repeated address was copied again")
+	}
+	if n := testing.AllocsPerRun(100, func() { sockOp(send); sockOp(connect) }); n != 0 {
+		t.Errorf("repeated address decode: %v allocs, want 0", n)
+	}
+}

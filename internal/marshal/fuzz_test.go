@@ -215,5 +215,19 @@ func FuzzArgsRoundTrip(f *testing.F) {
 			t.Fatal("round trip mismatch")
 		}
 		checkArgsViews(t, &out, frame)
+		// A Decoder that kept another path, or the same one, and saw a
+		// pathless call since decodes the frame the same way.
+		var d Decoder
+		for _, prior := range []*kernel.Args{{Nr: abi.SysStat, Path: path + "x"}, {Nr: abi.SysStat, Path: path}, {Nr: abi.SysPread64, FD: 1}} {
+			if err := d.Args(AppendArgs(nil, prior), &out); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Args(frame, &out); err != nil {
+				t.Fatalf("own encoding rejected by a decoder: %v", err)
+			}
+			if out.Path != path || out.FD != fd || out.Off != off || out.Tag != tag || !bytes.Equal(out.Buf, buf) {
+				t.Fatal("round trip through a decoder mismatch")
+			}
+		}
 	})
 }

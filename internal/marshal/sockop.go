@@ -52,8 +52,14 @@ func IsSockOp(b []byte) bool {
 }
 
 // DecodeSockOp reverses AppendSockOp into a, which it resets first. The
-// payload is a view into b.
+// payload is a view into b; the address is copied.
 func DecodeSockOp(b []byte, a *kernel.Args) error {
+	var d Decoder
+	return d.SockOp(b, a)
+}
+
+// SockOp is DecodeSockOp with the decoder's kept address.
+func (d *Decoder) SockOp(b []byte, a *kernel.Args) error {
 	if !IsSockOp(b) {
 		return fmt.Errorf("marshal: not a socket op: %w", abi.EINVAL)
 	}
@@ -71,7 +77,9 @@ func DecodeSockOp(b []byte, a *kernel.Args) error {
 	if addrLen < 0 || r.pos+addrLen > len(b) {
 		return errTruncated
 	}
-	a.Addr = string(b[r.pos : r.pos+addrLen])
+	if addrLen > 0 {
+		a.Addr = keep(&d.addr, b[r.pos:r.pos+addrLen])
+	}
 	r.pos += addrLen
 	if r.pos < len(b) {
 		a.Buf = b[r.pos:len(b):len(b)]

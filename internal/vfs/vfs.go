@@ -187,20 +187,16 @@ func (fs *FileSystem) readOnlyLocked(clean string) bool {
 	return false
 }
 
-// splitPath normalizes p and returns its components. An empty slice means
-// the root directory.
-func splitPath(p string) ([]string, error) {
+// cleanPath checks that p is absolute and returns it cleaned. Cleaning a
+// path that is already clean returns it without allocating.
+func cleanPath(p string) (string, error) {
 	if p == "" {
-		return nil, abi.ENOENT
+		return "", abi.ENOENT
 	}
-	if !strings.HasPrefix(p, "/") {
-		return nil, fmt.Errorf("vfs: relative path %q: %w", p, abi.EINVAL)
+	if p[0] != '/' {
+		return "", fmt.Errorf("vfs: relative path %q: %w", p, abi.EINVAL)
 	}
-	clean := path.Clean(p)
-	if clean == "/" {
-		return nil, nil
-	}
-	return strings.Split(strings.TrimPrefix(clean, "/"), "/"), nil
+	return path.Clean(p), nil
 }
 
 const maxSymlinkDepth = 8
@@ -208,16 +204,21 @@ const maxSymlinkDepth = 8
 // resolve walks the tree to the inode at p, following symlinks in
 // intermediate components and (if followLast) in the final component.
 // It checks execute (search) permission on every traversed directory.
+// The walk steps through the cleaned path in place; only a symlink's
+// expansion builds a new path.
 func (fs *FileSystem) resolve(cred Cred, p string, followLast bool, depth int) (*Inode, error) {
 	if depth > maxSymlinkDepth {
 		return nil, abi.ELOOP
 	}
-	comps, err := splitPath(p)
+	clean, err := cleanPath(p)
 	if err != nil {
 		return nil, err
 	}
 	cur := fs.root
-	for i, c := range comps {
+	// rest is what follows the components walked so far; the root's is
+	// empty.
+	for rest := clean[1:]; rest != ""; {
+		c, after, _ := strings.Cut(rest, "/")
 		if cur.Type != TypeDir {
 			return nil, abi.ENOTDIR
 		}
@@ -228,20 +229,18 @@ func (fs *FileSystem) resolve(cred Cred, p string, followLast bool, depth int) (
 		if !ok {
 			return nil, abi.ENOENT
 		}
-		last := i == len(comps)-1
-		if next.Type == TypeSymlink && (!last || followLast) {
+		if next.Type == TypeSymlink && (after != "" || followLast) {
 			target := next.Target
 			if !strings.HasPrefix(target, "/") {
-				target = path.Join("/", path.Join(comps[:i]...), target)
+				// Relative to the directory holding the link.
+				target = path.Join(clean[:len(clean)-len(rest)], target)
 			}
-			rest := path.Join(comps[i+1:]...)
-			full := target
-			if rest != "" {
-				full = path.Join(target, rest)
+			if after != "" {
+				target = path.Join(target, after)
 			}
-			return fs.resolve(cred, full, followLast, depth+1)
+			return fs.resolve(cred, target, followLast, depth+1)
 		}
-		cur = next
+		cur, rest = next, after
 	}
 	return cur, nil
 }
@@ -249,14 +248,14 @@ func (fs *FileSystem) resolve(cred Cred, p string, followLast bool, depth int) (
 // lookupParent resolves the directory containing p and returns it along
 // with the final component name.
 func (fs *FileSystem) lookupParent(cred Cred, p string) (*Inode, string, error) {
-	comps, err := splitPath(p)
+	clean, err := cleanPath(p)
 	if err != nil {
 		return nil, "", err
 	}
-	if len(comps) == 0 {
+	if clean == "/" {
 		return nil, "", abi.EEXIST // the root itself
 	}
-	dirPath := "/" + path.Join(comps[:len(comps)-1]...)
+	dirPath, name := path.Split(clean)
 	dir, err := fs.resolve(cred, dirPath, true, 0)
 	if err != nil {
 		return nil, "", err
@@ -264,7 +263,7 @@ func (fs *FileSystem) lookupParent(cred Cred, p string) (*Inode, string, error) 
 	if dir.Type != TypeDir {
 		return nil, "", abi.ENOTDIR
 	}
-	return dir, comps[len(comps)-1], nil
+	return dir, name, nil
 }
 
 // permitted checks one access bit against the inode's permission bits.
@@ -370,16 +369,20 @@ func (fs *FileSystem) Mkdir(cred Cred, p string, mode abi.FileMode) error {
 // MkdirAll creates p and any missing parents; it runs with the caller's
 // credentials and is primarily a setup helper for platform assembly.
 func (fs *FileSystem) MkdirAll(cred Cred, p string, mode abi.FileMode) error {
-	comps, err := splitPath(p)
+	clean, err := cleanPath(p)
 	if err != nil {
 		return err
 	}
-	cur := ""
-	for _, c := range comps {
-		cur += "/" + c
+	// Each prefix of clean that ends at a component is one directory.
+	end := 0
+	for rest := clean[1:]; rest != ""; {
+		c, after, _ := strings.Cut(rest, "/")
+		end += 1 + len(c)
+		cur := clean[:end]
 		if err := fs.Mkdir(cred, cur, mode); err != nil && err != abi.EEXIST {
 			return fmt.Errorf("mkdirall %q: %w", cur, err)
 		}
+		rest = after
 	}
 	return nil
 }

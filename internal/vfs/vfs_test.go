@@ -685,3 +685,88 @@ func TestFileTypeStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestComponentWalk: the walk steps through the cleaned path in place. An
+// unclean path, a relative or absolute symlink in an intermediate
+// component, one whose target climbs with "..", and a parent lookup
+// through a symlinked directory all resolve as before.
+func TestComponentWalk(t *testing.T) {
+	fs := newTestFS(t)
+	if err := fs.MkdirAll(root, "/data/a/b", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(root, "/data/a/b/file", []byte("walked"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for target, link := range map[string]string{
+		"b":       "/data/a/rel",
+		"/data/a": "/data/abs",
+		"../a/b":  "/data/a/up",
+	} {
+		if err := fs.Symlink(root, target, link); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{
+		"/data/a/b/file",
+		"//data/./a/b/../b//file",
+		"/data/a/rel/file",
+		"/data/abs/b/file",
+		"/data/abs/rel/file",
+		"/data/a/up/file",
+	} {
+		if d, err := fs.ReadFile(root, p); err != nil || string(d) != "walked" {
+			t.Errorf("read %s: %q, %v", p, d, err)
+		}
+	}
+	if st, err := fs.LstatPath(root, "/data/a/rel"); err != nil || st.Type != TypeSymlink {
+		t.Errorf("lstat of a final symlink: %+v, %v", st, err)
+	}
+	if st, err := fs.LstatPath(root, "/data/a/rel/file"); err != nil || st.Type != TypeRegular {
+		t.Errorf("lstat through an intermediate symlink: %+v, %v", st, err)
+	}
+	if err := fs.WriteFile(root, "/data/abs/rel/new", []byte("n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := fs.ReadFile(root, "/data/a/b/new"); err != nil || string(d) != "n" {
+		t.Errorf("create through symlinked parents landed elsewhere: %q, %v", d, err)
+	}
+	if _, err := fs.StatPath(root, "/data/a/b/file/x"); !errors.Is(err, abi.ENOTDIR) {
+		t.Errorf("walk through a file: err = %v, want ENOTDIR", err)
+	}
+	if _, err := fs.StatPath(root, ""); !errors.Is(err, abi.ENOENT) {
+		t.Errorf("empty path: err = %v, want ENOENT", err)
+	}
+	if err := fs.Mkdir(root, "/", 0o755); !errors.Is(err, abi.EEXIST) {
+		t.Errorf("mkdir /: err = %v, want EEXIST", err)
+	}
+}
+
+// TestCleanLookupAllocs: looking up a clean absolute path walks its
+// components in place and allocates nothing.
+func TestCleanLookupAllocs(t *testing.T) {
+	fs := newTestFS(t)
+	if err := fs.MkdirAll(root, "/data/data/com.example/files", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const p = "/data/data/com.example/files/sync.dat"
+	if err := fs.WriteFile(root, p, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string]func() error{
+		"lookup": func() error { _, err := fs.Lookup(root, p); return err },
+		"stat":   func() error { _, err := fs.StatPath(root, p); return err },
+		"lstat":  func() error { _, err := fs.LstatPath(root, p); return err },
+		"access": func() error { return fs.CheckAccess(app, p, abi.AccessRead) },
+	}
+	for name, op := range ops {
+		var err error
+		allocs := testing.AllocsPerRun(100, func() { err = op() })
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s of a clean absolute path: %.1f allocs, want 0", name, allocs)
+		}
+	}
+}
