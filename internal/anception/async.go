@@ -84,7 +84,8 @@ func (l *Layer) forwardBatchRing(st *layerState, ring marshal.AsyncTransport, t 
 	l.clock.Charge(t.Lane, time.Duration(len(f.req))*l.model.MarshalPerByte)
 
 	span := l.clock.StartSpan(t.Lane)
-	pending, serr := ring.Submit(t.Lane, f.req, f.execBatch(st, p, true))
+	f.st, f.proxy, f.drained = st, p, true
+	pending, serr := ring.Submit(t.Lane, f.req, f.execBatchFn)
 	if serr != nil {
 		fail := l.transportFailure(t, calls[0], span, serr)
 		return nil, fail.Err

@@ -47,11 +47,12 @@ type callFrame struct {
 	proxy   *kernel.Task
 	drained bool
 	// exec is f.execArgs, bound once per frame so submitting an args call
-	// allocates no closure; execSockFn and execChainFn bind f.execSock
-	// and f.execChain the same way.
+	// allocates no closure; execSockFn, execChainFn and execBatchFn bind
+	// f.execSock, f.execChain and f.execBatch the same way.
 	exec        marshal.GuestHandler
 	execSockFn  marshal.GuestHandler
 	execChainFn marshal.GuestHandler
+	execBatchFn marshal.GuestHandler
 	// chain is the per-link scratch of a fused chain, made the first time
 	// the frame carries one.
 	chain *chainFrame
@@ -96,6 +97,7 @@ func (l *Layer) getFrame() *callFrame {
 		f.exec = f.execArgs
 		f.execSockFn = f.execSock
 		f.execChainFn = f.execChain
+		f.execBatchFn = f.execBatch
 		return f
 	}
 }
@@ -271,30 +273,35 @@ func landReply(args *kernel.Args, res *kernel.Result) {
 	}
 }
 
-// execBatch returns the guest handler of a batch frame.
-func (f *callFrame) execBatch(st *layerState, p *kernel.Task, drained bool) marshal.GuestHandler {
-	return func(req []byte) []byte {
-		decoded, err := marshal.DecodeArgsBatch(req)
-		if err != nil {
-			f.reply = marshal.AppendResultBatch(f.reply[:0], []kernel.Result{{Ret: -1, Err: abi.EINVAL}})
-			return f.reply
-		}
-		for _, d := range decoded {
-			if wantsScratch(d) {
-				d.Buf = make([]byte, d.Size)
-			}
-		}
-		// Per-call errors ride home positionally inside the encoded
-		// result vector; the aggregate error serves direct Manager users.
-		var batch []kernel.Result
-		if drained {
-			batch, _ = st.proxies.ExecuteBatchDrained(p, decoded)
-		} else {
-			batch, _ = st.proxies.ExecuteBatch(p, decoded)
-		}
-		f.reply = marshal.AppendResultBatch(f.reply[:0], batch)
-		return tampered(st, f.reply)
+// execBatch is the guest handler of a batch frame: decode it into the
+// frame's decoder, run the calls in the proxy's context, and append the
+// result vector to the reply frame.
+func (f *callFrame) execBatch(req []byte) []byte {
+	decoded, err := f.dec.ArgsBatch(req)
+	if err != nil {
+		f.reply = marshal.AppendResultBatch(f.reply[:0], []kernel.Result{{Ret: -1, Err: abi.EINVAL}})
+		return f.reply
 	}
+	for _, d := range decoded {
+		if wantsScratch(d) {
+			d.Buf = make([]byte, d.Size)
+		}
+	}
+	// Per-call errors ride home positionally inside the encoded result
+	// vector; the aggregate error serves direct Manager users.
+	var batch []kernel.Result
+	if f.drained {
+		batch, _ = f.st.proxies.ExecuteBatchDrained(f.proxy, decoded)
+	} else {
+		batch, _ = f.st.proxies.ExecuteBatch(f.proxy, decoded)
+	}
+	f.reply = marshal.AppendResultBatch(f.reply[:0], batch)
+	// The decoded calls are views into req and scratch reads; drop them
+	// so the decoder's storage pins neither once the frame is returned.
+	for _, d := range decoded {
+		*d = kernel.Args{}
+	}
+	return tampered(f.st, f.reply)
 }
 
 // decodeBatchReply decodes a batch reply and lands each result.

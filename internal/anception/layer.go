@@ -1078,7 +1078,8 @@ func (l *Layer) forwardBatch(st *layerState, t *kernel.Task, calls []*kernel.Arg
 	l.clock.Charge(t.Lane, time.Duration(len(f.req))*l.model.MarshalPerByte)
 
 	span := l.clock.StartSpan(t.Lane)
-	respBytes, terr := st.transport.RoundTrip(t.Lane, f.req, f.execBatch(st, p, false))
+	f.st, f.proxy, f.drained = st, p, false
+	respBytes, terr := st.transport.RoundTrip(t.Lane, f.req, f.execBatchFn)
 	if terr != nil {
 		fail := l.transportFailure(t, calls[0], span, terr)
 		return nil, fail.Err

@@ -105,7 +105,7 @@ func TestBankingAppConfidentiality(t *testing.T) {
 	d := bootDevice(t, ModeAnception)
 	var serverSaw [][]byte
 	d.RegisterRemote("bank.com:443", func(req []byte) []byte {
-		serverSaw = append(serverSaw, req)
+		serverSaw = append(serverSaw, append([]byte(nil), req...))
 		return []byte("TLS:OK")
 	})
 

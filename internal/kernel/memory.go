@@ -43,7 +43,10 @@ type FrameOwner struct {
 // The FrameID order is part of the contract. Host allocations take the
 // most recently freed frame first, then free frames in ascending order
 // from frame 0; reserving a region restarts that order from frame 0.
-// Guest allocations take the lowest unowned frame of their region.
+// Guest allocations take the lowest unowned frame of their region; each
+// chunk keeps a low-water mark below which it has no unowned guest frame,
+// so the search resumes where the last one stopped and a boot costs time
+// linear in the frames it maps.
 //
 // The memory-isolation invariant of Anception's principle 3 is enforced
 // here: an allocator bound to the guest region can never hand out, read, or
@@ -71,6 +74,11 @@ type frameChunk struct {
 	frames    [chunkFrames]frame
 	free      int // frames owned by nobody
 	guestFree int // frames in the unowned guest state
+	// guestLow is a low-water mark: no frame below this index is in the
+	// unowned guest state. A new chunk has none, so it starts at
+	// chunkFrames; setOwnerLocked lowers it and unownedGuestLocked raises
+	// it to the frame it finds.
+	guestLow int
 }
 
 type frame struct {
@@ -136,7 +144,7 @@ func (p *Physical) touchLocked(f FrameID) (*frameChunk, *frame) {
 	ci := int(f / chunkFrames)
 	c := p.chunks[ci]
 	if c == nil {
-		c = &frameChunk{free: min(chunkFrames, p.nframes-ci*chunkFrames)}
+		c = &frameChunk{free: min(chunkFrames, p.nframes-ci*chunkFrames), guestLow: chunkFrames}
 		for i := range c.frames {
 			c.frames[i].owner = freeOwner
 		}
@@ -145,11 +153,18 @@ func (p *Physical) touchLocked(f FrameID) (*frameChunk, *frame) {
 	return c, &c.frames[f%chunkFrames]
 }
 
-// setOwnerLocked changes fr's owner and keeps the free counts in step.
-func (p *Physical) setOwnerLocked(c *frameChunk, fr *frame, o ownerID) {
+// setOwnerLocked changes frame f's owner, building its chunk if need be,
+// keeps the free counts and the chunk's guest mark in step, and returns
+// the frame.
+func (p *Physical) setOwnerLocked(f FrameID, o ownerID) *frame {
+	c, fr := p.touchLocked(f)
 	p.tallyLocked(c, fr.owner, -1)
 	fr.owner = o
 	p.tallyLocked(c, o, 1)
+	if i := int(f % chunkFrames); o == unownedGuest && i < c.guestLow {
+		c.guestLow = i
+	}
+	return fr
 }
 
 func (p *Physical) tallyLocked(c *frameChunk, o ownerID, d int) {
@@ -252,9 +267,7 @@ func (p *Physical) ReserveRegion(n int) (Region, error) {
 	}
 	r := Region{Start: start, End: start + FrameID(n)}
 	for f := r.Start; f < r.End; f++ {
-		c, fr := p.touchLocked(f)
-		p.setOwnerLocked(c, fr, unownedGuest)
-		fr.version++
+		p.setOwnerLocked(f, unownedGuest).version++
 	}
 	p.freed, p.cursor = p.freed[:0], 0
 	return r, nil
@@ -267,8 +280,7 @@ func (p *Physical) ResetRegion(r Region) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for f := r.Start; f < p.end(r); f++ {
-		c, fr := p.touchLocked(f)
-		p.setOwnerLocked(c, fr, unownedGuest)
+		fr := p.setOwnerLocked(f, unownedGuest)
 		fr.data = nil
 		fr.version++
 	}
@@ -296,9 +308,7 @@ func (p *Physical) ReclaimRegion(r Region, keep []FrameID) {
 		if fr := p.peekLocked(f); fr != nil && fr.owner == unownedGuest {
 			continue
 		}
-		c, fr := p.touchLocked(f)
-		p.setOwnerLocked(c, fr, unownedGuest)
-		fr.version++
+		p.setOwnerLocked(f, unownedGuest).version++
 	}
 }
 
@@ -358,8 +368,7 @@ func (p *Physical) RestoreRegion(r Region, owners []FrameOwner, datas [][]byte, 
 		if p.versionLocked(f) == baseVersions[i] {
 			continue // provably unchanged since the checkpoint
 		}
-		c, fr := p.touchLocked(f)
-		p.setOwnerLocked(c, fr, p.ownerIDLocked(owners[i]))
+		fr := p.setOwnerLocked(f, p.ownerIDLocked(owners[i]))
 		fr.data = nil
 		if len(datas[i]) > 0 {
 			fr.data = new([abi.PageSize]byte)
@@ -402,16 +411,51 @@ func (a *Allocator) Alloc(pid int) (FrameID, error) {
 	p := a.phys
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	owner := ownerID{kind: uint8(FrameProcess), kernel: a.kernelID, pid: int32(pid)}
-	if pid < 0 {
-		owner = ownerID{kind: uint8(FrameHostKernel)}
-		if a.region.End != 0 {
-			// Tag with the allocator's kernel name so the frame no longer
-			// matches the unowned state — a kernel allocation must consume
-			// a distinct frame, not re-return the first one.
-			owner = ownerID{kind: uint8(FrameGuestKernel), kernel: a.kernelID}
-		}
+	return a.allocLocked(a.owner(pid))
+}
+
+// AllocN assigns n frames to pid under one hold of the frame-table lock,
+// in the order n Alloc calls would return them. If the allocator runs
+// out part way, the frames already taken are freed, in that order, and
+// the error is returned: a mapping gets all its frames or none.
+func (a *Allocator) AllocN(pid, n int) ([]FrameID, error) {
+	if n <= 0 {
+		return nil, nil
 	}
+	p := a.phys
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	owner := a.owner(pid)
+	frames := make([]FrameID, n)
+	for i := range frames {
+		f, err := a.allocLocked(owner)
+		if err != nil {
+			for _, g := range frames[:i] {
+				a.freeLocked(g)
+			}
+			return nil, err
+		}
+		frames[i] = f
+	}
+	return frames, nil
+}
+
+// owner is the owner Alloc records for pid.
+func (a *Allocator) owner(pid int) ownerID {
+	if pid >= 0 {
+		return ownerID{kind: uint8(FrameProcess), kernel: a.kernelID, pid: int32(pid)}
+	}
+	if a.region.End != 0 {
+		// Tag with the allocator's kernel name so the frame no longer
+		// matches the unowned state — a kernel allocation must consume a
+		// distinct frame, not re-return the first one.
+		return ownerID{kind: uint8(FrameGuestKernel), kernel: a.kernelID}
+	}
+	return ownerID{kind: uint8(FrameHostKernel)}
+}
+
+func (a *Allocator) allocLocked(owner ownerID) (FrameID, error) {
+	p := a.phys
 	var f FrameID
 	var ok bool
 	if a.region.End != 0 {
@@ -421,24 +465,31 @@ func (a *Allocator) Alloc(pid int) (FrameID, error) {
 	} else if f, ok = p.nextFreeLocked(); !ok {
 		return 0, fmt.Errorf("physical memory exhausted: %w", abi.ENOMEM)
 	}
-	c, fr := p.touchLocked(f)
-	p.setOwnerLocked(c, fr, owner)
-	fr.version++
+	p.setOwnerLocked(f, owner).version++
 	return f, nil
 }
 
 // unownedGuestLocked finds the lowest frame of r in the unowned guest
 // state — exactly the post-reset state, so frames already assigned to a
 // process or claimed by a kernel allocation (channel pages) are never
-// handed out twice. Chunks with no unowned guest frame are skipped whole.
+// handed out twice. Chunks with no unowned guest frame are skipped whole,
+// and a chunk is searched from its guest mark, which then moves up to the
+// frame found. Only a search that starts at the mark may move it: one
+// that starts higher, in a chunk shared with a region below, has not
+// looked at the frames in between.
 func (p *Physical) unownedGuestLocked(r Region) (FrameID, bool) {
 	end := p.end(r)
 	for f := r.Start; f < end; {
-		next := min((f/chunkFrames+1)*chunkFrames, end)
+		base := f / chunkFrames * chunkFrames
+		next := min(base+chunkFrames, end)
 		if c := p.chunks[f/chunkFrames]; c != nil && c.guestFree > 0 {
-			for ; f < next; f++ {
-				if c.frames[f%chunkFrames].owner == unownedGuest {
-					return f, true
+			low := base + FrameID(c.guestLow)
+			for g := max(f, low); g < next; g++ {
+				if c.frames[g-base].owner == unownedGuest {
+					if f <= low {
+						c.guestLow = int(g - base)
+					}
+					return g, true
 				}
 			}
 		}
@@ -484,19 +535,25 @@ func (a *Allocator) Free(f FrameID) error {
 	if !a.region.Contains(f) && a.region.End != 0 {
 		return fmt.Errorf("free frame %d outside guest region: %w", f, abi.EPERM)
 	}
-	c, fr := p.touchLocked(f)
-	if a.region.End != 0 {
-		p.setOwnerLocked(c, fr, unownedGuest)
-	} else {
+	a.freeLocked(f)
+	return nil
+}
+
+// freeLocked releases frame f, which the caller has checked lies within
+// memory and the allocator's region.
+func (a *Allocator) freeLocked(f FrameID) {
+	p := a.phys
+	o := unownedGuest
+	if a.region.End == 0 {
+		o = freeOwner
 		// A second free of a free frame must not list it twice.
-		if fr.owner.kind != uint8(FrameFree) {
+		if fr := p.peekLocked(f); fr != nil && fr.owner.kind != uint8(FrameFree) {
 			p.freed = append(p.freed, f)
 		}
-		p.setOwnerLocked(c, fr, freeOwner)
 	}
+	fr := p.setOwnerLocked(f, o)
 	fr.data = nil
 	fr.version++
-	return nil
 }
 
 // Owner reports a frame's owner.
@@ -704,18 +761,11 @@ func (as *AddressSpace) MapFixed(addr uint64, n int, prot int, kind VMAKind, tag
 }
 
 func (as *AddressSpace) buildVMALocked(start uint64, n int, prot int, kind VMAKind, tag string) (*VMA, error) {
-	v := &VMA{Start: start, Pages: n, Prot: prot, Kind: kind, Tag: tag}
-	for i := 0; i < n; i++ {
-		f, err := as.alloc.Alloc(as.pid)
-		if err != nil {
-			// Roll back partially allocated frames.
-			for _, g := range v.Frames {
-				_ = as.alloc.Free(g)
-			}
-			return nil, err
-		}
-		v.Frames = append(v.Frames, f)
+	frames, err := as.alloc.AllocN(as.pid, n)
+	if err != nil {
+		return nil, err
 	}
+	v := &VMA{Start: start, Pages: n, Prot: prot, Kind: kind, Tag: tag, Frames: frames}
 	as.vmas = append(as.vmas, v)
 	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
 	return v, nil
@@ -806,14 +856,12 @@ func (as *AddressSpace) Brk(end uint64) (uint64, error) {
 			}
 			heap = v
 		} else {
-			for i := curPages; i < newPages; i++ {
-				f, err := as.alloc.Alloc(as.pid)
-				if err != nil {
-					return as.brk, err
-				}
-				heap.Frames = append(heap.Frames, f)
-				heap.Pages++
+			frames, err := as.alloc.AllocN(as.pid, newPages-curPages)
+			if err != nil {
+				return as.brk, err
 			}
+			heap.Frames = append(heap.Frames, frames...)
+			heap.Pages += len(frames)
 		}
 	case newPages < curPages && heap != nil:
 		for i := curPages - 1; i >= newPages; i-- {

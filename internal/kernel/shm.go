@@ -71,16 +71,11 @@ func (k *Kernel) sysShmget(t *Task, args Args) Result {
 	}
 	seg := &ShmSegment{ID: reg.nextID, Key: key, Pages: pages, Owner: t.Cred}
 	reg.nextID++
-	for i := 0; i < pages; i++ {
-		f, err := reg.kernAloc.Alloc(t.PID)
-		if err != nil {
-			for _, g := range seg.Frames {
-				_ = reg.kernAloc.Free(g)
-			}
-			return k.errResult(err)
-		}
-		seg.Frames = append(seg.Frames, f)
+	frames, err := reg.kernAloc.AllocN(t.PID, pages)
+	if err != nil {
+		return k.errResult(err)
 	}
+	seg.Frames = frames
 	reg.byID[seg.ID] = seg
 	if key != IPCPrivate {
 		reg.byKey[key] = seg

@@ -83,3 +83,51 @@ func TestResultBatchTruncatedAndTrailingFail(t *testing.T) {
 		t.Fatal("trailing garbage accepted")
 	}
 }
+
+// TestBatchDecodeAllocs: a Decoder that decodes the same batch again
+// reuses its storage and kept strings, so the repeat allocates nothing.
+func TestBatchDecodeAllocs(t *testing.T) {
+	enc := AppendArgsBatch(nil, []*kernel.Args{
+		{Nr: abi.SysPwrite64, FD: 7, Buf: bytes.Repeat([]byte{0xEE}, 4096), Off: 0},
+		{Nr: abi.SysPwrite64, FD: 7, Buf: []byte("tail"), Off: 8192},
+		{Nr: abi.SysUnlink, Path: "/data/data/app/old.db"},
+		{Nr: abi.SysFsync, FD: 7},
+	})
+	var d Decoder
+	decode := func() {
+		if calls, err := d.ArgsBatch(enc); err != nil || len(calls) != 4 {
+			t.Fatalf("decode: %d calls, %v", len(calls), err)
+		}
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
+		t.Errorf("repeated batch decode: %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestBatchDecodeShortAfterLong: a short batch decoded after a long one
+// by the same Decoder yields exactly its own calls, with no field left
+// over from the long batch's calls in the same slots.
+func TestBatchDecodeShortAfterLong(t *testing.T) {
+	long := []*kernel.Args{
+		{Nr: abi.SysPwrite64, FD: 7, Buf: []byte("first"), Off: 4096},
+		{Nr: abi.SysRename, Path: "/data/a", Path2: "/data/b"},
+		{Nr: abi.SysPwrite64, FD: 9, Buf: []byte("third"), Off: 64},
+		{Nr: abi.SysFsync, FD: 9},
+	}
+	short := []*kernel.Args{
+		{Nr: abi.SysFsync, FD: 3},
+		{Nr: abi.SysPwrite64, FD: 3, Buf: []byte("x"), Off: 1},
+	}
+	var d Decoder
+	if out, err := d.ArgsBatch(AppendArgsBatch(nil, long)); err != nil || !reflect.DeepEqual(out, long) {
+		t.Fatalf("long batch = %+v, %v", out, err)
+	}
+	out, err := d.ArgsBatch(AppendArgsBatch(nil, short))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, short) {
+		t.Fatalf("short batch after a long one:\n got %+v\nwant %+v", out, short)
+	}
+}

@@ -284,10 +284,15 @@ func DecodeArgs(b []byte, a *kernel.Args) error {
 // equal the one kept is returned as that string, not copied again, so a
 // transport that decodes the same paths over and over allocates none.
 // The kept strings are copies, never views into a frame, and only a
-// decode that carries the field replaces them. The zero value is ready;
-// a Decoder must not be used concurrently.
+// decode that carries the field replaces them. ArgsBatch decodes into
+// storage the decoder keeps, as ChainDecoder does. The zero value is
+// ready; a Decoder must not be used concurrently.
 type Decoder struct {
 	path, path2, addr string
+	// batch and calls are ArgsBatch's storage, grown to the longest
+	// batch decoded.
+	batch []kernel.Args
+	calls []*kernel.Args
 }
 
 // keep returns b as a string: *prev when the bytes are equal (comparing
@@ -398,19 +403,30 @@ func encodeArgsBatch(w *writer, calls []*kernel.Args) {
 // DecodeArgsBatch reverses AppendArgsBatch; like DecodeArgs, byte fields
 // are views into b.
 func DecodeArgsBatch(b []byte) ([]*kernel.Args, error) {
+	var d Decoder
+	return d.ArgsBatch(b)
+}
+
+// ArgsBatch is DecodeArgsBatch into the decoder's storage, so a reused
+// decoder stops allocating once it has seen its longest batch. What it
+// returns is valid until the next ArgsBatch call.
+func (d *Decoder) ArgsBatch(b []byte) ([]*kernel.Args, error) {
 	r := &reader{buf: b}
 	n := r.count(4)
 	if r.err != nil {
 		return nil, r.err
 	}
-	store := make([]kernel.Args, n)
-	calls := make([]*kernel.Args, n)
+	if cap(d.batch) < n {
+		d.batch = make([]kernel.Args, n)
+		d.calls = make([]*kernel.Args, n)
+	}
+	store, calls := d.batch[:n], d.calls[:n]
 	for i := range calls {
 		blob := r.bytes()
 		if r.err != nil {
 			return nil, r.err
 		}
-		if err := DecodeArgs(blob, &store[i]); err != nil {
+		if err := d.Args(blob, &store[i]); err != nil {
 			return nil, err
 		}
 		calls[i] = &store[i]

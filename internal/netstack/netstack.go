@@ -66,7 +66,11 @@ func (t SockType) String() string {
 type Cred = abi.Cred
 
 // RemoteHandler simulates a remote server (e.g. the bank backend): it
-// receives request bytes and returns response bytes.
+// receives request bytes and returns response bytes. req is valid only
+// while the handler runs: it is a recycled receive buffer, so a handler
+// that keeps the bytes copies them. The handler may return req itself or
+// a prefix of it (an echo); any other response must not share req's
+// memory.
 type RemoteHandler func(req []byte) []byte
 
 // NetlinkReceiver is the daemon-side handler of a netlink protocol. It
@@ -537,14 +541,30 @@ func (sk *Socket) Send(data []byte) (int, error) {
 
 	switch {
 	case remote != nil:
-		resp := remote(append([]byte(nil), data...))
+		req, pooled := sk.stack.rx.get(len(data))
+		copy(req, data)
+		resp := remote(req)
+		// An echo of the request, whole or a prefix, rides the request's
+		// buffer and goes back to the free list when read. Any other
+		// response belongs to the handler and is never recycled; if it
+		// shares the request's memory some other way, neither is. A slice
+		// of req ends where req's backing array ends (the contract rules
+		// out a three-index slice), and one that also has req's capacity
+		// starts where req starts.
+		echo := false
+		if pooled {
+			shared := cap(resp) > 0 && &resp[:cap(resp)][cap(resp)-1] == &req[:cap(req)][cap(req)-1]
+			echo = shared && cap(resp) == cap(req)
+			if !shared {
+				sk.stack.rx.put(req)
+			}
+		}
 		sk.mu.Lock()
 		if resp != nil {
 			// Responses to the socket's own request are never dropped —
 			// the app asked for these bytes — but they still count
-			// against the budget so backpressure sees them. They
-			// belong to the handler, so they are never recycled.
-			sk.pushLocked(rxMsg{buf: resp})
+			// against the budget so backpressure sees them.
+			sk.pushLocked(rxMsg{buf: resp, pooled: echo})
 			sk.rcvBytes += len(resp)
 		}
 		sk.mu.Unlock()

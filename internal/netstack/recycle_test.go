@@ -12,8 +12,8 @@ import (
 // Receive-buffer recycling (DESIGN.md §14): loopback messages ride
 // buffers from the stack's free list, which go back when the message is
 // fully read or its socket closes. A recycled buffer must never show a
-// byte of an earlier message, and a remote handler's response is never
-// recycled.
+// byte of an earlier message. A scripted remote's request copy rides the
+// same free list; a remote handler's own response is never recycled.
 
 var otherCred = Cred{UID: abi.UIDAppBase + 1, PID: 200}
 
@@ -159,6 +159,126 @@ func TestRemoteResponseNotRecycled(t *testing.T) {
 	}
 	if string(resp) != "handler-owned-reply" {
 		t.Fatalf("handler's response was overwritten: %q", resp)
+	}
+}
+
+// TestRemoteSliceResponseNotRecycled: a handler that answers with a
+// slice of its request other than a prefix (req[1:]) shares the request's
+// buffer, so neither goes back to the free list: loopback traffic sent
+// before the response is read cannot overwrite it.
+func TestRemoteSliceResponseNotRecycled(t *testing.T) {
+	s := New("cvm")
+	var resp []byte
+	s.RegisterRemote("r:9", func(req []byte) []byte {
+		resp = req[1:]
+		return resp
+	})
+	sk, _ := s.Socket(appCred, AFInet, SockStream, 0)
+	if err := sk.Connect("r:9"); err != nil {
+		t.Fatal(err)
+	}
+	req := []byte("xhandler-sliced-reply")
+	if _, err := sk.Send(req); err != nil {
+		t.Fatal(err)
+	}
+	cli, srv := loopbackPair(t, s, appCred, "l:9")
+	buf := make([]byte, 64)
+	for i := 0; i < 8; i++ {
+		if _, err := cli.Send(bytes.Repeat([]byte{'z'}, len(req))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Recv(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, _ := sk.Recv(buf); string(buf[:n]) != "handler-sliced-reply" {
+		t.Fatalf("recv = %q, want the handler's reply", buf[:n])
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := cli.Send(bytes.Repeat([]byte{'z'}, len(req))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Recv(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(resp) != "handler-sliced-reply" {
+		t.Fatalf("handler's response was overwritten: %q", resp)
+	}
+}
+
+// TestRemoteEchoAllocs: in steady state a send→recv pair with a scripted
+// echo remote allocates nothing: the request copy rides a recycled
+// buffer, and the echo goes back to the free list when read.
+func TestRemoteEchoAllocs(t *testing.T) {
+	s := New("cvm")
+	s.RegisterRemote("echo:9", func(req []byte) []byte { return req })
+	sk, _ := s.Socket(appCred, AFInet, SockStream, 0)
+	if err := sk.Connect("echo:9"); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{256, 4 << 10, 64 << 10} {
+		msg := bytes.Repeat([]byte{0xC3}, size)
+		buf := make([]byte, size)
+		op := func() {
+			if _, err := sk.Send(msg); err != nil {
+				t.Fatalf("send: %v", err)
+			}
+			if n, err := sk.Recv(buf); err != nil || n != size {
+				t.Fatalf("recv: n=%d err=%v", n, err)
+			}
+		}
+		op()
+		if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
+			t.Errorf("%d B remote echo send→recv: %.1f allocs/pair, want 0", size, allocs)
+		}
+	}
+}
+
+// TestRecycledRemoteRequestShowsOnlyNewBytes: a short request after a
+// long one reuses the long one's buffer. The handler sees exactly the
+// short request's bytes, and so does the app reading the echo or the
+// prefix echo; a handler's fresh reply returns the request buffer at
+// once, and the next request through it is again only its own bytes.
+func TestRecycledRemoteRequestShowsOnlyNewBytes(t *testing.T) {
+	s := New("cvm")
+	var seen []byte
+	reply := func(req []byte) []byte { return req }
+	s.RegisterRemote("r:1", func(req []byte) []byte {
+		seen = append(seen[:0], req...)
+		return reply(req)
+	})
+	sk, _ := s.Socket(appCred, AFInet, SockStream, 0)
+	if err := sk.Connect("r:1"); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 256)
+	exchange := func(req []byte, want string) {
+		t.Helper()
+		if _, err := sk.Send(req); err != nil {
+			t.Fatal(err)
+		}
+		if string(seen) != string(req) {
+			t.Fatalf("handler saw %q, want %q", seen, req)
+		}
+		clear(buf)
+		n, err := sk.Recv(buf)
+		if err != nil || string(buf[:n]) != want {
+			t.Fatalf("recv = %q, %v; want %q", buf[:n], err, want)
+		}
+	}
+	long := bytes.Repeat([]byte("L-secret"), 30) // 240 B: the 256 B class
+	short := bytes.Repeat([]byte{'s'}, 140)      // same class
+	exchange(long, string(long))
+	exchange(short, string(short))
+	reply = func(req []byte) []byte { return req[:3] }
+	exchange(long, string(long[:3]))
+	exchange(short, string(short[:3]))
+	reply = func([]byte) []byte { return []byte("fresh") }
+	exchange(long, "fresh")
+	exchange(short, "fresh")
+	if _, err := sk.Recv(buf); !errors.Is(err, abi.EAGAIN) {
+		t.Fatalf("extra recv: %v, want EAGAIN", err)
 	}
 }
 
