@@ -61,7 +61,7 @@ func (l *Layer) forwardRing(st *layerState, ring marshal.AsyncTransport, t *kern
 }
 
 // forwardBatchRing moves a coalesced batch through one ring slot.
-func (l *Layer) forwardBatchRing(st *layerState, ring marshal.AsyncTransport, t *kernel.Task, calls []*kernel.Args) ([]kernel.Result, error) {
+func (l *Layer) forwardBatchRing(st *layerState, ring marshal.AsyncTransport, t *kernel.Task, calls []*kernel.Args, dst []kernel.Result) ([]kernel.Result, error) {
 	if !l.enterGuestCall(st) {
 		l.counters.failedFast.Add(1)
 		return nil, fmt.Errorf("container circuit breaker open: %w", abi.EAGAIN)
@@ -99,5 +99,5 @@ func (l *Layer) forwardBatchRing(st *layerState, ring marshal.AsyncTransport, t 
 		l.counters.timedOut.Add(1)
 		return nil, fmt.Errorf("batch exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)
 	}
-	return decodeBatchReply(respBytes, calls)
+	return decodeBatchReply(respBytes, calls, dst)
 }

@@ -477,18 +477,18 @@ func (l *Layer) ensureBinderSession(st *layerState, t *kernel.Task, service stri
 
 // bridgeBinderRing ships one session transaction through an async ring
 // slot: host side pays the fixed session cost at submit, the guest-side
-// service handling (BinderTransaction) is charged by the guest SQ
-// poller that drains the slot, and restarts fail the slot EHOSTDOWN via the
-// ring's boot-generation check. Oneway transactions return immediately;
-// a detached waiter recycles their slot.
+// service handling (BinderTransaction) is charged where the slot is
+// served, and restarts fail the slot EHOSTDOWN via the ring's
+// boot-generation check. A oneway transaction is served before the call
+// returns like any other; only its reply is dropped.
 func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t *kernel.Task, txn binder.Transaction, sid uint32, hostCost time.Duration) kernel.Result {
 	fp := l.binder
 	fp.pipelined.Add(1)
-	g := st.guest
 	frame := binder.EncodeSessionFrame(binder.SessionFrame{
 		Session: sid, Code: txn.Code, Payload: txn.Payload, Oneway: txn.Oneway,
 	})
 	f := l.getFrame()
+	defer l.putFrame(f)
 	f.req = marshal.AppendBinderCall(f.req[:0], frame)
 	l.clock.Charge(t.Lane, hostCost)
 	if l.trace != nil {
@@ -496,46 +496,23 @@ func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t 
 	}
 
 	span := l.clock.StartSpan(t.Lane)
-	cred := t.Cred
-	pending, serr := ring.Submit(t.Lane, f.req, func(req []byte) []byte {
-		inner, derr := marshal.DecodeBinderCall(req)
-		if derr != nil {
-			return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
-		}
-		sf, derr := binder.DecodeSessionFrame(inner)
-		if derr != nil {
-			return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
-		}
-		// Guest-side service handling, charged where it runs.
-		l.clock.Charge(t.Lane, l.model.BinderTransaction)
-		out, terr := g.Binder().TransactSession(cred, sf.Session, sf.Code, sf.Payload, sf.Oneway)
-		if terr != nil {
-			return f.setReply(kernel.Result{Ret: -1, Err: terr})
-		}
-		return tampered(st, f.setReply(kernel.Result{Data: out, Ret: int64(len(out))}))
-	})
+	f.st, f.lane, f.cred = st, t.Lane, t.Cred
+	pending, serr := ring.Submit(t.Lane, f.req, f.execBinderFn)
 	if serr != nil {
-		l.putFrame(f)
 		fp.failed.Add(1)
 		return l.transportFailure(t, &kernel.Args{Nr: abi.SysIoctl}, span, serr)
 	}
+	respBytes, werr := pending.Wait()
 	if txn.Oneway {
-		// No reply to wait for: the slot completes (or fails EHOSTDOWN at
-		// restart) behind the caller's back; the detached waiter keeps the
-		// submitted = completed + failed identity intact, recycles the
-		// slot and releases the frame.
-		go func() {
-			if _, werr := pending.Wait(); werr != nil {
-				fp.failed.Add(1)
-			} else {
-				fp.completed.Add(1)
-			}
-			l.putFrame(f)
-		}()
+		// No reply to deliver: the caller learns nothing of the outcome,
+		// but the submitted = completed + failed identity still holds.
+		if werr != nil {
+			fp.failed.Add(1)
+		} else {
+			fp.completed.Add(1)
+		}
 		return kernel.Result{Ret: 0}
 	}
-	defer l.putFrame(f)
-	respBytes, werr := pending.Wait()
 	if werr != nil {
 		fp.failed.Add(1)
 		return l.transportFailure(t, &kernel.Args{Nr: abi.SysIoctl}, span, werr)
@@ -558,4 +535,25 @@ func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t 
 	res.Data = bytes.Clone(res.Data)
 	fp.completed.Add(1)
 	return res
+}
+
+// execBinder is the guest handler of a binder session frame: decode it,
+// charge the guest-side service handling where it runs, and transact on
+// the pinned session with the submitter's credentials.
+func (f *callFrame) execBinder(req []byte) []byte {
+	inner, err := marshal.DecodeBinderCall(req)
+	if err != nil {
+		return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
+	}
+	sf, err := binder.DecodeSessionFrame(inner)
+	if err != nil {
+		return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
+	}
+	l := f.layer
+	l.clock.Charge(f.lane, l.model.BinderTransaction)
+	out, err := f.st.guest.Binder().TransactSession(f.cred, sf.Session, sf.Code, sf.Payload, sf.Oneway)
+	if err != nil {
+		return f.setReply(kernel.Result{Ret: -1, Err: err})
+	}
+	return tampered(f.st, f.setReply(kernel.Result{Data: out, Ret: int64(len(out))}))
 }

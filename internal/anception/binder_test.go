@@ -266,7 +266,8 @@ func TestBinderPipelinedDeadline(t *testing.T) {
 
 // TestBinderOnewayTransaction: a oneway (async) transaction returns
 // without a reply, dispatches in the guest, and keeps the accounting
-// identity on both the plain session path and the ring.
+// identity on both the plain session path and the ring, where it is
+// complete when the call returns.
 func TestBinderOnewayTransaction(t *testing.T) {
 	d, p, fd := bootBinderDevice(t, Options{BinderSessions: true})
 	if err := p.BinderCallAsync(fd, "location", android.CodeGetLocation, []byte("ping")); err != nil {
@@ -280,24 +281,19 @@ func TestBinderOnewayTransaction(t *testing.T) {
 	}
 	binderIdentity(t, d)
 
-	// On the ring the slot completes behind the caller's back; the
-	// detached waiter must still settle the identity.
+	// On the ring the slot is served before the call returns: the
+	// identity holds as soon as BinderCallAsync is back.
 	dr, pr, fdr := bootBinderDevice(t, Options{
 		BinderSessions: true, RingDepth: 8, CallDeadline: time.Hour,
 	})
 	if err := pr.BinderCallAsync(fdr, "location", android.CodeGetLocation, []byte("ping")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := dr.BinderStats()
-		if st.Submitted == st.Completed+st.Failed && st.Oneway == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("oneway ring slot never settled: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
+	if st := dr.BinderStats(); st.Oneway != 1 || st.Pipelined != 1 || st.Completed != 1 || st.Submitted != st.Completed+st.Failed {
+		t.Fatalf("stats = %+v, want 1 oneway pipelined txn completed on return", st)
+	}
+	if got := dr.Guest.Binder().OnewayCount(); got != 1 {
+		t.Fatalf("guest OnewayCount = %d, want 1", got)
 	}
 }
 

@@ -119,7 +119,7 @@ type redirCache struct {
 	// flushArgs, flushCalls and flushRes are flushLocked's scratch.
 	flushArgs  []kernel.Args
 	flushCalls []*kernel.Args
-	flushRes   [1]kernel.Result
+	flushRes   []kernel.Result
 }
 
 // fileCache is the state of one guest file, shared by every descriptor
@@ -929,16 +929,17 @@ func (l *Layer) flushLocked(st *layerState, t *kernel.Task, fc *fdCache) (res ke
 		c.flushCalls = append(c.flushCalls, &c.flushArgs[i])
 	}
 	defer clear(c.flushArgs)
-	results := c.flushRes[:]
+	var results []kernel.Result
 	if len(extents) == 1 {
-		results[0] = l.forwardOn(st, t, c.flushCalls[0])
+		results = append(c.flushRes[:0], l.forwardOn(st, t, c.flushCalls[0]))
 	} else {
 		var err error
-		results, err = l.forwardBatch(st, t, c.flushCalls)
-		if err != nil {
+		if results, err = l.forwardBatch(st, t, c.flushCalls, c.flushRes); err != nil {
 			return kernel.Result{Ret: -1, Err: err}, true
 		}
 	}
+	c.flushRes = results
+	defer clear(results)
 	c.stats.Flushes++
 	// Fold each extent that DID land into the clean pages even when a
 	// later call in the batch failed: the container applied those writes,

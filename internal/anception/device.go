@@ -108,9 +108,9 @@ type Options struct {
 	// RingDepth > 0 replaces the synchronous page channel with the
 	// asynchronous redirection ring: that many SQ/CQ slots in the
 	// remapped channel pages, coalesced doorbell interrupts, and one
-	// guest SQ poller draining submissions in order. Off by default —
-	// the paper's Table I single-call rows are measured on the
-	// synchronous channel.
+	// guest SQ poller — whichever submitter is waiting — serving
+	// submissions in order. Off by default — the paper's Table I
+	// single-call rows are measured on the synchronous channel.
 	RingDepth int
 	// RingReapBatch overrides the ring's CQ reap threshold (default
 	// marshal.RingReapBatch). Deep pipelined workloads raise it to
@@ -234,10 +234,9 @@ type Device struct {
 	Proxies *proxy.Manager
 	Layer   *Layer
 
-	// ring/ringPool are set when Options.RingDepth > 0: the async
-	// transport and the guest-side SQ poller draining it.
-	ring     *marshal.RingChannel
-	ringPool *proxy.Pool
+	// ring is set when Options.RingDepth > 0: the async transport, whose
+	// waiting submitters serve its SQ.
+	ring *marshal.RingChannel
 
 	// label names the container in traces and fleet bookkeeping:
 	// "shard-N" under a fleet, empty (shown as "cvm") otherwise.
@@ -403,8 +402,6 @@ func (d *Device) bootAnception() error {
 			ring.SetReapBatch(d.Opts.RingReapBatch)
 		}
 		d.ring = ring
-		d.ringPool = proxy.NewPool(ring, d.Clock, d.Model)
-		d.ringPool.Start()
 		transport = ring
 	case d.Opts.SocketTransport:
 		transport = marshal.NewSocketChannel(cvm, d.Clock, d.Model)
@@ -634,7 +631,8 @@ func (d *Device) LiveUpgrade() error {
 
 	// Quiesce: gate first (new arrivals fail EAGAIN and retry), then wait
 	// for in-flight calls to drain — the layer barrier covers every
-	// guest-touching span, the ring barrier covers detached oneway slots.
+	// guest-touching span, and the ring's Quiesce serves any slot still
+	// queued.
 	d.SetDegraded(true)
 	d.Layer.QuiesceGuestCalls()
 	if d.ring != nil {
@@ -728,15 +726,13 @@ func (d *Device) GrantStats() GrantPathStats {
 	return d.Layer.GrantStats()
 }
 
-// Close shuts down the device's background machinery — today the async
-// ring's SQ poller. Queued submissions drain before the poller exits;
-// devices on the synchronous channel need no Close.
+// Close shuts the async ring's submission side: later ring calls fail
+// ENXIO, while slots already queued are still served by their waiters.
+// Devices on the synchronous channel need no Close.
 func (d *Device) Close() {
-	if d.ring == nil {
-		return
+	if d.ring != nil {
+		d.ring.Close()
 	}
-	d.ring.Close()
-	d.ringPool.Wait()
 }
 
 // Label names this device's container ("cvm", or "shard-N" under a

@@ -7,6 +7,7 @@ import (
 	"anception/internal/abi"
 	"anception/internal/kernel"
 	"anception/internal/marshal"
+	"anception/internal/sim"
 )
 
 // Frame ownership (DESIGN.md §10): every redirected call borrows one
@@ -46,13 +47,20 @@ type callFrame struct {
 	st      *layerState
 	proxy   *kernel.Task
 	drained bool
+	// lane and cred are the submitting task's timeline and credentials,
+	// read by execBinder; layer is the frame's owner, set once.
+	lane  *sim.Lane
+	cred  abi.Cred
+	layer *Layer
 	// exec is f.execArgs, bound once per frame so submitting an args call
-	// allocates no closure; execSockFn, execChainFn and execBatchFn bind
-	// f.execSock, f.execChain and f.execBatch the same way.
-	exec        marshal.GuestHandler
-	execSockFn  marshal.GuestHandler
-	execChainFn marshal.GuestHandler
-	execBatchFn marshal.GuestHandler
+	// allocates no closure; execSockFn, execChainFn, execBatchFn and
+	// execBinderFn bind f.execSock, f.execChain, f.execBatch and
+	// f.execBinder the same way.
+	exec         marshal.GuestHandler
+	execSockFn   marshal.GuestHandler
+	execChainFn  marshal.GuestHandler
+	execBatchFn  marshal.GuestHandler
+	execBinderFn marshal.GuestHandler
 	// chain is the per-link scratch of a fused chain, made the first time
 	// the frame carries one.
 	chain *chainFrame
@@ -93,11 +101,12 @@ func (l *Layer) getFrame() *callFrame {
 	case f := <-l.frames:
 		return f
 	default:
-		f := &callFrame{}
+		f := &callFrame{layer: l}
 		f.exec = f.execArgs
 		f.execSockFn = f.execSock
 		f.execChainFn = f.execChain
 		f.execBatchFn = f.execBatch
+		f.execBinderFn = f.execBinder
 		return f
 	}
 }
@@ -106,7 +115,7 @@ func (l *Layer) getFrame() *callFrame {
 // from here on.
 func (l *Layer) putFrame(f *callFrame) {
 	f.args = kernel.Args{}
-	f.st, f.proxy = nil, nil
+	f.st, f.proxy, f.lane, f.cred = nil, nil, nil, abi.Cred{}
 	if c := f.chain; c != nil {
 		clear(c.args)
 		clear(c.wireArgs)
@@ -213,8 +222,8 @@ func (f *callFrame) execArgs(req []byte) []byte {
 }
 
 // execSock is the guest handler of a sockop frame: decode it in place,
-// run the op in the proxy's context (the ring pool already paid the
-// dispatch), and append the result to the reply frame.
+// run the op in the proxy's context (the ring's SQ poller already paid
+// the dispatch), and append the result to the reply frame.
 func (f *callFrame) execSock(req []byte) []byte {
 	a := &f.args
 	if err := f.dec.SockOp(req, a); err != nil {
@@ -304,9 +313,10 @@ func (f *callFrame) execBatch(req []byte) []byte {
 	return tampered(f.st, f.reply)
 }
 
-// decodeBatchReply decodes a batch reply and lands each result.
-func decodeBatchReply(resp []byte, calls []*kernel.Args) ([]kernel.Result, error) {
-	results, err := marshal.DecodeResultBatch(resp)
+// decodeBatchReply decodes a batch reply into dst's storage and lands
+// each result.
+func decodeBatchReply(resp []byte, calls []*kernel.Args, dst []kernel.Result) ([]kernel.Result, error) {
+	results, err := marshal.DecodeResultBatch(resp, dst)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"anception/internal/abi"
+	"anception/internal/android"
 	"anception/internal/kernel"
 	"anception/internal/marshal"
 	"anception/internal/netstack"
@@ -221,6 +222,26 @@ func echoPairOp(t *testing.T, opts Options) (d *Device, op func(), ops *int) {
 func TestRingEchoPairAllocs(t *testing.T) {
 	_, op, _ := echoPairOp(t, Options{RingDepth: 8, CallDeadline: time.Hour})
 	allocGate(t, "ring echo pair", steadyAllocs(op), 1)
+}
+
+// TestRingBinderAllocs: a two-way and a oneway session transaction
+// through the ring. The guest handler is bound once per frame and a
+// oneway call is served before it returns, so neither builds a closure
+// or starts a goroutine; what is left is the transaction's and the
+// session frame's encodes and decodes, the service's reply and, for a
+// two-way call, the reply's copy out of the frame.
+func TestRingBinderAllocs(t *testing.T) {
+	_, p, fd := bootBinderDevice(t, Options{BinderSessions: true, RingDepth: 8, CallDeadline: time.Hour, DisableTrace: true})
+	allocGate(t, "ring binder two-way", steadyAllocs(func() {
+		if _, err := p.BinderCall(fd, "location", android.CodeGetLocation, nil); err != nil {
+			t.Fatal(err)
+		}
+	}), 5)
+	allocGate(t, "ring binder oneway", steadyAllocs(func() {
+		if err := p.BinderCallAsync(fd, "location", android.CodeGetLocation, []byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+	}), 6)
 }
 
 // TestSpeculatedEchoPairAllocs: a send→recv pair the fusion detector

@@ -1051,10 +1051,11 @@ func (l *Layer) forwardSyncOn(st *layerState, t *kernel.Task, args *kernel.Args)
 // forwardBatch moves several calls to the guest in ONE transport
 // round-trip (the redirection cache's coalesced flush): the payload is a
 // batch frame, the proxy is dispatched once, and each call pays only its
-// own guest-side trap entry. Results come back positionally.
-func (l *Layer) forwardBatch(st *layerState, t *kernel.Task, calls []*kernel.Args) ([]kernel.Result, error) {
+// own guest-side trap entry. Results come back positionally, decoded
+// into dst's storage.
+func (l *Layer) forwardBatch(st *layerState, t *kernel.Task, calls []*kernel.Args, dst []kernel.Result) ([]kernel.Result, error) {
 	if ring, ok := st.transport.(marshal.AsyncTransport); ok {
-		return l.forwardBatchRing(st, ring, t, calls)
+		return l.forwardBatchRing(st, ring, t, calls, dst)
 	}
 	if !l.enterGuestCall(st) {
 		l.counters.failedFast.Add(1)
@@ -1088,7 +1089,7 @@ func (l *Layer) forwardBatch(st *layerState, t *kernel.Task, calls []*kernel.Arg
 		l.counters.timedOut.Add(1)
 		return nil, fmt.Errorf("batch exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)
 	}
-	return decodeBatchReply(respBytes, calls)
+	return decodeBatchReply(respBytes, calls, dst)
 }
 
 // transportFailure converts a transport error into the app-visible errno:

@@ -469,8 +469,8 @@ func (p *Proc) BinderCall(fd int, service string, code uint32, payload []byte) (
 }
 
 // BinderCallAsync performs one asynchronous (TF_ONE_WAY) transaction: the
-// service runs the request but no reply is delivered, and on a pipelined
-// bridge the caller does not wait for the CVM at all.
+// service runs the request but no reply, and no error from the CVM side
+// of a session, is delivered.
 func (p *Proc) BinderCallAsync(fd int, service string, code uint32, payload []byte) error {
 	arg := binder.EncodeTransaction(binder.Transaction{Service: service, Code: code, Payload: payload, Oneway: true})
 	res := p.invoke(kernel.Args{Nr: abi.SysIoctl, FD: fd, Request: binder.IocTransact, Buf: arg})

@@ -266,11 +266,32 @@ func (p *Physical) ReserveRegion(n int) (Region, error) {
 		return Region{}, fmt.Errorf("reserve %d frames: %w", n, abi.ENOMEM)
 	}
 	r := Region{Start: start, End: start + FrameID(n)}
-	for f := r.Start; f < r.End; f++ {
+	for f := r.Start; f < r.End; {
+		// An unbuilt chunk wholly inside the region is built directly in
+		// the state the frame-by-frame path leaves it in; a chunk the
+		// region shares with its neighbours goes frame by frame.
+		if ci := f / chunkFrames; f%chunkFrames == 0 && f+chunkFrames <= r.End && p.chunks[ci] == nil {
+			p.chunks[ci] = newUnownedGuestChunk()
+			p.nfree -= chunkFrames
+			f += chunkFrames
+			continue
+		}
 		p.setOwnerLocked(f, unownedGuest).version++
+		f++
 	}
 	p.freed, p.cursor = p.freed[:0], 0
 	return r, nil
+}
+
+// newUnownedGuestChunk builds a chunk of frames that were free at version
+// 0 and have just been reserved: unowned guest frames at version 1, the
+// low-water mark at the first.
+func newUnownedGuestChunk() *frameChunk {
+	c := &frameChunk{guestFree: chunkFrames}
+	for i := range c.frames {
+		c.frames[i] = frame{owner: unownedGuest, version: 1}
+	}
+	return c
 }
 
 // ResetRegion returns every frame in a reserved guest region to the

@@ -790,6 +790,27 @@ func guestAllocAgainstReference(t *testing.T, seed int64) {
 			}
 			guests = append(guests, &guest{alloc: phys.NewAllocator("cvm-b", regionB), region: regionB})
 		}
+		if step == 1200 {
+			// Region C starts mid-chunk at B's end and spans two whole
+			// unbuilt chunks, which the reservation builds directly.
+			free := phys.FreeFrames()
+			regionC, err := phys.ReserveRegion(1400)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if regionC.Start%chunkFrames == 0 || regionC.End-regionC.End%chunkFrames-(regionC.Start/chunkFrames+1)*chunkFrames < 2*chunkFrames {
+				t.Fatalf("region C = %+v, want it to start mid-chunk and cover two whole chunks", regionC)
+			}
+			if got := phys.FreeFrames(); got != free-1400 {
+				t.Fatalf("reserving 1400 frames left %d free, want %d", got, free-1400)
+			}
+			for i, v := range phys.FrameVersions(regionC) {
+				if f := regionC.Start + FrameID(i); v != 1 || phys.Owner(f) != unowned {
+					t.Fatalf("reserved frame %d: version %d owner %+v, want 1 and unowned", f, v, phys.Owner(f))
+				}
+			}
+			guests = append(guests, &guest{alloc: phys.NewAllocator("cvm-c", regionC), region: regionC})
+		}
 		g := guests[rng.Intn(len(guests))]
 		pid := rng.Intn(40) - 4
 		switch op := rng.Intn(100); {

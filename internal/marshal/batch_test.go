@@ -41,7 +41,7 @@ func TestResultBatchRoundTrip(t *testing.T) {
 		{Ret: -1, Err: abi.ENOSPC},
 		{Ret: 17, Data: []byte("partial")},
 	}
-	out, err := DecodeResultBatch(AppendResultBatch(nil, in))
+	out, err := DecodeResultBatch(AppendResultBatch(nil, in), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,57 @@ func TestArgsBatchTrailingBytesFail(t *testing.T) {
 
 func TestResultBatchTruncatedAndTrailingFail(t *testing.T) {
 	enc := AppendResultBatch(nil, []kernel.Result{{Ret: 1}, {Ret: 2}})
-	if _, err := DecodeResultBatch(enc[:len(enc)-2]); err == nil {
+	if _, err := DecodeResultBatch(enc[:len(enc)-2], nil); err == nil {
 		t.Fatal("truncated result batch accepted")
 	}
-	if _, err := DecodeResultBatch(append(enc, 0)); err == nil {
+	if _, err := DecodeResultBatch(append(enc, 0), nil); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+}
+
+// TestResultBatchShortAfterLong: a short result batch decoded into the
+// storage of a long one yields exactly its own results, with nothing
+// left over from the long batch in the same slots.
+func TestResultBatchShortAfterLong(t *testing.T) {
+	long := []kernel.Result{
+		{Ret: 4096},
+		{Ret: -1, Err: abi.ENOSPC},
+		{Ret: 5, Data: []byte("stale"), FD: 9},
+		{Ret: 8192},
+	}
+	short := []kernel.Result{{Ret: 1}, {Ret: 2}}
+	dst, err := DecodeResultBatch(AppendResultBatch(nil, long), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := DecodeResultBatch(AppendResultBatch(nil, short), dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out[0] != &dst[0] {
+		t.Fatal("short batch did not reuse the long batch's storage")
+	}
+	if !reflect.DeepEqual(out, []kernel.Result{{Ret: 1}, {Ret: 2}}) {
+		t.Fatalf("short batch decoded to %+v", out)
+	}
+}
+
+// TestResultBatchDecodeAllocs: decoding a result batch into storage that
+// holds it allocates nothing.
+func TestResultBatchDecodeAllocs(t *testing.T) {
+	enc := AppendResultBatch(nil, []kernel.Result{
+		{Ret: 4096},
+		{Ret: -1, Err: abi.ENOSPC},
+		{Ret: 17, Data: []byte("partial")},
+	})
+	dst := make([]kernel.Result, 0, 3)
+	decode := func() {
+		if out, err := DecodeResultBatch(enc, dst); err != nil || len(out) != 3 {
+			t.Fatalf("decode: %d results, %v", len(out), err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
+		t.Errorf("result batch decode into held storage: %.1f allocs, want 0", allocs)
 	}
 }
 

@@ -458,15 +458,16 @@ func encodeResults(w *writer, results []kernel.Result) {
 	}
 }
 
-// DecodeResultBatch reverses AppendResultBatch; Data fields are views
+// DecodeResultBatch reverses AppendResultBatch into dst's storage, grown
+// only when the batch is longer than its capacity; Data fields are views
 // into b.
-func DecodeResultBatch(b []byte) ([]kernel.Result, error) {
+func DecodeResultBatch(b []byte, dst []kernel.Result) ([]kernel.Result, error) {
 	r := &reader{buf: b}
 	n := r.count(4)
 	if r.err != nil {
 		return nil, r.err
 	}
-	results, err := decodeResults(r, nil, n)
+	results, err := decodeResults(r, dst, n)
 	if err != nil {
 		return nil, err
 	}

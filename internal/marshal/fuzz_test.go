@@ -118,7 +118,7 @@ func FuzzDecodeResult(f *testing.F) {
 		if err == nil {
 			checkResultViews(t, []kernel.Result{res}, data)
 		}
-		batch, err := DecodeResultBatch(data)
+		batch, err := DecodeResultBatch(data, nil)
 		unchanged(t, before, data)
 		if err == nil {
 			checkResultViews(t, batch, data)

@@ -2,9 +2,7 @@ package marshal
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"anception/internal/abi"
@@ -33,9 +31,9 @@ type AsyncTransport interface {
 	// either side, goes to lane.
 	Submit(lane *sim.Lane, payload []byte, handler GuestHandler) (*Pending, error)
 	// Rearm re-keys the ring to a new CVM boot generation: slots still
-	// in flight against the old container complete with EHOSTDOWN
-	// instead of executing against the new one, so supervisor restarts
-	// never leak (or replay) in-flight submissions.
+	// queued against the old container complete with EHOSTDOWN instead
+	// of executing against the new one, so supervisor restarts never
+	// leak (or replay) in-flight submissions.
 	Rearm(generation int)
 	// RingStats snapshots the ring counters.
 	RingStats() RingStats
@@ -51,8 +49,8 @@ type RingStats struct {
 	Submitted int
 	// Completed counts slots that ran in the guest and posted a reply.
 	Completed int
-	// Failed counts slots completed without running (stale generation
-	// after a re-arm, or guest dead at execution time).
+	// Failed counts slots completed without running (queued at a re-arm,
+	// or guest dead at execution time).
 	Failed int
 	// Doorbells counts injected interrupts; Coalesced counts
 	// submissions that rode an already-armed doorbell.
@@ -64,66 +62,82 @@ type RingStats struct {
 	Rearms int
 	// MaxInFlight is the high-water mark of concurrently open slots.
 	MaxInFlight int
+	// Wakeups counts slots the SQ poller served cold, after a
+	// RingPollIdle gap (one ProxyDispatch each); Drained counts slots it
+	// served still inside that window. Together they are the slots
+	// served.
+	Wakeups int
+	Drained int
 }
 
-// Pending slot states.
-const (
-	slotFree int32 = iota
-	slotQueued
-	slotDone
-)
-
-// Pending is one in-flight ring submission. Exactly one completer moves
-// it queued->done (a CAS guards the transition), the per-slot channel
-// hands the result to the single waiter, and the waiter recycles the
-// slot into the free list.
+// Pending is one ring submission. Its fields are guarded by the ring's
+// mutex: whoever serves the slot completes it under that mutex, which
+// makes completion exactly-once, and the submitter's Wait recycles it.
 type Pending struct {
 	ring    *RingChannel
 	idx     int
-	state   atomic.Int32
-	gen     int
 	lane    *sim.Lane
 	payload []byte
 	handler GuestHandler
 	// inline marks a grant-call or binder-call frame that fit the slot's
 	// fixed descriptor area; its reply rides the CQ entry the same way.
 	inline bool
+	done   bool
 	resp   []byte
 	err    error
-	done   chan struct{}
 }
 
-// Lane returns the timeline of the task that submitted the slot; the
-// guest-side work done for the slot is charged to it.
-func (p *Pending) Lane() *sim.Lane { return p.lane }
-
-// Payload returns the submitted request bytes.
-func (p *Pending) Payload() []byte { return p.payload }
-
-// Handler returns the guest-side executor for this slot.
-func (p *Pending) Handler() GuestHandler { return p.handler }
-
-// Wait blocks until the slot completes, returns its result, and recycles
-// the slot. It must be called exactly once per successful Submit. The
-// slot only references the reply, which stays in the submitter's frame,
-// so recycling the slot first never frees a reply the caller still has
-// to decode.
+// Wait serves the SQ, oldest slot first, until p is complete, then
+// returns p's result and recycles the slot (flat combining: the waiting
+// submitter is the guest SQ poller for as long as it waits). A slot that
+// another waiter already served is found complete on entry. It must be
+// called exactly once per successful Submit. The slot only references
+// the reply, which stays in the submitter's frame, so recycling the slot
+// first never frees a reply the caller still has to decode.
 func (p *Pending) Wait() ([]byte, error) {
-	<-p.done
+	r := p.ring
+	r.mu.Lock()
+	for !p.done {
+		// p is queued until served, so the SQ is not empty.
+		r.serveLocked(r.sq.pop())
+	}
 	resp, err := p.resp, p.err
-	p.payload, p.handler, p.resp, p.err = nil, nil, nil, nil
-	p.lane, p.inline = nil, false
-	p.state.Store(slotFree)
-	p.ring.free <- p
+	*p = Pending{ring: r, idx: p.idx}
+	r.free.push(p)
+	r.mu.Unlock()
+	r.slotFreed.Signal()
 	return resp, err
+}
+
+// slotQueue is a fixed-capacity FIFO of slots: the SQ and the free list.
+// Taking free slots in order keeps a sequential caller cycling through
+// the slots (and their channel frames) round-robin.
+type slotQueue struct {
+	buf     []*Pending
+	head, n int
+}
+
+func (q *slotQueue) push(s *Pending) {
+	q.buf[(q.head+q.n)%len(q.buf)] = s
+	q.n++
+}
+
+func (q *slotQueue) pop() *Pending {
+	s := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return s
 }
 
 // RingChannel is the asynchronous ring transport: fixed-size submission
 // and completion rings living in the same remapped guest channel frames
-// the PageChannel uses, drained guest-side by one SQ poller
-// (internal/proxy.Pool). Submission copies the payload into the slot's
-// frames and arms a coalesced doorbell; completion posts the reply back
-// through the frames and reaps with one hypercall when the ring drains.
+// the PageChannel uses. The guest SQ poller is not a goroutine: each
+// submitter that waits serves queued slots in order under the ring's
+// mutex until its own is done. Submission copies the payload into the
+// slot's frames and arms a coalesced doorbell; completion posts the
+// reply back through the frames and reaps with one hypercall when the
+// ring drains.
 type RingChannel struct {
 	cvm       *hypervisor.CVM
 	clock     *sim.Clock
@@ -133,38 +147,40 @@ type RingChannel struct {
 	depth     int
 	liveness  func() bool
 
-	slots []*Pending
-	// free is the slot free list; Submit blocks here when every slot is
-	// in flight (ring-full backpressure).
-	free chan *Pending
-	// sq is the submission queue the guest-side poller drains in order.
-	sq   chan *Pending
-	quit chan struct{}
-
-	gen      atomic.Int64
-	inflight atomic.Int64
-	maxInFly atomic.Int64
-
-	submitted atomic.Int64
-	completed atomic.Int64
-	failed    atomic.Int64
-
-	// bellMu guards the doorbell arm/reap handshake and its counters.
-	// Arm/disarm decisions are made purely in sim time (submission gaps
-	// and completion counts), never from real-time scheduling, so the
+	// mu guards every field below and serializes serving, so one slot
+	// runs at a time in submission order. Arm/disarm and dispatch
+	// decisions are made purely in sim time (submission gaps and
+	// completion counts), never from real-time scheduling, so the
 	// coalescing ratio is a property of the model, not of the machine.
-	bellMu     sync.Mutex
+	mu sync.Mutex
+	// free is the slot free list; Submit waits on slotFreed while every
+	// slot is in flight (ring-full backpressure).
+	free      slotQueue
+	slotFreed sync.Cond
+	// sq is the submission queue, served in order.
+	sq     slotQueue
+	gen    int
+	closed bool
+
+	inflight  int
+	maxInFly  int
+	submitted int
+	completed int
+	failed    int
+
 	armed      bool
 	sinceArm   int           // completions posted since the poller woke
 	lastActive time.Duration // sim time of the last submit/completion
-	reapBatch  int
-	doorbells  int
-	coalesced  int
-	reaps      int
-	rearms     int
-
-	closeOnce sync.Once
-	closed    atomic.Bool
+	// polled is the sim time of the poller's last served slot: a slot
+	// served more than RingPollIdle later pays a ProxyDispatch.
+	polled    time.Duration
+	reapBatch int
+	doorbells int
+	coalesced int
+	reaps     int
+	rearms    int
+	wakeups   int
+	drained   int
 }
 
 var _ Transport = (*RingChannel)(nil)
@@ -210,20 +226,16 @@ func NewRingChannel(cvm *hypervisor.CVM, clock *sim.Clock, model sim.LatencyMode
 		trace:     trace,
 		chunkSize: chunkSize,
 		depth:     depth,
-		slots:     make([]*Pending, depth),
-		free:      make(chan *Pending, depth),
-		sq:        make(chan *Pending, depth),
-		quit:      make(chan struct{}),
+		free:      slotQueue{buf: make([]*Pending, depth)},
+		sq:        slotQueue{buf: make([]*Pending, depth)},
+		gen:       cvm.Generation(),
+		// Start beyond the poll window so the first slot pays its dispatch.
+		polled:    -RingPollIdle - 1,
+		reapBatch: min(RingReapBatch, depth),
 	}
-	r.reapBatch = RingReapBatch
-	if depth < r.reapBatch {
-		r.reapBatch = depth
-	}
-	r.gen.Store(int64(cvm.Generation()))
+	r.slotFreed.L = &r.mu
 	for i := 0; i < depth; i++ {
-		s := &Pending{ring: r, idx: i, done: make(chan struct{}, 1)}
-		r.slots[i] = s
-		r.free <- s
+		r.free.push(&Pending{ring: r, idx: i})
 	}
 	return r
 }
@@ -236,17 +248,14 @@ func (r *RingChannel) Name() string { return "async-ring" }
 // (zero-copy grant calls) tolerates a far lazier reap cadence than
 // payload-bearing slots, so bulk configurations raise this toward the
 // ring depth. n <= 0 restores the default; values above the depth clamp
-// to it. Call before the ring is shared across goroutines.
+// to it.
 func (r *RingChannel) SetReapBatch(n int) {
 	if n <= 0 {
 		n = RingReapBatch
 	}
-	if n > r.depth {
-		n = r.depth
-	}
-	r.bellMu.Lock()
-	r.reapBatch = n
-	r.bellMu.Unlock()
+	r.mu.Lock()
+	r.reapBatch = min(n, r.depth)
+	r.mu.Unlock()
 }
 
 // SetLiveness implements LivenessSetter. Wired once at layer
@@ -265,7 +274,9 @@ func (r *RingChannel) chargeChunks(lane *sim.Lane, n int, perByte time.Duration)
 
 // Submit implements AsyncTransport.
 func (r *RingChannel) Submit(lane *sim.Lane, payload []byte, handler GuestHandler) (*Pending, error) {
-	if r.closed.Load() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
 		return nil, fmt.Errorf("async ring closed: %w", abi.ENXIO)
 	}
 	// Liveness first, like the synchronous channel: a dead container is
@@ -273,22 +284,15 @@ func (r *RingChannel) Submit(lane *sim.Lane, payload []byte, handler GuestHandle
 	if r.liveness != nil && !r.liveness() {
 		return nil, errGuestDown("async ring")
 	}
-	var s *Pending
-	select {
-	case s = <-r.free:
-	default:
-		// Ring full: block until a waiter recycles a slot (backpressure).
-		select {
-		case s = <-r.free:
-		case <-r.quit:
-			return nil, fmt.Errorf("async ring closed: %w", abi.ENXIO)
-		}
+	// Ring full: wait until a waiter recycles a slot (backpressure).
+	for r.free.n == 0 && !r.closed {
+		r.slotFreed.Wait()
 	}
-	s.payload, s.handler, s.lane = payload, handler, lane
-	s.gen = int(r.gen.Load())
-	s.inline = (IsGrantCall(payload) || IsBinderCall(payload) || IsSockOp(payload) || IsChainCall(payload)) && len(payload) <= RingInlineBytes
-	s.state.Store(slotQueued)
-	r.submitted.Add(1)
+	if r.closed {
+		return nil, fmt.Errorf("async ring closed: %w", abi.ENXIO)
+	}
+	s := r.free.pop()
+	inline := (IsGrantCall(payload) || IsBinderCall(payload) || IsSockOp(payload) || IsChainCall(payload)) && len(payload) <= RingInlineBytes
 
 	// The request bytes really traverse the slot's guest-visible frames,
 	// charged per chunk like the synchronous channel — but with the slot
@@ -296,43 +300,34 @@ func (r *RingChannel) Submit(lane *sim.Lane, payload []byte, handler GuestHandle
 	// A grant-call descriptor or binder-call frame small enough for the
 	// slot's fixed SQE area is covered by the slot write itself and
 	// skips the chunk charge.
-	if !s.inline {
+	if !inline {
 		r.chargeChunks(lane, len(payload), r.model.CopyToGuestPerByte)
 	}
 	r.clock.Charge(lane, r.model.RingSlotOverhead)
 	if err := r.copySlotFrames(s.idx, payload); err != nil {
-		// Slot never reached the SQ; recycle it directly.
-		s.payload, s.handler, s.lane = nil, nil, nil
-		s.state.Store(slotFree)
-		r.submitted.Add(-1)
-		r.free <- s
+		// The slot never reached the SQ; it goes straight back.
+		r.free.push(s)
+		r.slotFreed.Signal()
 		return nil, err
 	}
-
-	n := r.inflight.Add(1)
-	for {
-		max := r.maxInFly.Load()
-		if n <= max || r.maxInFly.CompareAndSwap(max, n) {
-			break
-		}
-	}
-	// The doorbell decision reads the clock before the slot becomes
-	// visible to the guest poller: were it queued first, the poller could
-	// complete (and reap) it before the decision, and whether this
-	// submission rang a new doorbell would depend on goroutine
-	// scheduling.
-	r.ringDoorbell(lane)
-	r.sq <- s // never blocks: cap(sq) == depth == total slots
+	s.lane, s.payload, s.handler, s.inline = lane, payload, handler, inline
+	r.submitted++
+	r.inflight++
+	r.maxInFly = max(r.maxInFly, r.inflight)
+	// The doorbell is decided (and charged) in the critical section that
+	// queues the slot, so no waiter can serve the slot — and reap —
+	// before this submission knows whether it rang a new doorbell.
+	r.ringDoorbellLocked(lane)
+	r.sq.push(s)
 	return s, nil
 }
 
-// ringDoorbell injects the guest interrupt unless the SQ poller is still
-// awake: an armed doorbell covers every submission until the poller reaps
-// a completion batch or idles past RingPollIdle of sim time. The
-// interrupt is charged to the submitting task's lane.
-func (r *RingChannel) ringDoorbell(lane *sim.Lane) {
+// ringDoorbellLocked injects the guest interrupt unless the SQ poller is
+// still awake: an armed doorbell covers every submission until the
+// poller reaps a completion batch or idles past RingPollIdle of sim time.
+// The interrupt is charged to the submitting task's lane.
+func (r *RingChannel) ringDoorbellLocked(lane *sim.Lane) {
 	now := r.clock.Now()
-	r.bellMu.Lock()
 	if r.armed && now-r.lastActive > RingPollIdle {
 		// The poller slept on the idle timeout; it must be woken again.
 		r.armed = false
@@ -340,13 +335,11 @@ func (r *RingChannel) ringDoorbell(lane *sim.Lane) {
 	r.lastActive = now
 	if r.armed {
 		r.coalesced++
-		r.bellMu.Unlock()
 		return
 	}
 	r.armed = true
 	r.sinceArm = 0
 	r.doorbells++
-	r.bellMu.Unlock()
 	if r.trace != nil {
 		r.trace.Record(sim.EvRing, "doorbell: SQ poller woken, interrupt injected")
 	}
@@ -363,56 +356,33 @@ func (r *RingChannel) RoundTrip(lane *sim.Lane, payload []byte, handler GuestHan
 	return p.Wait()
 }
 
-// NextSubmission hands the oldest queued slot to the guest-side poller; ok
-// is false once the ring is closed and the SQ drained.
-func (r *RingChannel) NextSubmission() (*Pending, bool) {
-	select {
-	case s := <-r.sq:
-		return s, true
-	case <-r.quit:
-		// Drain what was already queued so no waiter is stranded.
-		select {
-		case s := <-r.sq:
-			return s, true
-		default:
-			return nil, false
-		}
-	}
-}
-
-// FailFastIfUnservable completes a popped slot with EHOSTDOWN — without
-// running its handler — when its boot generation is stale (submitted
-// against a container that has since been restarted) or the guest is
-// dead. The poller calls it before executing each slot; completing through
-// the normal path (rather than dropping the slot) is what guarantees a
-// restart never leaks an in-flight submission.
-func (r *RingChannel) FailFastIfUnservable(s *Pending) bool {
-	if s.gen < int(r.gen.Load()) {
-		r.completeWith(s, nil, fmt.Errorf("async ring: slot from boot generation %d dropped at re-arm: %w", s.gen, abi.EHOSTDOWN))
-		return true
+// serveLocked is one step of the guest SQ poller, run by whichever waiter
+// holds the mutex: it pays the proxy dispatch when the poller wakes cold
+// (its last served slot is more than RingPollIdle of sim time ago; a
+// slot inside that window rides the live poller, the guest half of
+// doorbell coalescing), then either fails s fast or runs its handler and
+// posts the reply. Every handler runs under the mutex, so none may block
+// or submit to the ring.
+func (r *RingChannel) serveLocked(s *Pending) {
+	if now := r.clock.Now(); now-r.polled > RingPollIdle {
+		r.clock.Charge(s.lane, r.model.ProxyDispatch)
+		r.wakeups++
+	} else {
+		r.drained++
 	}
 	if r.liveness != nil && !r.liveness() {
-		r.completeWith(s, nil, errGuestDown("async ring"))
-		return true
+		// Completing the slot, rather than dropping it, is what
+		// guarantees a dead guest never leaks a submission.
+		r.completeLocked(s, nil, errGuestDown("async ring"))
+		return
 	}
-	return false
+	r.polled = r.completeLocked(s, s.handler(s.payload), nil)
 }
 
-// Complete posts one guest-side reply into the slot's CQ entry and
-// returns the sim time of the post, read before the waiter is woken, so
-// a poller can stamp its activity without racing the waiter's next call.
-func (r *RingChannel) Complete(s *Pending, resp []byte) time.Duration {
-	return r.completeWith(s, resp, nil)
-}
-
-// completeWith finishes the slot's bookkeeping (reply post, reap) before
-// it wakes the waiter: the waiter's next submission must never overtake
-// the reap decision for this one.
-func (r *RingChannel) completeWith(s *Pending, resp []byte, err error) time.Duration {
-	// Exactly-once: the CAS winner owns the result fields and the signal.
-	if !s.state.CompareAndSwap(slotQueued, slotDone) {
-		return r.clock.Now()
-	}
+// completeLocked posts the slot's reply (or failure) into its CQ entry,
+// finishes the reap decision, and marks it done. It returns the sim
+// time after the post and any reap.
+func (r *RingChannel) completeLocked(s *Pending, resp []byte, err error) time.Duration {
 	if err == nil {
 		// The reply traverses the slot frames back to the host; a reply
 		// that fits an inline slot's CQ descriptor area rides the
@@ -422,36 +392,31 @@ func (r *RingChannel) completeWith(s *Pending, resp []byte, err error) time.Dura
 		}
 		r.clock.Charge(s.lane, r.model.RingCompletionPost)
 		_ = r.copySlotFrames(s.idx, resp)
-		r.completed.Add(1)
+		r.completed++
 	} else {
-		r.failed.Add(1)
+		r.failed++
 	}
-	s.resp, s.err = resp, err
-	at := r.reapIfDrained(s.lane)
-	s.done <- struct{}{}
-	return at
+	s.resp, s.err, s.done = resp, err, true
+	return r.reapIfDrainedLocked(s.lane)
 }
 
-// reapIfDrained issues the completion-side hypercall once the poller has
-// posted a full batch of completions and the ring is empty: one reap
-// covers everything since the doorbell armed. Until the batch threshold
-// is met the poller stays awake (no hypercall, doorbell still armed), so
-// a sequential caller amortizes the world switches exactly like a
-// concurrent burst does. The reap is charged to the lane of the slot
-// that drained the ring. It returns the sim time after the reap.
-func (r *RingChannel) reapIfDrained(lane *sim.Lane) time.Duration {
-	n := r.inflight.Add(-1)
+// reapIfDrainedLocked issues the completion-side hypercall once the
+// poller has posted a full batch of completions and the ring is empty:
+// one reap covers everything since the doorbell armed. Until the batch
+// threshold is met the poller stays awake (no hypercall, doorbell still
+// armed), so a sequential caller amortizes the world switches exactly
+// like a concurrent burst does. The reap is charged to the lane of the
+// slot that drained the ring. It returns the sim time after the reap.
+func (r *RingChannel) reapIfDrainedLocked(lane *sim.Lane) time.Duration {
+	r.inflight--
 	now := r.clock.Now()
-	r.bellMu.Lock()
 	r.sinceArm++
 	r.lastActive = now
-	if !r.armed || r.sinceArm < r.reapBatch || n != 0 || r.inflight.Load() != 0 {
-		r.bellMu.Unlock()
+	if !r.armed || r.sinceArm < r.reapBatch || r.inflight != 0 {
 		return now
 	}
 	r.armed = false
 	r.reaps++
-	r.bellMu.Unlock()
 	if r.trace != nil {
 		r.trace.Record(sim.EvRing, "reap: completion batch posted, hypercall")
 	}
@@ -459,53 +424,62 @@ func (r *RingChannel) reapIfDrained(lane *sim.Lane) time.Duration {
 	return r.clock.Now()
 }
 
-// Rearm implements AsyncTransport: see the interface comment.
+// Rearm implements AsyncTransport: see the interface comment. Slots are
+// queued under the mutex Rearm holds, so every slot queued before a
+// re-arm to a newer generation fails here and every later one carries
+// the new generation.
 func (r *RingChannel) Rearm(generation int) {
-	r.gen.Store(int64(generation))
-	r.bellMu.Lock()
+	r.mu.Lock()
+	for generation > r.gen && r.sq.n > 0 {
+		r.completeLocked(r.sq.pop(), nil, fmt.Errorf("async ring: slot from boot generation %d dropped at re-arm: %w", r.gen, abi.EHOSTDOWN))
+	}
+	r.gen = generation
 	r.rearms++
-	r.bellMu.Unlock()
+	r.mu.Unlock()
 	if r.trace != nil {
-		r.trace.Record(sim.EvRing, "re-arm: ring keyed to boot generation %d; stale in-flight slots will fail fast", generation)
+		r.trace.Record(sim.EvRing, "re-arm: ring keyed to boot generation %d; stale queued slots failed", generation)
 	}
 }
 
-// Quiesce blocks until no slot is in flight. Callers must gate new
-// submissions first (the layer holds EAGAIN-fast-fail degraded mode while
-// quiescing); with the gate up, the guest poller drains the SQ and every
-// in-flight slot — including detached oneway waiters, which recycle their
-// slot on completion — reaches Wait. Used by the live-upgrade drill to
-// drain the ring gracefully instead of failing slots EHOSTDOWN.
+// Quiesce serves every queued slot and returns once no slot is in
+// flight. Callers must gate new submissions first (the layer holds
+// EAGAIN-fast-fail degraded mode while quiescing). Used by the
+// live-upgrade drill to drain the ring gracefully instead of failing
+// slots EHOSTDOWN.
 func (r *RingChannel) Quiesce() {
-	for r.inflight.Load() > 0 {
-		runtime.Gosched()
+	r.mu.Lock()
+	for r.sq.n > 0 {
+		r.serveLocked(r.sq.pop())
 	}
+	r.mu.Unlock()
 }
 
-// Close shuts the submission side down; the poller drains what is
-// queued and exits. Idempotent.
+// Close shuts the submission side down: later and ring-full Submits fail
+// ENXIO, while slots already queued are still served by their waiters.
+// Idempotent.
 func (r *RingChannel) Close() {
-	r.closeOnce.Do(func() {
-		r.closed.Store(true)
-		close(r.quit)
-	})
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
+	r.slotFreed.Broadcast()
 }
 
 // RingStats implements AsyncTransport.
 func (r *RingChannel) RingStats() RingStats {
-	r.bellMu.Lock()
-	doorbells, coalesced, reaps, rearms := r.doorbells, r.coalesced, r.reaps, r.rearms
-	r.bellMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return RingStats{
 		Depth:       r.depth,
-		Submitted:   int(r.submitted.Load()),
-		Completed:   int(r.completed.Load()),
-		Failed:      int(r.failed.Load()),
-		Doorbells:   doorbells,
-		Coalesced:   coalesced,
-		Reaps:       reaps,
-		Rearms:      rearms,
-		MaxInFlight: int(r.maxInFly.Load()),
+		Submitted:   r.submitted,
+		Completed:   r.completed,
+		Failed:      r.failed,
+		Doorbells:   r.doorbells,
+		Coalesced:   r.coalesced,
+		Reaps:       r.reaps,
+		Rearms:      r.rearms,
+		MaxInFlight: r.maxInFly,
+		Wakeups:     r.wakeups,
+		Drained:     r.drained,
 	}
 }
 

@@ -3,6 +3,7 @@ package marshal
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,20 +27,6 @@ func newRingForTest(t *testing.T, depth int) (*RingChannel, *hypervisor.CVM, *si
 	return NewRingChannel(cvm, clock, model, nil, depth, 0), cvm, clock
 }
 
-// drainOne pops the next submission and completes it through its handler,
-// standing in for one step of the guest SQ poller.
-func drainOne(t *testing.T, r *RingChannel) {
-	t.Helper()
-	s, ok := r.NextSubmission()
-	if !ok {
-		t.Fatal("submission queue closed unexpectedly")
-	}
-	if r.FailFastIfUnservable(s) {
-		return
-	}
-	r.Complete(s, s.Handler()(s.Payload()))
-}
-
 func TestRingSubmitCompleteRoundTrip(t *testing.T) {
 	r, _, _ := newRingForTest(t, 8)
 	const n = 4
@@ -52,9 +39,6 @@ func TestRingSubmitCompleteRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		pendings[i] = p
-	}
-	for i := 0; i < n; i++ {
-		drainOne(t, r)
 	}
 	for i, p := range pendings {
 		resp, err := p.Wait()
@@ -87,7 +71,6 @@ func TestRingSubmitCompleteRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		drainOne(t, r)
 		if _, err := p.Wait(); err != nil {
 			t.Fatal(err)
 		}
@@ -125,8 +108,8 @@ func TestRingBackpressureWhenFull(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 
-	// Complete + Wait slot 1: its recycle lets the blocked Submit through.
-	drainOne(t, r)
+	// Wait serves slot 1 and recycles it, which lets the blocked Submit
+	// through.
 	if _, err := p1.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +120,6 @@ func TestRingBackpressureWhenFull(t *testing.T) {
 		t.Fatal("Submit still blocked after a slot was recycled")
 	}
 	// Drain the rest so nothing leaks.
-	drainOne(t, r)
-	drainOne(t, r)
 	for _, p := range []*Pending{p2, p3} {
 		if _, err := p.Wait(); err != nil {
 			t.Fatal(err)
@@ -148,37 +129,46 @@ func TestRingBackpressureWhenFull(t *testing.T) {
 
 func TestRingRearmFailsStaleSlots(t *testing.T) {
 	r, cvm, _ := newRingForTest(t, 4)
-	executed := false
-	p, err := r.Submit(nil, []byte("old-boot"), func(req []byte) []byte {
-		executed = true
-		return req
-	})
+	ran := 0
+	handler := func(req []byte) []byte { ran++; return req }
+	served, err := r.Submit(nil, []byte("served"), handler)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := served.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	var queued []*Pending
+	for i := 0; i < 3; i++ {
+		p, err := r.Submit(nil, []byte("old-boot"), handler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, p)
+	}
 
-	// A restart re-keys the ring before the pool reaches the slot.
+	// A restart re-keys the ring before any waiter serves the queued
+	// slots: the re-arm itself fails them, so the accounting identity
+	// holds before anyone waits.
 	r.Rearm(cvm.Generation() + 1)
-	drainOne(t, r)
-
-	_, werr := p.Wait()
-	if !errors.Is(werr, abi.EHOSTDOWN) {
-		t.Fatalf("stale slot completed with %v, want EHOSTDOWN", werr)
-	}
-	if executed {
-		t.Fatal("stale slot's handler ran after re-arm")
-	}
 	st := r.RingStats()
-	if st.Failed != 1 || st.Completed != 0 || st.Rearms != 1 {
-		t.Fatalf("stats = %+v, want failed=1 completed=0 rearms=1", st)
+	if st.Failed != len(queued) || st.Completed != 1 || st.Rearms != 1 || st.Submitted != st.Completed+st.Failed {
+		t.Fatalf("stats = %+v, want failed=%d completed=1 rearms=1", st, len(queued))
+	}
+	for i, p := range queued {
+		if _, werr := p.Wait(); !errors.Is(werr, abi.EHOSTDOWN) {
+			t.Fatalf("stale slot %d completed with %v, want EHOSTDOWN", i, werr)
+		}
+	}
+	if ran != 1 {
+		t.Fatalf("%d handlers ran, want only the slot served before the re-arm", ran)
 	}
 
-	// The recycled slot serves the new generation normally.
+	// The recycled slots serve the new generation normally.
 	p2, err := r.Submit(nil, []byte("new-boot"), func(req []byte) []byte { return req })
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainOne(t, r)
 	if resp, err := p2.Wait(); err != nil || string(resp) != "new-boot" {
 		t.Fatalf("post-rearm slot: resp=%q err=%v", resp, err)
 	}
@@ -203,9 +193,6 @@ func TestRingDoorbellCoalescingAcrossBursts(t *testing.T) {
 				t.Fatal(err)
 			}
 			ps[i] = p
-		}
-		for range ps {
-			drainOne(t, r)
 		}
 		for _, p := range ps {
 			if _, err := p.Wait(); err != nil {
@@ -252,9 +239,6 @@ func TestRingChargesPerDoorbellNotPerCall(t *testing.T) {
 		}
 		ps[i] = p
 	}
-	for range ps {
-		drainOne(t, r)
-	}
 	for _, p := range ps {
 		if _, err := p.Wait(); err != nil {
 			t.Fatal(err)
@@ -277,7 +261,7 @@ func TestRingGuestDownFailsFast(t *testing.T) {
 		t.Fatalf("submit against dead guest: %v, want EHOSTDOWN", err)
 	}
 
-	// Poller-side: a slot caught in flight when the guest dies completes
+	// Serve-side: a slot caught in flight when the guest dies completes
 	// with EHOSTDOWN instead of executing against the dead kernel.
 	alive = true
 	p, err := r.Submit(nil, []byte("x"), func(b []byte) []byte { return b })
@@ -285,8 +269,163 @@ func TestRingGuestDownFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	alive = false
-	drainOne(t, r)
 	if _, werr := p.Wait(); !errors.Is(werr, abi.EHOSTDOWN) {
 		t.Fatalf("in-flight slot completed with %v, want EHOSTDOWN", werr)
+	}
+}
+
+// TestRingServesInGlobalSubmissionOrder: two submitters interleave their
+// submissions, then both wait — the later one first, so it serves the
+// other's slots too. Every handler still runs in global submission
+// order, whoever serves it.
+func TestRingServesInGlobalSubmissionOrder(t *testing.T) {
+	const perSubmitter = 6
+	for round := 0; round < 20; round++ {
+		r, _, _ := newRingForTest(t, 2*perSubmitter)
+		var order []string // appended by handlers, which run under the ring mutex
+		handler := func(name string) GuestHandler {
+			return func(req []byte) []byte {
+				order = append(order, name)
+				return req
+			}
+		}
+		var want []string
+		turn := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+		pendings := [2][]*Pending{}
+		var wg sync.WaitGroup
+		for who := 0; who < 2; who++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perSubmitter; i++ {
+					<-turn[who]
+					p, err := r.Submit(nil, []byte("x"), handler(fmt.Sprintf("%c%d", 'a'+who, i)))
+					if err != nil {
+						t.Error(err)
+					}
+					pendings[who] = append(pendings[who], p)
+					if who == 0 || i < perSubmitter-1 {
+						turn[1-who] <- struct{}{}
+					}
+				}
+			}()
+		}
+		for i := 0; i < perSubmitter; i++ {
+			want = append(want, fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i))
+		}
+		turn[0] <- struct{}{}
+		wg.Wait()
+
+		var waiters sync.WaitGroup
+		for who := 1; who >= 0; who-- {
+			waiters.Add(1)
+			go func() {
+				defer waiters.Done()
+				ps := pendings[who]
+				for i := len(ps) - 1; i >= 0; i-- {
+					if _, err := ps[i].Wait(); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		waiters.Wait()
+		if fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Fatalf("round %d: served %v, want %v", round, order, want)
+		}
+	}
+}
+
+// TestRingWaiterServedByAnotherCombiner: the waiter of a later slot
+// serves an earlier one on its way; the earlier slot's own waiter then
+// finds it done, gets its own reply and runs no handler.
+func TestRingWaiterServedByAnotherCombiner(t *testing.T) {
+	r, _, _ := newRingForTest(t, 4)
+	runs := map[string]int{}
+	echo := func(req []byte) []byte {
+		runs[string(req)]++
+		return append([]byte("re:"), req...)
+	}
+	first, err := r.Submit(nil, []byte("first"), echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := r.Submit(nil, []byte("second"), echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := second.Wait(); err != nil || string(resp) != "re:second" {
+			t.Errorf("second: resp=%q err=%v", resp, err)
+		}
+	}()
+	<-done
+	if runs["first"] != 1 || runs["second"] != 1 {
+		t.Fatalf("handler runs %v, want each once", runs)
+	}
+	if resp, err := first.Wait(); err != nil || string(resp) != "re:first" {
+		t.Fatalf("first: resp=%q err=%v, want its own reply", resp, err)
+	}
+	if runs["first"] != 1 {
+		t.Fatalf("first slot's handler ran %d times", runs["first"])
+	}
+	if st := r.RingStats(); st.Completed != 2 || st.Wakeups+st.Drained != 2 {
+		t.Fatalf("stats = %+v, want 2 completed and 2 served", st)
+	}
+}
+
+// TestRingFullRingBlocksThenDrains: 8 goroutines call into a depth-2
+// ring that two open slots fill. They block, none fails, and once the
+// two slots are waited for they all drain — with never more than 2
+// slots open.
+func TestRingFullRingBlocksThenDrains(t *testing.T) {
+	const (
+		depth   = 2
+		callers = 8
+		calls   = 100
+	)
+	r, _, _ := newRingForTest(t, depth)
+	echo := func(b []byte) []byte { return b }
+	var open []*Pending
+	for i := 0; i < depth; i++ {
+		p, err := r.Submit(nil, []byte("fill"), echo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		open = append(open, p)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				req := []byte(fmt.Sprintf("c%d-%d", c, i))
+				resp, err := r.RoundTrip(nil, req, echo)
+				if err != nil || string(resp) != string(req) {
+					t.Errorf("caller %d call %d: resp=%q err=%v", c, i, resp, err)
+					return
+				}
+			}
+		}()
+	}
+	time.Sleep(20 * time.Millisecond)
+	if st := r.RingStats(); st.Submitted != depth {
+		t.Fatalf("%d slots submitted into a full ring of %d", st.Submitted, depth)
+	}
+	for _, p := range open {
+		if _, err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	st := r.RingStats()
+	if st.MaxInFlight > depth {
+		t.Fatalf("max in flight %d exceeds depth %d", st.MaxInFlight, depth)
+	}
+	if want := depth + callers*calls; st.Submitted != want || st.Completed != want || st.Failed != 0 {
+		t.Fatalf("stats = %+v, want %d completed", st, want)
 	}
 }

@@ -30,7 +30,7 @@ func (m *Manager) chainStepHook() func(int) {
 }
 
 // ExecuteChainDrained runs a linked submission in the proxy's context.
-// Like ExecuteDrained, the ring pool already paid the dispatch; unlike
+// Like ExecuteDrained, the ring's SQ poller already paid the dispatch; unlike
 // the batch paths, the whole chain shares ONE guest trap entry — the
 // links run back-to-back in kernel context without returning to the
 // proxy's user half between calls.
