@@ -526,6 +526,9 @@ func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t 
 		return kernel.Result{Ret: -1, Err: fmt.Errorf("binder txn exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)}
 	}
 	res, derr := marshal.DecodeResult(respBytes)
+	if derr == nil {
+		derr = checkReply(&kernel.Args{Nr: abi.SysIoctl}, &res, false)
+	}
 	if derr != nil {
 		fp.failed.Add(1)
 		return kernel.Result{Ret: -1, Err: derr}

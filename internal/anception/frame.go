@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"anception/internal/abi"
+	"anception/internal/hypervisor"
 	"anception/internal/kernel"
 	"anception/internal/marshal"
 	"anception/internal/sim"
@@ -13,11 +14,12 @@ import (
 // Frame ownership (DESIGN.md §10): every redirected call borrows one
 // callFrame from its layer's small free list and returns it when the call
 // is done. The frame owns the request the host encodes, the reply the
-// guest handler appends, and the guest's read scratch, so the
-// steady-state data plane encodes, executes and decodes without
-// allocating. Decoded requests and replies are views into the frame; they
-// expire when the frame goes back to the list, which is why every forward
-// path lands the reply (landReply) before it releases the frame.
+// guest handler appends, the guest's read scratch and a granted call's
+// refs, descriptor entries and resolved views, so the steady-state data
+// plane encodes, executes and decodes without allocating. Decoded
+// requests and replies are views into the frame; they expire when the
+// frame goes back to the list, which is why every forward path lands the
+// reply (landReply) before it releases the frame.
 
 const (
 	// frameListLen bounds how many idle frames a layer keeps: more than
@@ -53,14 +55,21 @@ type callFrame struct {
 	cred  abi.Cred
 	layer *Layer
 	// exec is f.execArgs, bound once per frame so submitting an args call
-	// allocates no closure; execSockFn, execChainFn, execBatchFn and
-	// execBinderFn bind f.execSock, f.execChain, f.execBatch and
-	// f.execBinder the same way.
+	// allocates no closure; execSockFn, execChainFn, execBatchFn,
+	// execBinderFn and execGrantFn bind f.execSock, f.execChain,
+	// f.execBatch, f.execBinder and f.execGrant the same way.
 	exec         marshal.GuestHandler
 	execSockFn   marshal.GuestHandler
 	execChainFn  marshal.GuestHandler
 	execBatchFn  marshal.GuestHandler
 	execBinderFn marshal.GuestHandler
+	execGrantFn  marshal.GuestHandler
+	// A granted call's state (DESIGN.md §11): host side, the refs it
+	// mapped and the descriptor naming them; guest side, the views of the
+	// pinned app pages the descriptor resolved to.
+	refs     []hypervisor.GrantRef
+	sg       marshal.SGDescriptor
+	resolved [][]byte
 	// chain is the per-link scratch of a fused chain, made the first time
 	// the frame carries one.
 	chain *chainFrame
@@ -107,15 +116,18 @@ func (l *Layer) getFrame() *callFrame {
 		f.execChainFn = f.execChain
 		f.execBatchFn = f.execBatch
 		f.execBinderFn = f.execBinder
+		f.execGrantFn = f.execGrant
 		return f
 	}
 }
 
 // putFrame returns a frame to the free list. Every view into it is dead
-// from here on.
+// from here on, and it pins no app buffer while idle.
 func (l *Layer) putFrame(f *callFrame) {
 	f.args = kernel.Args{}
 	f.st, f.proxy, f.lane, f.cred = nil, nil, nil, abi.Cred{}
+	clear(f.resolved)
+	f.resolved = f.resolved[:0]
 	if c := f.chain; c != nil {
 		clear(c.args)
 		clear(c.wireArgs)
@@ -263,12 +275,17 @@ func decodeReply(resp []byte, args *kernel.Args) kernel.Result {
 }
 
 // landReply is the pointer-translation writeback of a decoded reply,
-// whose Data is a view into a frame about to be reused. A successful
+// whose Data is a view into a frame about to be reused. The reply must
+// first pass checkReply; one that does not lands as EIO. A successful
 // read-like call's bytes land in the caller's buffer — the one host-side
 // copy — and Data becomes that buffer; any other reply bytes are copied
 // out (and a vectored read is scattered from the copy). Either way the
 // result outlives the frame.
 func landReply(args *kernel.Args, res *kernel.Result) {
+	if err := checkReply(args, res, false); err != nil {
+		*res = kernel.Result{Ret: -1, Err: err}
+		return
+	}
 	if len(res.Data) == 0 {
 		return
 	}
@@ -279,6 +296,54 @@ func landReply(args *kernel.Args, res *kernel.Result) {
 	res.Data = bytes.Clone(res.Data)
 	if res.Ok() && isReadLike(args.Nr) && len(args.Iov) > 0 {
 		scatterIntoIov(args.Iov, res.Data)
+	}
+}
+
+// checkReply holds a decoded reply to what a kernel's copy-out could
+// return for args; the container is untrusted (paper §VII), so a reply
+// that breaks a rule is rejected with EIO before any byte of it lands:
+//   - a negative Ret carries an errno;
+//   - a read-like call's Ret is at most the bytes it asked for and, on
+//     the copy path, equals len(Data); on the grant path (byRef) the
+//     bytes moved through the pinned pages instead;
+//   - a write's Ret is at most its length.
+//
+// The check is host work only: it charges no sim time.
+func checkReply(args *kernel.Args, res *kernel.Result, byRef bool) error {
+	if !res.Ok() {
+		return nil
+	}
+	if res.Ret < 0 {
+		return fmt.Errorf("%s reply: return %d without an errno: %w", args.Nr, res.Ret, abi.EIO)
+	}
+	n := bufLen(args)
+	switch {
+	case isReadLike(args.Nr):
+		if args.Buf == nil && args.Iov == nil {
+			n = int64(args.Size) // a read that ships only its size
+		}
+		if res.Ret > n {
+			return fmt.Errorf("%s reply: %d bytes for a %d-byte buffer: %w", args.Nr, res.Ret, n, abi.EIO)
+		}
+		if !byRef && res.Ret != int64(len(res.Data)) {
+			return fmt.Errorf("%s reply: return %d with %d data bytes: %w", args.Nr, res.Ret, len(res.Data), abi.EIO)
+		}
+	case isWriteLike(args.Nr):
+		if res.Ret > n {
+			return fmt.Errorf("%s reply: %d bytes written of %d: %w", args.Nr, res.Ret, n, abi.EIO)
+		}
+	}
+	return nil
+}
+
+// isWriteLike reports calls whose buffer argument is input-only payload.
+func isWriteLike(nr abi.SyscallNr) bool {
+	switch nr {
+	case abi.SysWrite, abi.SysPwrite64, abi.SysWritev, abi.SysPwritev,
+		abi.SysSend, abi.SysSendto:
+		return true
+	default:
+		return false
 	}
 }
 

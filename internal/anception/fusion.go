@@ -45,6 +45,9 @@ type ChainCall struct {
 	Args      kernel.Args
 	FDFrom    int
 	UseCursor bool
+	// land, set only by send→recv speculation, is where a read link that
+	// ships just a size lands its reply in place of a private copy.
+	land []byte
 }
 
 // FusionStats counts syscall-fusion outcomes, surfaced per shard via
@@ -110,11 +113,25 @@ type taskFusion struct {
 	noSendRecv bool
 }
 
+// stickyRecv is one descriptor's speculated recv bytes: buf[off:end] is
+// what the app has not read yet. The buffer is kept and reused: the next
+// speculated recv lands right after what is still pending, which is
+// moved to the front first, so a drained buffer is refilled from its
+// start. landing is the ticket of the speculated recv landing in buf,
+// 0 if none; while one lands, buf is neither moved nor grown, and reads
+// only advance off.
+type stickyRecv struct {
+	buf      []byte
+	off, end int
+	landing  uint64
+}
+
 // layerFusion is the fusion layer's mutable state.
 type layerFusion struct {
-	mu     sync.Mutex
-	tasks  map[int]*taskFusion
-	sticky map[specKey][]byte // buffered speculative recv bytes
+	mu      sync.Mutex
+	tasks   map[int]*taskFusion
+	sticky  map[specKey]stickyRecv // buffered speculative recv bytes
+	tickets uint64                 // last landing ticket issued
 
 	explicit    atomic.Int64
 	fallbacks   atomic.Int64
@@ -132,7 +149,7 @@ type layerFusion struct {
 func newLayerFusion() *layerFusion {
 	return &layerFusion{
 		tasks:  make(map[int]*taskFusion),
-		sticky: make(map[specKey][]byte),
+		sticky: make(map[specKey]stickyRecv),
 	}
 }
 
@@ -167,8 +184,8 @@ func (l *Layer) drainFusion(int) {
 		return
 	}
 	f.mu.Lock()
-	for k, b := range f.sticky {
-		if len(b) > 0 {
+	for k, s := range f.sticky {
+		if s.end > s.off {
 			f.specDropped.Add(1)
 		}
 		delete(f.sticky, k)
@@ -198,7 +215,8 @@ func (l *Layer) Chain(t *kernel.Task, calls []ChainCall) []kernel.Result {
 	if l.fusion != nil {
 		l.fusion.explicit.Add(1)
 	}
-	if results, ok := l.tryFusedChain(t, calls, true); ok {
+	results := make([]kernel.Result, len(calls))
+	if l.tryFusedChain(t, calls, true, results) {
 		return results
 	}
 	if l.fusion != nil {
@@ -272,8 +290,9 @@ func runChainUnfused(invoke func(kernel.Args) kernel.Result, calls []ChainCall) 
 	return results
 }
 
-// tryFusedChain runs the chain over linked ring submissions. ok=false
-// means the caller must fall back to per-call dispatch: fusion off, no
+// tryFusedChain runs the chain over linked ring submissions, writing
+// each link's result into results (one per call). false means the
+// caller must fall back to per-call dispatch: fusion off, no
 // async ring, a chain longer than DefaultFusionMaxLinks, or a link that
 // does not admit to the container or that the fused plan does not
 // represent (fusedLink). screen passes the chain through the host's
@@ -281,21 +300,21 @@ func runChainUnfused(invoke func(kernel.Args) kernel.Result, calls []ChainCall) 
 // counts the links that ran, as per-call dispatch counts them; a
 // speculated pair needs neither, because both of its calls trap when the
 // app makes them.
-func (l *Layer) tryFusedChain(t *kernel.Task, calls []ChainCall, screen bool) ([]kernel.Result, bool) {
+func (l *Layer) tryFusedChain(t *kernel.Task, calls []ChainCall, screen bool, results []kernel.Result) bool {
 	if l.fusion == nil || len(calls) > DefaultFusionMaxLinks {
-		return nil, false
+		return false
 	}
 	st := l.currentState()
 	ring, async := st.transport.(marshal.AsyncTransport)
 	if !async {
-		return nil, false
+		return false
 	}
 	var pathsArr [marshal.MaxChainLinks]string // admitted absolute paths
 	paths := pathsArr[:len(calls)]
 	for i := range calls {
 		adm := l.admit(t, &calls[i].Args, calls[i].FDFrom >= 0)
 		if adm.Route != redirect.RouteGuest || !fusedLink(calls[i].Args.Nr) {
-			return nil, false
+			return false
 		}
 		paths[i] = adm.Path
 	}
@@ -303,7 +322,6 @@ func (l *Layer) tryFusedChain(t *kernel.Task, calls []ChainCall, screen bool) ([
 	// cursor offset resolve only in the container. Links before a vetoed
 	// one run; it fails with the veto, unless an earlier link failed, and
 	// the rest short-circuit, as per-call dispatch answers them.
-	results := make([]kernel.Result, len(calls))
 	ran, veto := len(calls), error(nil)
 	for i := 0; screen && i < len(calls) && veto == nil; i++ {
 		if veto = l.host.Screen(t, calls[i].Args); veto != nil {
@@ -327,7 +345,7 @@ func (l *Layer) tryFusedChain(t *kernel.Task, calls []ChainCall, screen bool) ([
 			break
 		}
 	}
-	return results, true
+	return true
 }
 
 // fusedLink reports the links the fused plan represents exactly: opens
@@ -450,6 +468,9 @@ func (l *Layer) chainFused(st *layerState, ring marshal.AsyncTransport, t *kerne
 			}
 			if paths[oi] != "" {
 				a.Path = paths[oi]
+			}
+			if calls[oi].land != nil {
+				a.Buf = calls[oi].land
 			}
 			cf.args[si] = a
 			cf.wire[si] = marshal.ChainLink{Args: &cf.wireArgs[si], FDFrom: fdFrom, UseCursor: calls[oi].UseCursor}
@@ -673,19 +694,15 @@ func (l *Layer) fusionIntercept(t *kernel.Task, args *kernel.Args) (kernel.Resul
 	// 1. Sticky recv bytes from a fused send→recv pair.
 	f.mu.Lock()
 	if args.Nr == abi.SysClose {
-		if b := f.sticky[key]; len(b) > 0 {
+		if s := f.sticky[key]; s.end > s.off {
 			f.specDropped.Add(1)
 		}
 		delete(f.sticky, key)
 	}
-	if args.Nr == abi.SysRecv && len(f.sticky[key]) > 0 && len(args.Buf) > 0 {
-		b := f.sticky[key]
-		n := copy(args.Buf, b)
-		if n == len(b) {
-			delete(f.sticky, key)
-		} else {
-			f.sticky[key] = b[n:]
-		}
+	if s := f.sticky[key]; args.Nr == abi.SysRecv && s.end > s.off && len(args.Buf) > 0 {
+		n := copy(args.Buf, s.buf[s.off:s.end])
+		s.off += n
+		f.sticky[key] = s
 		f.specServed.Add(1)
 		f.mu.Unlock()
 		return kernel.Result{Ret: int64(n), Data: args.Buf[:n]}, true
@@ -718,34 +735,66 @@ func (l *Layer) fusionIntercept(t *kernel.Task, args *kernel.Args) (kernel.Resul
 
 // speculateSendRecv fuses a confident send→recv pair: the send is
 // served now and the reply bytes stick to the descriptor for the app's
-// next recv. A dry recv (no data yet) drops the speculation and turns
+// next recv. The recv link lands straight in the descriptor's sticky
+// buffer. A dry recv (no data yet) drops the speculation and turns
 // send→recv speculation off for the task instead of buffering an
 // EAGAIN the real call might not see.
 func (l *Layer) speculateSendRecv(t *kernel.Task, args *kernel.Args, recvSize int) (kernel.Result, bool) {
 	f := l.fusion
-	chain := []ChainCall{
-		{Args: *args, FDFrom: -1},
-		{Args: kernel.Args{Nr: abi.SysRecv, FD: args.FD, Size: recvSize}, FDFrom: -1},
-	}
-	results, ok := l.tryFusedChain(t, chain, false)
-	if !ok {
+	key := specKey{pid: t.PID, fd: args.FD}
+	f.mu.Lock()
+	s := f.sticky[key]
+	if s.landing != 0 {
+		// Another speculation on this descriptor is still landing.
+		f.mu.Unlock()
 		return kernel.Result{}, false
 	}
+	pending := s.end - s.off
+	if cap(s.buf) < pending+recvSize {
+		grown := make([]byte, pending+recvSize)
+		copy(grown, s.buf[s.off:s.end])
+		s.buf = grown
+	} else {
+		s.buf = s.buf[:cap(s.buf)]
+		copy(s.buf, s.buf[s.off:s.end])
+	}
+	s.off, s.end = 0, pending
+	f.tickets++
+	ticket := f.tickets
+	s.landing = ticket
+	f.sticky[key] = s
+	f.mu.Unlock()
+
+	chain := [2]ChainCall{
+		{Args: *args, FDFrom: -1},
+		{Args: kernel.Args{Nr: abi.SysRecv, FD: args.FD, Size: recvSize}, FDFrom: -1,
+			land: s.buf[pending : pending+recvSize : pending+recvSize]},
+	}
+	var results [2]kernel.Result
+	fused := l.tryFusedChain(t, chain[:], false, results[:])
 	send, recv := results[0], results[1]
+
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	// A close or an epoch drain while the pair was in flight dropped the
+	// entry: its buffer is garbage and nothing lands.
+	s, ok := f.sticky[key]
+	ours := ok && s.landing == ticket
+	if ours {
+		s.landing = 0
+		if fused && send.Ok() && recv.Ok() {
+			s.end += int(recv.Ret) // landReply held Ret to the bytes landed
+		}
+		f.sticky[key] = s
+	}
+	if !fused {
+		return kernel.Result{}, false
+	}
 	if !send.Ok() {
 		return send, true
 	}
-	f.mu.Lock()
-	if recv.Ok() && recv.Ret > 0 && len(recv.Data) > 0 {
-		// The reply data is already a private copy (landReply): adopt it
-		// unless earlier bytes are still waiting.
-		key := specKey{pid: t.PID, fd: args.FD}
-		if b := f.sticky[key]; len(b) > 0 {
-			f.sticky[key] = append(b, recv.Data[:recv.Ret]...)
-		} else {
-			f.sticky[key] = recv.Data[:recv.Ret]
-		}
-	} else {
+	switch {
+	case !recv.Ok() || recv.Ret == 0:
 		// Nothing to read yet: the peer answers asynchronously, so stop
 		// paying for speculative recv links that come back dry.
 		f.specDropped.Add(1)
@@ -753,7 +802,8 @@ func (l *Layer) speculateSendRecv(t *kernel.Task, args *kernel.Args, recvSize in
 			tf.sendRecv = 0
 			tf.noSendRecv = true
 		}
+	case !ours:
+		f.specDropped.Add(1)
 	}
-	f.mu.Unlock()
 	return send, true
 }

@@ -1,7 +1,6 @@
 package anception
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -141,8 +140,8 @@ func grantIovTotal(iov [][]byte) int {
 	return n
 }
 
-// grantPayloadLen returns the byte count a grant-eligible call moves.
-func grantPayloadLen(args *kernel.Args) int64 {
+// bufLen returns the bytes a call's buffer or vector holds.
+func bufLen(args *kernel.Args) int64 {
 	if len(args.Iov) > 0 {
 		return int64(grantIovTotal(args.Iov))
 	}
@@ -200,7 +199,7 @@ func (l *Layer) forwardGrantFD(st *layerState, t *kernel.Task, e *kernel.FDEntry
 			args.Nr == abi.SysSend || args.Nr == abi.SysSendto {
 			off = -1 // cursor write: offset unknown, overlap everything
 		}
-		liveID = l.grants.registerWrite(file, off, grantPayloadLen(args))
+		liveID = l.grants.registerWrite(file, off, bufLen(args))
 	}
 	fwd := *args
 	fwd.FD = e.GuestFD
@@ -218,9 +217,11 @@ func (l *Layer) forwardGrantFD(st *layerState, t *kernel.Task, e *kernel.FDEntry
 // call's buffers are pinned and mapped into the guest as one batched
 // grant, a fixed-size scatter-gather descriptor travels the channel in
 // place of the payload, the guest resolves the extents back to the
-// pinned host pages and executes against them directly, and the reply
-// carries only the return count. The grant is revoked (one batched TLB
-// shootdown) when the call completes, success or not.
+// pinned host pages and executes against them directly (execGrant), and
+// the reply carries only the return count. The grant is revoked (one
+// batched TLB shootdown) when the call completes, success or not. The
+// refs, the descriptor's entries and the guest's resolved views all live
+// in the call frame.
 func (l *Layer) forwardGrant(st *layerState, t *kernel.Task, args *kernel.Args) kernel.Result {
 	if !l.enterGuestCall(st) {
 		l.counters.failedFast.Add(1)
@@ -236,8 +237,7 @@ func (l *Layer) forwardGrant(st *layerState, t *kernel.Task, args *kernel.Args) 
 	}
 
 	bufs := args.Iov
-	vectored := len(bufs) > 0
-	if !vectored {
+	if len(bufs) == 0 {
 		bufs = [][]byte{args.Buf}
 	}
 	// Read-style calls grant writable extents: the guest fills the pinned
@@ -245,22 +245,24 @@ func (l *Layer) forwardGrant(st *layerState, t *kernel.Task, args *kernel.Args) 
 	// traverses the copy channel in either direction.
 	writable := isReadLike(args.Nr)
 	table := l.grants.table
-	refs := table.GrantBatch(t.Lane, bufs, writable)
-	defer table.RevokeBatch(t.Lane, refs)
+	f := l.getFrame()
+	defer l.putFrame(f)
+	f.refs = table.GrantBatch(t.Lane, bufs, writable, f.refs[:0])
+	defer table.RevokeBatch(t.Lane, f.refs)
 
 	total := 0
-	entries := make([]marshal.SGEntry, len(refs))
-	for i, ref := range refs {
-		entries[i] = marshal.SGEntry{ID: ref.ID, Gen: ref.Gen, Len: ref.Len}
+	f.sg.Writable = writable
+	f.sg.Entries = f.sg.Entries[:0]
+	for _, ref := range f.refs {
+		f.sg.Entries = append(f.sg.Entries, marshal.SGEntry{ID: ref.ID, Gen: ref.Gen, Len: ref.Len})
 		total += int(ref.Len)
 	}
-	desc := &marshal.SGDescriptor{Writable: writable, Entries: entries}
 
 	l.counters.redirected.Add(1)
 	l.counters.grantCalls.Add(1)
 	l.counters.grantBytes.Add(int64(total))
 	if l.trace != nil {
-		l.trace.Record(sim.EvGrant, "grant-call %s pid=%d: %d extent(s), %d bytes by reference", args.Nr, t.PID, len(entries), total)
+		l.trace.Record(sim.EvGrant, "grant-call %s pid=%d: %d extent(s), %d bytes by reference", args.Nr, t.PID, len(f.refs), total)
 	}
 
 	// The args travel with the bulk payload stripped; the extents move by
@@ -269,64 +271,22 @@ func (l *Layer) forwardGrant(st *layerState, t *kernel.Task, args *kernel.Args) 
 	enc.Buf = nil
 	enc.Iov = nil
 	enc.Size = total
-	f := l.getFrame()
-	defer l.putFrame(f)
-	f.req = marshal.AppendGrantCall(f.req[:0], desc, &enc)
+	f.req = marshal.AppendGrantCall(f.req[:0], &f.sg, &enc)
 	l.clock.Charge(t.Lane, time.Duration(len(f.req))*l.model.MarshalPerByte)
 
 	ring, async := st.transport.(marshal.AsyncTransport)
-	handler := func(req []byte) []byte {
-		gd, argsPayload, derr := marshal.DecodeGrantCall(req)
-		if derr != nil {
-			return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
-		}
-		decoded := &f.args
-		if derr := f.dec.Args(argsPayload, decoded); derr != nil {
-			return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
-		}
-		resolved := make([][]byte, len(gd.Entries))
-		for i, ent := range gd.Entries {
-			b, rerr := table.Resolve(hypervisor.GrantRef{ID: ent.ID, Gen: ent.Gen, Len: ent.Len})
-			if rerr != nil {
-				// Stale generation surfaces as EHOSTDOWN, revoked-in-
-				// flight as ENXIO; both travel home as matchable errnos.
-				return f.setReply(kernel.Result{Ret: -1, Err: rerr})
-			}
-			if int(ent.Off)+int(ent.Len) > len(b) {
-				return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
-			}
-			resolved[i] = b[ent.Off : ent.Off+ent.Len]
-		}
-		if len(decoded.Iov) > 0 || decoded.Nr == abi.SysReadv || decoded.Nr == abi.SysWritev ||
-			decoded.Nr == abi.SysPreadv || decoded.Nr == abi.SysPwritev {
-			decoded.Iov = resolved
-		} else {
-			decoded.Buf = resolved[0]
-			decoded.Size = len(resolved[0])
-		}
-		var res kernel.Result
-		if async {
-			res = st.proxies.ExecuteDrained(p, *decoded)
-		} else {
-			res = st.proxies.Execute(p, *decoded)
-		}
-		// Zero-copy: a read-style call's bytes already landed in the
-		// granted (pinned app) pages; the reply carries only the count.
-		res.Data = nil
-		return tampered(st, f.setReply(res))
-	}
-
+	f.st, f.proxy, f.drained = st, p, async
 	span := l.clock.StartSpan(t.Lane)
 	var respBytes []byte
 	var terr error
 	if async {
-		pending, serr := ring.Submit(t.Lane, f.req, handler)
+		pending, serr := ring.Submit(t.Lane, f.req, f.execGrantFn)
 		if serr != nil {
 			return l.transportFailure(t, args, span, serr)
 		}
 		respBytes, terr = pending.Wait()
 	} else {
-		respBytes, terr = st.transport.RoundTrip(t.Lane, f.req, handler)
+		respBytes, terr = st.transport.RoundTrip(t.Lane, f.req, f.execGrantFn)
 	}
 	if terr != nil {
 		return l.transportFailure(t, args, span, terr)
@@ -338,12 +298,61 @@ func (l *Layer) forwardGrant(st *layerState, t *kernel.Task, args *kernel.Args) 
 		}
 		return kernel.Result{Ret: -1, Err: fmt.Errorf("call exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)}
 	}
-	// The bytes already moved through the granted pages; a reply that
-	// carries data anyway (a tampering guest) is only copied out.
 	res, derr := marshal.DecodeResult(respBytes)
 	if derr != nil {
 		return kernel.Result{Ret: -1, Err: derr}
 	}
-	res.Data = bytes.Clone(res.Data)
+	// The bytes already moved through the granted pages. Reply bytes
+	// (only a tampering guest sends any) are dropped, not landed.
+	res.Data = nil
+	if err := checkReply(args, &res, true); err != nil {
+		return kernel.Result{Ret: -1, Err: err}
+	}
 	return res
+}
+
+// execGrant is the guest handler of a grant-call frame: decode it into
+// the frame's decoder, resolve every extent to the pinned host pages,
+// run the call against them in the proxy's context, and append the
+// result to the reply frame.
+func (f *callFrame) execGrant(req []byte) []byte {
+	a := &f.args
+	d, err := f.dec.GrantCall(req, a)
+	if err != nil {
+		return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
+	}
+	table := f.layer.grants.table
+	f.resolved = f.resolved[:0]
+	for _, ent := range d.Entries {
+		b, rerr := table.Resolve(hypervisor.GrantRef{ID: ent.ID, Gen: ent.Gen, Len: ent.Len})
+		if rerr != nil {
+			// Stale generation surfaces as EHOSTDOWN, revoked-in-flight
+			// as ENXIO; both travel home as matchable errnos.
+			return f.setReply(kernel.Result{Ret: -1, Err: rerr})
+		}
+		if int(ent.Off)+int(ent.Len) > len(b) {
+			return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
+		}
+		f.resolved = append(f.resolved, b[ent.Off:ent.Off+ent.Len])
+	}
+	switch {
+	case len(a.Iov) > 0 || a.Nr == abi.SysReadv || a.Nr == abi.SysWritev ||
+		a.Nr == abi.SysPreadv || a.Nr == abi.SysPwritev:
+		a.Iov = f.resolved
+	case len(f.resolved) == 1:
+		a.Buf = f.resolved[0]
+		a.Size = len(a.Buf)
+	default:
+		return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
+	}
+	var res kernel.Result
+	if f.drained {
+		res = f.st.proxies.ExecuteDrained(f.proxy, *a)
+	} else {
+		res = f.st.proxies.Execute(f.proxy, *a)
+	}
+	// Zero-copy: a read-style call's bytes already landed in the granted
+	// (pinned app) pages; the reply carries only the count.
+	res.Data = nil
+	return tampered(f.st, f.setReply(res))
 }

@@ -306,7 +306,7 @@ func TestGrantRestartRevokesAll(t *testing.T) {
 
 	// A grant left outstanding across the restart (an in-flight call's
 	// view of the world).
-	refs := d.grants.GrantBatch(nil, [][]byte{make([]byte, abi.PageSize)}, true)
+	refs := d.grants.GrantBatch(nil, [][]byte{make([]byte, abi.PageSize)}, true, nil)
 	if err := d.RestartCVM(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,104 @@
+package anception
+
+import (
+	"errors"
+	"testing"
+
+	"anception/internal/abi"
+	"anception/internal/kernel"
+	"anception/internal/marshal"
+)
+
+// The container is untrusted (paper §VII): a compromised one can return
+// any reply that decodes. These seeds are replies a real kernel's
+// copy-out could never produce. Each must reach the app as EIO through
+// the redirected interface, never as a panic in the layer or in the
+// app-side Proc helpers.
+
+// forgeReplies makes every reply the container sends the given frame
+// until the returned function is called.
+func forgeReplies(d *Device, frame []byte) (restore func()) {
+	d.Layer.SetResultTampering(func([]byte) []byte { return frame })
+	return func() { d.Layer.SetResultTampering(nil) }
+}
+
+// wantEIO fails unless err is a rejected reply.
+func wantEIO(t *testing.T, what string, err error) {
+	t.Helper()
+	if !errors.Is(err, abi.EIO) {
+		t.Errorf("%s: err = %v, want EIO", what, err)
+	}
+}
+
+// TestHostileReplySeedCorpus runs the seed corpus on Paper and Fast: an
+// oversized read return on the copy path and on the grant path (Paper
+// moves the same 64 KiB read by copy), a negative return with no errno,
+// and a chain result longer than its chain. After each, the app's next
+// honest call works.
+func TestHostileReplySeedCorpus(t *testing.T) {
+	for _, prof := range chainProfiles {
+		t.Run(prof.name, func(t *testing.T) {
+			d, p := admitApp(t, prof.opts)
+			content := make([]byte, 64<<10)
+			for i := range content {
+				content[i] = byte(i * 7)
+			}
+			seedGuestFile(t, p, "victim.dat", content)
+			fd := mustOpen(t, p, "victim.dat", abi.ORdWr)
+			honest := func(what string) {
+				t.Helper()
+				if got, err := p.Pread(fd, 16, 0); err != nil || string(got) != string(content[:16]) {
+					t.Fatalf("honest read after %s: %q %v", what, got, err)
+				}
+			}
+
+			oversized := marshal.AppendResult(nil, kernel.Result{Ret: 1 << 20, Data: make([]byte, 16)})
+			restore := forgeReplies(d, oversized)
+			_, err := p.Read(fd, 16)
+			restore()
+			wantEIO(t, "copy-path read returning 1 MiB into 16 bytes", err)
+			honest("oversized copy-path read")
+
+			before := d.Layer.GrantStats().Calls
+			restore = forgeReplies(d, marshal.AppendResult(nil, kernel.Result{Ret: 1 << 20}))
+			_, err = p.Pread(fd, len(content), 0)
+			restore()
+			wantEIO(t, "64 KiB read returning 1 MiB", err)
+			if granted := d.Layer.GrantStats().Calls > before; granted != (prof.name == "fast") {
+				t.Errorf("64 KiB read granted=%v on %s", granted, prof.name)
+			}
+			honest("oversized 64 KiB read")
+
+			// The 64 KiB write rewrites what the file holds; the Fast
+			// profile's cache would absorb a small one.
+			restore = forgeReplies(d, marshal.AppendResult(nil, kernel.Result{Ret: -5}))
+			_, rerr := p.Read(fd, 16)
+			_, werr := p.Pwrite(fd, content, 0)
+			restore()
+			wantEIO(t, "read returning -5 without an errno", rerr)
+			wantEIO(t, "64 KiB write returning -5 without an errno", werr)
+			honest("negative returns")
+
+			// Five results for a four-link chain. On Paper the chain runs
+			// per call and no reply decodes; on Fast the fused chain's
+			// reply decodes and is rejected.
+			buf := make([]byte, 16)
+			five := make([]kernel.Result, 5)
+			restore = forgeReplies(d, marshal.AppendChainResult(nil, marshal.ChainResult{Executed: 5, Results: five}))
+			results := p.Chain(openStatReadCloseChain("victim.dat", buf)...)
+			restore()
+			if len(results) != 4 {
+				t.Fatalf("%d results for a 4-link chain", len(results))
+			}
+			for i, res := range results {
+				switch {
+				case res.Ok():
+					t.Errorf("link %d of an over-long chain reply succeeded: %+v", i, res)
+				case prof.name == "fast":
+					wantEIO(t, "link of an over-long chain reply", res.Err)
+				}
+			}
+			honest("over-long chain result")
+		})
+	}
+}

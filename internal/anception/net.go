@@ -170,17 +170,20 @@ func (l *Layer) handleAccept4(t *kernel.Task, args *kernel.Args) kernel.Result {
 	if !res.Ok() {
 		return res
 	}
-	guestFDs, derr := abi.DecodeFDList(res.Data)
-	if derr != nil {
-		return kernel.Result{Ret: -1, Err: derr}
+	// The landed list is the layer's own copy: install each accepted
+	// guest descriptor and write its host descriptor over it.
+	list := res.Data
+	if len(list)%4 != 0 {
+		return kernel.Result{Ret: -1, Err: abi.EINVAL}
 	}
-	hostFDs := make([]int, len(guestFDs))
-	for i, gfd := range guestFDs {
-		hostFDs[i] = t.InstallFD(&kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: gfd, Path: "sock:accepted"})
+	n := len(list) / 4
+	for i := range n {
+		hfd := t.InstallFD(&kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: abi.FDAt(list, i), Path: "sock:accepted"})
+		abi.PutFD(list, i, hfd)
 	}
 	l.counters.sockBatches.Add(1)
-	l.counters.sockBatchedFDs.Add(int64(len(hostFDs)))
-	return kernel.Result{Ret: int64(len(hostFDs)), Data: abi.EncodeFDList(hostFDs)}
+	l.counters.sockBatchedFDs.Add(int64(n))
+	return kernel.Result{Ret: int64(n), Data: list}
 }
 
 // handleEpollWait forwards a batched readiness poll and translates the
@@ -194,15 +197,16 @@ func (l *Layer) handleEpollWait(t *kernel.Task, args *kernel.Args) kernel.Result
 	if !res.Ok() || len(res.Data) == 0 {
 		return res
 	}
-	guestFDs, derr := abi.DecodeFDList(res.Data)
-	if derr != nil {
-		return kernel.Result{Ret: -1, Err: derr}
+	if len(res.Data)%4 != 0 {
+		return kernel.Result{Ret: -1, Err: abi.EINVAL}
 	}
-	// Reverse-translate guest fds in one scan of the descriptor table.
-	hostFDs := t.HostFDsOf(guestFDs)
+	// Reverse-translate the landed list (the layer's own copy) in place,
+	// in one scan of the descriptor table.
+	hostFDs := t.HostFDsOf(res.Data)
+	n := len(hostFDs) / 4
 	l.counters.sockBatches.Add(1)
-	l.counters.sockBatchedFDs.Add(int64(len(hostFDs)))
-	return kernel.Result{Ret: int64(len(hostFDs)), Data: abi.EncodeFDList(hostFDs)}
+	l.counters.sockBatchedFDs.Add(int64(n))
+	return kernel.Result{Ret: int64(n), Data: hostFDs}
 }
 
 // handleEpollCtl translates both descriptors (the epoll instance and the

@@ -349,3 +349,145 @@ func allBytes(b []byte, v byte) bool {
 	}
 	return true
 }
+
+// TestRecycledStickyShowsOnlyNewBytes: a speculated recv lands in its
+// descriptor's sticky buffer, which is reused. A shorter second reply
+// shows none of the first, and a reply landing behind bytes the app has
+// not read yet keeps them, in order.
+func TestRecycledStickyShowsOnlyNewBytes(t *testing.T) {
+	d, p := admitApp(t, Options{AutoTune: true})
+	d.RegisterRemote("echo:7", func(req []byte) []byte { return req })
+	sock, err := p.Socket(netstack.AFInet, netstack.SockStream, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Connect(sock, "echo:7"); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	send := func(msg []byte) {
+		t.Helper()
+		if n, err := p.Send(sock, msg); err != nil || n != len(msg) {
+			t.Fatalf("send: n=%d err=%v", n, err)
+		}
+	}
+	// recv reads into buf[:size], which must then hold want and, past
+	// it, only the 0xEE written before the call.
+	recv := func(size int, want string) {
+		t.Helper()
+		fillEE(buf)
+		n, err := p.RecvInto(sock, buf[:size])
+		if err != nil || string(buf[:n]) != want {
+			t.Fatalf("recv: n=%d err=%v %q, want %q", n, err, buf[:n], want)
+		}
+		if !allBytes(buf[n:], 0xEE) {
+			t.Fatalf("recv of %q wrote past its %d bytes", want, n)
+		}
+	}
+	for i := 0; i < fuseConfidence+1; i++ { // the detector learns the pair
+		send([]byte("warm"))
+		recv(len(buf), "warm")
+	}
+	served := d.Layer.Stats().Fusion.SpecServed
+	long, hi := strings.Repeat("L", 60), "hi"
+	for round := 0; round < 3; round++ {
+		send([]byte(long))
+		recv(len(buf), long)
+		send([]byte(hi))
+		recv(len(buf), hi)
+
+		// 40 bytes land; the app reads 16 and leaves 24. The next reply
+		// lands behind those 24, and one recv returns both.
+		b40, c8 := strings.Repeat("B", 40), strings.Repeat("C", 8)
+		send([]byte(b40))
+		recv(16, b40[:16])
+		send([]byte(c8))
+		recv(len(buf), b40[16:]+c8)
+	}
+	if got := d.Layer.Stats().Fusion.SpecServed - served; got != 12 {
+		t.Fatalf("%d recvs served from speculation, want all 12", got)
+	}
+}
+
+// TestRecycledGrantFrameShowsOnlyNewBytes: a granted call keeps its
+// refs, descriptor entries and resolved views in the call frame. A
+// shorter granted read or write after a longer one touches only its own
+// buffers, on the synchronous channel and on Fast, and an idle frame
+// pins no app buffer.
+func TestRecycledGrantFrameShowsOnlyNewBytes(t *testing.T) {
+	for _, c := range grantAllocConfigs {
+		t.Run(c.name, func(t *testing.T) {
+			d, p, fd, _ := pageIOApp(t, c.opts)
+			content := make([]byte, 64<<10)
+			for i := range content {
+				content[i] = byte(i*31 + 7)
+			}
+			mustPwrite(t, p, fd, content, 0)
+			before := d.Layer.GrantStats().Calls
+			seg := func(n int) [][]byte {
+				iov := make([][]byte, n)
+				for i := range iov {
+					iov[i] = make([]byte, 16<<10)
+				}
+				return iov
+			}
+			for round := 0; round < 3; round++ {
+				long, short := seg(4), seg(2)
+				if n, err := p.Preadv(fd, long, 0); err != nil || n != len(content) {
+					t.Fatalf("4-segment preadv: n=%d err=%v", n, err)
+				}
+				for _, s := range long {
+					fillEE(s)
+				}
+				if n, err := p.Preadv(fd, short, 0); err != nil || n != 32<<10 {
+					t.Fatalf("2-segment preadv: n=%d err=%v", n, err)
+				}
+				if !bytes.Equal(append(short[0], short[1]...), content[:32<<10]) {
+					t.Fatal("2-segment preadv read the wrong bytes")
+				}
+				for i, s := range long {
+					if !allBytes(s, 0xEE) {
+						t.Fatalf("the longer call's segment %d was written by the shorter one", i)
+					}
+				}
+
+				buf := make([]byte, len(content))
+				if n, err := p.PreadInto(fd, buf, 0); err != nil || n != len(buf) {
+					t.Fatalf("64 KiB pread: n=%d err=%v", n, err)
+				}
+				fillEE(buf)
+				if n, err := p.PreadInto(fd, buf[:20<<10], 0); err != nil || n != 20<<10 {
+					t.Fatalf("20 KiB pread: n=%d err=%v", n, err)
+				}
+				if !bytes.Equal(buf[:20<<10], content[:20<<10]) || !allBytes(buf[20<<10:], 0xEE) {
+					t.Fatal("20 KiB pread after a 64 KiB one: wrong bytes or written past its end")
+				}
+
+				// Write the long call's bytes, then a shorter call's: the
+				// file holds the short bytes and then the long ones.
+				mustPwrite(t, p, fd, content, 0)
+				rewrite := bytes.Repeat([]byte{byte(round)}, 20<<10)
+				mustPwrite(t, p, fd, rewrite, 0)
+				if n, err := p.PreadInto(fd, buf, 0); err != nil || n != len(buf) {
+					t.Fatalf("read back: n=%d err=%v", n, err)
+				}
+				if !bytes.Equal(buf[:20<<10], rewrite) || !bytes.Equal(buf[20<<10:], content[20<<10:]) {
+					t.Fatal("file after a long then a short granted pwrite holds the wrong bytes")
+				}
+				mustPwrite(t, p, fd, content, 0)
+			}
+			if got := d.Layer.GrantStats().Calls - before; got != 3*8 {
+				t.Fatalf("%d granted calls, want all 24", got)
+			}
+			for i, n := 0, len(d.Layer.frames); i < n; i++ {
+				f := <-d.Layer.frames
+				for _, v := range f.resolved[:cap(f.resolved)] {
+					if v != nil {
+						t.Fatal("an idle frame still holds a resolved view of an app buffer")
+					}
+				}
+				d.Layer.frames <- f
+			}
+		})
+	}
+}

@@ -66,12 +66,15 @@ type grantEntry struct {
 // install); revoking charges one GrantUnmapTLBShootdown per batch (PTE
 // teardown plus the IPI broadcast). Entries are tagged with the CVM boot
 // generation: a restart revokes everything, and any straggler ref from
-// the old generation fails EHOSTDOWN at Resolve.
+// the old generation fails EHOSTDOWN at Resolve. The table holds its
+// entries by value and never reuses an ID: IDs rise with every grant, so
+// a ref revoked while its call was in flight can never resolve a later
+// grant.
 type GrantTable struct {
 	cvm *CVM
 
 	mu    sync.Mutex
-	slots map[uint32]*grantEntry
+	slots map[uint32]grantEntry
 	next  uint32
 	stats GrantStats
 }
@@ -79,28 +82,29 @@ type GrantTable struct {
 // NewGrantTable builds an empty grant table bound to a launched CVM. The
 // table shares the CVM's clock, model, and trace.
 func NewGrantTable(cvm *CVM) *GrantTable {
-	return &GrantTable{cvm: cvm, slots: make(map[uint32]*grantEntry)}
+	return &GrantTable{cvm: cvm, slots: make(map[uint32]grantEntry)}
 }
 
 // GrantBatch pins each buffer and maps it into the guest as one batched
 // update: a single GrantMapCost covers the whole scatter-gather list,
 // which is why vectored calls are the natural consumers of grants. The
 // writable flag marks read-style calls (the guest fills the buffer);
-// write-style calls grant read-only. The returned refs are tagged with
-// the current boot generation. The map is charged to lane l, the task
-// whose call the grants carry.
-func (g *GrantTable) GrantBatch(l *sim.Lane, bufs [][]byte, writable bool) []GrantRef {
+// write-style calls grant read-only. The refs, tagged with the current
+// boot generation, are appended to dst, so a caller that keeps its
+// storage maps without allocating. The map is charged to lane l, the
+// task whose call the grants carry.
+func (g *GrantTable) GrantBatch(l *sim.Lane, bufs [][]byte, writable bool, dst []GrantRef) []GrantRef {
 	gen := g.cvm.Generation()
 	g.cvm.clock.Charge(l, g.cvm.model.GrantMapCost)
-	refs := make([]GrantRef, len(bufs))
+	refs := dst
 	now := g.cvm.clock.Now()
 	g.mu.Lock()
 	g.stats.Maps++
-	for i, buf := range bufs {
+	for _, buf := range bufs {
 		g.next++
 		id := g.next
-		g.slots[id] = &grantEntry{buf: buf, writable: writable, gen: gen, issuedAt: now}
-		refs[i] = GrantRef{ID: id, Gen: uint32(gen), Len: uint32(len(buf))}
+		g.slots[id] = grantEntry{buf: buf, writable: writable, gen: gen, issuedAt: now}
+		refs = append(refs, GrantRef{ID: id, Gen: uint32(gen), Len: uint32(len(buf))})
 		g.stats.Entries++
 		g.stats.BytesGranted += int64(len(buf))
 	}
@@ -164,7 +168,7 @@ func (g *GrantTable) RevokeAll() int {
 	g.mu.Lock()
 	n := len(g.slots)
 	if n > 0 {
-		g.slots = make(map[uint32]*grantEntry)
+		clear(g.slots)
 	}
 	g.stats.Revokes++
 	g.stats.RevokedByRestart += n

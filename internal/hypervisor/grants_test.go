@@ -7,6 +7,7 @@ import (
 
 	"anception/internal/abi"
 	"anception/internal/kernel"
+	"anception/internal/sim"
 )
 
 func TestGrantBatchResolveRoundTrip(t *testing.T) {
@@ -14,7 +15,7 @@ func TestGrantBatchResolveRoundTrip(t *testing.T) {
 	g := NewGrantTable(c)
 
 	bufs := [][]byte{[]byte("alpha"), []byte("beta")}
-	refs := g.GrantBatch(nil, bufs, true)
+	refs := g.GrantBatch(nil, bufs, true, nil)
 	if len(refs) != 2 {
 		t.Fatalf("refs = %d", len(refs))
 	}
@@ -45,7 +46,7 @@ func TestGrantBatchChargesOneMapPerBatch(t *testing.T) {
 	model := c.model
 
 	before := c.clock.Now()
-	refs := g.GrantBatch(nil, [][]byte{make([]byte, 4096), make([]byte, 4096), make([]byte, 4096)}, false)
+	refs := g.GrantBatch(nil, [][]byte{make([]byte, 4096), make([]byte, 4096), make([]byte, 4096)}, false, nil)
 	if got := c.clock.Now() - before; got != model.GrantMapCost {
 		t.Fatalf("3-entry map charged %v, want one GrantMapCost (%v)", got, model.GrantMapCost)
 	}
@@ -63,7 +64,7 @@ func TestGrantBatchChargesOneMapPerBatch(t *testing.T) {
 func TestGrantResolveAfterRevokeIsENXIO(t *testing.T) {
 	c := launchTestCVM(t, kernel.NewPhysical(1<<30))
 	g := NewGrantTable(c)
-	refs := g.GrantBatch(nil, [][]byte{make([]byte, 8)}, false)
+	refs := g.GrantBatch(nil, [][]byte{make([]byte, 8)}, false, nil)
 	g.RevokeBatch(nil, refs)
 	if _, err := g.Resolve(refs[0]); !errors.Is(err, abi.ENXIO) {
 		t.Fatalf("revoked grant resolved with err=%v, want ENXIO", err)
@@ -75,7 +76,7 @@ func TestGrantResolveAfterRevokeIsENXIO(t *testing.T) {
 func TestGrantStaleGenerationIsEHOSTDOWN(t *testing.T) {
 	c := launchTestCVM(t, kernel.NewPhysical(1<<30))
 	g := NewGrantTable(c)
-	refs := g.GrantBatch(nil, [][]byte{make([]byte, 4096)}, true)
+	refs := g.GrantBatch(nil, [][]byte{make([]byte, 4096)}, true, nil)
 
 	if err := c.Relaunch(); err != nil {
 		t.Fatal(err)
@@ -91,7 +92,7 @@ func TestGrantStaleGenerationIsEHOSTDOWN(t *testing.T) {
 	}
 
 	// A fresh grant from the new generation works.
-	fresh := g.GrantBatch(nil, [][]byte{make([]byte, 16)}, true)
+	fresh := g.GrantBatch(nil, [][]byte{make([]byte, 16)}, true, nil)
 	if _, err := g.Resolve(fresh[0]); err != nil {
 		t.Fatalf("new-generation grant: %v", err)
 	}
@@ -121,7 +122,7 @@ func TestGrantConcurrentMapRevokeDuringRelaunch(t *testing.T) {
 					return
 				default:
 				}
-				refs := g.GrantBatch(nil, [][]byte{buf}, i%2 == 0)
+				refs := g.GrantBatch(nil, [][]byte{buf}, i%2 == 0, nil)
 				got, err := g.Resolve(refs[0])
 				switch {
 				case err == nil:
@@ -166,8 +167,8 @@ func TestGrantConcurrentMapRevokeDuringRelaunch(t *testing.T) {
 func TestGrantRevokeAllSweepsEverything(t *testing.T) {
 	c := launchTestCVM(t, kernel.NewPhysical(1<<30))
 	g := NewGrantTable(c)
-	g.GrantBatch(nil, [][]byte{make([]byte, 1), make([]byte, 2)}, false)
-	g.GrantBatch(nil, [][]byte{make([]byte, 3)}, true)
+	g.GrantBatch(nil, [][]byte{make([]byte, 1), make([]byte, 2)}, false, nil)
+	g.GrantBatch(nil, [][]byte{make([]byte, 3)}, true, nil)
 	if n := g.RevokeAll(); n != 3 {
 		t.Fatalf("RevokeAll swept %d, want 3", n)
 	}
@@ -177,5 +178,81 @@ func TestGrantRevokeAllSweepsEverything(t *testing.T) {
 	// An empty sweep still completes (restart with nothing in flight).
 	if n := g.RevokeAll(); n != 0 {
 		t.Fatalf("second RevokeAll swept %d", n)
+	}
+}
+
+// launchQuietCVM is launchTestCVM without a trace, so the grant table's
+// own allocations are all a test sees.
+func launchQuietCVM(t *testing.T) *CVM {
+	t.Helper()
+	c, err := Launch(kernel.NewPhysical(1<<30), Config{
+		Clock:              sim.NewClock(),
+		Model:              sim.DefaultLatencyModel(),
+		MemoryBytes:        64 << 20,
+		KernelReserveBytes: 15 << 20,
+		ChannelPages:       16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestGrantBatchAllocs: the table holds its entries by value and appends
+// refs into the caller's storage, so a map, resolve and revoke cycle
+// allocates nothing once the table has held that many entries.
+func TestGrantBatchAllocs(t *testing.T) {
+	g := NewGrantTable(launchQuietCVM(t))
+	bufs := [][]byte{make([]byte, 64<<10), make([]byte, 4096)}
+	refs := make([]GrantRef, 0, len(bufs))
+	cycle := func() {
+		refs = g.GrantBatch(nil, bufs, true, refs[:0])
+		for i, ref := range refs {
+			if b, err := g.Resolve(ref); err != nil || &b[0] != &bufs[i][0] {
+				t.Fatalf("resolve %+v: %v", ref, err)
+			}
+		}
+		g.RevokeBatch(nil, refs)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Errorf("grant/resolve/revoke cycle: %v allocs, want 0", n)
+	}
+}
+
+// TestGrantRefNeverResolvesLaterGrant: IDs are never reused, so a ref
+// revoked in flight still fails ENXIO after 10k later grants have come
+// and gone, and a ref from an earlier boot still fails EHOSTDOWN.
+func TestGrantRefNeverResolvesLaterGrant(t *testing.T) {
+	c := launchQuietCVM(t)
+	g := NewGrantTable(c)
+	stale := g.GrantBatch(nil, [][]byte{make([]byte, 16)}, true, nil)
+	if err := c.Relaunch(); err != nil {
+		t.Fatal(err)
+	}
+	g.RevokeAll()
+	revoked := g.GrantBatch(nil, [][]byte{make([]byte, 16)}, false, nil)
+	g.RevokeBatch(nil, revoked)
+
+	later := make([]byte, 16)
+	var refs []GrantRef
+	for i := 0; i < 10000; i++ {
+		refs = g.GrantBatch(nil, [][]byte{later}, i%2 == 0, refs[:0])
+		if refs[0].ID <= revoked[0].ID {
+			t.Fatalf("grant %d got id %d, not above the revoked ref's %d", i, refs[0].ID, revoked[0].ID)
+		}
+		if i%1000 == 999 { // a few stay live while the others come and go
+			continue
+		}
+		g.RevokeBatch(nil, refs)
+	}
+	if _, err := g.Resolve(revoked[0]); !errors.Is(err, abi.ENXIO) {
+		t.Errorf("revoked ref after 10k later grants: err=%v, want ENXIO", err)
+	}
+	if _, err := g.Resolve(stale[0]); !errors.Is(err, abi.EHOSTDOWN) {
+		t.Errorf("stale-generation ref after 10k later grants: err=%v, want EHOSTDOWN", err)
+	}
+	if got := g.Active(); got != 10 {
+		t.Errorf("active = %d, want the 10 left live", got)
 	}
 }

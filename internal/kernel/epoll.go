@@ -46,12 +46,6 @@ func (ep *Epoll) del(fd int) {
 	}
 }
 
-func (ep *Epoll) snapshot() []int {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return append([]int(nil), ep.watched...)
-}
-
 func (k *Kernel) sysEpollCreate(t *Task, args Args) Result {
 	fd := t.InstallFD(&FDEntry{Kind: FDEpoll, Epoll: &Epoll{}, Path: "anon_inode:[eventpoll]"})
 	return Result{Ret: int64(fd), FD: fd}
@@ -89,33 +83,46 @@ func (k *Kernel) sysEpollCtl(t *Task, args Args) Result {
 
 // sysEpollWait returns every currently-ready watched descriptor, up to
 // Args.Size (0 = no limit), as an fd list in the result Data with the
-// count in Ret. A socket is ready when it has buffered messages, a
-// non-empty accept backlog, or has been closed. No ready descriptor
-// costs one scheduler quantum, like the other blocking calls.
+// count in Ret; a watched descriptor that was closed leaves the interest
+// list. A socket is ready when it has buffered messages, a non-empty
+// accept backlog, or has been closed. No ready descriptor costs one
+// scheduler quantum, like the other blocking calls. The epoll lock is
+// held across the scan and the task's lock taken under it, never the
+// other way round.
 func (k *Kernel) sysEpollWait(t *Task, args Args) Result {
 	ep, err := k.epollFD(t, args.FD)
 	if err != nil {
 		return k.errResult(err)
 	}
-	var ready []int
-	for _, fd := range ep.snapshot() {
+	var ready []byte
+	n := 0
+	ep.mu.Lock()
+	kept := ep.watched[:0]
+	for i, fd := range ep.watched {
+		if args.Size > 0 && n >= args.Size {
+			kept = append(kept, ep.watched[i:]...)
+			break
+		}
 		e := t.FD(fd)
 		if e == nil {
-			ep.del(fd)
 			continue
 		}
+		kept = append(kept, fd)
 		if e.Kind == FDSocket && socketReady(e.Sock) {
-			ready = append(ready, fd)
-			if args.Size > 0 && len(ready) >= args.Size {
-				break
+			if ready == nil {
+				ready = make([]byte, 0, 4*len(ep.watched[i:]))
 			}
+			ready = abi.AppendFD(ready, fd)
+			n++
 		}
 	}
-	if len(ready) == 0 {
+	ep.watched = kept
+	ep.mu.Unlock()
+	if n == 0 {
 		k.clock.Charge(t.Lane, k.model.SchedulerQuantum)
 		return Result{}
 	}
-	return Result{Ret: int64(len(ready)), Data: abi.EncodeFDList(ready)}
+	return Result{Ret: int64(n), Data: ready}
 }
 
 func socketReady(sk *netstack.Socket) bool {

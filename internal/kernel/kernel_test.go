@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -563,25 +564,31 @@ func itoa(n int) string {
 	return string(digits)
 }
 
-// TestHostFDsOf: guest descriptors translate to the host descriptors of
-// the remote entries naming them, in the order asked; unknown guest fds
-// and non-remote entries are skipped, and a duplicate name resolves to
-// the lowest host fd.
+// TestHostFDsOf: guest descriptors translate in place to the host
+// descriptors of the remote entries naming them, in the order asked;
+// unknown guest fds and non-remote entries are skipped, and a duplicate
+// name resolves to the lowest host fd.
 func TestHostFDsOf(t *testing.T) {
 	task := newTask(10, 1, abi.Cred{UID: abi.UIDAppBase}, "app")
 	a := task.InstallFD(&FDEntry{Kind: FDRemote, GuestFD: 7})
 	b := task.InstallFD(&FDEntry{Kind: FDRemote, GuestFD: 9})
 	task.InstallFD(&FDEntry{Kind: FDFile, GuestFD: 11}) // not remote
 	dup := task.InstallFD(&FDEntry{Kind: FDRemote, GuestFD: 7})
-	got := task.HostFDsOf([]int{9, 11, 7, 42})
+	var list []byte
+	for _, g := range []int{9, 11, 7, 42} {
+		list = abi.AppendFD(list, g)
+	}
+	out := task.HostFDsOf(list)
+	got, err := abi.DecodeFDList(out)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []int{b, min(a, dup)}
-	if len(got) != len(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("HostFDsOf = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("HostFDsOf = %v, want %v", got, want)
-		}
+	if &out[0] != &list[0] {
+		t.Fatal("HostFDsOf did not translate in place")
 	}
 	if out := task.HostFDsOf(nil); len(out) != 0 {
 		t.Fatalf("no guest fds translated to %v", out)

@@ -92,11 +92,11 @@ func (k *Kernel) sysAccept4(t *Task, args Args) Result {
 	if err != nil {
 		return k.errResult(err)
 	}
-	fds := make([]int, len(conns))
-	for i, conn := range conns {
-		fds[i] = t.InstallFD(&FDEntry{Kind: FDSocket, Sock: conn})
+	list := make([]byte, 0, 4*len(conns))
+	for _, conn := range conns {
+		list = abi.AppendFD(list, t.InstallFD(&FDEntry{Kind: FDSocket, Sock: conn}))
 	}
-	return Result{Ret: int64(len(fds)), Data: abi.EncodeFDList(fds)}
+	return Result{Ret: int64(len(conns)), Data: list}
 }
 
 func (k *Kernel) sysSend(t *Task, args Args) Result {

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"path"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -265,28 +264,38 @@ func (t *Task) CloseFD(fd int) *FDEntry {
 	return e
 }
 
-// HostFDsOf returns, in the order of guest, the host descriptor whose
-// remote entry names each guest descriptor. A guest descriptor no entry
-// names is skipped; where several name one, the lowest host descriptor
-// wins. The table is scanned once under the task lock and not copied.
-func (t *Task) HostFDsOf(guest []int) []int {
-	found := make([]int, len(guest))
-	for i := range found {
-		found[i] = -1
+// HostFDsOf translates a descriptor list of guest descriptors (abi's
+// list encoding) in place: each becomes the host descriptor whose remote
+// entry names it, in the order given. A guest descriptor no entry names
+// is dropped; where several name one, the lowest host descriptor wins.
+// It returns the translated prefix of guest. The table is scanned once
+// under the task lock and not copied.
+func (t *Task) HostFDsOf(guest []byte) []byte {
+	var foundArr [16]int // anception.DefaultNetBatch; longer lists allocate
+	found := foundArr[:0]
+	for range len(guest) / 4 {
+		found = append(found, -1)
 	}
 	t.mu.Lock()
 	for fd, e := range t.fds {
 		if e.Kind != FDRemote {
 			continue
 		}
-		for i, g := range guest {
-			if g == e.GuestFD && (found[i] < 0 || fd < found[i]) {
+		for i := range found {
+			if abi.FDAt(guest, i) == e.GuestFD && (found[i] < 0 || fd < found[i]) {
 				found[i] = fd
 			}
 		}
 	}
 	t.mu.Unlock()
-	return slices.DeleteFunc(found, func(fd int) bool { return fd < 0 })
+	n := 0
+	for _, fd := range found {
+		if fd >= 0 {
+			abi.PutFD(guest, n, fd)
+			n++
+		}
+	}
+	return guest[:4*n]
 }
 
 // FDs returns a snapshot of the descriptor table.

@@ -284,15 +284,18 @@ func DecodeArgs(b []byte, a *kernel.Args) error {
 // equal the one kept is returned as that string, not copied again, so a
 // transport that decodes the same paths over and over allocates none.
 // The kept strings are copies, never views into a frame, and only a
-// decode that carries the field replaces them. ArgsBatch decodes into
-// storage the decoder keeps, as ChainDecoder does. The zero value is
-// ready; a Decoder must not be used concurrently.
+// decode that carries the field replaces them. ArgsBatch and GrantCall
+// decode into storage the decoder keeps, as ChainDecoder does. The zero
+// value is ready; a Decoder must not be used concurrently.
 type Decoder struct {
 	path, path2, addr string
 	// batch and calls are ArgsBatch's storage, grown to the longest
 	// batch decoded.
 	batch []kernel.Args
 	calls []*kernel.Args
+	// sg is GrantCall's descriptor, its entries grown to the longest
+	// descriptor decoded.
+	sg SGDescriptor
 }
 
 // keep returns b as a string: *prev when the bytes are equal (comparing
@@ -507,8 +510,13 @@ type resultErr struct {
 }
 
 func resultErrOf(res kernel.Result) resultErr {
-	if res.Err == nil {
+	// A bare errno, the common case, needs no errors.As: its target would
+	// move to the heap on every error result.
+	switch err := res.Err.(type) {
+	case nil:
 		return resultErr{}
+	case abi.Errno:
+		return resultErr{isErrno: true, errno: err}
 	}
 	var errno abi.Errno
 	if errors.As(res.Err, &errno) {

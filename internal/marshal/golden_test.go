@@ -250,3 +250,18 @@ func goldenGrantArgs() *kernel.Args {
 }
 
 func goldenBinderFrame() []byte { return []byte("\x00SES\x01\x00\x00\x00payload") }
+
+// TestAppendResultErrnoAllocs: an error result whose Err is a bare errno,
+// the guest's common failure, encodes into a roomy frame without
+// allocating; a wrapped errno still encodes as its errno.
+func TestAppendResultErrnoAllocs(t *testing.T) {
+	frame := make([]byte, 0, 256)
+	bare := kernel.Result{Ret: -1, Err: abi.EAGAIN}
+	if n := testing.AllocsPerRun(100, func() { frame = AppendResult(frame[:0], bare) }); n != 0 {
+		t.Errorf("AppendResult of a bare errno: %v allocs, want 0", n)
+	}
+	wrapped := AppendResult(nil, kernel.Result{Ret: -1, Err: fmt.Errorf("walk: %w", abi.EAGAIN)})
+	if !bytes.Equal(wrapped, AppendResult(nil, bare)) {
+		t.Errorf("wrapped errno encodes as %x, bare as %x", wrapped, AppendResult(nil, bare))
+	}
+}

@@ -76,24 +76,29 @@ func encodeSG(w *writer, d *SGDescriptor) {
 	}
 }
 
-// DecodeSG reverses AppendSG. The entry count is validated against both
-// the sgMaxEntries cap and the bytes actually present, so truncated or
-// hostile input fails cleanly instead of allocating.
-func DecodeSG(b []byte) (*SGDescriptor, error) {
+// decodeSG reverses AppendSG into d, reusing its entry storage. The
+// entry count is validated against both the sgMaxEntries cap and the
+// bytes actually present, so truncated or hostile input fails cleanly
+// instead of allocating.
+func decodeSG(b []byte, d *SGDescriptor) error {
 	r := &reader{buf: b}
 	wr := r.u8()
 	n := r.u32()
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if wr > 1 {
-		return nil, fmt.Errorf("marshal: bad sg writable flag %d: %w", wr, abi.EINVAL)
+		return fmt.Errorf("marshal: bad sg writable flag %d: %w", wr, abi.EINVAL)
 	}
 	if n < 0 || n > sgMaxEntries || len(b)-r.pos < n*16 {
-		return nil, fmt.Errorf("marshal: bad sg entry count %d: %w", n, abi.EINVAL)
+		return fmt.Errorf("marshal: bad sg entry count %d: %w", n, abi.EINVAL)
 	}
-	d := &SGDescriptor{Writable: wr == 1, Entries: make([]SGEntry, n)}
-	for i := 0; i < n; i++ {
+	d.Writable = wr == 1
+	if cap(d.Entries) < n {
+		d.Entries = make([]SGEntry, n)
+	}
+	d.Entries = d.Entries[:n]
+	for i := range d.Entries {
 		d.Entries[i] = SGEntry{
 			ID:  uint32(r.u32()),
 			Gen: uint32(r.u32()),
@@ -102,12 +107,12 @@ func DecodeSG(b []byte) (*SGDescriptor, error) {
 		}
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if r.pos != len(b) {
-		return nil, fmt.Errorf("marshal: %d trailing bytes after sg descriptor: %w", len(b)-r.pos, abi.EINVAL)
+		return fmt.Errorf("marshal: %d trailing bytes after sg descriptor: %w", len(b)-r.pos, abi.EINVAL)
 	}
-	return d, nil
+	return nil
 }
 
 // AppendGrantCall appends a zero-copy call frame: the magic byte, the
@@ -127,20 +132,33 @@ func IsGrantCall(b []byte) bool {
 	return len(b) > 0 && b[0] == grantCallMagic
 }
 
-// DecodeGrantCall splits a grant-call frame back into its descriptor and
-// args payload (a view into b).
-func DecodeGrantCall(b []byte) (*SGDescriptor, []byte, error) {
+// splitGrantCall decodes a grant-call frame's descriptor into d and
+// returns its args payload (a view into b).
+func splitGrantCall(b []byte, d *SGDescriptor) ([]byte, error) {
 	if !IsGrantCall(b) {
-		return nil, nil, fmt.Errorf("marshal: not a grant call: %w", abi.EINVAL)
+		return nil, fmt.Errorf("marshal: not a grant call: %w", abi.EINVAL)
 	}
 	r := &reader{buf: b, pos: 1}
 	n := r.u32()
 	if r.err != nil || n < 0 || r.pos+n > len(b) {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
-	d, err := DecodeSG(b[r.pos : r.pos+n])
+	if err := decodeSG(b[r.pos:r.pos+n], d); err != nil {
+		return nil, err
+	}
+	return b[r.pos+n:], nil
+}
+
+// GrantCall reverses AppendGrantCall: the descriptor is decoded into
+// storage the decoder keeps, and the stripped args into a as Args decodes
+// them. The descriptor it returns is valid until the next GrantCall.
+func (dec *Decoder) GrantCall(b []byte, a *kernel.Args) (*SGDescriptor, error) {
+	rest, err := splitGrantCall(b, &dec.sg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return d, b[r.pos+n:], nil
+	if err := dec.Args(rest, a); err != nil {
+		return nil, err
+	}
+	return &dec.sg, nil
 }

@@ -3,6 +3,7 @@ package marshal
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"anception/internal/abi"
@@ -17,8 +18,8 @@ func TestSGRoundTrip(t *testing.T) {
 			{ID: 9, Gen: 3, Off: 512, Len: 65536},
 		},
 	}
-	out, err := DecodeSG(AppendSG(nil, in))
-	if err != nil {
+	out := &SGDescriptor{}
+	if err := decodeSG(AppendSG(nil, in), out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Writable != in.Writable || len(out.Entries) != len(in.Entries) {
@@ -35,8 +36,8 @@ func TestSGRoundTrip(t *testing.T) {
 }
 
 func TestSGEmptyDescriptor(t *testing.T) {
-	out, err := DecodeSG(AppendSG(nil, &SGDescriptor{}))
-	if err != nil {
+	out := &SGDescriptor{Writable: true, Entries: []SGEntry{{ID: 1}}}
+	if err := decodeSG(AppendSG(nil, &SGDescriptor{}), out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Writable || len(out.Entries) != 0 || out.TotalLen() != 0 {
@@ -55,7 +56,7 @@ func TestDecodeSGRejectsHostileInput(t *testing.T) {
 		"count past bytes": {0, 2, 5, 0, 0, 0},
 	}
 	for name, b := range cases {
-		if _, err := DecodeSG(b); err == nil {
+		if err := decodeSG(b, &SGDescriptor{}); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -74,7 +75,8 @@ func TestGrantCallFrameRoundTrip(t *testing.T) {
 		t.Fatal("plain args payload misread as grant call")
 	}
 
-	gotDesc, gotArgs, err := DecodeGrantCall(frame)
+	gotDesc := &SGDescriptor{}
+	gotArgs, err := splitGrantCall(frame, gotDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +101,11 @@ func TestDecodeGrantCallRejectsTruncation(t *testing.T) {
 	// Every cut inside the magic, length prefix or descriptor must fail;
 	// the args frame after it is decoded separately.
 	for cut := 1; cut < 1+4+len(AppendSG(nil, desc)); cut++ {
-		if _, _, err := DecodeGrantCall(frame[:cut]); err == nil {
+		if _, err := splitGrantCall(frame[:cut], &SGDescriptor{}); err == nil {
 			t.Fatalf("frame truncated to %d bytes decoded without error", cut)
 		}
 	}
-	if _, _, err := DecodeGrantCall([]byte("not a grant")); !errors.Is(err, abi.EINVAL) {
+	if _, err := splitGrantCall([]byte("not a grant"), &SGDescriptor{}); !errors.Is(err, abi.EINVAL) {
 		t.Fatalf("non-grant payload: %v", err)
 	}
 }
@@ -121,17 +123,48 @@ func FuzzDecodeSG(f *testing.F) {
 	f.Add([]byte{grantCallMagic, 2, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add([]byte{0, 2, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if d, err := DecodeSG(data); err == nil && d == nil {
-			t.Fatal("nil descriptor without error")
+		var d SGDescriptor
+		if err := decodeSG(data, &d); err == nil && len(d.Entries) > sgMaxEntries {
+			t.Fatalf("%d entries decoded past the cap", len(d.Entries))
 		}
 		if IsGrantCall(data) {
-			d, rest, err := DecodeGrantCall(data)
-			if err == nil {
-				if d == nil {
-					t.Fatal("nil descriptor without error")
-				}
-				_, _ = decodeArgs(rest)
+			var dec Decoder
+			var a kernel.Args
+			if g, err := dec.GrantCall(data, &a); err == nil && g == nil {
+				t.Fatal("nil descriptor without error")
 			}
 		}
 	})
+}
+
+// TestGrantCallDecodeAllocs: a Decoder that decodes grant calls keeps
+// the descriptor's entries, so a repeated call allocates nothing, and a
+// shorter descriptor after a longer one yields exactly its own entries.
+func TestGrantCallDecodeAllocs(t *testing.T) {
+	long := &SGDescriptor{Writable: true, Entries: []SGEntry{{ID: 7, Gen: 2, Len: 4096}, {ID: 8, Gen: 2, Off: 16, Len: 512}}}
+	short := &SGDescriptor{Entries: []SGEntry{{ID: 9, Gen: 2, Len: 65536}}}
+	call := &kernel.Args{Nr: abi.SysPwrite64, FD: 5, Size: 65536, Off: 4096}
+	longFrame, shortFrame := AppendGrantCall(nil, long, call), AppendGrantCall(nil, short, call)
+	var dec Decoder
+	var a kernel.Args
+	decode := func(frame []byte, want *SGDescriptor) {
+		d, err := dec.GrantCall(frame, &a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Writable != want.Writable || !slices.Equal(d.Entries, want.Entries) {
+			t.Fatalf("descriptor %+v, want %+v", d, want)
+		}
+		if a.Nr != call.Nr || a.FD != call.FD || a.Size != call.Size || a.Off != call.Off {
+			t.Fatalf("args %+v, want %+v", a, call)
+		}
+	}
+	decode(longFrame, long)
+	decode(shortFrame, short)
+	if n := testing.AllocsPerRun(100, func() { decode(longFrame, long) }); n != 0 {
+		t.Errorf("repeated grant-call decode: %v allocs, want 0", n)
+	}
+	if _, err := dec.GrantCall([]byte("not a grant"), &a); !errors.Is(err, abi.EINVAL) {
+		t.Errorf("non-grant payload: %v", err)
+	}
 }

@@ -47,7 +47,7 @@ func TestSupervisedRestartRevokesDeviceGrants(t *testing.T) {
 	}
 
 	// A grant stranded across the panic, as an in-flight call would leave.
-	refs := d.Grants().GrantBatch(nil, [][]byte{make([]byte, abi.PageSize)}, true)
+	refs := d.Grants().GrantBatch(nil, [][]byte{make([]byte, abi.PageSize)}, true, nil)
 
 	d.InjectGuestPanic("grant drill")
 	if err := sup.RunUntilHealthy(50); err != nil {
