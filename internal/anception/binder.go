@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,10 +144,15 @@ func (fp *binderFastPath) snapshot() BinderStats {
 	}
 }
 
+// replyKeyFor keys a transaction's reply by service, code and the FNV-1a
+// hash of its payload.
 func replyKeyFor(txn binder.Transaction) binderReplyKey {
-	h := fnv.New64a()
-	h.Write(txn.Payload)
-	return binderReplyKey{service: txn.Service, code: txn.Code, hash: h.Sum64()}
+	h := uint64(14695981039346656037)
+	for _, b := range txn.Payload {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return binderReplyKey{service: txn.Service, code: txn.Code, hash: h}
 }
 
 // lookupReply serves a cached reply if one exists for the current boot
@@ -292,8 +296,9 @@ func (l *Layer) BinderStats() BinderStats {
 // container. With the fast path off this is the paper's synchronous
 // +19 ms bridge; with Options.BinderSessions it dispatches on a pinned
 // session (ring-pipelined when the async ring is active), and with
-// Options.BinderReplyCache idempotent replies are served host-side.
-func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, args *kernel.Args, txn binder.Transaction) kernel.Result {
+// Options.BinderReplyCache idempotent replies are served host-side. txn
+// is decoded from the frame's copy of the app's transaction, f.txn.
+func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, f *callFrame, txn binder.Transaction) kernel.Result {
 	g := st.guest
 	if g.Panicked() != "" {
 		if cur := l.currentState(); cur.degraded || cur.guest != g {
@@ -328,7 +333,7 @@ func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, args *kernel.Args, 
 				fp.replyHits.Add(1)
 				l.counters.binderBridged.Add(1)
 				l.clock.Charge(t.Lane, l.model.CacheLookup+
-					time.Duration(len(args.Buf)+len(data))*l.model.MarshalPerByte)
+					time.Duration(len(f.txn)+len(data))*l.model.MarshalPerByte)
 				if l.trace != nil {
 					l.trace.Record(sim.EvBinderSession, "reply cache hit %q code=%d (%d B)",
 						txn.Service, txn.Code, len(data))
@@ -341,7 +346,7 @@ func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, args *kernel.Args, 
 	var res kernel.Result
 	var gen int
 	if fp != nil && fp.sessions {
-		res, gen = l.bridgeBinderSession(st, t, args, txn)
+		res, gen = l.bridgeBinderSession(st, t, f, txn)
 	} else {
 		if readOnly {
 			// Pin the boot generation before dispatch so a restart that
@@ -351,7 +356,7 @@ func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, args *kernel.Args, 
 			gen = fp.gen
 			fp.mu.Unlock()
 		}
-		res = l.bridgeBinderSync(st, t, args, txn)
+		res = l.bridgeBinderSync(st, t, f, txn)
 	}
 	if readOnly && res.Err == nil {
 		fp.storeReply(replyKeyFor(txn), res.Data, gen, l.clock.Now())
@@ -363,15 +368,15 @@ func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, args *kernel.Args, 
 // round-trip paying the full +19 ms penalty (Section VI-A). Its charging
 // is what reproduces the paper's 31.0 -> 31.3 ms Table I rows, so it is
 // byte-for-byte independent of every fast-path knob.
-func (l *Layer) bridgeBinderSync(st *layerState, t *kernel.Task, args *kernel.Args, txn binder.Transaction) kernel.Result {
+func (l *Layer) bridgeBinderSync(st *layerState, t *kernel.Task, f *callFrame, txn binder.Transaction) kernel.Result {
 	l.counters.binderBridged.Add(1)
 	l.clock.Charge(t.Lane, l.model.BinderTransaction+
 		l.model.BinderCVMPenalty+
-		time.Duration(len(args.Buf))*l.model.BinderCVMPerByte)
+		time.Duration(len(f.txn))*l.model.BinderCVMPerByte)
 	if l.trace != nil {
 		l.trace.Record(sim.EvBinder, "bridged binder txn %q from pid=%d to CVM", txn.Service, t.PID)
 	}
-	out, err := st.guest.Binder().TransactDecoded(t.Cred, txn)
+	out, err := st.guest.Binder().Transact(t.Cred, txn)
 	if err != nil {
 		return kernel.Result{Ret: -1, Err: err}
 	}
@@ -383,7 +388,7 @@ func (l *Layer) bridgeBinderSync(st *layerState, t *kernel.Task, args *kernel.Ar
 // reply cache can pin its entry. Unlike the uncached bridge (which
 // predates the circuit breaker and stays untouched), the fast path obeys
 // degraded mode like the rest of the redirection machinery.
-func (l *Layer) bridgeBinderSession(st *layerState, t *kernel.Task, args *kernel.Args, txn binder.Transaction) (kernel.Result, int) {
+func (l *Layer) bridgeBinderSession(st *layerState, t *kernel.Task, f *callFrame, txn binder.Transaction) (kernel.Result, int) {
 	fp := l.binder
 	if !l.enterGuestCall(st) {
 		l.counters.failedFast.Add(1)
@@ -413,7 +418,7 @@ func (l *Layer) bridgeBinderSession(st *layerState, t *kernel.Task, args *kernel
 	if setup {
 		fixed = l.model.BinderCVMPenalty
 	}
-	perByte := time.Duration(len(args.Buf)) * l.model.BinderCVMPerByte
+	perByte := time.Duration(len(f.txn)) * l.model.BinderCVMPerByte
 
 	if ring, ok := st.transport.(marshal.AsyncTransport); ok {
 		// The session fixed cost includes the synchronous world-switch
@@ -424,7 +429,7 @@ func (l *Layer) bridgeBinderSession(st *layerState, t *kernel.Task, args *kernel
 		if pipeFixed < 0 {
 			pipeFixed = 0
 		}
-		return l.bridgeBinderRing(st, ring, t, txn, sid, pipeFixed+perByte), gen
+		return l.bridgeBinderRing(st, ring, t, f, txn, sid, pipeFixed+perByte), gen
 	}
 
 	l.clock.Charge(t.Lane, l.model.BinderTransaction+fixed+perByte)
@@ -480,16 +485,14 @@ func (l *Layer) ensureBinderSession(st *layerState, t *kernel.Task, service stri
 // service handling (BinderTransaction) is charged where the slot is
 // served, and restarts fail the slot EHOSTDOWN via the ring's
 // boot-generation check. A oneway transaction is served before the call
-// returns like any other; only its reply is dropped.
-func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t *kernel.Task, txn binder.Transaction, sid uint32, hostCost time.Duration) kernel.Result {
+// returns like any other; only its reply is dropped. The session call is
+// encoded from the frame's copy straight into its request.
+func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t *kernel.Task, f *callFrame, txn binder.Transaction, sid uint32, hostCost time.Duration) kernel.Result {
 	fp := l.binder
 	fp.pipelined.Add(1)
-	frame := binder.EncodeSessionFrame(binder.SessionFrame{
+	f.req = marshal.AppendBinderSession(f.req[:0], marshal.BinderSession{
 		Session: sid, Code: txn.Code, Payload: txn.Payload, Oneway: txn.Oneway,
 	})
-	f := l.getFrame()
-	defer l.putFrame(f)
-	f.req = marshal.AppendBinderCall(f.req[:0], frame)
 	l.clock.Charge(t.Lane, hostCost)
 	if l.trace != nil {
 		l.trace.Record(sim.EvBinder, "pipelined binder txn %q sid=%d from pid=%d", txn.Service, sid, t.PID)
@@ -540,15 +543,12 @@ func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t 
 	return res
 }
 
-// execBinder is the guest handler of a binder session frame: decode it,
-// charge the guest-side service handling where it runs, and transact on
-// the pinned session with the submitter's credentials.
+// execBinder is the guest handler of a binder session frame: decode it
+// as views into req, charge the guest-side service handling where it
+// runs, and transact on the pinned session with the submitter's
+// credentials.
 func (f *callFrame) execBinder(req []byte) []byte {
-	inner, err := marshal.DecodeBinderCall(req)
-	if err != nil {
-		return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
-	}
-	sf, err := binder.DecodeSessionFrame(inner)
+	sf, err := f.dec.BinderSession(req)
 	if err != nil {
 		return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
 	}

@@ -10,6 +10,9 @@ import (
 
 	"anception/internal/abi"
 	"anception/internal/android"
+	"anception/internal/binder"
+	"anception/internal/kernel"
+	"anception/internal/marshal"
 )
 
 // bootBinderDevice boots an Anception device with the given binder
@@ -386,5 +389,31 @@ func TestBinderRestartUnderLoad(t *testing.T) {
 	binderIdentity(t, d)
 	if st := d.BinderStats(); st.SessionsOpened < 5 {
 		t.Fatalf("restarts left no trace in the fast path: %+v", st)
+	}
+}
+
+// TestBinderFetchedOnce: the host decodes an app's transaction from the
+// copy it fetched into the call frame, so bytes the app rewrites while
+// the call is in flight (here, from inside the service) reach neither the
+// service nor anything checked before it, on every bridge.
+func TestBinderFetchedOnce(t *testing.T) {
+	for _, br := range binderBridges {
+		t.Run(br.name, func(t *testing.T) {
+			d, p, fd := bootBinderDevice(t, br.opts)
+			arg := marshal.AppendBinderTxn(nil, binder.Transaction{Service: "probe", Code: 1, Payload: []byte("checked")})
+			var seen string
+			err := d.Guest.Binder().Register("probe", false, func(_ abi.Cred, _ uint32, data []byte) ([]byte, error) {
+				copy(arg[len(arg)-len("changed"):], "changed")
+				seen = string(data)
+				return nil, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := p.Syscall(kernel.Args{Nr: abi.SysIoctl, FD: fd, Request: binder.IocTransact, Buf: arg})
+			if !res.Ok() || seen != "checked" {
+				t.Fatalf("service saw %q (%v), want the bytes fetched at the call", seen, res.Err)
+			}
+		})
 	}
 }

@@ -38,8 +38,15 @@ type callFrame struct {
 	reply   []byte      // the guest's encoded reply
 	scratch []byte      // guest-side output buffer of a read-like call
 	args    kernel.Args // guest-side decode of req (views into req)
-	// dec decodes req and keeps the paths and address of the frame's
-	// earlier calls, so a repeated path decodes without a copy. It lives
+	// txn is the host's one copy of an app's binder transaction: routing,
+	// the reply-cache key and dispatch all read it (DESIGN.md §12).
+	txn []byte
+	// results is the guest's result vector of a batch or chain, grown to
+	// the longest the frame has carried.
+	results []kernel.Result
+	// dec decodes req (and txn) and keeps the paths, addresses and binder
+	// service of the frame's earlier calls, so a repeated one decodes
+	// without a copy. It lives
 	// outside args, which every decode resets, and putFrame keeps it.
 	dec marshal.Decoder
 
@@ -84,10 +91,8 @@ type chainFrame struct {
 	args     []kernel.Args
 	wireArgs []kernel.Args
 	wire     []marshal.ChainLink
-	// dec decodes the chain guest-side and the reply host-side; exec is
-	// the guest's result vector.
-	dec  marshal.ChainDecoder
-	exec []kernel.Result
+	// dec decodes the chain guest-side and the reply host-side.
+	dec marshal.ChainDecoder
 }
 
 // chainFor returns the frame's chain scratch with room for n links.
@@ -128,13 +133,16 @@ func (l *Layer) putFrame(f *callFrame) {
 	f.st, f.proxy, f.lane, f.cred = nil, nil, nil, abi.Cred{}
 	clear(f.resolved)
 	f.resolved = f.resolved[:0]
+	clear(f.results)
 	if c := f.chain; c != nil {
 		clear(c.args)
 		clear(c.wireArgs)
-		clear(c.exec)
 	}
 	if cap(f.req) > frameKeepBytes {
 		f.req = nil
+	}
+	if cap(f.txn) > frameKeepBytes {
+		f.txn = nil
 	}
 	if cap(f.reply) > frameKeepBytes {
 		f.reply = nil
@@ -258,8 +266,8 @@ func (f *callFrame) execChain(req []byte) []byte {
 		return f.reply
 	}
 	f.chainScratch(decoded)
-	cr := f.st.proxies.ExecuteChainDrained(f.proxy, decoded, c.exec)
-	c.exec = cr.Results
+	cr := f.st.proxies.ExecuteChainDrained(f.proxy, decoded, f.results)
+	f.results = cr.Results
 	f.reply = marshal.AppendChainResult(f.reply[:0], cr)
 	return tampered(f.st, f.reply)
 }
@@ -363,13 +371,12 @@ func (f *callFrame) execBatch(req []byte) []byte {
 	}
 	// Per-call errors ride home positionally inside the encoded result
 	// vector; the aggregate error serves direct Manager users.
-	var batch []kernel.Result
 	if f.drained {
-		batch, _ = f.st.proxies.ExecuteBatchDrained(f.proxy, decoded)
+		f.results, _ = f.st.proxies.ExecuteBatchDrained(f.proxy, decoded, f.results)
 	} else {
-		batch, _ = f.st.proxies.ExecuteBatch(f.proxy, decoded)
+		f.results, _ = f.st.proxies.ExecuteBatch(f.proxy, decoded, f.results)
 	}
-	f.reply = marshal.AppendResultBatch(f.reply[:0], batch)
+	f.reply = marshal.AppendResultBatch(f.reply[:0], f.results)
 	// The decoded calls are views into req and scratch reads; drop them
 	// so the decoder's storage pins neither once the frame is returned.
 	for _, d := range decoded {

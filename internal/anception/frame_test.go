@@ -236,12 +236,71 @@ func TestRingBinderAllocs(t *testing.T) {
 		if _, err := p.BinderCall(fd, "location", android.CodeGetLocation, nil); err != nil {
 			t.Fatal(err)
 		}
-	}), 5)
+	}), 2)
 	allocGate(t, "ring binder oneway", steadyAllocs(func() {
 		if err := p.BinderCallAsync(fd, "location", android.CodeGetLocation, []byte("ping")); err != nil {
 			t.Fatal(err)
 		}
-	}), 6)
+	}), 1)
+}
+
+// TestPaperBinderBridgeAllocs: a binder call bridged to the CVM on the
+// Paper profile's synchronous bridge. The app's transaction is encoded
+// into the Proc's buffer, copied once into the call frame and decoded
+// there as views, so the one allocation left is the service's reply,
+// which goes to the app as it is.
+func TestPaperBinderBridgeAllocs(t *testing.T) {
+	_, p, fd := bootBinderDevice(t, Options{DisableTrace: true})
+	payload := make([]byte, 128)
+	allocGate(t, "paper binder bridge", steadyAllocs(func() {
+		if _, err := p.BinderCall(fd, "location", android.CodeGetLocation, payload); err != nil {
+			t.Fatal(err)
+		}
+	}), 1)
+}
+
+// TestBinderReplyHitAllocs: a reply-cache hit is keyed and served from
+// the frame's copy; its one allocation is the reply's copy to the app.
+func TestBinderReplyHitAllocs(t *testing.T) {
+	d, p, fd := bootBinderDevice(t, Options{BinderReplyCache: true, DisableTrace: true})
+	payload := make([]byte, 128)
+	before := d.BinderStats().ReplyHits
+	allocGate(t, "binder reply-cache hit", steadyAllocs(func() {
+		if _, err := p.BinderCall(fd, "location", android.CodeGetLocation, payload); err != nil {
+			t.Fatal(err)
+		}
+	}), 1)
+	if hits := d.BinderStats().ReplyHits - before; hits < 200 {
+		t.Fatalf("%d reply-cache hits: the calls were not served from the cache", hits)
+	}
+}
+
+// TestProcBinderEncodeAllocs: Proc.BinderCall encodes into a buffer the
+// Proc reuses. On a Native device whose service replies with bytes it
+// owns, a whole binder call allocates nothing.
+func TestProcBinderEncodeAllocs(t *testing.T) {
+	d, err := NewDevice(Options{Mode: ModeNative, DisableTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	reply := []byte("static")
+	if err := d.Host.Binder().Register("static", false, func(abi.Cred, uint32, []byte) ([]byte, error) {
+		return reply, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p := installAndLaunch(t, d, "com.binder.encode")
+	fd, err := p.OpenBinder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 128)
+	allocGate(t, "proc binder encode", steadyAllocs(func() {
+		if _, err := p.BinderCall(fd, "static", 1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}), 0)
 }
 
 // TestSpeculatedEchoPairAllocs: a send→recv pair the fusion detector

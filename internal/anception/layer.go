@@ -850,10 +850,14 @@ func (l *Layer) handleHostIoctl(t *kernel.Task, args *kernel.Args) (kernel.Resul
 		return kernel.Result{}, false
 	}
 	if binderFD && args.Request == binder.IocTransact {
-		// Decode exactly once; routing (UI test, guest lookup) and the
-		// bridge both work from this Transaction. The guest dispatches
-		// via TransactDecoded, so the bytes are never re-parsed.
-		txn, err := binder.DecodeTransaction(args.Buf)
+		// Fetch once: the transaction is copied into the call frame and
+		// decoded there as views, and routing (UI test, guest lookup),
+		// the reply-cache key and dispatch all read that one copy, so
+		// the app cannot change what was checked before it runs.
+		f := l.getFrame()
+		defer l.putFrame(f)
+		f.txn = append(f.txn[:0], args.Buf...)
+		txn, err := f.dec.BinderTxn(f.txn)
 		if err != nil {
 			// Malformed frame: let the host driver report EINVAL.
 			return kernel.Result{}, false
@@ -867,7 +871,7 @@ func (l *Layer) handleHostIoctl(t *kernel.Task, args *kernel.Args) (kernel.Resul
 		// session fast path when enabled).
 		st := l.currentState()
 		if g := st.guest; g.Panicked() == "" && g.Binder().Lookup(txn.Service) != nil {
-			return l.bridgeBinder(st, t, args, txn), true
+			return l.bridgeBinder(st, t, f, txn), true
 		}
 		// Unknown service: let the host driver report the dead ref.
 		return kernel.Result{}, false

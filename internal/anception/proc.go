@@ -2,12 +2,14 @@ package anception
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"anception/internal/abi"
 	"anception/internal/android"
 	"anception/internal/binder"
 	"anception/internal/kernel"
+	"anception/internal/marshal"
 	"anception/internal/netstack"
 )
 
@@ -20,6 +22,11 @@ type Proc struct {
 	kernel *kernel.Kernel
 	Task   *kernel.Task
 	App    *App
+	// txn is the encode buffer BinderCall and BinderCallAsync reuse.
+	// txnBusy is held while a call uses it; a concurrent call on the same
+	// Proc encodes into a fresh buffer instead.
+	txn     []byte
+	txnBusy atomic.Bool
 }
 
 // Kernel returns the kernel this process traps into.
@@ -460,8 +467,7 @@ func (p *Proc) OpenBinder() (int, error) {
 
 // BinderCall performs one synchronous transaction to a named service.
 func (p *Proc) BinderCall(fd int, service string, code uint32, payload []byte) ([]byte, error) {
-	arg := binder.EncodeTransaction(binder.Transaction{Service: service, Code: code, Payload: payload})
-	res := p.invoke(kernel.Args{Nr: abi.SysIoctl, FD: fd, Request: binder.IocTransact, Buf: arg})
+	res := p.binderIoctl(fd, binder.Transaction{Service: service, Code: code, Payload: payload})
 	if !res.Ok() {
 		return nil, res.Err
 	}
@@ -472,9 +478,26 @@ func (p *Proc) BinderCall(fd int, service string, code uint32, payload []byte) (
 // service runs the request but no reply, and no error from the CVM side
 // of a session, is delivered.
 func (p *Proc) BinderCallAsync(fd int, service string, code uint32, payload []byte) error {
-	arg := binder.EncodeTransaction(binder.Transaction{Service: service, Code: code, Payload: payload, Oneway: true})
-	res := p.invoke(kernel.Args{Nr: abi.SysIoctl, FD: fd, Request: binder.IocTransact, Buf: arg})
-	return res.Err
+	return p.binderIoctl(fd, binder.Transaction{Service: service, Code: code, Payload: payload, Oneway: true}).Err
+}
+
+// binderIoctl encodes txn into the Proc's buffer, or a fresh one while
+// another call holds it, and issues the transaction ioctl.
+func (p *Proc) binderIoctl(fd int, txn binder.Transaction) kernel.Result {
+	var buf []byte
+	owned := p.txnBusy.CompareAndSwap(false, true)
+	if owned {
+		buf = p.txn[:0]
+	}
+	buf = marshal.AppendBinderTxn(buf, txn)
+	res := p.invoke(kernel.Args{Nr: abi.SysIoctl, FD: fd, Request: binder.IocTransact, Buf: buf})
+	if owned {
+		if cap(buf) <= frameKeepBytes {
+			p.txn = buf
+		}
+		p.txnBusy.Store(false)
+	}
+	return res
 }
 
 // WaitInput blocks for the next UI input event routed to this app.

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"anception/internal/abi"
 	"anception/internal/kernel"
@@ -487,6 +489,114 @@ func TestRecycledGrantFrameShowsOnlyNewBytes(t *testing.T) {
 					}
 				}
 				d.Layer.frames <- f
+			}
+		})
+	}
+}
+
+// binderBridges are the bridge's paths: the Paper profile's synchronous
+// bridge, a session on the synchronous channel, a session over the ring,
+// and the Fast profile (ring sessions behind the reply cache).
+var binderBridges = []struct {
+	name string
+	opts Options
+}{
+	{"paper", Options{}},
+	{"session", Options{BinderSessions: true}},
+	{"ring", Options{BinderSessions: true, RingDepth: 8}},
+	{"fast", Options{AutoTune: true}},
+}
+
+// TestRecycledBinderArgShowsOnlyNewBytes: an app's transaction is encoded
+// into a buffer its Proc reuses and copied into a recycled call frame
+// (DESIGN.md §12). After a 128-byte payload, a 4-byte one shows the
+// service exactly its 4 bytes, also through the view's capacity, on a
+// CVM service over every bridge and on a host UI service.
+func TestRecycledBinderArgShowsOnlyNewBytes(t *testing.T) {
+	for _, br := range binderBridges {
+		t.Run(br.name, func(t *testing.T) {
+			d, p, fd := bootBinderDevice(t, br.opts)
+			var seen []byte
+			probe := func(_ abi.Cred, _ uint32, data []byte) ([]byte, error) {
+				seen = bytes.Clone(data[:cap(data)])
+				return []byte("ok"), nil
+			}
+			if err := d.Guest.Binder().Register("probe", false, probe); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Host.Binder().Register("probe-ui", true, probe); err != nil {
+				t.Fatal(err)
+			}
+			long := bytes.Repeat([]byte{'L'}, 128)
+			short := []byte("shrt")
+			for _, svc := range []string{"probe", "probe-ui"} {
+				for round := 0; round < 3; round++ {
+					for _, payload := range [][]byte{long, short} {
+						seen = nil
+						if _, err := p.BinderCall(fd, svc, 1, payload); err != nil {
+							t.Fatalf("%s: %v", svc, err)
+						}
+						if !bytes.Equal(seen, payload) {
+							t.Fatalf("%s round %d: service saw %d bytes %q, want %q", svc, round, len(seen), seen[:min(len(seen), 16)], payload[:min(len(payload), 16)])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRecycledBinderReplyMatchesItsPayload: two apps, two goroutines
+// each, call a read-only echo service in the CVM at once with varied
+// payloads (some of one length and different bytes), through each Proc's
+// encode buffer, the recycled frames and the reply cache. Every reply,
+// cache hits included, is the payload it was keyed by.
+func TestRecycledBinderReplyMatchesItsPayload(t *testing.T) {
+	const echoCode = 1
+	for _, br := range []struct {
+		name string
+		opts Options
+	}{
+		// Concurrent callers share one sim clock, so a slot's span counts
+		// the other callers' charges too: the deadline is kept out of it.
+		{"paper", Options{BinderReplyCache: true, CallDeadline: time.Hour}},
+		{"fast", Options{AutoTune: true, CallDeadline: time.Hour}},
+	} {
+		t.Run(br.name, func(t *testing.T) {
+			d, p1, fd1 := bootBinderDevice(t, br.opts)
+			echo := func(_ abi.Cred, _ uint32, data []byte) ([]byte, error) { return bytes.Clone(data), nil }
+			if err := d.Guest.Binder().Register("echo", false, echo, echoCode); err != nil {
+				t.Fatal(err)
+			}
+			p2 := installAndLaunch(t, d, "com.binder.other")
+			fd2, err := p2.OpenBinder()
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloads := [][]byte{nil, []byte("a"), []byte("b"), []byte("abcd"), []byte("abce"), bytes.Repeat([]byte{7}, 128), bytes.Repeat([]byte{8}, 128)}
+			var wg sync.WaitGroup
+			for caller := 0; caller < 4; caller++ {
+				p, fd := p1, fd1
+				if caller%2 == 1 {
+					p, fd = p2, fd2
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(32 + caller)))
+					for i := 0; i < 100; i++ {
+						want := payloads[rng.Intn(len(payloads))]
+						got, err := p.BinderCall(fd, "echo", echoCode, want)
+						if err != nil || !bytes.Equal(got, want) {
+							t.Errorf("caller %d call %d: echo of %q returned %q, %v", caller, i, want, got, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if hits := d.BinderStats().ReplyHits; hits < 300 {
+				t.Fatalf("%d reply-cache hits in 400 calls", hits)
 			}
 		})
 	}

@@ -10,7 +10,7 @@ import (
 	"anception/internal/abi"
 	"anception/internal/android"
 	"anception/internal/binder"
-	"anception/internal/kernel"
+	"anception/internal/marshal"
 )
 
 // bootSnapshotDevice boots an Anception device with checkpoints enabled
@@ -352,16 +352,18 @@ func TestBinderRoutedBeforeUpgradeIsRetryable(t *testing.T) {
 	d := bootSnapshotDevice(t, Options{RingDepth: 8, BinderSessions: true})
 	app := installAndLaunch(t, d, "com.upgrade.routed")
 	txn := binder.Transaction{Service: "location", Code: android.CodeGetLocation}
-	args := kernel.Args{Nr: abi.SysIoctl, Request: binder.IocTransact, Buf: binder.EncodeTransaction(txn)}
+	f := d.Layer.getFrame()
+	defer d.Layer.putFrame(f)
+	f.txn = marshal.AppendBinderTxn(f.txn[:0], txn)
 	routed := d.Layer.currentState()
 
 	d.SetDegraded(true)
 	d.Guest.Panic("live upgrade")
-	if res := d.Layer.bridgeBinder(routed, app.Task, &args, txn); !errors.Is(res.Err, abi.EAGAIN) {
+	if res := d.Layer.bridgeBinder(routed, app.Task, f, txn); !errors.Is(res.Err, abi.EAGAIN) {
 		t.Fatalf("gated, guest down: err = %v, want EAGAIN", res.Err)
 	}
 	d.SetDegraded(false)
-	if res := d.Layer.bridgeBinder(routed, app.Task, &args, txn); !errors.Is(res.Err, abi.EHOSTDOWN) {
+	if res := d.Layer.bridgeBinder(routed, app.Task, f, txn); !errors.Is(res.Err, abi.EHOSTDOWN) {
 		t.Fatalf("open, guest down: err = %v, want EHOSTDOWN", res.Err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"anception/internal/abi"
 	"anception/internal/binder"
 	"anception/internal/kernel"
+	"anception/internal/marshal"
 	"anception/internal/netstack"
 	"anception/internal/sim"
 	"anception/internal/vfs"
@@ -225,13 +226,28 @@ func TestBinderDeviceIoctl(t *testing.T) {
 	if !res.Ok() {
 		t.Fatal(res.Err)
 	}
-	arg := binder.EncodeTransaction(binder.Transaction{Service: "location", Code: CodeGetLocation})
-	res = k.Invoke(app, kernel.Args{Nr: abi.SysIoctl, FD: res.FD, Request: binder.IocTransact, Buf: arg})
+	fd := res.FD
+	ioctl := func(arg []byte) kernel.Result {
+		return k.Invoke(app, kernel.Args{Nr: abi.SysIoctl, FD: fd, Request: binder.IocTransact, Buf: arg})
+	}
+	res = ioctl(marshal.AppendBinderTxn(nil, binder.Transaction{Service: "location", Code: CodeGetLocation}))
 	if !res.Ok() {
 		t.Fatal(res.Err)
 	}
 	if !strings.HasPrefix(string(res.Data), "fix:") {
 		t.Fatalf("location reply = %q", res.Data)
+	}
+	// The device decodes the argument: a malformed one is EINVAL, one
+	// past the driver's buffer E2BIG, a dead service ENOENT.
+	if res := ioctl([]byte{9}); !errors.Is(res.Err, abi.EINVAL) {
+		t.Fatalf("malformed transaction: %v, want EINVAL", res.Err)
+	}
+	big := marshal.AppendBinderTxn(nil, binder.Transaction{Service: "location", Payload: make([]byte, binder.MaxTransaction)})
+	if res := ioctl(big); !errors.Is(res.Err, abi.E2BIG) {
+		t.Fatalf("oversized transaction: %v, want E2BIG", res.Err)
+	}
+	if res := ioctl(marshal.AppendBinderTxn(nil, binder.Transaction{Service: "ghost"})); !errors.Is(res.Err, abi.ENOENT) {
+		t.Fatalf("unknown service: %v, want ENOENT", res.Err)
 	}
 }
 

@@ -1,8 +1,12 @@
 package android
 
 import (
+	"fmt"
+	"sync"
+
 	"anception/internal/abi"
 	"anception/internal/binder"
+	"anception/internal/marshal"
 	"anception/internal/vfs"
 )
 
@@ -10,6 +14,9 @@ import (
 // transactions into the binder driver.
 type BinderDevice struct {
 	driver *binder.Driver
+	// dec decodes transactions under mu and keeps the last service name.
+	mu  sync.Mutex
+	dec marshal.Decoder
 }
 
 var _ vfs.Device = (*BinderDevice)(nil)
@@ -38,10 +45,18 @@ func (b *BinderDevice) Write(_ vfs.Cred, _ []byte, _ int64) (int, error) {
 func (b *BinderDevice) Ioctl(cred vfs.Cred, req uint32, arg []byte) ([]byte, error) {
 	switch req {
 	case binder.IocTransact:
-		return b.driver.Transact(cred, arg)
-	case binder.IocWaitInputEvent:
-		txn := binder.EncodeTransaction(binder.Transaction{Service: "window", Code: CodeWaitInput})
+		if len(arg) > binder.MaxTransaction {
+			return nil, fmt.Errorf("binder: transaction %d bytes exceeds buffer: %w", len(arg), abi.E2BIG)
+		}
+		b.mu.Lock()
+		txn, err := b.dec.BinderTxn(arg)
+		b.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
 		return b.driver.Transact(cred, txn)
+	case binder.IocWaitInputEvent:
+		return b.driver.Transact(cred, binder.Transaction{Service: "window", Code: CodeWaitInput})
 	case binder.IocVersion:
 		return []byte{8}, nil
 	default:

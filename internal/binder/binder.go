@@ -3,14 +3,14 @@
 // driver exposed as /dev/binder whose ioctl interface carries synchronous
 // transactions to named services.
 //
-// The driver also implements the classification the redirection logic
-// relies on: a transaction either targets a UI/Input service — in which
-// case it must be serviced on the host (principle 2) — or an ordinary
-// service that may live in the CVM.
+// Each registered service carries the classification the redirection
+// logic relies on: a transaction either targets a UI/Input service — in
+// which case it must be serviced on the host (principle 2) — or an
+// ordinary service that may live in the CVM. The driver dispatches
+// decoded transactions; the ioctl argument's wire format is marshal's.
 package binder
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -29,7 +29,10 @@ const (
 	IocVersion uint32 = 0xC0046209
 )
 
-// Handler services transactions sent to one registered service.
+// Handler services transactions sent to one registered service. data is
+// valid only while the handler runs: the caller reuses its memory, so a
+// service that keeps the bytes, or returns them as its reply, must copy
+// them.
 type Handler func(from abi.Cred, code uint32, data []byte) ([]byte, error)
 
 // Service is one registered binder endpoint.
@@ -165,25 +168,12 @@ func (d *Driver) TransactSession(from abi.Cred, id uint32, code uint32, payload 
 // oversized transactions fail rather than truncate).
 const MaxTransaction = 1 << 20
 
-// Transact decodes and dispatches one transaction, returning the encoded
-// reply. Unknown services fail with ENOENT, mirroring a dead binder ref;
-// oversized payloads fail with E2BIG as the real driver's buffer would.
-func (d *Driver) Transact(from abi.Cred, arg []byte) ([]byte, error) {
-	if len(arg) > MaxTransaction {
-		return nil, fmt.Errorf("binder: transaction %d bytes exceeds buffer: %w", len(arg), abi.E2BIG)
-	}
-	txn, err := DecodeTransaction(arg)
-	if err != nil {
-		return nil, err
-	}
-	return d.TransactDecoded(from, txn)
-}
-
-// TransactDecoded dispatches an already-decoded transaction. The Anception
-// layer decodes each bridged transaction exactly once (for routing) and
-// enters here, instead of paying a second decode inside Transact; the
-// byte-level Transact remains the ioctl surface.
-func (d *Driver) TransactDecoded(from abi.Cred, txn Transaction) ([]byte, error) {
+// Transact dispatches one decoded transaction by service name. Unknown
+// services fail with ENOENT, mirroring a dead binder ref; oversized
+// transactions fail with E2BIG as the real driver's buffer would. The
+// ioctl argument format and its decoder live in marshal; the callers of
+// the /dev/binder ioctl decode and enter here.
+func (d *Driver) Transact(from abi.Cred, txn Transaction) ([]byte, error) {
 	if len(txn.Payload)+len(txn.Service) > MaxTransaction {
 		return nil, fmt.Errorf("binder: transaction %d bytes exceeds buffer: %w", len(txn.Payload), abi.E2BIG)
 	}
@@ -214,18 +204,6 @@ func (d *Driver) dispatch(svc *Service, from abi.Cred, code uint32, payload []by
 	return svc.Handler(from, code, payload)
 }
 
-// IsUITransaction reports whether the encoded transaction targets a
-// UI/Input service. The redirection logic calls this to let UI ioctls pass
-// through to the host (Section III-B, principle 2).
-func (d *Driver) IsUITransaction(arg []byte) bool {
-	txn, err := DecodeTransaction(arg)
-	if err != nil {
-		return false
-	}
-	svc := d.Lookup(txn.Service)
-	return svc != nil && svc.UI
-}
-
 // Stats reports total and UI transaction counts since boot.
 func (d *Driver) Stats() (total, ui int) {
 	d.mu.Lock()
@@ -240,7 +218,8 @@ func (d *Driver) OnewayCount() int {
 	return d.onewayTxn
 }
 
-// Transaction is one decoded binder call.
+// Transaction is one decoded binder call. Payload is a view into the
+// bytes it was decoded from.
 type Transaction struct {
 	Service string
 	Code    uint32
@@ -248,103 +227,4 @@ type Transaction struct {
 	// Oneway marks an asynchronous (TF_ONE_WAY) transaction: dispatched
 	// without a reply; the caller does not block on the service.
 	Oneway bool
-}
-
-// Frame magics. The flat v1 transaction format starts with a u16 name
-// length; a real name length of 0xFEFF (65279 bytes) never occurs in
-// platform traffic, so the 0xFF 0xFE prefix is free to key the extended
-// encodings introduced for the bridge fast path.
-var (
-	onewayMagic  = [4]byte{0xFF, 0xFE, 'O', '1'}
-	sessionMagic = [4]byte{0xFF, 0xFE, 'S', '1'}
-)
-
-// EncodeTransaction marshals a transaction into the flat ioctl argument
-// format: u16 name length, name bytes, u32 code, payload. Oneway
-// transactions are prefixed with the oneway frame magic; the synchronous
-// encoding is byte-identical to the original flat format.
-func EncodeTransaction(t Transaction) []byte {
-	n := 2 + len(t.Service) + 4 + len(t.Payload)
-	var buf []byte
-	if t.Oneway {
-		buf = make([]byte, 4+n)
-		copy(buf, onewayMagic[:])
-		buf = buf[:4]
-	} else {
-		buf = make([]byte, 0, n)
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(t.Service)))
-	buf = append(buf, t.Service...)
-	buf = binary.LittleEndian.AppendUint32(buf, t.Code)
-	buf = append(buf, t.Payload...)
-	return buf
-}
-
-// DecodeTransaction unmarshals the formats produced by EncodeTransaction.
-func DecodeTransaction(b []byte) (Transaction, error) {
-	oneway := false
-	if len(b) >= 4 && [4]byte(b[:4]) == onewayMagic {
-		oneway = true
-		b = b[4:]
-	}
-	if len(b) < 2 {
-		return Transaction{}, fmt.Errorf("binder: short transaction (%d bytes): %w", len(b), abi.EINVAL)
-	}
-	nameLen := int(binary.LittleEndian.Uint16(b))
-	if len(b) < 2+nameLen+4 {
-		return Transaction{}, fmt.Errorf("binder: truncated transaction: %w", abi.EINVAL)
-	}
-	name := string(b[2 : 2+nameLen])
-	code := binary.LittleEndian.Uint32(b[2+nameLen:])
-	payload := b[2+nameLen+4:]
-	return Transaction{Service: name, Code: code, Payload: append([]byte(nil), payload...), Oneway: oneway}, nil
-}
-
-// SessionFrame is one transaction addressed by pinned handle instead of
-// service name — what the bridge ships over the async ring once a session
-// is established, so the guest side dispatches without a lookup.
-type SessionFrame struct {
-	Session uint32
-	Code    uint32
-	Payload []byte
-	Oneway  bool
-}
-
-// EncodeSessionFrame marshals a session-addressed transaction: the session
-// magic, u32 session id, u32 code, u8 flags (bit0 = oneway), payload.
-func EncodeSessionFrame(f SessionFrame) []byte {
-	buf := make([]byte, 0, 4+4+4+1+len(f.Payload))
-	buf = append(buf, sessionMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, f.Session)
-	buf = binary.LittleEndian.AppendUint32(buf, f.Code)
-	var flags uint8
-	if f.Oneway {
-		flags |= 1
-	}
-	buf = append(buf, flags)
-	buf = append(buf, f.Payload...)
-	return buf
-}
-
-// IsSessionFrame reports whether b carries the session frame magic.
-func IsSessionFrame(b []byte) bool {
-	return len(b) >= 4 && [4]byte(b[:4]) == sessionMagic
-}
-
-// DecodeSessionFrame unmarshals EncodeSessionFrame's format.
-func DecodeSessionFrame(b []byte) (SessionFrame, error) {
-	if !IsSessionFrame(b) {
-		return SessionFrame{}, fmt.Errorf("binder: not a session frame: %w", abi.EINVAL)
-	}
-	b = b[4:]
-	if len(b) < 4+4+1 {
-		return SessionFrame{}, fmt.Errorf("binder: truncated session frame: %w", abi.EINVAL)
-	}
-	f := SessionFrame{
-		Session: binary.LittleEndian.Uint32(b),
-		Code:    binary.LittleEndian.Uint32(b[4:]),
-		Oneway:  b[8]&1 != 0,
-		Payload: append([]byte(nil), b[9:]...),
-	}
-	return f, nil
 }

@@ -1,52 +1,11 @@
 package binder
 
 import (
-	"bytes"
 	"errors"
 	"testing"
-	"testing/quick"
 
 	"anception/internal/abi"
 )
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	txn := Transaction{Service: "window", Code: 7, Payload: []byte("touch@12,88")}
-	got, err := DecodeTransaction(EncodeTransaction(txn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Service != txn.Service || got.Code != txn.Code || !bytes.Equal(got.Payload, txn.Payload) {
-		t.Fatalf("round trip = %+v, want %+v", got, txn)
-	}
-}
-
-func TestEncodeDecodeProperty(t *testing.T) {
-	f := func(name string, code uint32, payload []byte) bool {
-		if len(name) > 60000 {
-			name = name[:60000]
-		}
-		in := Transaction{Service: name, Code: code, Payload: payload}
-		out, err := DecodeTransaction(EncodeTransaction(in))
-		if err != nil {
-			return false
-		}
-		return out.Service == in.Service && out.Code == in.Code && bytes.Equal(out.Payload, in.Payload)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeMalformed(t *testing.T) {
-	if _, err := DecodeTransaction([]byte{9}); !errors.Is(err, abi.EINVAL) {
-		t.Fatalf("short buffer: %v, want EINVAL", err)
-	}
-	// Name length claims more bytes than present.
-	bad := []byte{0xFF, 0xFF, 'x'}
-	if _, err := DecodeTransaction(bad); !errors.Is(err, abi.EINVAL) {
-		t.Fatalf("truncated: %v, want EINVAL", err)
-	}
-}
 
 func TestRegisterAndTransact(t *testing.T) {
 	d := NewDriver()
@@ -56,8 +15,7 @@ func TestRegisterAndTransact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arg := EncodeTransaction(Transaction{Service: "location", Code: 1})
-	reply, err := d.Transact(abi.Cred{UID: abi.UIDAppBase}, arg)
+	reply, err := d.Transact(abi.Cred{UID: abi.UIDAppBase}, Transaction{Service: "location", Code: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +40,7 @@ func TestTransactOversizedPayload(t *testing.T) {
 	if err := d.Register("svc", false, func(abi.Cred, uint32, []byte) ([]byte, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
-	big := EncodeTransaction(Transaction{Service: "svc", Payload: make([]byte, MaxTransaction+1)})
+	big := Transaction{Service: "svc", Payload: make([]byte, MaxTransaction+1)}
 	if _, err := d.Transact(abi.Cred{}, big); !errors.Is(err, abi.E2BIG) {
 		t.Fatalf("oversized txn: %v, want E2BIG", err)
 	}
@@ -90,8 +48,7 @@ func TestTransactOversizedPayload(t *testing.T) {
 
 func TestTransactUnknownService(t *testing.T) {
 	d := NewDriver()
-	arg := EncodeTransaction(Transaction{Service: "ghost"})
-	if _, err := d.Transact(abi.Cred{}, arg); !errors.Is(err, abi.ENOENT) {
+	if _, err := d.Transact(abi.Cred{}, Transaction{Service: "ghost"}); !errors.Is(err, abi.ENOENT) {
 		t.Fatalf("err = %v, want ENOENT", err)
 	}
 }
@@ -106,18 +63,14 @@ func TestUIClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ui := EncodeTransaction(Transaction{Service: "window", Code: 1})
-	nonUI := EncodeTransaction(Transaction{Service: "location", Code: 1})
-	if !d.IsUITransaction(ui) {
+	// The redirection logic classifies a transaction by its service.
+	if svc := d.Lookup("window"); svc == nil || !svc.UI {
 		t.Fatal("window transaction must classify as UI")
 	}
-	if d.IsUITransaction(nonUI) {
+	if svc := d.Lookup("location"); svc == nil || svc.UI {
 		t.Fatal("location transaction must not classify as UI")
 	}
-	if d.IsUITransaction([]byte{1}) {
-		t.Fatal("garbage must not classify as UI")
-	}
-	if d.IsUITransaction(EncodeTransaction(Transaction{Service: "nosuch"})) {
+	if d.Lookup("nosuch") != nil {
 		t.Fatal("unknown service must not classify as UI")
 	}
 }
@@ -132,11 +85,11 @@ func TestStatsCountUITransactions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := d.Transact(abi.Cred{}, EncodeTransaction(Transaction{Service: "window"})); err != nil {
+		if _, err := d.Transact(abi.Cred{}, Transaction{Service: "window"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := d.Transact(abi.Cred{}, EncodeTransaction(Transaction{Service: "vold"})); err != nil {
+	if _, err := d.Transact(abi.Cred{}, Transaction{Service: "vold"}); err != nil {
 		t.Fatal(err)
 	}
 	total, ui := d.Stats()
@@ -156,7 +109,7 @@ func TestHandlerReceivesCallerCred(t *testing.T) {
 		t.Fatal(err)
 	}
 	caller := abi.Cred{UID: 10007, GID: 10007, PID: 99}
-	if _, err := d.Transact(caller, EncodeTransaction(Transaction{Service: "svc"})); err != nil {
+	if _, err := d.Transact(caller, Transaction{Service: "svc"}); err != nil {
 		t.Fatal(err)
 	}
 	if got != caller {

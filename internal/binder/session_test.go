@@ -1,7 +1,6 @@
 package binder
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -88,29 +87,10 @@ func TestTransactDecodedOversized(t *testing.T) {
 	if err := d.Register("svc", false, func(abi.Cred, uint32, []byte) ([]byte, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
-	txn := Transaction{Service: "svc", Payload: make([]byte, MaxTransaction+1)}
-	if _, err := d.TransactDecoded(abi.Cred{}, txn); !errors.Is(err, abi.E2BIG) {
+	// The payload alone fits; with the service name it does not.
+	txn := Transaction{Service: "svc", Payload: make([]byte, MaxTransaction-1)}
+	if _, err := d.Transact(abi.Cred{}, txn); !errors.Is(err, abi.E2BIG) {
 		t.Fatalf("oversized decoded txn: %v, want E2BIG", err)
-	}
-}
-
-func TestOnewayEncodeDecodeRoundTrip(t *testing.T) {
-	in := Transaction{Service: "media", Code: 9, Payload: []byte("frame"), Oneway: true}
-	out, err := DecodeTransaction(EncodeTransaction(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Oneway || out.Service != in.Service || out.Code != in.Code || !bytes.Equal(out.Payload, in.Payload) {
-		t.Fatalf("round trip = %+v, want %+v", out, in)
-	}
-	// The synchronous encoding must stay byte-identical to the flat v1
-	// format: no magic prefix.
-	sync := EncodeTransaction(Transaction{Service: "media", Code: 9, Payload: []byte("frame")})
-	if bytes.HasPrefix(sync, onewayMagic[:]) {
-		t.Fatal("sync encoding grew the oneway magic")
-	}
-	if len(sync) != 2+len("media")+4+len("frame") {
-		t.Fatalf("sync encoding is %d bytes, want flat v1 length", len(sync))
 	}
 }
 
@@ -124,7 +104,7 @@ func TestOnewayDiscardsReplyAndError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, err := d.Transact(abi.Cred{}, EncodeTransaction(Transaction{Service: "svc", Oneway: true}))
+	reply, err := d.Transact(abi.Cred{}, Transaction{Service: "svc", Oneway: true})
 	if err != nil || reply != nil {
 		t.Fatalf("oneway returned (%q, %v), want (nil, nil)", reply, err)
 	}
@@ -159,36 +139,6 @@ func TestReadOnlyCodes(t *testing.T) {
 	}
 }
 
-func TestSessionFrameRoundTrip(t *testing.T) {
-	in := SessionFrame{Session: 41, Code: 3, Payload: []byte("pinned"), Oneway: true}
-	enc := EncodeSessionFrame(in)
-	if !IsSessionFrame(enc) {
-		t.Fatal("encoded frame lost its magic")
-	}
-	out, err := DecodeSessionFrame(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Session != in.Session || out.Code != in.Code || out.Oneway != in.Oneway || !bytes.Equal(out.Payload, in.Payload) {
-		t.Fatalf("round trip = %+v, want %+v", out, in)
-	}
-}
-
-func TestSessionFrameMalformed(t *testing.T) {
-	if _, err := DecodeSessionFrame([]byte("not a frame")); !errors.Is(err, abi.EINVAL) {
-		t.Fatalf("foreign bytes: %v, want EINVAL", err)
-	}
-	truncated := EncodeSessionFrame(SessionFrame{Session: 1})[:6]
-	if _, err := DecodeSessionFrame(truncated); !errors.Is(err, abi.EINVAL) {
-		t.Fatalf("truncated frame: %v, want EINVAL", err)
-	}
-	// A session frame must not be mistaken for a flat transaction: its
-	// 0xFF 0xFE prefix decodes as an impossible name length.
-	if _, err := DecodeTransaction(EncodeSessionFrame(SessionFrame{Session: 1, Payload: []byte("x")})); err == nil {
-		t.Fatal("session frame decoded as a flat transaction")
-	}
-}
-
 // TestDriverChurnRace hammers one driver from concurrent registrars,
 // transactors, session users, and listers. The assertion is the race
 // detector's: run under -race in CI.
@@ -212,12 +162,12 @@ func TestDriverChurnRace(t *testing.T) {
 			}
 		}(w)
 		wg.Add(1)
-		go func(w int) { // transactors: flat, decoded, and oneway dispatch
+		go func(w int) { // transactors: two-way and oneway dispatch
 			defer wg.Done()
 			cred := abi.Cred{UID: abi.UIDAppBase + w}
 			for i := 0; i < iters; i++ {
-				arg := EncodeTransaction(Transaction{Service: "steady", Code: 1, Oneway: i%2 == 0})
-				if _, err := d.Transact(cred, arg); err != nil {
+				txn := Transaction{Service: "steady", Code: 1, Oneway: i%2 == 0}
+				if _, err := d.Transact(cred, txn); err != nil {
 					t.Error(err)
 					return
 				}

@@ -280,15 +280,20 @@ func DecodeArgs(b []byte, a *kernel.Args) error {
 }
 
 // Decoder decodes requests as DecodeArgs and DecodeSockOp do, and keeps
-// the paths and address of its previous decodes: a string whose bytes
-// equal the one kept is returned as that string, not copied again, so a
-// transport that decodes the same paths over and over allocates none.
-// The kept strings are copies, never views into a frame, and only a
-// decode that carries the field replaces them. ArgsBatch and GrantCall
-// decode into storage the decoder keeps, as ChainDecoder does. The zero
-// value is ready; a Decoder must not be used concurrently.
+// the paths, addresses and binder service name of its previous decodes:
+// a string whose bytes equal one kept is returned as that string, not
+// copied again, so a transport that decodes the same paths over and over
+// allocates none. It keeps the last few addresses, so a client that
+// cycles through several peers decodes each without a copy. The kept
+// strings are copies, never views into a frame, and only a decode that
+// carries the field replaces them. ArgsBatch and GrantCall decode into
+// storage the decoder keeps, as ChainDecoder does. The zero value is
+// ready; a Decoder must not be used concurrently.
 type Decoder struct {
-	path, path2, addr string
+	path, path2, service string
+	// addrs are the kept addresses, replaced round-robin from addrNext.
+	addrs    [4]string
+	addrNext int
 	// batch and calls are ArgsBatch's storage, grown to the longest
 	// batch decoded.
 	batch []kernel.Args
@@ -305,6 +310,19 @@ func keep(prev *string, b []byte) string {
 		*prev = string(b)
 	}
 	return *prev
+}
+
+// keepAddr is keep over the decoder's kept addresses.
+func (d *Decoder) keepAddr(b []byte) string {
+	for _, a := range d.addrs {
+		if a == string(b) {
+			return a
+		}
+	}
+	i := d.addrNext
+	d.addrNext = (i + 1) % len(d.addrs)
+	d.addrs[i] = string(b)
+	return d.addrs[i]
 }
 
 // Args is DecodeArgs with the decoder's kept strings.
@@ -338,7 +356,7 @@ func (d *Decoder) Args(b []byte, a *kernel.Args) error {
 		case tagRequest:
 			a.Request = uint32(r.u64())
 		case tagAddr:
-			a.Addr = keep(&d.addr, r.bytes())
+			a.Addr = d.keepAddr(r.bytes())
 		case tagFamily:
 			a.Family = netstack.Family(r.u64())
 		case tagSockType:

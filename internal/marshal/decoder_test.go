@@ -1,10 +1,12 @@
 package marshal
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 
 	"anception/internal/abi"
+	"anception/internal/binder"
 	"anception/internal/kernel"
 )
 
@@ -78,5 +80,60 @@ func TestDecoderKeptStringsAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { sockOp(send); sockOp(connect) }); n != 0 {
 		t.Errorf("repeated address decode: %v allocs, want 0", n)
+	}
+
+	// A client that connects to 4 lanes in turn, by sockop and by args
+	// frame, decodes every address without a copy once it has seen them.
+	lanes, addrs := make([][]byte, 4), make([]string, 4)
+	for i := range lanes {
+		addrs[i] = fmt.Sprintf("echo.bench:%d", 7+i)
+		lane := &kernel.Args{Nr: abi.SysConnect, FD: 3, Addr: addrs[i]}
+		if i%2 == 0 {
+			lanes[i] = AppendSockOp(nil, lane)
+		} else {
+			lanes[i] = AppendArgs(nil, lane)
+		}
+	}
+	cycle := func() {
+		for i, frame := range lanes {
+			if i%2 == 0 {
+				sockOp(frame)
+			} else {
+				decode(frame)
+			}
+			if a.Addr != addrs[i] {
+				t.Fatalf("lane %d decoded Addr=%q, want %q", i, a.Addr, addrs[i])
+			}
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("4 addresses in turn: %v allocs, want 0", n)
+	}
+}
+
+// TestBinderCodecAllocs: a binder transaction encodes into a roomy frame,
+// and decodes with a repeated service name, without allocating; so does
+// a session call.
+func TestBinderCodecAllocs(t *testing.T) {
+	var d Decoder
+	txn := binder.Transaction{Service: "location", Code: 3, Payload: make([]byte, 128)}
+	frame := make([]byte, 0, 512)
+	if n := testing.AllocsPerRun(100, func() {
+		frame = AppendBinderTxn(frame[:0], txn)
+		if _, err := d.BinderTxn(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("binder transaction encode+decode: %v allocs, want 0", n)
+	}
+	sess := BinderSession{Session: 1, Code: 3, Payload: txn.Payload}
+	if n := testing.AllocsPerRun(100, func() {
+		frame = AppendBinderSession(frame[:0], sess)
+		if _, err := d.BinderSession(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("binder session encode+decode: %v allocs, want 0", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"anception/internal/abi"
+	"anception/internal/binder"
 	"anception/internal/kernel"
 )
 
@@ -142,6 +143,67 @@ func FuzzDecodeSockOp(f *testing.F) {
 		unchanged(t, before, data)
 		if err == nil {
 			checkArgsViews(t, &a, data)
+		}
+	})
+}
+
+// FuzzDecodeBinderTxn: an app's /dev/binder ioctl argument. Whatever
+// decodes re-encodes to the same bytes, so the oneway flag survives a
+// round trip, and the payload is a view inside the argument.
+func FuzzDecodeBinderTxn(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(AppendBinderTxn(nil, binder.Transaction{Service: "window", Code: 2, Payload: []byte("p")}))
+	f.Add([]byte{0xFF, 0xFF, 'x'})
+	// The extended encodings: a oneway transaction, a session call (must
+	// not decode as a flat transaction), and mangled magic prefixes.
+	f.Add(AppendBinderTxn(nil, binder.Transaction{Service: "media", Code: 9, Payload: []byte("q"), Oneway: true}))
+	f.Add(AppendBinderSession(nil, BinderSession{Session: 7, Code: 3, Payload: []byte("s")}))
+	f.Add([]byte{0xFF, 0xFE, 'O', '1'})
+	f.Add([]byte{0xFF, 0xFE, 'S', '1', 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := bytes.Clone(data)
+		var d Decoder
+		txn, err := d.BinderTxn(data)
+		unchanged(t, before, data)
+		if err != nil {
+			return
+		}
+		if !within(txn.Payload, data) {
+			t.Fatal("payload is not a view inside the argument")
+		}
+		if again := AppendBinderTxn(nil, txn); !bytes.Equal(again, data) {
+			t.Fatalf("re-encode changed the argument: %x -> %x", data, again)
+		}
+		out, err := d.BinderTxn(AppendBinderTxn(nil, txn))
+		if err != nil || out.Oneway != txn.Oneway {
+			t.Fatalf("re-decode: oneway %v -> %v, %v", txn.Oneway, out.Oneway, err)
+		}
+	})
+}
+
+// FuzzDecodeBinderSession: a session call a compromised host side (or a
+// corrupted slot) hands the guest. Whatever decodes round-trips its
+// fields, oneway flag included, and the payload is a view inside it.
+func FuzzDecodeBinderSession(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(AppendBinderSession(nil, BinderSession{Session: 1, Code: 3, Payload: []byte("p")}))
+	f.Add(AppendBinderSession(nil, BinderSession{Session: 0xFFFFFFFF, Oneway: true}))
+	f.Add([]byte{0xA8, 4, 0, 0, 0, 0xFF, 0xFE, 'S', '1'})
+	f.Add(AppendBinderTxn(nil, binder.Transaction{Service: "window", Code: 2}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := bytes.Clone(data)
+		var d Decoder
+		s, err := d.BinderSession(data)
+		unchanged(t, before, data)
+		if err != nil {
+			return
+		}
+		if !within(s.Payload, data) {
+			t.Fatal("payload is not a view inside the frame")
+		}
+		out, err := d.BinderSession(AppendBinderSession(nil, s))
+		if err != nil || out.Session != s.Session || out.Code != s.Code || out.Oneway != s.Oneway || !bytes.Equal(out.Payload, s.Payload) {
+			t.Fatalf("round trip changed frame: %+v -> %+v, %v", s, out, err)
 		}
 	})
 }

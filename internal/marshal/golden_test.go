@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"anception/internal/abi"
+	"anception/internal/binder"
 	"anception/internal/kernel"
 	"anception/internal/netstack"
 )
@@ -27,7 +28,9 @@ var goldenFrames = map[string]string{
 	"args/sparse":     "011400000000000000",
 	"args/writev":     "0192000000000000000403000000000000001f0200000061621f03000000636465",
 	"argsbatch":       "030000004c01000001b500000000000000040700000000000000082c01000000070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe6edf4fb020910171e252c333a41484f565d646b727980878e959ca3aab1b8bfc6cdd4dbe2e9f0f7fe050c131a21282f363d444b525960676e757c838a91989fa6adb4bbc2c9d0d7dee5ecf3fa01080f161d242b323940474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f900070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f262d0a001000000000000009000000011400000000000000210000000192000000000000000403000000000000001f0200000061621f03000000636465",
-	"bindercall":      "a80f00000000534553010000007061796c6f6164",
+	"binder/oneway":   "fffe4f3105006d6564696109000000706c6179",
+	"binder/session":  "a814000000fffe53310700000004030201017061796c6f6164",
+	"binder/twoway":   "08006c6f636174696f6e0300000077686572653f",
 	"chain":           "aa05000000001500000001050000000000000002070000002f646174612f66020009000000016c0000000000000003001200000001b400000000000000090010000000000000011b000000012101000000000000040400000000000000080400000070696e67020009000000010600000000000000",
 	"chainresult":     "0400000002000000120000001a03000000000000001c0300000000000000180000001a09000000000000001b0a000000737461742d6279746573120000001affffffffffffffff1d7000000000000000190000001affffffffffffffff1e0b0000006c696e6b206661696c6564",
 	"grantcall":       "a725000000010200000001000000020000000000000000100000ffffffff07000000800000000000010001b4000000000000000409000000000000000900100100000000000a0000100000000000",
@@ -65,7 +68,10 @@ func encodeGolden(dst func() []byte) map[string][]byte {
 	}
 	out["sg"] = AppendSG(dst(), goldenSG())
 	out["grantcall"] = AppendGrantCall(dst(), goldenSG(), goldenGrantArgs())
-	out["bindercall"] = AppendBinderCall(dst(), goldenBinderFrame())
+	for k, txn := range goldenBinderTxns() {
+		out["binder/"+k] = AppendBinderTxn(dst(), txn)
+	}
+	out["binder/session"] = AppendBinderSession(dst(), goldenBinderSession())
 	return out
 }
 
@@ -144,6 +150,18 @@ func TestGoldenFramesDecode(t *testing.T) {
 		if got.Nr != a.Nr || got.FD != a.FD || !bytes.Equal(got.Buf, a.Buf) {
 			t.Fatalf("args/%s: decoded %+v", k, got)
 		}
+	}
+	var d Decoder
+	for k, want := range goldenBinderTxns() {
+		frame, _ := hex.DecodeString(goldenFrames["binder/"+k])
+		got, err := d.BinderTxn(frame)
+		if err != nil || got.Service != want.Service || got.Code != want.Code || got.Oneway != want.Oneway || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("binder/%s: decoded %+v, %v", k, got, err)
+		}
+	}
+	frame, _ := hex.DecodeString(goldenFrames["binder/session"])
+	if got, err := d.BinderSession(frame); err != nil || got.Session != 7 || got.Code != 0x01020304 || !got.Oneway || string(got.Payload) != "payload" {
+		t.Fatalf("binder/session: decoded %+v, %v", got, err)
 	}
 	for k, r := range goldenResults() {
 		frame, _ := hex.DecodeString(goldenFrames["result/"+k])
@@ -249,7 +267,19 @@ func goldenGrantArgs() *kernel.Args {
 	return &kernel.Args{Nr: abi.SysPread64, FD: 9, Size: 69632, Off: 1 << 20}
 }
 
-func goldenBinderFrame() []byte { return []byte("\x00SES\x01\x00\x00\x00payload") }
+// The binder frames were recorded from the codec's earlier home in
+// internal/binder (EncodeTransaction, and EncodeSessionFrame inside the
+// binder-call envelope).
+func goldenBinderTxns() map[string]binder.Transaction {
+	return map[string]binder.Transaction{
+		"twoway": {Service: "location", Code: 3, Payload: []byte("where?")},
+		"oneway": {Service: "media", Code: 9, Payload: []byte("play"), Oneway: true},
+	}
+}
+
+func goldenBinderSession() BinderSession {
+	return BinderSession{Session: 7, Code: 0x01020304, Payload: []byte("payload"), Oneway: true}
+}
 
 // TestAppendResultErrnoAllocs: an error result whose Err is a bare errno,
 // the guest's common failure, encodes into a roomy frame without

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"anception/internal/abi"
-	"anception/internal/binder"
 	"anception/internal/hypervisor"
 	"anception/internal/kernel"
 	"anception/internal/marshal"
@@ -51,9 +50,9 @@ func TestPoolServesInSubmissionOrder(t *testing.T) {
 			{Args: &kernel.Args{Nr: abi.SysClose}, FDFrom: 0},
 		})},
 		{name: "pwrite fd3", payload: args(abi.SysPwrite64, 3)},
-		{name: "oneway binder", payload: marshal.AppendBinderCall(nil, binder.EncodeSessionFrame(binder.SessionFrame{
+		{name: "oneway binder", payload: marshal.AppendBinderSession(nil, marshal.BinderSession{
 			Session: 1, Code: 2, Oneway: true,
-		}))},
+		})},
 		{name: "pread fd4 again", payload: args(abi.SysPread64, 4)},
 		{name: "fstat fd6", payload: args(abi.SysFstat, 6)},
 		{name: "pread fd3 again", payload: args(abi.SysPread64, 3)},

@@ -118,14 +118,15 @@ func (m *Manager) Execute(proxy *kernel.Task, args kernel.Args) kernel.Result {
 // own guest-side trap entry. The result slice is always fully populated,
 // one entry per call; the error additionally identifies the first call
 // that failed, so batch callers cannot mistake a mid-batch failure for
-// success by looking only at the slice length.
-func (m *Manager) ExecuteBatch(proxy *kernel.Task, calls []*kernel.Args) ([]kernel.Result, error) {
+// success by looking only at the slice length. The results reuse dst's
+// storage when it has room for every call, as ExecuteChainDrained's do.
+func (m *Manager) ExecuteBatch(proxy *kernel.Task, calls []*kernel.Args, dst []kernel.Result) ([]kernel.Result, error) {
 	if m.naiveDispatch {
 		m.clock.Charge(proxy.Lane, m.model.ProxyDispatch+4*m.model.GuestContextSwitch)
 	} else {
 		m.clock.Charge(proxy.Lane, m.model.ProxyDispatch)
 	}
-	return m.runCalls(proxy, calls)
+	return m.runCalls(proxy, calls, dst)
 }
 
 // ExecuteDrained runs one forwarded call whose proxy dispatch was already
@@ -139,14 +140,18 @@ func (m *Manager) ExecuteDrained(proxy *kernel.Task, args kernel.Args) kernel.Re
 
 // ExecuteBatchDrained is ExecuteBatch without the dispatch charge, for
 // batches arriving through the ring (the poller already paid the wakeup).
-func (m *Manager) ExecuteBatchDrained(proxy *kernel.Task, calls []*kernel.Args) ([]kernel.Result, error) {
-	return m.runCalls(proxy, calls)
+func (m *Manager) ExecuteBatchDrained(proxy *kernel.Task, calls []*kernel.Args, dst []kernel.Result) ([]kernel.Result, error) {
+	return m.runCalls(proxy, calls, dst)
 }
 
-// runCalls executes a call vector, charging per-call trap entries and
-// attributing the first failure to its position in the batch.
-func (m *Manager) runCalls(proxy *kernel.Task, calls []*kernel.Args) ([]kernel.Result, error) {
-	results := make([]kernel.Result, len(calls))
+// runCalls executes a call vector into dst's storage, charging per-call
+// trap entries and attributing the first failure to its position in the
+// batch.
+func (m *Manager) runCalls(proxy *kernel.Task, calls []*kernel.Args, dst []kernel.Result) ([]kernel.Result, error) {
+	if cap(dst) < len(calls) {
+		dst = make([]kernel.Result, len(calls))
+	}
+	results := dst[:len(calls)]
 	var firstErr error
 	for i, a := range calls {
 		m.clock.Charge(proxy.Lane, m.model.SyscallEntry)

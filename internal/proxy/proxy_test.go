@@ -310,7 +310,7 @@ func TestExecuteBatchReportsMidBatchFailure(t *testing.T) {
 		{Nr: abi.SysPwrite64, FD: 99, Buf: []byte("x")}, // unopened fd
 		{Nr: abi.SysGetuid},
 	}
-	results, batchErr := m.ExecuteBatch(p, calls)
+	results, batchErr := m.ExecuteBatch(p, calls, nil)
 	if len(results) != len(calls) {
 		t.Fatalf("got %d results for %d calls", len(results), len(calls))
 	}
@@ -331,7 +331,36 @@ func TestExecuteBatchReportsMidBatchFailure(t *testing.T) {
 	}
 
 	// An all-green batch reports no error.
-	if _, err := m.ExecuteBatch(p, []*kernel.Args{{Nr: abi.SysGetuid}}); err != nil {
+	if _, err := m.ExecuteBatch(p, []*kernel.Args{{Nr: abi.SysGetuid}}, nil); err != nil {
 		t.Fatalf("clean batch reported %v", err)
+	}
+}
+
+// TestExecuteBatchAllocs: a batch lands in the caller's result storage,
+// so a caller that keeps it runs batches without allocating, on both the
+// dispatched and the drained path.
+func TestExecuteBatchAllocs(t *testing.T) {
+	g, _ := newGuestKernel(t)
+	m := NewManager(g, g.Clock(), g.Model(), nil)
+	p, err := m.Ensure(newHostTask(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := []*kernel.Args{{Nr: abi.SysGetuid}, {Nr: abi.SysGetpid}, {Nr: abi.SysGetuid}}
+	dst := make([]kernel.Result, 0, len(calls))
+	if n := testing.AllocsPerRun(100, func() {
+		res, err := m.ExecuteBatch(p, calls, dst)
+		if err != nil || len(res) != len(calls) || &res[0] != &dst[:1][0] {
+			t.Fatalf("batch: %d results, %v, or not in dst", len(res), err)
+		}
+	}); n != 0 {
+		t.Errorf("ExecuteBatch into held storage: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := m.ExecuteBatchDrained(p, calls, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ExecuteBatchDrained into held storage: %v allocs, want 0", n)
 	}
 }
