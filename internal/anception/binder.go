@@ -420,7 +420,7 @@ func (l *Layer) bridgeBinderSession(st *layerState, t *kernel.Task, f *callFrame
 	}
 	perByte := time.Duration(len(f.txn)) * l.model.BinderCVMPerByte
 
-	if ring, ok := st.transport.(marshal.AsyncTransport); ok {
+	if _, ok := st.transport.(marshal.AsyncTransport); ok {
 		// The session fixed cost includes the synchronous world-switch
 		// pair; on the ring those interrupts are the doorbell and reap,
 		// charged by the ring itself and coalesced across slots — which
@@ -429,7 +429,7 @@ func (l *Layer) bridgeBinderSession(st *layerState, t *kernel.Task, f *callFrame
 		if pipeFixed < 0 {
 			pipeFixed = 0
 		}
-		return l.bridgeBinderRing(st, ring, t, f, txn, sid, pipeFixed+perByte), gen
+		return l.bridgeBinderRing(st, t, f, txn, sid, pipeFixed+perByte), gen
 	}
 
 	l.clock.Charge(t.Lane, l.model.BinderTransaction+fixed+perByte)
@@ -480,14 +480,15 @@ func (l *Layer) ensureBinderSession(st *layerState, t *kernel.Task, service stri
 	return sid, gen, true, nil
 }
 
-// bridgeBinderRing ships one session transaction through an async ring
-// slot: host side pays the fixed session cost at submit, the guest-side
-// service handling (BinderTransaction) is charged where the slot is
-// served, and restarts fail the slot EHOSTDOWN via the ring's
-// boot-generation check. A oneway transaction is served before the call
-// returns like any other; only its reply is dropped. The session call is
-// encoded from the frame's copy straight into its request.
-func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t *kernel.Task, f *callFrame, txn binder.Transaction, sid uint32, hostCost time.Duration) kernel.Result {
+// bridgeBinderRing ships one session transaction through the forward
+// core's binder arm, over the ring: host side pays the fixed session
+// cost at submit, the guest-side service handling (BinderTransaction) is
+// charged where the slot is served, and restarts fail the slot EHOSTDOWN
+// via the ring's boot-generation check. A oneway transaction is served
+// before the call returns like any other; only its reply is dropped, and
+// a failure of the core reaches the caller. The session call is encoded
+// from the frame's copy straight into its request.
+func (l *Layer) bridgeBinderRing(st *layerState, t *kernel.Task, f *callFrame, txn binder.Transaction, sid uint32, hostCost time.Duration) kernel.Result {
 	fp := l.binder
 	fp.pipelined.Add(1)
 	f.req = marshal.AppendBinderSession(f.req[:0], marshal.BinderSession{
@@ -498,48 +499,22 @@ func (l *Layer) bridgeBinderRing(st *layerState, ring marshal.AsyncTransport, t 
 		l.trace.Record(sim.EvBinder, "pipelined binder txn %q sid=%d from pid=%d", txn.Service, sid, t.PID)
 	}
 
-	span := l.clock.StartSpan(t.Lane)
 	f.st, f.lane, f.cred = st, t.Lane, t.Cred
-	pending, serr := ring.Submit(t.Lane, f.req, f.execBinderFn)
-	if serr != nil {
-		fp.failed.Add(1)
-		return l.transportFailure(t, &kernel.Args{Nr: abi.SysIoctl}, span, serr)
-	}
-	respBytes, werr := pending.Wait()
-	if txn.Oneway {
-		// No reply to deliver: the caller learns nothing of the outcome,
-		// but the submitted = completed + failed identity still holds.
-		if werr != nil {
-			fp.failed.Add(1)
-		} else {
-			fp.completed.Add(1)
+	resp, err := l.forwardFrame(st, t, f, armBinder, &binderIoctl)
+	var res kernel.Result
+	if err == nil && !txn.Oneway {
+		if res, err = marshal.DecodeResult(resp); err == nil {
+			err = checkReply(&binderIoctl, &res, false)
 		}
-		return kernel.Result{Ret: 0}
 	}
-	if werr != nil {
+	if err != nil {
 		fp.failed.Add(1)
-		return l.transportFailure(t, &kernel.Args{Nr: abi.SysIoctl}, span, werr)
+		return kernel.Result{Ret: -1, Err: err}
 	}
-	if span.Elapsed() > l.deadline {
-		fp.failed.Add(1)
-		l.counters.timedOut.Add(1)
-		if l.trace != nil {
-			l.trace.Record(sim.EvTimeout, "binder txn %q completed past %v deadline", txn.Service, l.deadline)
-		}
-		return kernel.Result{Ret: -1, Err: fmt.Errorf("binder txn exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)}
-	}
-	res, derr := marshal.DecodeResult(respBytes)
-	if derr == nil {
-		derr = checkReply(&kernel.Args{Nr: abi.SysIoctl}, &res, false)
-	}
-	if derr != nil {
-		fp.failed.Add(1)
-		return kernel.Result{Ret: -1, Err: derr}
-	}
+	fp.completed.Add(1)
 	// The reply goes back to the app (and maybe into the reply cache):
 	// copy it out of the frame.
 	res.Data = bytes.Clone(res.Data)
-	fp.completed.Add(1)
 	return res
 }
 

@@ -798,7 +798,7 @@ func spanWithin(idx, off, end int64) (int64, int64) {
 // learnSizeLocked fstats the guest descriptor to establish the exact file
 // size, reporting whether it could.
 func (l *Layer) learnSizeLocked(st *layerState, t *kernel.Task, fc *fdCache) bool {
-	res := l.forwardOn(st, t, &kernel.Args{Nr: abi.SysFstat, FD: fc.guestFD})
+	res := l.forward(st, t, armArgs, &kernel.Args{Nr: abi.SysFstat, FD: fc.guestFD})
 	fc.file.size, fc.file.sizeValid = res.Ret, res.Ok()
 	return res.Ok()
 }
@@ -827,7 +827,7 @@ func (l *Layer) fetchLocked(st *layerState, t *kernel.Task, fc *fdCache, off int
 	if int64(cap(c.fetchBuf)) < size {
 		c.fetchBuf = make([]byte, size)
 	}
-	res := l.forwardOn(st, t, &kernel.Args{Nr: abi.SysPread64, FD: fc.guestFD, Buf: c.fetchBuf[:size], Off: fetchOff})
+	res := l.forward(st, t, armArgs, &kernel.Args{Nr: abi.SysPread64, FD: fc.guestFD, Buf: c.fetchBuf[:size], Off: fetchOff})
 	if !res.Ok() {
 		return res, false
 	}
@@ -931,7 +931,7 @@ func (l *Layer) flushLocked(st *layerState, t *kernel.Task, fc *fdCache) (res ke
 	defer clear(c.flushArgs)
 	var results []kernel.Result
 	if len(extents) == 1 {
-		results = append(c.flushRes[:0], l.forwardOn(st, t, c.flushCalls[0]))
+		results = append(c.flushRes[:0], l.forward(st, t, armArgs, c.flushCalls[0]))
 	} else {
 		var err error
 		if results, err = l.forwardBatch(st, t, c.flushCalls, c.flushRes); err != nil {

@@ -13,13 +13,13 @@ import (
 
 // Frame ownership (DESIGN.md §10): every redirected call borrows one
 // callFrame from its layer's small free list and returns it when the call
-// is done. The frame owns the request the host encodes, the reply the
-// guest handler appends, the guest's read scratch and a granted call's
-// refs, descriptor entries and resolved views, so the steady-state data
-// plane encodes, executes and decodes without allocating. Decoded
+// is done. The frame owns the request the forward core encodes, the reply
+// the guest handler appends, the guest's read scratch and a granted
+// call's refs, descriptor entries and resolved views, so the steady-state
+// data plane encodes, executes and decodes without allocating. Decoded
 // requests and replies are views into the frame; they expire when the
-// frame goes back to the list, which is why every forward path lands the
-// reply (landReply) before it releases the frame.
+// frame goes back to the list, which is why every caller of the core
+// (forwardFrame) lands the reply before it releases the frame.
 
 const (
 	// frameListLen bounds how many idle frames a layer keeps: more than
@@ -50,27 +50,23 @@ type callFrame struct {
 	// outside args, which every decode resets, and putFrame keeps it.
 	dec marshal.Decoder
 
-	// Context of the in-flight args call, read by execArgs on the guest
-	// side. Set before the submission, so the transport's hand-off orders
-	// it before the handler runs.
+	// Context of the in-flight call, read by the guest handler. Set
+	// before the round trip, so the transport's hand-off orders it before
+	// the handler runs.
 	st      *layerState
 	proxy   *kernel.Task
 	drained bool
+	// batch is the in-flight batch's calls, which the core encodes.
+	batch []*kernel.Args
 	// lane and cred are the submitting task's timeline and credentials,
 	// read by execBinder; layer is the frame's owner, set once.
 	lane  *sim.Lane
 	cred  abi.Cred
 	layer *Layer
-	// exec is f.execArgs, bound once per frame so submitting an args call
-	// allocates no closure; execSockFn, execChainFn, execBatchFn,
-	// execBinderFn and execGrantFn bind f.execSock, f.execChain,
-	// f.execBatch, f.execBinder and f.execGrant the same way.
-	exec         marshal.GuestHandler
-	execSockFn   marshal.GuestHandler
-	execChainFn  marshal.GuestHandler
-	execBatchFn  marshal.GuestHandler
-	execBinderFn marshal.GuestHandler
-	execGrantFn  marshal.GuestHandler
+	// handlers are the guest handlers of the core's arms (f.execArgs,
+	// f.execBatch, ...), each bound once per frame so a round trip
+	// allocates no closure.
+	handlers [armCount]marshal.GuestHandler
 	// A granted call's state (DESIGN.md §11): host side, the refs it
 	// mapped and the descriptor naming them; guest side, the views of the
 	// pinned app pages the descriptor resolved to.
@@ -85,9 +81,11 @@ type callFrame struct {
 // chainFrame is a frame's per-link scratch for fused chains, grown to the
 // longest chain the frame has carried.
 type chainFrame struct {
-	// Host side: each wire link's args with host buffers (the reply lands
-	// in them), the same args with read buffers stripped to a size, and
-	// the wire links that point at the stripped copies.
+	// Host side: the in-flight segment's n links; each wire link's args
+	// with host buffers (the reply lands in them), the same args with read
+	// buffers stripped to a size, and the wire links that point at the
+	// stripped copies.
+	n        int
 	args     []kernel.Args
 	wireArgs []kernel.Args
 	wire     []marshal.ChainLink
@@ -95,7 +93,7 @@ type chainFrame struct {
 	dec marshal.ChainDecoder
 }
 
-// chainFor returns the frame's chain scratch with room for n links.
+// chainFor returns the frame's chain scratch for a segment of n links.
 func (f *callFrame) chainFor(n int) *chainFrame {
 	if f.chain == nil {
 		f.chain = &chainFrame{}
@@ -106,6 +104,7 @@ func (f *callFrame) chainFor(n int) *chainFrame {
 		c.wireArgs = make([]kernel.Args, n)
 		c.wire = make([]marshal.ChainLink, n)
 	}
+	c.n = n
 	return c
 }
 
@@ -116,12 +115,10 @@ func (l *Layer) getFrame() *callFrame {
 		return f
 	default:
 		f := &callFrame{layer: l}
-		f.exec = f.execArgs
-		f.execSockFn = f.execSock
-		f.execChainFn = f.execChain
-		f.execBatchFn = f.execBatch
-		f.execBinderFn = f.execBinder
-		f.execGrantFn = f.execGrant
+		f.handlers = [armCount]marshal.GuestHandler{
+			armArgs: f.execArgs, armBatch: f.execBatch, armSock: f.execSock,
+			armGrant: f.execGrant, armChain: f.execChain, armBinder: f.execBinder,
+		}
 		return f
 	}
 }
@@ -130,7 +127,7 @@ func (l *Layer) getFrame() *callFrame {
 // from here on, and it pins no app buffer while idle.
 func (l *Layer) putFrame(f *callFrame) {
 	f.args = kernel.Args{}
-	f.st, f.proxy, f.lane, f.cred = nil, nil, nil, abi.Cred{}
+	f.st, f.proxy, f.batch, f.lane, f.cred = nil, nil, nil, nil, abi.Cred{}
 	clear(f.resolved)
 	f.resolved = f.resolved[:0]
 	clear(f.results)
@@ -154,18 +151,6 @@ func (l *Layer) putFrame(f *callFrame) {
 	case l.frames <- f:
 	default:
 	}
-}
-
-// encodeArgs encodes one call into the request frame. For read-like
-// calls the user buffer is an output pointer: only its size travels to
-// the guest; the data comes back in the reply.
-func (f *callFrame) encodeArgs(args *kernel.Args) {
-	enc := *args
-	if isReadLike(args.Nr) && enc.Buf != nil {
-		enc.Size = len(enc.Buf)
-		enc.Buf = nil
-	}
-	f.req = marshal.AppendArgs(f.req[:0], &enc)
 }
 
 // wantsScratch reports a decoded read-like call that names only an
@@ -241,9 +226,10 @@ func (f *callFrame) execArgs(req []byte) []byte {
 	return tampered(f.st, f.setReply(res))
 }
 
-// execSock is the guest handler of a sockop frame: decode it in place,
-// run the op in the proxy's context (the ring's SQ poller already paid
-// the dispatch), and append the result to the reply frame.
+// execSock is the guest handler of a sockop frame, which only the ring
+// carries: decode it in place, run the op in the proxy's context (the
+// ring's SQ poller already paid the dispatch), and append the result to
+// the reply frame.
 func (f *callFrame) execSock(req []byte) []byte {
 	a := &f.args
 	if err := f.dec.SockOp(req, a); err != nil {
@@ -272,39 +258,42 @@ func (f *callFrame) execChain(req []byte) []byte {
 	return tampered(f.st, f.reply)
 }
 
-// decodeReply decodes a reply frame and lands it for the caller of args.
-func decodeReply(resp []byte, args *kernel.Args) kernel.Result {
-	res, err := marshal.DecodeResult(resp)
-	if err != nil {
-		return kernel.Result{Ret: -1, Err: err}
-	}
-	landReply(args, &res)
-	return res
-}
-
 // landReply is the pointer-translation writeback of a decoded reply,
 // whose Data is a view into a frame about to be reused. The reply must
-// first pass checkReply; one that does not lands as EIO. A successful
-// read-like call's bytes land in the caller's buffer — the one host-side
-// copy — and Data becomes that buffer; any other reply bytes are copied
-// out (and a vectored read is scattered from the copy). Either way the
-// result outlives the frame.
-func landReply(args *kernel.Args, res *kernel.Result) {
+// first pass checkReply; one that does not lands as EIO, and landReply
+// returns the error. A successful read-like call's bytes land in the
+// caller's buffer — the one host-side copy — and Data becomes that
+// buffer; any other reply bytes are copied out (and a vectored read is
+// scattered from the copy). Either way the result outlives the frame.
+func landReply(args *kernel.Args, res *kernel.Result) error {
 	if err := checkReply(args, res, false); err != nil {
 		*res = kernel.Result{Ret: -1, Err: err}
-		return
+		return err
 	}
 	if len(res.Data) == 0 {
-		return
+		return nil
 	}
 	if res.Ok() && isReadLike(args.Nr) && len(args.Iov) == 0 && len(args.Buf) > 0 {
 		res.Data = args.Buf[:copy(args.Buf, res.Data)]
-		return
+		return nil
 	}
 	res.Data = bytes.Clone(res.Data)
 	if res.Ok() && isReadLike(args.Nr) && len(args.Iov) > 0 {
 		scatterIntoIov(args.Iov, res.Data)
 	}
+	return nil
+}
+
+// landGranted is landReply for a granted call, whose bytes already moved
+// through the pinned pages: reply bytes (only a tampering guest sends
+// any) are dropped, not landed, and the count is checked by reference.
+func landGranted(args *kernel.Args, res *kernel.Result) error {
+	res.Data = nil
+	if err := checkReply(args, res, true); err != nil {
+		*res = kernel.Result{Ret: -1, Err: err}
+		return err
+	}
+	return nil
 }
 
 // checkReply holds a decoded reply to what a kernel's copy-out could

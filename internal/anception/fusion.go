@@ -1,17 +1,14 @@
 package anception
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"anception/internal/abi"
 	"anception/internal/kernel"
 	"anception/internal/marshal"
 	"anception/internal/redirect"
-	"anception/internal/sim"
 )
 
 // Syscall fusion (DESIGN.md §17): linked ring submissions execute
@@ -305,8 +302,7 @@ func (l *Layer) tryFusedChain(t *kernel.Task, calls []ChainCall, screen bool, re
 		return false
 	}
 	st := l.currentState()
-	ring, async := st.transport.(marshal.AsyncTransport)
-	if !async {
+	if _, async := st.transport.(marshal.AsyncTransport); !async {
 		return false
 	}
 	var pathsArr [marshal.MaxChainLinks]string // admitted absolute paths
@@ -329,7 +325,7 @@ func (l *Layer) tryFusedChain(t *kernel.Task, calls []ChainCall, screen bool, re
 		}
 	}
 	if ran > 0 {
-		l.chainFused(st, ring, t, calls[:ran], paths[:ran], results[:ran])
+		l.chainFused(st, t, calls[:ran], paths[:ran], results[:ran])
 	}
 	if veto != nil {
 		if ran > 0 && !results[ran-1].Ok() {
@@ -381,7 +377,7 @@ func isOpenLike(nr abi.SyscallNr) bool {
 // linked submission per segment (one doorbell, one completion). Dirty
 // cache state on every explicitly-named descriptor is flushed before the
 // chain so guest-side links see coherent bytes.
-func (l *Layer) chainFused(st *layerState, ring marshal.AsyncTransport, t *kernel.Task, calls []ChainCall, paths []string, results []kernel.Result) {
+func (l *Layer) chainFused(st *layerState, t *kernel.Task, calls []ChainCall, paths []string, results []kernel.Result) {
 	f := l.fusion
 	n := len(calls)
 
@@ -475,7 +471,7 @@ func (l *Layer) chainFused(st *layerState, ring marshal.AsyncTransport, t *kerne
 			cf.args[si] = a
 			cf.wire[si] = marshal.ChainLink{Args: &cf.wireArgs[si], FDFrom: fdFrom, UseCursor: calls[oi].UseCursor}
 		}
-		cr, ok := l.forwardChainRing(st, ring, t, fr, len(seg))
+		cr, ok := l.forwardChain(st, t, fr)
 		f.chains.Add(1)
 		f.submitted.Add(int64(len(seg)))
 		f.completed.Add(int64(cr.Executed))
@@ -604,78 +600,29 @@ func (l *Layer) chainFused(st *layerState, ring marshal.AsyncTransport, t *kerne
 	}
 }
 
-// forwardChainRing moves one wire segment through a single ring slot:
-// the n links built in the frame's chain scratch are encoded as a chain
-// frame, the guest executes every link in one trap context
+// forwardChain moves one wire segment through the forward core's chain
+// arm: the n links built in the frame's chain scratch are encoded as a
+// chain frame, the guest executes every link in one trap context
 // (proxy.ExecuteChainDrained), and the completion carries the positional
 // result vector home. The results are views into the frame's scratch,
-// valid until its next chain. Deadline, degraded and host-down semantics
-// match forwardRing slot-for-slot. On a transport failure every link
-// reports the failure. ok mirrors whether the segment's results are
+// valid until its next chain. When the core fails the segment, every
+// link reports the failure. ok mirrors whether the segment's results are
 // genuine guest results.
-func (l *Layer) forwardChainRing(st *layerState, ring marshal.AsyncTransport, t *kernel.Task, f *callFrame, n int) (marshal.ChainResult, bool) {
-	cf := f.chain
-	failAll := func(err error) (marshal.ChainResult, bool) {
-		return marshal.ChainResult{Results: failLinks(make([]kernel.Result, n), err)}, false
+func (l *Layer) forwardChain(st *layerState, t *kernel.Task, f *callFrame) (marshal.ChainResult, bool) {
+	c := f.chain
+	resp, err := l.forwardFrame(st, t, f, armChain, &c.args[0])
+	var cr marshal.ChainResult
+	if err == nil {
+		cr, err = c.dec.Result(resp)
 	}
-	if !l.enterGuestCall(st) {
-		l.counters.failedFast.Add(1)
-		return failAll(fmt.Errorf("container circuit breaker open: %w", abi.EAGAIN))
+	if err == nil && len(cr.Results) != c.n {
+		err = fmt.Errorf("chain reply has %d results for %d links: %w", len(cr.Results), c.n, abi.EIO)
 	}
-	defer l.exitGuestCall()
-	p, err := st.proxies.Ensure(t)
 	if err != nil {
-		if errors.Is(err, abi.EHOSTDOWN) {
-			l.counters.hostDown.Add(1)
-		}
-		return failAll(fmt.Errorf("enroll proxy: %w", err))
-	}
-	l.counters.redirected.Add(int64(n))
-	if l.trace != nil {
-		l.trace.Record(sim.EvRedirect, "redirect fused chain of %d links pid=%d -> proxy %d (ring)", n, t.PID, p.PID)
-	}
-
-	// Read-like links ship only their size; the data rides home in the
-	// completion (same output-pointer rule as single-call frames).
-	for i := 0; i < n; i++ {
-		w := cf.args[i]
-		if isReadLike(w.Nr) && w.Buf != nil {
-			w.Size = len(w.Buf)
-			w.Buf = nil
-		}
-		cf.wireArgs[i] = w
-	}
-	f.req = marshal.AppendChain(f.req[:0], cf.wire[:n])
-	l.clock.Charge(t.Lane, time.Duration(len(f.req))*l.model.MarshalPerByte)
-
-	f.st, f.proxy = st, p
-	span := l.clock.StartSpan(t.Lane)
-	pending, serr := ring.Submit(t.Lane, f.req, f.execChainFn)
-	if serr != nil {
-		res := l.transportFailure(t, &cf.args[0], span, serr)
-		return failAll(res.Err)
-	}
-	respBytes, werr := pending.Wait()
-	if werr != nil {
-		res := l.transportFailure(t, &cf.args[0], span, werr)
-		return failAll(res.Err)
-	}
-	if span.Elapsed() > l.deadline {
-		l.counters.timedOut.Add(1)
-		if l.trace != nil {
-			l.trace.Record(sim.EvTimeout, "fused chain pid=%d completed past %v deadline", t.PID, l.deadline)
-		}
-		return failAll(fmt.Errorf("chain exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT))
-	}
-	cr, derr := cf.dec.Result(respBytes)
-	if derr != nil {
-		return failAll(derr)
-	}
-	if len(cr.Results) != n {
-		return failAll(fmt.Errorf("chain reply has %d results for %d links: %w", len(cr.Results), n, abi.EIO))
+		return marshal.ChainResult{Results: failLinks(make([]kernel.Result, c.n), err)}, false
 	}
 	for i := range cr.Results {
-		landReply(&cf.args[i], &cr.Results[i])
+		landReply(&c.args[i], &cr.Results[i])
 	}
 	return cr, true
 }

@@ -1,10 +1,7 @@
 package anception
 
 import (
-	"errors"
-	"fmt"
 	"sync"
-	"time"
 
 	"anception/internal/abi"
 	"anception/internal/hypervisor"
@@ -203,7 +200,7 @@ func (l *Layer) forwardGrantFD(st *layerState, t *kernel.Task, e *kernel.FDEntry
 	}
 	fwd := *args
 	fwd.FD = e.GuestFD
-	res := l.forwardGrant(st, t, &fwd)
+	res := l.forward(st, t, armGrant, &fwd)
 	if writeStyle {
 		l.grants.unregister(liveID)
 		if res.Ok() {
@@ -213,29 +210,16 @@ func (l *Layer) forwardGrantFD(st *layerState, t *kernel.Task, e *kernel.FDEntry
 	return res
 }
 
-// forwardGrant moves one bulk call over the transport by reference: the
-// call's buffers are pinned and mapped into the guest as one batched
-// grant, a fixed-size scatter-gather descriptor travels the channel in
-// place of the payload, the guest resolves the extents back to the
-// pinned host pages and executes against them directly (execGrant), and
-// the reply carries only the return count. The grant is revoked (one
-// batched TLB shootdown) when the call completes, success or not. The
-// refs, the descriptor's entries and the guest's resolved views all live
-// in the call frame.
-func (l *Layer) forwardGrant(st *layerState, t *kernel.Task, args *kernel.Args) kernel.Result {
-	if !l.enterGuestCall(st) {
-		l.counters.failedFast.Add(1)
-		return kernel.Result{Ret: -1, Err: fmt.Errorf("container circuit breaker open: %w", abi.EAGAIN)}
-	}
-	defer l.exitGuestCall()
-	p, err := st.proxies.Ensure(t)
-	if err != nil {
-		if errors.Is(err, abi.EHOSTDOWN) {
-			l.counters.hostDown.Add(1)
-		}
-		return kernel.Result{Ret: -1, Err: fmt.Errorf("enroll proxy: %w", err)}
-	}
-
+// encodeGrant is the forward core's grant arm: it moves one bulk call by
+// reference. The call's buffers are pinned and mapped into the guest as
+// one batched grant, a fixed-size scatter-gather descriptor travels the
+// channel in place of the payload, the guest resolves the extents back
+// to the pinned host pages and executes against them directly
+// (execGrant), and the reply carries only the return count. The core
+// revokes the grant when the call completes, success or not. The refs,
+// the descriptor's entries and the guest's resolved views all live in
+// the call frame.
+func (l *Layer) encodeGrant(t *kernel.Task, f *callFrame, args *kernel.Args) {
 	bufs := args.Iov
 	if len(bufs) == 0 {
 		bufs = [][]byte{args.Buf}
@@ -244,11 +228,7 @@ func (l *Layer) forwardGrant(st *layerState, t *kernel.Task, args *kernel.Args) 
 	// app pages in place, which is the whole point — the data never
 	// traverses the copy channel in either direction.
 	writable := isReadLike(args.Nr)
-	table := l.grants.table
-	f := l.getFrame()
-	defer l.putFrame(f)
-	f.refs = table.GrantBatch(t.Lane, bufs, writable, f.refs[:0])
-	defer table.RevokeBatch(t.Lane, f.refs)
+	f.refs = l.grants.table.GrantBatch(t.Lane, bufs, writable, f.refs[:0])
 
 	total := 0
 	f.sg.Writable = writable
@@ -272,43 +252,6 @@ func (l *Layer) forwardGrant(st *layerState, t *kernel.Task, args *kernel.Args) 
 	enc.Iov = nil
 	enc.Size = total
 	f.req = marshal.AppendGrantCall(f.req[:0], &f.sg, &enc)
-	l.clock.Charge(t.Lane, time.Duration(len(f.req))*l.model.MarshalPerByte)
-
-	ring, async := st.transport.(marshal.AsyncTransport)
-	f.st, f.proxy, f.drained = st, p, async
-	span := l.clock.StartSpan(t.Lane)
-	var respBytes []byte
-	var terr error
-	if async {
-		pending, serr := ring.Submit(t.Lane, f.req, f.execGrantFn)
-		if serr != nil {
-			return l.transportFailure(t, args, span, serr)
-		}
-		respBytes, terr = pending.Wait()
-	} else {
-		respBytes, terr = st.transport.RoundTrip(t.Lane, f.req, f.execGrantFn)
-	}
-	if terr != nil {
-		return l.transportFailure(t, args, span, terr)
-	}
-	if span.Elapsed() > l.deadline {
-		l.counters.timedOut.Add(1)
-		if l.trace != nil {
-			l.trace.Record(sim.EvTimeout, "%s pid=%d completed past %v deadline", args.Nr, t.PID, l.deadline)
-		}
-		return kernel.Result{Ret: -1, Err: fmt.Errorf("call exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)}
-	}
-	res, derr := marshal.DecodeResult(respBytes)
-	if derr != nil {
-		return kernel.Result{Ret: -1, Err: derr}
-	}
-	// The bytes already moved through the granted pages. Reply bytes
-	// (only a tampering guest sends any) are dropped, not landed.
-	res.Data = nil
-	if err := checkReply(args, &res, true); err != nil {
-		return kernel.Result{Ret: -1, Err: err}
-	}
-	return res
 }
 
 // execGrant is the guest handler of a grant-call frame: decode it into

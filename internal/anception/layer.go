@@ -62,10 +62,10 @@ type Layer struct {
 	state atomic.Pointer[layerState]
 
 	// guestCalls counts redirected calls currently inside a guest-touching
-	// span (transport round-trip, ring submit/wait, grant forward, binder
-	// session dispatch). It is the live-upgrade quiesce barrier: with
-	// degraded mode gating new entries, QuiesceGuestCalls waits for this
-	// to reach zero before the guest is swapped under load.
+	// span (the forward core's round trip, or a binder session dispatch).
+	// It is the live-upgrade quiesce barrier: with degraded mode gating
+	// new entries, QuiesceGuestCalls waits for this to reach zero before
+	// the guest is swapped under load.
 	guestCalls atomic.Int64
 
 	counters layerCounters
@@ -684,7 +684,7 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 	case abi.SysIoctl:
 		fwd := *args
 		fwd.FD = t.FD(args.FD).GuestFD
-		return l.forward(t, &fwd)
+		return l.forward(l.currentState(), t, armArgs, &fwd)
 
 	case abi.SysClose:
 		e := t.FD(args.FD)
@@ -696,7 +696,7 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 		}
 		fwd := *args
 		fwd.FD = e.GuestFD
-		res := l.forwardOn(st, t, &fwd)
+		res := l.forward(st, t, armArgs, &fwd)
 		t.CloseFD(args.FD)
 		l.forgetFD(e)
 		if flushFailed {
@@ -719,7 +719,7 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 		fwd := *args
 		fwd.Nr = abi.SysDup
 		fwd.FD = e.GuestFD
-		res := l.forwardOn(st, t, &fwd)
+		res := l.forward(st, t, armArgs, &fwd)
 		if !res.Ok() {
 			return res
 		}
@@ -761,7 +761,7 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 		return l.forwardWithFDResult(t, &fwd)
 
 	case abi.SysPipe:
-		res := l.forward(t, args)
+		res := l.forward(l.currentState(), t, armArgs, args)
 		if !res.Ok() {
 			return res
 		}
@@ -781,7 +781,7 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 				return res
 			}
 		}
-		res := l.forwardOn(st, t, &fwd)
+		res := l.forward(st, t, armArgs, &fwd)
 		l.notePathResult(t, &fwd, p, res)
 		return res
 
@@ -793,7 +793,7 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 		if !l.cacheBypassed(st) {
 			l.cachedPathCall(st, t, &fwd, p)
 		}
-		res := l.forwardOn(st, t, &fwd)
+		res := l.forward(st, t, armArgs, &fwd)
 		l.notePathResult(t, &fwd, p, res)
 		return res
 
@@ -801,13 +801,13 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 		// Path is the target (uninterpreted), Path2 the link location.
 		fwd := *args
 		fwd.Path2 = p
-		res := l.forward(t, &fwd)
+		res := l.forward(l.currentState(), t, armArgs, &fwd)
 		l.notePathResult(t, &fwd, p, res)
 		return res
 	}
 	if !namesFD(args.Nr) {
 		// Redirect-class calls with no special handling run in the CVM.
-		return l.forward(t, args)
+		return l.forward(l.currentState(), t, armArgs, args)
 	}
 	// A plain descriptor call: I/O, attributes, socket ops.
 	e := t.FD(args.FD)
@@ -821,7 +821,7 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 	if isSockCall(args.Nr) {
 		fwd := *args
 		fwd.FD = e.GuestFD
-		res := l.forwardSock(st, t, &fwd)
+		res := l.forward(st, t, armSock, &fwd)
 		writeBackOther(args, res)
 		return res
 	}
@@ -832,7 +832,7 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 	}
 	fwd := *args
 	fwd.FD = e.GuestFD
-	res := l.forwardOn(st, t, &fwd)
+	res := l.forward(st, t, armArgs, &fwd)
 	l.noteForwardedFDOp(e, args.Nr)
 	writeBackOther(args, res)
 	return res
@@ -907,7 +907,7 @@ func (l *Layer) handleSendfile(t *kernel.Task, args *kernel.Args) kernel.Result 
 		fwd := *args
 		fwd.FD = out.GuestFD
 		fwd.FD2 = in.GuestFD
-		res := l.forwardOn(st, t, &fwd)
+		res := l.forward(st, t, armArgs, &fwd)
 		if res.Ok() {
 			l.noteFileWrite(l.fileOf(out))
 		}
@@ -984,142 +984,15 @@ func (l *Layer) sendfileLeg(st *layerState, t *kernel.Task, e *kernel.FDEntry, a
 	}
 	a.FD = e.GuestFD
 	if l.grantEligible(&a) {
-		return l.forwardGrant(st, t, &a)
+		return l.forward(st, t, armGrant, &a)
 	}
-	return l.forwardOn(st, t, &a)
-}
-
-// forward marshals one call, moves it over the transport, executes it in
-// the proxy's context inside the CVM, and unmarshals the result.
-func (l *Layer) forward(t *kernel.Task, args *kernel.Args) kernel.Result {
-	return l.forwardOn(l.currentState(), t, args)
-}
-
-// forwardOn is forward against an already-loaded state snapshot: the hot
-// path loads the snapshot exactly once per intercepted call. Every
-// forwarded call runs under the layer's sim-clock deadline: a hung or
-// lossy transport surfaces as ETIMEDOUT at the deadline instead of
-// blocking the app forever, and a dead container as EHOSTDOWN.
-//
-// A device mounts one data channel: a mounted ring serves every call.
-func (l *Layer) forwardOn(st *layerState, t *kernel.Task, args *kernel.Args) kernel.Result {
-	if ring, ok := st.transport.(marshal.AsyncTransport); ok {
-		l.policy.ringChosen.Add(1)
-		return l.forwardRing(st, ring, t, args)
-	}
-	return l.forwardSyncOn(st, t, args)
-}
-
-// forwardSyncOn moves one call over the synchronous channel.
-func (l *Layer) forwardSyncOn(st *layerState, t *kernel.Task, args *kernel.Args) kernel.Result {
-	if !l.enterGuestCall(st) {
-		l.counters.failedFast.Add(1)
-		return kernel.Result{Ret: -1, Err: fmt.Errorf("container circuit breaker open: %w", abi.EAGAIN)}
-	}
-	defer l.exitGuestCall()
-	p, err := st.proxies.Ensure(t)
-	if err != nil {
-		if errors.Is(err, abi.EHOSTDOWN) {
-			l.counters.hostDown.Add(1)
-		}
-		return kernel.Result{Ret: -1, Err: fmt.Errorf("enroll proxy: %w", err)}
-	}
-	l.counters.redirected.Add(1)
-	if l.trace != nil {
-		l.trace.Record(sim.EvRedirect, "redirect %s pid=%d -> proxy %d", args.Nr, t.PID, p.PID)
-	}
-
-	f := l.getFrame()
-	defer l.putFrame(f)
-	f.encodeArgs(args)
-	l.clock.Charge(t.Lane, time.Duration(len(f.req))*l.model.MarshalPerByte)
-
-	f.st, f.proxy, f.drained = st, p, false
-	span := l.clock.StartSpan(t.Lane)
-	respBytes, terr := st.transport.RoundTrip(t.Lane, f.req, f.exec)
-	if terr != nil {
-		return l.transportFailure(t, args, span, terr)
-	}
-	// An injected (or modeled) delay can push a completed call past its
-	// budget; the app sees ETIMEDOUT either way.
-	if span.Elapsed() > l.deadline {
-		l.counters.timedOut.Add(1)
-		if l.trace != nil {
-			l.trace.Record(sim.EvTimeout, "%s pid=%d completed past %v deadline", args.Nr, t.PID, l.deadline)
-		}
-		return kernel.Result{Ret: -1, Err: fmt.Errorf("call exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)}
-	}
-	return decodeReply(respBytes, args)
-}
-
-// forwardBatch moves several calls to the guest in ONE transport
-// round-trip (the redirection cache's coalesced flush): the payload is a
-// batch frame, the proxy is dispatched once, and each call pays only its
-// own guest-side trap entry. Results come back positionally, decoded
-// into dst's storage.
-func (l *Layer) forwardBatch(st *layerState, t *kernel.Task, calls []*kernel.Args, dst []kernel.Result) ([]kernel.Result, error) {
-	if ring, ok := st.transport.(marshal.AsyncTransport); ok {
-		return l.forwardBatchRing(st, ring, t, calls, dst)
-	}
-	if !l.enterGuestCall(st) {
-		l.counters.failedFast.Add(1)
-		return nil, fmt.Errorf("container circuit breaker open: %w", abi.EAGAIN)
-	}
-	defer l.exitGuestCall()
-	p, err := st.proxies.Ensure(t)
-	if err != nil {
-		if errors.Is(err, abi.EHOSTDOWN) {
-			l.counters.hostDown.Add(1)
-		}
-		return nil, fmt.Errorf("enroll proxy: %w", err)
-	}
-	l.counters.redirected.Add(int64(len(calls)))
-	if l.trace != nil {
-		l.trace.Record(sim.EvRedirect, "redirect batch of %d calls pid=%d -> proxy %d", len(calls), t.PID, p.PID)
-	}
-	f := l.getFrame()
-	defer l.putFrame(f)
-	f.req = marshal.AppendArgsBatch(f.req[:0], calls)
-	l.clock.Charge(t.Lane, time.Duration(len(f.req))*l.model.MarshalPerByte)
-
-	span := l.clock.StartSpan(t.Lane)
-	f.st, f.proxy, f.drained = st, p, false
-	respBytes, terr := st.transport.RoundTrip(t.Lane, f.req, f.execBatchFn)
-	if terr != nil {
-		fail := l.transportFailure(t, calls[0], span, terr)
-		return nil, fail.Err
-	}
-	if span.Elapsed() > l.deadline {
-		l.counters.timedOut.Add(1)
-		return nil, fmt.Errorf("batch exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)
-	}
-	return decodeBatchReply(respBytes, calls, dst)
-}
-
-// transportFailure converts a transport error into the app-visible errno:
-// ErrHang charges the remaining deadline and becomes ETIMEDOUT; EHOSTDOWN
-// passes through (counted); anything else is reported as-is.
-func (l *Layer) transportFailure(t *kernel.Task, args *kernel.Args, span sim.Span, terr error) kernel.Result {
-	if errors.Is(terr, marshal.ErrHang) {
-		if elapsed := span.Elapsed(); elapsed < l.deadline {
-			l.clock.Charge(t.Lane, l.deadline-elapsed)
-		}
-		l.counters.timedOut.Add(1)
-		if l.trace != nil {
-			l.trace.Record(sim.EvTimeout, "%s pid=%d abandoned at %v deadline", args.Nr, t.PID, l.deadline)
-		}
-		return kernel.Result{Ret: -1, Err: fmt.Errorf("data channel hung past %v deadline: %w", l.deadline, abi.ETIMEDOUT)}
-	}
-	if errors.Is(terr, abi.EHOSTDOWN) {
-		l.counters.hostDown.Add(1)
-	}
-	return kernel.Result{Ret: -1, Err: fmt.Errorf("data channel: %w", terr)}
+	return l.forward(st, t, armArgs, &a)
 }
 
 // forwardWithFDResult forwards a descriptor-creating call and installs a
 // remote-descriptor entry in the host task for the returned guest fd.
 func (l *Layer) forwardWithFDResult(t *kernel.Task, args *kernel.Args) kernel.Result {
-	res := l.forward(t, args)
+	res := l.forward(l.currentState(), t, armArgs, args)
 	if !res.Ok() || res.FD <= 0 {
 		return res
 	}
@@ -1144,7 +1017,7 @@ func isReadLike(nr abi.SyscallNr) bool {
 
 // writeBackOther copies the reply bytes of a non-read-like call (fstat,
 // getsockopt) into the caller's buffer(s). Read-like replies were already
-// landed there by the forward path (landReply).
+// landed there by the forward core's landing (landReply).
 func writeBackOther(args *kernel.Args, res kernel.Result) {
 	if !res.Ok() || len(res.Data) == 0 || isReadLike(args.Nr) {
 		return

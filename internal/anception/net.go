@@ -1,10 +1,6 @@
 package anception
 
 import (
-	"errors"
-	"fmt"
-	"time"
-
 	"anception/internal/abi"
 	"anception/internal/kernel"
 	"anception/internal/marshal"
@@ -16,10 +12,11 @@ import (
 // fixed-layout frames (marshal.AppendSockOp) small enough for the
 // inline slot window, bulk send/recv payloads above GrantThreshold move
 // by grant reference like file I/O, and accept4/epoll_wait completions
-// carry whole batches of descriptors. Per-slot deadlines, degraded-mode
-// EAGAIN, and EHOSTDOWN-on-restart semantics match the file and binder
-// paths slot-for-slot; the supervisor's SocketDrainer hook sits between
-// the ring and binder drains in the post-restart order.
+// carry whole batches of descriptors. A socket op is the forward core's
+// sock arm (forward.go), so its deadline, degraded-mode EAGAIN and
+// EHOSTDOWN-on-restart are every redirected call's; the supervisor's
+// SocketDrainer hook sits between the ring and binder drains in the
+// post-restart order.
 
 // DefaultNetBatch is the per-completion cap on batched accepted
 // connections / readiness events.
@@ -30,9 +27,11 @@ const DefaultNetBatch = 16
 type NetPathStats struct {
 	// Submitted/Completed/Failed is the socket-op accounting identity:
 	// every forwarded socket op is submitted exactly once and ends as
-	// either a completion (a guest-executed result, including guest
-	// errnos like EAGAIN on an empty queue) or a failure (degraded-mode
-	// rejection, transport loss, deadline, EHOSTDOWN drain).
+	// either a failure of the forward core (degraded-mode rejection,
+	// enrollment, transport loss, deadline, EHOSTDOWN drain, an
+	// undecodable or rejected reply) or a completion (everything else,
+	// guest errnos like EAGAIN on an empty queue or a firewall veto
+	// included), on either channel.
 	Submitted int64
 	Completed int64
 	Failed    int64
@@ -69,95 +68,6 @@ func netBatchLimit(want int) int {
 	return want
 }
 
-// forwardSock forwards one socket op (guest descriptor already
-// translated) and maintains the Submitted = Completed + Failed identity.
-func (l *Layer) forwardSock(st *layerState, t *kernel.Task, args *kernel.Args) kernel.Result {
-	l.counters.sockSubmitted.Add(1)
-	res, failed := l.forwardSockInner(st, t, args)
-	if failed {
-		l.counters.sockFailed.Add(1)
-	} else {
-		l.counters.sockCompleted.Add(1)
-	}
-	return res
-}
-
-// forwardSockInner routes the op: over the ring it travels as a compact
-// sockop frame in an SQ slot (inline when small — no chunk copies); on
-// the synchronous channel it takes the generic TLV forward, which is
-// exactly the pinned uncached baseline.
-func (l *Layer) forwardSockInner(st *layerState, t *kernel.Task, args *kernel.Args) (kernel.Result, bool) {
-	ring, async := st.transport.(marshal.AsyncTransport)
-	if !async {
-		res := l.forwardSyncOn(st, t, args)
-		return res, sockTransportFailure(res.Err)
-	}
-	if !l.enterGuestCall(st) {
-		l.counters.failedFast.Add(1)
-		return kernel.Result{Ret: -1, Err: fmt.Errorf("container circuit breaker open: %w", abi.EAGAIN)}, true
-	}
-	defer l.exitGuestCall()
-	p, err := st.proxies.Ensure(t)
-	if err != nil {
-		if errors.Is(err, abi.EHOSTDOWN) {
-			l.counters.hostDown.Add(1)
-		}
-		return kernel.Result{Ret: -1, Err: fmt.Errorf("enroll proxy: %w", err)}, true
-	}
-	l.counters.redirected.Add(1)
-	l.counters.sockRing.Add(1)
-	if l.trace != nil {
-		l.trace.Record(sim.EvRedirect, "redirect %s pid=%d -> proxy %d (sock ring)", args.Nr, t.PID, p.PID)
-	}
-
-	// Read-style ops ship only the size; the bytes come home in the
-	// reply (inline when they fit the CQ descriptor area).
-	enc := *args
-	if isReadLike(args.Nr) && enc.Buf != nil {
-		enc.Size = len(enc.Buf)
-		enc.Buf = nil
-	}
-	f := l.getFrame()
-	defer l.putFrame(f)
-	f.req = marshal.AppendSockOp(f.req[:0], &enc)
-	l.clock.Charge(t.Lane, time.Duration(len(f.req))*l.model.MarshalPerByte)
-
-	f.st, f.proxy = st, p
-	span := l.clock.StartSpan(t.Lane)
-	pending, serr := ring.Submit(t.Lane, f.req, f.execSockFn)
-	if serr != nil {
-		return l.transportFailure(t, args, span, serr), true
-	}
-	respBytes, werr := pending.Wait()
-	if werr != nil {
-		return l.transportFailure(t, args, span, werr), true
-	}
-	if span.Elapsed() > l.deadline {
-		l.counters.timedOut.Add(1)
-		if l.trace != nil {
-			l.trace.Record(sim.EvTimeout, "%s pid=%d completed past %v deadline", args.Nr, t.PID, l.deadline)
-		}
-		return kernel.Result{Ret: -1, Err: fmt.Errorf("call exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)}, true
-	}
-	res, derr := marshal.DecodeResult(respBytes)
-	if derr != nil {
-		return kernel.Result{Ret: -1, Err: derr}, true
-	}
-	landReply(args, &res)
-	return res, false
-}
-
-// sockTransportFailure classifies a synchronous-path error as a
-// transport-level failure (vs. a guest-executed errno, which counts as a
-// completion).
-func sockTransportFailure(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, abi.EHOSTDOWN) || errors.Is(err, abi.ETIMEDOUT) ||
-		errors.Is(err, abi.ENXIO) || errors.Is(err, abi.EIO)
-}
-
 // handleAccept4 forwards a batched accept: the guest drains up to
 // Args.Size pending connections in one ring completion and the reply's
 // fd list is re-installed as host remote descriptors.
@@ -166,7 +76,7 @@ func (l *Layer) handleAccept4(t *kernel.Task, args *kernel.Args) kernel.Result {
 	fwd := *args
 	fwd.FD = t.FD(args.FD).GuestFD
 	fwd.Size = netBatchLimit(args.Size)
-	res := l.forwardSock(st, t, &fwd)
+	res := l.forward(st, t, armSock, &fwd)
 	if !res.Ok() {
 		return res
 	}
@@ -193,7 +103,7 @@ func (l *Layer) handleEpollWait(t *kernel.Task, args *kernel.Args) kernel.Result
 	fwd := *args
 	fwd.FD = t.FD(args.FD).GuestFD
 	fwd.Size = netBatchLimit(args.Size)
-	res := l.forwardSock(st, t, &fwd)
+	res := l.forward(st, t, armSock, &fwd)
 	if !res.Ok() || len(res.Data) == 0 {
 		return res
 	}
@@ -219,7 +129,7 @@ func (l *Layer) handleEpollCtl(t *kernel.Task, args *kernel.Args) kernel.Result 
 	fwd := *args
 	fwd.FD = t.FD(args.FD).GuestFD
 	fwd.FD2 = target.GuestFD
-	return l.forwardSock(l.currentState(), t, &fwd)
+	return l.forward(l.currentState(), t, armSock, &fwd)
 }
 
 // DrainSockets rolls the network fast path to a new CVM boot generation:

@@ -86,7 +86,7 @@ func (l *Layer) handleChdir(t *kernel.Task, args *kernel.Args) kernel.Result {
 		return res
 	}
 	stat.Path = adm.Path
-	statRes := l.forward(t, &stat)
+	statRes := l.forward(l.currentState(), t, armArgs, &stat)
 	if !statRes.Ok() {
 		return statRes
 	}
@@ -127,7 +127,7 @@ func (l *Layer) handleExec(t *kernel.Task, args *kernel.Args) kernel.Result {
 	}
 
 	// User-generated code: fetch it from the container through the proxy.
-	openRes := l.forward(t, &kernel.Args{Nr: abi.SysOpen, Path: p, Flags: abi.ORdOnly})
+	openRes := l.forward(l.currentState(), t, armArgs, &kernel.Args{Nr: abi.SysOpen, Path: p, Flags: abi.ORdOnly})
 	if !openRes.Ok() {
 		return openRes
 	}
@@ -135,7 +135,7 @@ func (l *Layer) handleExec(t *kernel.Task, args *kernel.Args) kernel.Result {
 	var contents []byte
 	for {
 		buf := make([]byte, abi.PageSize)
-		readRes := l.forward(t, &kernel.Args{Nr: abi.SysRead, FD: guestFD, Buf: buf})
+		readRes := l.forward(l.currentState(), t, armArgs, &kernel.Args{Nr: abi.SysRead, FD: guestFD, Buf: buf})
 		if !readRes.Ok() {
 			return readRes
 		}
@@ -144,7 +144,7 @@ func (l *Layer) handleExec(t *kernel.Task, args *kernel.Args) kernel.Result {
 		}
 		contents = append(contents, readRes.Data...)
 	}
-	l.forward(t, &kernel.Args{Nr: abi.SysClose, FD: guestFD})
+	l.forward(l.currentState(), t, armArgs, &kernel.Args{Nr: abi.SysClose, FD: guestFD})
 
 	cached, err := l.execCache.Place(t.Cred.UID, p, contents)
 	if err != nil {
@@ -185,7 +185,7 @@ func (l *Layer) handleMmap(t *kernel.Task, args *kernel.Args) kernel.Result {
 		}
 	}
 	pull.FD, pull.Buf = e.GuestFD, make([]byte, pages*abi.PageSize)
-	readRes := l.forward(t, &pull)
+	readRes := l.forward(l.currentState(), t, armArgs, &pull)
 	if !readRes.Ok() {
 		return readRes
 	}
@@ -224,7 +224,7 @@ func (l *Layer) handleMsync(t *kernel.Task, args *kernel.Args) kernel.Result {
 	if err != nil {
 		return kernel.Result{Ret: -1, Err: err}
 	}
-	res := l.forward(t, &kernel.Args{Nr: abi.SysPwrite64, FD: binding.entry.GuestFD, Buf: data, Off: 0})
+	res := l.forward(l.currentState(), t, armArgs, &kernel.Args{Nr: abi.SysPwrite64, FD: binding.entry.GuestFD, Buf: data, Off: 0})
 	// The write-back went around the redirection cache: the pages cached
 	// for this file are stale now.
 	l.noteFileWrite(binding.file)

@@ -74,7 +74,7 @@ func (d *Decoder) BinderTxn(b []byte) (binder.Transaction, error) {
 	if len(b) < name+4 {
 		return t, fmt.Errorf("marshal: truncated binder transaction: %w", abi.EINVAL)
 	}
-	t.Service = keep(&d.service, b[2:name])
+	t.Service = d.keep(b[2:name])
 	t.Code = binary.LittleEndian.Uint32(b[name:])
 	t.Payload = b[name+4 : len(b) : len(b)]
 	return t, nil

@@ -280,20 +280,19 @@ func DecodeArgs(b []byte, a *kernel.Args) error {
 }
 
 // Decoder decodes requests as DecodeArgs and DecodeSockOp do, and keeps
-// the paths, addresses and binder service name of its previous decodes:
-// a string whose bytes equal one kept is returned as that string, not
-// copied again, so a transport that decodes the same paths over and over
-// allocates none. It keeps the last few addresses, so a client that
-// cycles through several peers decodes each without a copy. The kept
+// the strings of its previous decodes: paths, second paths, addresses
+// and binder service names. A string whose bytes equal one kept is
+// returned as that string, not copied again, so a transport that decodes
+// the same few strings over and over (two apps' files through one pooled
+// frame, a client cycling through its peers) allocates none. The kept
 // strings are copies, never views into a frame, and only a decode that
-// carries the field replaces them. ArgsBatch and GrantCall decode into
+// carries a string replaces one. ArgsBatch and GrantCall decode into
 // storage the decoder keeps, as ChainDecoder does. The zero value is
 // ready; a Decoder must not be used concurrently.
 type Decoder struct {
-	path, path2, service string
-	// addrs are the kept addresses, replaced round-robin from addrNext.
-	addrs    [4]string
-	addrNext int
+	// kept are the kept strings, replaced round-robin from next.
+	kept [keptStrings]string
+	next int
 	// batch and calls are ArgsBatch's storage, grown to the longest
 	// batch decoded.
 	batch []kernel.Args
@@ -303,26 +302,22 @@ type Decoder struct {
 	sg SGDescriptor
 }
 
-// keep returns b as a string: *prev when the bytes are equal (comparing
-// does not allocate), else a copy, which becomes *prev.
-func keep(prev *string, b []byte) string {
-	if string(b) != *prev {
-		*prev = string(b)
-	}
-	return *prev
-}
+// keptStrings is how many strings a Decoder keeps: a few files' paths,
+// a client's peers and a binder service at once.
+const keptStrings = 8
 
-// keepAddr is keep over the decoder's kept addresses.
-func (d *Decoder) keepAddr(b []byte) string {
-	for _, a := range d.addrs {
-		if a == string(b) {
-			return a
+// keep returns b as a string: the kept one when the bytes are equal
+// (comparing does not allocate), else a copy, which replaces the oldest.
+func (d *Decoder) keep(b []byte) string {
+	for _, s := range d.kept {
+		if s == string(b) {
+			return s
 		}
 	}
-	i := d.addrNext
-	d.addrNext = (i + 1) % len(d.addrs)
-	d.addrs[i] = string(b)
-	return d.addrs[i]
+	s := string(b)
+	d.kept[d.next] = s
+	d.next = (d.next + 1) % keptStrings
+	return s
 }
 
 // Args is DecodeArgs with the decoder's kept strings.
@@ -334,9 +329,9 @@ func (d *Decoder) Args(b []byte, a *kernel.Args) error {
 		case tagNr:
 			a.Nr = abi.SyscallNr(r.u64())
 		case tagPath:
-			a.Path = keep(&d.path, r.bytes())
+			a.Path = d.keep(r.bytes())
 		case tagPath2:
-			a.Path2 = keep(&d.path2, r.bytes())
+			a.Path2 = d.keep(r.bytes())
 		case tagFD:
 			a.FD = int(int64(r.u64()))
 		case tagFD2:
@@ -356,7 +351,7 @@ func (d *Decoder) Args(b []byte, a *kernel.Args) error {
 		case tagRequest:
 			a.Request = uint32(r.u64())
 		case tagAddr:
-			a.Addr = d.keepAddr(r.bytes())
+			a.Addr = d.keep(r.bytes())
 		case tagFamily:
 			a.Family = netstack.Family(r.u64())
 		case tagSockType:

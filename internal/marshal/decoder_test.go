@@ -14,7 +14,9 @@ import (
 // same path arrives again, so a repeated path call decodes without
 // allocating. A pathless call in between decodes Path == "" and keeps the
 // kept string; a different path of the same length is a new string, and
-// no decoded string is a view into its frame.
+// no decoded string is a view into its frame. Paths, addresses and
+// binder service names share one kept set: two paths, 4 addresses and a
+// service in turn all decode without a copy.
 func TestDecoderKeptStringsAllocs(t *testing.T) {
 	var d Decoder
 	var a kernel.Args
@@ -109,6 +111,22 @@ func TestDecoderKeptStringsAllocs(t *testing.T) {
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Errorf("4 addresses in turn: %v allocs, want 0", n)
+	}
+
+	// One pooled frame carrying two apps' files in turn, the 4 lanes and
+	// a binder transaction: every string is kept at once.
+	txn := AppendBinderTxn(nil, binder.Transaction{Service: "location", Code: 3})
+	mixed := func() {
+		decode(statA)
+		cycle()
+		decode(statB)
+		if got, err := d.BinderTxn(txn); err != nil || got.Service != "location" {
+			t.Fatalf("binder decode: service %q, %v", got.Service, err)
+		}
+	}
+	mixed()
+	if n := testing.AllocsPerRun(100, mixed); n != 0 {
+		t.Errorf("2 paths, 4 addresses and a service in turn: %v allocs, want 0", n)
 	}
 }
 

@@ -19,9 +19,9 @@ import (
 // batch) or the ring sits idle past RingPollIdle of sim time. Under load
 // the per-call world-switch cost of the synchronous Transport therefore
 // amortizes to 2/RingReapBatch switches per call. RoundTrip (from the
-// embedded Transport) degrades to Submit+Wait, so every synchronous
-// caller — Ping, the fault injector, single-threaded apps — works
-// unchanged.
+// embedded Transport) is Submit+Wait, so every synchronous caller — the
+// layer's forward core, Ping, the fault injector — drives the ring
+// through the one call it uses on the synchronous channel.
 type AsyncTransport interface {
 	Transport
 	// Submit claims a free SQ slot, copies the payload into the slot's

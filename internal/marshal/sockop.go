@@ -78,7 +78,7 @@ func (d *Decoder) SockOp(b []byte, a *kernel.Args) error {
 		return errTruncated
 	}
 	if addrLen > 0 {
-		a.Addr = d.keepAddr(b[r.pos : r.pos+addrLen])
+		a.Addr = d.keep(b[r.pos : r.pos+addrLen])
 	}
 	r.pos += addrLen
 	if r.pos < len(b) {
