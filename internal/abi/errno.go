@@ -63,6 +63,12 @@ func (e Errno) Error() string {
 	return fmt.Sprintf("errno %d", int(e))
 }
 
+// Valid reports whether e is one of the errno values above; 0 is not.
+func (e Errno) Valid() bool {
+	_, ok := errnoNames[e]
+	return ok
+}
+
 var errnoNames = map[Errno]string{
 	EPERM:   "operation not permitted",
 	ENOENT:  "no such file or directory",

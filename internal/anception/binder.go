@@ -1,7 +1,6 @@
 package anception
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -499,23 +498,14 @@ func (l *Layer) bridgeBinderRing(st *layerState, t *kernel.Task, f *callFrame, t
 		l.trace.Record(sim.EvBinder, "pipelined binder txn %q sid=%d from pid=%d", txn.Service, sid, t.PID)
 	}
 
-	f.st, f.lane, f.cred = st, t.Lane, t.Cred
-	resp, err := l.forwardFrame(st, t, f, armBinder, &binderIoctl)
-	var res kernel.Result
-	if err == nil && !txn.Oneway {
-		if res, err = marshal.DecodeResult(resp); err == nil {
-			err = checkReply(&binderIoctl, &res, false)
-		}
-	}
+	f.st, f.lane, f.cred, f.oneway = st, t.Lane, t.Cred, txn.Oneway
+	results, err := l.forwardFrame(st, t, f, armBinder, &binderIoctl)
 	if err != nil {
 		fp.failed.Add(1)
 		return kernel.Result{Ret: -1, Err: err}
 	}
 	fp.completed.Add(1)
-	// The reply goes back to the app (and maybe into the reply cache):
-	// copy it out of the frame.
-	res.Data = bytes.Clone(res.Data)
-	return res
+	return results[0]
 }
 
 // execBinder is the guest handler of a binder session frame: decode it

@@ -182,9 +182,6 @@ type Options struct {
 	// grant table, boot generation, supervisor). NewDevice ignores it —
 	// a Device is always exactly one CVM.
 	FleetSize int
-	// FleetPlacement selects the fleet's placement scheduler policy
-	// (least-loaded, hashed, per-user). NewDevice ignores it.
-	FleetPlacement PlacementPolicy
 }
 
 func (o *Options) applyDefaults() {

@@ -50,8 +50,7 @@ func (sh *Shard) appCount() int { return int(sh.apps.Load()) }
 // across migrations: Proc() always returns the process on the app's
 // current shard.
 type FleetApp struct {
-	Pkg    string
-	UserID int
+	Pkg string
 
 	fleet *Fleet
 	mu    sync.Mutex
@@ -85,15 +84,10 @@ func (a *FleetApp) Moves() int {
 
 // Fleet owns N CVM shards and the placement scheduler over them.
 type Fleet struct {
-	policy PlacementPolicy
-
-	mu     sync.Mutex
-	shards []*Shard
-	apps   map[string]*FleetApp
-	group  *supervisor.Group
-	// usersAdded tracks which (shard, user) stores exist under the
-	// per-user policy.
-	usersAdded map[[2]int]bool
+	mu         sync.Mutex
+	shards     []*Shard
+	apps       map[string]*FleetApp
+	group      *supervisor.Group
 	migrations int
 }
 
@@ -112,24 +106,13 @@ func NewFleet(opts Options) (*Fleet, error) {
 	if size <= 0 {
 		size = 1
 	}
-	policy := opts.FleetPlacement
-	if policy == "" {
-		policy = PlaceLeastLoaded
-	}
-	if !policy.valid() {
-		return nil, fmt.Errorf("fleet: unknown placement policy %q: %w", policy, abi.EINVAL)
-	}
-
 	f := &Fleet{
-		policy:     policy,
-		apps:       make(map[string]*FleetApp),
-		usersAdded: make(map[[2]int]bool),
-		group:      supervisor.NewGroup(),
+		apps:  make(map[string]*FleetApp),
+		group: supervisor.NewGroup(),
 	}
 	for i := 0; i < size; i++ {
 		shardOpts := opts
 		shardOpts.FleetSize = 0
-		shardOpts.FleetPlacement = ""
 		dev, err := newDevice(shardOpts, fmt.Sprintf("shard-%d", i))
 		if err != nil {
 			f.Close()
@@ -145,9 +128,6 @@ func NewFleet(opts Options) (*Fleet, error) {
 
 // Size is the shard count.
 func (f *Fleet) Size() int { return len(f.shards) }
-
-// Policy is the active placement policy.
-func (f *Fleet) Policy() PlacementPolicy { return f.policy }
 
 // Shard returns shard i.
 func (f *Fleet) Shard(i int) *Shard { return f.shards[i] }
@@ -196,56 +176,32 @@ func (f *Fleet) Elapsed() time.Duration {
 	return max
 }
 
-// InstallApp places, installs, and launches an app (Android user 0).
+// InstallApp enrolls an app: placement picks the least-loaded shard, the
+// app installs there — code on that shard's host, data dir in its CVM —
+// and launches.
 func (f *Fleet) InstallApp(spec android.AppSpec) (*FleetApp, error) {
-	return f.InstallAppForUser(spec, 0)
-}
-
-// InstallAppForUser enrolls an app for the given Android user: the
-// placement policy picks the shard (per-user placement keys on userID),
-// the app installs there — code on that shard's host, data dir in its
-// CVM — and launches.
-func (f *Fleet) InstallAppForUser(spec android.AppSpec, userID int) (*FleetApp, error) {
 	f.mu.Lock()
 	if _, dup := f.apps[spec.Package]; dup {
 		f.mu.Unlock()
 		return nil, fmt.Errorf("fleet: install %s: %w", spec.Package, abi.EEXIST)
 	}
-	sh := f.pickShard(spec.Package, userID)
+	sh := f.pickShard()
 	f.mu.Unlock()
 
 	app, err := sh.Dev.InstallApp(spec)
 	if err != nil {
 		return nil, err
 	}
-	if f.policy == PlaceByUser {
-		f.ensureUserStore(sh, userID)
-	}
 	proc, err := sh.Dev.Launch(app)
 	if err != nil {
 		return nil, err
 	}
-	fa := &FleetApp{Pkg: spec.Package, UserID: userID, fleet: f, shard: sh, proc: proc, spec: spec}
+	fa := &FleetApp{Pkg: spec.Package, fleet: f, shard: sh, proc: proc, spec: spec}
 	sh.apps.Add(1)
 	f.mu.Lock()
 	f.apps[spec.Package] = fa
 	f.mu.Unlock()
 	return fa, nil
-}
-
-// ensureUserStore creates the Android user's private store on a shard's
-// guest filesystem once (internal/android/multiuser).
-func (f *Fleet) ensureUserStore(sh *Shard, userID int) {
-	f.mu.Lock()
-	key := [2]int{sh.ID, userID}
-	done := f.usersAdded[key]
-	f.usersAdded[key] = true
-	f.mu.Unlock()
-	if !done {
-		// Best-effort: the store is bookkeeping for the multiuser model,
-		// not a placement precondition.
-		_ = sh.Dev.PM.AddUser(sh.Dev.Guest.FS(), userID)
-	}
 }
 
 // Migrate moves an app to the target shard: flush its buffered cache
@@ -310,9 +266,6 @@ func (f *Fleet) Migrate(app *FleetApp, targetID int) error {
 			if cerr := chownTree(target.Dev.Guest.FS(), dstApp.Info.DataDir, dstApp.UID); cerr != nil {
 				return fmt.Errorf("fleet: migrate %s: chown data dir: %w", app.Pkg, cerr)
 			}
-		}
-		if f.policy == PlaceByUser {
-			f.ensureUserStore(target, app.UserID)
 		}
 		proc, lerr := target.Dev.Launch(dstApp)
 		if lerr != nil {

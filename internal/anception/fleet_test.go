@@ -14,18 +14,18 @@ import (
 
 // fleetTestOpts turns every fast path on so all five epoch participants
 // have observable warm state.
-func fleetTestOpts(size int, policy PlacementPolicy) Options {
+func fleetTestOpts(size int) Options {
 	return Options{
 		Mode: ModeAnception, DisableTrace: true,
 		RedirCache: true, RingDepth: 8, GrantThreshold: abi.PageSize,
 		BinderSessions: true, BinderReplyCache: true,
-		FleetSize: size, FleetPlacement: policy,
+		FleetSize: size,
 	}
 }
 
-func bootFleet(t *testing.T, size int, policy PlacementPolicy) *Fleet {
+func bootFleet(t *testing.T, size int) *Fleet {
 	t.Helper()
-	f, err := NewFleet(fleetTestOpts(size, policy))
+	f, err := NewFleet(fleetTestOpts(size))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +83,9 @@ func registerFleetEcho(f *Fleet) {
 }
 
 func TestFleetBasics(t *testing.T) {
-	f := bootFleet(t, 4, "")
+	f := bootFleet(t, 4)
 	if f.Size() != 4 {
 		t.Fatalf("size = %d, want 4", f.Size())
-	}
-	if f.Policy() != PlaceLeastLoaded {
-		t.Fatalf("default policy = %q, want %q", f.Policy(), PlaceLeastLoaded)
 	}
 	for i, sh := range f.Shards() {
 		want := "shard-" + string(rune('0'+i))
@@ -118,47 +115,8 @@ func TestFleetBasics(t *testing.T) {
 	}
 }
 
-func TestFleetPlacementPolicies(t *testing.T) {
-	t.Run("hashed", func(t *testing.T) {
-		f := bootFleet(t, 4, PlaceHashed)
-		a, err := f.InstallApp(android.AppSpec{Package: "com.fleet.hashed"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Same package hashes to the same shard in a fresh fleet.
-		g := bootFleet(t, 4, PlaceHashed)
-		b, err := g.InstallApp(android.AppSpec{Package: "com.fleet.hashed"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Shard() != b.Shard() {
-			t.Fatalf("hashed placement unstable: %d vs %d", a.Shard(), b.Shard())
-		}
-	})
-	t.Run("per-user", func(t *testing.T) {
-		f := bootFleet(t, 3, PlaceByUser)
-		for user := 0; user < 6; user++ {
-			a, err := f.InstallAppForUser(android.AppSpec{Package: "com.fleet.user" + string(rune('0'+user))}, user)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Shard() != user%3 {
-				t.Fatalf("user %d placed on shard %d, want %d", user, a.Shard(), user%3)
-			}
-			if a.UserID != user {
-				t.Fatalf("user id = %d, want %d", a.UserID, user)
-			}
-		}
-	})
-	t.Run("invalid", func(t *testing.T) {
-		if _, err := NewFleet(fleetTestOpts(2, PlacementPolicy("bogus"))); err == nil {
-			t.Fatal("bogus policy accepted")
-		}
-	})
-}
-
 func TestFleetMigration(t *testing.T) {
-	f := bootFleet(t, 2, "")
+	f := bootFleet(t, 2)
 	registerFleetEcho(f)
 	a, err := f.InstallApp(android.AppSpec{Package: "com.fleet.mover"})
 	if err != nil {
@@ -225,7 +183,7 @@ func TestFleetMigration(t *testing.T) {
 }
 
 func TestFleetEvacuateAndRebalance(t *testing.T) {
-	f := bootFleet(t, 2, "")
+	f := bootFleet(t, 2)
 	registerFleetEcho(f)
 	for i := 0; i < 4; i++ {
 		if _, err := f.InstallApp(android.AppSpec{Package: "com.fleet.evac" + string(rune('0'+i))}); err != nil {
@@ -262,11 +220,11 @@ func TestFleetEvacuateAndRebalance(t *testing.T) {
 // and run with sibling traffic concurrent with the advance so the race
 // detector patrols the isolation boundary.
 func TestFleetEpochIsolation(t *testing.T) {
-	f := bootFleet(t, 3, PlaceByUser)
+	f := bootFleet(t, 3)
 	registerFleetEcho(f)
 	apps := make([]*FleetApp, 3)
 	for i := range apps {
-		a, err := f.InstallAppForUser(android.AppSpec{Package: "com.fleet.epoch" + string(rune('0'+i))}, i)
+		a, err := f.InstallApp(android.AppSpec{Package: "com.fleet.epoch" + string(rune('0'+i))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +330,7 @@ func TestFleetEpochIsolation(t *testing.T) {
 // on private clocks, so fleet elapsed time is the slowest shard, not
 // the sum.
 func TestFleetElapsedIsMaxShardClock(t *testing.T) {
-	f := bootFleet(t, 2, "")
+	f := bootFleet(t, 2)
 	registerFleetEcho(f)
 	a, err := f.InstallApp(android.AppSpec{Package: "com.fleet.clock"})
 	if err != nil {

@@ -13,13 +13,13 @@ import (
 
 // The forward core (DESIGN.md §10): every redirected call takes the one
 // path of paper §IV through forwardFrame — gate, enroll, encode, round
-// trip, deadline — whichever frame kind carries it. An arm names the
-// frame kind, and with it what differs: the encoder (encodeFrame), the
-// guest handler (callFrame.handlers) and how the reply lands.
+// trip, deadline, landing — whichever frame kind carries it. An arm names
+// the frame kind, and with it what differs: the encoder (encodeFrame),
+// the guest handler (callFrame.handlers) and how the reply lands.
 type fwdArm uint8
 
 const (
-	armArgs   fwdArm = iota // one call, a TLV args frame; lands by landReply
+	armArgs   fwdArm = iota // one call, a TLV args frame
 	armBatch                // a cache flush's calls, one batch frame
 	armSock                 // a socket op, a compact sockop frame on the ring
 	armGrant                // a bulk call whose buffers move by grant reference
@@ -33,17 +33,18 @@ var binderIoctl = kernel.Args{Nr: abi.SysIoctl}
 
 // forwardFrame runs one call through the core: it takes the
 // circuit-breaker gate, enrolls the caller's proxy, encodes arm's frame
-// into f and charges its marshaling, runs the round trip, and holds it
-// to the call's deadline. It returns the reply, a view into f, or the
-// app-visible error: a hung or lossy transport surfaces as ETIMEDOUT at
-// the deadline instead of blocking the app forever, a dead container as
-// EHOSTDOWN. The caller lands the reply before it returns f. args is the
+// into f and charges its marshaling, runs the round trip, holds it to the
+// call's deadline and lands the reply (land). It returns the landed
+// results, one per call the frame carried, or the app-visible error: a
+// hung or lossy transport surfaces as ETIMEDOUT at the deadline instead
+// of blocking the app forever, a dead container as EHOSTDOWN, a reply
+// that does not decode or land as an error of its own. args is the
 // call traces and errors name (a batch's or a chain's first). A binder
 // session transaction has passed its session gate and encoded its frame
 // already, so it enters at the round trip. The guest runs the frame
 // drained (the ring's poller paid the proxy dispatch) exactly when the
 // transport is the ring.
-func (l *Layer) forwardFrame(st *layerState, t *kernel.Task, f *callFrame, arm fwdArm, args *kernel.Args) ([]byte, error) {
+func (l *Layer) forwardFrame(st *layerState, t *kernel.Task, f *callFrame, arm fwdArm, args *kernel.Args) ([]kernel.Result, error) {
 	if arm != armBinder {
 		_, async := st.transport.(marshal.AsyncTransport)
 		if arm == armArgs && async {
@@ -95,7 +96,7 @@ func (l *Layer) forwardFrame(st *layerState, t *kernel.Task, f *callFrame, arm f
 		}
 		return nil, fmt.Errorf("call exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)
 	}
-	return resp, nil
+	return f.land(arm, args, resp)
 }
 
 // encodeFrame counts and traces a call entering the container on arm and
@@ -154,31 +155,18 @@ func outputSized(args *kernel.Args) kernel.Args {
 	return enc
 }
 
-// forward moves one call to the container on arm (args, sock or grant),
-// executes it in the proxy's context, and lands the reply. A socket op
-// keeps the network fast path's Submitted = Completed + Failed identity:
-// Failed counts exactly the ops the core failed or whose reply did not
-// decode or land, on either channel (DESIGN.md §14); a guest-executed
-// errno is a completion.
+// forward moves one call to the container on arm (args, sock or grant)
+// and executes it in the proxy's context. A socket op keeps the network
+// fast path's Submitted = Completed + Failed identity: Failed counts
+// exactly the ops the core failed, whose reply included, on either
+// channel (DESIGN.md §14); a guest-executed errno is a completion.
 func (l *Layer) forward(st *layerState, t *kernel.Task, arm fwdArm, args *kernel.Args) kernel.Result {
 	if arm == armSock {
 		l.counters.sockSubmitted.Add(1)
 	}
 	f := l.getFrame()
 	defer l.putFrame(f)
-	resp, err := l.forwardFrame(st, t, f, arm, args)
-	var res kernel.Result
-	if err == nil {
-		res, err = marshal.DecodeResult(resp)
-	}
-	if err == nil && arm == armGrant {
-		err = landGranted(args, &res)
-	} else if err == nil {
-		err = landReply(args, &res)
-	}
-	if err != nil {
-		res = kernel.Result{Ret: -1, Err: err}
-	}
+	results, err := l.forwardFrame(st, t, f, arm, args)
 	if arm == armSock {
 		if err != nil {
 			l.counters.sockFailed.Add(1)
@@ -186,21 +174,24 @@ func (l *Layer) forward(st *layerState, t *kernel.Task, arm fwdArm, args *kernel
 			l.counters.sockCompleted.Add(1)
 		}
 	}
-	return res
+	if err != nil {
+		return kernel.Result{Ret: -1, Err: err}
+	}
+	return results[0]
 }
 
 // forwardBatch moves several calls to the guest in one round trip (the
 // redirection cache's coalesced flush): the payload is a batch frame,
 // the proxy is dispatched once, and each call pays only its own
-// guest-side trap entry. Results come back positionally, decoded into
-// dst's storage.
+// guest-side trap entry. Results come back positionally, in dst's
+// storage.
 func (l *Layer) forwardBatch(st *layerState, t *kernel.Task, calls []*kernel.Args, dst []kernel.Result) ([]kernel.Result, error) {
 	f := l.getFrame()
 	defer l.putFrame(f)
 	f.batch = calls
-	resp, err := l.forwardFrame(st, t, f, armBatch, calls[0])
+	results, err := l.forwardFrame(st, t, f, armBatch, calls[0])
 	if err != nil {
 		return nil, err
 	}
-	return decodeBatchReply(resp, calls, dst)
+	return append(dst[:0], results...), nil
 }

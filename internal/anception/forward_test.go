@@ -252,16 +252,21 @@ func TestSockAccountingSameOnBothChannels(t *testing.T) {
 }
 
 // TestForwardCoreOwnsTheRoundTrip: the forward core is the one path into
-// the container (DESIGN.md §10). In the package's non-test code nothing
-// submits to the ring directly, only the core and the heartbeat run a
-// transport round trip, and only the core and the binder session gate
-// take the circuit-breaker gate; a rule the core enforces then holds for
-// every forwarded call.
+// the container and the one landing out of it (DESIGN.md §10). In the
+// package's non-test code nothing submits to the ring directly, only the
+// core and the heartbeat run a transport round trip, only the core and
+// the binder session gate take the circuit-breaker gate, and only the
+// core's landing decodes a reply or checks one; a rule the core enforces
+// then holds for every forwarded call.
 func TestForwardCoreOwnsTheRoundTrip(t *testing.T) {
 	allowed := map[string][]string{
 		"Submit":         nil,
 		"RoundTrip":      {"forwardFrame", "Ping"},
 		"enterGuestCall": {"forwardFrame", "bridgeBinderSession"},
+		"checkReply":     {"land"},
+		"Result":         {"land"},
+		"ResultBatch":    {"land"},
+		"ChainResult":    {"land"},
 	}
 	seen := map[string]int{}
 	files, err := filepath.Glob("*.go")
@@ -287,28 +292,36 @@ func TestForwardCoreOwnsTheRoundTrip(t *testing.T) {
 				if !ok {
 					return true
 				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
+				var name string
+				switch fun := call.Fun.(type) {
+				case *ast.SelectorExpr:
+					name = fun.Sel.Name
+				case *ast.Ident:
+					name = fun.Name
+				default:
 					return true
 				}
-				callers, guarded := allowed[sel.Sel.Name]
+				callers, guarded := allowed[name]
 				if !guarded {
 					return true
 				}
-				seen[sel.Sel.Name]++
+				seen[name]++
 				for _, c := range callers {
 					if fn.Name.Name == c {
 						return true
 					}
 				}
-				t.Errorf("%s: %s calls %s outside the forward core", fset.Position(call.Pos()), fn.Name.Name, sel.Sel.Name)
+				t.Errorf("%s: %s calls %s outside the forward core", fset.Position(call.Pos()), fn.Name.Name, name)
 				return true
 			})
 		}
 	}
-	for _, name := range []string{"RoundTrip", "enterGuestCall"} {
-		if seen[name] == 0 {
+	for name, callers := range allowed {
+		if len(callers) > 0 && seen[name] == 0 {
 			t.Errorf("found no call of %s: the guard checks nothing", name)
 		}
+	}
+	if seen["checkReply"] != 1 {
+		t.Errorf("checkReply is called %d times, want once", seen["checkReply"])
 	}
 }

@@ -14,12 +14,13 @@ import (
 // Frame ownership (DESIGN.md §10): every redirected call borrows one
 // callFrame from its layer's small free list and returns it when the call
 // is done. The frame owns the request the forward core encodes, the reply
-// the guest handler appends, the guest's read scratch and a granted
-// call's refs, descriptor entries and resolved views, so the steady-state
-// data plane encodes, executes and decodes without allocating. Decoded
-// requests and replies are views into the frame; they expire when the
-// frame goes back to the list, which is why every caller of the core
-// (forwardFrame) lands the reply before it releases the frame.
+// the guest handler appends, the guest's read scratch, a granted call's
+// refs, descriptor entries and resolved views, and the landed result
+// vector, so the steady-state data plane encodes, executes, decodes and
+// lands without allocating. Decoded requests and replies are views into
+// the frame; the core lands every reply (land) before it returns, so the
+// results a caller gets point into the caller's buffers or into copies,
+// never into the frame.
 
 const (
 	// frameListLen bounds how many idle frames a layer keeps: more than
@@ -41,13 +42,15 @@ type callFrame struct {
 	// txn is the host's one copy of an app's binder transaction: routing,
 	// the reply-cache key and dispatch all read it (DESIGN.md §12).
 	txn []byte
-	// results is the guest's result vector of a batch or chain, grown to
-	// the longest the frame has carried.
+	// results is the result vector of the call in flight, grown to the
+	// longest the frame has carried: the guest's of a batch or chain, then
+	// the host's landed results of any call.
 	results []kernel.Result
-	// dec decodes req (and txn) and keeps the paths, addresses and binder
+	// dec decodes every frame kind: guest side the request (and txn),
+	// host side the reply. It keeps the paths, addresses and binder
 	// service of the frame's earlier calls, so a repeated one decodes
-	// without a copy. It lives
-	// outside args, which every decode resets, and putFrame keeps it.
+	// without a copy. It lives outside args, which every decode resets,
+	// and putFrame keeps it.
 	dec marshal.Decoder
 
 	// Context of the in-flight call, read by the guest handler. Set
@@ -56,6 +59,8 @@ type callFrame struct {
 	st      *layerState
 	proxy   *kernel.Task
 	drained bool
+	// oneway drops a binder transaction's reply unread.
+	oneway bool
 	// batch is the in-flight batch's calls, which the core encodes.
 	batch []*kernel.Args
 	// lane and cred are the submitting task's timeline and credentials,
@@ -89,8 +94,8 @@ type chainFrame struct {
 	args     []kernel.Args
 	wireArgs []kernel.Args
 	wire     []marshal.ChainLink
-	// dec decodes the chain guest-side and the reply host-side.
-	dec marshal.ChainDecoder
+	// executed is how many links the guest ran, per the landed reply.
+	executed int
 }
 
 // chainFor returns the frame's chain scratch for a segment of n links.
@@ -127,7 +132,7 @@ func (l *Layer) getFrame() *callFrame {
 // from here on, and it pins no app buffer while idle.
 func (l *Layer) putFrame(f *callFrame) {
 	f.args = kernel.Args{}
-	f.st, f.proxy, f.batch, f.lane, f.cred = nil, nil, nil, nil, abi.Cred{}
+	f.st, f.proxy, f.batch, f.lane, f.cred, f.oneway = nil, nil, nil, nil, abi.Cred{}, false
 	clear(f.resolved)
 	f.resolved = f.resolved[:0]
 	clear(f.results)
@@ -245,8 +250,7 @@ func (f *callFrame) execSock(req []byte) []byte {
 // frame's chain scratch, run every link in the proxy's context in one
 // trap, and append the result vector to the reply frame.
 func (f *callFrame) execChain(req []byte) []byte {
-	c := f.chain
-	decoded, err := c.dec.Chain(req)
+	decoded, err := f.dec.Chain(req)
 	if err != nil {
 		f.reply = marshal.AppendChainResult(f.reply[:0], marshal.ChainResult{Results: []kernel.Result{{Ret: -1, Err: abi.EINVAL}}})
 		return f.reply
@@ -258,47 +262,95 @@ func (f *callFrame) execChain(req []byte) []byte {
 	return tampered(f.st, f.reply)
 }
 
-// landReply is the pointer-translation writeback of a decoded reply,
-// whose Data is a view into a frame about to be reused. The reply must
-// first pass checkReply; one that does not lands as EIO, and landReply
-// returns the error. A successful read-like call's bytes land in the
-// caller's buffer — the one host-side copy — and Data becomes that
-// buffer; any other reply bytes are copied out (and a vectored read is
-// scattered from the copy). Either way the result outlives the frame.
-func landReply(args *kernel.Args, res *kernel.Result) error {
-	if err := checkReply(args, res, false); err != nil {
-		*res = kernel.Result{Ret: -1, Err: err}
-		return err
+// land is the forward core's one landing: it decodes the reply to f's
+// call on arm with the frame's decoder, holds the result count to the
+// calls the frame carried (1, a batch's or a chain's), and lands each
+// result into f.results. A result must first pass checkReply; one that
+// does not lands as EIO, and fails the call unless it is one of a batch
+// or chain, whose other results still land. A granted call's bytes moved
+// through the pinned pages: its reply bytes (only a tampering guest sends
+// any) are dropped and its count is checked by reference. A oneway binder
+// transaction's reply is dropped unread. Other results are copied out of
+// the frame (copyOut), so what land returns outlives it; the vector
+// itself is the frame's.
+func (f *callFrame) land(arm fwdArm, args *kernel.Args, resp []byte) ([]kernel.Result, error) {
+	var err error
+	calls := 1
+	switch {
+	case arm == armBinder && f.oneway:
+		f.results = append(f.results[:0], kernel.Result{})
+		return f.results, nil
+	case arm == armBatch:
+		calls = len(f.batch)
+		var results []kernel.Result
+		if results, err = f.dec.ResultBatch(resp); err == nil {
+			f.results = append(f.results[:0], results...)
+		}
+	case arm == armChain:
+		calls = f.chain.n
+		var cr marshal.ChainResult
+		if cr, err = f.dec.ChainResult(resp); err == nil {
+			f.results, f.chain.executed = append(f.results[:0], cr.Results...), cr.Executed
+		}
+	default:
+		var res kernel.Result
+		if res, err = f.dec.Result(resp); err == nil {
+			f.results = append(f.results[:0], res)
+		}
 	}
+	if err != nil {
+		return nil, err
+	}
+	if len(f.results) != calls {
+		return nil, fmt.Errorf("%s reply: %d results for %d calls: %w", args.Nr, len(f.results), calls, abi.EIO)
+	}
+	byRef := arm == armGrant
+	for i := range f.results {
+		call, res := args, &f.results[i]
+		switch arm {
+		case armBatch:
+			call = f.batch[i]
+		case armChain:
+			call = &f.chain.args[i]
+		}
+		if byRef {
+			res.Data = nil
+		}
+		if err := checkReply(call, res, byRef); err != nil {
+			*res = kernel.Result{Ret: -1, Err: err}
+			if arm == armBatch || arm == armChain {
+				continue
+			}
+			return nil, err
+		}
+		copyOut(call, res)
+	}
+	return f.results, nil
+}
+
+// copyOut is the pointer-translation writeback of a checked result, whose
+// Data is a view into the frame. A successful read-like call's bytes land
+// in the caller's buffer — the one host-side copy — and Data becomes that
+// buffer; any other reply bytes are copied out (and a vectored read is
+// scattered from the copy).
+func copyOut(args *kernel.Args, res *kernel.Result) {
 	if len(res.Data) == 0 {
-		return nil
+		return
 	}
 	if res.Ok() && isReadLike(args.Nr) && len(args.Iov) == 0 && len(args.Buf) > 0 {
 		res.Data = args.Buf[:copy(args.Buf, res.Data)]
-		return nil
+		return
 	}
 	res.Data = bytes.Clone(res.Data)
 	if res.Ok() && isReadLike(args.Nr) && len(args.Iov) > 0 {
 		scatterIntoIov(args.Iov, res.Data)
 	}
-	return nil
-}
-
-// landGranted is landReply for a granted call, whose bytes already moved
-// through the pinned pages: reply bytes (only a tampering guest sends
-// any) are dropped, not landed, and the count is checked by reference.
-func landGranted(args *kernel.Args, res *kernel.Result) error {
-	res.Data = nil
-	if err := checkReply(args, res, true); err != nil {
-		*res = kernel.Result{Ret: -1, Err: err}
-		return err
-	}
-	return nil
 }
 
 // checkReply holds a decoded reply to what a kernel's copy-out could
 // return for args; the container is untrusted (paper §VII), so a reply
 // that breaks a rule is rejected with EIO before any byte of it lands:
+//   - an error carries an errno of abi's set (not 0, not a forged value);
 //   - a negative Ret carries an errno;
 //   - a read-like call's Ret is at most the bytes it asked for and, on
 //     the copy path, equals len(Data); on the grant path (byRef) the
@@ -308,6 +360,9 @@ func landGranted(args *kernel.Args, res *kernel.Result) error {
 // The check is host work only: it charges no sim time.
 func checkReply(args *kernel.Args, res *kernel.Result, byRef bool) error {
 	if !res.Ok() {
+		if errno, ok := res.Err.(abi.Errno); ok && !errno.Valid() {
+			return fmt.Errorf("%s reply: errno %d: %w", args.Nr, int(errno), abi.EIO)
+		}
 		return nil
 	}
 	if res.Ret < 0 {
@@ -372,20 +427,4 @@ func (f *callFrame) execBatch(req []byte) []byte {
 		*d = kernel.Args{}
 	}
 	return tampered(f.st, f.reply)
-}
-
-// decodeBatchReply decodes a batch reply into dst's storage and lands
-// each result.
-func decodeBatchReply(resp []byte, calls []*kernel.Args, dst []kernel.Result) ([]kernel.Result, error) {
-	results, err := marshal.DecodeResultBatch(resp, dst)
-	if err != nil {
-		return nil, err
-	}
-	if len(results) != len(calls) {
-		return nil, fmt.Errorf("batch reply has %d results for %d calls: %w", len(results), len(calls), abi.EIO)
-	}
-	for i := range results {
-		landReply(calls[i], &results[i])
-	}
-	return results, nil
 }

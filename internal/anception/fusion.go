@@ -589,7 +589,7 @@ func (l *Layer) chainFused(st *layerState, t *kernel.Task, calls []ChainCall, pa
 				l.noteForwardedFDOp(e, c.Args.Nr)
 			}
 		}
-		// Read data already landed in the caller's buffers (landReply,
+		// Read data already landed in the caller's buffers (land,
 		// composeLocked); other reply bytes are copied out here.
 		writeBackOther(&c.Args, res)
 	}
@@ -604,27 +604,17 @@ func (l *Layer) chainFused(st *layerState, t *kernel.Task, calls []ChainCall, pa
 // arm: the n links built in the frame's chain scratch are encoded as a
 // chain frame, the guest executes every link in one trap context
 // (proxy.ExecuteChainDrained), and the completion carries the positional
-// result vector home. The results are views into the frame's scratch,
-// valid until its next chain. When the core fails the segment, every
-// link reports the failure. ok mirrors whether the segment's results are
-// genuine guest results.
+// result vector home, landed. The results are the frame's, valid until
+// its next call. When the core fails the segment, every link reports the
+// failure. ok mirrors whether the segment's results are genuine guest
+// results.
 func (l *Layer) forwardChain(st *layerState, t *kernel.Task, f *callFrame) (marshal.ChainResult, bool) {
 	c := f.chain
-	resp, err := l.forwardFrame(st, t, f, armChain, &c.args[0])
-	var cr marshal.ChainResult
-	if err == nil {
-		cr, err = c.dec.Result(resp)
-	}
-	if err == nil && len(cr.Results) != c.n {
-		err = fmt.Errorf("chain reply has %d results for %d links: %w", len(cr.Results), c.n, abi.EIO)
-	}
+	results, err := l.forwardFrame(st, t, f, armChain, &c.args[0])
 	if err != nil {
 		return marshal.ChainResult{Results: failLinks(make([]kernel.Result, c.n), err)}, false
 	}
-	for i := range cr.Results {
-		landReply(&c.args[i], &cr.Results[i])
-	}
-	return cr, true
+	return marshal.ChainResult{Executed: c.executed, Results: results}, true
 }
 
 // --- transparent pattern detector ---
@@ -730,7 +720,7 @@ func (l *Layer) speculateSendRecv(t *kernel.Task, args *kernel.Args, recvSize in
 	if ours {
 		s.landing = 0
 		if fused && send.Ok() && recv.Ok() {
-			s.end += int(recv.Ret) // landReply held Ret to the bytes landed
+			s.end += int(recv.Ret) // land held Ret to the bytes landed
 		}
 		f.sticky[key] = s
 	}

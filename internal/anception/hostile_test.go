@@ -2,6 +2,7 @@ package anception
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"anception/internal/abi"
@@ -33,8 +34,9 @@ func wantEIO(t *testing.T, what string, err error) {
 // TestHostileReplySeedCorpus runs the seed corpus on Paper and Fast: an
 // oversized read return on the copy path and on the grant path (Paper
 // moves the same 64 KiB read by copy), a negative return with no errno,
-// and a chain result longer than its chain. After each, the app's next
-// honest call works.
+// an error reply whose errno is 0 or outside abi's set, and a chain
+// result longer than its chain. After each, the app's next honest call
+// works.
 func TestHostileReplySeedCorpus(t *testing.T) {
 	for _, prof := range chainProfiles {
 		t.Run(prof.name, func(t *testing.T) {
@@ -78,6 +80,16 @@ func TestHostileReplySeedCorpus(t *testing.T) {
 			wantEIO(t, "read returning -5 without an errno", rerr)
 			wantEIO(t, "64 KiB write returning -5 without an errno", werr)
 			honest("negative returns")
+
+			for _, errno := range []abi.Errno{0, 9999} {
+				restore = forgeReplies(d, marshal.AppendResult(nil, kernel.Result{Ret: -1, Err: errno}))
+				_, rerr := p.Read(fd, 16)
+				_, werr := p.Pwrite(fd, content, 0)
+				restore()
+				wantEIO(t, fmt.Sprintf("read failing with errno %d", int(errno)), rerr)
+				wantEIO(t, fmt.Sprintf("64 KiB write failing with errno %d", int(errno)), werr)
+				honest(fmt.Sprintf("errno %d", int(errno)))
+			}
 
 			// Five results for a four-link chain. On Paper the chain runs
 			// per call and no reply decodes; on Fast the fused chain's

@@ -1017,7 +1017,7 @@ func isReadLike(nr abi.SyscallNr) bool {
 
 // writeBackOther copies the reply bytes of a non-read-like call (fstat,
 // getsockopt) into the caller's buffer(s). Read-like replies were already
-// landed there by the forward core's landing (landReply).
+// landed there by the forward core's landing (land).
 func writeBackOther(args *kernel.Args, res kernel.Result) {
 	if !res.Ok() || len(res.Data) == 0 || isReadLike(args.Nr) {
 		return

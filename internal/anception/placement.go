@@ -1,41 +1,12 @@
 package anception
 
-import (
-	"hash/fnv"
-	"time"
-)
+import "time"
 
 // Placement scheduler for the CVM fleet (DESIGN.md §16): decides which
 // shard an app enrolls on, and which apps move when a shard overloads.
 // Placement consumes the shard's observable load signals: the layer's
 // instantaneous inflight count, the async ring's queue depth, and the
-// app population.
-
-// PlacementPolicy selects the fleet's app-to-shard assignment strategy.
-type PlacementPolicy string
-
-const (
-	// PlaceLeastLoaded (the default) scores every shard's load signals
-	// at install time and picks the minimum.
-	PlaceLeastLoaded PlacementPolicy = "least-loaded"
-	// PlaceHashed assigns by package-name hash: stateless, stable across
-	// restarts, no load feedback — the classic hashed-pool shape.
-	PlaceHashed PlacementPolicy = "hashed"
-	// PlaceByUser keys placement on the app's Android user
-	// (internal/android/multiuser): all of one user's apps share a
-	// shard, so mutually-trusting apps co-locate and distinct users are
-	// hardware-isolated from each other's compromised shards.
-	PlaceByUser PlacementPolicy = "per-user"
-)
-
-// valid reports whether p names a known policy.
-func (p PlacementPolicy) valid() bool {
-	switch p {
-	case PlaceLeastLoaded, PlaceHashed, PlaceByUser:
-		return true
-	}
-	return false
-}
+// app population. A new app goes to the least-loaded shard.
 
 // ShardLoad is one shard's placement-visible load snapshot.
 type ShardLoad struct {
@@ -72,28 +43,17 @@ func loadOf(sh *Shard) ShardLoad {
 	return l
 }
 
-// pickShard chooses the shard for a new app under the fleet's policy.
-func (f *Fleet) pickShard(pkg string, userID int) *Shard {
-	switch f.policy {
-	case PlaceHashed:
-		h := fnv.New32a()
-		h.Write([]byte(pkg))
-		return f.shards[int(h.Sum32())%len(f.shards)]
-	case PlaceByUser:
-		if userID < 0 {
-			userID = 0
+// pickShard chooses the shard for a new app: the one whose load scores
+// lowest, the first of equals.
+func (f *Fleet) pickShard() *Shard {
+	best := f.shards[0]
+	bestScore := loadOf(best).Score
+	for _, sh := range f.shards[1:] {
+		if s := loadOf(sh).Score; s < bestScore {
+			best, bestScore = sh, s
 		}
-		return f.shards[userID%len(f.shards)]
-	default: // PlaceLeastLoaded
-		best := f.shards[0]
-		bestScore := loadOf(best).Score
-		for _, sh := range f.shards[1:] {
-			if s := loadOf(sh).Score; s < bestScore {
-				best, bestScore = sh, s
-			}
-		}
-		return best
 	}
+	return best
 }
 
 // Loads snapshots every shard's placement signals, in shard order.

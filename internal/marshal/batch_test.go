@@ -16,7 +16,7 @@ func TestArgsBatchRoundTrip(t *testing.T) {
 		{Nr: abi.SysPwrite64, FD: 7, Buf: []byte("tail"), Off: 8192},
 		{Nr: abi.SysFsync, FD: 7},
 	}
-	out, err := DecodeArgsBatch(AppendArgsBatch(nil, in))
+	out, err := new(Decoder).ArgsBatch(AppendArgsBatch(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestArgsBatchRoundTrip(t *testing.T) {
 }
 
 func TestArgsBatchEmpty(t *testing.T) {
-	out, err := DecodeArgsBatch(AppendArgsBatch(nil, nil))
+	out, err := new(Decoder).ArgsBatch(AppendArgsBatch(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestResultBatchRoundTrip(t *testing.T) {
 		{Ret: -1, Err: abi.ENOSPC},
 		{Ret: 17, Data: []byte("partial")},
 	}
-	out, err := DecodeResultBatch(AppendResultBatch(nil, in), nil)
+	out, err := new(Decoder).ResultBatch(AppendResultBatch(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestArgsBatchTruncatedFails(t *testing.T) {
 		{Nr: abi.SysPwrite64, FD: 3, Buf: []byte("abcdef"), Off: 64},
 	})
 	for _, cut := range []int{1, 4, 6, len(enc) - 1} {
-		if _, err := DecodeArgsBatch(enc[:cut]); err == nil {
+		if _, err := new(Decoder).ArgsBatch(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", cut, len(enc))
 		}
 	}
@@ -69,24 +69,25 @@ func TestArgsBatchTruncatedFails(t *testing.T) {
 
 func TestArgsBatchTrailingBytesFail(t *testing.T) {
 	enc := AppendArgsBatch(nil, []*kernel.Args{{Nr: abi.SysFsync, FD: 3}})
-	if _, err := DecodeArgsBatch(append(enc, 0xFF)); err == nil {
+	if _, err := new(Decoder).ArgsBatch(append(enc, 0xFF)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 }
 
 func TestResultBatchTruncatedAndTrailingFail(t *testing.T) {
 	enc := AppendResultBatch(nil, []kernel.Result{{Ret: 1}, {Ret: 2}})
-	if _, err := DecodeResultBatch(enc[:len(enc)-2], nil); err == nil {
+	if _, err := new(Decoder).ResultBatch(enc[:len(enc)-2]); err == nil {
 		t.Fatal("truncated result batch accepted")
 	}
-	if _, err := DecodeResultBatch(append(enc, 0), nil); err == nil {
+	if _, err := new(Decoder).ResultBatch(append(enc, 0)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 }
 
-// TestResultBatchShortAfterLong: a short result batch decoded into the
-// storage of a long one yields exactly its own results, with nothing
-// left over from the long batch in the same slots.
+// TestResultBatchShortAfterLong: a short result batch decoded by the
+// Decoder that decoded a long one reuses its storage and yields exactly
+// its own results, with nothing left over from the long batch in the
+// same slots.
 func TestResultBatchShortAfterLong(t *testing.T) {
 	long := []kernel.Result{
 		{Ret: 4096},
@@ -95,11 +96,12 @@ func TestResultBatchShortAfterLong(t *testing.T) {
 		{Ret: 8192},
 	}
 	short := []kernel.Result{{Ret: 1}, {Ret: 2}}
-	dst, err := DecodeResultBatch(AppendResultBatch(nil, long), nil)
+	var d Decoder
+	dst, err := d.ResultBatch(AppendResultBatch(nil, long))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeResultBatch(AppendResultBatch(nil, short), dst)
+	out, err := d.ResultBatch(AppendResultBatch(nil, short))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,22 +113,23 @@ func TestResultBatchShortAfterLong(t *testing.T) {
 	}
 }
 
-// TestResultBatchDecodeAllocs: decoding a result batch into storage that
-// holds it allocates nothing.
+// TestResultBatchDecodeAllocs: a Decoder whose storage holds a result
+// batch decodes it again without allocating.
 func TestResultBatchDecodeAllocs(t *testing.T) {
 	enc := AppendResultBatch(nil, []kernel.Result{
 		{Ret: 4096},
 		{Ret: -1, Err: abi.ENOSPC},
 		{Ret: 17, Data: []byte("partial")},
 	})
-	dst := make([]kernel.Result, 0, 3)
+	var d Decoder
 	decode := func() {
-		if out, err := DecodeResultBatch(enc, dst); err != nil || len(out) != 3 {
+		if out, err := d.ResultBatch(enc); err != nil || len(out) != 3 {
 			t.Fatalf("decode: %d results, %v", len(out), err)
 		}
 	}
+	decode()
 	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
-		t.Errorf("result batch decode into held storage: %.1f allocs, want 0", allocs)
+		t.Errorf("repeated result batch decode: %.1f allocs, want 0", allocs)
 	}
 }
 

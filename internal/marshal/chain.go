@@ -92,29 +92,10 @@ func IsChainCall(b []byte) bool {
 	return len(b) > 0 && b[0] == chainCallMagic
 }
 
-// ChainDecoder decodes chain frames and chain results into storage it
-// keeps between calls, so a reused decoder stops allocating once it has
-// seen its longest chain. What Chain returns is valid until the next
-// Chain call, what Result returns until the next Result call; byte
-// fields are views into the decoded frame either way.
-type ChainDecoder struct {
-	links   []ChainLink
-	args    []kernel.Args
-	results []kernel.Result
-	// strs keeps the links' decoded strings across chains.
-	strs Decoder
-}
-
-// DecodeChain reverses AppendChain, validating the link count and that
-// every descriptor binding names a strictly earlier link. Byte fields are
-// views into b, as with DecodeArgs.
-func DecodeChain(b []byte) ([]ChainLink, error) {
-	var d ChainDecoder
-	return d.Chain(b)
-}
-
-// Chain is DecodeChain into the decoder's storage.
-func (d *ChainDecoder) Chain(b []byte) ([]ChainLink, error) {
+// Chain reverses AppendChain into the decoder's storage, validating the
+// link count and that every descriptor binding names a strictly earlier
+// link.
+func (d *Decoder) Chain(b []byte) ([]ChainLink, error) {
 	if !IsChainCall(b) {
 		return nil, fmt.Errorf("marshal: not a chain frame: %w", abi.EINVAL)
 	}
@@ -126,11 +107,11 @@ func (d *ChainDecoder) Chain(b []byte) ([]ChainLink, error) {
 	if n <= 0 || n > MaxChainLinks {
 		return nil, fmt.Errorf("marshal: bad chain link count %d: %w", n, abi.EINVAL)
 	}
-	if cap(d.args) < n {
+	store := d.argsFor(n)
+	if cap(d.links) < n {
 		d.links = make([]ChainLink, 0, n)
-		d.args = make([]kernel.Args, n)
 	}
-	links, store := d.links[:0], d.args[:n]
+	links := d.links[:0]
 	for i := 0; i < n; i++ {
 		flags := r.u8()
 		fdFrom := -1
@@ -147,7 +128,7 @@ func (d *ChainDecoder) Chain(b []byte) ([]ChainLink, error) {
 		if fdFrom >= i {
 			return nil, fmt.Errorf("marshal: chain link %d binds fd from link %d (not earlier): %w", i, fdFrom, abi.EINVAL)
 		}
-		if err := d.strs.Args(blob, &store[i]); err != nil {
+		if err := d.Args(blob, &store[i]); err != nil {
 			return nil, err
 		}
 		links = append(links, ChainLink{Args: &store[i], FDFrom: fdFrom, UseCursor: flags&chainFlagCursor != 0})
@@ -174,15 +155,8 @@ func encodeChainResult(w *writer, cr ChainResult) {
 	encodeResults(w, cr.Results)
 }
 
-// DecodeChainResult reverses AppendChainResult; Data fields are views
-// into b.
-func DecodeChainResult(b []byte) (ChainResult, error) {
-	var d ChainDecoder
-	return d.Result(b)
-}
-
-// Result is DecodeChainResult into the decoder's storage.
-func (d *ChainDecoder) Result(b []byte) (ChainResult, error) {
+// ChainResult reverses AppendChainResult into the decoder's storage.
+func (d *Decoder) ChainResult(b []byte) (ChainResult, error) {
 	r := &reader{buf: b}
 	n := r.u32()
 	executed := r.u32()
@@ -192,11 +166,10 @@ func (d *ChainDecoder) Result(b []byte) (ChainResult, error) {
 	if n <= 0 || n > MaxChainLinks || executed < 0 || executed > n {
 		return ChainResult{}, fmt.Errorf("marshal: bad chain result header (%d links, %d executed): %w", n, executed, abi.EINVAL)
 	}
-	results, err := decodeResults(r, d.results, n)
+	results, err := d.resultVector(r, n)
 	if err != nil {
 		return ChainResult{}, err
 	}
-	d.results = results
 	if r.pos != len(b) {
 		return ChainResult{}, fmt.Errorf("marshal: %d trailing bytes after chain result: %w", len(b)-r.pos, abi.EINVAL)
 	}

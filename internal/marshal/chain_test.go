@@ -22,9 +22,9 @@ func TestChainRoundTrip(t *testing.T) {
 	if IsSockOp(frame) || IsGrantCall(frame) || IsBinderCall(frame) {
 		t.Fatal("chain frame aliases another frame type")
 	}
-	out, err := DecodeChain(frame)
+	out, err := new(Decoder).Chain(frame)
 	if err != nil {
-		t.Fatalf("DecodeChain: %v", err)
+		t.Fatalf("Chain: %v", err)
 	}
 	if len(out) != len(in) {
 		t.Fatalf("got %d links, want %d", len(out), len(in))
@@ -80,8 +80,8 @@ func TestDecodeChainRejectsBadInput(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecodeChain(tc.frame); err == nil {
-				t.Fatalf("DecodeChain accepted %q", tc.name)
+			if _, err := new(Decoder).Chain(tc.frame); err == nil {
+				t.Fatalf("Chain accepted %q", tc.name)
 			}
 		})
 	}
@@ -96,9 +96,9 @@ func TestChainResultRoundTrip(t *testing.T) {
 			{Ret: -1, Err: abi.ENOENT}, // short-circuited link carries the errno
 		},
 	}
-	out, err := DecodeChainResult(AppendChainResult(nil, in))
+	out, err := new(Decoder).ChainResult(AppendChainResult(nil, in))
 	if err != nil {
-		t.Fatalf("DecodeChainResult: %v", err)
+		t.Fatalf("ChainResult: %v", err)
 	}
 	if out.Executed != in.Executed || len(out.Results) != len(in.Results) {
 		t.Fatalf("header mismatch: %+v", out)
@@ -124,7 +124,7 @@ func TestDecodeChainResultRejectsBadHeader(t *testing.T) {
 		append(AppendChainResult(nil, ChainResult{Executed: 1, Results: []kernel.Result{{Ret: 0}}}), 0x01),
 	}
 	for i, frame := range cases {
-		if _, err := DecodeChainResult(frame); err == nil {
+		if _, err := new(Decoder).ChainResult(frame); err == nil {
 			t.Fatalf("case %d: bad chain result accepted", i)
 		}
 	}

@@ -271,34 +271,34 @@ func encodeArgs(w *writer, a *kernel.Args) {
 	}
 }
 
-// DecodeArgs reverses AppendArgs into a, which it resets first. Buf and
-// write-style Iov segments are views into b, valid while b is; strings
-// are copied. Read-style Iov spans become fresh zeroed scratch segments.
-func DecodeArgs(b []byte, a *kernel.Args) error {
-	var d Decoder
-	return d.Args(b, a)
-}
-
-// Decoder decodes requests as DecodeArgs and DecodeSockOp do, and keeps
-// the strings of its previous decodes: paths, second paths, addresses
-// and binder service names. A string whose bytes equal one kept is
-// returned as that string, not copied again, so a transport that decodes
-// the same few strings over and over (two apps' files through one pooled
-// frame, a client cycling through its peers) allocates none. The kept
-// strings are copies, never views into a frame, and only a decode that
-// carries a string replaces one. ArgsBatch and GrantCall decode into
-// storage the decoder keeps, as ChainDecoder does. The zero value is
-// ready; a Decoder must not be used concurrently.
+// Decoder decodes every frame kind of the data channel: the requests
+// (args, batch, sockop, grant, chain and binder frames) and the replies
+// (a result, a result batch, a chain result). Byte fields come back as
+// views into the decoded frame, valid while it is; read-style Iov spans
+// become fresh zeroed scratch segments. A decoder keeps the strings of
+// its previous decodes: paths, second paths, addresses and binder service
+// names. A string whose bytes equal one kept is returned as that string,
+// not copied again, so a transport that decodes the same few strings
+// over and over (two apps' files through one pooled frame, a client
+// cycling through its peers) allocates none. The kept strings are
+// copies, never views into a frame, and only a decode that carries a
+// string replaces one. Batches, chains, result vectors and grant
+// descriptors decode into storage the decoder keeps, grown to the longest
+// it has decoded, so a reused decoder stops allocating; what one of them
+// returns is valid until the next decode of any of the four. The zero
+// value is ready; a Decoder must not be used concurrently.
 type Decoder struct {
 	// kept are the kept strings, replaced round-robin from next.
 	kept [keptStrings]string
 	next int
-	// batch and calls are ArgsBatch's storage, grown to the longest
-	// batch decoded.
-	batch []kernel.Args
+	// args holds a decoded batch's calls or chain's links; calls and
+	// links point into it.
+	args  []kernel.Args
 	calls []*kernel.Args
-	// sg is GrantCall's descriptor, its entries grown to the longest
-	// descriptor decoded.
+	links []ChainLink
+	// results holds a decoded result batch or chain result.
+	results []kernel.Result
+	// sg is GrantCall's descriptor.
 	sg SGDescriptor
 }
 
@@ -320,7 +320,7 @@ func (d *Decoder) keep(b []byte) string {
 	return s
 }
 
-// Args is DecodeArgs with the decoder's kept strings.
+// Args reverses AppendArgs into a, which it resets first.
 func (d *Decoder) Args(b []byte, a *kernel.Args) error {
 	*a = kernel.Args{}
 	r := &reader{buf: b}
@@ -416,27 +416,26 @@ func encodeArgsBatch(w *writer, calls []*kernel.Args) {
 	}
 }
 
-// DecodeArgsBatch reverses AppendArgsBatch; like DecodeArgs, byte fields
-// are views into b.
-func DecodeArgsBatch(b []byte) ([]*kernel.Args, error) {
-	var d Decoder
-	return d.ArgsBatch(b)
+// argsFor returns n call slots of the decoder's storage.
+func (d *Decoder) argsFor(n int) []kernel.Args {
+	if cap(d.args) < n {
+		d.args = make([]kernel.Args, n)
+	}
+	return d.args[:n]
 }
 
-// ArgsBatch is DecodeArgsBatch into the decoder's storage, so a reused
-// decoder stops allocating once it has seen its longest batch. What it
-// returns is valid until the next ArgsBatch call.
+// ArgsBatch reverses AppendArgsBatch into the decoder's storage.
 func (d *Decoder) ArgsBatch(b []byte) ([]*kernel.Args, error) {
 	r := &reader{buf: b}
 	n := r.count(4)
 	if r.err != nil {
 		return nil, r.err
 	}
-	if cap(d.batch) < n {
-		d.batch = make([]kernel.Args, n)
+	store := d.argsFor(n)
+	if cap(d.calls) < n {
 		d.calls = make([]*kernel.Args, n)
 	}
-	store, calls := d.batch[:n], d.calls[:n]
+	calls := d.calls[:n]
 	for i := range calls {
 		blob := r.bytes()
 		if r.err != nil {
@@ -474,16 +473,14 @@ func encodeResults(w *writer, results []kernel.Result) {
 	}
 }
 
-// DecodeResultBatch reverses AppendResultBatch into dst's storage, grown
-// only when the batch is longer than its capacity; Data fields are views
-// into b.
-func DecodeResultBatch(b []byte, dst []kernel.Result) ([]kernel.Result, error) {
+// ResultBatch reverses AppendResultBatch into the decoder's storage.
+func (d *Decoder) ResultBatch(b []byte) ([]kernel.Result, error) {
 	r := &reader{buf: b}
 	n := r.count(4)
 	if r.err != nil {
 		return nil, r.err
 	}
-	results, err := decodeResults(r, dst, n)
+	results, err := d.resultVector(r, n)
 	if err != nil {
 		return nil, err
 	}
@@ -493,18 +490,19 @@ func DecodeResultBatch(b []byte, dst []kernel.Result) ([]kernel.Result, error) {
 	return results, nil
 }
 
-func decodeResults(r *reader, dst []kernel.Result, n int) ([]kernel.Result, error) {
-	results := dst[:0]
-	if cap(results) < n {
-		results = make([]kernel.Result, n)
+// resultVector decodes n length-prefixed results into the decoder's
+// storage.
+func (d *Decoder) resultVector(r *reader, n int) ([]kernel.Result, error) {
+	if cap(d.results) < n {
+		d.results = make([]kernel.Result, n)
 	}
-	results = results[:n]
+	results := d.results[:n]
 	for i := range results {
 		blob := r.bytes()
 		if r.err != nil {
 			return nil, r.err
 		}
-		res, err := DecodeResult(blob)
+		res, err := d.Result(blob)
 		if err != nil {
 			return nil, err
 		}
@@ -567,11 +565,10 @@ func encodeResult(w *writer, res kernel.Result, e resultErr) {
 	}
 }
 
-// DecodeResult reverses AppendResult. Data is a view into b, valid while
-// b is; callers that keep it past the frame's lifetime copy it. Errno
-// errors survive the trip matchably (errors.Is); other errors degrade to
-// EIO with text.
-func DecodeResult(b []byte) (kernel.Result, error) {
+// Result reverses AppendResult. Data is a view into b; callers that keep
+// it past the frame's lifetime copy it. Errno errors survive the trip
+// matchably (errors.Is); other errors degrade to EIO with text.
+func (d *Decoder) Result(b []byte) (kernel.Result, error) {
 	var res kernel.Result
 	r := &reader{buf: b}
 	for r.more() {

@@ -2,6 +2,7 @@ package marshal
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -10,25 +11,20 @@ import (
 	"anception/internal/kernel"
 )
 
-// Fuzz targets: the decoders face bytes a compromised container chose.
-// `go test` exercises the seed corpus; `go test -fuzz=FuzzDecodeArgs`
-// explores further. Beyond never panicking, every decoder must leave its
-// input untouched and hand out byte fields only as capacity-clipped views
-// that lie inside it.
+// FuzzFrame: every decoder faces bytes a compromised container (or a
+// corrupted slot) chose, so each input goes through all of them: args,
+// sockop, grant call and bare descriptor, chain, binder transaction and
+// session, result, result batch and chain result. `go test` runs the
+// seed corpus of every frame kind; `go test -fuzz=FuzzFrame` explores
+// further. Beyond never panicking or over-allocating, every decoder must
+// leave its input untouched and hand out byte fields only as
+// capacity-clipped views that lie inside it. The per-kind targets below
+// run one kind's seeds through the same checks.
 
-// decodeArgs is DecodeArgs into a fresh Args.
+// decodeArgs is Args into a fresh Args.
 func decodeArgs(b []byte) (*kernel.Args, error) {
 	a := new(kernel.Args)
-	if err := DecodeArgs(b, a); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// decodeSockOp is DecodeSockOp into a fresh Args.
-func decodeSockOp(b []byte) (*kernel.Args, error) {
-	a := new(kernel.Args)
-	if err := DecodeSockOp(b, a); err != nil {
+	if err := new(Decoder).Args(b, a); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -88,176 +84,185 @@ func unchanged(t *testing.T, before, after []byte) {
 	}
 }
 
-func FuzzDecodeArgs(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendArgs(nil, &kernel.Args{Nr: abi.SysWrite, FD: 3, Buf: []byte("data"), Path: "/x"}))
-	f.Add(AppendArgs(nil, &kernel.Args{Nr: abi.SysWritev, FD: 3, Iov: [][]byte{[]byte("ab"), []byte("cd")}}))
-	f.Add(AppendArgs(nil, &kernel.Args{Nr: abi.SysPreadv, FD: 3, Iov: [][]byte{make([]byte, 8)}}))
-	f.Add([]byte{0xFF, 0x00, 0x01})
-	f.Add([]byte{2, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		before := bytes.Clone(data)
-		var a kernel.Args
-		err := DecodeArgs(data, &a)
-		unchanged(t, before, data)
-		if err == nil {
-			checkArgsViews(t, &a, data)
-		}
-	})
+// Seed corpora, one per frame kind.
+var (
+	argsSeeds = [][]byte{
+		{},
+		AppendArgs(nil, &kernel.Args{Nr: abi.SysWrite, FD: 3, Buf: []byte("data"), Path: "/x"}),
+		AppendArgs(nil, &kernel.Args{Nr: abi.SysWritev, FD: 3, Iov: [][]byte{[]byte("ab"), []byte("cd")}}),
+		AppendArgs(nil, &kernel.Args{Nr: abi.SysPreadv, FD: 3, Iov: [][]byte{make([]byte, 8)}}),
+		{0xFF, 0x00, 0x01},
+		{2, 0xFF, 0xFF, 0xFF, 0xFF},
+	}
+	resultSeeds = [][]byte{
+		{},
+		AppendResult(nil, kernel.Result{Ret: 7, Data: []byte("ok"), FD: 4}),
+		AppendResult(nil, kernel.Result{Ret: -1, Err: abi.EACCES}),
+		AppendResultBatch(nil, []kernel.Result{{Ret: 1, Data: []byte("a")}, {Ret: 2, Data: []byte("bc")}}),
+		{0xEE, 0xEE},
+	}
+	sockOpSeeds = [][]byte{
+		{},
+		AppendSockOp(nil, &kernel.Args{Nr: abi.SysSend, FD: 4, Buf: []byte("GET /")}),
+		AppendSockOp(nil, &kernel.Args{Nr: abi.SysConnect, FD: 3, Addr: "cvm:80"}),
+		AppendSockOp(nil, &kernel.Args{Nr: abi.SysRecv, FD: 4, Size: 4096}),
+		AppendSockOp(nil, &kernel.Args{Nr: abi.SysAccept4, FD: 3, Size: 16}),
+		AppendSockOp(nil, &kernel.Args{Nr: abi.SysEpollWait, FD: 5, Size: 8}),
+		{0xA9},
+		{0xA9, 0xFF, 0xFF, 0xFF, 0xFF},
+	}
+	// An app's /dev/binder ioctl argument, its extended encodings (a
+	// oneway transaction, a session call, which must not decode as a flat
+	// transaction) and mangled magic prefixes.
+	binderTxnSeeds = [][]byte{
+		{},
+		AppendBinderTxn(nil, binder.Transaction{Service: "window", Code: 2, Payload: []byte("p")}),
+		{0xFF, 0xFF, 'x'},
+		AppendBinderTxn(nil, binder.Transaction{Service: "media", Code: 9, Payload: []byte("q"), Oneway: true}),
+		AppendBinderSession(nil, BinderSession{Session: 7, Code: 3, Payload: []byte("s")}),
+		{0xFF, 0xFE, 'O', '1'},
+		{0xFF, 0xFE, 'S', '1', 0, 0},
+	}
+	binderSessionSeeds = [][]byte{
+		{},
+		AppendBinderSession(nil, BinderSession{Session: 1, Code: 3, Payload: []byte("p")}),
+		AppendBinderSession(nil, BinderSession{Session: 0xFFFFFFFF, Oneway: true}),
+		{0xA8, 4, 0, 0, 0, 0xFF, 0xFE, 'S', '1'},
+		AppendBinderTxn(nil, binder.Transaction{Service: "window", Code: 2}),
+	}
+	chainSeeds = [][]byte{
+		{},
+		AppendChain(nil, []ChainLink{
+			{Args: &kernel.Args{Nr: abi.SysOpen, Path: "/data/f", Flags: abi.ORdOnly}, FDFrom: -1},
+			{Args: &kernel.Args{Nr: abi.SysFstat}, FDFrom: 0},
+			{Args: &kernel.Args{Nr: abi.SysPread64, Size: 4096}, FDFrom: 0, UseCursor: true},
+			{Args: &kernel.Args{Nr: abi.SysClose}, FDFrom: 0},
+		}),
+		AppendChain(nil, []ChainLink{
+			{Args: &kernel.Args{Nr: abi.SysSend, FD: 4, Buf: []byte("ping")}, FDFrom: -1},
+			{Args: &kernel.Args{Nr: abi.SysRecv, FD: 4, Size: 128}, FDFrom: -1},
+		}),
+		{0xAA},
+		{0xAA, 0xFF, 0xFF, 0xFF, 0xFF},
+		{0xAA, 2, 0, 0, 0, chainFlagFDFrom, 9},
+	}
+	chainResultSeeds = [][]byte{
+		{},
+		AppendChainResult(nil, ChainResult{Executed: 2, Results: []kernel.Result{
+			{Ret: 3, FD: 3},
+			{Ret: 4, Data: []byte("data")},
+			{Ret: -1, Err: abi.EHOSTDOWN},
+		}}),
+		{1, 0, 0, 0, 9, 0, 0, 0},
+	}
+	sgSeeds = [][]byte{
+		{},
+		AppendSG(nil, &SGDescriptor{Writable: true, Entries: []SGEntry{{ID: 1, Gen: 1, Off: 0, Len: 4096}}}),
+		AppendGrantCall(nil,
+			&SGDescriptor{Entries: []SGEntry{{ID: 3, Gen: 2, Len: 512}}},
+			&kernel.Args{Nr: abi.SysPwrite64, FD: 3, Size: 512},
+		),
+		{grantCallMagic},
+		{grantCallMagic, 2, 0xFF, 0xFF, 0xFF, 0x7F},
+		{0, 2, 0xFF, 0xFF, 0xFF, 0x7F},
+	}
+)
+
+func FuzzFrame(f *testing.F) {
+	fuzzFrames(f, slices.Concat(argsSeeds, resultSeeds, sockOpSeeds, binderTxnSeeds,
+		binderSessionSeeds, chainSeeds, chainResultSeeds, sgSeeds))
 }
 
-func FuzzDecodeResult(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendResult(nil, kernel.Result{Ret: 7, Data: []byte("ok"), FD: 4}))
-	f.Add(AppendResult(nil, kernel.Result{Ret: -1, Err: abi.EACCES}))
-	f.Add(AppendResultBatch(nil, []kernel.Result{{Ret: 1, Data: []byte("a")}, {Ret: 2, Data: []byte("bc")}}))
-	f.Add([]byte{0xEE, 0xEE})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		before := bytes.Clone(data)
-		res, err := DecodeResult(data)
-		unchanged(t, before, data)
-		if err == nil {
-			checkResultViews(t, []kernel.Result{res}, data)
-		}
-		batch, err := DecodeResultBatch(data, nil)
-		unchanged(t, before, data)
-		if err == nil {
-			checkResultViews(t, batch, data)
-		}
-	})
+func FuzzDecodeArgs(f *testing.F)          { fuzzFrames(f, argsSeeds) }
+func FuzzDecodeResult(f *testing.F)        { fuzzFrames(f, resultSeeds) }
+func FuzzDecodeSockOp(f *testing.F)        { fuzzFrames(f, sockOpSeeds) }
+func FuzzDecodeBinderTxn(f *testing.F)     { fuzzFrames(f, binderTxnSeeds) }
+func FuzzDecodeBinderSession(f *testing.F) { fuzzFrames(f, binderSessionSeeds) }
+func FuzzDecodeChain(f *testing.F)         { fuzzFrames(f, chainSeeds) }
+func FuzzDecodeChainResult(f *testing.F)   { fuzzFrames(f, chainResultSeeds) }
+func FuzzDecodeSG(f *testing.F)            { fuzzFrames(f, sgSeeds) }
+
+// fuzzFrames fuzzes checkFrame from seeds.
+func fuzzFrames(f *testing.F, seeds [][]byte) {
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(checkFrame)
 }
 
-func FuzzDecodeSockOp(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendSockOp(nil, &kernel.Args{Nr: abi.SysSend, FD: 4, Buf: []byte("GET /")}))
-	f.Add(AppendSockOp(nil, &kernel.Args{Nr: abi.SysConnect, FD: 3, Addr: "cvm:80"}))
-	f.Add(AppendSockOp(nil, &kernel.Args{Nr: abi.SysRecv, FD: 4, Size: 4096}))
-	f.Add(AppendSockOp(nil, &kernel.Args{Nr: abi.SysAccept4, FD: 3, Size: 16}))
-	f.Add(AppendSockOp(nil, &kernel.Args{Nr: abi.SysEpollWait, FD: 5, Size: 8}))
-	f.Add([]byte{0xA9})
-	f.Add([]byte{0xA9, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		before := bytes.Clone(data)
-		var a kernel.Args
-		err := DecodeSockOp(data, &a)
-		unchanged(t, before, data)
-		if err == nil {
-			checkArgsViews(t, &a, data)
-		}
-	})
-}
+// checkFrame runs data through every decoder of one Decoder and checks
+// what each one decodes.
+func checkFrame(t *testing.T, data []byte) {
+	before := bytes.Clone(data)
+	var d Decoder
+	var a kernel.Args
 
-// FuzzDecodeBinderTxn: an app's /dev/binder ioctl argument. Whatever
-// decodes re-encodes to the same bytes, so the oneway flag survives a
-// round trip, and the payload is a view inside the argument.
-func FuzzDecodeBinderTxn(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendBinderTxn(nil, binder.Transaction{Service: "window", Code: 2, Payload: []byte("p")}))
-	f.Add([]byte{0xFF, 0xFF, 'x'})
-	// The extended encodings: a oneway transaction, a session call (must
-	// not decode as a flat transaction), and mangled magic prefixes.
-	f.Add(AppendBinderTxn(nil, binder.Transaction{Service: "media", Code: 9, Payload: []byte("q"), Oneway: true}))
-	f.Add(AppendBinderSession(nil, BinderSession{Session: 7, Code: 3, Payload: []byte("s")}))
-	f.Add([]byte{0xFF, 0xFE, 'O', '1'})
-	f.Add([]byte{0xFF, 0xFE, 'S', '1', 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		before := bytes.Clone(data)
-		var d Decoder
-		txn, err := d.BinderTxn(data)
-		unchanged(t, before, data)
-		if err != nil {
-			return
+	if err := d.Args(data, &a); err == nil {
+		checkArgsViews(t, &a, data)
+	}
+	if err := d.SockOp(data, &a); err == nil {
+		checkArgsViews(t, &a, data)
+	}
+	if g, err := d.GrantCall(data, &a); err == nil {
+		if g == nil {
+			t.Fatal("nil descriptor without error")
 		}
+		checkArgsViews(t, &a, data)
+	}
+	var sg SGDescriptor
+	if err := decodeSG(data, &sg); err == nil && len(sg.Entries) > sgMaxEntries {
+		t.Fatalf("%d entries decoded past the cap", len(sg.Entries))
+	}
+
+	links, err := d.Chain(data)
+	if err == nil && len(links) == 0 {
+		t.Fatal("empty chain without error")
+	}
+	for i, ln := range links {
+		if ln.Args == nil || ln.FDFrom >= i {
+			t.Fatalf("link %d decoded inconsistently (fdFrom=%d)", i, ln.FDFrom)
+		}
+		checkArgsViews(t, ln.Args, data)
+	}
+
+	// Whatever decodes as a binder transaction re-encodes to the same
+	// bytes, so the oneway flag survives a round trip.
+	if txn, err := d.BinderTxn(data); err == nil {
 		if !within(txn.Payload, data) {
-			t.Fatal("payload is not a view inside the argument")
+			t.Fatal("binder payload is not a view inside the argument")
 		}
-		if again := AppendBinderTxn(nil, txn); !bytes.Equal(again, data) {
+		again := AppendBinderTxn(nil, txn)
+		if !bytes.Equal(again, data) {
 			t.Fatalf("re-encode changed the argument: %x -> %x", data, again)
 		}
-		out, err := d.BinderTxn(AppendBinderTxn(nil, txn))
-		if err != nil || out.Oneway != txn.Oneway {
+		if out, err := d.BinderTxn(again); err != nil || out.Oneway != txn.Oneway {
 			t.Fatalf("re-decode: oneway %v -> %v, %v", txn.Oneway, out.Oneway, err)
 		}
-	})
-}
-
-// FuzzDecodeBinderSession: a session call a compromised host side (or a
-// corrupted slot) hands the guest. Whatever decodes round-trips its
-// fields, oneway flag included, and the payload is a view inside it.
-func FuzzDecodeBinderSession(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendBinderSession(nil, BinderSession{Session: 1, Code: 3, Payload: []byte("p")}))
-	f.Add(AppendBinderSession(nil, BinderSession{Session: 0xFFFFFFFF, Oneway: true}))
-	f.Add([]byte{0xA8, 4, 0, 0, 0, 0xFF, 0xFE, 'S', '1'})
-	f.Add(AppendBinderTxn(nil, binder.Transaction{Service: "window", Code: 2}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		before := bytes.Clone(data)
-		var d Decoder
-		s, err := d.BinderSession(data)
-		unchanged(t, before, data)
-		if err != nil {
-			return
-		}
+	}
+	// Whatever decodes as a session call round-trips its fields.
+	if s, err := d.BinderSession(data); err == nil {
 		if !within(s.Payload, data) {
-			t.Fatal("payload is not a view inside the frame")
+			t.Fatal("session payload is not a view inside the frame")
 		}
 		out, err := d.BinderSession(AppendBinderSession(nil, s))
 		if err != nil || out.Session != s.Session || out.Code != s.Code || out.Oneway != s.Oneway || !bytes.Equal(out.Payload, s.Payload) {
-			t.Fatalf("round trip changed frame: %+v -> %+v, %v", s, out, err)
+			t.Fatalf("session round trip changed frame: %+v -> %+v, %v", s, out, err)
 		}
-	})
-}
+	}
 
-func FuzzDecodeChain(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendChain(nil, []ChainLink{
-		{Args: &kernel.Args{Nr: abi.SysOpen, Path: "/data/f", Flags: abi.ORdOnly}, FDFrom: -1},
-		{Args: &kernel.Args{Nr: abi.SysFstat}, FDFrom: 0},
-		{Args: &kernel.Args{Nr: abi.SysPread64, Size: 4096}, FDFrom: 0, UseCursor: true},
-		{Args: &kernel.Args{Nr: abi.SysClose}, FDFrom: 0},
-	}))
-	f.Add(AppendChain(nil, []ChainLink{
-		{Args: &kernel.Args{Nr: abi.SysSend, FD: 4, Buf: []byte("ping")}, FDFrom: -1},
-		{Args: &kernel.Args{Nr: abi.SysRecv, FD: 4, Size: 128}, FDFrom: -1},
-	}))
-	f.Add([]byte{0xAA})
-	f.Add([]byte{0xAA, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{0xAA, 2, 0, 0, 0, chainFlagFDFrom, 9})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		before := bytes.Clone(data)
-		links, err := DecodeChain(data)
-		unchanged(t, before, data)
-		if err == nil && len(links) == 0 {
-			t.Fatal("empty chain without error")
-		}
-		for i, ln := range links {
-			if err == nil && (ln.Args == nil || ln.FDFrom >= i) {
-				t.Fatalf("link %d decoded inconsistently (fdFrom=%d)", i, ln.FDFrom)
-			}
-			checkArgsViews(t, ln.Args, data)
-		}
-	})
-}
-
-func FuzzDecodeChainResult(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendChainResult(nil, ChainResult{Executed: 2, Results: []kernel.Result{
-		{Ret: 3, FD: 3},
-		{Ret: 4, Data: []byte("data")},
-		{Ret: -1, Err: abi.EHOSTDOWN},
-	}}))
-	f.Add([]byte{1, 0, 0, 0, 9, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		before := bytes.Clone(data)
-		cr, err := DecodeChainResult(data)
-		unchanged(t, before, data)
-		if err == nil && (cr.Executed < 0 || cr.Executed > len(cr.Results)) {
+	if res, err := d.Result(data); err == nil {
+		checkResultViews(t, []kernel.Result{res}, data)
+	}
+	if batch, err := d.ResultBatch(data); err == nil {
+		checkResultViews(t, batch, data)
+	}
+	if cr, err := d.ChainResult(data); err == nil {
+		if cr.Executed < 0 || cr.Executed > len(cr.Results) {
 			t.Fatal("inconsistent executed count without error")
 		}
-		if err == nil {
-			checkResultViews(t, cr.Results, data)
-		}
-	})
+		checkResultViews(t, cr.Results, data)
+	}
+	unchanged(t, before, data)
 }
 
 // FuzzArgsRoundTrip: anything that encodes must decode to itself, with
@@ -269,7 +274,7 @@ func FuzzArgsRoundTrip(f *testing.F) {
 		frame := AppendArgs(nil, in)
 		before := bytes.Clone(frame)
 		var out kernel.Args
-		if err := DecodeArgs(frame, &out); err != nil {
+		if err := new(Decoder).Args(frame, &out); err != nil {
 			t.Fatalf("own encoding rejected: %v", err)
 		}
 		unchanged(t, before, frame)

@@ -141,7 +141,7 @@ func TestGoldenFramesDecode(t *testing.T) {
 	for k, a := range goldenArgs() {
 		frame, _ := hex.DecodeString(goldenFrames["args/"+k])
 		var got kernel.Args
-		if err := DecodeArgs(frame, &got); err != nil {
+		if err := new(Decoder).Args(frame, &got); err != nil {
 			t.Fatalf("args/%s: %v", k, err)
 		}
 		if !bytes.Equal(AppendArgs(nil, &got), frame) {
@@ -165,7 +165,7 @@ func TestGoldenFramesDecode(t *testing.T) {
 	}
 	for k, r := range goldenResults() {
 		frame, _ := hex.DecodeString(goldenFrames["result/"+k])
-		got, err := DecodeResult(frame)
+		got, err := new(Decoder).Result(frame)
 		if err != nil {
 			t.Fatalf("result/%s: %v", k, err)
 		}

@@ -65,7 +65,7 @@ func TestArgsRoundTripProperty(t *testing.T) {
 
 func TestResultRoundTripSuccess(t *testing.T) {
 	in := kernel.Result{Ret: 42, Data: []byte("reply"), FD: 5}
-	out, err := DecodeResult(AppendResult(nil, in))
+	out, err := new(Decoder).Result(AppendResult(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestResultRoundTripSuccess(t *testing.T) {
 
 func TestResultRoundTripErrnoMatchable(t *testing.T) {
 	in := kernel.Result{Ret: -1, Err: abi.EACCES}
-	out, err := DecodeResult(AppendResult(nil, in))
+	out, err := new(Decoder).Result(AppendResult(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestResultRoundTripErrnoMatchable(t *testing.T) {
 
 func TestResultRoundTripForeignError(t *testing.T) {
 	in := kernel.Result{Ret: -1, Err: errors.New("weird driver failure")}
-	out, err := DecodeResult(AppendResult(nil, in))
+	out, err := new(Decoder).Result(AppendResult(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestDecodeGarbage(t *testing.T) {
 	if _, err := decodeArgs([]byte{0xEE, 1, 2}); !errors.Is(err, abi.EINVAL) {
 		t.Fatalf("args garbage: %v", err)
 	}
-	if _, err := DecodeResult([]byte{0xEE}); !errors.Is(err, abi.EINVAL) {
+	if _, err := new(Decoder).Result([]byte{0xEE}); !errors.Is(err, abi.EINVAL) {
 		t.Fatalf("result garbage: %v", err)
 	}
 	// Truncated length prefix.
@@ -256,7 +256,7 @@ func TestDecodeNeverPanicsOnRandomBytes(t *testing.T) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("DecodeArgs panicked on %x: %v", buf, r)
+					t.Fatalf("Args panicked on %x: %v", buf, r)
 				}
 			}()
 			_, _ = decodeArgs(buf)
@@ -264,10 +264,10 @@ func TestDecodeNeverPanicsOnRandomBytes(t *testing.T) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("DecodeResult panicked on %x: %v", buf, r)
+					t.Fatalf("Result panicked on %x: %v", buf, r)
 				}
 			}()
-			_, _ = DecodeResult(buf)
+			_, _ = new(Decoder).Result(buf)
 		}()
 	}
 }

@@ -110,33 +110,6 @@ func TestDecodeGrantCallRejectsTruncation(t *testing.T) {
 	}
 }
 
-// FuzzDecodeSG: the grant-call decoders face bytes a compromised
-// container chose; nothing they are handed may panic or over-allocate.
-func FuzzDecodeSG(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendSG(nil, &SGDescriptor{Writable: true, Entries: []SGEntry{{ID: 1, Gen: 1, Off: 0, Len: 4096}}}))
-	f.Add(AppendGrantCall(nil,
-		&SGDescriptor{Entries: []SGEntry{{ID: 3, Gen: 2, Len: 512}}},
-		&kernel.Args{Nr: abi.SysPwrite64, FD: 3, Size: 512},
-	))
-	f.Add([]byte{grantCallMagic})
-	f.Add([]byte{grantCallMagic, 2, 0xFF, 0xFF, 0xFF, 0x7F})
-	f.Add([]byte{0, 2, 0xFF, 0xFF, 0xFF, 0x7F})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var d SGDescriptor
-		if err := decodeSG(data, &d); err == nil && len(d.Entries) > sgMaxEntries {
-			t.Fatalf("%d entries decoded past the cap", len(d.Entries))
-		}
-		if IsGrantCall(data) {
-			var dec Decoder
-			var a kernel.Args
-			if g, err := dec.GrantCall(data, &a); err == nil && g == nil {
-				t.Fatal("nil descriptor without error")
-			}
-		}
-	})
-}
-
 // TestGrantCallDecodeAllocs: a Decoder that decodes grant calls keeps
 // the descriptor's entries, so a repeated call allocates nothing, and a
 // shorter descriptor after a longer one yields exactly its own entries.

@@ -51,14 +51,7 @@ func IsSockOp(b []byte) bool {
 	return len(b) > 0 && b[0] == sockOpMagic
 }
 
-// DecodeSockOp reverses AppendSockOp into a, which it resets first. The
-// payload is a view into b; the address is copied.
-func DecodeSockOp(b []byte, a *kernel.Args) error {
-	var d Decoder
-	return d.SockOp(b, a)
-}
-
-// SockOp is DecodeSockOp with the decoder's kept address.
+// SockOp reverses AppendSockOp into a, which it resets first.
 func (d *Decoder) SockOp(b []byte, a *kernel.Args) error {
 	if !IsSockOp(b) {
 		return fmt.Errorf("marshal: not a socket op: %w", abi.EINVAL)

@@ -34,8 +34,6 @@ type FleetMixConfig struct {
 	// sessions and the fusion detector are warm and the sweep measures
 	// steady state. Negative disables.
 	WarmupOps int
-	// Placement selects the scheduler policy (default least-loaded).
-	Placement anception.PlacementPolicy
 	// Opts is the per-shard device template. Zero boots the AutoTune
 	// fast profile with an hour fault-detector deadline.
 	Opts anception.Options
@@ -64,7 +62,6 @@ func (c *FleetMixConfig) applyDefaults() {
 	c.Opts.Mode = anception.ModeAnception
 	c.Opts.DisableTrace = true
 	c.Opts.FleetSize = c.FleetSize
-	c.Opts.FleetPlacement = c.Placement
 }
 
 // FleetMixStats is one sweep point's outcome.
@@ -116,7 +113,7 @@ func setupFleetMix(cfg *FleetMixConfig) (*anception.Fleet, []*fleetMixApp, error
 	}
 	apps := make([]*fleetMixApp, 0, cfg.Apps)
 	for i := 0; i < cfg.Apps; i++ {
-		fa, err := fleet.InstallAppForUser(android.AppSpec{Package: fmt.Sprintf("com.fleet.mix%03d", i)}, i%4)
+		fa, err := fleet.InstallApp(android.AppSpec{Package: fmt.Sprintf("com.fleet.mix%03d", i)})
 		if err != nil {
 			fleet.Close()
 			return nil, nil, err
