@@ -124,14 +124,7 @@ func autotuneExp() error {
 	if err := autotuneFloors(rows); err != nil {
 		return err
 	}
-	report, ok := loadBenchReport()
-	if ok {
-		if err := zcCheckPinned(&report); err != nil {
-			return err
-		}
-	}
-	report.Autotune = rows
-	if err := writeBenchReport(&report); err != nil {
+	if err := foldBenchReport(rows); err != nil {
 		return err
 	}
 	fmt.Printf("  folded %d autotune rows into %s\n", len(rows), benchJSONFile)

@@ -7,9 +7,9 @@ import (
 	"anception/internal/anception"
 )
 
-// benchJSONFile is where -exp bench-json writes its machine-readable
-// report; CI archives it so the redirection-cache speedups are tracked
-// per commit.
+// benchJSONFile is the machine-readable report that bench-json,
+// concurrency, zerocopy, binder, autotune and fusion fold their sections
+// into; CI archives it so their rows are tracked per commit.
 const benchJSONFile = "BENCH_redirection.json"
 
 // benchRow is one Table-I-style measurement in simulated microseconds.
@@ -18,8 +18,10 @@ type benchRow struct {
 	SimUsPerOp float64 `json:"sim_us_per_op"`
 }
 
-// benchReport is the bench-json output document.
-type benchReport struct {
+// tableIReport is bench-json's section of BENCH_redirection.json: the
+// Table I read/write rows and the redirection cache's speedups over them.
+// Its fields sit at the top level of the document.
+type tableIReport struct {
 	Iterations int        `json:"iterations"`
 	Rows       []benchRow `json:"rows"`
 	// ReadSpeedup / WriteSpeedup compare the cached Anception
@@ -29,24 +31,67 @@ type benchReport struct {
 	// Cache holds the cached device's counters after both loops.
 	Cache        anception.CacheStats `json:"cache"`
 	CacheHitRate float64              `json:"cache_hit_rate"`
+}
+
+// benchReport is the BENCH_redirection.json document. Each section is
+// written by one experiment, through foldBenchReport.
+type benchReport struct {
+	tableIReport
 	// Concurrency holds the sync-vs-ring multi-threaded throughput rows
 	// (-exp concurrency), so the async-ring win is tracked per commit
 	// alongside the cache speedups.
 	Concurrency []concRow `json:"concurrency"`
 	// Zerocopy holds the copy/grant/grant+ring transfer-size sweep
-	// (-exp zerocopy). bench-json preserves it on rewrite, and the
-	// zerocopy experiment preserves every other section, so the two
-	// experiments merge into one document.
+	// (-exp zerocopy).
 	Zerocopy []zcRow `json:"zerocopy,omitempty"`
 	// Binder holds the sync/session/pipelined/cached bridge sweep
-	// (-exp binder), merged the same way.
+	// (-exp binder).
 	Binder []binderRow `json:"binder,omitempty"`
 	// Autotune holds the AutoTune-profile macro-workload sweep
-	// (-exp autotune), merged the same way.
+	// (-exp autotune).
 	Autotune []autotuneRow `json:"autotune,omitempty"`
 	// Fusion holds the fused-vs-unfused dependent-chain pair
-	// (-exp fusion), merged the same way.
+	// (-exp fusion).
 	Fusion []fusionRow `json:"fusion,omitempty"`
+}
+
+// set replaces the section of r that section's type names and leaves
+// every other section as it was.
+func (r *benchReport) set(section any) {
+	switch s := section.(type) {
+	case tableIReport:
+		r.tableIReport = s
+	case []concRow:
+		r.Concurrency = s
+	case []zcRow:
+		r.Zerocopy = s
+	case []binderRow:
+		r.Binder = s
+	case []autotuneRow:
+		r.Autotune = s
+	case []fusionRow:
+		r.Fusion = s
+	default:
+		panic(fmt.Sprintf("BENCH_redirection.json has no %T section", section))
+	}
+}
+
+// foldBenchReport folds one experiment's section into
+// BENCH_redirection.json: it loads the document, replaces that section
+// alone, checks the pinned Table I rows the result holds and writes it
+// back, so the experiments merge into one document instead of clobbering
+// each other's sections. A missing or stale document starts empty.
+func foldBenchReport(section any) error {
+	report, _ := loadReport[benchReport](benchJSONFile)
+	report.set(section)
+	if err := checkPinned(report.Rows...); err != nil {
+		return err
+	}
+	return writeBenchReport(&report)
+}
+
+func writeBenchReport(report *benchReport) error {
+	return writeReport(benchJSONFile, report)
 }
 
 // networkJSONFile is where -exp network writes the redirected-network
@@ -105,23 +150,47 @@ func writeNetworkReport(report *networkReport) error {
 	return writeReport(networkJSONFile, report)
 }
 
-// benchDevice boots a quiet platform and a benchmark app for bench-json.
-func benchDevice(mode anception.Mode, cache bool) (*anception.Device, *anception.Proc, error) {
-	d, err := anception.NewDevice(anception.Options{Mode: mode, RedirCache: cache, DisableTrace: true})
-	if err != nil {
-		return nil, nil, err
+// benchIters is the iteration count of each Table I loop.
+const benchIters = 2000
+
+// benchSetup opens bench.dat on t's app and warms it with one page write
+// and one page read, so a cached configuration measures its steady state,
+// matching the benchmark harness.
+func benchSetup(t *appTask) error {
+	if err := openFile(t, "bench.dat", make([]byte, abi.PageSize)); err != nil {
+		return err
 	}
-	p, err := launchBench(d)
+	return preadPage(t)
+}
+
+func preadPage(t *appTask) error {
+	_, err := t.p.Pread(t.fd, abi.PageSize, 0)
+	return err
+}
+
+// tableIRows times benchIters page reads, then as many page writes, on
+// the app task of d that benchSetup prepared, and names the two rows
+// after config.
+func tableIRows(d *anception.Device, t appTask, config string) ([]benchRow, error) {
+	tasks := []appTask{t}
+	read, err := timeOps(d, tasks, benchIters, preadPage)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return d, p, nil
+	write, err := timeOps(d, tasks, benchIters, pwriteOp)
+	if err != nil {
+		return nil, err
+	}
+	return []benchRow{
+		{Name: "read4k-" + config, SimUsPerOp: read.usPerOp()},
+		{Name: "write4k-" + config, SimUsPerOp: write.usPerOp()},
+	}, nil
 }
 
 // benchJSON measures the Table I read/write rows across native, uncached
-// Anception, and cached Anception, and writes BENCH_redirection.json.
+// Anception, and cached Anception, and folds them into
+// BENCH_redirection.json.
 func benchJSON() error {
-	const iters = 2000
 	fmt.Println("== bench-json: redirection-cache Table I rows ==")
 
 	type config struct {
@@ -135,56 +204,30 @@ func benchJSON() error {
 		{"anception-cached", anception.ModeAnception, true},
 	}
 
-	perOp := make(map[string]map[string]float64) // op -> config name -> sim-us
-	report := benchReport{Iterations: iters}
+	perOp := make(map[string][]benchRow) // config name -> read, write rows
+	report := tableIReport{Iterations: benchIters}
 	for _, cfg := range configs {
-		d, p, err := benchDevice(cfg.mode, cfg.cache)
+		d, tasks, err := launchApps(anception.Options{Mode: cfg.mode, RedirCache: cfg.cache, DisableTrace: true},
+			1, benchPkg, benchSetup)
 		if err != nil {
 			return err
 		}
-		fd, err := p.Open("bench.dat", abi.ORdWr|abi.OCreat, 0o600)
-		if err != nil {
-			return err
-		}
-		page := make([]byte, abi.PageSize)
-		if _, err := p.Pwrite(fd, page, 0); err != nil {
-			return err
-		}
-		// One warm-up read so the cached configuration measures its steady
-		// state, matching the benchmark harness.
-		if _, err := p.Pread(fd, abi.PageSize, 0); err != nil {
-			return err
-		}
-
-		start := d.Clock.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := p.Pread(fd, abi.PageSize, 0); err != nil {
-				return err
-			}
-		}
-		readUs := float64(d.Clock.Now()-start) / iters / 1e3
-
-		start = d.Clock.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := p.Pwrite(fd, page, 0); err != nil {
-				return err
-			}
-		}
-		writeUs := float64(d.Clock.Now()-start) / iters / 1e3
-
-		perOp[cfg.name] = map[string]float64{"read": readUs, "write": writeUs}
-		report.Rows = append(report.Rows,
-			benchRow{Name: "read4k-" + cfg.name, SimUsPerOp: readUs},
-			benchRow{Name: "write4k-" + cfg.name, SimUsPerOp: writeUs},
-		)
+		rows, err := tableIRows(d, tasks[0], cfg.name)
 		if cfg.cache {
 			report.Cache = d.Layer.Stats().Cache
 		}
-		fmt.Printf("  %-20s read=%8.2f sim-us  write=%8.2f sim-us\n", cfg.name, readUs, writeUs)
+		d.Close()
+		if err != nil {
+			return err
+		}
+		perOp[cfg.name] = rows
+		report.Rows = append(report.Rows, rows...)
+		fmt.Printf("  %-20s read=%8.2f sim-us  write=%8.2f sim-us\n", cfg.name, rows[0].SimUsPerOp, rows[1].SimUsPerOp)
 	}
 
-	report.ReadSpeedup = perOp["anception-uncached"]["read"] / perOp["anception-cached"]["read"]
-	report.WriteSpeedup = perOp["anception-uncached"]["write"] / perOp["anception-cached"]["write"]
+	uncached, cached := perOp["anception-uncached"], perOp["anception-cached"]
+	report.ReadSpeedup = uncached[0].SimUsPerOp / cached[0].SimUsPerOp
+	report.WriteSpeedup = uncached[1].SimUsPerOp / cached[1].SimUsPerOp
 	if lookups := report.Cache.Hits + report.Cache.Misses; lookups > 0 {
 		report.CacheHitRate = float64(report.Cache.Hits) / float64(lookups)
 	}
@@ -197,27 +240,7 @@ func benchJSON() error {
 	if report.WriteSpeedup <= 1 {
 		return fmt.Errorf("cached write shows no round-trip reduction (%.2fx)", report.WriteSpeedup)
 	}
-
-	concRows, err := concurrencyRows()
-	if err != nil {
-		return err
-	}
-	report.Concurrency = concRows
-	for _, r := range report.Concurrency {
-		fmt.Printf("  %2d threads: sync=%8.0f ring=%8.0f ops/sim-s (%.2fx, %.3f doorbells/op)\n",
-			r.Threads, r.SyncOpsPerSec, r.RingOpsPerSec, r.RingSpeedup, r.DoorbellsPerOp)
-	}
-	if err := concurrencyFloors(report.Concurrency); err != nil {
-		return err
-	}
-
-	if prev, ok := loadBenchReport(); ok {
-		report.Zerocopy = prev.Zerocopy
-		report.Binder = prev.Binder
-		report.Autotune = prev.Autotune
-		report.Fusion = prev.Fusion
-	}
-	if err := writeBenchReport(&report); err != nil {
+	if err := foldBenchReport(report); err != nil {
 		return err
 	}
 	fmt.Printf("  wrote %s\n", benchJSONFile)

@@ -2,8 +2,6 @@ package main
 
 import (
 	"fmt"
-	"math"
-	"sync"
 	"time"
 
 	"anception/internal/anception"
@@ -60,139 +58,67 @@ func binderConfigs() []binderConfig {
 	}
 }
 
-// binderMeasure boots one configuration and measures threads concurrent
-// apps each issuing binderIters read-only 128-byte transactions to the
-// CVM-resident location service, after one warm-up transaction per app
-// (which pays proxy enrollment and, with sessions on, the one-time
-// session setup — steady state is what the sweep compares).
-func binderMeasure(opts anception.Options, threads int) (float64, error) {
-	d, err := anception.NewDevice(opts)
-	if err != nil {
-		return 0, err
-	}
-	defer d.Close()
-
-	type worker struct {
-		proc *anception.Proc
-		fd   int
-	}
-	payload := make([]byte, binderPayload)
-	workers := make([]worker, threads)
-	for i := range workers {
-		app, err := d.InstallApp(android.AppSpec{Package: fmt.Sprintf("com.binder%02d", i)})
-		if err != nil {
-			return 0, err
-		}
-		proc, err := d.Launch(app)
-		if err != nil {
-			return 0, err
-		}
-		fd, err := proc.OpenBinder()
-		if err != nil {
-			return 0, err
-		}
-		if _, err := proc.BinderCall(fd, "location", android.CodeGetLocation, payload); err != nil {
-			return 0, err
-		}
-		workers[i] = worker{proc, fd}
-	}
-
-	start := d.Clock.Now()
-	errCh := make(chan error, threads)
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w worker) {
-			defer wg.Done()
-			for n := 0; n < binderIters; n++ {
-				if _, err := w.proc.BinderCall(w.fd, "location", android.CodeGetLocation, payload); err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return 0, err
-	default:
-	}
-	txns := threads * binderIters
-	return float64(d.Clock.Now()-start) / float64(txns) / 1e3, nil
+// binderCall sends one read-only transaction of t.buf to the
+// CVM-resident location service.
+func binderCall(t *appTask) error {
+	_, err := t.p.BinderCall(t.fd, "location", android.CodeGetLocation, t.buf)
+	return err
 }
 
-// binderSingleShot measures one cold transaction of the given payload
-// size on a fresh device — the Table I / Section VI-A rows.
-func binderSingleShot(mode anception.Mode, bytes int) (float64, error) {
-	d, err := anception.NewDevice(anception.Options{Mode: mode, DisableTrace: true})
-	if err != nil {
-		return 0, err
-	}
-	p, err := launchBench(d)
-	if err != nil {
-		return 0, err
-	}
-	fd, err := p.OpenBinder()
-	if err != nil {
-		return 0, err
-	}
-	start := d.Clock.Now()
-	if _, err := p.BinderCall(fd, "location", android.CodeGetLocation, make([]byte, bytes)); err != nil {
-		return 0, err
-	}
-	return float64(d.Clock.Now()-start) / 1e3, nil
-}
-
-// binderPinnedRows are the paper-anchored single-shot rows the sweep must
-// reproduce byte-for-byte (simulated microseconds): the 12 ms native
-// transaction and the uncached bridge's 31.0 -> 31.3 ms at +128 B
-// (Section VI-A's +19 ms penalty). Every fast-path knob is opt-in, so
-// these never move.
-var binderPinnedRows = map[string]float64{
-	// entry 0.76 + BinderTransaction 11990 + 142 encoded bytes * 0.02
-	"binder128-native": 11993.60,
-	// native + CVMPenalty 18700 + 142 * 2.34 (and +270 B encoded at 256)
-	"binder128-sync": 31023.04,
-	"binder256-sync": 31322.56,
+// binderMeasure boots opts and measures threads concurrent apps each
+// issuing iters transactions of bytes. With warm set, each app first
+// sends one untimed transaction, which pays proxy enrollment and, with
+// sessions on, the one-time session setup — steady state is what the
+// sweep compares; without it, the timed transaction is a cold one, as in
+// the single-shot Table I / Section VI-A rows.
+func binderMeasure(opts anception.Options, threads int, pkg string, iters, bytes int, warm bool) (float64, error) {
+	run, err := drive(opts, threads, pkg, iters, func(t *appTask) error {
+		fd, err := t.p.OpenBinder()
+		if err != nil {
+			return err
+		}
+		t.fd, t.buf = fd, make([]byte, bytes)
+		if warm {
+			return binderCall(t)
+		}
+		return nil
+	}, binderCall)
+	return run.usPerOp(), err
 }
 
 // binderRows measures the pinned single-shot rows plus the full sweep.
 func binderRows() ([]binderRow, float64, error) {
-	var rows []binderRow
-
-	native128, err := binderSingleShot(anception.ModeNative, binderPayload)
+	singleShot := func(mode anception.Mode, bytes int) (float64, error) {
+		return binderMeasure(anception.Options{Mode: mode, DisableTrace: true}, 1, benchPkg, 1, bytes, false)
+	}
+	native128, err := singleShot(anception.ModeNative, binderPayload)
 	if err != nil {
 		return nil, 0, err
 	}
-	sync128, err := binderSingleShot(anception.ModeAnception, binderPayload)
+	sync128, err := singleShot(anception.ModeAnception, binderPayload)
 	if err != nil {
 		return nil, 0, err
 	}
-	sync256, err := binderSingleShot(anception.ModeAnception, 2*binderPayload)
+	sync256, err := singleShot(anception.ModeAnception, 2*binderPayload)
 	if err != nil {
 		return nil, 0, err
 	}
-	rows = append(rows,
-		binderRow{Name: "binder128-native", Threads: 1, Bytes: binderPayload, SimUsPerTxn: native128},
-		binderRow{Name: "binder128-sync", Threads: 1, Bytes: binderPayload, SimUsPerTxn: sync128, OverheadUs: sync128 - native128},
-		binderRow{Name: "binder256-sync", Threads: 1, Bytes: 2 * binderPayload, SimUsPerTxn: sync256},
-	)
+	rows := []binderRow{
+		{Name: "binder128-native", Threads: 1, Bytes: binderPayload, SimUsPerTxn: native128},
+		{Name: "binder128-sync", Threads: 1, Bytes: binderPayload, SimUsPerTxn: sync128, OverheadUs: sync128 - native128},
+		{Name: "binder256-sync", Threads: 1, Bytes: 2 * binderPayload, SimUsPerTxn: sync256},
+	}
 	fmt.Printf("  single-shot: native=%8.2f  sync(+128B)=%8.2f  sync(+256B)=%8.2f sim-us\n",
 		native128, sync128, sync256)
 	for _, r := range rows {
-		want := binderPinnedRows[r.Name]
-		if math.Abs(r.SimUsPerTxn-want) > 0.01 {
-			return nil, 0, fmt.Errorf("pinned row %s measured %.3f sim-us (want %.3f): the fast path leaked into the uncached bridge", r.Name, r.SimUsPerTxn, want)
+		if err := checkPinned(benchRow{Name: r.Name, SimUsPerOp: r.SimUsPerTxn}); err != nil {
+			return nil, 0, fmt.Errorf("%w: the fast path leaked into the uncached bridge", err)
 		}
 	}
 
 	for _, cfg := range binderConfigs() {
 		for _, threads := range binderThreadCounts {
-			perTxn, err := binderMeasure(cfg.opts, threads)
+			perTxn, err := binderMeasure(cfg.opts, threads, "com.binder%02d", binderIters, binderPayload, true)
 			if err != nil {
 				return nil, 0, fmt.Errorf("%s t=%d: %w", cfg.name, threads, err)
 			}
@@ -256,14 +182,7 @@ func binderExp() error {
 	if err := binderFloors(rows); err != nil {
 		return err
 	}
-	report, ok := loadBenchReport()
-	if ok {
-		if err := zcCheckPinned(&report); err != nil {
-			return err
-		}
-	}
-	report.Binder = rows
-	if err := writeBenchReport(&report); err != nil {
+	if err := foldBenchReport(rows); err != nil {
 		return err
 	}
 	fmt.Printf("  folded %d binder rows into %s\n", len(rows), benchJSONFile)

@@ -2,12 +2,10 @@ package main
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"anception/internal/abi"
 	"anception/internal/anception"
-	"anception/internal/android"
 )
 
 // concRow is one thread-count measurement of the sync-vs-ring throughput
@@ -29,7 +27,7 @@ const (
 	concRingDepth    = 64
 )
 
-// measureConcurrency drives threads goroutines, each issuing
+// measureConcurrency drives threads app tasks, each issuing
 // concOpsPerThread redirected 4 KiB pwrites against its own app and file,
 // and reports aggregate ops per simulated second. With ring=true the
 // device runs the async ring transport; doorbellsPerOp is how many
@@ -48,70 +46,24 @@ func measureConcurrency(threads int, ring bool) (opsPerSimSec, doorbellsPerOp fl
 	if ring {
 		opts.RingDepth = concRingDepth
 	}
-	d, err := anception.NewDevice(opts)
+	page := make([]byte, abi.PageSize)
+	d, tasks, err := launchApps(opts, threads, "com.conc%02d", func(t *appTask) error {
+		return openFile(t, "conc.dat", page)
+	})
 	if err != nil {
 		return 0, 0, err
 	}
 	defer d.Close()
 
-	type worker struct {
-		proc *anception.Proc
-		fd   int
-	}
-	workers := make([]worker, threads)
-	page := make([]byte, abi.PageSize)
-	for i := range workers {
-		app, err := d.InstallApp(android.AppSpec{Package: fmt.Sprintf("com.conc%02d", i)})
-		if err != nil {
-			return 0, 0, err
-		}
-		proc, err := d.Launch(app)
-		if err != nil {
-			return 0, 0, err
-		}
-		fd, err := proc.Open("conc.dat", abi.ORdWr|abi.OCreat, 0o600)
-		if err != nil {
-			return 0, 0, err
-		}
-		if _, err := proc.Pwrite(fd, page, 0); err != nil { // warm the path
-			return 0, 0, err
-		}
-		workers[i] = worker{proc, fd}
-	}
-
 	bellsBefore := d.Layer.Stats().Ring.Doorbells
-	start := d.Clock.Now()
-	errCh := make(chan error, threads)
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w worker) {
-			defer wg.Done()
-			for n := 0; n < concOpsPerThread; n++ {
-				if _, err := w.proc.Pwrite(w.fd, page, 0); err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
+	run, err := timeOps(d, tasks, concOpsPerThread, pwriteOp)
+	if err != nil {
 		return 0, 0, err
-	default:
 	}
-	elapsed := d.Clock.Now() - start
-
-	ops := threads * concOpsPerThread
-	opsPerSimSec = float64(ops) / elapsed.Seconds()
 	if ring {
-		doorbellsPerOp = float64(d.Layer.Stats().Ring.Doorbells-bellsBefore) / float64(ops)
+		doorbellsPerOp = float64(d.Layer.Stats().Ring.Doorbells-bellsBefore) / float64(run.ops)
 	}
-	return opsPerSimSec, doorbellsPerOp, nil
+	return run.opsPerSimSec(), doorbellsPerOp, nil
 }
 
 // concurrencyRows measures every thread count on both transports.
@@ -157,7 +109,8 @@ func concurrencyFloors(rows []concRow) error {
 }
 
 // concurrency is the -exp concurrency experiment: multi-threaded
-// redirected-write throughput, synchronous page channel vs async ring.
+// redirected-write throughput, synchronous page channel vs async ring,
+// folded into BENCH_redirection.json.
 func concurrency() error {
 	fmt.Println("== Concurrency: sync channel vs async ring throughput ==")
 	rows, err := concurrencyRows()
@@ -169,5 +122,8 @@ func concurrency() error {
 		fmt.Printf("  %8d %18.0f %18.0f %8.2fx %14.3f\n",
 			r.Threads, r.SyncOpsPerSec, r.RingOpsPerSec, r.RingSpeedup, r.DoorbellsPerOp)
 	}
-	return concurrencyFloors(rows)
+	if err := concurrencyFloors(rows); err != nil {
+		return err
+	}
+	return foldBenchReport(rows)
 }

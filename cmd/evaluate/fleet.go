@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"math"
 
 	"anception/internal/abi"
 	"anception/internal/anception"
@@ -133,11 +132,14 @@ func fleetExp() error {
 	fmt.Printf("  migration: %d move(s) at %.0f sim-us each, data survived=%v, rebalance moved %d, evacuate moved %d\n",
 		mig.Migrations, mig.CostSimUs, mig.DataOK, mig.Rebalanced, mig.Evacuated)
 
-	pinnedOK, err := fleetPinnedCheck()
-	if err != nil {
-		return fmt.Errorf("pinned Table I guard: %w", err)
+	rows, err := fleetTableIRows()
+	if err == nil {
+		err = checkPinned(rows...)
 	}
-	report.PinnedOK = pinnedOK
+	if err != nil {
+		return fmt.Errorf("pinned Table I guard on the fleet shard: %w", err)
+	}
+	report.PinnedOK = true
 	fmt.Println("  pinned Table I rows on a 1-CVM paper-profile shard: ok")
 
 	if err := fleetFloors(&report); err != nil {
@@ -266,61 +268,25 @@ func fleetMigrationDemo() (fleetMigrationRow, error) {
 	return row, nil
 }
 
-// fleetPinnedCheck reruns the benchJSON Table I measurement on a 1-CVM
-// fleet shard booted on the Paper profile: the fleet plumbing must
-// charge byte-for-byte what the committed BENCH_redirection.json rows
-// pin for a plain uncached device.
-func fleetPinnedCheck() (bool, error) {
-	const iters = 2000
+// fleetTableIRows measures bench-json's uncached Table I rows on a
+// 1-CVM fleet shard booted on the Paper profile: the fleet plumbing must
+// charge byte-for-byte what the pinned rows give for a plain uncached
+// device.
+func fleetTableIRows() ([]benchRow, error) {
 	f, err := anception.NewFleet(anception.Options{
 		Mode: anception.ModeAnception, DisableTrace: true, FleetSize: 1,
 	})
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	defer f.Close()
-	d := f.Shard(0).Dev
-
 	app, err := f.InstallApp(android.AppSpec{Package: "com.bench"})
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	p := app.Proc()
-	fd, err := p.Open("bench.dat", abi.ORdWr|abi.OCreat, 0o600)
-	if err != nil {
-		return false, err
+	t := appTask{p: app.Proc()}
+	if err := benchSetup(&t); err != nil {
+		return nil, err
 	}
-	page := make([]byte, abi.PageSize)
-	if _, err := p.Pwrite(fd, page, 0); err != nil {
-		return false, err
-	}
-	if _, err := p.Pread(fd, abi.PageSize, 0); err != nil {
-		return false, err
-	}
-
-	start := d.Clock.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := p.Pread(fd, abi.PageSize, 0); err != nil {
-			return false, err
-		}
-	}
-	readUs := float64(d.Clock.Now()-start) / iters / 1e3
-
-	start = d.Clock.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := p.Pwrite(fd, page, 0); err != nil {
-			return false, err
-		}
-	}
-	writeUs := float64(d.Clock.Now()-start) / iters / 1e3
-
-	for name, got := range map[string]float64{
-		"read4k-anception-uncached":  readUs,
-		"write4k-anception-uncached": writeUs,
-	} {
-		if want := zcPinnedRows[name]; math.Abs(got-want) > 0.01 {
-			return false, fmt.Errorf("pinned row %s = %.3f sim-us on the fleet shard, want %.3f", name, got, want)
-		}
-	}
-	return true, nil
+	return tableIRows(f.Shard(0).Dev, t, "anception-uncached")
 }

@@ -146,14 +146,7 @@ func fusionExp() error {
 		return err
 	}
 
-	report, ok := loadBenchReport()
-	if ok {
-		if err := zcCheckPinned(&report); err != nil {
-			return err
-		}
-	}
-	report.Fusion = rows
-	if err := writeBenchReport(&report); err != nil {
+	if err := foldBenchReport(rows); err != nil {
 		return err
 	}
 	fmt.Printf("  folded %d fusion rows into %s\n", len(rows), benchJSONFile)

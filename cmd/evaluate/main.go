@@ -13,8 +13,8 @@
 //	evaluate -exp profile   ioctl profile of popular apps (Section VI-A)
 //	evaluate -exp session   real-application session and launch latency
 //	evaluate -exp recovery  supervised fault drills: per-class MTTR
-//	evaluate -exp concurrency  sync-vs-ring multi-threaded throughput
-//	evaluate -exp bench-json  redirection-cache speedups + concurrency rows -> BENCH_redirection.json
+//	evaluate -exp concurrency  sync-vs-ring multi-threaded throughput -> BENCH_redirection.json
+//	evaluate -exp bench-json  Table I read/write rows and redirection-cache speedups -> BENCH_redirection.json
 //	evaluate -exp zerocopy  copy vs grant vs grant+ring transfer sweep -> BENCH_redirection.json
 //	evaluate -exp binder    sync vs session vs pipelined vs cached binder bridge sweep -> BENCH_redirection.json
 //	evaluate -exp network   sockets over the ring + open-loop 100k-client traffic -> BENCH_network.json
@@ -42,9 +42,9 @@ import (
 // experiments is the ordered registry -exp dispatches on. -exp all runs
 // every entry in this order, so each registered experiment — including
 // every one that folds a section into the BENCH_*.json documents — runs
-// exactly once per full pass. Order matters for the report writers:
-// bench-json writes the Table-I rows the later pinned-row checks
-// (zerocopy, binder, fleet) compare against.
+// exactly once per full pass. Each fold checks the pinned Table I rows of
+// BENCH_redirection.json (foldBenchReport), and bench-json writes them,
+// so the experiments that fold after it check this pass's rows.
 var experiments = []struct {
 	name string
 	run  func() error
@@ -109,13 +109,8 @@ func bootPair() (*anception.Device, *anception.Device, error) {
 	return native, anc, nil
 }
 
-func launchBench(d *anception.Device) (*anception.Proc, error) {
-	app, err := d.InstallApp(android.AppSpec{Package: "com.evaluate.bench"})
-	if err != nil {
-		return nil, err
-	}
-	return d.Launch(app)
-}
+// benchPkg names the app of the single-app Table I measurements.
+const benchPkg = "com.evaluate.bench"
 
 func measure(d *anception.Device, op func()) time.Duration {
 	before := d.Clock.Now()
@@ -129,11 +124,11 @@ func table1() error {
 	if err != nil {
 		return err
 	}
-	np, err := launchBench(native)
+	np, err := launchApp(native, benchPkg)
 	if err != nil {
 		return err
 	}
-	ap, err := launchBench(anc)
+	ap, err := launchApp(anc, benchPkg)
 	if err != nil {
 		return err
 	}

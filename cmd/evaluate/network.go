@@ -2,12 +2,9 @@ package main
 
 import (
 	"fmt"
-	"math"
-	"sync"
 	"time"
 
 	"anception/internal/anception"
-	"anception/internal/android"
 	"anception/internal/netstack"
 	"anception/internal/workloads"
 )
@@ -87,25 +84,23 @@ func netNativeConfig() netConfig {
 	}
 }
 
-// netEchoMeasure boots one configuration and measures send+recv echo
-// round trips of size bytes against a registered remote, aggregated
-// across cfg.threads pipelined clients on the shared sim clock.
-func netEchoMeasure(size int, cfg netConfig) (float64, error) {
-	d, err := anception.NewDevice(cfg.opts)
-	if err != nil {
-		return 0, err
-	}
-	defer d.Close()
-	// The remote echoes the request for the 128 B rows and acks bulk
-	// sends with a short reply, so the measured op is always one
-	// outbound payload plus one small completion recv.
-	d.RegisterRemote(netEchoAddr, func(req []byte) []byte {
+// registerEcho registers the simulated remote the clients talk to on
+// t's device. It echoes the request for the 128 B rows and acks bulk
+// sends with a short reply, so the measured op is always one outbound
+// payload plus one small completion recv.
+func registerEcho(t *appTask) {
+	t.p.Device().RegisterRemote(netEchoAddr, func(req []byte) []byte {
 		if len(req) > netEchoBytes {
 			return []byte("ok")
 		}
 		return req
 	})
+}
 
+// netEchoMeasure boots one configuration and measures send+recv echo
+// round trips of size bytes against a registered remote, aggregated
+// across cfg.threads pipelined clients on the shared sim clock.
+func netEchoMeasure(size int, cfg netConfig) (float64, error) {
 	// The bulk rows measure the outbound leg: the reply is a short ack,
 	// and the recv asks for exactly that, so neither configuration pays
 	// for a 64 KiB receive buffer it will not fill.
@@ -113,130 +108,47 @@ func netEchoMeasure(size int, cfg netConfig) (float64, error) {
 	if size > netEchoBytes {
 		respLen = 2
 	}
-	type worker struct {
-		proc    *anception.Proc
-		fd      int
-		payload []byte
+	echo := func(t *appTask) error {
+		if _, err := t.p.Send(t.fd, t.buf); err != nil {
+			return err
+		}
+		_, err := t.p.Recv(t.fd, respLen)
+		return err
 	}
-	workers := make([]worker, cfg.threads)
-	for i := range workers {
-		app, err := d.InstallApp(android.AppSpec{Package: fmt.Sprintf("com.net%02d", i)})
+	run, err := drive(cfg.opts, cfg.threads, "com.net%02d", netEchoIters, func(t *appTask) error {
+		registerEcho(t)
+		fd, err := t.p.Socket(netstack.AFInet, netstack.SockStream, 0)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		proc, err := d.Launch(app)
-		if err != nil {
-			return 0, err
+		if err := t.p.Connect(fd, netEchoAddr); err != nil {
+			return err
 		}
-		fd, err := proc.Socket(netstack.AFInet, netstack.SockStream, 0)
-		if err != nil {
-			return 0, err
-		}
-		if err := proc.Connect(fd, netEchoAddr); err != nil {
-			return 0, err
-		}
-		payload := make([]byte, size)
+		t.fd, t.buf = fd, make([]byte, size)
 		// Warm the path once so proxy enrollment stays out of the loop.
-		if _, err := proc.Send(fd, payload); err != nil {
-			return 0, err
-		}
-		if _, err := proc.Recv(fd, respLen); err != nil {
-			return 0, err
-		}
-		workers[i] = worker{proc, fd, payload}
-	}
-
-	start := d.Clock.Now()
-	errCh := make(chan error, cfg.threads)
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w worker) {
-			defer wg.Done()
-			for n := 0; n < netEchoIters; n++ {
-				if _, err := w.proc.Send(w.fd, w.payload); err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					return
-				}
-				if _, err := w.proc.Recv(w.fd, respLen); err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return 0, err
-	default:
-	}
-	ops := cfg.threads * netEchoIters
-	return float64(d.Clock.Now()-start) / float64(ops) / 1e3, nil
+		return echo(t)
+	}, echo)
+	return run.usPerOp(), err
 }
 
 // netConnectMeasure measures socket+connect+close against the remote on
 // the synchronous channel: the uncached connect baseline, dominated by
 // the modeled network RTT.
 func netConnectMeasure(cfg netConfig) (float64, error) {
-	d, err := anception.NewDevice(cfg.opts)
-	if err != nil {
-		return 0, err
-	}
-	defer d.Close()
-	d.RegisterRemote(netEchoAddr, func(req []byte) []byte { return req })
-	app, err := d.InstallApp(android.AppSpec{Package: "com.net.conn"})
-	if err != nil {
-		return 0, err
-	}
-	proc, err := d.Launch(app)
-	if err != nil {
-		return 0, err
-	}
-	start := d.Clock.Now()
-	for n := 0; n < netConnIters; n++ {
-		fd, err := proc.Socket(netstack.AFInet, netstack.SockStream, 0)
+	run, err := drive(cfg.opts, 1, "com.net.conn", netConnIters, func(t *appTask) error {
+		registerEcho(t)
+		return nil
+	}, func(t *appTask) error {
+		fd, err := t.p.Socket(netstack.AFInet, netstack.SockStream, 0)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if err := proc.Connect(fd, netEchoAddr); err != nil {
-			return 0, err
+		if err := t.p.Connect(fd, netEchoAddr); err != nil {
+			return err
 		}
-		if err := proc.Close(fd); err != nil {
-			return 0, err
-		}
-	}
-	return float64(d.Clock.Now()-start) / netConnIters / 1e3, nil
-}
-
-// netPinnedRows are the synchronous uncached baseline rows (simulated
-// microseconds): the ring and grant paths are opt-in, so these committed
-// values must not move when the fast path evolves.
-var netPinnedRows = map[string]float64{
-	"echo128-sync-uncached": 566.576,
-	"connect-sync-uncached": 38842.460,
-	"send64k-sync-uncached": 2362.954,
-}
-
-// netCheckPinned verifies the freshly measured sync rows still carry
-// their committed values.
-func netCheckPinned(rows []benchRow) error {
-	for _, row := range rows {
-		want, pinned := netPinnedRows[row.Name]
-		if !pinned {
-			continue
-		}
-		if math.Abs(row.SimUsPerOp-want) > 0.01 {
-			return fmt.Errorf("pinned sync row %s moved: %.3f sim-us (want %.3f)", row.Name, row.SimUsPerOp, want)
-		}
-	}
-	return nil
+		return t.p.Close(fd)
+	})
+	return run.usPerOp(), err
 }
 
 // netWorkloadConfigs are the transports the traffic workload compares.
@@ -350,7 +262,7 @@ func networkExp() error {
 	if grantSend > nativeSend {
 		report.GrantSendSpeedup = (copySend - nativeSend) / (grantSend - nativeSend)
 	}
-	if err := netCheckPinned(report.Rows); err != nil {
+	if err := checkPinned(report.Rows...); err != nil {
 		return err
 	}
 

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 )
 
@@ -70,4 +71,35 @@ func writeReport[T any](path string, report *T) error {
 		return err
 	}
 	return os.WriteFile(path, append(out, '\n'), 0o644)
+}
+
+// pinnedRows are the rows every experiment that measures or folds them
+// must leave untouched (simulated microseconds). Every fast-path knob is
+// opt-in, so the paths these rows take never move.
+var pinnedRows = map[string]float64{
+	// Table I's uncached 4 KiB read and write (bench-json, and the 1-CVM
+	// fleet shard).
+	"read4k-anception-uncached":  304.908,
+	"write4k-anception-uncached": 384.26,
+	// Section VI-A's binder rows: the 12 ms native transaction
+	// (entry 0.76 + BinderTransaction 11990 + 142 encoded bytes * 0.02)
+	// and the uncached bridge's 31.0 -> 31.3 ms at +128 B (native +
+	// CVMPenalty 18700 + 142 * 2.34, and +270 B encoded at 256).
+	"binder128-native": 11993.60,
+	"binder128-sync":   31023.04,
+	"binder256-sync":   31322.56,
+	// The network experiment's synchronous uncached baseline.
+	"echo128-sync-uncached": 566.576,
+	"connect-sync-uncached": 38842.460,
+	"send64k-sync-uncached": 2362.954,
+}
+
+// checkPinned fails on the first pinned row that moved.
+func checkPinned(rows ...benchRow) error {
+	for _, row := range rows {
+		if want, pinned := pinnedRows[row.Name]; pinned && math.Abs(row.SimUsPerOp-want) > 0.01 {
+			return fmt.Errorf("pinned row %s moved: %.3f sim-us (want %.3f)", row.Name, row.SimUsPerOp, want)
+		}
+	}
+	return nil
 }

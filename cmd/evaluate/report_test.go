@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -102,5 +103,50 @@ func TestFleetFloorsSiblingDrift(t *testing.T) {
 	report.BlastRadius.SiblingDriftPct = maxSiblingDriftPct + 0.5
 	if err := fleetFloors(&report); err == nil || !strings.Contains(err.Error(), "drifted") {
 		t.Fatalf("a %.1f%% sibling drift passed the floors (err %v)", report.BlastRadius.SiblingDriftPct, err)
+	}
+}
+
+// TestBenchFoldKeepsOtherSections: each experiment's fold into
+// BENCH_redirection.json, applied to a document that holds every
+// section, replaces its own section and keeps every other one.
+func TestBenchFoldKeepsOtherSections(t *testing.T) {
+	full := func() benchReport {
+		return benchReport{
+			tableIReport: tableIReport{Iterations: 1, Rows: []benchRow{{Name: "r", SimUsPerOp: 1}}, ReadSpeedup: 2, CacheHitRate: 0.5},
+			Concurrency:  []concRow{{Threads: 1}},
+			Zerocopy:     []zcRow{{Name: "z"}},
+			Binder:       []binderRow{{Name: "b"}},
+			Autotune:     []autotuneRow{{Workload: "a"}},
+			Fusion:       []fusionRow{{Config: "f"}},
+		}
+	}
+	sections := []struct {
+		owner string
+		fresh any
+		get   func(*benchReport) any
+	}{
+		{"bench-json", tableIReport{Iterations: 7}, func(r *benchReport) any { return r.tableIReport }},
+		{"concurrency", []concRow{{Threads: 7}}, func(r *benchReport) any { return r.Concurrency }},
+		{"zerocopy", []zcRow{{Name: "z7"}}, func(r *benchReport) any { return r.Zerocopy }},
+		{"binder", []binderRow{{Name: "b7"}}, func(r *benchReport) any { return r.Binder }},
+		{"autotune", []autotuneRow{{Workload: "a7"}}, func(r *benchReport) any { return r.Autotune }},
+		{"fusion", []fusionRow{{Config: "f7"}}, func(r *benchReport) any { return r.Fusion }},
+	}
+	if n := reflect.TypeOf(benchReport{}).NumField(); n != len(sections) {
+		t.Fatalf("benchReport has %d sections, the test covers %d", n, len(sections))
+	}
+	before := full()
+	for _, s := range sections {
+		doc := full()
+		doc.set(s.fresh)
+		for _, other := range sections {
+			want := other.get(&before)
+			if other.owner == s.owner {
+				want = s.fresh
+			}
+			if got := other.get(&doc); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s's fold left the %s section %+v, want %+v", s.owner, other.owner, got, want)
+			}
+		}
 	}
 }

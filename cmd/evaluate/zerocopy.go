@@ -3,12 +3,9 @@ package main
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
-	"anception/internal/abi"
 	"anception/internal/anception"
-	"anception/internal/android"
 )
 
 // The zerocopy experiment sweeps bulk-transfer sizes across the three
@@ -95,85 +92,29 @@ var zcChunkSweep = []int{16 << 10, 64 << 10}
 // preads and pwrites of size bytes, aggregated across cfg.threads
 // pipelined submitters on the shared sim clock.
 func zcMeasure(size int, cfg zcConfig) (readUs, writeUs float64, err error) {
-	d, err := anception.NewDevice(cfg.opts)
+	pread := func(t *appTask) error {
+		_, err := t.p.PreadInto(t.fd, t.buf, 0)
+		return err
+	}
+	d, tasks, err := launchApps(cfg.opts, cfg.threads, "com.zc%02d", func(t *appTask) error {
+		if err := openFile(t, "zc.dat", make([]byte, size)); err != nil {
+			return err
+		}
+		return pread(t) // warm the path
+	})
 	if err != nil {
 		return 0, 0, err
 	}
 	defer d.Close()
-
-	type worker struct {
-		proc *anception.Proc
-		fd   int
-		buf  []byte
-	}
-	workers := make([]worker, cfg.threads)
-	for i := range workers {
-		app, err := d.InstallApp(android.AppSpec{Package: fmt.Sprintf("com.zc%02d", i)})
-		if err != nil {
-			return 0, 0, err
-		}
-		proc, err := d.Launch(app)
-		if err != nil {
-			return 0, 0, err
-		}
-		fd, err := proc.Open("zc.dat", abi.ORdWr|abi.OCreat, 0o600)
-		if err != nil {
-			return 0, 0, err
-		}
-		buf := make([]byte, size)
-		if _, err := proc.Pwrite(fd, buf, 0); err != nil {
-			return 0, 0, err
-		}
-		if _, err := proc.PreadInto(fd, buf, 0); err != nil { // warm the path
-			return 0, 0, err
-		}
-		workers[i] = worker{proc, fd, buf}
-	}
-
-	run := func(op func(w worker) error) (float64, error) {
-		start := d.Clock.Now()
-		errCh := make(chan error, cfg.threads)
-		var wg sync.WaitGroup
-		for _, w := range workers {
-			wg.Add(1)
-			go func(w worker) {
-				defer wg.Done()
-				for n := 0; n < zcIters; n++ {
-					if err := op(w); err != nil {
-						select {
-						case errCh <- err:
-						default:
-						}
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		select {
-		case err := <-errCh:
-			return 0, err
-		default:
-		}
-		ops := cfg.threads * zcIters
-		return float64(d.Clock.Now()-start) / float64(ops) / 1e3, nil
-	}
-
-	readUs, err = run(func(w worker) error {
-		_, err := w.proc.PreadInto(w.fd, w.buf, 0)
-		return err
-	})
+	read, err := timeOps(d, tasks, zcIters, pread)
 	if err != nil {
 		return 0, 0, err
 	}
-	writeUs, err = run(func(w worker) error {
-		_, err := w.proc.Pwrite(w.fd, w.buf, 0)
-		return err
-	})
+	write, err := timeOps(d, tasks, zcIters, pwriteOp)
 	if err != nil {
 		return 0, 0, err
 	}
-	return readUs, writeUs, nil
+	return read.usPerOp(), write.usPerOp(), nil
 }
 
 // zerocopyRows measures the full sweep.
@@ -271,40 +212,6 @@ func zerocopyFloors(rows []zcRow) error {
 	return nil
 }
 
-// zcPinnedRows are the Table I rows the zerocopy experiment must leave
-// untouched in BENCH_redirection.json (simulated microseconds).
-var zcPinnedRows = map[string]float64{
-	"read4k-anception-uncached":  304.908,
-	"write4k-anception-uncached": 384.26,
-}
-
-// zcCheckPinned verifies the pinned Table I rows in an existing report
-// still carry their committed values: the zero-copy path is opt-in and
-// must not perturb the copy path it bypasses.
-func zcCheckPinned(report *benchReport) error {
-	for _, row := range report.Rows {
-		want, pinned := zcPinnedRows[row.Name]
-		if !pinned {
-			continue
-		}
-		if math.Abs(row.SimUsPerOp-want) > 0.01 {
-			return fmt.Errorf("pinned row %s moved: %.3f sim-us (want %.3f)", row.Name, row.SimUsPerOp, want)
-		}
-	}
-	return nil
-}
-
-// loadBenchReport reads the existing BENCH_redirection.json, so the
-// bench-json, zerocopy, binder, and autotune experiments merge into one
-// document instead of clobbering each other's sections.
-func loadBenchReport() (benchReport, bool) {
-	return loadReport[benchReport](benchJSONFile)
-}
-
-func writeBenchReport(report *benchReport) error {
-	return writeReport(benchJSONFile, report)
-}
-
 // zerocopy is the -exp zerocopy experiment: the copy vs grant vs
 // grant+ring transfer-size sweep, folded into BENCH_redirection.json.
 func zerocopy() error {
@@ -316,14 +223,7 @@ func zerocopy() error {
 	if err := zerocopyFloors(rows); err != nil {
 		return err
 	}
-	report, ok := loadBenchReport()
-	if ok {
-		if err := zcCheckPinned(&report); err != nil {
-			return err
-		}
-	}
-	report.Zerocopy = rows
-	if err := writeBenchReport(&report); err != nil {
+	if err := foldBenchReport(rows); err != nil {
 		return err
 	}
 	fmt.Printf("  folded %d zerocopy rows into %s\n", len(rows), benchJSONFile)

@@ -51,9 +51,10 @@ func errGuestDown(transport string) error {
 	return fmt.Errorf("%s: guest kernel down: %w", transport, abi.EHOSTDOWN)
 }
 
-// ChunkSize is the fixed transfer unit of the data channel (footnote 7).
-// It is a variable, not a constant, only in PageChannel's config so the
-// chunk-size ablation (A2) can sweep it.
+// DefaultChunkSize is the data channel's transfer unit (footnote 7) when
+// no chunk size is given. The chunk-size ablation (A2) sweeps other sizes
+// through anception's Options.ChunkSize, which reaches NewPageChannel and
+// NewRingChannel.
 const DefaultChunkSize = abi.PageSize
 
 // PageChannel is the shipped transport: marshaled data is copied into
