@@ -8,28 +8,33 @@ import (
 	"time"
 
 	"anception/internal/abi"
+	"anception/internal/android"
 	"anception/internal/binder"
 	"anception/internal/kernel"
 	"anception/internal/marshal"
 	"anception/internal/sim"
 )
 
-// The binder bridge fast path (DESIGN.md §12) amortizes the CVM penalty
-// the same way the redirection cache, async ring, and grant path amortized
-// file I/O:
+// The binder bridge (DESIGN.md §12): every transaction to a service
+// delegated to the container is one round trip through the forward
+// core's binder arm, so it meets the breaker gate, the deadline and the
+// landing's reply check like any redirected call. On top of that the
+// fast path amortizes the CVM penalty the way the redirection cache,
+// async ring and grant path amortized file I/O:
 //
 //   - Persistent sessions: the first transaction to a CVM service pays
-//     the full cold penalty plus a one-time BinderSessionSetup (proxy
-//     enrollment + pinned guest handle); every later transaction skips
-//     the guest name lookup and CVM wakeup and pays BinderSessionPerTxn.
+//     the full cold penalty plus a one-time BinderSessionSetup (the
+//     guest's session open); every later transaction skips the guest
+//     name lookup and CVM wakeup and pays BinderSessionPerTxn.
 //   - Ring pipelining: with an async ring transport, session traffic
 //     rides SQ/CQ slots (coalesced doorbells, per-slot deadline,
 //     EHOSTDOWN fail-fast on restart), executed in submission order by
 //     the guest SQ poller.
-//   - Idempotent reply cache: replies to codes declared read-only at
-//     Register are cached keyed on (service, code, payload hash),
-//     invalidated by any mutating transaction to the same service and
-//     by boot-generation rollover, and bypassed in degraded mode.
+//   - Idempotent reply cache: replies to the caller-independent
+//     transactions the host declares (android.CallerIndependent), never
+//     the container, are cached keyed on (service, code, payload hash),
+//     invalidated by any other transaction to the same service and by
+//     boot-generation rollover, and bypassed in degraded mode.
 //
 // Everything here is opt-in (Options.BinderSessions / BinderReplyCache);
 // with both off the bridge is the paper's synchronous +19 ms path.
@@ -71,6 +76,9 @@ type binderSession struct {
 type binderFastPath struct {
 	sessions   bool
 	replyCache bool
+	// cacheable is the host's set of caller-independent transactions,
+	// fixed at boot (tests widen it through Layer.declareCacheable).
+	cacheable map[android.BinderCode]bool
 
 	mu      sync.Mutex
 	gen     int
@@ -118,13 +126,24 @@ type BinderStats struct {
 }
 
 func newBinderFastPath(sessions, replyCache bool, gen int) *binderFastPath {
-	return &binderFastPath{
+	fp := &binderFastPath{
 		sessions:   sessions,
 		replyCache: replyCache,
+		cacheable:  make(map[android.BinderCode]bool),
 		gen:        gen,
 		handles:    make(map[string]binderSession),
 		replies:    make(map[binderReplyKey]binderReply),
 	}
+	for _, c := range android.CallerIndependent() {
+		fp.cacheable[c] = true
+	}
+	return fp
+}
+
+// declareCacheable adds (service, code) to the host's cacheable set, for
+// tests, before the layer carries traffic.
+func (l *Layer) declareCacheable(service string, code uint32) {
+	l.binder.cacheable[android.BinderCode{Service: service, Code: code}] = true
 }
 
 func (fp *binderFastPath) snapshot() BinderStats {
@@ -292,31 +311,17 @@ func (l *Layer) BinderStats() BinderStats {
 }
 
 // bridgeBinder relays a binder transaction to a service delegated to the
-// container. With the fast path off this is the paper's synchronous
-// +19 ms bridge; with Options.BinderSessions it dispatches on a pinned
-// session (ring-pipelined when the async ring is active), and with
-// Options.BinderReplyCache idempotent replies are served host-side. txn
-// is decoded from the frame's copy of the app's transaction, f.txn.
+// container, serving it from the reply cache when the host declared it
+// caller-independent and a reply is cached. txn is decoded from the
+// frame's copy of the app's transaction, f.txn.
 func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, f *callFrame, txn binder.Transaction) kernel.Result {
-	g := st.guest
-	if g.Panicked() != "" {
-		if cur := l.currentState(); cur.degraded || cur.guest != g {
-			// A live upgrade (or restart) gated the layer and took this
-			// guest down after the call was routed to it: the call never
-			// reached the container, so it is a retryable gated arrival,
-			// not a dead container.
-			l.counters.failedFast.Add(1)
-			return kernel.Result{Ret: -1, Err: fmt.Errorf("binder bridge: container being replaced: %w", abi.EAGAIN)}
-		}
-		l.counters.hostDown.Add(1)
-		return kernel.Result{Ret: -1, Err: fmt.Errorf("binder bridge: container down: %w", abi.EHOSTDOWN)}
-	}
 	fp := l.binder
-	readOnly := false
+	cacheable := false
+	var gen int
 	if fp != nil && fp.replyCache && !st.degraded {
-		readOnly = !txn.Oneway && g.Binder().IsReadOnly(txn.Service, txn.Code)
-		if !readOnly {
-			// A mutating (or oneway) transaction may change anything the
+		cacheable = !txn.Oneway && fp.cacheable[android.BinderCode{Service: txn.Service, Code: txn.Code}]
+		if !cacheable {
+			// Any other (or oneway) transaction may change anything the
 			// service would answer: invalidate before dispatch, so even a
 			// failed attempt can't leave a stale reply servable.
 			if n := fp.invalidateService(txn.Service); n > 0 && l.trace != nil {
@@ -339,15 +344,6 @@ func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, f *callFrame, txn b
 				}
 				return kernel.Result{Data: append([]byte(nil), data...), Ret: int64(len(data))}
 			}
-		}
-	}
-
-	var res kernel.Result
-	var gen int
-	if fp != nil && fp.sessions {
-		res, gen = l.bridgeBinderSession(st, t, f, txn)
-	} else {
-		if readOnly {
 			// Pin the boot generation before dispatch so a restart that
 			// races the transaction drops the reply instead of caching it
 			// against the wrong container.
@@ -355,116 +351,113 @@ func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, f *callFrame, txn b
 			gen = fp.gen
 			fp.mu.Unlock()
 		}
-		res = l.bridgeBinderSync(st, t, f, txn)
 	}
-	if readOnly && res.Err == nil {
+	res := l.transactBinder(st, t, f, txn)
+	if cacheable && res.Err == nil {
 		fp.storeReply(replyKeyFor(txn), res.Data, gen, l.clock.Now())
 	}
 	return res
 }
 
-// bridgeBinderSync is the original uncached bridge: one synchronous CVM
-// round-trip paying the full +19 ms penalty (Section VI-A). Its charging
-// is what reproduces the paper's 31.0 -> 31.3 ms Table I rows, so it is
-// byte-for-byte independent of every fast-path knob.
-func (l *Layer) bridgeBinderSync(st *layerState, t *kernel.Task, f *callFrame, txn binder.Transaction) kernel.Result {
-	l.counters.binderBridged.Add(1)
-	l.clock.Charge(t.Lane, l.model.BinderTransaction+
-		l.model.BinderCVMPenalty+
-		time.Duration(len(f.txn))*l.model.BinderCVMPerByte)
-	if l.trace != nil {
-		l.trace.Record(sim.EvBinder, "bridged binder txn %q from pid=%d to CVM", txn.Service, t.PID)
+// transactBinder runs txn in the container as one round trip through the
+// forward core's binder arm: by service name, or with
+// Options.BinderSessions on a pinned session, opened first if needed.
+//
+// Charging (DESIGN.md §12): on the synchronous channel a transaction
+// costs its fitted figure, BinderTransaction plus the fixed cost (the
+// cold BinderCVMPenalty, or BinderSessionPerTxn on an established
+// session) plus BinderCVMPerByte per byte of the app's transaction. The
+// figure already contains the channel's world switches and copies, so
+// the core charges what the round trip left of it, and the Table I rows
+// stay where the paper measured them. A session transaction on the ring
+// pays a host share at submit instead: the fixed cost less the
+// world-switch pair that the ring's doorbell and reap replace and
+// coalesce across slots, which is where pipelined submitters pull ahead.
+func (l *Layer) transactBinder(st *layerState, t *kernel.Task, f *callFrame, txn binder.Transaction) kernel.Result {
+	fp := l.binder
+	sessions := fp != nil && fp.sessions
+	_, ring := st.transport.(marshal.AsyncTransport)
+	fixed := l.model.BinderCVMPenalty
+	var sid uint32
+	if sessions {
+		var setup bool
+		var err error
+		if sid, setup, err = l.ensureBinderSession(st, t, f, txn.Service); err != nil {
+			if !errors.Is(err, errBreakerOpen) {
+				fp.submitted.Add(1)
+				fp.failed.Add(1)
+			}
+			return kernel.Result{Ret: -1, Err: fmt.Errorf("binder session %q: %w", txn.Service, err)}
+		}
+		if !setup {
+			fixed = l.model.BinderSessionPerTxn
+		}
+		f.req = marshal.AppendBinderSession(f.req[:0], marshal.BinderSession{
+			Session: sid, Code: txn.Code, Payload: txn.Payload, Oneway: txn.Oneway,
+		})
+	} else {
+		f.req = marshal.AppendBinderFlat(f.req[:0], f.txn)
 	}
-	out, err := st.guest.Binder().Transact(t.Cred, txn)
+	if l.trace != nil {
+		l.trace.Record(sim.EvBinder, "bridged binder txn %q sid=%d from pid=%d", txn.Service, sid, t.PID)
+	}
+	perByte := time.Duration(len(f.txn)) * l.model.BinderCVMPerByte
+	if sessions && ring {
+		f.hostCost, f.fitted = max(fixed-2*l.model.WorldSwitch, 0)+perByte, 0
+	} else {
+		f.hostCost, f.fitted = 0, l.model.BinderTransaction+fixed+perByte
+	}
+	f.cred, f.oneway = t.Cred, txn.Oneway
+	results, err := l.forwardFrame(st, t, f, armBinder, &binderIoctl)
+	if errors.Is(err, errBreakerOpen) {
+		return kernel.Result{Ret: -1, Err: err}
+	}
+	l.counters.binderBridged.Add(1)
+	if sessions {
+		fp.submitted.Add(1)
+		fp.sessionTxns.Add(1)
+		if ring {
+			fp.pipelined.Add(1)
+		}
+		if txn.Oneway {
+			fp.oneway.Add(1)
+		}
+		if err != nil {
+			fp.failed.Add(1)
+		} else {
+			fp.completed.Add(1)
+		}
+	}
 	if err != nil {
 		return kernel.Result{Ret: -1, Err: err}
 	}
-	return kernel.Result{Data: out, Ret: int64(len(out))}
-}
-
-// bridgeBinderSession dispatches on a pinned session, opening one first if
-// needed. Returns the boot generation the transaction ran against so the
-// reply cache can pin its entry. Unlike the uncached bridge (which
-// predates the circuit breaker and stays untouched), the fast path obeys
-// degraded mode like the rest of the redirection machinery.
-func (l *Layer) bridgeBinderSession(st *layerState, t *kernel.Task, f *callFrame, txn binder.Transaction) (kernel.Result, int) {
-	fp := l.binder
-	if !l.enterGuestCall(st) {
-		l.counters.failedFast.Add(1)
-		return kernel.Result{Ret: -1, Err: fmt.Errorf("container circuit breaker open: %w", abi.EAGAIN)}, 0
-	}
-	defer l.exitGuestCall()
-	fp.submitted.Add(1)
-	sid, gen, setup, err := l.ensureBinderSession(st, t, txn.Service)
-	if err != nil {
-		fp.failed.Add(1)
-		if errors.Is(err, abi.EHOSTDOWN) {
-			l.counters.hostDown.Add(1)
-		}
-		return kernel.Result{Ret: -1, Err: fmt.Errorf("binder session %q: %w", txn.Service, err)}, gen
-	}
-	l.counters.binderBridged.Add(1)
-	fp.sessionTxns.Add(1)
-	if txn.Oneway {
-		fp.oneway.Add(1)
-	}
-
-	// Fixed cost: the first transaction still wakes the cold CVM (full
-	// penalty; the one-time BinderSessionSetup was charged when the
-	// session opened); established sessions pay only the pinned-dispatch
-	// cost. Payload bytes cross the boundary either way.
-	fixed := l.model.BinderSessionPerTxn
-	if setup {
-		fixed = l.model.BinderCVMPenalty
-	}
-	perByte := time.Duration(len(f.txn)) * l.model.BinderCVMPerByte
-
-	if _, ok := st.transport.(marshal.AsyncTransport); ok {
-		// The session fixed cost includes the synchronous world-switch
-		// pair; on the ring those interrupts are the doorbell and reap,
-		// charged by the ring itself and coalesced across slots — which
-		// is where pipelined submitters pull ahead of sync sessions.
-		pipeFixed := fixed - 2*l.model.WorldSwitch
-		if pipeFixed < 0 {
-			pipeFixed = 0
-		}
-		return l.bridgeBinderRing(st, t, f, txn, sid, pipeFixed+perByte), gen
-	}
-
-	l.clock.Charge(t.Lane, l.model.BinderTransaction+fixed+perByte)
-	if l.trace != nil {
-		l.trace.Record(sim.EvBinder, "session binder txn %q sid=%d from pid=%d", txn.Service, sid, t.PID)
-	}
-	out, err := st.guest.Binder().TransactSession(t.Cred, sid, txn.Code, txn.Payload, txn.Oneway)
-	if err != nil {
-		fp.failed.Add(1)
-		return kernel.Result{Ret: -1, Err: err}, gen
-	}
-	fp.completed.Add(1)
-	return kernel.Result{Data: out, Ret: int64(len(out))}, gen
+	return results[0]
 }
 
 // ensureBinderSession returns the pinned handle for a service, opening it
-// on first use: proxy enrollment (the session's guest-side execution
-// context) plus the guest OpenSession, charged one BinderSessionSetup.
-func (l *Layer) ensureBinderSession(st *layerState, t *kernel.Task, service string) (sid uint32, gen int, setup bool, err error) {
+// on first use: the guest's session open, one round trip through the
+// binder arm charged one BinderSessionSetup. setup reports a fresh open.
+func (l *Layer) ensureBinderSession(st *layerState, t *kernel.Task, f *callFrame, service string) (sid uint32, setup bool, err error) {
 	fp := l.binder
 	fp.mu.Lock()
-	gen = fp.gen
-	if h, ok := fp.handles[service]; ok && h.gen == gen {
-		fp.mu.Unlock()
-		return h.id, gen, false, nil
-	}
+	gen := fp.gen
+	h, ok := fp.handles[service]
 	fp.mu.Unlock()
+	if ok && h.gen == gen {
+		return h.id, false, nil
+	}
 
-	if _, err = st.proxies.Ensure(t); err != nil {
-		return 0, gen, false, err
+	f.req = marshal.AppendBinderOpen(f.req[:0], service)
+	f.hostCost, f.fitted = 0, l.model.BinderSessionSetup
+	f.cred, f.oneway = t.Cred, false
+	results, err := l.forwardFrame(st, t, f, armBinder, &binderIoctl)
+	if err == nil {
+		err = results[0].Err
 	}
-	sid, err = st.guest.Binder().OpenSession(service)
 	if err != nil {
-		return 0, gen, false, err
+		return 0, false, err
 	}
-	l.clock.Charge(t.Lane, l.model.BinderSessionSetup)
+	sid = uint32(results[0].Ret)
 	fp.sessionsOpened.Add(1)
 	if l.trace != nil {
 		l.trace.Record(sim.EvBinderSession, "opened session %q sid=%d (gen %d)", service, sid, gen)
@@ -476,52 +469,36 @@ func (l *Layer) ensureBinderSession(st *layerState, t *kernel.Task, service stri
 		fp.handles[service] = binderSession{id: sid, gen: gen, openedAt: l.clock.Now()}
 	}
 	fp.mu.Unlock()
-	return sid, gen, true, nil
+	return sid, true, nil
 }
 
-// bridgeBinderRing ships one session transaction through the forward
-// core's binder arm, over the ring: host side pays the fixed session
-// cost at submit, the guest-side service handling (BinderTransaction) is
-// charged where the slot is served, and restarts fail the slot EHOSTDOWN
-// via the ring's boot-generation check. A oneway transaction is served
-// before the call returns like any other; only its reply is dropped, and
-// a failure of the core reaches the caller. The session call is encoded
-// from the frame's copy straight into its request.
-func (l *Layer) bridgeBinderRing(st *layerState, t *kernel.Task, f *callFrame, txn binder.Transaction, sid uint32, hostCost time.Duration) kernel.Result {
-	fp := l.binder
-	fp.pipelined.Add(1)
-	f.req = marshal.AppendBinderSession(f.req[:0], marshal.BinderSession{
-		Session: sid, Code: txn.Code, Payload: txn.Payload, Oneway: txn.Oneway,
-	})
-	l.clock.Charge(t.Lane, hostCost)
-	if l.trace != nil {
-		l.trace.Record(sim.EvBinder, "pipelined binder txn %q sid=%d from pid=%d", txn.Service, sid, t.PID)
-	}
-
-	f.st, f.lane, f.cred, f.oneway = st, t.Lane, t.Cred, txn.Oneway
-	results, err := l.forwardFrame(st, t, f, armBinder, &binderIoctl)
-	if err != nil {
-		fp.failed.Add(1)
-		return kernel.Result{Ret: -1, Err: err}
-	}
-	fp.completed.Add(1)
-	return results[0]
-}
-
-// execBinder is the guest handler of a binder session frame: decode it
-// as views into req, charge the guest-side service handling where it
-// runs, and transact on the pinned session with the submitter's
-// credentials.
+// execBinder is the guest handler of a binder-call frame: decode it as
+// views into req, then open a session, or transact by name or on a
+// pinned session with the submitter's credentials, charging the
+// guest-side service handling (BinderTransaction) where it runs.
 func (f *callFrame) execBinder(req []byte) []byte {
-	sf, err := f.dec.BinderSession(req)
+	c, err := f.dec.BinderCall(req)
 	if err != nil {
 		return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
 	}
-	l := f.layer
-	l.clock.Charge(f.lane, l.model.BinderTransaction)
-	out, err := f.st.guest.Binder().TransactSession(f.cred, sf.Session, sf.Code, sf.Payload, sf.Oneway)
-	if err != nil {
-		return f.setReply(kernel.Result{Ret: -1, Err: err})
+	drv := f.st.guest.Binder()
+	var res kernel.Result
+	switch c.Kind {
+	case marshal.BinderOpen:
+		var sid uint32
+		sid, err = drv.OpenSession(c.Txn.Service)
+		res.Ret = int64(sid)
+	case marshal.BinderOnSession:
+		f.layer.clock.Charge(f.proxy.Lane, f.layer.model.BinderTransaction)
+		res.Data, err = drv.TransactSession(f.cred, c.Session, c.Txn.Code, c.Txn.Payload, c.Txn.Oneway)
+	default:
+		f.layer.clock.Charge(f.proxy.Lane, f.layer.model.BinderTransaction)
+		res.Data, err = drv.Transact(f.cred, c.Txn)
 	}
-	return tampered(f.st, f.setReply(kernel.Result{Data: out, Ret: int64(len(out))}))
+	if err != nil {
+		res = kernel.Result{Ret: -1, Err: err}
+	} else if c.Kind != marshal.BinderOpen {
+		res.Ret = int64(len(res.Data))
+	}
+	return tampered(f.st, f.setReply(res))
 }

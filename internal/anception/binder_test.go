@@ -174,8 +174,8 @@ func TestBinderReplyCacheHit(t *testing.T) {
 }
 
 // TestBinderReplyCacheDegradedBypass: with the circuit breaker open the
-// reply cache neither serves nor stores; with sessions on, degraded
-// session traffic fails fast EAGAIN like the rest of the redirection
+// reply cache neither serves nor stores, and the bridge, with sessions
+// or without, fails fast EAGAIN like the rest of the redirection
 // machinery.
 func TestBinderReplyCacheDegradedBypass(t *testing.T) {
 	d, p, fd := bootBinderDevice(t, Options{BinderReplyCache: true})
@@ -184,12 +184,14 @@ func TestBinderReplyCacheDegradedBypass(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetDegraded(true)
-	// The uncached synchronous bridge predates the breaker and still
-	// serves — but the cache must not: no hit, no store.
+	failedFast := d.Layer.Stats().FailedFast
 	for i := 0; i < 2; i++ {
-		if _, err := p.BinderCall(fd, "location", android.CodeGetLocation, payload); err != nil {
-			t.Fatal(err)
+		if _, err := p.BinderCall(fd, "location", android.CodeGetLocation, payload); !errors.Is(err, abi.EAGAIN) {
+			t.Fatalf("degraded bridged call: %v, want EAGAIN", err)
 		}
+	}
+	if got := d.Layer.Stats().FailedFast - failedFast; got != 2 {
+		t.Fatalf("FailedFast rose by %d, want 2", got)
 	}
 	if st := d.BinderStats(); st.ReplyHits != 0 || st.ReplyStores != 1 {
 		t.Fatalf("degraded stats = %+v, want no cache traffic", st)
@@ -414,6 +416,133 @@ func TestBinderFetchedOnce(t *testing.T) {
 			if !res.Ok() || seen != "checked" {
 				t.Fatalf("service saw %q (%v), want the bytes fetched at the call", seen, res.Err)
 			}
+		})
+	}
+}
+
+// whoamiService registers a CVM service that answers every transaction
+// with its caller's UID, the reply no two apps may share.
+func whoamiService(t *testing.T, d *Device) {
+	t.Helper()
+	err := d.Guest.Binder().Register("whoami", false, func(from abi.Cred, _ uint32, _ []byte) ([]byte, error) {
+		return fmt.Appendf(nil, "uid=%d", from.UID), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBinderReplyCacheNoCrossAppLeak: two apps send the same transaction
+// to a CVM service that answers with the caller's UID. The host never
+// declared that service caller-independent, so with the reply cache on
+// no reply is cached, and each app gets its own UID; the container has
+// no way to make the host serve one app's reply to another.
+func TestBinderReplyCacheNoCrossAppLeak(t *testing.T) {
+	for _, prof := range []struct {
+		name string
+		opts Options
+	}{
+		{"paper", Options{BinderReplyCache: true}},
+		{"fast", Options{AutoTune: true}},
+	} {
+		t.Run(prof.name, func(t *testing.T) {
+			d, p1, fd1 := bootBinderDevice(t, prof.opts)
+			whoamiService(t, d)
+			p2 := installAndLaunch(t, d, "com.binder.second")
+			fd2, err := p2.OpenBinder()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 2; round++ {
+				for _, app := range []struct {
+					p  *Proc
+					fd int
+				}{{p1, fd1}, {p2, fd2}} {
+					got, err := app.p.BinderCall(app.fd, "whoami", 1, []byte("who am i"))
+					if want := fmt.Sprintf("uid=%d", app.p.Task.Cred.UID); err != nil || string(got) != want {
+						t.Fatalf("round %d: app uid %d got %q (%v), want %q", round, app.p.Task.Cred.UID, got, err, want)
+					}
+				}
+			}
+			if st := d.BinderStats(); st.ReplyStores != 0 || st.ReplyHits != 0 {
+				t.Fatalf("stats = %+v, want no reply cached", st)
+			}
+		})
+	}
+}
+
+// TestBinderCacheableSetIsHostDeclared: the reply cache serves only the
+// (service, code) pairs the host declares caller-independent, the
+// location fix and the package query of the trusted image. Another code
+// of a declared service is mutating: it is not cached and drops what the
+// service had cached. A service the host never declared is never cached.
+func TestBinderCacheableSetIsHostDeclared(t *testing.T) {
+	d, p, fd := bootBinderDevice(t, Options{BinderReplyCache: true})
+	if err := d.Guest.Binder().Register("ghost", false, func(abi.Cred, uint32, []byte) ([]byte, error) {
+		return []byte("boo"), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	call := func(service string, code uint32) {
+		t.Helper()
+		if _, err := p.BinderCall(fd, service, code, []byte("q")); err != nil {
+			t.Fatalf("%s code %d: %v", service, code, err)
+		}
+	}
+	want := func(stores, hits, invalidations int) {
+		t.Helper()
+		if st := d.BinderStats(); st.ReplyStores != stores || st.ReplyHits != hits || st.Invalidations != invalidations {
+			t.Fatalf("stats = %+v, want %d stores, %d hits, %d invalidations", st, stores, hits, invalidations)
+		}
+	}
+	declared := android.CallerIndependent()
+	if len(declared) != 2 || declared[0] != (android.BinderCode{Service: "location", Code: android.CodeGetLocation}) ||
+		declared[1] != (android.BinderCode{Service: "package", Code: android.CodeQuery}) {
+		t.Fatalf("host's cacheable set = %+v", declared)
+	}
+	for _, c := range declared {
+		call(c.Service, c.Code)
+		call(c.Service, c.Code)
+	}
+	want(2, 2, 0)
+	call("location", android.CodeDraw)
+	want(2, 2, 1)
+	call("location", android.CodeGetLocation)
+	want(3, 2, 1)
+	for i := 0; i < 2; i++ {
+		call("ghost", android.CodeGetLocation)
+	}
+	want(3, 2, 1)
+}
+
+// TestBinderBridgeDeadGuestIsHostDown: a transaction routed to a guest
+// that died with the layer open fails EHOSTDOWN on the Paper bridge and
+// on its sessions, from the transport's liveness probe, and counts one
+// HostDown.
+func TestBinderBridgeDeadGuestIsHostDown(t *testing.T) {
+	for _, prof := range []struct {
+		name string
+		opts Options
+	}{
+		{"paper", Options{}},
+		{"paper-sessions", Options{BinderSessions: true}},
+	} {
+		t.Run(prof.name, func(t *testing.T) {
+			d, p, _ := bootBinderDevice(t, prof.opts)
+			txn := binder.Transaction{Service: "location", Code: android.CodeGetLocation}
+			f := d.Layer.getFrame()
+			defer d.Layer.putFrame(f)
+			f.txn = marshal.AppendBinderTxn(f.txn[:0], txn)
+			routed := d.Layer.currentState()
+			before := d.Layer.Stats().HostDown
+			d.Guest.Panic("container crashed")
+			if res := d.Layer.bridgeBinder(routed, p.Task, f, txn); !errors.Is(res.Err, abi.EHOSTDOWN) {
+				t.Fatalf("dead guest: err = %v, want EHOSTDOWN", res.Err)
+			}
+			if got := d.Layer.Stats().HostDown - before; got != 1 {
+				t.Fatalf("HostDown rose by %d, want 1", got)
+			}
+			binderIdentity(t, d)
 		})
 	}
 }

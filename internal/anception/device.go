@@ -128,17 +128,18 @@ type Options struct {
 
 	// BinderSessions enables persistent binder sessions to CVM-resident
 	// services (DESIGN.md §12): the first transaction to a service pays a
-	// one-time BinderSessionSetup (proxy enrollment + pinned guest
-	// handle) and later ones skip the guest lookup and cold CVM wakeup,
+	// one-time BinderSessionSetup (the guest's open of a pinned handle)
+	// and later ones skip the guest lookup and cold CVM wakeup,
 	// paying BinderSessionPerTxn instead of the full 18.7 ms penalty.
 	// With RingDepth > 0, session transactions ride the async ring. Off
 	// by default — the paper's 31.0/31.3 ms Table I rows are measured on
 	// the uncached synchronous bridge.
 	BinderSessions bool
-	// BinderReplyCache caches replies of transaction codes declared
-	// read-only at Register, keyed on (service, code, payload hash);
-	// invalidated by any mutating transaction to the same service, by CVM
-	// restart, and bypassed in degraded mode. Off by default.
+	// BinderReplyCache caches replies of the caller-independent
+	// transactions the host declares (android.CallerIndependent), keyed
+	// on (service, code, payload hash); invalidated by any other
+	// transaction to the same service, by CVM restart, and bypassed in
+	// degraded mode. Off by default.
 	BinderReplyCache bool
 
 	// FusionEnable boots the syscall-fusion layer (DESIGN.md §17):

@@ -24,45 +24,53 @@ const (
 	armSock                 // a socket op, a compact sockop frame on the ring
 	armGrant                // a bulk call whose buffers move by grant reference
 	armChain                // one wire segment of a fused chain (ring only)
-	armBinder               // a binder session transaction (ring only)
+	armBinder               // a binder call: a transaction or a session open
 	armCount
 )
 
-// binderIoctl names a binder session transaction in traces and errors.
+// binderIoctl names a binder call in traces and errors.
 var binderIoctl = kernel.Args{Nr: abi.SysIoctl}
+
+// errBreakerOpen is the core's gate refusing a call: the circuit breaker
+// is open, and the call never reached the container.
+var errBreakerOpen = fmt.Errorf("container circuit breaker open: %w", abi.EAGAIN)
 
 // forwardFrame runs one call through the core: it takes the
 // circuit-breaker gate, enrolls the caller's proxy, encodes arm's frame
 // into f and charges its marshaling, runs the round trip, holds it to the
 // call's deadline and lands the reply (land). It returns the landed
 // results, one per call the frame carried, or the app-visible error: a
-// hung or lossy transport surfaces as ETIMEDOUT at the deadline instead
-// of blocking the app forever, a dead container as EHOSTDOWN, a reply
-// that does not decode or land as an error of its own. args is the
-// call traces and errors name (a batch's or a chain's first). A binder
-// session transaction has passed its session gate and encoded its frame
-// already, so it enters at the round trip. The guest runs the frame
-// drained (the ring's poller paid the proxy dispatch) exactly when the
-// transport is the ring.
+// gated call fails with errBreakerOpen (EAGAIN), a hung or lossy
+// transport surfaces as ETIMEDOUT at the deadline instead of blocking
+// the app forever, a dead container as EHOSTDOWN, a reply that does not
+// decode or land as an error of its own. args is the call traces and
+// errors name (a batch's or a chain's first). A binder call arrives
+// encoded; instead of marshaling it is charged its host share
+// (f.hostCost) at the gate and, once in time, what the round trip left
+// of its fitted figure (f.fitted). The guest runs the frame drained (the
+// ring's poller paid the proxy dispatch) exactly when the transport is
+// the ring.
 func (l *Layer) forwardFrame(st *layerState, t *kernel.Task, f *callFrame, arm fwdArm, args *kernel.Args) ([]kernel.Result, error) {
-	if arm != armBinder {
-		_, async := st.transport.(marshal.AsyncTransport)
-		if arm == armArgs && async {
-			l.policy.ringChosen.Add(1)
+	_, async := st.transport.(marshal.AsyncTransport)
+	if arm == armArgs && async {
+		l.policy.ringChosen.Add(1)
+	}
+	if !l.enterGuestCall(st) {
+		l.counters.failedFast.Add(1)
+		return nil, errBreakerOpen
+	}
+	defer l.exitGuestCall()
+	p, err := st.proxies.Ensure(t)
+	if err != nil {
+		if errors.Is(err, abi.EHOSTDOWN) {
+			l.counters.hostDown.Add(1)
 		}
-		if !l.enterGuestCall(st) {
-			l.counters.failedFast.Add(1)
-			return nil, fmt.Errorf("container circuit breaker open: %w", abi.EAGAIN)
-		}
-		defer l.exitGuestCall()
-		p, err := st.proxies.Ensure(t)
-		if err != nil {
-			if errors.Is(err, abi.EHOSTDOWN) {
-				l.counters.hostDown.Add(1)
-			}
-			return nil, fmt.Errorf("enroll proxy: %w", err)
-		}
-		f.st, f.proxy, f.drained = st, p, async
+		return nil, fmt.Errorf("enroll proxy: %w", err)
+	}
+	f.st, f.proxy, f.drained = st, p, async
+	if arm == armBinder {
+		l.clock.Charge(t.Lane, f.hostCost)
+	} else {
 		if arm == armSock && !async {
 			arm = armArgs // the synchronous channel carries socket ops as args frames
 		}
@@ -86,7 +94,8 @@ func (l *Layer) forwardFrame(st *layerState, t *kernel.Task, f *callFrame, arm f
 	}
 	// A hung round trip is abandoned at the deadline; an injected (or
 	// modeled) delay can push a completed one past it.
-	if elapsed := span.Elapsed(); hung || elapsed > l.deadline {
+	elapsed := span.Elapsed()
+	if hung || elapsed > l.deadline {
 		if elapsed < l.deadline {
 			l.clock.Charge(t.Lane, l.deadline-elapsed)
 		}
@@ -95,6 +104,9 @@ func (l *Layer) forwardFrame(st *layerState, t *kernel.Task, f *callFrame, arm f
 			l.trace.Record(sim.EvTimeout, "%s pid=%d past %v deadline", args.Nr, t.PID, l.deadline)
 		}
 		return nil, fmt.Errorf("call exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)
+	}
+	if elapsed < f.fitted {
+		l.clock.Charge(t.Lane, f.fitted-elapsed)
 	}
 	return f.land(arm, args, resp)
 }

@@ -72,7 +72,17 @@ var forwardArmCases = []forwardArmCase{
 			return p.Chain(openStatReadCloseChain("chain.dat", buf)...)[0].Err
 		}
 	}},
-	{name: "binder", ringOnly: true, opts: func(o *Options) { o.BinderSessions = true }, setup: func(t *testing.T, d *Device, p *Proc) func() error {
+	{name: "bridge", setup: func(t *testing.T, d *Device, p *Proc) func() error {
+		fd, err := p.OpenBinder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() error {
+			_, err := p.BinderCall(fd, "location", android.CodeGetLocation, nil)
+			return err
+		}
+	}},
+	{name: "binder", opts: func(o *Options) { o.BinderSessions = true }, setup: func(t *testing.T, d *Device, p *Proc) func() error {
 		fd, err := p.OpenBinder()
 		if err != nil {
 			t.Fatal(err)
@@ -254,19 +264,24 @@ func TestSockAccountingSameOnBothChannels(t *testing.T) {
 // TestForwardCoreOwnsTheRoundTrip: the forward core is the one path into
 // the container and the one landing out of it (DESIGN.md §10). In the
 // package's non-test code nothing submits to the ring directly, only the
-// core and the heartbeat run a transport round trip, only the core and
-// the binder session gate take the circuit-breaker gate, and only the
+// core and the heartbeat run a transport round trip, only the core takes
+// the circuit-breaker gate, only the binder arm's guest handler
+// transacts with the container's binder driver (and opens a session
+// there, which restore-time reconciliation also does), and only the
 // core's landing decodes a reply or checks one; a rule the core enforces
-// then holds for every forwarded call.
+// then holds for every forwarded call and binder transaction.
 func TestForwardCoreOwnsTheRoundTrip(t *testing.T) {
 	allowed := map[string][]string{
-		"Submit":         nil,
-		"RoundTrip":      {"forwardFrame", "Ping"},
-		"enterGuestCall": {"forwardFrame", "bridgeBinderSession"},
-		"checkReply":     {"land"},
-		"Result":         {"land"},
-		"ResultBatch":    {"land"},
-		"ChainResult":    {"land"},
+		"Submit":          nil,
+		"RoundTrip":       {"forwardFrame", "Ping"},
+		"enterGuestCall":  {"forwardFrame"},
+		"Transact":        {"execBinder"},
+		"TransactSession": {"execBinder"},
+		"OpenSession":     {"execBinder", "reconcileBinder"},
+		"checkReply":      {"land"},
+		"Result":          {"land"},
+		"ResultBatch":     {"land"},
+		"ChainResult":     {"land"},
 	}
 	seen := map[string]int{}
 	files, err := filepath.Glob("*.go")

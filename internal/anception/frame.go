@@ -3,12 +3,12 @@ package anception
 import (
 	"bytes"
 	"fmt"
+	"time"
 
 	"anception/internal/abi"
 	"anception/internal/hypervisor"
 	"anception/internal/kernel"
 	"anception/internal/marshal"
-	"anception/internal/sim"
 )
 
 // Frame ownership (DESIGN.md §10): every redirected call borrows one
@@ -61,11 +61,15 @@ type callFrame struct {
 	drained bool
 	// oneway drops a binder transaction's reply unread.
 	oneway bool
+	// A binder call's charges (DESIGN.md §12): hostCost is the host's
+	// share, charged once the call is through the gate, and fitted the
+	// figure the whole crossing is fitted to, of which the core charges
+	// what the round trip left.
+	hostCost, fitted time.Duration
 	// batch is the in-flight batch's calls, which the core encodes.
 	batch []*kernel.Args
-	// lane and cred are the submitting task's timeline and credentials,
-	// read by execBinder; layer is the frame's owner, set once.
-	lane  *sim.Lane
+	// cred is the submitting task's credentials, read by execBinder;
+	// layer is the frame's owner, set once.
 	cred  abi.Cred
 	layer *Layer
 	// handlers are the guest handlers of the core's arms (f.execArgs,
@@ -132,7 +136,7 @@ func (l *Layer) getFrame() *callFrame {
 // from here on, and it pins no app buffer while idle.
 func (l *Layer) putFrame(f *callFrame) {
 	f.args = kernel.Args{}
-	f.st, f.proxy, f.batch, f.lane, f.cred, f.oneway = nil, nil, nil, nil, abi.Cred{}, false
+	f.st, f.proxy, f.batch, f.cred, f.oneway, f.hostCost, f.fitted = nil, nil, nil, abi.Cred{}, false, 0, 0
 	clear(f.resolved)
 	f.resolved = f.resolved[:0]
 	clear(f.results)

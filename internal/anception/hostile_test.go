@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"anception/internal/abi"
+	"anception/internal/android"
 	"anception/internal/kernel"
 	"anception/internal/marshal"
 )
@@ -36,8 +37,46 @@ func wantEIO(t *testing.T, what string, err error) {
 // moves the same 64 KiB read by copy), a negative return with no errno,
 // an error reply whose errno is 0 or outside abi's set, and a chain
 // result longer than its chain. After each, the app's next honest call
-// works.
+// works. The binder seeds run the same rejected replies through the
+// Paper bridge, its sessions and Fast, each with the reply cache on: a
+// forged reply to a cacheable transaction is stored nowhere.
 func TestHostileReplySeedCorpus(t *testing.T) {
+	for _, prof := range []struct {
+		name string
+		opts Options
+	}{
+		{"paper", Options{BinderReplyCache: true}},
+		{"paper-sessions", Options{BinderSessions: true, BinderReplyCache: true}},
+		{"fast", Options{AutoTune: true}},
+	} {
+		t.Run("binder/"+prof.name, func(t *testing.T) {
+			d, p, fd := bootBinderDevice(t, prof.opts)
+			n := 0
+			call := func() error { // a fresh payload each time: a cache miss
+				n++
+				_, err := p.BinderCall(fd, "location", android.CodeGetLocation, []byte{byte(n)})
+				return err
+			}
+			if err := call(); err != nil { // opens the session, if any
+				t.Fatal(err)
+			}
+			for _, forged := range []kernel.Result{{Ret: -5}, {Ret: -1, Err: abi.Errno(0)}, {Ret: -1, Err: abi.Errno(9999)}} {
+				stores := d.BinderStats().ReplyStores
+				restore := forgeReplies(d, marshal.AppendResult(nil, forged))
+				err := call()
+				restore()
+				wantEIO(t, fmt.Sprintf("binder reply %+v", forged), err)
+				if got := d.BinderStats().ReplyStores; got != stores {
+					t.Errorf("binder reply %+v: reply cache stored %d replies", forged, got-stores)
+				}
+				if err := call(); err != nil {
+					t.Fatalf("honest binder call after reply %+v: %v", forged, err)
+				}
+			}
+			binderIdentity(t, d)
+		})
+	}
+
 	for _, prof := range chainProfiles {
 		t.Run(prof.name, func(t *testing.T) {
 			d, p := admitApp(t, prof.opts)

@@ -62,7 +62,7 @@ type Layer struct {
 	state atomic.Pointer[layerState]
 
 	// guestCalls counts redirected calls currently inside a guest-touching
-	// span (the forward core's round trip, or a binder session dispatch).
+	// span (the forward core's round trip).
 	// It is the live-upgrade quiesce barrier: with degraded mode gating
 	// new entries, QuiesceGuestCalls waits for this to reach zero before
 	// the guest is swapped under load.
@@ -244,8 +244,8 @@ type LayerConfig struct {
 	// (DESIGN.md §12): first transaction pays a one-time setup, later
 	// ones skip the guest lookup and cold wakeup.
 	BinderSessions bool
-	// BinderReplyCache enables the idempotent binder reply cache for
-	// codes declared read-only at Register.
+	// BinderReplyCache enables the idempotent binder reply cache for the
+	// caller-independent transactions the host declares.
 	BinderReplyCache bool
 	// FusionEnable boots the syscall-fusion layer (DESIGN.md §17):
 	// Layer.Chain fuses dependent call chains into linked ring

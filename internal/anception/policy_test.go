@@ -99,10 +99,6 @@ func TestDegradedMatrix(t *testing.T) {
 		// prepare warms the fast path and returns the redirected op to
 		// probe plus the fast-path counter the breaker must freeze.
 		prepare func(t *testing.T, d *Device, p *Proc) (op func() error, fastPath func(LayerStats) int64)
-		// servesDegraded marks the binder reply cache: its uncached sync
-		// bridge predates the breaker and still answers — but the cache
-		// itself must neither serve nor store.
-		servesDegraded bool
 	}{
 		{
 			name: "cache",
@@ -169,7 +165,6 @@ func TestDegradedMatrix(t *testing.T) {
 					},
 					func(s LayerStats) int64 { return int64(s.Binder.ReplyHits + s.Binder.ReplyStores) }
 			},
-			servesDegraded: true,
 		},
 		{
 			name: "socket-ring",
@@ -204,12 +199,7 @@ func TestDegradedMatrix(t *testing.T) {
 			}
 
 			d.SetDegraded(true)
-			err := op()
-			if row.servesDegraded {
-				if err != nil {
-					t.Fatalf("degraded %s op: %v, want the pre-breaker sync bridge to serve", row.name, err)
-				}
-			} else if !errors.Is(err, abi.EAGAIN) {
+			if err := op(); !errors.Is(err, abi.EAGAIN) {
 				t.Fatalf("degraded %s op err = %v, want EAGAIN", row.name, err)
 			}
 			if got, was := fastPath(d.Layer.Stats()), fastPath(before); got != was {

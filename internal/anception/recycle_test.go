@@ -547,7 +547,8 @@ func TestRecycledBinderArgShowsOnlyNewBytes(t *testing.T) {
 }
 
 // TestRecycledBinderReplyMatchesItsPayload: two apps, two goroutines
-// each, call a read-only echo service in the CVM at once with varied
+// each, call an echo service in the CVM, declared cacheable on the host,
+// at once with varied
 // payloads (some of one length and different bytes), through each Proc's
 // encode buffer, the recycled frames and the reply cache. Every reply,
 // cache hits included, is the payload it was keyed by.
@@ -565,9 +566,10 @@ func TestRecycledBinderReplyMatchesItsPayload(t *testing.T) {
 		t.Run(br.name, func(t *testing.T) {
 			d, p1, fd1 := bootBinderDevice(t, br.opts)
 			echo := func(_ abi.Cred, _ uint32, data []byte) ([]byte, error) { return bytes.Clone(data), nil }
-			if err := d.Guest.Binder().Register("echo", false, echo, echoCode); err != nil {
+			if err := d.Guest.Binder().Register("echo", false, echo); err != nil {
 				t.Fatal(err)
 			}
+			d.Layer.declareCacheable("echo", echoCode)
 			p2 := installAndLaunch(t, d, "com.binder.other")
 			fd2, err := p2.OpenBinder()
 			if err != nil {

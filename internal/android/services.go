@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"anception/internal/abi"
+	"anception/internal/binder"
 	"anception/internal/kernel"
 	"anception/internal/sim"
 	"anception/internal/vfs"
@@ -27,6 +28,29 @@ const (
 	// CodeQuery is a generic metadata request (package manager etc.).
 	CodeQuery uint32 = 4
 )
+
+// BinderCode names one transaction code of a platform service.
+type BinderCode struct {
+	Service string
+	Code    uint32
+}
+
+// CallerIndependent lists the platform transactions whose reply depends
+// only on (code, payload), never on the caller: a location fix and a
+// package metadata query. It is part of the trusted image definition, so
+// the host may serve one app's cached reply to another for these and for
+// nothing else, whatever a container's services claim (DESIGN.md §12).
+func CallerIndependent() []BinderCode {
+	return []BinderCode{{"location", CodeGetLocation}, {"package", CodeQuery}}
+}
+
+// constReply is a service that answers every transaction with reply. A
+// binder reply is read-only to whoever receives it, so every caller gets
+// the same bytes.
+func constReply(reply string) binder.Handler {
+	b := []byte(reply)
+	return func(abi.Cred, uint32, []byte) ([]byte, error) { return b, nil }
+}
 
 // VulnProfile selects which historical vulnerabilities are present in a
 // booted platform. The security evaluation (Section V) boots platforms
@@ -217,15 +241,11 @@ func Boot(k *kernel.Kernel, cfg BootConfig) (*Services, error) {
 				return nil, err
 			}
 		case "inputmethod":
-			if err := k.Binder().Register("inputmethod", true, func(from abi.Cred, code uint32, data []byte) ([]byte, error) {
-				return []byte("ime-ok"), nil
-			}); err != nil {
+			if err := k.Binder().Register("inputmethod", true, constReply("ime-ok")); err != nil {
 				return nil, err
 			}
 		case "surfaceflinger":
-			if err := k.Binder().Register("surfaceflinger", true, func(from abi.Cred, code uint32, data []byte) ([]byte, error) {
-				return []byte("frame-ok"), nil
-			}); err != nil {
+			if err := k.Binder().Register("surfaceflinger", true, constReply("frame-ok")); err != nil {
 				return nil, err
 			}
 		case "activity":
@@ -248,36 +268,23 @@ func Boot(k *kernel.Kernel, cfg BootConfig) (*Services, error) {
 			s.Vold = NewVold(k, task, s.Logd, cfg.Vulns.GingerBreakVold, cfg.Vulns.ZergRushVold)
 			k.Net().RegisterNetlink(NetlinkVoldProto, s.Vold.HandleNetlink, cfg.Vulns.GingerBreakVold)
 		case "location":
-			// CodeGetLocation is declared read-only: a fix request has no
-			// side effects, so the bridge's reply cache may serve it.
-			if err := k.Binder().Register("location", false, func(from abi.Cred, code uint32, data []byte) ([]byte, error) {
-				return []byte("fix:42.2808,-83.7430"), nil
-			}, CodeGetLocation); err != nil {
+			if err := k.Binder().Register("location", false, constReply("fix:42.2808,-83.7430")); err != nil {
 				return nil, err
 			}
 		case "system_server":
-			// Package metadata queries are idempotent (read-only).
-			if err := k.Binder().Register("package", false, func(from abi.Cred, code uint32, data []byte) ([]byte, error) {
-				return []byte("pkg-ok"), nil
-			}, CodeQuery); err != nil {
+			if err := k.Binder().Register("package", false, constReply("pkg-ok")); err != nil {
 				return nil, err
 			}
 		case "mediaserver":
-			if err := k.Binder().Register("media", false, func(from abi.Cred, code uint32, data []byte) ([]byte, error) {
-				return []byte("media-ok"), nil
-			}); err != nil {
+			if err := k.Binder().Register("media", false, constReply("media-ok")); err != nil {
 				return nil, err
 			}
 		case "keystore":
-			if err := k.Binder().Register("keystore", false, func(from abi.Cred, code uint32, data []byte) ([]byte, error) {
-				return []byte("key-ok"), nil
-			}); err != nil {
+			if err := k.Binder().Register("keystore", false, constReply("key-ok")); err != nil {
 				return nil, err
 			}
 		case "drmserver":
-			if err := k.Binder().Register("drm", false, func(from abi.Cred, code uint32, data []byte) ([]byte, error) {
-				return []byte("drm-ok"), nil
-			}); err != nil {
+			if err := k.Binder().Register("drm", false, constReply("drm-ok")); err != nil {
 				return nil, err
 			}
 		}

@@ -6,8 +6,11 @@
 // Each registered service carries the classification the redirection
 // logic relies on: a transaction either targets a UI/Input service — in
 // which case it must be serviced on the host (principle 2) — or an
-// ordinary service that may live in the CVM. The driver dispatches
-// decoded transactions; the ioctl argument's wire format is marshal's.
+// ordinary service that may live in the CVM. A driver holds no other
+// claim about its services: which replies the host may cache is the
+// host's own declaration (DESIGN.md §12), never a registration's. The
+// driver dispatches decoded transactions; the ioctl argument's wire
+// format is marshal's.
 package binder
 
 import (
@@ -32,7 +35,8 @@ const (
 // Handler services transactions sent to one registered service. data is
 // valid only while the handler runs: the caller reuses its memory, so a
 // service that keeps the bytes, or returns them as its reply, must copy
-// them.
+// them. A reply is read-only to whoever receives it, so a service may
+// return the same bytes to every caller.
 type Handler func(from abi.Cred, code uint32, data []byte) ([]byte, error)
 
 // Service is one registered binder endpoint.
@@ -40,15 +44,7 @@ type Service struct {
 	Name    string
 	UI      bool // part of the UI/Input stack (host-resident under Anception)
 	Handler Handler
-	// readOnly marks transaction codes declared idempotent at Register:
-	// their replies depend only on (code, payload) and may be cached by
-	// the bridge's reply cache. Any code outside this set is treated as
-	// mutating and invalidates cached replies for the service.
-	readOnly map[uint32]bool
 }
-
-// ReadOnlyCode reports whether code was declared read-only at Register.
-func (s *Service) ReadOnlyCode(code uint32) bool { return s.readOnly[code] }
 
 // Driver is the binder kernel driver of one kernel instance.
 type Driver struct {
@@ -73,22 +69,13 @@ func NewDriver() *Driver {
 
 // Register adds a service to the context manager. Registering a name twice
 // is a programming error in platform assembly and is reported as EEXIST.
-// Optional trailing codes declare idempotent (read-only) transaction codes
-// whose replies the bridge may cache.
-func (d *Driver) Register(name string, ui bool, h Handler, readOnlyCodes ...uint32) error {
+func (d *Driver) Register(name string, ui bool, h Handler) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.services[name]; ok {
 		return fmt.Errorf("binder: service %q: %w", name, abi.EEXIST)
 	}
-	svc := &Service{Name: name, UI: ui, Handler: h}
-	if len(readOnlyCodes) > 0 {
-		svc.readOnly = make(map[uint32]bool, len(readOnlyCodes))
-		for _, c := range readOnlyCodes {
-			svc.readOnly[c] = true
-		}
-	}
-	d.services[name] = svc
+	d.services[name] = &Service{Name: name, UI: ui, Handler: h}
 	return nil
 }
 
@@ -97,13 +84,6 @@ func (d *Driver) Lookup(name string) *Service {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.services[name]
-}
-
-// IsReadOnly reports whether (service, code) was declared idempotent at
-// Register; unknown services are never read-only.
-func (d *Driver) IsReadOnly(service string, code uint32) bool {
-	svc := d.Lookup(service)
-	return svc != nil && svc.ReadOnlyCode(code)
 }
 
 // Services lists registered service names (for the CLI and tests).

@@ -116,36 +116,13 @@ func TestOnewayDiscardsReplyAndError(t *testing.T) {
 	}
 }
 
-func TestReadOnlyCodes(t *testing.T) {
-	d := NewDriver()
-	h := func(abi.Cred, uint32, []byte) ([]byte, error) { return nil, nil }
-	if err := d.Register("location", false, h, 3, 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Register("vold", false, h); err != nil {
-		t.Fatal(err)
-	}
-	if !d.IsReadOnly("location", 3) || !d.IsReadOnly("location", 7) {
-		t.Fatal("declared codes must be read-only")
-	}
-	if d.IsReadOnly("location", 4) {
-		t.Fatal("undeclared code must be mutating")
-	}
-	if d.IsReadOnly("vold", 3) {
-		t.Fatal("service without declarations must have no read-only codes")
-	}
-	if d.IsReadOnly("ghost", 3) {
-		t.Fatal("unknown service must not be read-only")
-	}
-}
-
 // TestDriverChurnRace hammers one driver from concurrent registrars,
 // transactors, session users, and listers. The assertion is the race
 // detector's: run under -race in CI.
 func TestDriverChurnRace(t *testing.T) {
 	d := NewDriver()
 	h := func(abi.Cred, uint32, []byte) ([]byte, error) { return []byte("ok"), nil }
-	if err := d.Register("steady", false, h, 1); err != nil {
+	if err := d.Register("steady", false, h); err != nil {
 		t.Fatal(err)
 	}
 
@@ -196,7 +173,7 @@ func TestDriverChurnRace(t *testing.T) {
 				_ = d.Services()
 				_, _ = d.Stats()
 				_ = d.SessionCount()
-				_ = d.IsReadOnly("steady", 1)
+				_ = d.Lookup("steady")
 				_ = d.OnewayCount()
 			}
 		}()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -119,14 +120,15 @@ func TestSessionFrameRoundTrip(t *testing.T) {
 		t.Fatal("encoded frame lost its envelope")
 	}
 	var dec marshal.Decoder
-	out, err := dec.BinderSession(enc)
+	out, err := dec.BinderCall(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Session != in.Session || out.Code != in.Code || out.Oneway != in.Oneway || !bytes.Equal(out.Payload, in.Payload) {
+	if out.Kind != marshal.BinderOnSession || out.Session != in.Session || out.Txn.Code != in.Code ||
+		out.Txn.Oneway != in.Oneway || !bytes.Equal(out.Txn.Payload, in.Payload) {
 		t.Fatalf("round trip = %+v, want %+v", out, in)
 	}
-	if _, err := d.TransactSession(abi.Cred{}, out.Session, out.Code, out.Payload, out.Oneway); err != nil {
+	if _, err := d.TransactSession(abi.Cred{}, out.Session, out.Txn.Code, out.Txn.Payload, out.Txn.Oneway); err != nil {
 		t.Fatal(err)
 	}
 	if seen.Code != in.Code || !bytes.Equal(seen.Payload, in.Payload) {
@@ -136,18 +138,27 @@ func TestSessionFrameRoundTrip(t *testing.T) {
 
 func TestSessionFrameMalformed(t *testing.T) {
 	var dec marshal.Decoder
-	if _, err := dec.BinderSession([]byte("not a frame")); !errors.Is(err, abi.EINVAL) {
+	if _, err := dec.BinderCall([]byte("not a frame")); !errors.Is(err, abi.EINVAL) {
 		t.Fatalf("foreign bytes: %v, want EINVAL", err)
 	}
 	frame := marshal.AppendBinderSession(nil, marshal.BinderSession{Session: 1})
-	if _, err := dec.BinderSession(frame[:len(frame)-1]); !errors.Is(err, abi.EINVAL) {
+	if _, err := dec.BinderCall(frame[:len(frame)-1]); !errors.Is(err, abi.EINVAL) {
 		t.Fatalf("truncated frame: %v, want EINVAL", err)
 	}
-	// An envelope around anything but a session frame.
-	flat := marshal.AppendBinderTxn(nil, binder.Transaction{Service: "location", Code: 1, Payload: []byte("12345")})
-	wrapped := append([]byte{0xA8, byte(len(flat)), 0, 0, 0}, flat...)
-	if _, err := dec.BinderSession(wrapped); !errors.Is(err, abi.EINVAL) {
-		t.Fatalf("envelope around a flat transaction: %v, want EINVAL", err)
+	// An envelope around a flat transaction is a call by name, never a
+	// session call; nor is one whose 168-byte service name makes the flat
+	// bytes start with the envelope's own magic.
+	for _, name := range []string{"location", strings.Repeat("s", 0xA8)} {
+		flat := marshal.AppendBinderTxn(nil, binder.Transaction{Service: name, Code: 1, Payload: []byte("12345")})
+		c, err := dec.BinderCall(marshal.AppendBinderFlat(nil, flat))
+		if err != nil || c.Kind != marshal.BinderByName || c.Txn.Service != name || string(c.Txn.Payload) != "12345" {
+			t.Fatalf("envelope around a flat transaction to a %d-byte name: %+v, %v", len(name), c, err)
+		}
+	}
+	// The flat format reserves the extended formats' prefix, so no
+	// transaction an app sends can pose as another body.
+	if _, err := dec.BinderTxn([]byte{0xFF, 0xFE, 'S', '1', 0, 0, 0, 0}); !errors.Is(err, abi.EINVAL) {
+		t.Fatalf("flat transaction with the reserved prefix: %v, want EINVAL", err)
 	}
 	// A session frame sent as an ioctl argument is not a flat
 	// transaction.

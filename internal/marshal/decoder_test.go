@@ -132,7 +132,7 @@ func TestDecoderKeptStringsAllocs(t *testing.T) {
 
 // TestBinderCodecAllocs: a binder transaction encodes into a roomy frame,
 // and decodes with a repeated service name, without allocating; so does
-// a session call.
+// every binder-call frame the host ships to the container.
 func TestBinderCodecAllocs(t *testing.T) {
 	var d Decoder
 	txn := binder.Transaction{Service: "location", Code: 3, Payload: make([]byte, 128)}
@@ -145,13 +145,20 @@ func TestBinderCodecAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("binder transaction encode+decode: %v allocs, want 0", n)
 	}
+	flat := AppendBinderTxn(nil, txn)
 	sess := BinderSession{Session: 1, Code: 3, Payload: txn.Payload}
-	if n := testing.AllocsPerRun(100, func() {
-		frame = AppendBinderSession(frame[:0], sess)
-		if _, err := d.BinderSession(frame); err != nil {
-			t.Fatal(err)
+	for name, enc := range map[string]func([]byte) []byte{
+		"flat":    func(dst []byte) []byte { return AppendBinderFlat(dst, flat) },
+		"session": func(dst []byte) []byte { return AppendBinderSession(dst, sess) },
+		"open":    func(dst []byte) []byte { return AppendBinderOpen(dst, txn.Service) },
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			frame = enc(frame[:0])
+			if _, err := d.BinderCall(frame); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("binder %s call encode+decode: %v allocs, want 0", name, n)
 		}
-	}); n != 0 {
-		t.Errorf("binder session encode+decode: %v allocs, want 0", n)
 	}
 }

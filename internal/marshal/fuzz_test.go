@@ -123,11 +123,17 @@ var (
 		{0xFF, 0xFE, 'O', '1'},
 		{0xFF, 0xFE, 'S', '1', 0, 0},
 	}
+	// Binder-call frames of every body, a truncated session body, an
+	// envelope around a reserved flat prefix, and a bare flat
+	// transaction.
 	binderSessionSeeds = [][]byte{
 		{},
 		AppendBinderSession(nil, BinderSession{Session: 1, Code: 3, Payload: []byte("p")}),
 		AppendBinderSession(nil, BinderSession{Session: 0xFFFFFFFF, Oneway: true}),
+		AppendBinderFlat(nil, AppendBinderTxn(nil, binder.Transaction{Service: "media", Code: 9, Payload: []byte("q"), Oneway: true})),
+		AppendBinderOpen(nil, "location"),
 		{0xA8, 4, 0, 0, 0, 0xFF, 0xFE, 'S', '1'},
+		{0xA8, 6, 0, 0, 0, 0xFF, 0xFE, 'X', '1', 0, 0},
 		AppendBinderTxn(nil, binder.Transaction{Service: "window", Code: 2}),
 	}
 	chainSeeds = [][]byte{
@@ -239,14 +245,24 @@ func checkFrame(t *testing.T, data []byte) {
 			t.Fatalf("re-decode: oneway %v -> %v, %v", txn.Oneway, out.Oneway, err)
 		}
 	}
-	// Whatever decodes as a session call round-trips its fields.
-	if s, err := d.BinderSession(data); err == nil {
-		if !within(s.Payload, data) {
-			t.Fatal("session payload is not a view inside the frame")
+	// Whatever decodes as a binder call round-trips its fields.
+	if c, err := d.BinderCall(data); err == nil {
+		if !within(c.Txn.Payload, data) {
+			t.Fatal("binder call payload is not a view inside the frame")
 		}
-		out, err := d.BinderSession(AppendBinderSession(nil, s))
-		if err != nil || out.Session != s.Session || out.Code != s.Code || out.Oneway != s.Oneway || !bytes.Equal(out.Payload, s.Payload) {
-			t.Fatalf("session round trip changed frame: %+v -> %+v, %v", s, out, err)
+		var again []byte
+		switch c.Kind {
+		case BinderOnSession:
+			again = AppendBinderSession(nil, BinderSession{Session: c.Session, Code: c.Txn.Code, Payload: c.Txn.Payload, Oneway: c.Txn.Oneway})
+		case BinderOpen:
+			again = AppendBinderOpen(nil, c.Txn.Service)
+		default:
+			again = AppendBinderFlat(nil, AppendBinderTxn(nil, c.Txn))
+		}
+		out, err := d.BinderCall(again)
+		if err != nil || out.Kind != c.Kind || out.Session != c.Session || out.Txn.Service != c.Txn.Service ||
+			out.Txn.Code != c.Txn.Code || out.Txn.Oneway != c.Txn.Oneway || !bytes.Equal(out.Txn.Payload, c.Txn.Payload) {
+			t.Fatalf("binder call round trip changed frame: %+v -> %+v, %v", c, out, err)
 		}
 	}
 

@@ -160,7 +160,7 @@ func TestGoldenFramesDecode(t *testing.T) {
 		}
 	}
 	frame, _ := hex.DecodeString(goldenFrames["binder/session"])
-	if got, err := d.BinderSession(frame); err != nil || got.Session != 7 || got.Code != 0x01020304 || !got.Oneway || string(got.Payload) != "payload" {
+	if got, err := d.BinderCall(frame); err != nil || got.Kind != BinderOnSession || got.Session != 7 || got.Txn.Code != 0x01020304 || !got.Txn.Oneway || string(got.Txn.Payload) != "payload" {
 		t.Fatalf("binder/session: decoded %+v, %v", got, err)
 	}
 	for k, r := range goldenResults() {
