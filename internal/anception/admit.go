@@ -88,8 +88,8 @@ func (l *Layer) admit(t *kernel.Task, args *kernel.Args, bound bool) Admission {
 
 // remoteFD reports whether fd names a descriptor living in the CVM proxy.
 func remoteFD(t *kernel.Task, fd int) bool {
-	e := t.FD(fd)
-	return e != nil && e.Kind == kernel.FDRemote
+	e, ok := t.FD(fd)
+	return ok && e.Kind == kernel.FDRemote
 }
 
 // namesFD reports the redirect-class calls routed by the descriptor they

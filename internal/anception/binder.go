@@ -140,6 +140,13 @@ func newBinderFastPath(sessions, replyCache bool, gen int) *binderFastPath {
 	return fp
 }
 
+// declareContainerService adds name to the host's set of container
+// services, for tests that register a service in the guest, before the
+// layer carries traffic.
+func (l *Layer) declareContainerService(name string) {
+	l.containerServices[name] = true
+}
+
 // declareCacheable adds (service, code) to the host's cacheable set, for
 // tests, before the layer carries traffic.
 func (l *Layer) declareCacheable(service string, code uint32) {
@@ -407,7 +414,7 @@ func (l *Layer) transactBinder(st *layerState, t *kernel.Task, f *callFrame, txn
 	} else {
 		f.hostCost, f.fitted = 0, l.model.BinderTransaction+fixed+perByte
 	}
-	f.cred, f.oneway = t.Cred, txn.Oneway
+	f.oneway = txn.Oneway
 	results, err := l.forwardFrame(st, t, f, armBinder, &binderIoctl)
 	if errors.Is(err, errBreakerOpen) {
 		return kernel.Result{Ret: -1, Err: err}
@@ -449,7 +456,7 @@ func (l *Layer) ensureBinderSession(st *layerState, t *kernel.Task, f *callFrame
 
 	f.req = marshal.AppendBinderOpen(f.req[:0], service)
 	f.hostCost, f.fitted = 0, l.model.BinderSessionSetup
-	f.cred, f.oneway = t.Cred, false
+	f.oneway = false
 	results, err := l.forwardFrame(st, t, f, armBinder, &binderIoctl)
 	if err == nil {
 		err = results[0].Err
@@ -474,8 +481,11 @@ func (l *Layer) ensureBinderSession(st *layerState, t *kernel.Task, f *callFrame
 
 // execBinder is the guest handler of a binder-call frame: decode it as
 // views into req, then open a session, or transact by name or on a
-// pinned session with the submitter's credentials, charging the
-// guest-side service handling (BinderTransaction) where it runs.
+// pinned session, charging the guest-side service handling
+// (BinderTransaction) where it runs. The service sees the proxy's
+// credentials: the proxy runs with the app's UID and executes the
+// forwarded call (paper §III), so from.PID names the call's guest-side
+// context, never a host pid that means another task in the container.
 func (f *callFrame) execBinder(req []byte) []byte {
 	c, err := f.dec.BinderCall(req)
 	if err != nil {
@@ -490,10 +500,10 @@ func (f *callFrame) execBinder(req []byte) []byte {
 		res.Ret = int64(sid)
 	case marshal.BinderOnSession:
 		f.layer.clock.Charge(f.proxy.Lane, f.layer.model.BinderTransaction)
-		res.Data, err = drv.TransactSession(f.cred, c.Session, c.Txn.Code, c.Txn.Payload, c.Txn.Oneway)
+		res.Data, err = drv.TransactSession(f.proxy.Cred, c.Session, c.Txn.Code, c.Txn.Payload, c.Txn.Oneway)
 	default:
 		f.layer.clock.Charge(f.proxy.Lane, f.layer.model.BinderTransaction)
-		res.Data, err = drv.Transact(f.cred, c.Txn)
+		res.Data, err = drv.Transact(f.proxy.Cred, c.Txn)
 	}
 	if err != nil {
 		res = kernel.Result{Ret: -1, Err: err}

@@ -404,7 +404,7 @@ func TestBinderFetchedOnce(t *testing.T) {
 			d, p, fd := bootBinderDevice(t, br.opts)
 			arg := marshal.AppendBinderTxn(nil, binder.Transaction{Service: "probe", Code: 1, Payload: []byte("checked")})
 			var seen string
-			err := d.Guest.Binder().Register("probe", false, func(_ abi.Cred, _ uint32, data []byte) ([]byte, error) {
+			err := registerContainerService(d, "probe", func(_ abi.Cred, _ uint32, data []byte) ([]byte, error) {
 				copy(arg[len(arg)-len("changed"):], "changed")
 				seen = string(data)
 				return nil, nil
@@ -420,11 +420,19 @@ func TestBinderFetchedOnce(t *testing.T) {
 	}
 }
 
+// registerContainerService registers a binder service in the container
+// and declares it one of the container's services to the host, the way
+// the trusted image lists the platform's (android.ContainerServices).
+func registerContainerService(d *Device, name string, h binder.Handler) error {
+	d.Layer.declareContainerService(name)
+	return d.Guest.Binder().Register(name, false, h)
+}
+
 // whoamiService registers a CVM service that answers every transaction
 // with its caller's UID, the reply no two apps may share.
 func whoamiService(t *testing.T, d *Device) {
 	t.Helper()
-	err := d.Guest.Binder().Register("whoami", false, func(from abi.Cred, _ uint32, _ []byte) ([]byte, error) {
+	err := registerContainerService(d, "whoami", func(from abi.Cred, _ uint32, _ []byte) ([]byte, error) {
 		return fmt.Appendf(nil, "uid=%d", from.UID), nil
 	})
 	if err != nil {
@@ -478,7 +486,7 @@ func TestBinderReplyCacheNoCrossAppLeak(t *testing.T) {
 // service had cached. A service the host never declared is never cached.
 func TestBinderCacheableSetIsHostDeclared(t *testing.T) {
 	d, p, fd := bootBinderDevice(t, Options{BinderReplyCache: true})
-	if err := d.Guest.Binder().Register("ghost", false, func(abi.Cred, uint32, []byte) ([]byte, error) {
+	if err := registerContainerService(d, "ghost", func(abi.Cred, uint32, []byte) ([]byte, error) {
 		return []byte("boo"), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -541,6 +549,78 @@ func TestBinderBridgeDeadGuestIsHostDown(t *testing.T) {
 			}
 			if got := d.Layer.Stats().HostDown - before; got != 1 {
 				t.Fatalf("HostDown rose by %d, want 1", got)
+			}
+			binderIdentity(t, d)
+		})
+	}
+}
+
+// TestContainerServiceSeesProxyCred: a service in the container sees a
+// bridged call as coming from the app's proxy, which runs with the app's
+// credentials and executes the call (paper §III): from.PID is the
+// proxy's guest pid, not the app's host pid (which names some other task
+// in the container), and from.UID is the app's UID. The same holds on
+// the page channel, by name and on sessions, and on the ring.
+func TestContainerServiceSeesProxyCred(t *testing.T) {
+	for _, br := range binderBridges {
+		t.Run(br.name, func(t *testing.T) {
+			d, p, fd := bootBinderDevice(t, br.opts)
+			var seen []abi.Cred
+			if err := registerContainerService(d, "whoami", func(from abi.Cred, _ uint32, _ []byte) ([]byte, error) {
+				seen = append(seen, from)
+				return nil, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ { // the first call opens the session, if any
+				if _, err := p.BinderCall(fd, "whoami", 1, []byte("who am i")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			px := d.Proxies.ProxyFor(p.Task.PID)
+			if px == nil {
+				t.Fatal("app has no proxy after a bridged call")
+			}
+			if len(seen) != 2 {
+				t.Fatalf("service ran %d times for 2 calls", len(seen))
+			}
+			for i, from := range seen {
+				if from.PID != px.PID || from.UID != p.Task.Cred.UID {
+					t.Errorf("call %d: service saw pid %d uid %d, want the proxy's pid %d and the app's uid %d",
+						i, from.PID, from.UID, px.PID, p.Task.Cred.UID)
+				}
+			}
+		})
+	}
+}
+
+// TestBinderCallDuringOutage: while the container is down, an app's call
+// to a container service fails in the forward core like every other
+// crossing (EHOSTDOWN, or EAGAIN once the breaker is open), not ENOENT
+// from the host's driver, because the host routes by its own list of
+// container services. After a restart the same call succeeds.
+func TestBinderCallDuringOutage(t *testing.T) {
+	for _, prof := range chainProfiles {
+		t.Run(prof.name, func(t *testing.T) {
+			d, p, fd := bootBinderDevice(t, prof.opts)
+			call := func(payload string) error {
+				_, err := p.BinderCall(fd, "location", android.CodeGetLocation, []byte(payload))
+				return err
+			}
+			if err := call("before"); err != nil {
+				t.Fatal(err)
+			}
+			d.Guest.Panic("container crashed")
+			// A fresh payload: a cached reply would not reach the core.
+			err := call("during")
+			if !errors.Is(err, abi.EHOSTDOWN) && !errors.Is(err, abi.EAGAIN) {
+				t.Fatalf("call during the outage: err = %v, want EHOSTDOWN or EAGAIN", err)
+			}
+			if err := d.RestartCVM(); err != nil {
+				t.Fatal(err)
+			}
+			if err := call("after"); err != nil {
+				t.Fatalf("call after the restart: %v", err)
 			}
 			binderIdentity(t, d)
 		})

@@ -108,7 +108,9 @@ type redirCache struct {
 	extFreeBytes int64
 	// lru orders clean cached pages, most recently used at the front.
 	lru pageLRU
-	fds map[*kernel.FDEntry]*fdCache
+	// fds binds each host descriptor of a regular guest file to its
+	// per-descriptor state, keyed by (pid, host fd).
+	fds map[fdKey]*fdCache
 	// files maps an absolute guest path to the file bound under it; a
 	// hard link names one file twice.
 	files map[string]*fileCache
@@ -231,7 +233,7 @@ func newRedirCache() *redirCache {
 			budget:     DefaultCacheBudgetBytes,
 			flushDelay: DefaultCacheFlushDelay,
 		},
-		fds:   make(map[*kernel.FDEntry]*fdCache),
+		fds:   make(map[fdKey]*fdCache),
 		files: make(map[string]*fileCache),
 		attrs: make(map[attrKey]kernel.Result),
 	}
@@ -262,7 +264,7 @@ func (l *Layer) invalidateRedirCache(gen int) {
 	for cp := c.lru.back(); cp != nil; cp = c.lru.back() {
 		c.retireLocked(cp)
 	}
-	c.fds = make(map[*kernel.FDEntry]*fdCache)
+	c.fds = make(map[fdKey]*fdCache)
 	c.files = make(map[string]*fileCache)
 	c.attrs = make(map[attrKey]kernel.Result)
 	c.stats.Invalidations++
@@ -305,19 +307,30 @@ func (l *Layer) rekeyRedirCache(gen int) (pagesKept, attrsKept, dirtyDropped int
 // --- files and descriptors ----------------------------------------------
 
 // fdLocked returns the per-descriptor state, refreshing the owning task;
-// a descriptor first seen here binds to the file its path names now.
-func (c *redirCache) fdLocked(e *kernel.FDEntry, t *kernel.Task) *fdCache {
-	if fc, ok := c.fds[e]; ok {
+// a descriptor first seen here (a forked child's, or one bound before a
+// container restart) binds to the file its path names now. A copy of an
+// entry whose descriptor was closed since finds no binding and makes
+// none: it returns nil, and the call goes to the container, which never
+// reuses the guest fd the copy names.
+func (c *redirCache) fdLocked(d hostFD, t *kernel.Task) *fdCache {
+	if fc, ok := c.fds[d.key]; ok {
 		fc.owner = t
 		return fc
 	}
-	return c.bindLocked(e, t, c.fileLocked(e.Path))
+	if cur, ok := t.FD(d.key.fd); !ok || cur.GuestFD != d.GuestFD {
+		return nil
+	}
+	return c.bindLocked(d.key, d.GuestFD, t, c.fileLocked(d.Path))
 }
 
-func (c *redirCache) bindLocked(e *kernel.FDEntry, t *kernel.Task, f *fileCache) *fdCache {
-	fc := &fdCache{guestFD: e.GuestFD, file: f, owner: t}
+// bindLocked binds host descriptor k, naming guest fd gfd, to f. A dup2
+// onto an open descriptor rebinds its number: the old binding is dropped
+// first.
+func (c *redirCache) bindLocked(k fdKey, gfd int, t *kernel.Task, f *fileCache) *fdCache {
+	c.unbindLocked(k)
+	fc := &fdCache{guestFD: gfd, file: f, owner: t}
 	f.fds = append(f.fds, fc)
-	c.fds[e] = fc
+	c.fds[k] = fc
 	return fc
 }
 
@@ -333,35 +346,41 @@ func (c *redirCache) fileLocked(p string) *fileCache {
 }
 
 // guestRegular reports whether guest descriptor gfd of t's proxy names a
-// regular file, symlinks followed. The proxy knows what it opened; the
-// model reads its descriptor table rather than widen the open's reply, so
-// no charge changes. Procfs and device files must never be held back.
+// regular file, symlinks followed; only the cache asks, so it is false
+// when the cache is off. The proxy knows what it opened; the model reads
+// its descriptor table rather than widen the open's reply, so no charge
+// changes. Procfs and device files must never be held back.
 func (l *Layer) guestRegular(t *kernel.Task, gfd int) bool {
+	if l.cache == nil {
+		return false
+	}
 	if px := l.proxyMgr().ProxyFor(t.PID); px != nil {
-		e := px.FD(gfd)
-		return e != nil && e.Kind == kernel.FDFile && e.File.Inode().Type == vfs.TypeRegular
+		e, ok := px.FD(gfd)
+		return ok && e.Kind == kernel.FDFile && e.File.Inode().Type == vfs.TypeRegular
 	}
 	return false
 }
 
 // bindFD binds a freshly opened (or duplicated) descriptor to its file at
 // once, so a rename before its first cached call cannot bind it to
-// whatever the old path names by then. A dup shares the file of from.
-// Only a descriptor the container reports as a regular file binds
-// (FDEntry.Regular); every call on any other goes to the container.
-func (l *Layer) bindFD(t *kernel.Task, e, from *kernel.FDEntry) {
+// whatever the old path names by then. A dup shares the file of the
+// descriptor from names, when that one is bound. Only a descriptor the
+// container reported as a regular file binds (FDEntry.Regular, set when
+// its entry was built); every call on any other goes to the container.
+func (l *Layer) bindFD(t *kernel.Task, d hostFD, from *fdKey) {
 	c := l.cache
-	if c == nil || e == nil {
-		return
-	}
-	if e.Regular = l.guestRegular(t, e.GuestFD); !e.Regular {
+	if c == nil || !d.Regular {
 		return
 	}
 	c.mu.Lock()
-	if src, ok := c.fds[from]; ok {
-		c.bindLocked(e, t, src.file)
+	var src *fdCache
+	if from != nil {
+		src = c.fds[*from]
+	}
+	if src != nil {
+		c.bindLocked(d.key, d.GuestFD, t, src.file)
 	} else {
-		c.fdLocked(e, t)
+		c.fdLocked(d, t)
 	}
 	c.mu.Unlock()
 }
@@ -369,18 +388,24 @@ func (l *Layer) bindFD(t *kernel.Task, e, from *kernel.FDEntry) {
 // forgetFD unbinds a closed descriptor; the file's last close forgets the
 // file and its pages. Dirty data must have been flushed (or deliberately
 // discarded) by the caller.
-func (l *Layer) forgetFD(e *kernel.FDEntry) {
+func (l *Layer) forgetFD(k fdKey) {
 	c := l.cache
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	fc, ok := c.fds[e]
+	c.unbindLocked(k)
+	c.mu.Unlock()
+}
+
+// unbindLocked drops the binding of host descriptor k, if any, and
+// forgets its file at the file's last descriptor.
+func (c *redirCache) unbindLocked(k fdKey) {
+	fc, ok := c.fds[k]
 	if !ok {
 		return
 	}
-	delete(c.fds, e)
+	delete(c.fds, k)
 	f := fc.file
 	f.fds = slices.DeleteFunc(f.fds, func(o *fdCache) bool { return o == fc })
 	if len(f.fds) > 0 {
@@ -616,23 +641,23 @@ func (l *Layer) cacheBypassed(st *layerState) bool {
 // cachedFDCall intercepts descriptor calls on a remote fd when the cache
 // is enabled. It either serves the call (handled=true) or performs the
 // coherence flush and lets the caller forward normally (handled=false).
-func (l *Layer) cachedFDCall(st *layerState, t *kernel.Task, e *kernel.FDEntry, args *kernel.Args) (kernel.Result, bool) {
+func (l *Layer) cachedFDCall(st *layerState, t *kernel.Task, d hostFD, args *kernel.Args) (kernel.Result, bool) {
 	// Pages are shared by the whole file: a descriptor that may not read
 	// (or write) them gets the guest's answer (EBADF) instead, and so does
 	// a write reaching past the file size limit (EFBIG or a short write).
 	switch {
-	case !e.Regular:
-	case args.Nr == abi.SysPread64 && e.Flags.Readable():
+	case !d.Regular:
+	case args.Nr == abi.SysPread64 && d.Flags.Readable():
 		l.policy.cacheServed.Add(1)
-		return l.cachedPread(st, t, e, args)
-	case args.Nr == abi.SysPwrite64 && e.Flags.Writable() && args.Off <= vfs.MaxFileSize-int64(len(args.Buf)):
+		return l.cachedPread(st, t, d, args)
+	case args.Nr == abi.SysPwrite64 && d.Flags.Writable() && args.Off <= vfs.MaxFileSize-int64(len(args.Buf)):
 		l.policy.cacheServed.Add(1)
-		return l.cachedPwrite(st, t, e, args)
+		return l.cachedPwrite(st, t, d, args)
 	}
 	// Coherence rule: every call not served above sees the guest's view,
 	// so any buffered data for this file is written back first. No entry
 	// is created here — sockets and such never get one.
-	if res, failed := l.flushFDFor(st, t, e); failed {
+	if res, failed := l.flushFDFor(st, t, d.key); failed {
 		return res, true
 	}
 	return kernel.Result{}, false
@@ -640,7 +665,7 @@ func (l *Layer) cachedFDCall(st *layerState, t *kernel.Task, e *kernel.FDEntry, 
 
 // cachedPread serves a positioned read from host memory, fetching on a
 // miss — with read-ahead when the read is sequential.
-func (l *Layer) cachedPread(st *layerState, t *kernel.Task, e *kernel.FDEntry, args *kernel.Args) (kernel.Result, bool) {
+func (l *Layer) cachedPread(st *layerState, t *kernel.Task, d hostFD, args *kernel.Args) (kernel.Result, bool) {
 	n := len(args.Buf)
 	if n == 0 || args.Off < 0 {
 		return kernel.Result{}, false
@@ -648,7 +673,10 @@ func (l *Layer) cachedPread(st *layerState, t *kernel.Task, e *kernel.FDEntry, a
 	c := l.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fc := c.fdLocked(e, t)
+	fc := c.fdLocked(d, t)
+	if fc == nil {
+		return kernel.Result{}, false
+	}
 	// Coherence with the zero-copy path: a read overlapping an in-flight
 	// granted write to the same file must never be served from cached
 	// (pre-write) pages. Bypass the cache and forward — the transport's
@@ -694,7 +722,7 @@ func (l *Layer) cachedPread(st *layerState, t *kernel.Task, e *kernel.FDEntry, a
 }
 
 // cachedPwrite buffers a positioned write in the coalescing buffer.
-func (l *Layer) cachedPwrite(st *layerState, t *kernel.Task, e *kernel.FDEntry, args *kernel.Args) (kernel.Result, bool) {
+func (l *Layer) cachedPwrite(st *layerState, t *kernel.Task, d hostFD, args *kernel.Args) (kernel.Result, bool) {
 	n := len(args.Buf)
 	if n == 0 || args.Off < 0 {
 		return kernel.Result{}, false
@@ -702,7 +730,10 @@ func (l *Layer) cachedPwrite(st *layerState, t *kernel.Task, e *kernel.FDEntry, 
 	c := l.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fc := c.fdLocked(e, t)
+	fc := c.fdLocked(d, t)
+	if fc == nil {
+		return kernel.Result{}, false
+	}
 	// Writes land in the guest in call order: another descriptor's older
 	// buffered data goes first.
 	l.flushOthersLocked(st, fc.file, fc)
@@ -1001,14 +1032,14 @@ func (l *Layer) flushOthersLocked(st *layerState, f *fileCache, self *fdCache) {
 // other descriptors' through their owners, then its own — before a call
 // the guest serves (close, dup, fsync, granted I/O, fused chains).
 // Returns its own flush error, or else its deferred one, once.
-func (l *Layer) flushFDFor(st *layerState, t *kernel.Task, e *kernel.FDEntry) (kernel.Result, bool) {
+func (l *Layer) flushFDFor(st *layerState, t *kernel.Task, k fdKey) (kernel.Result, bool) {
 	c := l.cache
 	if c == nil {
 		return kernel.Result{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fc, ok := c.fds[e]
+	fc, ok := c.fds[k]
 	if !ok {
 		return kernel.Result{}, false
 	}
@@ -1022,12 +1053,13 @@ func (l *Layer) flushFDFor(st *layerState, t *kernel.Task, e *kernel.FDEntry) (k
 }
 
 // flushFile writes back every descriptor's buffered data for the file
-// behind e and the file at guest path p, before a fused chain uses them.
-func (l *Layer) flushFile(st *layerState, e *kernel.FDEntry, p string) {
+// behind host descriptor k and the file at guest path p, before a fused
+// chain uses them.
+func (l *Layer) flushFile(st *layerState, k fdKey, p string) {
 	c := l.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if fc, ok := c.fds[e]; ok {
+	if fc, ok := c.fds[k]; ok {
 		l.flushOthersLocked(st, fc.file, nil)
 	}
 	l.flushOthersLocked(st, c.files[p], nil)
@@ -1036,23 +1068,23 @@ func (l *Layer) flushFile(st *layerState, e *kernel.FDEntry, p string) {
 // noteForwardedFDOp drops the file's pages after a forwarded call that
 // can change it under the cache (Pwrite64 lands here only when the policy
 // routed it around the cache).
-func (l *Layer) noteForwardedFDOp(e *kernel.FDEntry, nr abi.SyscallNr) {
+func (l *Layer) noteForwardedFDOp(k fdKey, nr abi.SyscallNr) {
 	switch nr {
 	case abi.SysWrite, abi.SysFtruncate, abi.SysPwrite64, abi.SysWritev, abi.SysPwritev:
-		l.noteFileWrite(l.fileOf(e))
+		l.noteFileWrite(l.fileOf(k))
 	}
 }
 
-// fileOf returns the file a descriptor is bound to, or nil (no cache, or
-// a descriptor the cache never saw).
-func (l *Layer) fileOf(e *kernel.FDEntry) *fileCache {
+// fileOf returns the file host descriptor k is bound to, or nil (no
+// cache, or a descriptor the cache never saw or has forgotten).
+func (l *Layer) fileOf(k fdKey) *fileCache {
 	c := l.cache
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if fc, ok := c.fds[e]; ok {
+	if fc, ok := c.fds[k]; ok {
 		return fc.file
 	}
 	return nil
@@ -1127,8 +1159,19 @@ func (l *Layer) cachedPathCall(st *layerState, t *kernel.Task, args *kernel.Args
 	}
 	c.mu.Unlock()
 	l.clock.Charge(t.Lane, l.model.CacheLookup)
-	res.Data = bytes.Clone(res.Data)
+	res.Data = keptReply(args.Nr, res.Data)
 	return res, hit
+}
+
+// keptReply returns the bytes of an idempotent path call's reply for the
+// attribute cache to keep or hand out: a stat's kind tag (which the
+// landing checked) as vfs's shared read-only view, any other reply's as
+// a copy.
+func keptReply(nr abi.SyscallNr, data []byte) []byte {
+	if nr == abi.SysStat && len(data) == 1 {
+		return vfs.LetterView(data[0])
+	}
+	return bytes.Clone(data)
 }
 
 // notePathResult caches a successful idempotent result for the caller's
@@ -1147,7 +1190,7 @@ func (l *Layer) notePathResult(t *kernel.Task, args *kernel.Args, p string, res 
 		if len(c.attrs) >= maxAttrEntries {
 			c.attrs = make(map[attrKey]kernel.Result)
 		}
-		res.Data = bytes.Clone(res.Data)
+		res.Data = keptReply(args.Nr, res.Data)
 		c.attrs[attrKey{nr: args.Nr, path: p, aux: args.Size, uid: t.Cred.UID}] = res
 		c.mu.Unlock()
 		return

@@ -488,7 +488,7 @@ func TestSendfileHugeSizeBounded(t *testing.T) {
 	p := installAndLaunch(t, d, "com.example.sendfile")
 
 	sysFD := mustOpen(t, p, "/system/lib/libc.so", abi.ORdOnly)
-	if e := p.Task.FD(sysFD); e == nil || e.Kind == kernel.FDRemote {
+	if e, ok := p.Task.FD(sysFD); !ok || e.Kind == kernel.FDRemote {
 		t.Fatal("system library must be a host-local descriptor")
 	}
 	want, err := d.Host.FS().ReadFile(rootCred, "/system/lib/libc.so")

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"anception/internal/abi"
 	"anception/internal/kernel"
@@ -66,7 +67,7 @@ func residentPages(d *Device, p *Proc, fd int) int {
 	c := d.Layer.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.fds[p.Task.FD(fd)].file.pages)
+	return len(c.fds[lookupFD(p.Task, fd).key].file.pages)
 }
 
 // TestAttrCacheIsPerUID: an attribute another app's stat or access put in
@@ -145,7 +146,7 @@ func TestCacheCoherenceStaysInFile(t *testing.T) {
 			fds[i] = mustOpen(t, p, "own.dat", abi.ORdWr|abi.OCreat)
 			mustPwrite(t, p, fds[i], pattern(bulk, byte(i)), 0)
 		}
-		if fast && apps[0].Task.FD(fds[0]).GuestFD != apps[1].Task.FD(fds[1]).GuestFD {
+		if fast && lookupFD(apps[0].Task, fds[0]).GuestFD != lookupFD(apps[1].Task, fds[1]).GuestFD {
 			t.Fatal("both apps' files must share a guest fd number for this probe")
 		}
 		var obs []string
@@ -437,7 +438,7 @@ func TestCacheCoherenceDeferredWriteBackError(t *testing.T) {
 	ro := mustOpen(t, p, "ro.dat", abi.ORdOnly|abi.OCreat)
 	c := d.Layer.cache
 	c.mu.Lock()
-	c.fds[p.Task.FD(fdB)].guestFD = p.Task.FD(ro).GuestFD
+	c.fds[lookupFD(p.Task, fdB).key].guestFD = lookupFD(p.Task, ro).GuestFD
 	c.mu.Unlock()
 
 	failB := func() {
@@ -571,4 +572,69 @@ func TestCacheCoherenceDeviceThroughSymlink(t *testing.T) {
 			"device after close: " + dev.written(),
 		}
 	})
+}
+
+// TestClosedDescriptorReachesNoOtherFile: one goroutine of an app preads
+// through a descriptor while another closes it and opens a different
+// file, on Native, Paper and Fast. The reader sees the old file's bytes
+// or EBADF, never the new file's: a copy of a descriptor entry held
+// across the close names a descriptor that is gone (DESIGN.md §7).
+func TestClosedDescriptorReachesNoOtherFile(t *testing.T) {
+	for _, prof := range profiles {
+		t.Run(prof.name, func(t *testing.T) {
+			opts := prof.opts
+			// The two goroutines share the sim clock, so a call's span
+			// counts the other's charges: the deadline stays out of it.
+			opts.CallDeadline = time.Hour
+			d, err := NewDevice(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(d.Close)
+			p := installAndLaunch(t, d, "com.example.closerace")
+			oldData, newData := bytes.Repeat([]byte("o"), 512), bytes.Repeat([]byte("n"), 512)
+			seedGuestFile(t, p, "old.dat", oldData)
+			seedGuestFile(t, p, "new.dat", newData)
+			for round := 0; round < 20; round++ {
+				fd := mustOpen(t, p, "old.dat", abi.ORdOnly)
+				var wg sync.WaitGroup
+				wg.Add(1)
+				reading := make(chan struct{})
+				go func() {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						if i == 1 {
+							close(reading) // one read landed: close under the next
+						}
+						got, err := p.Pread(fd, len(oldData), 0)
+						if err != nil {
+							if i == 0 || !errors.Is(err, abi.EBADF) {
+								t.Errorf("round %d: read %d racing the close: %v, want EBADF after the first", round, i, err)
+							}
+							if i == 0 {
+								close(reading)
+							}
+							return
+						}
+						if !bytes.Equal(got, oldData) {
+							t.Errorf("round %d: read racing the close returned %q, want the old file's bytes", round, got[:min(len(got), 8)])
+							return
+						}
+					}
+				}()
+				<-reading
+				if err := p.Close(fd); err != nil {
+					t.Fatal(err)
+				}
+				nfd := mustOpen(t, p, "new.dat", abi.ORdOnly)
+				wg.Wait()
+				if got := mustPread(t, p, nfd, len(newData), 0); !bytes.Equal(got, newData) {
+					t.Fatalf("round %d: new file reads %q", round, got[:min(len(got), 8)])
+				}
+				if err := p.Close(nfd); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -391,7 +391,7 @@ func TestPipeRedirected(t *testing.T) {
 		t.Fatalf("pipe read = %q, %v", got, err)
 	}
 	// Both ends are remote descriptors.
-	if proc.Task.FD(rfd).Kind != kernel.FDRemote || proc.Task.FD(wfd).Kind != kernel.FDRemote {
+	if lookupFD(proc.Task, rfd).Kind != kernel.FDRemote || lookupFD(proc.Task, wfd).Kind != kernel.FDRemote {
 		t.Fatal("pipe ends not in the CVM")
 	}
 }
@@ -407,7 +407,7 @@ func TestDupOfRemoteFD(t *testing.T) {
 	if !res.Ok() {
 		t.Fatal(res.Err)
 	}
-	if proc.Task.FD(res.FD).Kind != kernel.FDRemote {
+	if lookupFD(proc.Task, res.FD).Kind != kernel.FDRemote {
 		t.Fatal("dup result not remote")
 	}
 	if _, err := proc.Write(res.FD, []byte("via dup")); err != nil {

@@ -547,7 +547,7 @@ func TestSendfileMixedLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Task.FD(sysFD).Kind == kernel.FDRemote {
+	if lookupFD(p.Task, sysFD).Kind == kernel.FDRemote {
 		t.Fatal("system lib fd should be host-local")
 	}
 	d.RegisterRemote("sink:1", func(req []byte) []byte { return nil })

@@ -40,7 +40,7 @@ var forwardArmCases = []forwardArmCase{
 		// A cache flush's shape: two buffered extents of one file written
 		// back in one batch frame.
 		fd := mustOpen(t, p, "batch.dat", abi.ORdWr|abi.OCreat)
-		guestFD := p.Task.FD(fd).GuestFD
+		guestFD := lookupFD(p.Task, fd).GuestFD
 		calls := []*kernel.Args{
 			{Nr: abi.SysPwrite64, FD: guestFD, Buf: []byte("first"), Off: 0},
 			{Nr: abi.SysPwrite64, FD: guestFD, Buf: []byte("second"), Off: 8192},

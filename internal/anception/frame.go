@@ -9,6 +9,7 @@ import (
 	"anception/internal/hypervisor"
 	"anception/internal/kernel"
 	"anception/internal/marshal"
+	"anception/internal/vfs"
 )
 
 // Frame ownership (DESIGN.md §10): every redirected call borrows one
@@ -68,9 +69,7 @@ type callFrame struct {
 	hostCost, fitted time.Duration
 	// batch is the in-flight batch's calls, which the core encodes.
 	batch []*kernel.Args
-	// cred is the submitting task's credentials, read by execBinder;
 	// layer is the frame's owner, set once.
-	cred  abi.Cred
 	layer *Layer
 	// handlers are the guest handlers of the core's arms (f.execArgs,
 	// f.execBatch, ...), each bound once per frame so a round trip
@@ -136,7 +135,7 @@ func (l *Layer) getFrame() *callFrame {
 // from here on, and it pins no app buffer while idle.
 func (l *Layer) putFrame(f *callFrame) {
 	f.args = kernel.Args{}
-	f.st, f.proxy, f.batch, f.cred, f.oneway, f.hostCost, f.fitted = nil, nil, nil, abi.Cred{}, false, 0, 0
+	f.st, f.proxy, f.batch, f.oneway, f.hostCost, f.fitted = nil, nil, nil, false, 0, 0
 	clear(f.resolved)
 	f.resolved = f.resolved[:0]
 	clear(f.results)
@@ -335,14 +334,22 @@ func (f *callFrame) land(arm fwdArm, args *kernel.Args, resp []byte) ([]kernel.R
 // copyOut is the pointer-translation writeback of a checked result, whose
 // Data is a view into the frame. A successful read-like call's bytes land
 // in the caller's buffer — the one host-side copy — and Data becomes that
-// buffer; any other reply bytes are copied out (and a vectored read is
-// scattered from the copy).
+// buffer. A successful stat's kind tag (checkReply held it to vfs's
+// letters) lands the same way when the caller passed a buffer, and
+// otherwise becomes the host's own read-only view of vfs's letter table:
+// a stat reply's Data is never written to or kept by its receiver. Any
+// other reply bytes are copied out (and a vectored read is scattered from
+// the copy).
 func copyOut(args *kernel.Args, res *kernel.Result) {
 	if len(res.Data) == 0 {
 		return
 	}
-	if res.Ok() && isReadLike(args.Nr) && len(args.Iov) == 0 && len(args.Buf) > 0 {
+	if res.Ok() && (isReadLike(args.Nr) || isStat(args.Nr)) && len(args.Iov) == 0 && len(args.Buf) > 0 {
 		res.Data = args.Buf[:copy(args.Buf, res.Data)]
+		return
+	}
+	if res.Ok() && isStat(args.Nr) {
+		res.Data = vfs.LetterView(res.Data[0])
 		return
 	}
 	res.Data = bytes.Clone(res.Data)
@@ -359,7 +366,8 @@ func copyOut(args *kernel.Args, res *kernel.Result) {
 //   - a read-like call's Ret is at most the bytes it asked for and, on
 //     the copy path, equals len(Data); on the grant path (byRef) the
 //     bytes moved through the pinned pages instead;
-//   - a write's Ret is at most its length.
+//   - a write's Ret is at most its length;
+//   - a stat's or fstat's reply bytes are one of vfs's kind letters.
 //
 // The check is host work only: it charges no sim time.
 func checkReply(args *kernel.Args, res *kernel.Result, byRef bool) error {
@@ -388,8 +396,17 @@ func checkReply(args *kernel.Args, res *kernel.Result, byRef bool) error {
 		if res.Ret > n {
 			return fmt.Errorf("%s reply: %d bytes written of %d: %w", args.Nr, res.Ret, n, abi.EIO)
 		}
+	case isStat(args.Nr):
+		if len(res.Data) != 1 || vfs.LetterView(res.Data[0]) == nil {
+			return fmt.Errorf("%s reply: kind tag %q: %w", args.Nr, res.Data, abi.EIO)
+		}
 	}
 	return nil
+}
+
+// isStat reports calls whose reply bytes are a file's one-letter kind tag.
+func isStat(nr abi.SyscallNr) bool {
+	return nr == abi.SysStat || nr == abi.SysFstat
 }
 
 // isWriteLike reports calls whose buffer argument is input-only payload.

@@ -324,10 +324,10 @@ func TestSpeculatedEchoPairAllocs(t *testing.T) {
 
 // TestExplicitChainAllocs: an explicit open→fstat→pread→close chain
 // through Proc.Chain on the fused ring path. The open's path is joined,
-// walked and decoded without a copy; what is left is the returned result
-// vector, the adopted host descriptor, the fstat's reply bytes (made by
-// the guest kernel, copied out of the frame by the host) and the guest
-// kernel's own open (its descriptor and open file).
+// walked and decoded without a copy, both kernels hold the descriptor's
+// entry by value, and the fstat's kind tag is a view of vfs's letter
+// table on both sides; what is left is the returned result vector and
+// the guest kernel's open file.
 func TestExplicitChainAllocs(t *testing.T) {
 	d, p, _, page := pageIOApp(t, Options{RingDepth: 64, FusionEnable: true, CallDeadline: time.Hour})
 	buf := make([]byte, len(page))
@@ -346,7 +346,7 @@ func TestExplicitChainAllocs(t *testing.T) {
 	if chains := d.Layer.Stats().Fusion.Chains - before.Chains; chains != int64(ops) {
 		t.Fatalf("%d fused submissions for %d explicit chains", chains, ops)
 	}
-	allocGate(t, "explicit 4-link chain", allocs, 6)
+	allocGate(t, "explicit 4-link chain", allocs, 2)
 }
 
 // grantAllocConfigs are the grant path's transports: the synchronous

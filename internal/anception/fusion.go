@@ -387,14 +387,14 @@ func (l *Layer) chainFused(st *layerState, t *kernel.Task, calls []ChainCall, pa
 	// guest can resolve the binding. Per-link bookkeeping lives in arrays
 	// sized for the longest chain the codec allows, so it stays on the
 	// stack.
-	var entriesArr [marshal.MaxChainLinks]*kernel.FDEntry
-	var referencedArr [marshal.MaxChainLinks]bool
-	entries, referenced := entriesArr[:n], referencedArr[:n]
+	var entriesArr [marshal.MaxChainLinks]hostFD
+	var namedArr, referencedArr [marshal.MaxChainLinks]bool
+	entries, named, referenced := entriesArr[:n], namedArr[:n], referencedArr[:n]
 	for i := range calls {
 		if from := calls[i].FDFrom; from >= 0 {
 			referenced[from] = true
 		} else if namesFD(calls[i].Args.Nr) {
-			entries[i] = t.FD(calls[i].Args.FD)
+			entries[i], named[i] = lookupFD(t, calls[i].Args.FD), true
 		}
 	}
 
@@ -403,8 +403,8 @@ func (l *Layer) chainFused(st *layerState, t *kernel.Task, calls []ChainCall, pa
 	// before the chain executes there. A failed write-back stays with
 	// its descriptor, whose next fsync or close reports it.
 	if !l.cacheBypassed(st) {
-		for i, e := range entries {
-			l.flushFile(st, e, paths[i])
+		for i, d := range entries {
+			l.flushFile(st, d.key, paths[i])
 		}
 	}
 
@@ -459,7 +459,7 @@ func (l *Layer) chainFused(st *layerState, t *kernel.Task, calls []ChainCall, pa
 						a.FD = int(prev.Ret)
 					}
 				}
-			case entries[oi] != nil:
+			case named[oi]:
 				a.FD = entries[oi].GuestFD
 			}
 			if paths[oi] != "" {
@@ -508,7 +508,7 @@ func (l *Layer) chainFused(st *layerState, t *kernel.Task, calls []ChainCall, pa
 		// attribute/read links with an explicit descriptor qualify, and
 		// only while no earlier pending wire link touches the same
 		// descriptor (its effect has not executed yet).
-		if entries[i] != nil && !referenced[i] && !c.UseCursor && !segTouches(a.FD) &&
+		if named[i] && !referenced[i] && !c.UseCursor && !segTouches(a.FD) &&
 			(a.Nr == abi.SysFstat || a.Nr == abi.SysPread64) && !l.cacheBypassed(st) {
 			if res, handled := l.cachedFDCall(st, t, entries[i], &a); handled {
 				results[i] = res
@@ -523,7 +523,7 @@ func (l *Layer) chainFused(st *layerState, t *kernel.Task, calls []ChainCall, pa
 		// Grant-eligible bulk links peel onto the zero-copy path between
 		// wire segments: at GrantThreshold and above, page flipping beats
 		// copying the payload through the ring.
-		if entries[i] != nil && !referenced[i] && !c.UseCursor && l.grantEligible(&a) {
+		if named[i] && !referenced[i] && !c.UseCursor && l.grantEligible(&a) {
 			if !flushSeg() {
 				results[i] = kernel.Result{Ret: -1, Err: chainErr}
 				continue
@@ -542,51 +542,51 @@ func (l *Layer) chainFused(st *layerState, t *kernel.Task, calls []ChainCall, pa
 	flushSeg()
 
 	// Post-processing, in chain order: adopt descriptors minted on the
-	// wire, retire host bookkeeping for chained closes, write read data
-	// back into caller buffers, and keep the cache's invalidation
-	// bookkeeping coherent for explicit-descriptor links.
-	hostFDFor := make(map[int]int)
+	// wire (through the one check of descriptor-creating replies,
+	// adoptFD), retire host bookkeeping for chained closes, write read
+	// data back into caller buffers, and keep the cache's invalidation
+	// bookkeeping coherent for explicit-descriptor links. adopted[i] is
+	// the descriptor link i minted, while it is open.
+	var adoptedArr [marshal.MaxChainLinks]hostFD
+	var liveArr [marshal.MaxChainLinks]bool
+	adopted, live := adoptedArr[:n], liveArr[:n]
 	for i := range calls {
 		c := &calls[i]
 		res := results[i]
 		if onWire[i] && res.Ok() {
-			if isOpenLike(c.Args.Nr) && raw[i].FD > 0 {
-				p := paths[i]
+			if isOpenLike(c.Args.Nr) {
+				e := kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: raw[i].FD, Path: paths[i]}
 				if c.Args.Nr == abi.SysSocket {
-					p = "sock:"
-				}
-				e := &kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: raw[i].FD, Path: p}
-				if c.Args.Nr != abi.SysSocket {
+					e.Path = "sock:"
+				} else {
 					e.Flags = c.Args.OpenFlags()
-					l.noteRemoteOpen(p, e.Flags)
+					e.Regular = l.guestRegular(t, e.GuestFD)
+					l.noteRemoteOpen(e.Path, e.Flags)
 				}
-				hostFD := t.InstallFD(e)
-				results[i] = kernel.Result{Ret: int64(hostFD), FD: hostFD, Data: raw[i].Data}
-				hostFDFor[i] = hostFD
+				adopted[i], results[i] = l.adoptFD(t, -1, e, raw[i].Data)
+				live[i] = results[i].Ok()
 			}
 			if c.Args.Nr == abi.SysClose {
 				switch {
 				case c.FDFrom >= 0:
-					if hfd, ok := hostFDFor[c.FDFrom]; ok {
-						if e := t.FD(hfd); e != nil {
-							t.CloseFD(hfd)
-							l.forgetFD(e)
-						}
-						delete(hostFDFor, c.FDFrom)
+					if live[c.FDFrom] {
+						t.CloseFD(adopted[c.FDFrom].key.fd)
+						l.forgetFD(adopted[c.FDFrom].key)
+						live[c.FDFrom] = false
 					}
-				case entries[i] != nil:
+				case named[i]:
 					t.CloseFD(c.Args.FD)
-					l.forgetFD(entries[i])
+					l.forgetFD(entries[i].key)
 				}
 			}
 		}
 		if onWire[i] {
-			e := entries[i]
-			if hfd, ok := hostFDFor[c.FDFrom]; ok && e == nil {
-				e = t.FD(hfd) // a descriptor an earlier link opened
-			}
-			if e != nil {
-				l.noteForwardedFDOp(e, c.Args.Nr)
+			switch {
+			case named[i]:
+				l.noteForwardedFDOp(entries[i].key, c.Args.Nr)
+			case c.FDFrom >= 0 && live[c.FDFrom]:
+				// A descriptor an earlier link opened.
+				l.noteForwardedFDOp(adopted[c.FDFrom].key, c.Args.Nr)
 			}
 		}
 		// Read data already landed in the caller's buffers (land,
@@ -595,8 +595,10 @@ func (l *Layer) chainFused(st *layerState, t *kernel.Task, calls []ChainCall, pa
 	}
 	// Descriptors the chain opened and left open bind to their files now,
 	// as a plain open's do.
-	for _, hfd := range hostFDFor {
-		l.bindFD(t, t.FD(hfd), nil)
+	for i := range adopted {
+		if live[i] {
+			l.bindFD(t, adopted[i], nil)
+		}
 	}
 }
 

@@ -75,7 +75,7 @@ func TestChainFusedOpenStatReadClose(t *testing.T) {
 	if results[2].Ret != int64(len(content)) || !bytes.Equal(buf, content) {
 		t.Fatalf("pread Ret=%d buf=%q, want %d bytes %q", results[2].Ret, buf, len(content), content)
 	}
-	if e := p.Task.FD(results[0].FD); e != nil {
+	if _, ok := p.Task.FD(results[0].FD); ok {
 		t.Fatalf("descriptor %d still installed after chained close", results[0].FD)
 	}
 

@@ -180,9 +180,9 @@ func (l *Layer) GrantStats() GrantPathStats {
 //     concurrent cached read overlapping it bypasses the cache;
 //   - after a granted write lands, the file's clean pages are dropped —
 //     the file changed beneath them.
-func (l *Layer) forwardGrantFD(st *layerState, t *kernel.Task, e *kernel.FDEntry, args *kernel.Args) kernel.Result {
+func (l *Layer) forwardGrantFD(st *layerState, t *kernel.Task, d hostFD, args *kernel.Args) kernel.Result {
 	if !l.cacheBypassed(st) {
-		if res, failed := l.flushFDFor(st, t, e); failed {
+		if res, failed := l.flushFDFor(st, t, d.key); failed {
 			return res
 		}
 	}
@@ -190,7 +190,7 @@ func (l *Layer) forwardGrantFD(st *layerState, t *kernel.Task, e *kernel.FDEntry
 	var file *fileCache
 	var liveID int64
 	if writeStyle {
-		file = l.fileOf(e)
+		file = l.fileOf(d.key)
 		off := args.Off
 		if args.Nr == abi.SysWrite || args.Nr == abi.SysWritev ||
 			args.Nr == abi.SysSend || args.Nr == abi.SysSendto {
@@ -199,7 +199,7 @@ func (l *Layer) forwardGrantFD(st *layerState, t *kernel.Task, e *kernel.FDEntry
 		liveID = l.grants.registerWrite(file, off, bufLen(args))
 	}
 	fwd := *args
-	fwd.FD = e.GuestFD
+	fwd.FD = d.GuestFD
 	res := l.forward(st, t, armGrant, &fwd)
 	if writeStyle {
 		l.grants.unregister(liveID)

@@ -193,7 +193,7 @@ func TestGrantCacheBypassesLiveWriteExtent(t *testing.T) {
 		t.Fatalf("bypasses before any live extent: %+v", st)
 	}
 
-	file := d.Layer.fileOf(p.Task.FD(fd))
+	file := d.Layer.fileOf(lookupFD(p.Task, fd).key)
 	id := d.Layer.grants.registerWrite(file, 256, 1024) // live extent [256,1280)
 
 	// Overlapping cached read must route around the cache — and still
@@ -247,7 +247,7 @@ func TestGrantCoherenceAcrossLinks(t *testing.T) {
 	r := mustOpen(t, p, "alias.dat", abi.ORdOnly)
 	mustPread(t, p, r, 512, 0)
 
-	id := d.Layer.grants.registerWrite(d.Layer.fileOf(p.Task.FD(w)), 0, 1024)
+	id := d.Layer.grants.registerWrite(d.Layer.fileOf(lookupFD(p.Task, w).key), 0, 1024)
 	defer d.Layer.grants.unregister(id)
 	mustPread(t, p, r, 512, 0)
 	if st := d.GrantStats(); st.CacheBypasses != 1 {

@@ -39,7 +39,10 @@ func wantEIO(t *testing.T, what string, err error) {
 // result longer than its chain. After each, the app's next honest call
 // works. The binder seeds run the same rejected replies through the
 // Paper bridge, its sessions and Fast, each with the reply cache on: a
-// forged reply to a cacheable transaction is stored nowhere.
+// forged reply to a cacheable transaction is stored nowhere. Open and dup
+// replies that mint a guest fd of 0 or below, or one the app already
+// maps, install nothing, and a stat's kind tag must be one of vfs's
+// letters.
 func TestHostileReplySeedCorpus(t *testing.T) {
 	for _, prof := range []struct {
 		name string
@@ -150,6 +153,40 @@ func TestHostileReplySeedCorpus(t *testing.T) {
 				}
 			}
 			honest("over-long chain result")
+
+			// Descriptor-creating replies that name no new guest
+			// descriptor: a guest fd of 0 or below, or the one the app's
+			// victim descriptor already maps. On open and on dup each
+			// fails EIO and installs nothing.
+			mapped := lookupFD(p.Task, fd).GuestFD
+			for _, forged := range []kernel.Result{{FD: 0}, {FD: -3}, {Ret: int64(mapped), FD: mapped}} {
+				for _, c := range []struct {
+					name string
+					call func() error
+				}{
+					{"open", func() error { _, err := p.Open("victim.dat", abi.ORdOnly, 0); return err }},
+					{"dup", func() error { return p.Syscall(kernel.Args{Nr: abi.SysDup, FD: fd}).Err }},
+				} {
+					before := len(p.Task.FDs())
+					restore = forgeReplies(d, marshal.AppendResult(nil, forged))
+					err := c.call()
+					restore()
+					wantEIO(t, fmt.Sprintf("%s minting guest fd %d", c.name, forged.FD), err)
+					if after := len(p.Task.FDs()); after != before {
+						t.Errorf("%s minting guest fd %d: %d descriptors installed", c.name, forged.FD, after-before)
+					}
+				}
+			}
+			honest("forged descriptor replies")
+
+			// A stat whose kind tag is not one of vfs's letters.
+			for _, tag := range []string{"x", "--", ""} {
+				restore = forgeReplies(d, marshal.AppendResult(nil, kernel.Result{Ret: 5, Data: []byte(tag)}))
+				_, err := p.Stat("victim.dat")
+				restore()
+				wantEIO(t, fmt.Sprintf("stat with kind tag %q", tag), err)
+			}
+			honest("forged stat replies")
 		})
 	}
 }

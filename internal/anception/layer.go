@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"anception/internal/abi"
+	"anception/internal/android"
 	"anception/internal/binder"
 	"anception/internal/hypervisor"
 	"anception/internal/kernel"
@@ -39,6 +40,10 @@ type Layer struct {
 	// binder is the binder bridge fast path (DESIGN.md §12); nil unless
 	// Options.BinderSessions or BinderReplyCache is set.
 	binder *binderFastPath
+	// containerServices is the host's set of the binder services that
+	// live in the container (android.ContainerServices), fixed at boot
+	// (tests widen it through Layer.declareContainerService).
+	containerServices map[string]bool
 	// policy counts the fixed dispatch decisions (DESIGN.md §15).
 	policy dispatchPolicy
 	// fusion is the syscall-fusion layer (DESIGN.md §17): linked ring
@@ -131,11 +136,34 @@ type layerCounters struct {
 }
 
 type mmapBinding struct {
-	entry *kernel.FDEntry
+	guestFD int
 	// file is the cached file the descriptor was bound to when mapped;
 	// msync drops its pages even after the descriptor is closed.
 	file  *fileCache
 	pages int
+}
+
+// fdKey names one host descriptor: the pid of the task holding it and its
+// number there. Both kernels number pids and descriptors monotonically,
+// so a key names one descriptor for good; only dup2, which names its
+// target number as on Linux, rebinds one (DESIGN.md §7).
+type fdKey struct{ pid, fd int }
+
+// hostFD is a host descriptor as one call sees it: its key and a copy of
+// its entry, read once. A copy held across a close names a descriptor
+// that is gone: the cache has no binding under its key, and the
+// container never reuses the guest fd it names, so a call through it
+// fails EBADF there. A descriptor closed before the read copies the zero
+// entry, whose guest fd 0 the container never hands out either.
+type hostFD struct {
+	key fdKey
+	kernel.FDEntry
+}
+
+// lookupFD reads descriptor fd of t's table.
+func lookupFD(t *kernel.Task, fd int) hostFD {
+	e, _ := t.FD(fd)
+	return hostFD{fdKey{t.PID, fd}, e}
 }
 
 // LayerStats counts routing outcomes and recovery events. It is a plain
@@ -298,6 +326,10 @@ func NewLayer(cfg LayerConfig) (*Layer, error) {
 	}
 	if cfg.FusionEnable {
 		l.fusion = newLayerFusion()
+	}
+	l.containerServices = make(map[string]bool)
+	for _, name := range android.ContainerServices() {
+		l.containerServices[name] = true
 	}
 	// Every fast path enrolls in the epoch protocol unconditionally —
 	// a participant whose path is off no-ops, but the pinned order is
@@ -670,35 +702,37 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 	case abi.SysOpen, abi.SysOpenat, abi.SysCreat:
 		fwd := *args
 		fwd.Path = p
-		res := l.forwardWithFDResult(t, &fwd)
-		if res.Ok() {
-			flags := args.OpenFlags()
-			l.noteRemoteOpen(p, flags)
-			if e := t.FD(res.FD); e != nil && e.Kind == kernel.FDRemote {
-				e.Flags = flags
-				l.bindFD(t, e, nil)
-			}
+		res := l.forward(l.currentState(), t, armArgs, &fwd)
+		if !res.Ok() {
+			return res
 		}
+		flags := args.OpenFlags()
+		l.noteRemoteOpen(p, flags)
+		d, res := l.adoptFD(t, -1, kernel.FDEntry{
+			Kind: kernel.FDRemote, GuestFD: res.FD, Path: p, Flags: flags,
+			Regular: l.guestRegular(t, res.FD),
+		}, res.Data)
+		l.bindFD(t, d, nil)
 		return res
 
 	case abi.SysIoctl:
 		fwd := *args
-		fwd.FD = t.FD(args.FD).GuestFD
+		fwd.FD = lookupFD(t, args.FD).GuestFD
 		return l.forward(l.currentState(), t, armArgs, &fwd)
 
 	case abi.SysClose:
-		e := t.FD(args.FD)
+		d := lookupFD(t, args.FD)
 		st := l.currentState()
 		var flushRes kernel.Result
 		var flushFailed bool
 		if !l.cacheBypassed(st) {
-			flushRes, flushFailed = l.flushFDFor(st, t, e)
+			flushRes, flushFailed = l.flushFDFor(st, t, d.key)
 		}
 		fwd := *args
-		fwd.FD = e.GuestFD
+		fwd.FD = d.GuestFD
 		res := l.forward(st, t, armArgs, &fwd)
 		t.CloseFD(args.FD)
-		l.forgetFD(e)
+		l.forgetFD(d.key)
 		if flushFailed {
 			// close reports the deferred write-back error, like a kernel
 			// flushing dirty pages at last close.
@@ -707,34 +741,42 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 		return res
 
 	case abi.SysDup, abi.SysDup2:
-		e := t.FD(args.FD)
+		src := lookupFD(t, args.FD)
 		st := l.currentState()
+		at := -1
+		if args.Nr == abi.SysDup2 {
+			at = args.FD2
+		}
 		if !l.cacheBypassed(st) {
 			// The duplicate shares the guest-side file; write back any
-			// buffered data so both views start coherent.
-			if res, failed := l.flushFDFor(st, t, e); failed {
+			// buffered data so both views start coherent. A dup2 target
+			// that is open is replaced: what it buffered goes back first.
+			if res, failed := l.flushFDFor(st, t, src.key); failed {
 				return res
+			}
+			if at >= 0 && at != args.FD {
+				if res, failed := l.flushFDFor(st, t, fdKey{t.PID, at}); failed {
+					return res
+				}
 			}
 		}
 		fwd := *args
 		fwd.Nr = abi.SysDup
-		fwd.FD = e.GuestFD
+		fwd.FD = src.GuestFD
 		res := l.forward(st, t, armArgs, &fwd)
 		if !res.Ok() {
 			return res
 		}
-		entry := &kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: res.FD, Path: e.Path, Flags: e.Flags}
-		l.bindFD(t, entry, e)
-		if args.Nr == abi.SysDup2 {
-			t.InstallFDAt(args.FD2, entry)
-			return kernel.Result{Ret: int64(args.FD2), FD: args.FD2}
-		}
-		hostFD := t.InstallFD(entry)
-		return kernel.Result{Ret: int64(hostFD), FD: hostFD}
+		d, res := l.adoptFD(t, at, kernel.FDEntry{
+			Kind: kernel.FDRemote, GuestFD: res.FD, Path: src.Path, Flags: src.Flags,
+			Regular: src.Regular,
+		}, nil)
+		l.bindFD(t, d, &src.key)
+		return res
 
 	case abi.SysAccept:
 		fwd := *args
-		fwd.FD = t.FD(args.FD).GuestFD
+		fwd.FD = lookupFD(t, args.FD).GuestFD
 		fwd.Path = "sock:accepted"
 		return l.forwardWithFDResult(t, &fwd)
 
@@ -765,9 +807,16 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 		if !res.Ok() {
 			return res
 		}
-		readFD := t.InstallFD(&kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: int(res.Ret), Path: "pipe:r"})
-		writeFD := t.InstallFD(&kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: res.FD, Path: "pipe:w"})
-		return kernel.Result{Ret: int64(readFD), FD: writeFD}
+		r, rres := l.adoptFD(t, -1, kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: int(res.Ret), Path: "pipe:r"}, nil)
+		if !rres.Ok() {
+			return rres
+		}
+		w, wres := l.adoptFD(t, -1, kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: res.FD, Path: "pipe:w"}, nil)
+		if !wres.Ok() {
+			t.CloseFD(r.key.fd)
+			return wres
+		}
+		return kernel.Result{Ret: int64(r.key.fd), FD: w.key.fd}
 
 	case abi.SysStat, abi.SysAccess, abi.SysMkdir, abi.SysMkdirat,
 		abi.SysRmdir, abi.SysUnlink, abi.SysReadlink, abi.SysChmod,
@@ -810,30 +859,30 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 		return l.forward(l.currentState(), t, armArgs, args)
 	}
 	// A plain descriptor call: I/O, attributes, socket ops.
-	e := t.FD(args.FD)
+	d := lookupFD(t, args.FD)
 	st := l.currentState()
 	// Zero-copy cutover: bulk calls ship grants instead of copies.
 	if l.grantEligible(args) {
-		return l.forwardGrantFD(st, t, e, args)
+		return l.forwardGrantFD(st, t, d, args)
 	}
 	// Socket ops take the network fast path: compact sockop frames over
 	// the ring, with the Submitted=Completed+Failed identity.
 	if isSockCall(args.Nr) {
 		fwd := *args
-		fwd.FD = e.GuestFD
+		fwd.FD = d.GuestFD
 		res := l.forward(st, t, armSock, &fwd)
 		writeBackOther(args, res)
 		return res
 	}
 	if !l.cacheBypassed(st) {
-		if res, handled := l.cachedFDCall(st, t, e, args); handled {
+		if res, handled := l.cachedFDCall(st, t, d, args); handled {
 			return res
 		}
 	}
 	fwd := *args
-	fwd.FD = e.GuestFD
+	fwd.FD = d.GuestFD
 	res := l.forward(st, t, armArgs, &fwd)
-	l.noteForwardedFDOp(e, args.Nr)
+	l.noteForwardedFDOp(d.key, args.Nr)
 	writeBackOther(args, res)
 	return res
 }
@@ -842,8 +891,8 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 // UI transactions pass through to the host, and binder transactions to
 // CVM-resident services are bridged.
 func (l *Layer) handleHostIoctl(t *kernel.Task, args *kernel.Args) (kernel.Result, bool) {
-	e := t.FD(args.FD)
-	binderFD := e != nil && e.Kind == kernel.FDFile && e.File.IsDevice() && e.File.Device().DevName() == "binder"
+	e, ok := t.FD(args.FD)
+	binderFD := ok && e.Kind == kernel.FDFile && e.File.IsDevice() && e.File.Device().DevName() == "binder"
 	if binderFD && args.Request == binder.IocWaitInputEvent {
 		// Listing 1's IOC_WAIT_INPUT_EVT: always a UI operation.
 		l.counters.uiPassthrough.Add(1)
@@ -866,14 +915,18 @@ func (l *Layer) handleHostIoctl(t *kernel.Task, args *kernel.Args) (kernel.Resul
 			l.counters.uiPassthrough.Add(1)
 			return kernel.Result{}, false // native-speed UI path
 		}
-		// Not a host UI service: if the target lives in the CVM, bridge
-		// the transaction across the boundary (the +19 ms path, or the
-		// session fast path when enabled).
-		st := l.currentState()
-		if g := st.guest; g.Panicked() == "" && g.Binder().Lookup(txn.Service) != nil {
-			return l.bridgeBinder(st, t, f, txn), true
+		// Not a host UI service: if the target is one of the container's
+		// services, bridge the transaction across the boundary (the
+		// +19 ms path, or the session fast path when enabled). The host
+		// routes by its own list, never by asking the container, so a
+		// call during an outage fails in the forward core (EAGAIN at the
+		// gate, EHOSTDOWN at enrollment or on the channel) like every
+		// other crossing.
+		if l.containerServices[txn.Service] {
+			return l.bridgeBinder(l.currentState(), t, f, txn), true
 		}
-		// Unknown service: let the host driver report the dead ref.
+		// An app's own service, or an unknown one: the host driver
+		// serves it or reports the dead ref.
 		return kernel.Result{}, false
 	}
 	l.counters.hostExecuted.Add(1)
@@ -888,17 +941,16 @@ const sendfileBounceLimit = 16 * marshal.DefaultChunkSize
 // handleSendfile forwards sendfile when both descriptors live in the CVM;
 // the common exploit shape (socket + data file) always does.
 func (l *Layer) handleSendfile(t *kernel.Task, args *kernel.Args) kernel.Result {
-	out := t.FD(args.FD)
-	in := t.FD(args.FD2)
-	if out == nil || in == nil {
+	out, in := lookupFD(t, args.FD), lookupFD(t, args.FD2)
+	if out.Kind == 0 || in.Kind == 0 {
 		return kernel.Result{Ret: -1, Err: abi.EBADF}
 	}
 	st := l.currentState()
 	if !l.cacheBypassed(st) {
 		// The guest reads in and writes out directly: the cache writes
 		// back what it buffered for either file first.
-		for _, e := range [2]*kernel.FDEntry{in, out} {
-			if res, failed := l.flushFDFor(st, t, e); failed {
+		for _, k := range [2]fdKey{in.key, out.key} {
+			if res, failed := l.flushFDFor(st, t, k); failed {
 				return res
 			}
 		}
@@ -909,7 +961,7 @@ func (l *Layer) handleSendfile(t *kernel.Task, args *kernel.Args) kernel.Result 
 		fwd.FD2 = in.GuestFD
 		res := l.forward(st, t, armArgs, &fwd)
 		if res.Ok() {
-			l.noteFileWrite(l.fileOf(out))
+			l.noteFileWrite(l.fileOf(out.key))
 		}
 		return res
 	}
@@ -959,7 +1011,7 @@ func (l *Layer) handleSendfile(t *kernel.Task, args *kernel.Args) kernel.Result 
 		writeRes := l.sendfileLeg(st, t, out, writeArgs)
 		if writeRes.Ok() && out.Kind == kernel.FDRemote && writeArgs.Nr == abi.SysWrite {
 			// The write went around the redirection cache.
-			l.noteFileWrite(l.fileOf(out))
+			l.noteFileWrite(l.fileOf(out.key))
 		}
 		if !writeRes.Ok() {
 			if total > 0 {
@@ -978,30 +1030,49 @@ func (l *Layer) handleSendfile(t *kernel.Task, args *kernel.Args) kernel.Result 
 
 // sendfileLeg runs one leg of a mixed-locality sendfile where its
 // descriptor lives; a remote leg at GrantThreshold rides the grant path.
-func (l *Layer) sendfileLeg(st *layerState, t *kernel.Task, e *kernel.FDEntry, a kernel.Args) kernel.Result {
-	if e.Kind != kernel.FDRemote {
+func (l *Layer) sendfileLeg(st *layerState, t *kernel.Task, d hostFD, a kernel.Args) kernel.Result {
+	if d.Kind != kernel.FDRemote {
 		return l.host.InvokeLocal(t, a)
 	}
-	a.FD = e.GuestFD
+	a.FD = d.GuestFD
 	if l.grantEligible(&a) {
 		return l.forward(st, t, armGrant, &a)
 	}
 	return l.forward(st, t, armArgs, &a)
 }
 
-// forwardWithFDResult forwards a descriptor-creating call and installs a
-// remote-descriptor entry in the host task for the returned guest fd.
+// forwardWithFDResult forwards a descriptor-creating call and adopts the
+// returned guest fd as a remote entry of the host task.
 func (l *Layer) forwardWithFDResult(t *kernel.Task, args *kernel.Args) kernel.Result {
 	res := l.forward(l.currentState(), t, armArgs, args)
-	if !res.Ok() || res.FD <= 0 {
+	if !res.Ok() {
 		return res
 	}
-	hostFD := t.InstallFD(&kernel.FDEntry{
-		Kind:    kernel.FDRemote,
-		GuestFD: res.FD,
-		Path:    args.Path,
-	})
-	return kernel.Result{Ret: int64(hostFD), FD: hostFD, Data: res.Data}
+	_, res = l.adoptFD(t, -1, kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: res.FD, Path: args.Path}, res.Data)
+	return res
+}
+
+// errForgedFD fails a descriptor-creating reply that names no new guest
+// descriptor.
+var errForgedFD = fmt.Errorf("reply names no new guest descriptor: %w", abi.EIO)
+
+// adoptFD is the one check of every descriptor-creating reply (open, dup,
+// pipe, socket, accept, a fused chain's opens): it installs e, the entry
+// of the guest descriptor the reply minted, in t's table, at the next
+// free descriptor or at at >= 0 (dup2), and returns it with the result
+// the app sees: the host descriptor, carrying data, the reply's bytes.
+// The container is untrusted: a reply whose guest fd is not positive, or
+// is one the task already maps, is forged, and fails EIO with nothing
+// installed.
+func (l *Layer) adoptFD(t *kernel.Task, at int, e kernel.FDEntry, data []byte) (hostFD, kernel.Result) {
+	fd, ok := t.InstallRemoteFD(at, e)
+	if !ok {
+		if l.trace != nil {
+			l.trace.Record(sim.EvSecurity, "anception rejected a reply minting guest fd %d for pid=%d", e.GuestFD, t.PID)
+		}
+		return hostFD{}, kernel.Result{Ret: -1, Err: errForgedFD}
+	}
+	return hostFD{fdKey{t.PID, fd}, e}, kernel.Result{Ret: int64(fd), FD: fd, Data: data}
 }
 
 // isReadLike reports calls whose buffer argument is output-only.

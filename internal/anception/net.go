@@ -74,22 +74,29 @@ func netBatchLimit(want int) int {
 func (l *Layer) handleAccept4(t *kernel.Task, args *kernel.Args) kernel.Result {
 	st := l.currentState()
 	fwd := *args
-	fwd.FD = t.FD(args.FD).GuestFD
+	fwd.FD = lookupFD(t, args.FD).GuestFD
 	fwd.Size = netBatchLimit(args.Size)
 	res := l.forward(st, t, armSock, &fwd)
 	if !res.Ok() {
 		return res
 	}
-	// The landed list is the layer's own copy: install each accepted
-	// guest descriptor and write its host descriptor over it.
+	// The landed list is the layer's own copy: adopt each accepted guest
+	// descriptor and write its host descriptor over it. A forged one
+	// fails the whole batch, and the batch's adopted descriptors go.
 	list := res.Data
 	if len(list)%4 != 0 {
 		return kernel.Result{Ret: -1, Err: abi.EINVAL}
 	}
 	n := len(list) / 4
 	for i := range n {
-		hfd := t.InstallFD(&kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: abi.FDAt(list, i), Path: "sock:accepted"})
-		abi.PutFD(list, i, hfd)
+		d, ares := l.adoptFD(t, -1, kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: abi.FDAt(list, i), Path: "sock:accepted"}, nil)
+		if !ares.Ok() {
+			for j := range i {
+				t.CloseFD(abi.FDAt(list, j))
+			}
+			return ares
+		}
+		abi.PutFD(list, i, d.key.fd)
 	}
 	l.counters.sockBatches.Add(1)
 	l.counters.sockBatchedFDs.Add(int64(n))
@@ -101,7 +108,7 @@ func (l *Layer) handleAccept4(t *kernel.Task, args *kernel.Args) kernel.Result {
 func (l *Layer) handleEpollWait(t *kernel.Task, args *kernel.Args) kernel.Result {
 	st := l.currentState()
 	fwd := *args
-	fwd.FD = t.FD(args.FD).GuestFD
+	fwd.FD = lookupFD(t, args.FD).GuestFD
 	fwd.Size = netBatchLimit(args.Size)
 	res := l.forward(st, t, armSock, &fwd)
 	if !res.Ok() || len(res.Data) == 0 {
@@ -122,12 +129,12 @@ func (l *Layer) handleEpollWait(t *kernel.Task, args *kernel.Args) kernel.Result
 // handleEpollCtl translates both descriptors (the epoll instance and the
 // watched socket) to their guest numbers before forwarding.
 func (l *Layer) handleEpollCtl(t *kernel.Task, args *kernel.Args) kernel.Result {
-	target := t.FD(args.FD2)
-	if target == nil || target.Kind != kernel.FDRemote {
+	target, ok := t.FD(args.FD2)
+	if !ok || target.Kind != kernel.FDRemote {
 		return kernel.Result{Ret: -1, Err: abi.EBADF}
 	}
 	fwd := *args
-	fwd.FD = t.FD(args.FD).GuestFD
+	fwd.FD = lookupFD(t, args.FD).GuestFD
 	fwd.FD2 = target.GuestFD
 	return l.forward(l.currentState(), t, armSock, &fwd)
 }

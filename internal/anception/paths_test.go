@@ -3,6 +3,7 @@ package anception
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"anception/internal/abi"
 )
@@ -41,34 +42,51 @@ func TestEmptyPathIsENOENT(t *testing.T) {
 	})
 }
 
-// TestRelativeStatAllocs: a stat of a relative path on the Paper profile.
-// The join onto the working directory, the component walk and the
-// guest's decode of the path allocate nothing once the path repeats; what
-// is left is the stat's reply bytes, made by the guest kernel and copied
-// out of the frame by the host.
+// TestRelativeStatAllocs: a stat of a relative path on the Paper and Fast
+// profiles. The join onto the working directory, the component walk and
+// the guest's decode of the path allocate nothing once the path repeats,
+// and the reply's kind tag is a view of vfs's letter table in the guest
+// kernel, on the host and in Fast's attribute cache: nothing is left.
 func TestRelativeStatAllocs(t *testing.T) {
-	_, p, _, page := pageIOApp(t, Options{})
-	op := func() {
-		if n, err := p.Stat("frames.dat"); err != nil || n != int64(len(page)) {
-			t.Fatalf("stat: n=%d err=%v", n, err)
+	for _, prof := range allocProfiles {
+		_, p, _, page := pageIOApp(t, prof.opts)
+		op := func() {
+			if n, err := p.Stat("frames.dat"); err != nil || n != int64(len(page)) {
+				t.Fatalf("stat: n=%d err=%v", n, err)
+			}
 		}
+		allocGate(t, prof.name+" relative stat", steadyAllocs(op), 0)
 	}
-	allocGate(t, "relative stat", steadyAllocs(op), 2)
 }
 
-// TestOpenCloseAllocs: an open and close of a relative path on the Paper
-// profile allocates only what the open returns: the host's and the
-// proxy's descriptor entries and the guest's open file.
+// TestOpenCloseAllocs: an open and close of a relative path. Both kernels
+// hold descriptor entries by value, so on Paper what is left is the
+// guest's open file description (vfs.File), shared by dup and fork and
+// so a pointer; on Fast the redirection cache's per-descriptor state
+// (fdCache) is the second.
 func TestOpenCloseAllocs(t *testing.T) {
-	_, p, _, _ := pageIOApp(t, Options{})
-	op := func() {
-		fd, err := p.Open("frames.dat", abi.ORdWr, 0)
-		if err != nil {
-			t.Fatalf("open: %v", err)
+	for _, prof := range allocProfiles {
+		_, p, _, _ := pageIOApp(t, prof.opts)
+		op := func() {
+			fd, err := p.Open("frames.dat", abi.ORdWr, 0)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			if err := p.Close(fd); err != nil {
+				t.Fatalf("close: %v", err)
+			}
 		}
-		if err := p.Close(fd); err != nil {
-			t.Fatalf("close: %v", err)
-		}
+		allocGate(t, prof.name+" open+close", steadyAllocs(op), prof.openClose)
 	}
-	allocGate(t, "open+close", steadyAllocs(op), 3)
+}
+
+// allocProfiles are the path-call gates' profiles, with the open+close
+// ceiling of each.
+var allocProfiles = []struct {
+	name      string
+	opts      Options
+	openClose float64
+}{
+	{"paper", Options{}, 1},
+	{"fast", Options{AutoTune: true, CallDeadline: time.Hour}, 2},
 }

@@ -253,7 +253,7 @@ func TestRecycledPageShowsOnlyNewBytes(t *testing.T) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cp := c.fds[b.Task.FD(fb)].file.pages[0]
+	cp := c.fds[lookupFD(b.Task, fb).key].file.pages[0]
 	switch {
 	case cp == nil:
 		t.Fatal("app B's read cached no page")
@@ -521,7 +521,7 @@ func TestRecycledBinderArgShowsOnlyNewBytes(t *testing.T) {
 				seen = bytes.Clone(data[:cap(data)])
 				return []byte("ok"), nil
 			}
-			if err := d.Guest.Binder().Register("probe", false, probe); err != nil {
+			if err := registerContainerService(d, "probe", probe); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.Host.Binder().Register("probe-ui", true, probe); err != nil {
@@ -566,7 +566,7 @@ func TestRecycledBinderReplyMatchesItsPayload(t *testing.T) {
 		t.Run(br.name, func(t *testing.T) {
 			d, p1, fd1 := bootBinderDevice(t, br.opts)
 			echo := func(_ abi.Cred, _ uint32, data []byte) ([]byte, error) { return bytes.Clone(data), nil }
-			if err := d.Guest.Binder().Register("echo", false, echo); err != nil {
+			if err := registerContainerService(d, "echo", echo); err != nil {
 				t.Fatal(err)
 			}
 			d.Layer.declareCacheable("echo", echoCode)

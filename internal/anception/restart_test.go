@@ -253,3 +253,51 @@ func TestConcurrentRestartUnderLoad(t *testing.T) {
 		t.Fatalf("Restarts = %d, want 5", got)
 	}
 }
+
+// TestRestartNumbersPastStaleDescriptors: an app keeps a descriptor open
+// across a container restart. The new container's proxies, the app's and
+// a child it forks afterwards, number their descriptors past every guest
+// fd the app still maps, so the stale descriptor never reads a file
+// opened after the restart, and fresh opens are not mistaken for forged
+// replies. On Paper and Fast.
+func TestRestartNumbersPastStaleDescriptors(t *testing.T) {
+	for _, prof := range chainProfiles {
+		t.Run(prof.name, func(t *testing.T) {
+			d, p := admitApp(t, prof.opts)
+			seedGuestFile(t, p, "old.dat", []byte("old bytes"))
+			seedGuestFile(t, p, "new.dat", []byte("new bytes"))
+			stale := mustOpen(t, p, "old.dat", abi.ORdOnly)
+			if err := d.RestartCVM(); err != nil {
+				t.Fatal(err)
+			}
+			// A path call enrolls the app's new proxy; a child forked now
+			// inherits the stale entry and forks that proxy.
+			if _, err := p.Stat("new.dat"); err != nil {
+				t.Fatal(err)
+			}
+			child, err := p.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, app := range []struct {
+				name string
+				p    *Proc
+			}{{"child", child}, {"parent", p}} {
+				// Enough opens to reach the stale descriptor's guest fd,
+				// were the new proxies to number from the bottom again.
+				for range 4 {
+					fd, err := app.p.Open("new.dat", abi.ORdOnly, 0)
+					if err != nil {
+						t.Fatalf("%s: open after the restart: %v", app.name, err)
+					}
+					if got := mustPread(t, app.p, fd, 16, 0); string(got) != "new bytes" {
+						t.Fatalf("%s: new file reads %q", app.name, got)
+					}
+				}
+				if got, err := app.p.Pread(stale, 16, 0); err == nil {
+					t.Fatalf("%s: descriptor from before the restart read %q", app.name, got)
+				}
+			}
+		})
+	}
+}

@@ -169,7 +169,7 @@ func (l *Layer) handleMmap(t *kernel.Task, args *kernel.Args) kernel.Result {
 	if args.FD <= 0 || l.admit(t, &pull, false).Route != redirect.RouteGuest {
 		return l.host.InvokeLocal(t, *args)
 	}
-	e := t.FD(args.FD)
+	d := lookupFD(t, args.FD)
 
 	pages := args.Pages
 	if pages <= 0 {
@@ -180,16 +180,16 @@ func (l *Layer) handleMmap(t *kernel.Task, args *kernel.Args) kernel.Result {
 	// read goes around the redirection cache, so what it buffered for
 	// the file is written back first.
 	if st := l.currentState(); !l.cacheBypassed(st) {
-		if res, failed := l.flushFDFor(st, t, e); failed {
+		if res, failed := l.flushFDFor(st, t, d.key); failed {
 			return res
 		}
 	}
-	pull.FD, pull.Buf = e.GuestFD, make([]byte, pages*abi.PageSize)
+	pull.FD, pull.Buf = d.GuestFD, make([]byte, pages*abi.PageSize)
 	readRes := l.forward(l.currentState(), t, armArgs, &pull)
 	if !readRes.Ok() {
 		return readRes
 	}
-	base, err := t.AS.MapAnon(pages, args.Prot, kernel.VMAFile, e.Path)
+	base, err := t.AS.MapAnon(pages, args.Prot, kernel.VMAFile, d.Path)
 	if err != nil {
 		return kernel.Result{Ret: -1, Err: err}
 	}
@@ -201,7 +201,7 @@ func (l *Layer) handleMmap(t *kernel.Task, args *kernel.Args) kernel.Result {
 	// Efficient page remapping instead of per-fault round trips.
 	l.clock.Charge(t.Lane, timesPages(pages, l.model.PageRemap))
 
-	binding := mmapBinding{entry: e, file: l.fileOf(e), pages: pages}
+	binding := mmapBinding{guestFD: d.GuestFD, file: l.fileOf(d.key), pages: pages}
 	l.mu.Lock()
 	if l.mmapBindings[t.PID] == nil {
 		l.mmapBindings[t.PID] = make(map[uint64]mmapBinding)
@@ -224,7 +224,7 @@ func (l *Layer) handleMsync(t *kernel.Task, args *kernel.Args) kernel.Result {
 	if err != nil {
 		return kernel.Result{Ret: -1, Err: err}
 	}
-	res := l.forward(l.currentState(), t, armArgs, &kernel.Args{Nr: abi.SysPwrite64, FD: binding.entry.GuestFD, Buf: data, Off: 0})
+	res := l.forward(l.currentState(), t, armArgs, &kernel.Args{Nr: abi.SysPwrite64, FD: binding.guestFD, Buf: data, Off: 0})
 	// The write-back went around the redirection cache: the pages cached
 	// for this file are stale now.
 	l.noteFileWrite(binding.file)

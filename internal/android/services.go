@@ -44,6 +44,15 @@ func CallerIndependent() []BinderCode {
 	return []BinderCode{{"location", CodeGetLocation}, {"package", CodeQuery}}
 }
 
+// ContainerServices lists the binder services of the delegable side:
+// under Anception they run in the container. Like CallerIndependent it is
+// part of the trusted image definition, so the host routes an app's
+// transaction by it and never by asking a container which services it
+// has.
+func ContainerServices() []string {
+	return []string{"location", "package", "media", "keystore", "drm"}
+}
+
 // constReply is a service that answers every transaction with reply. A
 // binder reply is read-only to whoever receives it, so every caller gets
 // the same bytes.

@@ -47,13 +47,13 @@ func (ep *Epoll) del(fd int) {
 }
 
 func (k *Kernel) sysEpollCreate(t *Task, args Args) Result {
-	fd := t.InstallFD(&FDEntry{Kind: FDEpoll, Epoll: &Epoll{}, Path: "anon_inode:[eventpoll]"})
+	fd := t.InstallFD(FDEntry{Kind: FDEpoll, Epoll: &Epoll{}, Path: "anon_inode:[eventpoll]"})
 	return Result{Ret: int64(fd), FD: fd}
 }
 
 func (k *Kernel) epollFD(t *Task, fd int) (*Epoll, error) {
-	e := t.FD(fd)
-	if e == nil {
+	e, ok := t.FD(fd)
+	if !ok {
 		return nil, abi.EBADF
 	}
 	if e.Kind != FDEpoll {
@@ -67,7 +67,7 @@ func (k *Kernel) sysEpollCtl(t *Task, args Args) Result {
 	if err != nil {
 		return k.errResult(err)
 	}
-	if t.FD(args.FD2) == nil {
+	if _, ok := t.FD(args.FD2); !ok {
 		return k.errResult(abi.EBADF)
 	}
 	switch int(args.Flags) {
@@ -103,8 +103,8 @@ func (k *Kernel) sysEpollWait(t *Task, args Args) Result {
 			kept = append(kept, ep.watched[i:]...)
 			break
 		}
-		e := t.FD(fd)
-		if e == nil {
+		e, ok := t.FD(fd)
+		if !ok {
 			continue
 		}
 		kept = append(kept, fd)

@@ -570,10 +570,10 @@ func itoa(n int) string {
 // name resolves to the lowest host fd.
 func TestHostFDsOf(t *testing.T) {
 	task := newTask(10, 1, abi.Cred{UID: abi.UIDAppBase}, "app")
-	a := task.InstallFD(&FDEntry{Kind: FDRemote, GuestFD: 7})
-	b := task.InstallFD(&FDEntry{Kind: FDRemote, GuestFD: 9})
-	task.InstallFD(&FDEntry{Kind: FDFile, GuestFD: 11}) // not remote
-	dup := task.InstallFD(&FDEntry{Kind: FDRemote, GuestFD: 7})
+	a := task.InstallFD(FDEntry{Kind: FDRemote, GuestFD: 7})
+	b := task.InstallFD(FDEntry{Kind: FDRemote, GuestFD: 9})
+	task.InstallFD(FDEntry{Kind: FDFile, GuestFD: 11}) // not remote
+	dup := task.InstallFD(FDEntry{Kind: FDRemote, GuestFD: 7})
 	var list []byte
 	for _, g := range []int{9, 11, 7, 42} {
 		list = abi.AppendFD(list, g)
@@ -592,6 +592,42 @@ func TestHostFDsOf(t *testing.T) {
 	}
 	if out := task.HostFDsOf(nil); len(out) != 0 {
 		t.Fatalf("no guest fds translated to %v", out)
+	}
+}
+
+// TestInstallRemoteFD: a remote entry installs only when it names a guest
+// descriptor, one above 0 that no remote entry of the task maps; a refused
+// entry installs nothing. Once closed, a guest fd may be named again.
+// MaxGuestFD and SkipFDs let a new proxy number past what its task maps.
+func TestInstallRemoteFD(t *testing.T) {
+	task := newTask(10, 1, abi.Cred{UID: abi.UIDAppBase}, "app")
+	fd, ok := task.InstallRemoteFD(-1, FDEntry{Kind: FDRemote, GuestFD: 5})
+	if !ok {
+		t.Fatal("guest fd 5 refused by an empty table")
+	}
+	task.InstallFD(FDEntry{Kind: FDFile, GuestFD: 6}) // not remote
+	for _, g := range []int{0, -3, 5} {
+		if _, ok := task.InstallRemoteFD(-1, FDEntry{Kind: FDRemote, GuestFD: g}); ok {
+			t.Errorf("guest fd %d installed while guest fd 5 is mapped", g)
+		}
+	}
+	if n := len(task.FDs()); n != 2 {
+		t.Fatalf("%d descriptors after refused entries, want 2", n)
+	}
+	if at, ok := task.InstallRemoteFD(40, FDEntry{Kind: FDRemote, GuestFD: 6}); !ok || at != 40 {
+		t.Fatalf("guest fd 6 at descriptor 40: fd %d ok %v", at, ok)
+	}
+	if high := task.MaxGuestFD(); high != 6 {
+		t.Fatalf("MaxGuestFD = %d, want 6", high)
+	}
+	proxy := newTask(11, 1, abi.Cred{UID: abi.UIDAppBase}, "proxy")
+	proxy.SkipFDs(task.MaxGuestFD())
+	if fd := proxy.InstallFD(FDEntry{Kind: FDFile}); fd != 7 {
+		t.Fatalf("after SkipFDs(6) the next descriptor is %d, want 7", fd)
+	}
+	task.CloseFD(fd)
+	if _, ok := task.InstallRemoteFD(-1, FDEntry{Kind: FDRemote, GuestFD: 5}); !ok {
+		t.Fatal("guest fd 5 refused after its descriptor closed")
 	}
 }
 

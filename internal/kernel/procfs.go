@@ -69,7 +69,7 @@ func (k *Kernel) procfsOpen(t *Task, p string, args Args) Result {
 		if err != nil {
 			return k.errResult(err)
 		}
-		fd := t.InstallFD(&FDEntry{Kind: FDFile, File: f, Path: target.ExecPath})
+		fd := t.InstallFD(FDEntry{Kind: FDFile, File: f, Path: target.ExecPath})
 		return Result{Ret: int64(fd), FD: fd}
 	case "cmdline", "comm":
 		return k.openSynthetic(t, p, []byte(target.Comm))
@@ -85,7 +85,7 @@ func (k *Kernel) procfsOpen(t *Task, p string, args Args) Result {
 		if !k.Vulns().ProcMemWriteBypass && !t.Cred.Root() && t.Cred.UID != target.Cred.UID {
 			return k.errResult(abi.EACCES)
 		}
-		fd := t.InstallFD(&FDEntry{Kind: FDProcMem, Target: target, Path: p})
+		fd := t.InstallFD(FDEntry{Kind: FDProcMem, Target: target, Path: p})
 		return Result{Ret: int64(fd), FD: fd}
 	default:
 		return k.errResult(abi.ENOENT)
@@ -104,7 +104,7 @@ func (k *Kernel) openSynthetic(t *Task, p string, content []byte) Result {
 	if err != nil {
 		return k.errResult(err)
 	}
-	fd := t.InstallFD(&FDEntry{Kind: FDFile, File: f, Path: p})
+	fd := t.InstallFD(FDEntry{Kind: FDFile, File: f, Path: p})
 	return Result{Ret: int64(fd), FD: fd}
 }
 
@@ -173,7 +173,7 @@ func (k *Kernel) procfsGetdents(t *Task, p string) Result {
 	return Result{Data: []byte(strings.Join(names, "\n")), Ret: int64(len(names))}
 }
 
-func (k *Kernel) procMemRead(t *Task, e *FDEntry, args Args) Result {
+func (k *Kernel) procMemRead(t *Task, e FDEntry, args Args) Result {
 	target := e.Target
 	if target.AS == nil || target.CurrentState() != TaskRunning {
 		return k.errResult(abi.ESRCH)
@@ -186,7 +186,7 @@ func (k *Kernel) procMemRead(t *Task, e *FDEntry, args Args) Result {
 	return Result{Ret: int64(len(data)), Data: data}
 }
 
-func (k *Kernel) procMemWrite(t *Task, e *FDEntry, args Args) Result {
+func (k *Kernel) procMemWrite(t *Task, e FDEntry, args Args) Result {
 	target := e.Target
 	if target.AS == nil || target.CurrentState() != TaskRunning {
 		return k.errResult(abi.ESRCH)

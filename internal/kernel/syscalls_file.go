@@ -40,13 +40,13 @@ func (k *Kernel) sysOpen(t *Task, args Args) Result {
 	if err != nil {
 		return k.errResult(err)
 	}
-	fd := t.InstallFD(&FDEntry{Kind: FDFile, File: f, Path: p})
+	fd := t.InstallFD(FDEntry{Kind: FDFile, File: f, Path: p})
 	return Result{Ret: int64(fd), FD: fd}
 }
 
 func (k *Kernel) sysClose(t *Task, args Args) Result {
-	e := t.CloseFD(args.FD)
-	if e == nil {
+	e, ok := t.CloseFD(args.FD)
+	if !ok {
 		return k.errResult(abi.EBADF)
 	}
 	switch e.Kind {
@@ -59,8 +59,8 @@ func (k *Kernel) sysClose(t *Task, args Args) Result {
 }
 
 func (k *Kernel) sysRead(t *Task, args Args) Result {
-	e := t.FD(args.FD)
-	if e == nil {
+	e, ok := t.FD(args.FD)
+	if !ok {
 		return k.errResult(abi.EBADF)
 	}
 	switch e.Kind {
@@ -93,8 +93,8 @@ func (k *Kernel) sysRead(t *Task, args Args) Result {
 }
 
 func (k *Kernel) sysWrite(t *Task, args Args) Result {
-	e := t.FD(args.FD)
-	if e == nil {
+	e, ok := t.FD(args.FD)
+	if !ok {
 		return k.errResult(abi.EBADF)
 	}
 	switch e.Kind {
@@ -123,8 +123,8 @@ func (k *Kernel) sysWrite(t *Task, args Args) Result {
 }
 
 func (k *Kernel) sysPread(t *Task, args Args) Result {
-	e := t.FD(args.FD)
-	if e == nil {
+	e, ok := t.FD(args.FD)
+	if !ok {
 		return k.errResult(abi.EBADF)
 	}
 	if e.Kind == FDProcMem {
@@ -142,8 +142,8 @@ func (k *Kernel) sysPread(t *Task, args Args) Result {
 }
 
 func (k *Kernel) sysPwrite(t *Task, args Args) Result {
-	e := t.FD(args.FD)
-	if e == nil {
+	e, ok := t.FD(args.FD)
+	if !ok {
 		return k.errResult(abi.EBADF)
 	}
 	if e.Kind == FDProcMem {
@@ -174,8 +174,8 @@ func iovTotal(iov [][]byte) int {
 // whole vector — one call's worth of page traversal instead of one per
 // segment, which is what vectoring buys over a loop of read calls.
 func (k *Kernel) sysReadv(t *Task, args Args) Result {
-	e := t.FD(args.FD)
-	if e == nil {
+	e, ok := t.FD(args.FD)
+	if !ok {
 		return k.errResult(abi.EBADF)
 	}
 	if len(args.Iov) == 0 {
@@ -241,8 +241,8 @@ func (k *Kernel) sysReadv(t *Task, args Args) Result {
 // sysWritev serves writev and pwritev: gather the segments in order. Like
 // sysReadv, the vector pays one storage charge for its total length.
 func (k *Kernel) sysWritev(t *Task, args Args) Result {
-	e := t.FD(args.FD)
-	if e == nil {
+	e, ok := t.FD(args.FD)
+	if !ok {
 		return k.errResult(abi.EBADF)
 	}
 	if len(args.Iov) == 0 {
@@ -300,8 +300,8 @@ func (k *Kernel) sysWritev(t *Task, args Args) Result {
 }
 
 func (k *Kernel) sysLseek(t *Task, args Args) Result {
-	e := t.FD(args.FD)
-	if e == nil || e.Kind != FDFile {
+	e, ok := t.FD(args.FD)
+	if !ok || e.Kind != FDFile {
 		return k.errResult(abi.EBADF)
 	}
 	pos, err := e.File.Seek(args.Off, args.Whence)
@@ -322,18 +322,21 @@ func (k *Kernel) sysStat(t *Task, args Args) Result {
 }
 
 func (k *Kernel) sysFstat(t *Task, args Args) Result {
-	e := t.FD(args.FD)
-	if e == nil || e.Kind != FDFile {
+	e, ok := t.FD(args.FD)
+	if !ok || e.Kind != FDFile {
 		return k.errResult(abi.EBADF)
 	}
 	st := e.File.Stat()
 	return Result{Ret: st.Size, Data: encodeStat(st)}
 }
 
-// encodeStat renders stat results as a stable text form; the simulation
-// passes structured data out-of-band via Result.Ret where callers need it.
+// encodeStat renders stat results as a stable text form, the one-letter
+// kind tag; the simulation passes structured data out-of-band via
+// Result.Ret where callers need it. The tag is a read-only view of vfs's
+// letter table (FileType.Letter), so a stat allocates nothing: no caller
+// may write to or append in place of a stat reply's Data.
 func encodeStat(st vfs.Stat) []byte {
-	return []byte(st.Type.String())
+	return st.Type.Letter()
 }
 
 func (k *Kernel) sysAccess(t *Task, args Args) Result {
@@ -408,8 +411,8 @@ func (k *Kernel) sysReadlink(t *Task, args Args) Result {
 func (k *Kernel) sysChmod(t *Task, args Args) Result {
 	p := args.Path
 	if args.Nr == abi.SysFchmod {
-		e := t.FD(args.FD)
-		if e == nil || e.Kind != FDFile {
+		e, ok := t.FD(args.FD)
+		if !ok || e.Kind != FDFile {
 			return k.errResult(abi.EBADF)
 		}
 		p = e.File.Path()
@@ -423,8 +426,8 @@ func (k *Kernel) sysChmod(t *Task, args Args) Result {
 func (k *Kernel) sysChown(t *Task, args Args) Result {
 	p := args.Path
 	if args.Nr == abi.SysFchown {
-		e := t.FD(args.FD)
-		if e == nil || e.Kind != FDFile {
+		e, ok := t.FD(args.FD)
+		if !ok || e.Kind != FDFile {
 			return k.errResult(abi.EBADF)
 		}
 		p = e.File.Path()
@@ -437,8 +440,8 @@ func (k *Kernel) sysChown(t *Task, args Args) Result {
 
 func (k *Kernel) sysTruncate(t *Task, args Args) Result {
 	if args.Nr == abi.SysFtruncate {
-		e := t.FD(args.FD)
-		if e == nil || e.Kind != FDFile {
+		e, ok := t.FD(args.FD)
+		if !ok || e.Kind != FDFile {
 			return k.errResult(abi.EBADF)
 		}
 		if err := e.File.Truncate(args.Off); err != nil {
@@ -469,29 +472,27 @@ func (k *Kernel) sysGetdents(t *Task, args Args) Result {
 }
 
 func (k *Kernel) sysDup(t *Task, args Args) Result {
-	e := t.FD(args.FD)
-	if e == nil {
+	e, ok := t.FD(args.FD)
+	if !ok {
 		return k.errResult(abi.EBADF)
 	}
-	dup := *e
-	fd := t.InstallFD(&dup)
+	fd := t.InstallFD(e)
 	return Result{Ret: int64(fd), FD: fd}
 }
 
 func (k *Kernel) sysDup2(t *Task, args Args) Result {
-	e := t.FD(args.FD)
-	if e == nil {
+	e, ok := t.FD(args.FD)
+	if !ok {
 		return k.errResult(abi.EBADF)
 	}
-	dup := *e
-	t.InstallFDAt(args.FD2, &dup)
+	t.InstallFDAt(args.FD2, e)
 	return Result{Ret: int64(args.FD2), FD: args.FD2}
 }
 
 func (k *Kernel) sysPipe(t *Task, _ Args) Result {
 	p := &Pipe{}
-	r := t.InstallFD(&FDEntry{Kind: FDPipeRead, Pipe: p})
-	w := t.InstallFD(&FDEntry{Kind: FDPipeWrite, Pipe: p})
+	r := t.InstallFD(FDEntry{Kind: FDPipeRead, Pipe: p})
+	w := t.InstallFD(FDEntry{Kind: FDPipeWrite, Pipe: p})
 	// Ret packs the read fd; FD carries the write fd.
 	return Result{Ret: int64(r), FD: w}
 }
@@ -503,8 +504,8 @@ func (k *Kernel) sysFsync(t *Task, args Args) Result {
 		k.clock.Charge(t.Lane, k.model.StorageSyncPerPage)
 		return Result{}
 	}
-	e := t.FD(args.FD)
-	if e == nil || e.Kind != FDFile {
+	e, ok := t.FD(args.FD)
+	if !ok || e.Kind != FDFile {
 		return k.errResult(abi.EBADF)
 	}
 	flushed := e.File.Sync()
@@ -513,8 +514,8 @@ func (k *Kernel) sysFsync(t *Task, args Args) Result {
 }
 
 func (k *Kernel) sysIoctl(t *Task, args Args) Result {
-	e := t.FD(args.FD)
-	if e == nil {
+	e, ok := t.FD(args.FD)
+	if !ok {
 		return k.errResult(abi.EBADF)
 	}
 	if e.Kind != FDFile || !e.File.IsDevice() {
@@ -536,9 +537,9 @@ func (k *Kernel) sysIoctl(t *Task, args Args) Result {
 }
 
 func (k *Kernel) sysSendfile(t *Task, args Args) Result {
-	out := t.FD(args.FD)
-	in := t.FD(args.FD2)
-	if out == nil || in == nil {
+	out, okOut := t.FD(args.FD)
+	in, okIn := t.FD(args.FD2)
+	if !okOut || !okIn {
 		return k.errResult(abi.EBADF)
 	}
 

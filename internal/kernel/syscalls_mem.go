@@ -30,8 +30,8 @@ func (k *Kernel) sysMmap2(t *Task, args Args) Result {
 
 	// Device mapping: mmap on an open device fd.
 	if args.FD > 0 {
-		e := t.FD(args.FD)
-		if e == nil {
+		e, ok := t.FD(args.FD)
+		if !ok {
 			return k.errResult(abi.EBADF)
 		}
 		if e.Kind != FDFile || !e.File.IsDevice() {
@@ -66,7 +66,7 @@ func (k *Kernel) sysMmap2(t *Task, args Args) Result {
 }
 
 // mmapFile maps a regular file: frames are populated with file contents.
-func (k *Kernel) mmapFile(t *Task, e *FDEntry, pages int, args Args) Result {
+func (k *Kernel) mmapFile(t *Task, e FDEntry, pages int, args Args) Result {
 	base, err := t.AS.MapAnon(pages, args.Prot, VMAFile, e.Path)
 	if err != nil {
 		return k.errResult(err)

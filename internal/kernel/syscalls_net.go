@@ -12,13 +12,13 @@ func (k *Kernel) sysSocket(t *Task, args Args) Result {
 	if err != nil {
 		return k.errResult(err)
 	}
-	fd := t.InstallFD(&FDEntry{Kind: FDSocket, Sock: sock})
+	fd := t.InstallFD(FDEntry{Kind: FDSocket, Sock: sock})
 	return Result{Ret: int64(fd), FD: fd}
 }
 
 func (k *Kernel) sockFD(t *Task, fd int) (*netstack.Socket, error) {
-	e := t.FD(fd)
-	if e == nil {
+	e, ok := t.FD(fd)
+	if !ok {
 		return nil, abi.EBADF
 	}
 	if e.Kind != FDSocket {
@@ -75,7 +75,7 @@ func (k *Kernel) sysAccept(t *Task, args Args) Result {
 	if err != nil {
 		return k.errResult(err)
 	}
-	fd := t.InstallFD(&FDEntry{Kind: FDSocket, Sock: conn})
+	fd := t.InstallFD(FDEntry{Kind: FDSocket, Sock: conn})
 	return Result{Ret: int64(fd), FD: fd}
 }
 
@@ -94,7 +94,7 @@ func (k *Kernel) sysAccept4(t *Task, args Args) Result {
 	}
 	list := make([]byte, 0, 4*len(conns))
 	for _, conn := range conns {
-		list = abi.AppendFD(list, t.InstallFD(&FDEntry{Kind: FDSocket, Sock: conn}))
+		list = abi.AppendFD(list, t.InstallFD(FDEntry{Kind: FDSocket, Sock: conn}))
 	}
 	return Result{Ret: int64(len(conns)), Data: list}
 }

@@ -72,8 +72,7 @@ func (k *Kernel) sysFork(t *Task, _ Args) Result {
 
 	// Duplicate the descriptor table (sharing open file descriptions).
 	for fd, e := range t.FDs() {
-		dup := *e
-		child.InstallFDAt(fd, &dup)
+		child.InstallFDAt(fd, e)
 	}
 
 	if t.AS != nil {

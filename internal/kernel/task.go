@@ -55,7 +55,9 @@ const (
 	FDEpoll
 )
 
-// FDEntry is one slot of a task's descriptor table.
+// FDEntry is one slot of a task's descriptor table, held by value: the
+// objects it points to (an open file description, a socket, a pipe) are
+// what dup and fork share.
 type FDEntry struct {
 	Kind FDKind
 	// Regular marks an FDRemote descriptor the container reported as a
@@ -133,7 +135,10 @@ type Task struct {
 	// RE is the redirection entry byte checked by ASIM on every call.
 	RE byte
 
-	fds    map[int]*FDEntry
+	// fds holds the descriptor table by value. nextFD only grows (an
+	// explicit install above it moves it past), so a task never reuses a
+	// descriptor number it handed out by InstallFD.
+	fds    map[int]FDEntry
 	nextFD int
 
 	AS *AddressSpace
@@ -220,7 +225,7 @@ func newTask(pid, ppid int, cred abi.Cred, comm string) *Task {
 		Cred:     cred,
 		Umask:    0o022,
 		CWD:      "/",
-		fds:      make(map[int]*FDEntry),
+		fds:      make(map[int]FDEntry),
 		nextFD:   3, // 0,1,2 notionally reserved for stdio
 		State:    TaskRunning,
 		Handlers: make(map[int]bool),
@@ -228,40 +233,90 @@ func newTask(pid, ppid int, cred abi.Cred, comm string) *Task {
 	}
 }
 
-// InstallFD places an entry at the next free descriptor and returns it.
-func (t *Task) InstallFD(e *FDEntry) int {
+// InstallFD places e at the next free descriptor and returns it. The
+// table holds entries by value: e is complete before it is published, and
+// nothing writes to it afterwards.
+func (t *Task) InstallFD(e FDEntry) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	fd := t.nextFD
-	t.nextFD++
+	return t.installLocked(-1, e)
+}
+
+// InstallFDAt places e at an explicit descriptor (dup2, fork).
+func (t *Task) InstallFDAt(fd int, e FDEntry) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.installLocked(fd, e)
+}
+
+// InstallRemoteFD places e, an FDRemote entry, at fd, or at the next free
+// descriptor when fd < 0, unless e names no guest descriptor (GuestFD
+// <= 0) or one the task already maps; ok reports whether it was
+// installed. The check and the install are one step under the task lock.
+func (t *Task) InstallRemoteFD(fd int, e FDEntry) (int, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e.GuestFD <= 0 {
+		return -1, false
+	}
+	for _, o := range t.fds {
+		if o.Kind == FDRemote && o.GuestFD == e.GuestFD {
+			return -1, false
+		}
+	}
+	return t.installLocked(fd, e), true
+}
+
+// installLocked places e at fd, or at the next free descriptor when
+// fd < 0, and returns where.
+func (t *Task) installLocked(fd int, e FDEntry) int {
+	if fd < 0 {
+		fd = t.nextFD
+	}
 	t.fds[fd] = e
+	t.nextFD = max(t.nextFD, fd+1)
 	return fd
 }
 
-// InstallFDAt places an entry at an explicit descriptor (dup2).
-func (t *Task) InstallFDAt(fd int, e *FDEntry) {
+// MaxGuestFD returns the largest guest descriptor t's remote entries
+// name, or 0.
+func (t *Task) MaxGuestFD() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.fds[fd] = e
-	if fd >= t.nextFD {
-		t.nextFD = fd + 1
+	high := 0
+	for _, e := range t.fds {
+		if e.Kind == FDRemote {
+			high = max(high, e.GuestFD)
+		}
 	}
+	return high
 }
 
-// FD returns the entry for fd, or nil.
-func (t *Task) FD(fd int) *FDEntry {
+// SkipFDs makes every descriptor t hands out from now on larger than fd.
+func (t *Task) SkipFDs(fd int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.fds[fd]
+	t.nextFD = max(t.nextFD, fd+1)
 }
 
-// CloseFD removes the descriptor and returns its entry, or nil.
-func (t *Task) CloseFD(fd int) *FDEntry {
+// FD returns a copy of the entry for fd; ok is false when fd is not open.
+// A copy held across a close still names what fd named: its objects, and
+// for a remote entry a guest descriptor the container never reuses.
+func (t *Task) FD(fd int) (FDEntry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := t.fds[fd]
+	e, ok := t.fds[fd]
+	return e, ok
+}
+
+// CloseFD removes the descriptor and returns its entry; ok is false when
+// fd was not open.
+func (t *Task) CloseFD(fd int) (FDEntry, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.fds[fd]
 	delete(t.fds, fd)
-	return e
+	return e, ok
 }
 
 // HostFDsOf translates a descriptor list of guest descriptors (abi's
@@ -299,10 +354,10 @@ func (t *Task) HostFDsOf(guest []byte) []byte {
 }
 
 // FDs returns a snapshot of the descriptor table.
-func (t *Task) FDs() map[int]*FDEntry {
+func (t *Task) FDs() map[int]FDEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[int]*FDEntry, len(t.fds))
+	out := make(map[int]FDEntry, len(t.fds))
 	for k, v := range t.fds {
 		out[k] = v
 	}

@@ -99,5 +99,5 @@ func (k *Kernel) sysPerfEventOpen(t *Task, args Args) Result {
 		k.CompromiseKernel(t, "perf_event_open array underflow (CVE-2013-2094)")
 		return Result{}
 	}
-	return Result{Ret: int64(t.InstallFD(&FDEntry{Kind: FDFile, Path: "perf"}))}
+	return Result{Ret: int64(t.InstallFD(FDEntry{Kind: FDFile, Path: "perf"}))}
 }

@@ -73,6 +73,10 @@ func (m *Manager) Ensure(host *kernel.Task) (*kernel.Task, error) {
 	}
 
 	p := m.guest.Spawn(host.Cred, host.Comm+":proxy")
+	// A host task may still hold remote entries naming guest fds of an
+	// earlier container boot: the new proxy numbers its descriptors past
+	// them, so no stale entry ever names one of its files.
+	p.SkipFDs(host.MaxGuestFD())
 	p.Umask = host.Umask
 	p.CWD = host.CWD
 	p.Lane = host.Lane
@@ -179,6 +183,9 @@ func (m *Manager) MirrorFork(parentHostPID int, child *kernel.Task) (*kernel.Tas
 		return nil, fmt.Errorf("mirror fork for host pid %d: %w", child.PID, res.Err)
 	}
 	childProxy := m.guest.Task(int(res.Ret))
+	// The child inherits its parent's remote entries, stale ones of an
+	// earlier boot included; its proxy numbers past all of them.
+	childProxy.SkipFDs(child.MaxGuestFD())
 	childProxy.Comm = child.Comm + ":proxy"
 	childProxy.Lane = child.Lane
 	m.mu.Lock()

@@ -179,7 +179,7 @@ func TestMirrorFork(t *testing.T) {
 	if cp.Cred.UID != parent.Cred.UID {
 		t.Fatalf("child proxy cred = %+v", cp.Cred)
 	}
-	if cp.FD(res.FD) == nil {
+	if _, ok := cp.FD(res.FD); !ok {
 		t.Fatal("child proxy did not inherit parent's guest descriptors")
 	}
 	if m.ProxyFor(child.PID) != cp {

@@ -31,20 +31,35 @@ const (
 	TypeDevice
 )
 
+// typeLetters is the one table of the kinds' one-letter tags, indexed by
+// FileType: the unknown kind's "?" first, then "-", "d", "l" and "c".
+var typeLetters = []byte("?-dlc")
+
 // String returns a one-letter kind tag as used by ls-style listings.
 func (t FileType) String() string {
-	switch t {
-	case TypeRegular:
-		return "-"
-	case TypeDir:
-		return "d"
-	case TypeSymlink:
-		return "l"
-	case TypeDevice:
-		return "c"
-	default:
-		return "?"
+	return string(t.Letter())
+}
+
+// Letter returns t's one-letter tag as a view of the shared letter table,
+// cap-clipped so an append copies. It allocates nothing and is read-only:
+// nobody may write through it.
+func (t FileType) Letter() []byte {
+	i := int(t)
+	if i < 0 || i >= len(typeLetters) {
+		i = 0
 	}
+	return typeLetters[i : i+1 : i+1]
+}
+
+// LetterView returns the shared table's read-only view of tag b, or nil
+// when b is not one of the kinds' tags.
+func LetterView(b byte) []byte {
+	for i, c := range typeLetters {
+		if c == b {
+			return typeLetters[i : i+1 : i+1]
+		}
+	}
+	return nil
 }
 
 // Cred carries the credentials a filesystem operation runs with.
