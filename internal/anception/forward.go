@@ -157,11 +157,16 @@ func (l *Layer) encodeFrame(t *kernel.Task, f *callFrame, arm fwdArm, args *kern
 
 // outputSized is a call as it travels: a read-like call's buffer is an
 // output pointer, so only its size goes to the guest and the data comes
-// back in the reply.
+// back in the reply. An accept4's or epoll_wait's buffer is output
+// storage for its descriptor list and does not travel either; its Size
+// is the batch it asks for.
 func outputSized(args *kernel.Args) kernel.Args {
 	enc := *args
-	if isReadLike(args.Nr) && enc.Buf != nil {
+	switch {
+	case isReadLike(args.Nr) && enc.Buf != nil:
 		enc.Size = len(enc.Buf)
+		enc.Buf = nil
+	case isFDList(args.Nr):
 		enc.Buf = nil
 	}
 	return enc

@@ -167,6 +167,19 @@ func wantsScratch(a *kernel.Args) bool {
 	return isReadLike(a.Nr) && len(a.Buf) == 0 && len(a.Iov) == 0 && a.Size > 0
 }
 
+// outputBuf gives a decoded call that travelled without its output
+// buffer one carved from the frame's scratch: a read-like call its n
+// bytes, an accept4 or epoll_wait room for its batch's descriptor list,
+// which the guest kernel appends to Buf[:0].
+func (f *callFrame) outputBuf(a *kernel.Args) {
+	switch {
+	case wantsScratch(a):
+		a.Buf = f.scratchFor(a.Size)
+	case isFDList(a.Nr):
+		a.Buf = f.scratchFor(4 * netBatchLimit(a.Size))[:0]
+	}
+}
+
 // scratchFor returns the guest's zeroed n-byte read buffer.
 func (f *callFrame) scratchFor(n int) []byte {
 	if cap(f.scratch) < n {
@@ -222,9 +235,7 @@ func (f *callFrame) execArgs(req []byte) []byte {
 	if err := f.dec.Args(req, a); err != nil {
 		return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
 	}
-	if wantsScratch(a) {
-		a.Buf = f.scratchFor(a.Size)
-	}
+	f.outputBuf(a)
 	var res kernel.Result
 	if f.drained {
 		res = f.st.proxies.ExecuteDrained(f.proxy, *a)
@@ -243,9 +254,7 @@ func (f *callFrame) execSock(req []byte) []byte {
 	if err := f.dec.SockOp(req, a); err != nil {
 		return f.setReply(kernel.Result{Ret: -1, Err: abi.EINVAL})
 	}
-	if wantsScratch(a) {
-		a.Buf = f.scratchFor(a.Size)
-	}
+	f.outputBuf(a)
 	return tampered(f.st, f.setReply(f.st.proxies.ExecuteDrained(f.proxy, *a)))
 }
 
@@ -337,15 +346,20 @@ func (f *callFrame) land(arm fwdArm, args *kernel.Args, resp []byte) ([]kernel.R
 // buffer. A successful stat's kind tag (checkReply held it to vfs's
 // letters) lands the same way when the caller passed a buffer, and
 // otherwise becomes the host's own read-only view of vfs's letter table:
-// a stat reply's Data is never written to or kept by its receiver. Any
-// other reply bytes are copied out (and a vectored read is scattered from
-// the copy).
+// a stat reply's Data is never written to or kept by its receiver. An
+// accept4 or epoll_wait descriptor list lands in the caller's buffer when
+// its capacity holds the list. Any other reply bytes are copied out (and
+// a vectored read is scattered from the copy).
 func copyOut(args *kernel.Args, res *kernel.Result) {
 	if len(res.Data) == 0 {
 		return
 	}
 	if res.Ok() && (isReadLike(args.Nr) || isStat(args.Nr)) && len(args.Iov) == 0 && len(args.Buf) > 0 {
 		res.Data = args.Buf[:copy(args.Buf, res.Data)]
+		return
+	}
+	if res.Ok() && isFDList(args.Nr) && cap(args.Buf) >= len(res.Data) {
+		res.Data = args.Buf[:copy(args.Buf[:cap(args.Buf)], res.Data)]
 		return
 	}
 	if res.Ok() && isStat(args.Nr) {
@@ -367,7 +381,9 @@ func copyOut(args *kernel.Args, res *kernel.Result) {
 //     the copy path, equals len(Data); on the grant path (byRef) the
 //     bytes moved through the pinned pages instead;
 //   - a write's Ret is at most its length;
-//   - a stat's or fstat's reply bytes are one of vfs's kind letters.
+//   - a stat's or fstat's reply bytes are one of vfs's kind letters;
+//   - an accept4's or epoll_wait's reply bytes are a whole descriptor
+//     list whose length Ret is, and at most the batch it asked for.
 //
 // The check is host work only: it charges no sim time.
 func checkReply(args *kernel.Args, res *kernel.Result, byRef bool) error {
@@ -399,6 +415,10 @@ func checkReply(args *kernel.Args, res *kernel.Result, byRef bool) error {
 	case isStat(args.Nr):
 		if len(res.Data) != 1 || vfs.LetterView(res.Data[0]) == nil {
 			return fmt.Errorf("%s reply: kind tag %q: %w", args.Nr, res.Data, abi.EIO)
+		}
+	case isFDList(args.Nr):
+		if len(res.Data)%4 != 0 || res.Ret != int64(len(res.Data)/4) || res.Ret > int64(args.Size) {
+			return fmt.Errorf("%s reply: return %d with a %d-byte list for a batch of %d: %w", args.Nr, res.Ret, len(res.Data), args.Size, abi.EIO)
 		}
 	}
 	return nil

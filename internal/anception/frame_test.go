@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -217,11 +218,12 @@ func echoPairOp(t *testing.T, opts Options) (d *Device, op func(), ops *int) {
 }
 
 // TestRingEchoPairAllocs: a send→recv pair as two sockop frames through
-// the ring. What is left is the request copy handed to the echo peer,
-// which returns it as the reply; the receive queue reuses its slots.
+// the ring makes nothing: the request copy handed to the echo peer, which
+// returns it as the reply, is a recycled receive buffer, and the receive
+// queue reuses its slots.
 func TestRingEchoPairAllocs(t *testing.T) {
 	_, op, _ := echoPairOp(t, Options{RingDepth: 8, CallDeadline: time.Hour})
-	allocGate(t, "ring echo pair", steadyAllocs(op), 1)
+	allocGate(t, "ring echo pair", steadyAllocs(op), 0)
 }
 
 // TestRingBinderAllocs: a two-way and a oneway session transaction
@@ -307,8 +309,8 @@ func TestProcBinderEncodeAllocs(t *testing.T) {
 // speculates on an AutoTune device. The fused chain builds, encodes,
 // decodes and executes its links in the call frame's chain scratch, its
 // results land in storage the speculation owns and the recv bytes in the
-// descriptor's recycled sticky buffer, so only the ring pair's one
-// allocation remains.
+// descriptor's recycled sticky buffer, so like the ring pair it makes
+// nothing.
 func TestSpeculatedEchoPairAllocs(t *testing.T) {
 	d, op, ops := echoPairOp(t, Options{AutoTune: true, CallDeadline: time.Hour})
 	for i := 0; i < fuseConfidence; i++ { // the detector learns the pair
@@ -319,7 +321,7 @@ func TestSpeculatedEchoPairAllocs(t *testing.T) {
 	if chains := d.Layer.Stats().Fusion.Chains - before.Chains; chains != int64(*ops-warm) {
 		t.Fatalf("%d fused chains over %d pairs: not every pair was speculated", chains, *ops-warm)
 	}
-	allocGate(t, "speculated echo pair", allocs, 1)
+	allocGate(t, "speculated echo pair", allocs, 0)
 }
 
 // TestExplicitChainAllocs: an explicit open→fstat→pread→close chain
@@ -400,9 +402,10 @@ func TestGrantPreadAllocs(t *testing.T) {
 }
 
 // TestEpollWaitAllocs: an epoll_wait over the ring that finds sockets
-// ready. The guest appends the ready descriptors straight into one
-// encoded list and the host translates its landed copy of that list in
-// place, so the list and that copy are all that is made.
+// ready. The guest appends the ready descriptors into the frame's
+// scratch and the reply's list lands in the caller's buffer, where the
+// host translates it in place, so a call with a buffer makes nothing;
+// through Proc.EpollWait the one allocation is the app's []int.
 func TestEpollWaitAllocs(t *testing.T) {
 	d, _, _, _ := pageIOApp(t, Options{RingDepth: 8, CallDeadline: time.Hour})
 	d.RegisterRemote("echo:7", func(req []byte) []byte { return req })
@@ -428,9 +431,10 @@ func TestEpollWaitAllocs(t *testing.T) {
 		}
 		socks = append(socks, sock)
 	}
+	buf := make([]byte, 4*DefaultNetBatch)
 	wait := func() {
-		res := p.Syscall(kernel.Args{Nr: abi.SysEpollWait, FD: epfd})
-		if !res.Ok() || res.Ret != int64(len(socks)) {
+		res := p.Syscall(kernel.Args{Nr: abi.SysEpollWait, FD: epfd, Buf: buf})
+		if !res.Ok() || res.Ret != int64(len(socks)) || &res.Data[0] != &buf[0] {
 			t.Fatalf("epoll_wait: %+v", res)
 		}
 		for i, sock := range socks {
@@ -439,5 +443,10 @@ func TestEpollWaitAllocs(t *testing.T) {
 			}
 		}
 	}
-	allocGate(t, "epoll_wait with 3 ready", steadyAllocs(wait), 2)
+	allocGate(t, "epoll_wait with 3 ready into a caller buffer", steadyAllocs(wait), 0)
+	allocGate(t, "Proc.EpollWait with 3 ready", steadyAllocs(func() {
+		if ready, err := p.EpollWait(epfd, 0); err != nil || !slices.Equal(ready, socks) {
+			t.Fatalf("EpollWait: %v %v", ready, err)
+		}
+	}), 1)
 }

@@ -9,6 +9,7 @@ import (
 	"anception/internal/android"
 	"anception/internal/kernel"
 	"anception/internal/marshal"
+	"anception/internal/netstack"
 )
 
 // The container is untrusted (paper §VII): a compromised one can return
@@ -41,8 +42,9 @@ func wantEIO(t *testing.T, what string, err error) {
 // Paper bridge, its sessions and Fast, each with the reply cache on: a
 // forged reply to a cacheable transaction is stored nowhere. Open and dup
 // replies that mint a guest fd of 0 or below, or one the app already
-// maps, install nothing, and a stat's kind tag must be one of vfs's
-// letters.
+// maps, install nothing, a stat's kind tag must be one of vfs's letters,
+// and an accept4's or epoll_wait's descriptor list must be whole, as long
+// as its return says and no longer than its batch.
 func TestHostileReplySeedCorpus(t *testing.T) {
 	for _, prof := range []struct {
 		name string
@@ -187,6 +189,67 @@ func TestHostileReplySeedCorpus(t *testing.T) {
 				wantEIO(t, fmt.Sprintf("stat with kind tag %q", tag), err)
 			}
 			honest("forged stat replies")
+
+			// Descriptor lists that break the batch: 17 descriptors for a
+			// batch of 16, a return that is not the list's length, and a
+			// ragged list. An accept4 adopts none of them and an
+			// epoll_wait returns none.
+			lfd, err := p.Socket(netstack.AFInet, netstack.SockStream, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Bind(lfd, "hostile.cvm:1"); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Listen(lfd, 0); err != nil {
+				t.Fatal(err)
+			}
+			epfd, err := p.EpollCreate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.EpollCtl(epfd, kernel.EpollCtlAdd, lfd); err != nil {
+				t.Fatal(err)
+			}
+			fdList := func(n int) []byte {
+				var list []byte
+				for i := range n {
+					list = abi.AppendFD(list, 100+i)
+				}
+				return list
+			}
+			for _, forged := range []struct {
+				name string
+				res  kernel.Result
+			}{
+				{"17 descriptors for a batch of 16", kernel.Result{Ret: 17, Data: fdList(17)}},
+				{"return 2 with 3 descriptors", kernel.Result{Ret: 2, Data: fdList(3)}},
+				{"a ragged list", kernel.Result{Ret: 1, Data: append(fdList(1), 0xFF)}},
+			} {
+				for _, c := range []struct {
+					name string
+					call func() ([]int, error)
+				}{
+					{"accept4", func() ([]int, error) { return p.AcceptBatch(lfd, DefaultNetBatch) }},
+					{"epoll_wait", func() ([]int, error) { return p.EpollWait(epfd, DefaultNetBatch) }},
+				} {
+					before := len(p.Task.FDs())
+					restore = forgeReplies(d, marshal.AppendResult(nil, forged.res))
+					fds, err := c.call()
+					restore()
+					wantEIO(t, fmt.Sprintf("%s with %s", c.name, forged.name), err)
+					if len(fds) != 0 {
+						t.Errorf("%s with %s returned %v", c.name, forged.name, fds)
+					}
+					if after := len(p.Task.FDs()); after != before {
+						t.Errorf("%s with %s: %d descriptors installed", c.name, forged.name, after-before)
+					}
+				}
+			}
+			if _, err := p.AcceptBatch(lfd, 0); !errors.Is(err, abi.EAGAIN) {
+				t.Errorf("honest accept4 after forged lists: %v, want EAGAIN", err)
+			}
+			honest("forged descriptor lists")
 		})
 	}
 }

@@ -747,6 +747,9 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 		if args.Nr == abi.SysDup2 {
 			at = args.FD2
 		}
+		if at == args.FD {
+			return kernel.Result{Ret: int64(at), FD: at} // dup2 onto itself does nothing
+		}
 		if !l.cacheBypassed(st) {
 			// The duplicate shares the guest-side file; write back any
 			// buffered data so both views start coherent. A dup2 target
@@ -754,11 +757,15 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 			if res, failed := l.flushFDFor(st, t, src.key); failed {
 				return res
 			}
-			if at >= 0 && at != args.FD {
+			if at >= 0 {
 				if res, failed := l.flushFDFor(st, t, fdKey{t.PID, at}); failed {
 					return res
 				}
 			}
+		}
+		var replaced kernel.FDEntry
+		if at >= 0 {
+			replaced, _ = t.FD(at)
 		}
 		fwd := *args
 		fwd.Nr = abi.SysDup
@@ -771,6 +778,13 @@ func (l *Layer) handleRedirectClass(t *kernel.Task, args *kernel.Args, p string)
 			Kind: kernel.FDRemote, GuestFD: res.FD, Path: src.Path, Flags: src.Flags,
 			Regular: src.Regular,
 		}, nil)
+		if res.Ok() && replaced.Kind == kernel.FDRemote {
+			// The replaced descriptor is closed, as dup2 closes newfd:
+			// its cache binding goes and its guest descriptor is closed
+			// in the proxy. Like dup2, the call ignores the close's error.
+			l.forgetFD(d.key)
+			l.forward(st, t, armArgs, &kernel.Args{Nr: abi.SysClose, FD: replaced.GuestFD})
+		}
 		l.bindFD(t, d, &src.key)
 		return res
 

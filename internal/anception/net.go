@@ -59,6 +59,12 @@ func isSockCall(nr abi.SyscallNr) bool {
 	}
 }
 
+// isFDList reports the calls whose reply bytes are a descriptor list:
+// batched accept4 and epoll_wait.
+func isFDList(nr abi.SyscallNr) bool {
+	return nr == abi.SysAccept4 || nr == abi.SysEpollWait
+}
+
 // netBatchLimit clamps a caller's accept/epoll batch request to the
 // per-completion cap.
 func netBatchLimit(want int) int {
@@ -80,13 +86,11 @@ func (l *Layer) handleAccept4(t *kernel.Task, args *kernel.Args) kernel.Result {
 	if !res.Ok() {
 		return res
 	}
-	// The landed list is the layer's own copy: adopt each accepted guest
+	// The landed list (checkReply held it to the batch) is in the
+	// caller's buffer or the layer's own copy: adopt each accepted guest
 	// descriptor and write its host descriptor over it. A forged one
 	// fails the whole batch, and the batch's adopted descriptors go.
 	list := res.Data
-	if len(list)%4 != 0 {
-		return kernel.Result{Ret: -1, Err: abi.EINVAL}
-	}
 	n := len(list) / 4
 	for i := range n {
 		d, ares := l.adoptFD(t, -1, kernel.FDEntry{Kind: kernel.FDRemote, GuestFD: abi.FDAt(list, i), Path: "sock:accepted"}, nil)
@@ -114,11 +118,9 @@ func (l *Layer) handleEpollWait(t *kernel.Task, args *kernel.Args) kernel.Result
 	if !res.Ok() || len(res.Data) == 0 {
 		return res
 	}
-	if len(res.Data)%4 != 0 {
-		return kernel.Result{Ret: -1, Err: abi.EINVAL}
-	}
-	// Reverse-translate the landed list (the layer's own copy) in place,
-	// in one scan of the descriptor table.
+	// Reverse-translate the landed list (checkReply held it to the batch;
+	// it is in the caller's buffer or the layer's own copy) in place, in
+	// one scan of the descriptor table.
 	hostFDs := t.HostFDsOf(res.Data)
 	n := len(hostFDs) / 4
 	l.counters.sockBatches.Add(1)

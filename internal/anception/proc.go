@@ -27,6 +27,11 @@ type Proc struct {
 	// Proc encodes into a fresh buffer instead.
 	txn     []byte
 	txnBusy atomic.Bool
+	// fdl is the buffer an AcceptBatch or EpollWait reply's descriptor
+	// list lands in. fdlBusy is held while a call uses it; a concurrent
+	// call on the same Proc lands its list in a fresh buffer instead.
+	fdl     [4 * DefaultNetBatch]byte
+	fdlBusy atomic.Bool
 }
 
 // Kernel returns the kernel this process traps into.
@@ -339,11 +344,27 @@ func (p *Proc) Accept(fd int) (int, error) {
 // batching, DESIGN.md §14) — one ring completion carries the whole fd
 // list. max <= 0 asks for the configured batch cap.
 func (p *Proc) AcceptBatch(fd, max int) ([]int, error) {
-	res := p.invoke(kernel.Args{Nr: abi.SysAccept4, FD: fd, Size: max})
-	if !res.Ok() {
-		return nil, res.Err
+	return p.fdListCall(kernel.Args{Nr: abi.SysAccept4, FD: fd, Size: max})
+}
+
+// fdListCall runs an accept4 or epoll_wait whose reply list lands in the
+// Proc's fdl buffer when it is free, and decodes the list into the
+// []int the app owns.
+func (p *Proc) fdListCall(args kernel.Args) ([]int, error) {
+	mine := p.fdlBusy.CompareAndSwap(false, true)
+	if mine {
+		args.Buf = p.fdl[:]
 	}
-	return abi.DecodeFDList(res.Data)
+	res := p.invoke(args)
+	var fds []int
+	err := res.Err
+	if res.Ok() && len(res.Data) > 0 {
+		fds, err = abi.DecodeFDList(res.Data)
+	}
+	if mine {
+		p.fdlBusy.Store(false)
+	}
+	return fds, err
 }
 
 // EpollCreate creates an epoll instance.
@@ -364,14 +385,7 @@ func (p *Proc) EpollCtl(epfd, op, fd int) error {
 // EpollWait polls for up to max ready descriptors in one call — batched
 // like AcceptBatch, one ring completion carries N readiness events.
 func (p *Proc) EpollWait(epfd, max int) ([]int, error) {
-	res := p.invoke(kernel.Args{Nr: abi.SysEpollWait, FD: epfd, Size: max})
-	if !res.Ok() {
-		return nil, res.Err
-	}
-	if len(res.Data) == 0 {
-		return nil, nil
-	}
-	return abi.DecodeFDList(res.Data)
+	return p.fdListCall(kernel.Args{Nr: abi.SysEpollWait, FD: epfd, Size: max})
 }
 
 // Shutdown shuts down a connected socket.

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"sync"
 
 	"anception/internal/abi"
@@ -83,8 +84,9 @@ func (k *Kernel) sysEpollCtl(t *Task, args Args) Result {
 
 // sysEpollWait returns every currently-ready watched descriptor, up to
 // Args.Size (0 = no limit), as an fd list in the result Data with the
-// count in Ret; a watched descriptor that was closed leaves the interest
-// list. A socket is ready when it has buffered messages, a non-empty
+// count in Ret; the list is appended to Args.Buf[:0], the caller's
+// output storage, as sysAccept4's is. A watched descriptor that was
+// closed leaves the interest list. A socket is ready when it has buffered messages, a non-empty
 // accept backlog, or has been closed. No ready descriptor costs one
 // scheduler quantum, like the other blocking calls. The epoll lock is
 // held across the scan and the task's lock taken under it, never the
@@ -94,7 +96,7 @@ func (k *Kernel) sysEpollWait(t *Task, args Args) Result {
 	if err != nil {
 		return k.errResult(err)
 	}
-	var ready []byte
+	ready := args.Buf[:0]
 	n := 0
 	ep.mu.Lock()
 	kept := ep.watched[:0]
@@ -109,8 +111,8 @@ func (k *Kernel) sysEpollWait(t *Task, args Args) Result {
 		}
 		kept = append(kept, fd)
 		if e.Kind == FDSocket && socketReady(e.Sock) {
-			if ready == nil {
-				ready = make([]byte, 0, 4*len(ep.watched[i:]))
+			if len(ready) == cap(ready) {
+				ready = slices.Grow(ready, 4*len(ep.watched[i:]))
 			}
 			ready = abi.AppendFD(ready, fd)
 			n++

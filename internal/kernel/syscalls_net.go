@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"slices"
+
 	"anception/internal/abi"
 	"anception/internal/netstack"
 )
@@ -79,20 +81,27 @@ func (k *Kernel) sysAccept(t *Task, args Args) Result {
 	return Result{Ret: int64(fd), FD: fd}
 }
 
+// netBatch is the per-completion cap on batched accepted connections
+// (anception.DefaultNetBatch): up to that many land in sysAccept4's
+// stack array, a larger batch allocates.
+const netBatch = 16
+
 // sysAccept4 is the batched accept: it drains up to Args.Size pending
 // connections (0 = all) in one call, installing a descriptor for each.
 // The accepted fd list travels in the result Data so one redirected ring
-// completion can carry N connections.
+// completion can carry N connections; it is appended to Args.Buf[:0],
+// the caller's output storage, as sysRecv fills Args.Buf.
 func (k *Kernel) sysAccept4(t *Task, args Args) Result {
 	sock, err := k.sockFD(t, args.FD)
 	if err != nil {
 		return k.errResult(err)
 	}
-	conns, err := sock.AcceptBatch(args.Size)
+	var connArr [netBatch]*netstack.Socket
+	conns, err := sock.AcceptBatch(connArr[:0], args.Size)
 	if err != nil {
 		return k.errResult(err)
 	}
-	list := make([]byte, 0, 4*len(conns))
+	list := slices.Grow(args.Buf[:0], 4*len(conns))
 	for _, conn := range conns {
 		list = abi.AppendFD(list, t.InstallFD(FDEntry{Kind: FDSocket, Sock: conn}))
 	}

@@ -326,7 +326,7 @@ func (t *Task) CloseFD(fd int) (FDEntry, bool) {
 // It returns the translated prefix of guest. The table is scanned once
 // under the task lock and not copied.
 func (t *Task) HostFDsOf(guest []byte) []byte {
-	var foundArr [16]int // anception.DefaultNetBatch; longer lists allocate
+	var foundArr [netBatch]int // longer lists allocate
 	found := foundArr[:0]
 	for range len(guest) / 4 {
 		found = append(found, -1)

@@ -121,8 +121,11 @@ type Socket struct {
 	peerAddr  string
 	peer      *Socket
 	remote    RemoteHandler
-	// recvq[rqHead:] are the queued messages, oldest first.
+	// recvq[rqHead:] are the queued messages, oldest first. It starts on
+	// rxInline, so a socket that never queues two messages at once never
+	// allocates a queue.
 	recvq     []rxMsg
+	rxInline  [1]rxMsg
 	rqHead    int
 	rcvBytes  int
 	rcvBudget int
@@ -368,40 +371,38 @@ func (sk *Socket) Listen() error {
 // Accept dequeues one pending connection; EAGAIN if none is waiting (the
 // simulation is event-driven, not blocking).
 func (sk *Socket) Accept() (*Socket, error) {
-	sk.mu.Lock()
-	defer sk.mu.Unlock()
-	if sk.state != StateListening {
-		return nil, abi.EINVAL
+	var one [1]*Socket
+	conns, err := sk.AcceptBatch(one[:0], 1)
+	if err != nil {
+		return nil, err
 	}
-	if len(sk.backlog) == 0 {
-		return nil, abi.EAGAIN
-	}
-	conn := sk.backlog[0]
-	sk.backlog = sk.backlog[1:]
-	return conn, nil
+	return conns[0], nil
 }
 
-// AcceptBatch dequeues up to max pending connections in one call — the
-// netstack half of batched accept4, where one ring completion carries N
-// accepted connections. EAGAIN when the backlog is empty; max <= 0 means
-// "all of them".
-func (sk *Socket) AcceptBatch(max int) ([]*Socket, error) {
+// AcceptBatch appends up to max pending connections to dst in one call,
+// oldest first, and returns the extended slice — the netstack half of
+// batched accept4, where one ring completion carries N accepted
+// connections. EAGAIN when the backlog is empty; max <= 0 means "all of
+// them". The rest of the backlog slides to the front of its array, so
+// the next Connect appends without allocating.
+func (sk *Socket) AcceptBatch(dst []*Socket, max int) ([]*Socket, error) {
 	sk.mu.Lock()
 	defer sk.mu.Unlock()
 	if sk.state != StateListening {
-		return nil, abi.EINVAL
+		return dst, abi.EINVAL
 	}
 	if len(sk.backlog) == 0 {
-		return nil, abi.EAGAIN
+		return dst, abi.EAGAIN
 	}
 	n := len(sk.backlog)
 	if max > 0 && max < n {
 		n = max
 	}
-	conns := make([]*Socket, n)
-	copy(conns, sk.backlog)
-	sk.backlog = sk.backlog[n:]
-	return conns, nil
+	dst = append(dst, sk.backlog[:n]...)
+	rest := copy(sk.backlog, sk.backlog[n:])
+	clear(sk.backlog[rest:])
+	sk.backlog = sk.backlog[:rest]
+	return dst, nil
 }
 
 // Backlog reports the number of connections waiting to be accepted.
@@ -647,6 +648,9 @@ func (sk *Socket) Recv(p []byte) (int, error) {
 // full and at least half of it is already consumed, the queue slides down
 // instead of growing.
 func (sk *Socket) pushLocked(m rxMsg) {
+	if sk.recvq == nil {
+		sk.recvq = sk.rxInline[:0]
+	}
 	if len(sk.recvq) == cap(sk.recvq) && sk.rqHead > 0 && 2*sk.rqHead >= len(sk.recvq) {
 		n := copy(sk.recvq, sk.recvq[sk.rqHead:])
 		clear(sk.recvq[n:])

@@ -96,16 +96,11 @@ func TestRecvBudgetDgramDrops(t *testing.T) {
 }
 
 // TestAcceptBatch: one call drains up to max pending connections, in
-// arrival order; an empty backlog is EAGAIN, not a zero-length success.
+// arrival order, appending them to the caller's slice; an empty backlog
+// is EAGAIN, not a zero-length success.
 func TestAcceptBatch(t *testing.T) {
 	s := New("host")
-	srv, _ := s.Socket(rootCred, AFInet, SockStream, 0)
-	if err := srv.Bind("svc:3"); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen(); err != nil {
-		t.Fatal(err)
-	}
+	srv := listenAt(t, s, "svc:3")
 	for i := 0; i < 5; i++ {
 		cli, _ := s.Socket(appCred, AFInet, SockStream, 0)
 		if err := cli.Connect("svc:3"); err != nil {
@@ -115,16 +110,72 @@ func TestAcceptBatch(t *testing.T) {
 	if got := srv.Backlog(); got != 5 {
 		t.Fatalf("Backlog = %d, want 5", got)
 	}
-	first, err := srv.AcceptBatch(3)
-	if err != nil || len(first) != 3 {
+	var storage [8]*Socket
+	first, err := srv.AcceptBatch(storage[:0], 3)
+	if err != nil || len(first) != 3 || &first[0] != &storage[0] {
 		t.Fatalf("AcceptBatch(3) = %d conns, err %v", len(first), err)
 	}
-	rest, err := srv.AcceptBatch(0) // 0 = drain everything
-	if err != nil || len(rest) != 2 {
-		t.Fatalf("AcceptBatch(0) = %d conns, err %v", len(rest), err)
+	all, err := srv.AcceptBatch(first, 0) // 0 = drain everything
+	if err != nil || len(all) != 5 || all[0] != first[0] {
+		t.Fatalf("AcceptBatch(0) = %d conns, err %v", len(all), err)
 	}
-	if _, err := srv.AcceptBatch(4); !errors.Is(err, abi.EAGAIN) {
-		t.Fatalf("empty backlog: %v, want EAGAIN", err)
+	if got, err := srv.AcceptBatch(nil, 4); !errors.Is(err, abi.EAGAIN) || len(got) != 0 {
+		t.Fatalf("empty backlog: %d conns, %v, want EAGAIN", len(got), err)
+	}
+}
+
+// listenAt returns a root-owned stream socket listening at addr.
+func listenAt(t *testing.T, s *Stack, addr string) *Socket {
+	t.Helper()
+	l, _ := s.Socket(rootCred, AFInet, SockStream, 0)
+	if err := l.Bind(addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// TestBacklogOrderAcrossPartialAccepts: accept 3 of 5 pending
+// connections, connect 2 more, and the rest come out oldest first. Each
+// client sends its arrival index, which its accepted half receives.
+func TestBacklogOrderAcrossPartialAccepts(t *testing.T) {
+	s := New("cvm")
+	l := listenAt(t, s, "svc:4")
+	next := 0
+	connect := func(k int) {
+		for range k {
+			cli, _ := s.Socket(appCred, AFInet, SockStream, 0)
+			if err := cli.Connect("svc:4"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cli.Send([]byte{byte(next)}); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	var order []byte
+	accept := func(max int) {
+		conns, err := l.AcceptBatch(nil, max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range conns {
+			var b [1]byte
+			if _, err := c.Recv(b[:]); err != nil {
+				t.Fatal(err)
+			}
+			order = append(order, b[0])
+		}
+	}
+	connect(5)
+	accept(3)
+	connect(2)
+	accept(0)
+	if want := []byte{0, 1, 2, 3, 4, 5, 6}; string(order) != string(want) {
+		t.Fatalf("accept order %v, want %v", order, want)
 	}
 }
 

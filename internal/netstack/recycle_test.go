@@ -21,13 +21,7 @@ var otherCred = Cred{UID: abi.UIDAppBase + 1, PID: 200}
 // addr and returns the client and its accepted server half.
 func loopbackPair(t *testing.T, s *Stack, cred Cred, addr string) (cli, srv *Socket) {
 	t.Helper()
-	l, _ := s.Socket(rootCred, AFInet, SockStream, 0)
-	if err := l.Bind(addr); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Listen(); err != nil {
-		t.Fatal(err)
-	}
+	l := listenAt(t, s, addr)
 	cli, _ = s.Socket(cred, AFInet, SockStream, 0)
 	if err := cli.Connect(addr); err != nil {
 		t.Fatal(err)
@@ -59,6 +53,39 @@ func TestLoopbackEchoAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
 			t.Errorf("%d B loopback send→recv: %.1f allocs/pair, want 0", size, allocs)
 		}
+	}
+}
+
+// TestConnectAcceptAllocs: a whole loopback session — connect, accept
+// into the caller's storage, send, recv, close both — makes the two
+// Socket structs and nothing else. The accepted half's first message
+// rides its inline receive slot, and the backlog is compacted in place.
+func TestConnectAcceptAllocs(t *testing.T) {
+	s := New("cvm")
+	l := listenAt(t, s, "svc:5")
+	msg, buf := []byte("hello"), make([]byte, 16)
+	var storage [1]*Socket
+	op := func() {
+		cli, _ := s.Socket(appCred, AFInet, SockStream, 0)
+		if err := cli.Connect("svc:5"); err != nil {
+			t.Fatal(err)
+		}
+		conns, err := l.AcceptBatch(storage[:0], 0)
+		if err != nil || len(conns) != 1 {
+			t.Fatalf("accept: %d conns, %v", len(conns), err)
+		}
+		if _, err := cli.Send(msg); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		if n, err := conns[0].Recv(buf); err != nil || string(buf[:n]) != string(msg) {
+			t.Fatalf("recv: %q %v", buf[:n], err)
+		}
+		conns[0].Close()
+		cli.Close()
+	}
+	op()
+	if allocs := testing.AllocsPerRun(200, op); allocs > 2 {
+		t.Errorf("loopback session: %.1f allocs, ceiling 2", allocs)
 	}
 }
 
