@@ -8,14 +8,23 @@ import (
 
 // File is an open file description: an inode reference plus offset and
 // access mode. File descriptors in the kernel layer point at File values.
+// It fits the 64-byte allocation size class, which is why it keeps the
+// opener's credentials as 32-bit IDs, as Linux's uid_t, gid_t and pid_t
+// are.
 type File struct {
 	fs    *FileSystem
 	ino   *Inode
 	path  string
 	flags abi.OpenFlag
 	off   int64
-	cred  Cred
+	cred  openerCred
 }
+
+// openerCred is the credential a File was opened with. Only device
+// reads, writes and ioctls use it, handing it to the driver as a Cred.
+type openerCred struct{ uid, gid, pid int32 }
+
+func (c openerCred) expand() Cred { return Cred{UID: int(c.uid), GID: int(c.gid), PID: int(c.pid)} }
 
 // Open opens the object at p with the given flags, creating a regular file
 // with createMode when OCreat is set.
@@ -67,7 +76,8 @@ func (fs *FileSystem) Open(cred Cred, p string, flags abi.OpenFlag, createMode a
 		}
 	}
 
-	f := &File{fs: fs, ino: ino, path: clean, flags: flags, cred: cred}
+	f := &File{fs: fs, ino: ino, path: clean, flags: flags,
+		cred: openerCred{uid: int32(cred.UID), gid: int32(cred.GID), pid: int32(cred.PID)}}
 	if flags&abi.OAppend != 0 {
 		f.off = ino.data.size
 	}
@@ -100,7 +110,7 @@ func (f *File) Read(p []byte) (int, error) {
 		return 0, abi.EBADF
 	}
 	if f.ino.Type == TypeDevice {
-		n, err := f.ino.Dev.Read(f.cred, p, f.off)
+		n, err := f.ino.Dev.Read(f.cred.expand(), p, f.off)
 		f.off += int64(n)
 		return n, err
 	}
@@ -120,7 +130,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return 0, abi.EBADF
 	}
 	if f.ino.Type == TypeDevice {
-		return f.ino.Dev.Read(f.cred, p, off)
+		return f.ino.Dev.Read(f.cred.expand(), p, off)
 	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
@@ -133,7 +143,7 @@ func (f *File) Write(p []byte) (int, error) {
 		return 0, abi.EBADF
 	}
 	if f.ino.Type == TypeDevice {
-		n, err := f.ino.Dev.Write(f.cred, p, f.off)
+		n, err := f.ino.Dev.Write(f.cred.expand(), p, f.off)
 		f.off += int64(n)
 		return n, err
 	}
@@ -153,7 +163,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		return 0, abi.EBADF
 	}
 	if f.ino.Type == TypeDevice {
-		return f.ino.Dev.Write(f.cred, p, off)
+		return f.ino.Dev.Write(f.cred.expand(), p, off)
 	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
@@ -199,7 +209,7 @@ func (f *File) Ioctl(req uint32, arg []byte) ([]byte, error) {
 	if f.ino.Type != TypeDevice {
 		return nil, abi.ENOTTY
 	}
-	return f.ino.Dev.Ioctl(f.cred, req, arg)
+	return f.ino.Dev.Ioctl(f.cred.expand(), req, arg)
 }
 
 // Sync flushes the inode's buffered pages and reports how many pages were

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"anception/internal/abi"
 )
@@ -542,6 +543,71 @@ func TestDeviceNode(t *testing.T) {
 	}
 	if !f.IsDevice() || f.Device() == nil {
 		t.Fatal("device identity lost")
+	}
+}
+
+// credDev records the credentials each device call arrives with.
+type credDev struct{ seen []Cred }
+
+func (d *credDev) DevName() string { return "cred" }
+func (d *credDev) Read(c Cred, p []byte, _ int64) (int, error) {
+	d.seen = append(d.seen, c)
+	return len(p), nil
+}
+func (d *credDev) Write(c Cred, p []byte, _ int64) (int, error) {
+	d.seen = append(d.seen, c)
+	return len(p), nil
+}
+func (d *credDev) Ioctl(c Cred, _ uint32, _ []byte) ([]byte, error) {
+	d.seen = append(d.seen, c)
+	return nil, nil
+}
+
+// TestDeviceSeesOpenerCred: every device read, write and ioctl through a
+// File, positioned or not, carries the credentials the File was opened
+// with, PID included.
+func TestDeviceSeesOpenerCred(t *testing.T) {
+	fs := newTestFS(t)
+	dev := &credDev{}
+	if err := fs.Mknod(root, "/dev/cred", 0o666, dev); err != nil {
+		t.Fatal(err)
+	}
+	opener := Cred{UID: abi.UIDAppBase + 7, GID: abi.UIDAppBase + 8, PID: 4242}
+	f, err := fs.Open(opener, "/dev/cred", abi.ORdWr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4)
+	if _, err := f.Read(buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ReadAt(buf, 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(buf, 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Ioctl(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(dev.seen) != 5 {
+		t.Fatalf("device saw %d calls, want 5", len(dev.seen))
+	}
+	for i, c := range dev.seen {
+		if c != opener {
+			t.Fatalf("device call %d saw %+v, want the opener's %+v", i, c, opener)
+		}
+	}
+}
+
+// TestFileSize: an open file description fits the 64-byte allocation
+// size class; every open on the redirected path makes one.
+func TestFileSize(t *testing.T) {
+	if got := unsafe.Sizeof(File{}); got > 64 {
+		t.Fatalf("File is %d bytes, want at most 64", got)
 	}
 }
 
