@@ -47,8 +47,6 @@ type fleetMigrationRow struct {
 	Migrations  int     `json:"migrations"`
 	CostSimUs   float64 `json:"cost_sim_us_per_migration"`
 	DataOK      bool    `json:"data_survives"`
-	Rebalanced  int     `json:"rebalance_moves"`
-	Evacuated   int     `json:"evacuate_moves"`
 	ServeAfter  bool    `json:"serves_after_move"`
 	SourceDrain int     `json:"source_epoch_advances"`
 }
@@ -129,8 +127,8 @@ func fleetExp() error {
 		return fmt.Errorf("migration demo: %w", err)
 	}
 	report.Migration = mig
-	fmt.Printf("  migration: %d move(s) at %.0f sim-us each, data survived=%v, rebalance moved %d, evacuate moved %d\n",
-		mig.Migrations, mig.CostSimUs, mig.DataOK, mig.Rebalanced, mig.Evacuated)
+	fmt.Printf("  migration: %d move(s) at %.0f sim-us each, data survived=%v\n",
+		mig.Migrations, mig.CostSimUs, mig.DataOK)
 
 	rows, err := fleetTableIRows()
 	if err == nil {
@@ -187,7 +185,7 @@ func fleetFloors(report *fleetReport) error {
 }
 
 // fleetMigrationDemo moves a warm app between shards and verifies its
-// durable state follows it, then exercises rebalance and evacuation.
+// durable state follows it.
 func fleetMigrationDemo() (fleetMigrationRow, error) {
 	var row fleetMigrationRow
 	f, err := anception.NewFleet(anception.Options{
@@ -255,16 +253,6 @@ func fleetMigrationDemo() (fleetMigrationRow, error) {
 		row.ServeAfter = true
 	}
 
-	if moves, err := f.Rebalance(); err == nil {
-		row.Rebalanced = moves
-	} else {
-		return row, fmt.Errorf("rebalance: %w", err)
-	}
-	if moves, err := f.EvacuateShard(0); err == nil {
-		row.Evacuated = moves
-	} else {
-		return row, fmt.Errorf("evacuate: %w", err)
-	}
 	return row, nil
 }
 

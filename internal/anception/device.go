@@ -611,54 +611,9 @@ func (d *Device) RestoreFromSnapshot() error {
 	return nil
 }
 
-// LiveUpgrade swaps the guest under load: seal a checkpoint of the
-// running container, gate new submissions (EAGAIN, retryable), drain
-// every in-flight redirected call and ring slot gracefully — never
-// EHOSTDOWN — then bring up the replacement guest over the restored
-// state and reopen the gate. Essentially all warm state survives, since
-// the checkpoint is taken at the moment of the swap.
-func (d *Device) LiveUpgrade() error {
-	if d.Opts.Mode != ModeAnception {
-		return fmt.Errorf("live upgrade: not an anception platform: %w", abi.EINVAL)
-	}
-	if d.snapshots == nil {
-		return fmt.Errorf("live upgrade: snapshots disabled: %w", abi.ENOENT)
-	}
-	snap := d.snapshots.Checkpoint()
-	takenAt := snap.TakenAt
-
-	// Quiesce: gate first (new arrivals fail EAGAIN and retry), then wait
-	// for in-flight calls to drain — the layer barrier covers every
-	// guest-touching span, and the ring's Quiesce serves any slot still
-	// queued.
-	d.SetDegraded(true)
-	d.Layer.QuiesceGuestCalls()
-	if d.ring != nil {
-		d.ring.Quiesce()
-	}
-
-	d.Guest.Panic("live upgrade")
-	if err := d.snapshots.Restore(); err != nil {
-		d.SetDegraded(false)
-		return fmt.Errorf("live upgrade: %w", err)
-	}
-	guest, svcs, proxies, err := d.rebuildGuest()
-	if err != nil {
-		d.SetDegraded(false)
-		return fmt.Errorf("live upgrade: %w", err)
-	}
-	d.Guest, d.GuestServices, d.Proxies = guest, svcs, proxies
-	d.Layer.UpgradeGuest(guest, proxies, takenAt)
-	d.SetDegraded(false)
-	if d.Trace != nil {
-		d.Trace.Record(sim.EvLifecycle, "live upgrade complete (gen %d)", d.CVM.Generation())
-	}
-	return d.Probe()
-}
-
 // rebuildGuest boots a fresh guest kernel + services on the container's
 // persistent filesystem with a fresh proxy manager — the common tail of
-// RestartCVM, RestoreFromSnapshot, and LiveUpgrade.
+// RestartCVM and RestoreFromSnapshot.
 func (d *Device) rebuildGuest() (*kernel.Kernel, *android.Services, *proxy.Manager, error) {
 	guest, err := d.newKernelWithFS("cvm", d.Guest.FS(), d.CVM.GuestAllocator(), d.minAddr())
 	if err != nil {

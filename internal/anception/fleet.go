@@ -26,10 +26,6 @@ import (
 // Layer, whose AdvanceEpoch drains exactly that shard's
 // grants→ring→sockets→binder→cache and nothing else.
 
-// rebalanceMaxMoves bounds one Rebalance pass; a pass that wants more
-// moves than shards is thrashing, not balancing.
-const rebalanceMaxMoves = 16
-
 // Shard is one CVM service domain of the fleet.
 type Shard struct {
 	// ID is the shard index, stable for the fleet's lifetime.
@@ -205,7 +201,7 @@ func (f *Fleet) InstallApp(spec android.AppSpec) (*FleetApp, error) {
 }
 
 // Migrate moves an app to the target shard: flush its buffered cache
-// writes to the source guest, gate the source shard (the live-upgrade
+// writes to the source guest, gate the source shard (the layer's
 // EAGAIN gate — new calls retry, in-flight ones drain), advance the
 // source shard's epoch so its warm fast-path state for the old
 // enrollment drains (per-CVM keyed: sibling shards are untouched), copy
@@ -236,7 +232,7 @@ func (f *Fleet) Migrate(app *FleetApp, targetID int) error {
 		return fmt.Errorf("fleet: migrate %s: flush: %w", app.Pkg, err)
 	}
 
-	// Quiesce the source shard: reuse the live-upgrade EAGAIN gate, then
+	// Quiesce the source shard: close the layer's EAGAIN gate, then
 	// wait out in-flight guest calls.
 	src.Dev.SetDegraded(true)
 	src.Dev.Layer.QuiesceGuestCalls()
@@ -291,84 +287,6 @@ func (f *Fleet) Migrate(app *FleetApp, targetID int) error {
 	f.mu.Lock()
 	f.migrations++
 	f.mu.Unlock()
-	return nil
-}
-
-// Rebalance migrates apps off overloaded shards until the hottest and
-// coldest shards' load scores are within one app's weight of each
-// other, bounded by rebalanceMaxMoves. Returns the number of apps
-// moved.
-func (f *Fleet) Rebalance() (int, error) {
-	if len(f.shards) < 2 {
-		return 0, nil
-	}
-	moves := 0
-	for moves < rebalanceMaxMoves {
-		hot, cold, hotScore, coldScore := f.imbalance()
-		// A single move shifts one app of score; stop when the gap
-		// cannot be narrowed by that much.
-		if hot == cold || hotScore-coldScore <= 1 {
-			break
-		}
-		victim := f.appOnShard(hot)
-		if victim == nil {
-			break
-		}
-		if err := f.Migrate(victim, cold.ID); err != nil {
-			return moves, err
-		}
-		moves++
-	}
-	return moves, nil
-}
-
-// EvacuateShard migrates every app off a shard (e.g. ahead of a planned
-// restart or after a compromise), placing each on the least-loaded
-// sibling. Returns the number of apps moved.
-func (f *Fleet) EvacuateShard(id int) (int, error) {
-	if id < 0 || id >= len(f.shards) {
-		return 0, fmt.Errorf("fleet: evacuate: no shard %d: %w", id, abi.EINVAL)
-	}
-	if len(f.shards) < 2 {
-		return 0, fmt.Errorf("fleet: evacuate shard %d: no sibling shards: %w", id, abi.EINVAL)
-	}
-	src := f.shards[id]
-	moved := 0
-	for {
-		victim := f.appOnShard(src)
-		if victim == nil {
-			return moved, nil
-		}
-		// Least-loaded sibling, excluding the shard being evacuated.
-		var best *Shard
-		bestScore := 0.0
-		for _, sh := range f.shards {
-			if sh == src {
-				continue
-			}
-			if s := loadOf(sh).Score; best == nil || s < bestScore {
-				best, bestScore = sh, s
-			}
-		}
-		if err := f.Migrate(victim, best.ID); err != nil {
-			return moved, err
-		}
-		moved++
-	}
-}
-
-// appOnShard returns one app currently resident on the shard, or nil.
-func (f *Fleet) appOnShard(sh *Shard) *FleetApp {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, a := range f.apps {
-		a.mu.Lock()
-		here := a.shard == sh
-		a.mu.Unlock()
-		if here {
-			return a
-		}
-	}
 	return nil
 }
 

@@ -2,6 +2,9 @@ package anception
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -182,34 +185,189 @@ func TestFleetMigration(t *testing.T) {
 	}
 }
 
-func TestFleetEvacuateAndRebalance(t *testing.T) {
+// TestFleetMigrationUnderLoad: sibling apps on both shards loop file,
+// grant-path and binder calls while Migrate moves one app out and back. The
+// source shard's EAGAIN gate and QuiesceGuestCalls barrier must drain
+// in-flight calls gracefully: gated arrivals fail EAGAIN (retryable),
+// and no worker ever sees EHOSTDOWN, the signature of an ungraceful
+// teardown, or an error without an errno. The ring and binder
+// accounting identities hold afterwards on every shard. Run under
+// -race in CI.
+func TestFleetMigrationUnderLoad(t *testing.T) {
 	f := bootFleet(t, 2)
-	registerFleetEcho(f)
-	for i := 0; i < 4; i++ {
-		if _, err := f.InstallApp(android.AppSpec{Package: "com.fleet.evac" + string(rune('0'+i))}); err != nil {
+	const napps = 6
+	apps := make([]*FleetApp, napps)
+	for i := range apps {
+		a, err := f.InstallApp(android.AppSpec{Package: fmt.Sprintf("com.fleet.load%d", i)})
+		if err != nil {
 			t.Fatal(err)
 		}
+		apps[i] = a
 	}
-	moved, err := f.EvacuateShard(0)
+	mover, workers := apps[0], apps[1:]
+	src := mover.Shard()
+	siblings := 0
+	for _, a := range workers {
+		if a.Shard() == src {
+			siblings++
+		}
+	}
+	if siblings == 0 {
+		t.Fatalf("no sibling shares shard %d with the mover", src)
+	}
+
+	stop := make(chan struct{})
+	// A failed migration ends the test early: signal the workers to
+	// stop then too, so they do not keep loading the process for the
+	// tests after this one.
+	halt := sync.OnceFunc(func() { close(stop) })
+	defer halt()
+	badErr := make(chan error, len(workers))
+	bulk := make([]byte, 4*abi.PageSize) // over GrantThreshold: the grant path
+	var started, wg sync.WaitGroup
+	for i, a := range workers {
+		p := a.Proc()
+		bfd, err := p.OpenBinder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		started.Add(1)
+		wg.Add(1)
+		go func(i int, p *Proc, bfd int) {
+			defer wg.Done()
+			report := func(err error) {
+				if err == nil {
+					return
+				}
+				var errno abi.Errno
+				switch {
+				case errors.Is(err, abi.EHOSTDOWN):
+					err = fmt.Errorf("worker %d: EHOSTDOWN during migration: %w", i, err)
+				case !errors.As(err, &errno):
+					err = fmt.Errorf("worker %d: non-errno error: %w", i, err)
+				default:
+					return
+				}
+				select {
+				case badErr <- err:
+				default:
+				}
+			}
+			for n := 0; ; n++ {
+				if n == 1 {
+					started.Done()
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				fd, err := p.Open(fmt.Sprintf("m%d-%d.txt", i, n), abi.OWrOnly|abi.OCreat, 0o600)
+				if err != nil {
+					report(err)
+				} else {
+					_, err = p.Write(fd, []byte("under migration"))
+					report(err)
+					_, err = p.Pwrite(fd, bulk, 0)
+					report(err)
+					report(p.Close(fd))
+				}
+				_, err = p.BinderCall(bfd, "location", android.CodeGetLocation, []byte{byte(i), byte(n)})
+				report(err)
+			}
+		}(i, a.Proc(), bfd)
+	}
+	// Every worker has finished one round of calls before the first move,
+	// so the moves overlap live traffic on both shards.
+	started.Wait()
+
+	const rounds = 3
+	for r := 0; r < rounds; r++ {
+		if err := f.Migrate(mover, 1-src); err != nil {
+			t.Fatalf("round %d: migrate out: %v", r, err)
+		}
+		if err := f.Migrate(mover, src); err != nil {
+			t.Fatalf("round %d: migrate back: %v", r, err)
+		}
+	}
+	halt()
+	wg.Wait()
+	select {
+	case err := <-badErr:
+		t.Fatal(err)
+	default:
+	}
+	if mover.Shard() != src || mover.Moves() != 2*rounds {
+		t.Fatalf("mover on shard %d after %d moves, want shard %d after %d", mover.Shard(), mover.Moves(), src, 2*rounds)
+	}
+
+	for _, a := range apps {
+		p := a.Proc()
+		fd, err := p.Open("final.txt", abi.OWrOnly|abi.OCreat, 0o600)
+		if err != nil {
+			t.Fatalf("%s: post-migration open: %v", a.Pkg, err)
+		}
+		if _, err := p.Write(fd, []byte("clean")); err != nil {
+			t.Fatalf("%s: post-migration write: %v", a.Pkg, err)
+		}
+		if err := p.Close(fd); err != nil {
+			t.Fatalf("%s: post-migration close: %v", a.Pkg, err)
+		}
+		bfd, err := p.OpenBinder()
+		if err != nil {
+			t.Fatalf("%s: post-migration open binder: %v", a.Pkg, err)
+		}
+		if _, err := p.BinderCall(bfd, "location", android.CodeGetLocation, []byte("post")); err != nil {
+			t.Fatalf("%s: post-migration binder call: %v", a.Pkg, err)
+		}
+	}
+	for _, sh := range f.Shards() {
+		if st := sh.Dev.Layer.Stats(); st.Ring.Submitted != st.Ring.Completed+st.Ring.Failed {
+			t.Fatalf("shard %d: ring accounting broken after migrations: %+v", sh.ID, st.Ring)
+		}
+		binderIdentity(t, sh.Dev)
+	}
+}
+
+// TestFleetMigrationWaitsForInflightCalls: Migrate closes the source
+// shard's gate, so a new arrival fails EAGAIN without touching the
+// guest, and then waits on the quiesce barrier until the call already
+// inside the guest leaves. Only then does it drain the shard's epoch and
+// move the app.
+func TestFleetMigrationWaitsForInflightCalls(t *testing.T) {
+	f := bootFleet(t, 2)
+	a, err := f.InstallApp(android.AppSpec{Package: "com.fleet.inflight"})
 	if err != nil {
-		t.Fatalf("evacuate: %v", err)
+		t.Fatal(err)
 	}
-	if moved != 2 {
-		t.Fatalf("evacuated %d apps, want 2", moved)
+	l := f.Shard(a.Shard()).Dev.Layer
+	if !l.enterGuestCall(l.currentState()) {
+		t.Fatal("idle shard refused a guest call")
 	}
-	if n := f.Shard(0).appCount(); n != 0 {
-		t.Fatalf("shard 0 holds %d apps after evacuation", n)
+	done := make(chan error, 1)
+	go func() { done <- f.Migrate(a, 1-a.Shard()) }()
+	for !l.currentState().degraded {
+		select {
+		case err := <-done:
+			t.Fatalf("Migrate returned (%v) with a guest call in flight", err)
+		default:
+			runtime.Gosched()
+		}
 	}
-	// Rebalance pulls the population back toward even.
-	moved, err = f.Rebalance()
-	if err != nil {
-		t.Fatalf("rebalance: %v", err)
+	if l.enterGuestCall(l.currentState()) {
+		t.Fatal("gated shard admitted a new guest call")
 	}
-	if moved == 0 {
-		t.Fatal("rebalance moved nothing off the hot shard")
+	select {
+	case err := <-done:
+		t.Fatalf("Migrate returned (%v) with a guest call in flight", err)
+	case <-time.After(20 * time.Millisecond):
 	}
-	if n := f.Shard(0).appCount(); n == 0 {
-		t.Fatal("rebalance left shard 0 empty")
+	l.exitGuestCall()
+	if err := <-done; err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	if l.currentState().degraded {
+		t.Fatal("Migrate left the source shard gated")
 	}
 }
 

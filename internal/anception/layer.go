@@ -68,9 +68,9 @@ type Layer struct {
 
 	// guestCalls counts redirected calls currently inside a guest-touching
 	// span (the forward core's round trip).
-	// It is the live-upgrade quiesce barrier: with degraded mode gating
-	// new entries, QuiesceGuestCalls waits for this to reach zero before
-	// the guest is swapped under load.
+	// It is the quiesce barrier: with degraded mode gating new entries,
+	// QuiesceGuestCalls waits for this to reach zero before Fleet.Migrate
+	// moves an app off the shard.
 	guestCalls atomic.Int64
 
 	counters layerCounters
@@ -126,7 +126,6 @@ type layerCounters struct {
 	sockDrains     atomic.Int64
 
 	restores       atomic.Int64
-	upgrades       atomic.Int64
 	cachePagesKept atomic.Int64
 	attrsKept      atomic.Int64
 	dirtyDropped   atomic.Int64
@@ -201,7 +200,7 @@ type LayerStats struct {
 	// Net holds the network fast-path counters — socket ops over the
 	// ring, batched accept/epoll completions, restart drains.
 	Net NetPathStats
-	// Restore holds the snapshot-restore and live-upgrade counters.
+	// Restore holds the snapshot-restore counters.
 	Restore RestoreStats
 	// Policy counts the fixed dispatch decisions: transport, payload
 	// strategy and cache.
@@ -215,16 +214,13 @@ type LayerStats struct {
 	Epoch EpochStats
 }
 
-// RestoreStats counts snapshot-restore and live-upgrade recoveries plus
-// the warm state that survived each generation-aware reconciliation.
-// Everything the Kept counters do not cover drains exactly as a cold
-// restart would.
+// RestoreStats counts snapshot-restore recoveries plus the warm state
+// that survived each generation-aware reconciliation. Everything the
+// Kept counters do not cover drains exactly as a cold restart would.
 type RestoreStats struct {
 	// Restores counts guest swaps after snapshot restores (RestoreGuest);
-	// Upgrades counts live guest swaps under load (UpgradeGuest). Neither
-	// increments Restarts.
+	// it does not increment Restarts.
 	Restores int
-	Upgrades int
 	// CachePagesKept / AttrsKept count redirection-cache entries re-tagged
 	// to the new boot generation (clean pages mirror the persistent
 	// filesystem, which a restore does not rewind). DirtyDropped counts
@@ -416,14 +412,14 @@ func (l *Layer) ReplaceGuest(guest *kernel.Kernel, proxies *proxy.Manager) {
 }
 
 // enterGuestCall registers one container-bound call against the
-// live-upgrade quiesce barrier and checks the fail-fast gate. It returns
-// false — and the caller must fail with EAGAIN without touching the guest
-// — when degraded mode is on (breaker open, or an upgrade gating
-// submissions). The increment-then-recheck order pairs Dekker-style with
+// quiesce barrier and checks the fail-fast gate. It returns false — and
+// the caller must fail with EAGAIN without touching the guest — when
+// degraded mode is on (breaker open, or a migration gating submissions).
+// The increment-then-recheck order pairs Dekker-style with
 // SetDegraded-then-QuiesceGuestCalls on the quiescing side: once the gate
 // is visible, a concurrent call either observed it here (and backed out)
 // or its registration is visible to the quiescer, so no call can slip
-// through unseen while the guest is being swapped.
+// through unseen while the shard is quiesced.
 func (l *Layer) enterGuestCall(st *layerState) bool {
 	l.guestCalls.Add(1)
 	if st.degraded || l.currentState().degraded {
@@ -446,7 +442,7 @@ func (l *Layer) Inflight() int64 { return l.guestCalls.Load() }
 // container. The caller must gate new submissions first (SetDegraded(true))
 // or this may never terminate. In-flight calls drain to completion —
 // EAGAIN-retry for new arrivals, never EHOSTDOWN for in-flight ones —
-// which is the graceful half of the live-upgrade contract.
+// which is the graceful half of the migration contract.
 func (l *Layer) QuiesceGuestCalls() {
 	for l.guestCalls.Load() > 0 {
 		runtime.Gosched()
@@ -470,18 +466,6 @@ func (l *Layer) QuiesceGuestCalls() {
 //   - ring: re-armed to the new generation exactly as after a restart —
 //     slots in flight against the crashed guest still fail EHOSTDOWN.
 func (l *Layer) RestoreGuest(guest *kernel.Kernel, proxies *proxy.Manager, takenAt time.Duration) {
-	l.reconcileWarmState(guest, proxies, takenAt, false)
-}
-
-// UpgradeGuest swaps in a replacement guest under load (live CVM
-// upgrade). Callers must have gated and quiesced first (SetDegraded,
-// QuiesceGuestCalls, ring Quiesce); with takenAt the moment of the
-// pre-swap checkpoint, essentially all warm state survives.
-func (l *Layer) UpgradeGuest(guest *kernel.Kernel, proxies *proxy.Manager, takenAt time.Duration) {
-	l.reconcileWarmState(guest, proxies, takenAt, true)
-}
-
-func (l *Layer) reconcileWarmState(guest *kernel.Kernel, proxies *proxy.Manager, takenAt time.Duration, upgrade bool) {
 	l.mutateState(func(s *layerState) {
 		s.guest = guest
 		s.proxies = proxies
@@ -495,11 +479,7 @@ func (l *Layer) reconcileWarmState(guest *kernel.Kernel, proxies *proxy.Manager,
 	if l.cvm != nil {
 		gen = l.cvm.Generation()
 	}
-	if upgrade {
-		l.counters.upgrades.Add(1)
-	} else {
-		l.counters.restores.Add(1)
-	}
+	l.counters.restores.Add(1)
 	pagesKept, attrsKept, dirtyDropped := l.rekeyRedirCache(gen)
 	sessionsKept, repliesKept := l.reconcileBinder(guest, gen, takenAt)
 	if ring, ok := l.currentState().transport.(marshal.AsyncTransport); ok {
@@ -517,13 +497,9 @@ func (l *Layer) reconcileWarmState(guest *kernel.Kernel, proxies *proxy.Manager,
 	l.counters.repliesKept.Add(int64(repliesKept))
 	l.counters.grantsKept.Add(int64(grantsKept))
 	if l.trace != nil {
-		what := "snapshot restore"
-		if upgrade {
-			what = "live upgrade"
-		}
 		l.trace.Record(sim.EvSnapshot,
-			"guest swapped (%s, gen %d): kept %d cache pages, %d attrs, %d sessions, %d replies, %d grants; dropped %d dirty extents",
-			what, gen, pagesKept, attrsKept, sessionsKept, repliesKept, grantsKept, dirtyDropped)
+			"guest swapped (snapshot restore, gen %d): kept %d cache pages, %d attrs, %d sessions, %d replies, %d grants; dropped %d dirty extents",
+			gen, pagesKept, attrsKept, sessionsKept, repliesKept, grantsKept, dirtyDropped)
 	}
 }
 
@@ -644,7 +620,6 @@ func (l *Layer) Stats() LayerStats {
 	s.Net = l.NetStats()
 	s.Restore = RestoreStats{
 		Restores:       int(l.counters.restores.Load()),
-		Upgrades:       int(l.counters.upgrades.Load()),
 		CachePagesKept: int(l.counters.cachePagesKept.Load()),
 		AttrsKept:      int(l.counters.attrsKept.Load()),
 		DirtyDropped:   int(l.counters.dirtyDropped.Load()),

@@ -3,10 +3,10 @@ package anception
 import "time"
 
 // Placement scheduler for the CVM fleet (DESIGN.md §16): decides which
-// shard an app enrolls on, and which apps move when a shard overloads.
-// Placement consumes the shard's observable load signals: the layer's
-// instantaneous inflight count, the async ring's queue depth, and the
-// app population. A new app goes to the least-loaded shard.
+// shard an app enrolls on. Placement consumes the shard's observable
+// load signals: the layer's instantaneous inflight count, the async
+// ring's queue depth, and the app population. A new app goes to the
+// least-loaded shard.
 
 // ShardLoad is one shard's placement-visible load snapshot.
 type ShardLoad struct {
@@ -65,21 +65,4 @@ func (f *Fleet) Loads() []ShardLoad {
 		out = append(out, loadOf(sh))
 	}
 	return out
-}
-
-// imbalance returns the most and least loaded shards by score.
-func (f *Fleet) imbalance() (hot, cold *Shard, hotScore, coldScore float64) {
-	hot, cold = f.shards[0], f.shards[0]
-	hotScore = loadOf(hot).Score
-	coldScore = hotScore
-	for _, sh := range f.shards[1:] {
-		s := loadOf(sh).Score
-		if s > hotScore {
-			hot, hotScore = sh, s
-		}
-		if s < coldScore {
-			cold, coldScore = sh, s
-		}
-	}
-	return hot, cold, hotScore, coldScore
 }

@@ -233,121 +233,11 @@ func TestConcurrentRestoreUnderLoad(t *testing.T) {
 	}
 }
 
-// TestLiveUpgradeUnderLoad: the guest is swapped under load. In-flight
-// calls drain gracefully and gated arrivals fail EAGAIN (retryable) —
-// never EHOSTDOWN, the signature of an ungraceful teardown. Accounting
-// identities hold afterwards and every worker keeps going against the
-// upgraded guest. Run under -race in CI.
-func TestLiveUpgradeUnderLoad(t *testing.T) {
-	d := bootSnapshotDevice(t, Options{RingDepth: 8, BinderSessions: true})
-	const workers = 4
-	apps := make([]*Proc, workers)
-	bfds := make([]int, workers)
-	for i := range apps {
-		apps[i] = installAndLaunch(t, d, fmt.Sprintf("com.upgrade%d", i))
-		fd, err := apps[i].OpenBinder()
-		if err != nil {
-			t.Fatal(err)
-		}
-		bfds[i] = fd
-	}
-
-	stop := make(chan struct{})
-	// A failed upgrade ends the test early: signal the workers to stop
-	// then too, so they do not keep loading the process for the tests
-	// after this one. Only the passing path waits for them.
-	halt := sync.OnceFunc(func() { close(stop) })
-	defer halt()
-	badErr := make(chan error, workers)
-	var wg sync.WaitGroup
-	for i, app := range apps {
-		wg.Add(1)
-		go func(i int, app *Proc, bfd int) {
-			defer wg.Done()
-			report := func(err error) {
-				if err == nil {
-					return
-				}
-				var errno abi.Errno
-				switch {
-				case errors.Is(err, abi.EHOSTDOWN):
-					select {
-					case badErr <- fmt.Errorf("worker %d: EHOSTDOWN during live upgrade: %w", i, err):
-					default:
-					}
-				case !errors.As(err, &errno):
-					select {
-					case badErr <- fmt.Errorf("worker %d: non-errno error: %w", i, err):
-					default:
-					}
-				}
-			}
-			for n := 0; ; n++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				name := fmt.Sprintf("u%d-%d.txt", i, n)
-				fd, err := app.Open(name, abi.OWrOnly|abi.OCreat, 0o600)
-				if err != nil {
-					report(err)
-					continue
-				}
-				if _, err := app.Write(fd, []byte("under upgrade")); err != nil {
-					report(err)
-				}
-				report(app.Close(fd))
-				_, err = app.BinderCall(bfd, "location", android.CodeGetLocation, []byte{byte(i), byte(n)})
-				report(err)
-			}
-		}(i, app, bfds[i])
-	}
-
-	const rounds = 3
-	for r := 0; r < rounds; r++ {
-		if err := d.LiveUpgrade(); err != nil {
-			t.Fatalf("live upgrade %d: %v", r, err)
-		}
-	}
-	halt()
-	wg.Wait()
-	select {
-	case err := <-badErr:
-		t.Fatal(err)
-	default:
-	}
-
-	for i, app := range apps {
-		fd, err := app.Open("final.txt", abi.OWrOnly|abi.OCreat, 0o600)
-		if err != nil {
-			t.Fatalf("worker %d post-upgrade open: %v", i, err)
-		}
-		if _, err := app.Write(fd, []byte("clean")); err != nil {
-			t.Fatalf("worker %d post-upgrade write: %v", i, err)
-		}
-		if err := app.Close(fd); err != nil {
-			t.Fatalf("worker %d post-upgrade close: %v", i, err)
-		}
-		if _, err := app.BinderCall(bfds[i], "location", android.CodeGetLocation, []byte("post")); err != nil {
-			t.Fatalf("worker %d post-upgrade binder call: %v", i, err)
-		}
-	}
-	st := d.Layer.Stats()
-	if st.Restore.Upgrades != rounds {
-		t.Fatalf("Upgrades = %d, want %d", st.Restore.Upgrades, rounds)
-	}
-	if st.Ring.Submitted != st.Ring.Completed+st.Ring.Failed {
-		t.Fatalf("ring accounting broken after upgrades: %+v", st.Ring)
-	}
-	binderIdentity(t, d)
-}
-
-// TestBinderRoutedBeforeUpgradeIsRetryable: a transaction routed to the
-// guest just before a live upgrade gated the layer and took that guest
-// down never reached the container, so it fails EAGAIN (retry) like any
-// gated arrival, not EHOSTDOWN. A guest that died with the layer open is
-// still a dead container.
+// TestBinderRoutedBeforeUpgradeIsRetryable is a gate test: a transaction
+// routed to the guest just before the layer's EAGAIN gate closed and the
+// guest went down never reached the container, so it fails EAGAIN
+// (retry) like any gated arrival, not EHOSTDOWN. A guest that died with
+// the gate open is still a dead container.
 func TestBinderRoutedBeforeUpgradeIsRetryable(t *testing.T) {
 	d := bootSnapshotDevice(t, Options{RingDepth: 8, BinderSessions: true})
 	app := installAndLaunch(t, d, "com.upgrade.routed")
@@ -358,7 +248,7 @@ func TestBinderRoutedBeforeUpgradeIsRetryable(t *testing.T) {
 	routed := d.Layer.currentState()
 
 	d.SetDegraded(true)
-	d.Guest.Panic("live upgrade")
+	d.Guest.Panic("gated guest down")
 	if res := d.Layer.bridgeBinder(routed, app.Task, f, txn); !errors.Is(res.Err, abi.EAGAIN) {
 		t.Fatalf("gated, guest down: err = %v, want EAGAIN", res.Err)
 	}

@@ -441,19 +441,6 @@ func (r *RingChannel) Rearm(generation int) {
 	}
 }
 
-// Quiesce serves every queued slot and returns once no slot is in
-// flight. Callers must gate new submissions first (the layer holds
-// EAGAIN-fast-fail degraded mode while quiescing). Used by the
-// live-upgrade drill to drain the ring gracefully instead of failing
-// slots EHOSTDOWN.
-func (r *RingChannel) Quiesce() {
-	r.mu.Lock()
-	for r.sq.n > 0 {
-		r.serveLocked(r.sq.pop())
-	}
-	r.mu.Unlock()
-}
-
 // Close shuts the submission side down: later and ring-full Submits fail
 // ENXIO, while slots already queued are still served by their waiters.
 // Idempotent.

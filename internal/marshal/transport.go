@@ -102,8 +102,7 @@ func (p *PageChannel) chargeChunks(lane *sim.Lane, n int, perByte time.Duration)
 
 // RoundTrip implements Transport. The payload bytes really do traverse the
 // guest-owned channel frames, so anything the host sends is visible to
-// (and only to) the container — the property the encfs extension's tests
-// rely on.
+// (and only to) the container.
 func (p *PageChannel) RoundTrip(lane *sim.Lane, payload []byte, handler GuestHandler) ([]byte, error) {
 	// Liveness first: a panicked guest must not be signaled, and the
 	// handler must not run against its dead kernel. The distinct errno

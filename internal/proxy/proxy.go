@@ -197,16 +197,6 @@ func (m *Manager) MirrorFork(parentHostPID int, child *kernel.Task) (*kernel.Tas
 	return childProxy, nil
 }
 
-// MirrorCred propagates a host credential change to the proxy. The paper's
-// footnote 3: an app that changes its UID after launch is killed — that
-// enforcement happens in the Anception layer; the manager only mirrors.
-func (m *Manager) MirrorCred(hostPID int, cred abi.Cred) {
-	if p := m.ProxyFor(hostPID); p != nil {
-		p.Cred.UID = cred.UID
-		p.Cred.GID = cred.GID
-	}
-}
-
 // MirrorChdir propagates a working-directory change.
 func (m *Manager) MirrorChdir(hostPID int, cwd string) {
 	if p := m.ProxyFor(hostPID); p != nil {

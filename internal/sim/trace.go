@@ -43,7 +43,7 @@ const (
 	EvBinderSession
 	// EvSnapshot marks hypervisor snapshot/restore activity: periodic
 	// copy-on-write checkpoints, restores (with the frame counts that set
-	// their cost), checksum rejections, and live-upgrade swaps.
+	// their cost) and checksum rejections.
 	EvSnapshot
 )
 
