@@ -9,17 +9,19 @@ import (
 )
 
 // Host heap budgets. The physical frame table builds a chunk only once
-// one of its frames differs from the rest and holds page contents only
-// for written frames (DESIGN.md §3), so a device's live heap follows the
-// frames its kernels touch, not the 1 GiB it models nor the CVM's 64 MB
-// reservation; these gates keep it that way.
+// one of its frames differs from the rest, a mapping that takes or frees
+// a whole chunk leaves it unbuilt, a mapping holds its frames as runs, and
+// page contents exist only for written frames (DESIGN.md §3), so a
+// device's live heap follows the frames its kernels touch one by one,
+// not the 1 GiB it models nor the CVM's 64 MB reservation; these gates
+// keep it that way.
 //
 // The budgets sit about 30% above the highest live heap measured on a
 // 2-core machine with `go test -count=3 -run HeapBudget -v
 // ./internal/anception` and with the whole package run, each with and
 // without -race (the race detector's shadow memory is not Go heap): a
-// default device holds 0.31 to 0.35 MB, a 16-shard fleet with 32 apps
-// 5.76 to 5.81 MB.
+// default device holds 0.15 to 0.19 MB, a 16-shard fleet with 32 apps
+// 3.17 to 3.21 MB.
 
 // liveHeapDelta reports how much live Go heap build adds once the
 // collector has run before and after it. The value build returns is kept
@@ -47,7 +49,7 @@ func heapBudget(t *testing.T, what string, mb, budget float64) {
 }
 
 // TestFleetHeapBudget: a 16-shard AutoTune fleet with 32 apps installed
-// and launched fits in 7.5 MB of live heap.
+// and launched fits in 4.2 MB of live heap.
 func TestFleetHeapBudget(t *testing.T) {
 	mb := liveHeapDelta(t, func() any {
 		f, err := NewFleet(Options{Mode: ModeAnception, FleetSize: 16, AutoTune: true})
@@ -62,10 +64,10 @@ func TestFleetHeapBudget(t *testing.T) {
 		}
 		return f
 	})
-	heapBudget(t, "16-shard fleet, 32 apps", mb, 7.5)
+	heapBudget(t, "16-shard fleet, 32 apps", mb, 4.2)
 }
 
-// TestDeviceHeapBudget: one default device fits in 0.45 MB of live heap.
+// TestDeviceHeapBudget: one default device fits in 0.25 MB of live heap.
 func TestDeviceHeapBudget(t *testing.T) {
 	mb := liveHeapDelta(t, func() any {
 		d, err := NewDevice(Options{Mode: ModeAnception})
@@ -75,5 +77,5 @@ func TestDeviceHeapBudget(t *testing.T) {
 		t.Cleanup(d.Close)
 		return d
 	})
-	heapBudget(t, "default device", mb, 0.45)
+	heapBudget(t, "default device", mb, 0.25)
 }

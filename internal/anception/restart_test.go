@@ -154,9 +154,9 @@ func TestRestartPreservesMemoryIsolation(t *testing.T) {
 	// Guest services landed inside the region.
 	for _, task := range d.Guest.Tasks() {
 		for _, v := range task.AS.VMAs() {
-			for _, f := range v.Frames {
-				if !d.CVM.Region().Contains(f) {
-					t.Fatalf("guest frame %d outside region after restart", f)
+			for _, r := range v.Runs() {
+				if !d.CVM.Region().Contains(r.First) || !d.CVM.Region().Contains(r.First+kernel.FrameID(r.N)-1) {
+					t.Fatalf("guest frames [%d,+%d) outside region after restart", r.First, r.N)
 				}
 			}
 		}

@@ -1,18 +1,34 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"anception/internal/abi"
 )
 
 // FrameID identifies one physical page frame. It is 32 bits wide: a
-// 1 GiB device has 262,144 frames, and every mapping's frame list holds
-// one FrameID per page.
+// 1 GiB device has 262,144 frames.
 type FrameID int32
+
+// FrameRun is a run of N consecutive frames from First. Mappings and
+// shared segments hold their frames as runs, in page order.
+type FrameRun struct {
+	First FrameID
+	N     int32
+}
+
+// appendRun appends r to runs, growing the last run when r follows it.
+func appendRun(runs []FrameRun, r FrameRun) []FrameRun {
+	if k := len(runs) - 1; k >= 0 && runs[k].First+FrameID(runs[k].N) == r.First {
+		runs[k].N += r.N
+		return runs
+	}
+	return append(runs, r)
+}
 
 // FrameOwnerKind classifies who owns a physical frame.
 type FrameOwnerKind int
@@ -38,14 +54,16 @@ type FrameOwner struct {
 // the frames that differ from their chunk's default. An unbuilt chunk is
 // a small record whose frames all share one owner and one version and
 // have no contents. Every chunk starts unbuilt as free frames at version
-// 0, ReserveRegion and ResetRegion take a chunk they cover whole from one
-// uniform state to the next without building it (a CVM's 64 MB region is
-// 32 chunks), and ReclaimRegion finds nothing to change in an unbuilt
-// unowned chunk. The first change to a single frame builds its chunk: one
-// array of owners, whose kernel is an id into a name table interned here,
-// and one of versions, 16 B per frame. Frame contents hang off a
-// per-chunk array of page pointers, allocated when a frame of the chunk
-// is first written.
+// 0. A change that every frame of an unbuilt chunk takes alike moves the
+// chunk to its next uniform state without building it: ReserveRegion and
+// ResetRegion on a chunk they cover whole (a CVM's 64 MB region is 32
+// chunks), ReclaimRegion on one that holds no kept frame, an AllocN whose
+// next chunkFrames frames in Alloc order are one unbuilt chunk, and a
+// free of a whole unbuilt chunk. The first change to a single frame
+// builds its chunk: one array of owners, whose kernel is an id into a
+// name table interned here, and one of versions, 16 B per frame. Frame
+// contents hang off a per-chunk array of page pointers, allocated when a
+// frame of the chunk is first written.
 //
 // The FrameID order is part of the contract. Host allocations take the
 // most recently freed frame first, then free frames in ascending order
@@ -90,7 +108,7 @@ type frameChunk struct {
 	guestFree int16 // frames in the unowned guest state
 	// guestLow is a low-water mark: no frame below this index is in the
 	// unowned guest state. A chunk with none may have it at chunkFrames;
-	// setOwnerLocked lowers it, unownChunkLocked puts it at 0 and
+	// setOwnerLocked lowers it, moveChunkLocked puts it at 0 and
 	// unownedGuestLocked raises it to the frame it finds.
 	guestLow int16
 }
@@ -244,16 +262,17 @@ func (p *Physical) setOwnerLocked(f FrameID, o ownerID) (*frameChunk, int) {
 	return c, i
 }
 
-// unownChunkLocked does to every frame of the unbuilt chunk c, n frames
-// long, what setOwnerLocked(f, unownedGuest) does to one, and leaves it
-// unbuilt: its one owner becomes unownedGuest and its one version moves
-// up by one.
-func (p *Physical) unownChunkLocked(c *frameChunk, n int) {
+// moveChunkLocked does to every frame of the unbuilt chunk c, n frames
+// long, what setOwnerLocked(f, o) does to one, and leaves it unbuilt: its
+// one owner becomes o and its one version moves up by one.
+func (p *Physical) moveChunkLocked(c *frameChunk, n int, o ownerID) {
 	p.tallyLocked(c, c.owner, -n)
-	c.owner = unownedGuest
+	c.owner = o
 	c.version++
-	p.tallyLocked(c, unownedGuest, n)
-	c.guestLow = 0
+	p.tallyLocked(c, o, n)
+	if o == unownedGuest {
+		c.guestLow = 0
+	}
 }
 
 func (p *Physical) tallyLocked(c *frameChunk, o ownerID, d int) {
@@ -351,22 +370,22 @@ func (p *Physical) ReserveRegion(n int) (Region, error) {
 		return Region{}, fmt.Errorf("reserve %d frames: %w", n, abi.ENOMEM)
 	}
 	r := Region{Start: start, End: start + FrameID(n)}
-	p.unownLocked(r, false)
+	p.setOwnersLocked(r.Start, r.End, unownedGuest, false)
 	p.freed, p.cursor = p.freed[:0], 0
 	return r, nil
 }
 
-// unownLocked puts every frame of r in the unowned guest state with a
-// version bump, and clears its contents if clear is set. A chunk r covers
-// whole that is unbuilt stays unbuilt.
-func (p *Physical) unownLocked(r Region, clear bool) {
-	for f, end := r.Start, p.end(r); f < end; {
+// setOwnersLocked does setOwnerLocked(g, o) to every frame g of [f, end),
+// clearing its contents if clear is set. An unbuilt chunk the range
+// covers whole moves in one step and stays unbuilt.
+func (p *Physical) setOwnersLocked(f, end FrameID, o ownerID, clear bool) {
+	for f < end {
 		c, n, whole := p.spanLocked(f, end)
 		if whole && c.table == nil {
-			p.unownChunkLocked(c, int(n))
+			p.moveChunkLocked(c, int(n), o)
 		} else {
 			for g := f; g < f+n; g++ {
-				if c, i := p.setOwnerLocked(g, unownedGuest); clear {
+				if c, i := p.setOwnerLocked(g, o); clear {
 					c.setPage(i, nil)
 				}
 			}
@@ -381,7 +400,7 @@ func (p *Physical) unownLocked(r Region, clear bool) {
 func (p *Physical) ResetRegion(r Region) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.unownLocked(r, true)
+	p.setOwnersLocked(r.Start, p.end(r), unownedGuest, true)
 }
 
 // ReclaimRegion returns every frame in a reserved guest region to the
@@ -391,22 +410,24 @@ func (p *Physical) ResetRegion(r Region) {
 // image: the rebooted kernel re-owns its allocations from scratch, so
 // the previous boot's frames must rejoin the pool or repeated restores
 // exhaust the region. Only frames whose owner actually changes are
-// version-bumped.
+// version-bumped; an unbuilt chunk with no kept frame moves whole.
 func (p *Physical) ReclaimRegion(r Region, keep []FrameID) {
-	kept := make(map[FrameID]struct{}, len(keep))
-	for _, f := range keep {
-		kept[f] = struct{}{}
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for f := r.Start; f < p.end(r); f++ {
-		if _, ok := kept[f]; ok {
-			continue
+	for f, end := r.Start, p.end(r); f < end; {
+		c, n, whole := p.spanLocked(f, end)
+		if whole && c.table == nil && !slices.ContainsFunc(keep, func(k FrameID) bool { return k >= f && k < f+n }) {
+			if c.owner != unownedGuest {
+				p.moveChunkLocked(c, int(n), unownedGuest)
+			}
+		} else {
+			for g := f; g < f+n; g++ {
+				if c.ownerAt(int(g%chunkFrames)) != unownedGuest && !slices.Contains(keep, g) {
+					p.setOwnerLocked(g, unownedGuest)
+				}
+			}
 		}
-		if c, i := p.chunkLocked(f); c.ownerAt(i) == unownedGuest {
-			continue
-		}
-		p.setOwnerLocked(f, unownedGuest)
+		f += n
 	}
 }
 
@@ -509,33 +530,31 @@ func (a *Allocator) Alloc(pid int) (FrameID, error) {
 	p := a.phys
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return a.allocLocked(a.owner(pid))
+	r, err := a.allocLocked(a.owner(pid), 1)
+	return r.First, err
 }
 
 // AllocN assigns n frames to pid under one hold of the frame-table lock,
-// in the order n Alloc calls would return them. If the allocator runs
-// out part way, the frames already taken are freed, in that order, and
-// the error is returned: a mapping gets all its frames or none.
-func (a *Allocator) AllocN(pid, n int) ([]FrameID, error) {
-	if n <= 0 {
-		return nil, nil
-	}
+// in the order n Alloc calls would return them, and returns them as runs.
+// If the allocator runs out part way, the frames already taken are freed,
+// in that order, and the error is returned: a mapping gets all its frames
+// or none.
+func (a *Allocator) AllocN(pid, n int) ([]FrameRun, error) {
 	p := a.phys
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	owner := a.owner(pid)
-	frames := make([]FrameID, n)
-	for i := range frames {
-		f, err := a.allocLocked(owner)
+	var runs []FrameRun
+	for left := n; left > 0; {
+		r, err := a.allocLocked(owner, left)
 		if err != nil {
-			for _, g := range frames[:i] {
-				a.freeLocked(g)
-			}
+			a.freeRunsLocked(runs, false)
 			return nil, err
 		}
-		frames[i] = f
+		runs = appendRun(runs, r)
+		left -= int(r.N)
 	}
-	return frames, nil
+	return runs, nil
 }
 
 // owner is the owner Alloc records for pid.
@@ -552,19 +571,33 @@ func (a *Allocator) owner(pid int) ownerID {
 	return ownerID{kind: uint8(FrameHostKernel)}
 }
 
-func (a *Allocator) allocLocked(owner ownerID) (FrameID, error) {
+// allocLocked assigns owner the frame Alloc would hand out next, or, when
+// that frame begins an unbuilt chunk of at most limit frames that are the
+// next ones in Alloc order, that whole chunk in one step, which stays
+// unbuilt. Past a host frame, that order runs on from the cursor only
+// when no freed frame is left.
+func (a *Allocator) allocLocked(owner ownerID, limit int) (FrameRun, error) {
 	p := a.phys
 	var f FrameID
 	var ok bool
+	end := FrameID(p.nframes)
 	if a.region.End != 0 {
 		if f, ok = p.unownedGuestLocked(a.region); !ok {
-			return 0, fmt.Errorf("guest region exhausted: %w", abi.ENOMEM)
+			return FrameRun{}, fmt.Errorf("guest region exhausted: %w", abi.ENOMEM)
 		}
+		end = p.end(a.region)
 	} else if f, ok = p.nextFreeLocked(); !ok {
-		return 0, fmt.Errorf("physical memory exhausted: %w", abi.ENOMEM)
+		return FrameRun{}, fmt.Errorf("physical memory exhausted: %w", abi.ENOMEM)
+	}
+	inOrder := a.region.End != 0 || len(p.freed) == 0 && p.cursor == f+1
+	if c, n, whole := p.spanLocked(f, end); inOrder && whole && c.table == nil && int(n) <= limit {
+		// A host cursor stays inside the chunk, which has no free frame
+		// left, so the next search steps over it.
+		p.moveChunkLocked(c, int(n), owner)
+		return FrameRun{First: f, N: int32(n)}, nil
 	}
 	p.setOwnerLocked(f, owner)
-	return f, nil
+	return FrameRun{First: f, N: 1}, nil
 }
 
 // unownedGuestLocked finds the lowest frame of r in the unowned guest
@@ -635,24 +668,42 @@ func (a *Allocator) Free(f FrameID) error {
 	if !a.region.Contains(f) && a.region.End != 0 {
 		return fmt.Errorf("free frame %d outside guest region: %w", f, abi.EPERM)
 	}
-	a.freeLocked(f)
+	a.freeRunsLocked([]FrameRun{{First: f, N: 1}}, false)
 	return nil
 }
 
-// freeLocked releases frame f, which the caller has checked lies within
-// memory and the allocator's region.
-func (a *Allocator) freeLocked(f FrameID) {
+// freeRuns releases the frames of runs, which a handed out, as Free
+// would one by one in page order, or in reverse page order if reverse is
+// set: the host's freed list gets them in that order. A run outside the
+// allocator's region is left alone.
+func (a *Allocator) freeRuns(runs []FrameRun, reverse bool) {
+	a.phys.mu.Lock()
+	defer a.phys.mu.Unlock()
+	a.freeRunsLocked(runs, reverse)
+}
+
+func (a *Allocator) freeRunsLocked(runs []FrameRun, reverse bool) {
 	p := a.phys
-	o := unownedGuest
+	o, mark := unownedGuest, len(p.freed)
 	if a.region.End == 0 {
 		o = freeOwner
-		// A second free of a free frame must not list it twice.
-		if c, i := p.chunkLocked(f); c.ownerAt(i).kind != uint8(FrameFree) {
-			p.freed = append(p.freed, f)
-		}
 	}
-	c, i := p.setOwnerLocked(f, o)
-	c.setPage(i, nil)
+	for _, r := range runs {
+		end := r.First + FrameID(r.N)
+		if a.region.End != 0 && (r.First < a.region.Start || end > a.region.End) {
+			continue
+		}
+		// A second free of a free frame must not list it twice.
+		for f := r.First; o == freeOwner && f < end; f++ {
+			if c, i := p.chunkLocked(f); c.ownerAt(i).kind != uint8(FrameFree) {
+				p.freed = append(p.freed, f)
+			}
+		}
+		p.setOwnersLocked(r.First, end, o, true)
+	}
+	if reverse {
+		slices.Reverse(p.freed[mark:])
+	}
 }
 
 // Owner reports a frame's owner.
@@ -706,6 +757,30 @@ func (p *Physical) ReadFrame(accessor Region, f FrameID, off int, buf []byte) er
 	return nil
 }
 
+// copyFrames copies the frames of src into those of dst, page by page,
+// under one lock hold and the region confinement of ReadFrame and
+// WriteFrame, and bumps each dst frame's version once. A dst frame whose
+// src frame was never written gets no page, and reads zeros.
+func (p *Physical) copyFrames(accessor Region, dst, src *VMA) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := 0; i < src.Pages; i++ {
+		f, g := src.frame(i), dst.frame(i)
+		if accessor.End != 0 && !(accessor.Contains(f) && accessor.Contains(g)) {
+			return fmt.Errorf("copy of frame %d to %d outside accessor region: %w", f, g, abi.EPERM)
+		}
+		var pg *[abi.PageSize]byte // nil also clears a reused frame's stale contents
+		if c, j := p.chunkLocked(f); c.page(j) != nil {
+			pg = new([abi.PageSize]byte)
+			*pg = *c.page(j)
+		}
+		c, j := p.buildLocked(g)
+		c.setPage(j, pg)
+		c.table.versions[j]++
+	}
+	return nil
+}
+
 // VMAKind classifies virtual memory areas.
 type VMAKind int
 
@@ -749,12 +824,12 @@ const (
 // VMA is one virtual memory area: a contiguous run of pages backed by
 // physical frames.
 type VMA struct {
-	Start  uint64 // virtual address, page aligned
-	Pages  int
-	Prot   int
-	Kind   VMAKind
-	Tag    string // human-readable ("libc.so", "shellcode", ...)
-	Frames []FrameID
+	Start uint64 // virtual address, page aligned
+	Pages int
+	Prot  int
+	Kind  VMAKind
+	Tag   string // human-readable ("libc.so", "shellcode", ...)
+	runs  []FrameRun
 	// DeviceMemory marks mappings of devices that expose kernel memory
 	// (the kernelchopper channel).
 	DeviceMemory bool
@@ -765,6 +840,21 @@ type VMA struct {
 
 // End returns the first address past the VMA.
 func (v *VMA) End() uint64 { return v.Start + uint64(v.Pages)*abi.PageSize }
+
+// Runs returns the frames backing the VMA's pages as runs, in page order.
+// The caller must not modify them.
+func (v *VMA) Runs() []FrameRun { return v.runs }
+
+// frame returns the frame backing page i.
+func (v *VMA) frame(i int) FrameID {
+	for _, r := range v.Runs() {
+		if i < int(r.N) {
+			return r.First + FrameID(i)
+		}
+		i -= int(r.N)
+	}
+	panic("kernel: page past the end of a VMA's runs")
+}
 
 // Conventional layout addresses of the simulated 32-bit address space.
 const (
@@ -862,46 +952,39 @@ func (as *AddressSpace) MapFixed(addr uint64, n int, prot int, kind VMAKind, tag
 }
 
 func (as *AddressSpace) buildVMALocked(start uint64, n int, prot int, kind VMAKind, tag string) (*VMA, error) {
-	frames, err := as.alloc.AllocN(as.pid, n)
+	runs, err := as.alloc.AllocN(as.pid, n)
 	if err != nil {
 		return nil, err
 	}
-	v := &VMA{Start: start, Pages: n, Prot: prot, Kind: kind, Tag: tag, Frames: frames}
-	as.vmas = append(as.vmas, v)
-	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
+	v := &VMA{Start: start, Pages: n, Prot: prot, Kind: kind, Tag: tag, runs: runs}
+	as.insertLocked(v)
 	return v, nil
 }
 
-// MapShared maps pre-existing frames (a System V shared segment) into
-// this address space at a kernel-chosen base. The frames are owned by the
+// insertLocked adds v to the mappings, which stay sorted by address.
+func (as *AddressSpace) insertLocked(v *VMA) {
+	i, _ := slices.BinarySearchFunc(as.vmas, v.Start, func(w *VMA, start uint64) int { return cmp.Compare(w.Start, start) })
+	as.vmas = slices.Insert(as.vmas, i, v)
+}
+
+// MapShared maps the frames of a System V shared segment into this
+// address space at a kernel-chosen base. The frames are owned by the
 // segment: Release and UnmapShared leave them allocated.
-func (as *AddressSpace) MapShared(frames []FrameID, prot int, tag string) (uint64, error) {
+func (as *AddressSpace) MapShared(seg *ShmSegment, prot int, tag string) (uint64, error) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	base := as.nextMmap
-	for as.overlapLocked(base, len(frames)) {
-		base += uint64(len(frames)) * abi.PageSize
+	for as.overlapLocked(base, seg.Pages) {
+		base += uint64(seg.Pages) * abi.PageSize
 	}
-	v := &VMA{Start: base, Pages: len(frames), Prot: prot, Kind: VMAAnon, Tag: tag, Shared: true}
-	v.Frames = append(v.Frames, frames...)
-	as.vmas = append(as.vmas, v)
-	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
+	v := &VMA{Start: base, Pages: seg.Pages, Prot: prot, Kind: VMAAnon, Tag: tag, Shared: true, runs: seg.runs}
+	as.insertLocked(v)
 	as.nextMmap = v.End()
 	return base, nil
 }
 
 // UnmapShared removes a shared mapping without freeing its frames.
-func (as *AddressSpace) UnmapShared(addr uint64) error {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	for i, v := range as.vmas {
-		if v.Start == addr && v.Shared {
-			as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
-			return nil
-		}
-	}
-	return abi.EINVAL
-}
+func (as *AddressSpace) UnmapShared(addr uint64) error { return as.unmap(addr, true) }
 
 // MapDevice records a device-backed mapping. exposesKernel marks mappings
 // that leak kernel memory (e.g. an unprotected framebuffer node).
@@ -918,20 +1001,22 @@ func (as *AddressSpace) MapDevice(n int, prot int, tag string, exposesKernel boo
 	return base, nil
 }
 
-// Unmap removes the mapping starting exactly at addr.
-func (as *AddressSpace) Unmap(addr uint64) error {
+// Unmap removes the mapping starting exactly at addr and frees its
+// frames, unless a shared segment owns them.
+func (as *AddressSpace) Unmap(addr uint64) error { return as.unmap(addr, false) }
+
+func (as *AddressSpace) unmap(addr uint64, sharedOnly bool) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	for i, v := range as.vmas {
-		if v.Start == addr {
-			for _, f := range v.Frames {
-				_ = as.alloc.Free(f)
-			}
-			as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
-			return nil
-		}
+	i := slices.IndexFunc(as.vmas, func(v *VMA) bool { return v.Start == addr && (v.Shared || !sharedOnly) })
+	if i < 0 {
+		return abi.EINVAL
 	}
-	return abi.EINVAL
+	if v := as.vmas[i]; !v.Shared {
+		as.alloc.freeRuns(v.Runs(), false)
+	}
+	as.vmas = slices.Delete(as.vmas, i, i+1)
+	return nil
 }
 
 // Brk grows (or shrinks) the heap to end and returns the new break.
@@ -951,24 +1036,31 @@ func (as *AddressSpace) Brk(end uint64) (uint64, error) {
 	switch {
 	case newPages > curPages:
 		if heap == nil {
-			v, err := as.buildVMALocked(AddrHeapBase, newPages, ProtRead|ProtWrite, VMAHeap, "heap")
-			if err != nil {
+			if _, err := as.buildVMALocked(AddrHeapBase, newPages, ProtRead|ProtWrite, VMAHeap, "heap"); err != nil {
 				return as.brk, err
 			}
-			heap = v
 		} else {
-			frames, err := as.alloc.AllocN(as.pid, newPages-curPages)
+			runs, err := as.alloc.AllocN(as.pid, newPages-curPages)
 			if err != nil {
 				return as.brk, err
 			}
-			heap.Frames = append(heap.Frames, frames...)
-			heap.Pages += len(frames)
+			for _, r := range runs {
+				heap.runs = appendRun(heap.runs, r)
+			}
+			heap.Pages += newPages - curPages
 		}
 	case newPages < curPages && heap != nil:
-		for i := curPages - 1; i >= newPages; i-- {
-			_ = as.alloc.Free(heap.Frames[i])
+		// Free the top pages from the last one down, a run at a time.
+		for drop := curPages - newPages; drop > 0; {
+			last := &heap.runs[len(heap.runs)-1]
+			k := min(drop, int(last.N))
+			last.N -= int32(k)
+			as.alloc.freeRuns([]FrameRun{{First: last.First + FrameID(last.N), N: int32(k)}}, true)
+			if last.N == 0 {
+				heap.runs = heap.runs[:len(heap.runs)-1]
+			}
+			drop -= k
 		}
-		heap.Frames = heap.Frames[:newPages]
 		heap.Pages = newPages
 	}
 	as.brk = end
@@ -992,7 +1084,7 @@ func (as *AddressSpace) translate(addr uint64) (FrameID, int, *VMA) {
 	}
 	pageIdx := int((addr - v.Start) / abi.PageSize)
 	off := int((addr - v.Start) % abi.PageSize)
-	return v.Frames[pageIdx], off, v
+	return v.frame(pageIdx), off, v
 }
 
 // WriteBytes stores data at the virtual address, page by page. accessor is
@@ -1007,10 +1099,7 @@ func (as *AddressSpace) WriteBytes(accessor Region, addr uint64, data []byte) er
 		if v == nil {
 			return abi.EFAULT
 		}
-		n := abi.PageSize - off
-		if n > len(data) {
-			n = len(data)
-		}
+		n := min(abi.PageSize-off, len(data))
 		if err := as.alloc.phys.WriteFrame(accessor, f, off, data[:n]); err != nil {
 			return err
 		}
@@ -1058,7 +1147,9 @@ func (as *AddressSpace) VMAAt(addr uint64) *VMA {
 	if v == nil {
 		return nil
 	}
+	// A copy shares no run list: Brk grows the heap's last run in place.
 	cp := *v
+	cp.runs = slices.Clone(v.runs)
 	return &cp
 }
 
@@ -1069,6 +1160,7 @@ func (as *AddressSpace) VMAs() []VMA {
 	out := make([]VMA, len(as.vmas))
 	for i, v := range as.vmas {
 		out[i] = *v
+		out[i].runs = slices.Clone(v.runs)
 	}
 	return out
 }
@@ -1085,34 +1177,23 @@ func (as *AddressSpace) ResidentPages() int {
 }
 
 // Clone duplicates the address space for fork: same layout, fresh frames,
-// contents copied (an eager model of copy-on-write).
+// contents copied (an eager model of copy-on-write). A fork that fails
+// frees the child's frames.
 func (as *AddressSpace) Clone(alloc *Allocator, pid int, accessor Region) (*AddressSpace, error) {
 	as.mu.Lock()
-	vmas := make([]*VMA, len(as.vmas))
-	copy(vmas, as.vmas)
-	brk := as.brk
-	minAddr := as.MmapMinAddr
-	as.mu.Unlock()
-
+	defer as.mu.Unlock()
+	// No one else holds the child yet, so it is built without its lock.
 	child := NewAddressSpace(alloc, pid)
-	child.MmapMinAddr = minAddr
-	child.brk = brk
-	buf := make([]byte, abi.PageSize)
-	for _, v := range vmas {
-		child.mu.Lock()
+	child.MmapMinAddr, child.brk = as.MmapMinAddr, as.brk
+	for _, v := range as.vmas {
 		nv, err := child.buildVMALocked(v.Start, v.Pages, v.Prot, v.Kind, v.Tag)
-		child.mu.Unlock()
-		if err != nil {
-			return nil, err
+		if err == nil {
+			nv.DeviceMemory = v.DeviceMemory
+			err = as.alloc.phys.copyFrames(accessor, nv, v)
 		}
-		nv.DeviceMemory = v.DeviceMemory
-		for i, f := range v.Frames {
-			if err := as.alloc.phys.ReadFrame(accessor, f, 0, buf); err != nil {
-				return nil, err
-			}
-			if err := as.alloc.phys.WriteFrame(accessor, nv.Frames[i], 0, buf); err != nil {
-				return nil, err
-			}
+		if err != nil {
+			child.Release()
+			return nil, err
 		}
 	}
 	return child, nil
@@ -1124,11 +1205,8 @@ func (as *AddressSpace) Release() {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	for _, v := range as.vmas {
-		if v.Shared {
-			continue
-		}
-		for _, f := range v.Frames {
-			_ = as.alloc.Free(f)
+		if !v.Shared {
+			as.alloc.freeRuns(v.Runs(), false)
 		}
 	}
 	as.vmas = nil

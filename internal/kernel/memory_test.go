@@ -254,17 +254,28 @@ func TestCloneCopiesButDoesNotShare(t *testing.T) {
 	// Frames of parent and child must be disjoint.
 	pf := map[FrameID]bool{}
 	for _, v := range parent.VMAs() {
-		for _, f := range v.Frames {
+		for _, f := range runFrames(v.Runs()) {
 			pf[f] = true
 		}
 	}
 	for _, v := range child.VMAs() {
-		for _, f := range v.Frames {
+		for _, f := range runFrames(v.Runs()) {
 			if pf[f] {
 				t.Fatalf("frame %d shared between parent and child", f)
 			}
 		}
 	}
+}
+
+// runFrames lists the frames of runs one by one, in order.
+func runFrames(runs []FrameRun) []FrameID {
+	var out []FrameID
+	for _, r := range runs {
+		for i := int32(0); i < r.N; i++ {
+			out = append(out, r.First+FrameID(i))
+		}
+	}
+	return out
 }
 
 func TestReleaseReturnsFrames(t *testing.T) {
@@ -302,7 +313,7 @@ func TestGuestAddressSpaceConfinedOnWrite(t *testing.T) {
 	}
 	// ...and the frames really are inside the region.
 	for _, v := range as.VMAs() {
-		for _, f := range v.Frames {
+		for _, f := range runFrames(v.Runs()) {
 			if !region.Contains(f) {
 				t.Fatalf("guest AS frame %d outside region", f)
 			}
@@ -853,9 +864,10 @@ func guestAllocAgainstReference(t *testing.T, seed int64) {
 			n := 1 + rng.Intn(64)
 			exp := want(g.region, n)
 			before, _, _ := phys.CaptureRegion(g.region)
-			fs, err := g.alloc.AllocN(pid, n)
+			runs, err := g.alloc.AllocN(pid, n)
+			fs := runFrames(runs)
 			if len(exp) < n {
-				if !errors.Is(err, abi.ENOMEM) || fs != nil {
+				if !errors.Is(err, abi.ENOMEM) || runs != nil {
 					t.Fatalf("seed %d step %d: AllocN(%d) with %d left = %v, %v; want ENOMEM", seed, step, n, len(exp), fs, err)
 				}
 				after, _, _ := phys.CaptureRegion(g.region)
@@ -867,8 +879,8 @@ func guestAllocAgainstReference(t *testing.T, seed int64) {
 				}
 				break
 			}
-			if err != nil || len(fs) != n || cap(fs) != n {
-				t.Fatalf("seed %d step %d: AllocN(%d) = len %d cap %d, %v", seed, step, n, len(fs), cap(fs), err)
+			if err != nil || len(fs) != n {
+				t.Fatalf("seed %d step %d: AllocN(%d) = %d frames, %v", seed, step, n, len(fs), err)
 			}
 			for i := range fs {
 				if fs[i] != exp[i] {
@@ -924,10 +936,12 @@ func guestAllocAgainstReference(t *testing.T, seed int64) {
 // It uses host memory and four guest regions that start mid-chunk, three
 // of them spanning whole chunks. After every step each frame's Owner,
 // version (FrameVersions) and ReadFrame bytes must equal the model's, as
-// must every RestoreRegion count. A chunk inside a region whose frames
-// have always shared one owner and version, with no contents, and that no
-// restore has rewritten a frame of, must still be unbuilt, however many
-// times its region was reserved, reset or reclaimed.
+// must every RestoreRegion count. A chunk inside a region or in free host
+// memory whose frames have always shared one owner and version, with no
+// contents, and that no restore has rewritten a frame of, must still be
+// unbuilt, however many times its region was reserved, reset or
+// reclaimed, and however often a mapping of more than a chunk took it
+// whole (AllocN) and a Release freed it whole, on the host or a guest.
 func TestFrameTableMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		frameTableAgainstReference(t, seed)
@@ -943,7 +957,7 @@ type refFrame struct {
 
 func frameTableAgainstReference(t *testing.T, seed int64) {
 	t.Helper()
-	const nframes = 8 * chunkFrames
+	const nframes = 10 * chunkFrames
 	rng := rand.New(rand.NewSource(seed))
 	phys := NewPhysical(nframes * abi.PageSize)
 	ref := make([]refFrame, nframes)
@@ -970,6 +984,9 @@ func frameTableAgainstReference(t *testing.T, seed int64) {
 		owners   []FrameOwner
 		datas    [][]byte
 		versions []uint64
+		// A mapping of more than a chunk, until released, and its frames.
+		space       *AddressSpace
+		spaceFrames []FrameID
 	}
 	host := &pool{alloc: phys.NewAllocator("host", Region{})}
 	for i := 0; i < 37; i++ {
@@ -996,9 +1013,10 @@ func frameTableAgainstReference(t *testing.T, seed int64) {
 		return &pool{alloc: phys.NewAllocator("cvm-"+name, r), region: r}
 	}
 	// A is small, B spans chunks 1 and 2 whole, D chunk 4 and E chunk 6.
-	// D and E are never allocated from or written. D is only reset,
-	// reclaimed and captured, so its whole chunk must stay unbuilt to the
-	// end; E is restored too.
+	// D and E are never written, and allocated from only by mappings that
+	// take their whole chunk. D is only mapped, released, reset, reclaimed
+	// and captured, so its whole chunk must stay unbuilt to the end; E is
+	// restored too, and reclaimed with a kept frame.
 	guests := []*pool{reserve("a", 300), reserve("b", 1200)}
 	regionD, regionE := reserve("d", 1100), reserve("e", 1000)
 
@@ -1102,6 +1120,55 @@ func frameTableAgainstReference(t *testing.T, seed int64) {
 	if want := []int{4, 6, 1, 2}; fmt.Sprint(inner) != fmt.Sprint(want) {
 		t.Fatalf("chunks inside the regions = %v, want %v", inner, want)
 	}
+	// Chunks 8 and 9 lie in free host memory.
+	inner = append(inner, 8, 9)
+	// mapOrRelease maps n pages, more than a chunk's worth, into a fresh
+	// address space of p's, or releases the one p holds. Host frames come
+	// from the freed list one at a time, which builds their chunks.
+	mapOrRelease := func(step int, p *pool, n int) {
+		if p.space != nil {
+			for _, f := range p.spaceFrames {
+				ref[f] = refFrame{owner: unowned, version: ref[f].version + 1}
+				if p == host {
+					ref[f].owner = FrameOwner{Kind: FrameFree}
+				}
+			}
+			p.space.Release()
+			p.space, p.spaceFrames = nil, nil
+			return
+		}
+		if p == host {
+			phys.mu.Lock()
+			for _, f := range phys.freed {
+				split[f/chunkFrames] = true
+			}
+			phys.mu.Unlock()
+		}
+		want := available(p, n)
+		as := NewAddressSpace(p.alloc, 7)
+		_, err := as.MapAnon(n, ProtRead|ProtWrite, VMAAnon, "whole")
+		if len(want) < n {
+			if !errors.Is(err, abi.ENOMEM) {
+				fail(step, "mapping %d pages with %d left: %v; want ENOMEM", n, len(want), err)
+			}
+			for _, f := range want {
+				ref[f].version += 2
+				ref[f].data = nil
+			}
+			return
+		}
+		if err != nil {
+			fail(step, "mapping %d pages: %v", n, err)
+		}
+		p.space, p.spaceFrames = as, runFrames(as.VMAs()[0].Runs())
+		for i, f := range p.spaceFrames {
+			if p.region.End != 0 && f != want[i] || p.region.End == 0 && ref[f].owner.Kind != FrameFree {
+				fail(step, "mapping's page %d took frame %d owned by %+v; want %d", i, f, ref[f].owner, want[i])
+			}
+			ref[f].owner = ownerFor(p, 7)
+			ref[f].version++
+		}
+	}
 	zeros := make([]byte, abi.PageSize)
 	check := func(step int) {
 		versions := phys.FrameVersions(Region{Start: 0, End: nframes})
@@ -1177,6 +1244,11 @@ func frameTableAgainstReference(t *testing.T, seed int64) {
 		if rng.Intn(4) == 0 {
 			p = host
 		}
+		if rng.Intn(12) == 0 {
+			mapOrRelease(step, p, chunkFrames+rng.Intn(700))
+			check(step)
+			continue
+		}
 		switch op := rng.Intn(100); {
 		case op < 25:
 			want := available(p, 1)
@@ -1196,7 +1268,8 @@ func frameTableAgainstReference(t *testing.T, seed int64) {
 			// whole chunk and leave it uniform, though built.
 			n := 1 + rng.Intn(96)
 			want := available(p, n)
-			fs, err := p.alloc.AllocN(pid, n)
+			runs, err := p.alloc.AllocN(pid, n)
+			fs := runFrames(runs)
 			if len(want) < n {
 				if !errors.Is(err, abi.ENOMEM) {
 					fail(step, "AllocN(%d) with %d left = %v, %v; want ENOMEM", n, len(want), fs, err)
@@ -1265,18 +1338,24 @@ func frameTableAgainstReference(t *testing.T, seed int64) {
 		case op < 92 && p.owners != nil:
 			restore(step, p)
 		default:
-			// D and E reset, reclaim and are captured; E is restored,
-			// now and then from a capture with one frame of its whole
-			// chunk altered, as an image from elsewhere might be.
+			// D and E are mapped from, reset, reclaim and are captured; E
+			// is restored, now and then from a capture with one frame of
+			// its whole chunk altered, as an image from elsewhere might
+			// be. A mapping of all but a few of a region's frames takes
+			// its whole chunk.
 			d := regionD
 			if rng.Intn(2) == 0 {
 				d = regionE
 			}
-			switch k := rng.Intn(4); {
+			switch k := rng.Intn(5); {
 			case k == 0:
 				reset(d)
+			case k == 1 && d == regionE && len(d.spaceFrames) > 0:
+				reclaim(d, d.spaceFrames[rng.Intn(len(d.spaceFrames)):][:1])
 			case k == 1:
 				reclaim(d, nil)
+			case k == 4:
+				mapOrRelease(step, d, d.region.Frames()-rng.Intn(50))
 			case k == 2 || d.owners == nil || d == regionD:
 				capture(d)
 				for i, o := range d.owners {

@@ -15,11 +15,11 @@ import (
 
 // ShmSegment is one shared segment.
 type ShmSegment struct {
-	ID     int
-	Key    int
-	Pages  int
-	Owner  abi.Cred
-	Frames []FrameID
+	ID    int
+	Key   int
+	Pages int
+	Owner abi.Cred
+	runs  []FrameRun
 	// attachments counts live mappings; a removed segment is reclaimed
 	// when it drops to zero (IPC_RMID semantics, simplified).
 	attachments int
@@ -71,11 +71,11 @@ func (k *Kernel) sysShmget(t *Task, args Args) Result {
 	}
 	seg := &ShmSegment{ID: reg.nextID, Key: key, Pages: pages, Owner: t.Cred}
 	reg.nextID++
-	frames, err := reg.kernAloc.AllocN(t.PID, pages)
+	runs, err := reg.kernAloc.AllocN(t.PID, pages)
 	if err != nil {
 		return k.errResult(err)
 	}
-	seg.Frames = frames
+	seg.runs = runs
 	reg.byID[seg.ID] = seg
 	if key != IPCPrivate {
 		reg.byKey[key] = seg
@@ -100,7 +100,7 @@ func (k *Kernel) sysShmat(t *Task, args Args) Result {
 	if t.AS == nil {
 		return k.errResult(abi.ENOMEM)
 	}
-	base, err := t.AS.MapShared(seg.Frames, ProtRead|ProtWrite, "shm")
+	base, err := t.AS.MapShared(seg, ProtRead|ProtWrite, "shm")
 	if err != nil {
 		return k.errResult(err)
 	}
